@@ -48,12 +48,16 @@ from .systems import (
 __all__ = ["main", "error_curve", "load_config"]
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config holds the non-finite number {name}")
+
+
 def load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        cfg = json.loads(path.read_text())
+        cfg = json.loads(path.read_text(), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if cfg.get("spec_version") != 1:
@@ -65,17 +69,6 @@ def load_config(path: str | Path) -> dict:
 
 def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
-
-
-def _system_spec(cfg: dict) -> SystemSpec:
-    sysc = cfg["system"]
-    return SystemSpec(
-        kind=sysc["kind"],
-        x0=tuple(sysc.get("x0", ())),
-        t_span=tuple(sysc.get("t_span", (0.0, 10.0))),
-        dt=float(sysc.get("dt", 0.01)),
-        params=dict(sysc.get("params", {})),
-    )
 
 
 def _integrator(cfg: dict) -> IntegratorConfig:
@@ -92,13 +85,19 @@ def _system_runs(cfg: dict) -> list[SystemSpec]:
     """Expand the system block into one spec per trajectory.
 
     ``system.runs`` lists per-run overrides ({"params": ..., "x0": ...})
-    for ensemble experiments; without it there is a single run.
+    for ensemble experiments, and the logistic map has one run per value
+    of ``ensemble_mus``; otherwise there is a single run.
     """
     sysc = cfg["system"]
-    if "runs" not in sysc:
-        return [_system_spec(cfg)]
+    if sysc["kind"] == "logistic":
+        runs = [{"params": {"mu": mu}, "x0": sysc.get("x0", [0.5])}
+                for mu in sysc.get("ensemble_mus", [])]
+    else:
+        runs = sysc.get("runs", [{}])
+    if not runs:
+        raise ConfigError("system expands to no runs: ensemble_mus or runs is empty")
     specs = []
-    for run in sysc["runs"]:
+    for run in runs:
         params = dict(sysc.get("params", {}))
         params.update(run.get("params", {}))
         specs.append(SystemSpec(
@@ -111,24 +110,27 @@ def _system_runs(cfg: dict) -> list[SystemSpec]:
     return specs
 
 
-def _generate_dataset(cfg: dict, seed: int) -> TimeSeriesDataset:
+def _simulate_runs(cfg: dict, specs: list[SystemSpec], seed: int) -> list[TimeSeriesDataset]:
+    """The raw trajectory of each run, before noise and augmentation."""
     sysc = cfg["system"]
     if sysc["kind"] == "logistic":
-        return logistic_ensemble(
-            mus=sysc["ensemble_mus"],
-            n_steps=int(sysc.get("n_steps", 1000)),
-            eta=float(sysc.get("forcing", 0.0)),
-            seed=seed,
-            x0=float(sysc.get("x0", [0.5])[0]),
-        )
+        # per-value seeds match the slices of logistic_ensemble over all values
+        return [
+            logistic_ensemble(
+                [spec.params["mu"]], n_steps=int(sysc.get("n_steps", 1000)),
+                eta=float(sysc.get("forcing", 0.0)), seed=seed + 1000 * i, x0=spec.x0[0])
+            for i, spec in enumerate(specs)]
     integ = _integrator(cfg)
-    aug = sysc.get("augment")
-    runs = []
-    for spec in _system_runs(cfg):
-        ds = simulate(spec, integ)
-        if aug:
-            ds = augment_parameter(ds, aug["name"], float(spec.params[aug["param"]]))
-        runs.append(ds)
+    return [simulate(spec, integ) for spec in specs]
+
+
+def _join_runs(cfg: dict, specs: list[SystemSpec],
+               runs: list[TimeSeriesDataset]) -> TimeSeriesDataset:
+    """Append each run's configured parameter as a known state, then concatenate."""
+    aug = cfg["system"].get("augment")
+    if aug:
+        runs = [augment_parameter(ds, aug["name"], float(spec.params[aug["param"]]))
+                for spec, ds in zip(specs, runs)]
     return concatenate(runs) if len(runs) > 1 else runs[0]
 
 
@@ -142,10 +144,17 @@ def _library(cfg: dict, n_states: int) -> LibrarySpec:
     )
 
 
-def _fit_config(cfg: dict, override_threshold: float | None):
+def _fit_mode(cfg: dict) -> Mode:
+    mode = cfg.get("fit", {}).get("mode", "continuous")
+    try:
+        return Mode(mode)
+    except ValueError:
+        raise ConfigError(f"unknown fit mode {mode!r}") from None
+
+
+def _fit_config(cfg: dict, override_threshold: float | None) -> StlsqConfig | LassoConfig:
     fc = dict(cfg.get("fit", {}))
     method = fc.get("method", "stlsq")
-    mode = Mode.DISCRETE if fc.get("mode", "continuous") == "discrete" else Mode.CONTINUOUS
     if method == "stlsq":
         threshold = float(fc.get("threshold", 0.05))
         if override_threshold is not None:
@@ -153,8 +162,7 @@ def _fit_config(cfg: dict, override_threshold: float | None):
         return StlsqConfig(
             threshold=threshold,
             max_iterations=int(fc.get("max_iterations", 10)),
-            convergence=fc.get("convergence", "support_stable"),
-        ), mode
+        )
     if method == "lasso":
         lam1 = float(fc.get("lambda1", 0.1))
         if override_threshold is not None:
@@ -163,12 +171,12 @@ def _fit_config(cfg: dict, override_threshold: float | None):
             lambda1=lam1,
             tol=float(fc.get("tol", 1e-10)),
             max_sweeps=int(fc.get("max_sweeps", 10_000)),
-        ), mode
+        )
     raise ConfigError(f"unknown fit method {method!r}")
 
 
 def _condition(ds: TimeSeriesDataset, cfg: dict, noise_seed: int,
-               external: bool) -> TimeSeriesDataset:
+               mode: Mode) -> TimeSeriesDataset:
     """Apply configured noise and derivative estimation to one trajectory."""
     nc = cfg.get("noise", {})
     eta = float(nc.get("eta", 0.0))
@@ -180,7 +188,7 @@ def _condition(ds: TimeSeriesDataset, cfg: dict, noise_seed: int,
         ds = ds.with_(states=hard_threshold_svd(ds.states))
     method = dc.get("method", "exact")
     if method == "exact":
-        if ds.derivatives is None and cfg.get("fit", {}).get("mode", "continuous") == "continuous":
+        if ds.derivatives is None and mode is Mode.CONTINUOUS:
             raise DataError(
                 "differentiation method 'exact' needs stored derivatives; "
                 "external data without them must use 'central' or 'tv'")
@@ -197,29 +205,21 @@ def _condition(ds: TimeSeriesDataset, cfg: dict, noise_seed: int,
     return ds
 
 
-def _prepare(cfg: dict, seed: int, data_path: str | None) -> TimeSeriesDataset:
+def _prepare(cfg: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSeriesDataset:
     """generate (or load) -> noise -> differentiate -> augment -> reduce.
 
-    Ensemble runs are noise-injected and differentiated independently (a
-    fresh noise stream per run), then parameter-augmented and
-    concatenated, so known parameter columns stay exact.
+    Runs are noise-injected and differentiated independently (a fresh
+    noise stream per run), then parameter-augmented and concatenated, so
+    known parameter columns stay exact.
     """
     noise_base = int(cfg.get("noise", {}).get("seed", seed + 1))
-    sysc = cfg["system"]
     if data_path is not None:
-        ds = _condition(read_dataset_csv(data_path), cfg, noise_base, external=True)
-    elif sysc["kind"] == "logistic" or "runs" not in sysc:
-        ds = _condition(_generate_dataset(cfg, seed), cfg, noise_base, external=False)
+        ds = _condition(read_dataset_csv(data_path), cfg, noise_base, mode)
     else:
-        integ = _integrator(cfg)
-        aug = sysc.get("augment")
-        runs = []
-        for i, spec in enumerate(_system_runs(cfg)):
-            run = _condition(simulate(spec, integ), cfg, noise_base + i, external=False)
-            if aug:
-                run = augment_parameter(run, aug["name"], float(spec.params[aug["param"]]))
-            runs.append(run)
-        ds = concatenate(runs) if len(runs) > 1 else runs[0]
+        specs = _system_runs(cfg)
+        runs = [_condition(run, cfg, noise_base + i, mode)
+                for i, run in enumerate(_simulate_runs(cfg, specs, seed))]
+        ds = _join_runs(cfg, specs, runs)
     rc = cfg.get("reduction")
     if rc:
         basis = compute_basis(
@@ -232,15 +232,24 @@ def _prepare(cfg: dict, seed: int, data_path: str | None) -> TimeSeriesDataset:
     return ds
 
 
+def _json_artifact(path: Path, render) -> None:
+    """Write ``render()`` to ``path``; JSON holds no NaN or infinity."""
+    try:
+        text = render()
+    except ValueError as exc:
+        raise NumericalError(f"{path.name} would hold a non-finite value: {exc}") from exc
+    path.write_text(text)
+
+
 def _write_model_artifacts(out: Path, model: SparseModel, report: FitReport) -> dict:
     paths = {
         "model_json": out / "model.json",
         "model_table": out / "model_table.txt",
         "fit_report": out / "fit_report.json",
     }
-    paths["model_json"].write_text(model_to_json(model))
+    _json_artifact(paths["model_json"], lambda: model_to_json(model))
     paths["model_table"].write_text(render_table(model))
-    paths["fit_report"].write_text(report.to_json())
+    _json_artifact(paths["fit_report"], report.to_json)
     return {k: str(v) for k, v in paths.items()}
 
 
@@ -256,7 +265,7 @@ def _write_run_report(out: Path, command: str, cfg: dict, seed: int,
         "summary": summary,
     }
     path = out / "run_report.json"
-    path.write_text(json.dumps(report, indent=2))
+    _json_artifact(path, lambda: json.dumps(report, indent=2, allow_nan=False))
     return path
 
 
@@ -269,25 +278,16 @@ def error_curve(f_true, f_model, x0: np.ndarray, grid: np.ndarray,
 
 
 def cmd_generate(cfg: dict, out: Path, seed: int) -> int:
-    sysc = cfg["system"]
+    specs = _system_runs(cfg)
+    runs = _simulate_runs(cfg, specs, seed)
     artifacts = {}
-    if sysc["kind"] == "logistic" and "ensemble_mus" in sysc:
-        # one file per parameter value plus the concatenated training set;
-        # per-value seeds match the slices of the combined ensemble
-        parts = []
-        for i, mu in enumerate(sysc["ensemble_mus"]):
-            part = logistic_ensemble(
-                [mu], n_steps=int(sysc.get("n_steps", 1000)),
-                eta=float(sysc.get("forcing", 0.0)), seed=seed + 1000 * i,
-                x0=float(sysc.get("x0", [0.5])[0]))
-            parts.append(part)
-            p = write_dataset_csv(part, out / f"logistic_mu_{mu}.csv")
-            artifacts[f"mu_{i}"] = str(p)
-        ds = concatenate(parts)
-        artifacts["dataset"] = str(write_dataset_csv(ds, out / "dataset.csv"))
-    else:
-        ds = _generate_dataset(cfg, seed)
-        artifacts["dataset"] = str(write_dataset_csv(ds, out / "dataset.csv"))
+    if cfg["system"]["kind"] == "logistic":
+        # one file per parameter value next to the concatenated training set
+        for i, (spec, run) in enumerate(zip(specs, runs)):
+            path = write_dataset_csv(run, out / f"logistic_mu_{spec.params['mu']}.csv")
+            artifacts[f"mu_{i}"] = str(path)
+    ds = _join_runs(cfg, specs, runs)
+    artifacts["dataset"] = str(write_dataset_csv(ds, out / "dataset.csv"))
     _write_run_report(out, "generate", cfg, seed, artifacts,
                       {"samples": ds.n_samples, "states": ds.n_states})
     return 0
@@ -295,8 +295,9 @@ def cmd_generate(cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_fit(cfg: dict, out: Path, seed: int, data_path: str | None,
             override_threshold: float | None) -> int:
-    ds = _prepare(cfg, seed, data_path)
-    fit_cfg, mode = _fit_config(cfg, override_threshold)
+    mode = _fit_mode(cfg)
+    fit_cfg = _fit_config(cfg, override_threshold)
+    ds = _prepare(cfg, seed, data_path, mode)
     spec = _library(cfg, ds.n_states)
     model, report = fit(ds, spec, fit_cfg, mode=mode)
     artifacts = _write_model_artifacts(out, model, report)
@@ -306,17 +307,21 @@ def cmd_fit(cfg: dict, out: Path, seed: int, data_path: str | None,
 
 
 def cmd_compare(cfg: dict, out: Path, seed: int, override_threshold: float | None) -> int:
+    specs = _system_runs(cfg)
+    spec, *more = specs
+    if more or spec.kind == "logistic":
+        raise ConfigError("compare needs a config that expands to a single continuous-time "
+                          f"run, not {len(specs)} {spec.kind} run(s)")
+    if _fit_mode(cfg) is not Mode.CONTINUOUS:
+        raise ConfigError("compare needs a continuous-time model")
+    fit_cfg = _fit_config(cfg, override_threshold)
     cc = cfg.get("compare", {})
     horizon = float(cc.get("horizon", 20.0))
     grid_dt = float(cc.get("grid_dt", 0.01))
     etas = [float(e) for e in cc.get("etas", [cfg.get("noise", {}).get("eta", 0.0)])]
     grid = np.arange(0.0, horizon + grid_dt / 2, grid_dt)
-    spec = _system_spec(cfg)
     f_true = system_rhs(spec)
-    base = simulate(spec, _integrator(cfg))
-    fit_cfg, mode = _fit_config(cfg, override_threshold)
-    if mode is not Mode.CONTINUOUS:
-        raise ConfigError("compare needs a continuous-time model")
+    [base] = _simulate_runs(cfg, specs, seed)
     lib = _library(cfg, base.n_states)
     artifacts, summary = {}, {}
     last_model = None
@@ -358,7 +363,8 @@ def cmd_compare(cfg: dict, out: Path, seed: int, override_threshold: float | Non
 
 
 def cmd_sweep(cfg: dict, out: Path, seed: int, data_path: str | None) -> int:
-    ds = _prepare(cfg, seed, data_path)
+    mode = _fit_mode(cfg)
+    ds = _prepare(cfg, seed, data_path, mode)
     sc = cfg.get("selection", {})
     if "lambdas" in sc:
         lambdas = np.array([float(v) for v in sc["lambdas"]])
@@ -367,12 +373,8 @@ def cmd_sweep(cfg: dict, out: Path, seed: int, data_path: str | None) -> int:
                               float(sc.get("log10_max", 0)),
                               int(sc.get("count", 25)))
     lib = _library(cfg, ds.n_states)
-    points, models = sweep(
-        ds, lib, lambdas,
-        fraction=float(sc.get("fraction", 0.2)),
-        policy=sc.get("policy", "tail"),
-        seed=seed,
-    )
+    points, models = sweep(ds, lib, lambdas, fraction=float(sc.get("fraction", 0.2)),
+                           policy=sc.get("policy", "tail"), seed=seed, mode=mode)
     chosen = pick_elbow(points)
     artifacts = {"pareto": str(write_pareto_csv(points, out / "pareto.csv"))}
     model, report = next(
@@ -417,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, SindykitError) as exc:
+    except (NumericalError, SindykitError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

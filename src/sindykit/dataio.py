@@ -52,7 +52,7 @@ def write_dataset_csv(dataset: TimeSeriesDataset, path: str | Path) -> Path:
         "segments": list(dataset.segments),
         "meta": _jsonable(dataset.meta),
     }
-    _meta_path(path).write_text(json.dumps(sidecar, indent=2))
+    _meta_path(path).write_text(json.dumps(sidecar, indent=2, allow_nan=False))
     return path
 
 

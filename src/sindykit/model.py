@@ -223,7 +223,7 @@ def model_to_json(model: SparseModel) -> str:
         ],
         "coefficients": [[float(v) for v in row] for row in model.coefficients],
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def model_from_json(text: str) -> SparseModel:

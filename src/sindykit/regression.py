@@ -10,9 +10,7 @@ squares and coordinate-descent LASSO are provided as baselines.
 from __future__ import annotations
 
 import json
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,26 +32,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StlsqConfig:
-    """Threshold, iteration cap and convergence policy for the
-    threshold/re-solve loop.
+    """Threshold and iteration cap for the threshold/re-solve loop.
 
-    ``convergence="support_stable"`` stops as soon as thresholding removes
-    nothing; ``"fixed_iterations"`` runs the full iteration count like the
-    classic ten-pass loop (extra passes past a stable support are no-ops
-    and are skipped without changing the result).
+    The loop stops as soon as thresholding removes nothing: further
+    passes on a stable support would reproduce the same coefficients.
     """
 
     threshold: float
     max_iterations: int = 10
-    convergence: str = "support_stable"
 
     def __post_init__(self) -> None:
         if self.threshold < 0:
             raise ConfigError("threshold must be nonnegative")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
-        if self.convergence not in ("support_stable", "fixed_iterations"):
-            raise ConfigError(f"unknown convergence policy {self.convergence!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +77,7 @@ class FitReport:
     empty_support: list[bool] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2)
+        return json.dumps(self.__dict__, indent=2, allow_nan=False)
 
 
 def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -107,26 +99,40 @@ def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _stlsq_column(Theta: np.ndarray, y: np.ndarray, cfg: StlsqConfig):
     """One equation of the threshold/re-solve loop.
 
-    Returns (xi, iterations, converged, empty, active_mask).  The active
-    set can only shrink: thresholding removes columns and the re-solve is
+    Returns (xi, iterations, converged, active_mask).  The active set can
+    only shrink: thresholding removes columns and the re-solve is
     restricted to survivors.
     """
     p = Theta.shape[1]
     xi = least_squares(Theta, y)
     active = np.ones(p, dtype=bool)
-    iterations = 0
-    for _ in range(cfg.max_iterations):
-        iterations += 1
+    for iterations in range(1, cfg.max_iterations + 1):
         keep = active & (np.abs(xi) >= cfg.threshold)
         if not keep.any():
-            return np.zeros(p), iterations, True, True, keep
+            return np.zeros(p), iterations, True, keep
         if np.array_equal(keep, active):
             # fixed point: a re-solve on the same support reproduces xi
-            return xi, iterations, True, False, active
+            return xi, iterations, True, active
         active = keep
         xi = np.zeros(p)
         xi[active] = least_squares(Theta[:, active], y)
-    return xi, iterations, False, False, active
+    return xi, iterations, False, active
+
+
+def _fit_report(values: np.ndarray, target: np.ndarray, coef: np.ndarray,
+                actives, iterations, converged) -> FitReport:
+    """Per-equation diagnostics; condition estimates use each final active set."""
+    report = FitReport()
+    for k, active in enumerate(actives):
+        xi = coef[:, k]
+        report.iterations_used.append(int(iterations[k]))
+        report.residual_norm.append(float(np.linalg.norm(values @ xi - target[:, k])))
+        report.nnz.append(int(np.count_nonzero(xi)))
+        report.condition_estimate.append(
+            float(np.linalg.cond(values[:, active])) if active.any() else None)
+        report.converged.append(bool(converged[k]))
+        report.empty_support.append(not active.any())
+    return report
 
 
 def stlsq(
@@ -161,31 +167,11 @@ def stlsq(
         raise DataError("Theta and dX must have the same number of rows")
     n = dX.shape[1]
     names = tuple(state_names) if state_names else default_state_names(n)
-
-    def solve(k: int):
-        return _stlsq_column(values, dX[:, k], cfg)
-
-    threads = _n_threads()
-    if threads > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, range(n)))
-    else:
-        results = [solve(k) for k in range(n)]
-
-    coef = np.column_stack([r[0] for r in results])
-    report = FitReport()
-    for k, (xi, iters, conv, empty, active) in enumerate(results):
-        report.iterations_used.append(iters)
-        report.residual_norm.append(float(np.linalg.norm(values @ xi - dX[:, k])))
-        report.nnz.append(int(np.count_nonzero(xi)))
-        if active.any():
-            report.condition_estimate.append(float(np.linalg.cond(values[:, active])))
-        else:
-            report.condition_estimate.append(None)
-        report.converged.append(bool(conv))
-        report.empty_support.append(bool(empty))
+    xis, iterations, converged, actives = zip(
+        *(_stlsq_column(values, dX[:, k], cfg) for k in range(n)))
+    coef = np.column_stack(xis)
     model = SparseModel(terms=terms, coefficients=coef, state_names=names, mode=mode)
-    return model, report
+    return model, _fit_report(values, dX, coef, actives, iterations, converged)
 
 
 def _soft_threshold(z: float, t: float) -> float:
@@ -235,6 +221,54 @@ def lasso_cd(Theta: LibraryMatrix | np.ndarray, y: np.ndarray, cfg: LassoConfig)
     return xi / An
 
 
+def _require_finite(values: np.ndarray, rows: np.ndarray, problem: str) -> None:
+    """Raise naming the dataset row of the first non-finite row of ``values``."""
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise DataError(f"{problem} at dataset row {rows[np.argmax(bad)]}")
+
+
+def _regression_problem(
+    dataset: TimeSeriesDataset, spec: LibrarySpec, mode: Mode,
+) -> tuple[LibraryMatrix, np.ndarray]:
+    """Library matrix and target of the regression dX = Theta(X) Xi.
+
+    Continuous mode pairs each state with its stored derivative; discrete
+    mode pairs each state with the next one in its segment, so that no
+    derivative is ever computed.  Non-finite data, and states large
+    enough to overflow the library, are rejected naming the dataset row.
+    """
+    if spec.n_states != dataset.n_states:
+        raise ConfigError(
+            f"library expects {spec.n_states} states, dataset has {dataset.n_states}")
+    if mode is Mode.CONTINUOUS:
+        if dataset.derivatives is None:
+            raise DataError(
+                "continuous-time fit needs derivatives; compute them with "
+                "the differentiation module (central_difference or tv_derivative)")
+        rows = np.arange(dataset.n_samples)
+        X, target, target_rows = dataset.states, dataset.derivatives, rows
+    else:
+        rows = np.concatenate(
+            [np.arange(sl.start, sl.stop - 1) for sl in dataset.segment_slices()])
+        if rows.size == 0:
+            raise DataError("discrete-time fit needs a segment of two or more samples")
+        target_rows = rows + 1
+        X, target = dataset.states[rows], dataset.states[target_rows]
+    _require_finite(X, rows, "non-finite state")
+    _require_finite(target, target_rows, "non-finite target")
+    theta = build_matrix(spec, X)
+    _require_finite(theta.values, rows,
+                    f"library overflow (states too large for poly_order {spec.poly_order})")
+    return theta, target
+
+
+def _require_overdetermined(theta: LibraryMatrix) -> None:
+    m, p = theta.values.shape
+    if m <= p:
+        raise DataError(f"{m} samples do not overdetermine {p} library terms")
+
+
 def fit(
     dataset: TimeSeriesDataset,
     spec: LibrarySpec,
@@ -245,57 +279,15 @@ def fit(
 
     Continuous mode regresses the stored derivatives onto the library;
     discrete mode regresses next states onto the library of current
-    states, pairing samples within each trajectory segment so that no
-    derivative is ever computed.
+    states, pairing samples within each trajectory segment.
     """
-    if spec.n_states != dataset.n_states:
-        raise ConfigError(
-            f"library expects {spec.n_states} states, dataset has {dataset.n_states}")
-    if mode is Mode.CONTINUOUS:
-        if dataset.derivatives is None:
-            raise DataError(
-                "continuous-time fit needs derivatives; compute them with "
-                "the differentiation module (central_difference or tv_derivative)")
-        X, target = dataset.states, dataset.derivatives
-    else:
-        if dataset.n_samples < 2:
-            raise DataError("discrete-time fit needs at least two samples")
-        firsts, nexts = [], []
-        for sl in dataset.segment_slices():
-            seg = dataset.states[sl]
-            if seg.shape[0] >= 2:
-                firsts.append(seg[:-1])
-                nexts.append(seg[1:])
-        if not firsts:
-            raise DataError("no segment has two or more samples")
-        X = np.vstack(firsts)
-        target = np.vstack(nexts)
-    if X.shape[0] <= spec.n_terms:
-        raise DataError(
-            f"{X.shape[0]} samples do not overdetermine {spec.n_terms} library terms")
-    theta = build_matrix(spec, X)
+    theta, target = _regression_problem(dataset, spec, mode)
+    _require_overdetermined(theta)
     if isinstance(cfg, StlsqConfig):
         return stlsq(theta, target, cfg, state_names=dataset.state_names, mode=mode)
     coef = np.column_stack(
         [lasso_cd(theta, target[:, k], cfg) for k in range(target.shape[1])])
+    n = coef.shape[1]
     model = SparseModel(
         terms=theta.terms, coefficients=coef, state_names=dataset.state_names, mode=mode)
-    report = FitReport()
-    for k in range(coef.shape[1]):
-        xi = coef[:, k]
-        report.iterations_used.append(0)
-        report.residual_norm.append(float(np.linalg.norm(theta.values @ xi - target[:, k])))
-        report.nnz.append(int(np.count_nonzero(xi)))
-        active = xi != 0
-        report.condition_estimate.append(
-            float(np.linalg.cond(theta.values[:, active])) if active.any() else None)
-        report.converged.append(True)
-        report.empty_support.append(not active.any())
-    return model, report
-
-
-def _n_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SINDYKIT_THREADS", "1")))
-    except ValueError:
-        return 1
+    return model, _fit_report(theta.values, target, coef, coef.T != 0, [0] * n, [True] * n)

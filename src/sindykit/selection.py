@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .library import LibrarySpec, build_matrix
+from .library import LibraryMatrix, LibrarySpec
 from .model import Mode, SparseModel, TimeSeriesDataset
-from .regression import FitReport, StlsqConfig, fit
+from .regression import FitReport, StlsqConfig, _regression_problem, _require_overdetermined, stlsq
 
 __all__ = ["ParetoPoint", "split", "sweep", "pick_elbow"]
 
@@ -92,9 +92,7 @@ def _take(dataset: TimeSeriesDataset, mask: np.ndarray) -> TimeSeriesDataset:
     )
 
 
-def _residual(model: SparseModel, spec: LibrarySpec, ds: TimeSeriesDataset) -> float:
-    theta = build_matrix(spec, ds.states)
-    target = ds.derivatives
+def _residual(theta: LibraryMatrix, target: np.ndarray, model: SparseModel) -> float:
     pred = theta.values @ model.coefficients
     denom = np.linalg.norm(target)
     if denom == 0.0:
@@ -110,23 +108,25 @@ def sweep(
     policy: str = "tail",
     seed: int = 0,
     max_iterations: int = 10,
+    mode: Mode = Mode.CONTINUOUS,
 ) -> tuple[list[ParetoPoint], list[tuple[SparseModel, FitReport]]]:
-    """One STLSQ fit per threshold; residuals on both sides of the split."""
+    """One STLSQ fit per threshold on one prebuilt problem per split side."""
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.size and (np.any(np.diff(thresholds) < 0) or np.any(thresholds < 0)):
         raise ConfigError("thresholds must be sorted ascending and nonnegative")
     train, val = split(dataset, fraction, policy=policy, seed=seed)
-    points, models = [], []
-    for lam in thresholds:
-        cfg = StlsqConfig(threshold=float(lam), max_iterations=max_iterations)
-        model, report = fit(train, spec, cfg, mode=Mode.CONTINUOUS)
-        points.append(ParetoPoint(
-            threshold=float(lam),
-            nnz_total=model.nnz(),
-            train_residual=_residual(model, spec, train),
-            validation_residual=_residual(model, spec, val),
-        ))
-        models.append((model, report))
+    theta, target = _regression_problem(train, spec, mode)
+    _require_overdetermined(theta)
+    models = [stlsq(theta, target, StlsqConfig(threshold=float(lam), max_iterations=max_iterations),
+                    state_names=train.state_names, mode=mode) for lam in thresholds]
+    train_residuals = [_residual(theta, target, model) for model, _ in models]
+    # built after the fits, so that it never sits beside the solver's copies
+    # of the train matrix and peak memory stays that of one fit
+    theta_val, target_val = _regression_problem(val, spec, mode)
+    points = [
+        ParetoPoint(threshold=float(lam), nnz_total=model.nnz(), train_residual=res,
+                    validation_residual=_residual(theta_val, target_val, model))
+        for lam, (model, _), res in zip(thresholds, models, train_residuals)]
     return points, models
 
 

@@ -1,0 +1,78 @@
+"""Every command on every shipped config: documented exit code, no traceback.
+
+Each config is run on a copy shortened only in its time span (or map
+length), so the whole matrix stays quick while exercising the same code
+paths as the full experiments.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sindykit
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+COMMANDS = ("generate", "fit", "compare", "sweep")
+SPAN = 4.0  # simulated time units per run
+N_STEPS = 500  # logistic map iterations per parameter value
+
+# exit codes per command, in COMMANDS order; compare needs a config that
+# expands to a single continuous-time run, so ensembles are config errors
+EXIT_CODES = {
+    "cubic2d": (0, 0, 0, 0),
+    "hopf": (0, 0, 2, 0),
+    "linear2d": (0, 0, 0, 0),
+    "linear3d": (0, 0, 0, 0),
+    "logistic": (0, 0, 2, 0),
+    "lorenz": (0, 0, 0, 0),
+    "meanfield": (0, 0, 2, 0),
+}
+EXPECTED = {(name, cmd): codes[i] for name, codes in EXIT_CODES.items()
+            for i, cmd in enumerate(COMMANDS)}
+
+
+def shortened(doc: dict) -> dict:
+    sysc = doc["system"]
+    for block in [sysc] + sysc.get("runs", []):
+        if "t_span" in block:
+            t0 = block["t_span"][0]
+            block["t_span"] = [t0, t0 + SPAN]
+    if "n_steps" in sysc:
+        sysc["n_steps"] = N_STEPS
+    return doc
+
+
+@pytest.fixture(scope="module")
+def short_configs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("configs")
+    paths = {}
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        target = root / path.name
+        target.write_text(json.dumps(shortened(json.loads(path.read_text()))))
+        paths[path.stem] = target
+    return paths
+
+
+def test_matrix_covers_every_shipped_config(short_configs):
+    assert set(EXIT_CODES) == set(short_configs)
+
+
+@pytest.mark.parametrize("name,cmd", sorted(EXPECTED))
+def test_command_exit_code(short_configs, tmp_path, name, cmd):
+    # one BLAS thread: small solves run no faster threaded, and a loaded
+    # machine makes threaded ones far slower
+    env = dict(os.environ, PYTHONPATH=str(Path(sindykit.__file__).parent.parent),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sindykit.cli", cmd,
+         "--config", str(short_configs[name]), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == EXPECTED[name, cmd], proc.stderr
+    if proc.returncode == 0:
+        for artifact in (tmp_path / "out").glob("*.json"):
+            json.loads(artifact.read_text(), parse_constant=pytest.fail)

@@ -247,6 +247,25 @@ class TestCliCompareAndSweep:
         assert model.nnz() == 4
 
 
+    def test_sweep_follows_discrete_fit_mode(self, tmp_path):
+        doc = {
+            "spec_version": 1,
+            "seed": 0,
+            "system": {"kind": "logistic", "x0": [0.5], "ensemble_mus": [2.9, 3.4, 3.7, 3.9],
+                       "n_steps": 300, "forcing": 0.01},
+            "library": {"poly_order": 3},
+            "fit": {"method": "stlsq", "mode": "discrete"},
+            "selection": {"log10_min": -3, "log10_max": 0, "count": 6},
+        }
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "sweep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert model_from_json((out / "model.json").read_text()).mode.value == "discrete"
+        assert len((out / "pareto.csv").read_text().splitlines()) == 7
+
+
 class TestCliHopfEnsemble:
     def test_hopf_config_recovers_normal_form_structure(self, tmp_path):
         golden = 2.399963229728653
@@ -324,4 +343,51 @@ class TestCliErrors:
 
     def test_wrong_spec_version_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", dict(LIN2D_CFG, spec_version=2))
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def _fit_csv(self, tmp_path, row, column, value):
+        cfg = write_config(tmp_path / "c.json", LIN2D_CFG)
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 0
+        ds = read_dataset_csv(tmp_path / "gen" / "dataset.csv")
+        cols = {"state": ds.states.copy(), "derivative": ds.derivatives.copy()}
+        cols[column][row, 0] = value
+        data = write_dataset_csv(
+            ds.with_(states=cols["state"], derivatives=cols["derivative"]), tmp_path / "d.csv")
+        return main(["fit", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
+
+    def test_nan_derivative_is_data_error(self, tmp_path, capsys):
+        assert self._fit_csv(tmp_path, 123, "derivative", np.nan) == 3
+        assert "row 123" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "fit_report.json").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_state_is_data_error(self, tmp_path, capsys):
+        assert self._fit_csv(tmp_path, 40, "state", 1e70) == 3
+        assert "overflow" in capsys.readouterr().err
+
+    def test_non_finite_config_number_is_config_error(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(LIN2D_CFG).replace('"threshold": 0.05', '"threshold": NaN'))
+        assert main(["fit", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_linalg_failure_is_numerical_failure(self, tmp_path, monkeypatch):
+        import sindykit.cli
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(sindykit.cli, "fit", singular)
+        cfg = write_config(tmp_path / "c.json", LIN2D_CFG)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+    def test_compare_on_ensemble_names_the_run_count(self, tmp_path, capsys):
+        doc = dict(LIN2D_CFG, system={"kind": "linear2d", "t_span": [0.0, 2.0], "dt": 0.01,
+                                      "runs": [{"x0": [1.0, 0.0]}, {"x0": [0.0, 1.0]}]})
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "single continuous-time run" in capsys.readouterr().err
+
+    def test_unknown_fit_mode_is_config_error(self, tmp_path):
+        doc = dict(LIN2D_CFG, fit={"method": "stlsq", "threshold": 0.05, "mode": "hybrid"})
+        cfg = write_config(tmp_path / "c.json", doc)
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,15 @@ from sindykit import (
     ConfigError,
     DataError,
     LibrarySpec,
+    Mode,
     NoiseSpec,
     ParetoPoint,
+    StlsqConfig,
     SystemSpec,
     add_noise,
+    build_matrix,
+    fit,
+    logistic_ensemble,
     pick_elbow,
     simulate,
     split,
@@ -151,3 +158,71 @@ class TestPickElbow:
         chosen = next(m for p, (m, _) in zip(points, models) if p.threshold == lam)
         assert chosen.nnz() == 7
         assert support(chosen) == LORENZ_TRUE_SUPPORT
+
+
+def _relative_residual(theta, target, model):
+    pred = theta.values @ model.coefficients
+    return float(np.linalg.norm(target - pred) / np.linalg.norm(target))
+
+
+def _pairs(ds):
+    firsts = [ds.states[sl][:-1] for sl in ds.segment_slices()]
+    nexts = [ds.states[sl][1:] for sl in ds.segment_slices()]
+    return np.vstack(firsts), np.vstack(nexts)
+
+
+class TestSweepSharesOneProblem:
+    @pytest.fixture(scope="class")
+    def small(self):
+        spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 5.0), dt=0.01)
+        return add_noise(simulate(spec), NoiseSpec(eta=0.05, target="derivatives", seed=1))
+
+    @pytest.mark.parametrize("count", [3, 25])
+    def test_builds_library_twice_whatever_the_threshold_count(self, small, monkeypatch, count):
+        import sindykit.library
+        import sindykit.regression
+        import sindykit.selection
+        calls = []
+        real = sindykit.library.build_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (sindykit.regression, sindykit.selection):
+            if hasattr(module, "build_matrix"):
+                monkeypatch.setattr(module, "build_matrix", counting)
+        sweep(small, LibrarySpec(2, 3), np.logspace(-3, 0, count))
+        assert len(calls) == 2
+
+    def test_equals_fit_per_threshold_plus_residuals(self, small):
+        lib, lams = LibrarySpec(2, 3), np.logspace(-3, 0, 9)
+        points, models = sweep(small, lib, lams, fraction=0.25, policy="blocks", seed=3)
+        train, val = split(small, 0.25, policy="blocks", seed=3)
+        for lam, point, (model, report) in zip(lams, points, models):
+            ref, ref_report = fit(train, lib, StlsqConfig(threshold=float(lam)))
+            assert np.array_equal(model.coefficients, ref.coefficients)
+            assert report == ref_report
+            assert point == ParetoPoint(
+                threshold=float(lam), nnz_total=ref.nnz(),
+                train_residual=_relative_residual(
+                    build_matrix(lib, train.states), train.derivatives, ref),
+                validation_residual=_relative_residual(
+                    build_matrix(lib, val.states), val.derivatives, ref))
+
+    def test_discrete_mode_pairs_within_segments(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ds = logistic_ensemble([2.8, 3.3, 3.7, 3.9], n_steps=200, eta=0.01, seed=4)
+        lib, lams = LibrarySpec(2, 3), np.logspace(-3, 0, 6)
+        points, models = sweep(ds, lib, lams, mode=Mode.DISCRETE)
+        train, val = split(ds, 0.2)
+        for lam, point, (model, _) in zip(lams, points, models):
+            ref, _ = fit(train, lib, StlsqConfig(threshold=float(lam)), mode=Mode.DISCRETE)
+            assert model.mode is Mode.DISCRETE
+            assert np.array_equal(model.coefficients, ref.coefficients)
+            residuals = []
+            for side in (train, val):
+                x, nxt = _pairs(side)
+                residuals.append(_relative_residual(build_matrix(lib, x), nxt, ref))
+            assert (point.train_residual, point.validation_residual) == tuple(residuals)
