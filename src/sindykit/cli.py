@@ -6,8 +6,10 @@ Subcommands: ``generate`` (simulate and write datasets), ``fit``
 ``sweep`` (threshold sweep, Pareto CSV, fit at the chosen threshold).
 
 Configs are JSON documents with ``spec_version: 1``; command-line
-``--seed`` and ``--lambda`` override config values.  Exit codes: 0
-success, 2 config error, 3 data error, 4 numerical failure.
+``--seed`` and ``--lambda`` override config values.  Every config value
+is read through one checked conversion, so a malformed one is a config
+error naming its key.  Exit codes: 0 success, 2 config error, 3 data
+error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataio import read_dataset_csv, write_dataset_csv, write_pareto_csv
+from .dataio import read_dataset_csv, write_csv, write_dataset_csv, write_pareto_csv
 from .differentiation import (
     NoiseSpec,
     TvDiffConfig,
@@ -34,7 +36,8 @@ from .integrate import IntegratorConfig, dp45_adaptive
 from .library import LibrarySpec
 from .model import Mode, SparseModel, TimeSeriesDataset, model_to_json, render_table
 from .reduction import compute_basis, reduce_dataset
-from .regression import FitReport, LassoConfig, StlsqConfig, fit
+from .regression import (FitReport, LassoConfig, StlsqConfig, _regression_problem,
+                         _with_sparsity, fit)
 from .selection import pick_elbow, sweep
 from .systems import (
     SystemSpec,
@@ -60,11 +63,71 @@ def load_config(path: str | Path) -> dict:
         cfg = json.loads(path.read_text(), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if cfg.get("spec_version") != 1:
-        raise ConfigError("config must declare spec_version: 1")
+    if not isinstance(cfg, dict) or cfg.get("spec_version") != 1:
+        raise ConfigError("config must be an object declaring spec_version: 1")
     if "system" not in cfg:
         raise ConfigError("config must declare a system")
     return cfg
+
+
+_REQUIRED = object()
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+# kind -> (description, test); JSON booleans are not numbers here
+_KINDS = {
+    "number": ("a number", _is_number),
+    "positive": ("a positive number", lambda v: _is_number(v) and v > 0),
+    "integer": ("an integer", _is_int),
+    "natural": ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def _convert(value, kind: str, key: str):
+    description, accepts = _KINDS[kind]
+    if not accepts(value):
+        raise ConfigError(f"{key} must be {description}, not {json.dumps(value)}")
+    return float(value) if kind in ("number", "positive") else value
+
+
+def _get(cfg: dict, key: str, kind: str, default=_REQUIRED, where: str = ""):
+    """The value at the dotted ``key`` of ``cfg``, checked to be ``kind``.
+
+    ``kind`` names one entry of ``_KINDS``; a ``[]`` suffix asks for a list
+    of them and a ``{}`` suffix for an object of them.  Every block on the
+    way must be an object.  An absent value reads as ``default``, as does
+    null where the default is None; ``where`` prefixes the key in messages.
+    """
+    *blocks, name = key.split(".")
+    node = cfg
+    for i, part in enumerate(blocks):
+        node = node.get(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"{where}{'.'.join(blocks[:i + 1])} must be an object")
+    value, label = node.get(name), where + key
+    if value is None and (name not in node or default is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"config needs {label}")
+        return default
+    if kind.endswith("[]"):
+        if not isinstance(value, list):
+            raise ConfigError(f"{label} must be a list, not {json.dumps(value)}")
+        return [_convert(v, kind[:-2], f"{label}[{i}]") for i, v in enumerate(value)]
+    if kind.endswith("{}"):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{label} must be an object, not {json.dumps(value)}")
+        return {k: _convert(v, kind[:-2], f"{label}.{k}") for k, v in value.items()}
+    return _convert(value, kind, label)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -72,12 +135,11 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _integrator(cfg: dict) -> IntegratorConfig:
-    ic = cfg["system"].get("integrator", {})
     return IntegratorConfig(
-        method=ic.get("method", "rk4"),
-        abs_tol=float(ic.get("abs_tol", 1e-10)),
-        rel_tol=float(ic.get("rel_tol", 1e-10)),
-        record_step_size=bool(ic.get("record_step_size", False)),
+        method=_get(cfg, "system.integrator.method", "string", "rk4"),
+        abs_tol=_get(cfg, "system.integrator.abs_tol", "number", 1e-10),
+        rel_tol=_get(cfg, "system.integrator.rel_tol", "number", 1e-10),
+        record_step_size=_get(cfg, "system.integrator.record_step_size", "bool", False),
     )
 
 
@@ -88,37 +150,39 @@ def _system_runs(cfg: dict) -> list[SystemSpec]:
     for ensemble experiments, and the logistic map has one run per value
     of ``ensemble_mus``; otherwise there is a single run.
     """
-    sysc = cfg["system"]
-    if sysc["kind"] == "logistic":
-        runs = [{"params": {"mu": mu}, "x0": sysc.get("x0", [0.5])}
-                for mu in sysc.get("ensemble_mus", [])]
+    kind = _get(cfg, "system.kind", "string")
+    x0 = _get(cfg, "system.x0", "number[]", [0.5] if kind == "logistic" else [])
+    if kind == "logistic":
+        runs = [{"params": {"mu": mu}} for mu in _get(cfg, "system.ensemble_mus", "number[]", [])]
     else:
-        runs = sysc.get("runs", [{}])
+        runs = _get(cfg, "system.runs", "object[]", [{}])
     if not runs:
         raise ConfigError("system expands to no runs: ensemble_mus or runs is empty")
+    params = _get(cfg, "system.params", "number{}", {})
+    t_span = _get(cfg, "system.t_span", "number[]", [0.0, 10.0])
+    dt = _get(cfg, "system.dt", "number", 0.01)
     specs = []
-    for run in runs:
-        params = dict(sysc.get("params", {}))
-        params.update(run.get("params", {}))
+    for i, run in enumerate(runs):
+        where = f"system.runs[{i}]."
         specs.append(SystemSpec(
-            kind=sysc["kind"],
-            x0=tuple(run.get("x0", sysc.get("x0", ()))),
-            t_span=tuple(run.get("t_span", sysc.get("t_span", (0.0, 10.0)))),
-            dt=float(run.get("dt", sysc.get("dt", 0.01))),
-            params=params,
+            kind=kind,
+            x0=tuple(_get(run, "x0", "number[]", x0, where)),
+            t_span=tuple(_get(run, "t_span", "number[]", t_span, where)),
+            dt=_get(run, "dt", "number", dt, where),
+            params={**params, **_get(run, "params", "number{}", {}, where)},
         ))
     return specs
 
 
 def _simulate_runs(cfg: dict, specs: list[SystemSpec], seed: int) -> list[TimeSeriesDataset]:
     """The raw trajectory of each run, before noise and augmentation."""
-    sysc = cfg["system"]
-    if sysc["kind"] == "logistic":
+    if specs[0].kind == "logistic":
+        n_steps = _get(cfg, "system.n_steps", "natural", 1000)
+        forcing = _get(cfg, "system.forcing", "number", 0.0)
         # per-value seeds match the slices of logistic_ensemble over all values
         return [
-            logistic_ensemble(
-                [spec.params["mu"]], n_steps=int(sysc.get("n_steps", 1000)),
-                eta=float(sysc.get("forcing", 0.0)), seed=seed + 1000 * i, x0=spec.x0[0])
+            logistic_ensemble([spec.params["mu"]], n_steps=n_steps, eta=forcing,
+                              seed=seed + 1000 * i, x0=spec.x0[0])
             for i, spec in enumerate(specs)]
     integ = _integrator(cfg)
     return [simulate(spec, integ) for spec in specs]
@@ -127,25 +191,27 @@ def _simulate_runs(cfg: dict, specs: list[SystemSpec], seed: int) -> list[TimeSe
 def _join_runs(cfg: dict, specs: list[SystemSpec],
                runs: list[TimeSeriesDataset]) -> TimeSeriesDataset:
     """Append each run's configured parameter as a known state, then concatenate."""
-    aug = cfg["system"].get("augment")
-    if aug:
-        runs = [augment_parameter(ds, aug["name"], float(spec.params[aug["param"]]))
+    if _get(cfg, "system.augment", "object", None):
+        name = _get(cfg, "system.augment.name", "string")
+        param = _get(cfg, "system.augment.param", "string")
+        if any(param not in spec.params for spec in specs):
+            raise ConfigError(f"system.augment.param {param!r} is not a parameter of every run")
+        runs = [augment_parameter(ds, name, spec.params[param])
                 for spec, ds in zip(specs, runs)]
     return concatenate(runs) if len(runs) > 1 else runs[0]
 
 
 def _library(cfg: dict, n_states: int) -> LibrarySpec:
-    lc = cfg.get("library", {})
     return LibrarySpec(
         n_states=n_states,
-        poly_order=int(lc.get("poly_order", 5)),
-        trig_harmonics=frozenset(lc.get("trig_harmonics", ())),
-        include_constant=bool(lc.get("include_constant", True)),
+        poly_order=_get(cfg, "library.poly_order", "integer", 5),
+        trig_harmonics=frozenset(_get(cfg, "library.trig_harmonics", "integer[]", [])),
+        include_constant=_get(cfg, "library.include_constant", "bool", True),
     )
 
 
 def _fit_mode(cfg: dict) -> Mode:
-    mode = cfg.get("fit", {}).get("mode", "continuous")
+    mode = _get(cfg, "fit.mode", "string", "continuous")
     try:
         return Mode(mode)
     except ValueError:
@@ -153,40 +219,33 @@ def _fit_mode(cfg: dict) -> Mode:
 
 
 def _fit_config(cfg: dict, override_threshold: float | None) -> StlsqConfig | LassoConfig:
-    fc = dict(cfg.get("fit", {}))
-    method = fc.get("method", "stlsq")
+    method = _get(cfg, "fit.method", "string", "stlsq")
     if method == "stlsq":
-        threshold = float(fc.get("threshold", 0.05))
-        if override_threshold is not None:
-            threshold = override_threshold
-        return StlsqConfig(
-            threshold=threshold,
-            max_iterations=int(fc.get("max_iterations", 10)),
+        fit_cfg = StlsqConfig(
+            threshold=_get(cfg, "fit.threshold", "number", 0.05),
+            max_iterations=_get(cfg, "fit.max_iterations", "integer", 10),
         )
-    if method == "lasso":
-        lam1 = float(fc.get("lambda1", 0.1))
-        if override_threshold is not None:
-            lam1 = override_threshold
-        return LassoConfig(
-            lambda1=lam1,
-            tol=float(fc.get("tol", 1e-10)),
-            max_sweeps=int(fc.get("max_sweeps", 10_000)),
+    elif method == "lasso":
+        fit_cfg = LassoConfig(
+            lambda1=_get(cfg, "fit.lambda1", "number", 0.1),
+            tol=_get(cfg, "fit.tol", "number", 1e-10),
+            max_sweeps=_get(cfg, "fit.max_sweeps", "integer", 10_000),
         )
-    raise ConfigError(f"unknown fit method {method!r}")
+    else:
+        raise ConfigError(f"unknown fit method {method!r}")
+    return fit_cfg if override_threshold is None else _with_sparsity(fit_cfg, override_threshold)
 
 
 def _condition(ds: TimeSeriesDataset, cfg: dict, noise_seed: int,
                mode: Mode) -> TimeSeriesDataset:
     """Apply configured noise and derivative estimation to one trajectory."""
-    nc = cfg.get("noise", {})
-    eta = float(nc.get("eta", 0.0))
+    eta = _get(cfg, "noise.eta", "number", 0.0)
     if eta > 0.0:
-        ds = add_noise(ds, NoiseSpec(eta=eta, target=nc.get("target", "derivatives"),
-                                     seed=noise_seed))
-    dc = cfg.get("differentiation", {"method": "exact"})
-    if dc.get("denoise_states"):
+        ds = add_noise(ds, NoiseSpec(
+            eta=eta, target=_get(cfg, "noise.target", "string", "derivatives"), seed=noise_seed))
+    if _get(cfg, "differentiation.denoise_states", "bool", False):
         ds = ds.with_(states=hard_threshold_svd(ds.states))
-    method = dc.get("method", "exact")
+    method = _get(cfg, "differentiation.method", "string", "exact")
     if method == "exact":
         if ds.derivatives is None and mode is Mode.CONTINUOUS:
             raise DataError(
@@ -194,10 +253,10 @@ def _condition(ds: TimeSeriesDataset, cfg: dict, noise_seed: int,
                 "external data without them must use 'central' or 'tv'")
     elif method in ("central", "tv"):
         tv = TvDiffConfig(
-            alpha=float(dc.get("alpha", 0.01)),
+            alpha=_get(cfg, "differentiation.alpha", "number", 0.01),
             dt=1.0,  # replaced per segment from the data
-            iterations=int(dc.get("iterations", 100)),
-            epsilon=float(dc.get("epsilon", 1e-8)),
+            iterations=_get(cfg, "differentiation.iterations", "integer", 100),
+            epsilon=_get(cfg, "differentiation.epsilon", "number", 1e-8),
         ) if method == "tv" else None
         ds = differentiate_dataset(ds.with_(derivatives=None), method, tv=tv)
     else:
@@ -212,7 +271,7 @@ def _prepare(cfg: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSer
     noise stream per run), then parameter-augmented and concatenated, so
     known parameter columns stay exact.
     """
-    noise_base = int(cfg.get("noise", {}).get("seed", seed + 1))
+    noise_base = _get(cfg, "noise.seed", "natural", seed + 1)
     if data_path is not None:
         ds = _condition(read_dataset_csv(data_path), cfg, noise_base, mode)
     else:
@@ -220,13 +279,12 @@ def _prepare(cfg: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSer
         runs = [_condition(run, cfg, noise_base + i, mode)
                 for i, run in enumerate(_simulate_runs(cfg, specs, seed))]
         ds = _join_runs(cfg, specs, runs)
-    rc = cfg.get("reduction")
-    if rc:
+    if _get(cfg, "reduction", "object", None):
         basis = compute_basis(
             ds.states,
-            rank=rc.get("rank"),
-            energy=rc.get("energy"),
-            remove_mean=bool(rc.get("remove_mean", False)),
+            rank=_get(cfg, "reduction.rank", "natural", None),
+            energy=_get(cfg, "reduction.energy", "number", None),
+            remove_mean=_get(cfg, "reduction.remove_mean", "bool", False),
         )
         ds = reduce_dataset(ds, basis)
     return ds
@@ -269,19 +327,19 @@ def _write_run_report(out: Path, command: str, cfg: dict, seed: int,
     return path
 
 
-def error_curve(f_true, f_model, x0: np.ndarray, grid: np.ndarray,
+def error_curve(reference: np.ndarray, f_model, grid: np.ndarray,
                 abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> np.ndarray:
-    """Pointwise L2 distance between two simulations from the same state."""
-    xt, _ = dp45_adaptive(f_true, np.asarray(x0, float), grid, abs_tol, rel_tol)
-    xm, _ = dp45_adaptive(f_model, np.asarray(x0, float), grid, abs_tol, rel_tol)
-    return np.linalg.norm(xt - xm, axis=1)
+    """Pointwise L2 distance between a reference trajectory sampled on
+    ``grid`` and the simulation of ``f_model`` from its first state."""
+    xm, _ = dp45_adaptive(f_model, reference[0], grid, abs_tol, rel_tol)
+    return np.linalg.norm(reference - xm, axis=1)
 
 
 def cmd_generate(cfg: dict, out: Path, seed: int) -> int:
     specs = _system_runs(cfg)
     runs = _simulate_runs(cfg, specs, seed)
     artifacts = {}
-    if cfg["system"]["kind"] == "logistic":
+    if specs[0].kind == "logistic":
         # one file per parameter value next to the concatenated training set
         for i, (spec, run) in enumerate(zip(specs, runs)):
             path = write_dataset_csv(run, out / f"logistic_mu_{spec.params['mu']}.csv")
@@ -315,44 +373,37 @@ def cmd_compare(cfg: dict, out: Path, seed: int, override_threshold: float | Non
     if _fit_mode(cfg) is not Mode.CONTINUOUS:
         raise ConfigError("compare needs a continuous-time model")
     fit_cfg = _fit_config(cfg, override_threshold)
-    cc = cfg.get("compare", {})
-    horizon = float(cc.get("horizon", 20.0))
-    grid_dt = float(cc.get("grid_dt", 0.01))
-    etas = [float(e) for e in cc.get("etas", [cfg.get("noise", {}).get("eta", 0.0)])]
+    horizon = _get(cfg, "compare.horizon", "positive", 20.0)
+    grid_dt = _get(cfg, "compare.grid_dt", "positive", 0.01)
+    etas = _get(cfg, "compare.etas", "number[]", [_get(cfg, "noise.eta", "number", 0.0)])
+    long_h = _get(cfg, "compare.long_horizon", "positive", None)
     grid = np.arange(0.0, horizon + grid_dt / 2, grid_dt)
-    f_true = system_rhs(spec)
     [base] = _simulate_runs(cfg, specs, seed)
     lib = _library(cfg, base.n_states)
+    # noise only touches the derivatives: every eta shares one library and one truth
+    theta, _ = _regression_problem(base, lib, Mode.CONTINUOUS)
+    truth, _ = dp45_adaptive(system_rhs(spec), np.array(spec.x0), grid, 1e-10, 1e-10)
     artifacts, summary = {}, {}
-    last_model = None
+    model = None
     for i, eta in enumerate(etas):
-        ds = base
-        if eta > 0.0:
-            ds = add_noise(ds, NoiseSpec(eta=eta, target="derivatives", seed=seed + 1 + i))
-        model, _ = fit(ds, lib, fit_cfg, mode=Mode.CONTINUOUS)
-        last_model = model
+        ds = add_noise(base, NoiseSpec(eta=eta, target="derivatives", seed=seed + 1 + i))
+        model, _ = fit(ds, lib, fit_cfg, mode=Mode.CONTINUOUS, theta=theta)
         try:
-            err = error_curve(f_true, model.rhs(), np.array(spec.x0), grid)
+            err = error_curve(truth, model.rhs(), grid)
         except NumericalError as exc:
             summary[f"eta_{eta}"] = {"failed": str(exc)}
             continue
-        path = out / f"error_eta_{eta:g}.csv"
-        with path.open("w") as fh:
-            fh.write("t,error\n")
-            for t, e in zip(grid, err):
-                fh.write(f"{t:.17g},{e:.17g}\n")
+        path = write_csv(out / f"error_eta_{eta:g}.csv", ["t", "error"],
+                         np.column_stack([grid, err]))
         artifacts[f"error_eta_{eta:g}"] = str(path)
         summary[f"eta_{eta}"] = {"max_error": float(err.max()),
                                  "tail_mean": float(err[grid >= 0.75 * horizon].mean())}
-    long_h = cc.get("long_horizon")
-    if long_h and last_model is not None:
-        lgrid = np.arange(0.0, float(long_h) + grid_dt / 2, grid_dt)
-        xm, _ = dp45_adaptive(last_model.rhs(), np.array(spec.x0), lgrid, 1e-9, 1e-9)
-        path = out / "long_horizon.csv"
-        with path.open("w") as fh:
-            fh.write("t," + ",".join(f"x{i+1}" for i in range(xm.shape[1])) + "\n")
-            for t, row in zip(lgrid, xm):
-                fh.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
+    if long_h and model is not None:
+        lgrid = np.arange(0.0, long_h + grid_dt / 2, grid_dt)
+        xm, _ = dp45_adaptive(model.rhs(), np.array(spec.x0), lgrid, 1e-9, 1e-9)
+        path = write_csv(out / "long_horizon.csv",
+                         ["t"] + [f"x{i + 1}" for i in range(xm.shape[1])],
+                         np.column_stack([lgrid, xm]))
         artifacts["long_horizon"] = str(path)
         summary["long_horizon"] = {
             "min": [float(v) for v in xm.min(axis=0)],
@@ -364,17 +415,18 @@ def cmd_compare(cfg: dict, out: Path, seed: int, override_threshold: float | Non
 
 def cmd_sweep(cfg: dict, out: Path, seed: int, data_path: str | None) -> int:
     mode = _fit_mode(cfg)
+    fit_cfg = _fit_config(cfg, None)
+    lambdas = _get(cfg, "selection.lambdas", "number[]", None)
+    if lambdas is None:
+        lambdas = np.logspace(_get(cfg, "selection.log10_min", "number", -4.0),
+                              _get(cfg, "selection.log10_max", "number", 0.0),
+                              _get(cfg, "selection.count", "natural", 25))
+    fraction = _get(cfg, "selection.fraction", "number", 0.2)
+    policy = _get(cfg, "selection.policy", "string", "tail")
     ds = _prepare(cfg, seed, data_path, mode)
-    sc = cfg.get("selection", {})
-    if "lambdas" in sc:
-        lambdas = np.array([float(v) for v in sc["lambdas"]])
-    else:
-        lambdas = np.logspace(float(sc.get("log10_min", -4)),
-                              float(sc.get("log10_max", 0)),
-                              int(sc.get("count", 25)))
     lib = _library(cfg, ds.n_states)
-    points, models = sweep(ds, lib, lambdas, fraction=float(sc.get("fraction", 0.2)),
-                           policy=sc.get("policy", "tail"), seed=seed, mode=mode)
+    points, models = sweep(ds, lib, np.array(lambdas), fit_cfg, fraction=fraction,
+                           policy=policy, seed=seed, mode=mode)
     chosen = pick_elbow(points)
     artifacts = {"pareto": str(write_pareto_csv(points, out / "pareto.csv"))}
     model, report = next(
@@ -405,7 +457,8 @@ def main(argv: list[str] | None = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise DataError(f"cannot create output directory {out}: {exc}") from exc
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = (_get(cfg, "seed", "natural", 0) if args.seed is None
+                else _convert(args.seed, "natural", "--seed"))
         if args.command == "generate":
             return cmd_generate(cfg, out, seed)
         if args.command == "fit":

@@ -1,10 +1,10 @@
 """CSV and JSON persistence for datasets, sweeps and bases.
 
-Dataset CSV layout: header ``t,x1..xn[,dx1..dxn]``, comma separated,
-one row per sample, values printed with 17 significant digits so a
-written dataset reads back bit-identically.  Display state names,
-segment boundaries and provenance travel in a ``<name>.meta.json``
-sidecar next to the CSV.
+Every CSV goes through one writer: comma separated, values printed with
+17 significant digits so they read back bit-identically.  Dataset
+layout: header ``t,x1..xn[,dx1..dxn]``, one row per sample.  Display
+state names, segment boundaries and provenance travel in a
+``<name>.meta.json`` sidecar next to the CSV.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .reduction import ReducedBasis
 from .selection import ParetoPoint
 
 __all__ = [
+    "write_csv",
     "write_dataset_csv",
     "read_dataset_csv",
     "write_pareto_csv",
@@ -33,6 +34,17 @@ def _meta_path(path: Path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
+def write_csv(path: str | Path, header: list[str] | None, rows: np.ndarray) -> Path:
+    """Write ``rows`` (and a header line unless it is None) at full precision."""
+    path = Path(path)
+    with path.open("w") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_FMT % v for v in row) + "\n")
+    return path
+
+
 def write_dataset_csv(dataset: TimeSeriesDataset, path: str | Path) -> Path:
     path = Path(path)
     n = dataset.n_states
@@ -42,11 +54,7 @@ def write_dataset_csv(dataset: TimeSeriesDataset, path: str | Path) -> Path:
     if dataset.derivatives is not None:
         header += [f"dx{i + 1}" for i in range(n)]
         cols.extend(dataset.derivatives[:, i] for i in range(n))
-    data = np.column_stack(cols)
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in data:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+    write_csv(path, header, np.column_stack(cols))
     sidecar = {
         "state_names": list(dataset.state_names),
         "segments": list(dataset.segments),
@@ -88,20 +96,15 @@ def read_dataset_csv(path: str | Path) -> TimeSeriesDataset:
 
 
 def write_pareto_csv(points: list[ParetoPoint], path: str | Path) -> Path:
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write("lambda,nnz,train_res,val_res\n")
-        for p in points:
-            fh.write(
-                f"{_FMT % p.threshold},{p.nnz_total},"
-                f"{_FMT % p.train_residual},{_FMT % p.validation_residual}\n")
-    return path
+    rows = [(p.threshold, p.nnz_total, p.train_residual, p.validation_residual)
+            for p in points]
+    return write_csv(path, ["lambda", "nnz", "train_res", "val_res"], rows)
 
 
 def write_basis_csv(basis: ReducedBasis, modes_path: str | Path, sv_path: str | Path) -> None:
     """Persist a reduced basis as a plain-text CSV pair for inspection."""
-    np.savetxt(modes_path, basis.modes, delimiter=",", fmt=_FMT)
-    np.savetxt(sv_path, basis.singular_values.reshape(1, -1), delimiter=",", fmt=_FMT)
+    write_csv(modes_path, None, basis.modes)
+    write_csv(sv_path, None, basis.singular_values.reshape(1, -1))
 
 
 def _jsonable(obj):

@@ -63,6 +63,13 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 
 
+# Step-attempt budget of dp45_adaptive.  Accurate runs in the shipped
+# configs and tests try at most ~6 steps per output sample (Lorenz at
+# tolerance 1e-10 on a 0.01 grid: 2.7), so this leaves tenfold headroom.
+STEP_ATTEMPTS_PER_SAMPLE = 50
+STEP_ATTEMPTS_BASE = 10_000
+
+
 def _hermite(y0, f0, y1, f1, h, theta):
     t2, t3 = theta * theta, theta**3
     return (
@@ -85,7 +92,9 @@ def dp45_adaptive(
 
     Returns (states, accepted step sizes or None).  Raises
     :class:`NumericalError` naming the time of failure if the step size
-    underflows.
+    underflows, or once the run has tried ``STEP_ATTEMPTS_PER_SAMPLE``
+    steps per entry of ``times`` plus ``STEP_ATTEMPTS_BASE``: a stiff or
+    runaway right-hand side would otherwise crawl on at tiny steps.
     """
     t0, t_end = float(times[0]), float(times[-1])
     y = np.asarray(x0, dtype=float)
@@ -107,11 +116,17 @@ def dp45_adaptive(
 
     t = t0
     tiny = 16 * np.finfo(float).eps
+    budget = STEP_ATTEMPTS_PER_SAMPLE * len(times) + STEP_ATTEMPTS_BASE
+    attempts = 0
     while t < t_end and next_sample < len(times):
         if t_end - t <= tiny * max(1.0, abs(t_end)):
             break  # within rounding of the end point
         if h < tiny * max(1.0, abs(t)):
             raise NumericalError(f"adaptive step size underflow at t={t:.6g}")
+        if attempts == budget:
+            raise NumericalError(f"adaptive integration gave up at t={t:.6g} "
+                                 f"after {budget} step attempts")
+        attempts += 1
         h = min(h, t_end - t)
         for i in range(1, 7):
             k[i] = f(y + h * (_A[i] @ k[:i]))

@@ -37,6 +37,9 @@ class LibrarySpec:
             raise ConfigError(f"poly_order must be in [0, {MAX_POLY_ORDER}]")
         if any(k < 1 for k in self.trig_harmonics):
             raise ConfigError("trig harmonics must be positive integers")
+        if self.n_terms == 0:
+            raise ConfigError("the library has no terms: poly_order 0 needs include_constant "
+                              "or trig_harmonics")
 
     @property
     def n_terms(self) -> int:

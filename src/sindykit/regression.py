@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -230,6 +230,7 @@ def _require_finite(values: np.ndarray, rows: np.ndarray, problem: str) -> None:
 
 def _regression_problem(
     dataset: TimeSeriesDataset, spec: LibrarySpec, mode: Mode,
+    theta: LibraryMatrix | None = None,
 ) -> tuple[LibraryMatrix, np.ndarray]:
     """Library matrix and target of the regression dX = Theta(X) Xi.
 
@@ -237,6 +238,7 @@ def _regression_problem(
     mode pairs each state with the next one in its segment, so that no
     derivative is ever computed.  Non-finite data, and states large
     enough to overflow the library, are rejected naming the dataset row.
+    A ``theta`` already built from the same states is reused as it is.
     """
     if spec.n_states != dataset.n_states:
         raise ConfigError(
@@ -257,16 +259,32 @@ def _regression_problem(
         X, target = dataset.states[rows], dataset.states[target_rows]
     _require_finite(X, rows, "non-finite state")
     _require_finite(target, target_rows, "non-finite target")
-    theta = build_matrix(spec, X)
-    _require_finite(theta.values, rows,
-                    f"library overflow (states too large for poly_order {spec.poly_order})")
+    if theta is None:
+        theta = build_matrix(spec, X)
+        _require_finite(theta.values, rows,
+                        f"library overflow (states too large for poly_order {spec.poly_order})")
     return theta, target
 
 
-def _require_overdetermined(theta: LibraryMatrix) -> None:
+def _with_sparsity(cfg: StlsqConfig | LassoConfig, value: float) -> StlsqConfig | LassoConfig:
+    """``cfg`` with its sparsity knob (STLSQ threshold, LASSO lambda1) set to ``value``."""
+    if isinstance(cfg, StlsqConfig):
+        return replace(cfg, threshold=value)
+    return replace(cfg, lambda1=value)
+
+
+def _solve(theta: LibraryMatrix, target: np.ndarray, cfg: StlsqConfig | LassoConfig,
+           state_names: tuple[str, ...], mode: Mode) -> tuple[SparseModel, FitReport]:
+    """Solve a prebuilt problem with the configured method, one equation per column."""
     m, p = theta.values.shape
     if m <= p:
         raise DataError(f"{m} samples do not overdetermine {p} library terms")
+    if isinstance(cfg, StlsqConfig):
+        return stlsq(theta, target, cfg, state_names=state_names, mode=mode)
+    coef = np.column_stack([lasso_cd(theta, y, cfg) for y in target.T])
+    n = coef.shape[1]
+    model = SparseModel(terms=theta.terms, coefficients=coef, state_names=state_names, mode=mode)
+    return model, _fit_report(theta.values, target, coef, coef.T != 0, [0] * n, [True] * n)
 
 
 def fit(
@@ -274,20 +292,14 @@ def fit(
     spec: LibrarySpec,
     cfg: StlsqConfig | LassoConfig,
     mode: Mode = Mode.CONTINUOUS,
+    theta: LibraryMatrix | None = None,
 ) -> tuple[SparseModel, FitReport]:
     """Fit an identified model to a dataset.
 
     Continuous mode regresses the stored derivatives onto the library;
     discrete mode regresses next states onto the library of current
-    states, pairing samples within each trajectory segment.
+    states, pairing samples within each trajectory segment.  ``theta``
+    may pass in the library already built from ``dataset``'s states.
     """
-    theta, target = _regression_problem(dataset, spec, mode)
-    _require_overdetermined(theta)
-    if isinstance(cfg, StlsqConfig):
-        return stlsq(theta, target, cfg, state_names=dataset.state_names, mode=mode)
-    coef = np.column_stack(
-        [lasso_cd(theta, target[:, k], cfg) for k in range(target.shape[1])])
-    n = coef.shape[1]
-    model = SparseModel(
-        terms=theta.terms, coefficients=coef, state_names=dataset.state_names, mode=mode)
-    return model, _fit_report(theta.values, target, coef, coef.T != 0, [0] * n, [True] * n)
+    theta, target = _regression_problem(dataset, spec, mode, theta)
+    return _solve(theta, target, cfg, dataset.state_names, mode)

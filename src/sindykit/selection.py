@@ -18,7 +18,8 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .library import LibraryMatrix, LibrarySpec
 from .model import Mode, SparseModel, TimeSeriesDataset
-from .regression import FitReport, StlsqConfig, _regression_problem, _require_overdetermined, stlsq
+from .regression import (FitReport, LassoConfig, StlsqConfig, _regression_problem, _solve,
+                         _with_sparsity)
 
 __all__ = ["ParetoPoint", "split", "sweep", "pick_elbow"]
 
@@ -104,21 +105,21 @@ def sweep(
     dataset: TimeSeriesDataset,
     spec: LibrarySpec,
     thresholds: np.ndarray,
+    cfg: StlsqConfig | LassoConfig,
     fraction: float = 0.2,
     policy: str = "tail",
     seed: int = 0,
-    max_iterations: int = 10,
     mode: Mode = Mode.CONTINUOUS,
 ) -> tuple[list[ParetoPoint], list[tuple[SparseModel, FitReport]]]:
-    """One STLSQ fit per threshold on one prebuilt problem per split side."""
+    """One fit of ``cfg`` per threshold, which replaces its STLSQ threshold or
+    LASSO lambda1, on one prebuilt problem per split side."""
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.size and (np.any(np.diff(thresholds) < 0) or np.any(thresholds < 0)):
         raise ConfigError("thresholds must be sorted ascending and nonnegative")
     train, val = split(dataset, fraction, policy=policy, seed=seed)
     theta, target = _regression_problem(train, spec, mode)
-    _require_overdetermined(theta)
-    models = [stlsq(theta, target, StlsqConfig(threshold=float(lam), max_iterations=max_iterations),
-                    state_names=train.state_names, mode=mode) for lam in thresholds]
+    models = [_solve(theta, target, _with_sparsity(cfg, float(lam)), train.state_names, mode)
+              for lam in thresholds]
     train_residuals = [_residual(theta, target, model) for model, _ in models]
     # built after the fits, so that it never sits beside the solver's copies
     # of the train matrix and peak memory stays that of one fit

@@ -46,6 +46,9 @@ _REQUIRED_PARAMS = {
     "hopf": ("mu", "omega", "A"),
 }
 
+_DIMENSION = {"linear2d": 2, "cubic2d": 2, "linear3d": 3, "lorenz": 3, "meanfield3d": 3,
+              "logistic": 1, "hopf": 2}
+
 _DAMPED_2D = np.array([[-0.1, 2.0], [-2.0, -0.1]])
 _LINEAR_3D = np.array([[-0.1, 2.0, 0.0], [-2.0, -0.1, 0.0], [0.0, 0.0, -0.3]])
 
@@ -64,8 +67,12 @@ class SystemSpec:
         missing = [p for p in _REQUIRED_PARAMS[self.kind] if p not in self.params]
         if missing:
             raise ConfigError(f"{self.kind} needs parameters {missing}")
+        if len(self.x0) != _DIMENSION[self.kind]:
+            raise ConfigError(f"{self.kind} needs {_DIMENSION[self.kind]} initial values in x0")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
+        if len(self.t_span) != 2:
+            raise ConfigError("t_span must hold a start and an end time")
         t0, t1 = self.t_span
         if self.kind != "logistic" and t1 <= t0:
             raise ConfigError("t_span must satisfy t1 > t0")

@@ -1,0 +1,165 @@
+"""Every config value the command line reads, malformed one at a time.
+
+Each case writes a small valid config with a single bad value and runs the
+command that reads it.  The run must stop with exit code 2 and a config
+error that names the key, never with an exception.
+"""
+
+import copy
+import json
+import warnings
+
+import pytest
+
+from sindykit.cli import main
+
+LIN2D = {
+    "spec_version": 1,
+    "seed": 0,
+    "system": {"kind": "linear2d", "x0": [2.0, 0.0], "t_span": [0.0, 2.0], "dt": 0.01,
+               "integrator": {"method": "rk4"}},
+    "noise": {"eta": 0.01, "target": "derivatives", "seed": 3},
+    "differentiation": {"method": "exact"},
+    "library": {"poly_order": 2, "trig_harmonics": [], "include_constant": True},
+    "fit": {"method": "stlsq", "threshold": 0.05, "max_iterations": 10, "mode": "continuous"},
+    "selection": {"log10_min": -3, "log10_max": -0.3, "count": 5, "fraction": 0.2,
+                  "policy": "tail"},
+    "compare": {"horizon": 1.0, "grid_dt": 0.05, "etas": [0.0], "long_horizon": 2.0},
+}
+LASSO = dict(LIN2D, fit={"method": "lasso", "lambda1": 0.1, "tol": 1e-8, "max_sweeps": 50})
+TV = dict(LIN2D, differentiation={"method": "tv", "alpha": 0.01, "iterations": 2,
+                                  "epsilon": 1e-8, "denoise_states": False})
+REDUCED = dict(LIN2D, reduction={"rank": 2, "remove_mean": False})
+CONSTANT = dict(LIN2D, library={"poly_order": 0, "include_constant": True})
+RUNS = dict(LIN2D, system={
+    "kind": "linear2d", "t_span": [0.0, 2.0], "dt": 0.01,
+    "runs": [{"x0": [1.0, 0.0], "t_span": [0.0, 2.0], "dt": 0.01, "params": {"mu": 0.1}},
+             {"x0": [0.0, 1.0], "params": {"mu": 0.2}}],
+    "augment": {"name": "u", "param": "mu"}})
+LOGISTIC = {"spec_version": 1, "seed": 0,
+            "system": {"kind": "logistic", "x0": [0.5], "ensemble_mus": [3.7],
+                       "n_steps": 50, "forcing": 0.01}}
+
+DELETE = object()
+
+# (command, base config, path to the bad value, bad value)
+CASES = [
+    ("fit", LIN2D, ("seed",), "0"),
+    ("fit", LIN2D, ("seed",), -1),
+    ("fit", LIN2D, ("system",), [1]),
+    ("generate", LIN2D, ("system", "kind"), DELETE),
+    ("generate", LIN2D, ("system", "kind"), 7),
+    ("generate", LIN2D, ("system", "x0"), "2,0"),
+    ("generate", LIN2D, ("system", "x0"), [2.0]),
+    ("generate", LIN2D, ("system", "t_span"), None),
+    ("generate", LIN2D, ("system", "t_span"), [0.0]),
+    ("generate", LIN2D, ("system", "dt"), "0.01"),
+    ("generate", LIN2D, ("system", "params"), [1.0]),
+    ("generate", LIN2D, ("system", "params"), {"mu": "x"}),
+    ("generate", LIN2D, ("system", "integrator"), "rk45"),
+    ("generate", LIN2D, ("system", "integrator", "method"), 4),
+    ("generate", LIN2D, ("system", "integrator", "abs_tol"), "1e-9"),
+    ("generate", LIN2D, ("system", "integrator", "rel_tol"), True),
+    ("generate", LIN2D, ("system", "integrator", "record_step_size"), "false"),
+    ("generate", RUNS, ("system", "runs"), {"x0": [1.0, 0.0]}),
+    ("generate", RUNS, ("system", "runs", 0), 3),
+    ("generate", RUNS, ("system", "runs", 0, "x0"), "1"),
+    ("generate", RUNS, ("system", "runs", 0, "t_span"), [0.0, "2"]),
+    ("generate", RUNS, ("system", "runs", 0, "dt"), None),
+    ("generate", RUNS, ("system", "runs", 0, "params"), {"mu": None}),
+    ("generate", RUNS, ("system", "augment"), "u"),
+    ("generate", RUNS, ("system", "augment", "name"), 1),
+    ("generate", RUNS, ("system", "augment", "param"), "nu"),
+    ("generate", LOGISTIC, ("system", "ensemble_mus"), 3.7),
+    ("generate", LOGISTIC, ("system", "n_steps"), 50.5),
+    ("generate", LOGISTIC, ("system", "forcing"), "0.01"),
+    ("generate", LOGISTIC, ("system", "x0"), [0.5, 0.5]),
+    ("fit", LIN2D, ("noise",), 0.01),
+    ("fit", LIN2D, ("noise", "eta"), "0.01"),
+    ("fit", LIN2D, ("noise", "target"), 1),
+    ("fit", LIN2D, ("noise", "seed"), 1.5),
+    ("fit", LIN2D, ("differentiation", "method"), 3),
+    ("fit", TV, ("differentiation", "denoise_states"), 1),
+    ("fit", TV, ("differentiation", "alpha"), "x"),
+    ("fit", TV, ("differentiation", "iterations"), 2.5),
+    ("fit", TV, ("differentiation", "epsilon"), [1e-8]),
+    ("fit", REDUCED, ("reduction",), 2),
+    ("fit", REDUCED, ("reduction", "rank"), "2"),
+    ("fit", REDUCED, ("reduction", "energy"), "x"),
+    ("fit", REDUCED, ("reduction", "remove_mean"), "no"),
+    ("fit", LIN2D, ("library", "poly_order"), 2.5),
+    ("fit", LIN2D, ("library", "trig_harmonics"), [1.5]),
+    ("fit", LIN2D, ("library", "include_constant"), "false"),
+    ("fit", CONSTANT, ("library", "include_constant"), False),
+    ("fit", LIN2D, ("fit",), 5),
+    ("fit", LIN2D, ("fit", "mode"), 1),
+    ("fit", LIN2D, ("fit", "method"), ["stlsq"]),
+    ("fit", LIN2D, ("fit", "threshold"), "x"),
+    ("fit", LIN2D, ("fit", "max_iterations"), "10"),
+    ("fit", LASSO, ("fit", "lambda1"), "x"),
+    ("fit", LASSO, ("fit", "tol"), None),
+    ("fit", LASSO, ("fit", "max_sweeps"), 1e3),
+    ("compare", LIN2D, ("compare", "horizon"), "20"),
+    ("compare", LIN2D, ("compare", "horizon"), -1.0),
+    ("compare", LIN2D, ("compare", "grid_dt"), None),
+    ("compare", LIN2D, ("compare", "etas"), 0.1),
+    ("compare", LIN2D, ("compare", "etas"), ["0"]),
+    ("compare", LIN2D, ("compare", "long_horizon"), "250"),
+    ("sweep", LIN2D, ("selection", "lambdas"), "0.1"),
+    ("sweep", LIN2D, ("selection", "log10_min"), "x"),
+    ("sweep", LIN2D, ("selection", "log10_max"), None),
+    ("sweep", LIN2D, ("selection", "count"), "abc"),
+    ("sweep", LIN2D, ("selection", "count"), -1),
+    ("sweep", LIN2D, ("selection", "fraction"), "0.2"),
+    ("sweep", LIN2D, ("selection", "policy"), 2),
+]
+
+
+def _with(base: dict, path: tuple, value) -> dict:
+    doc = copy.deepcopy(base)
+    node = doc
+    for part in path[:-1]:
+        node = node[part]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def _case_id(case) -> str:
+    command, _, path, value = case
+    shown = "missing" if value is DELETE else json.dumps(value)
+    return f"{command}-{'.'.join(map(str, path))}={shown}"
+
+
+@pytest.mark.parametrize("command,base,path,value", CASES, ids=[_case_id(c) for c in CASES])
+def test_malformed_value_is_config_error(tmp_path, capsys, command, base, path, value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_with(base, path, value)))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    key = [part for part in path if isinstance(part, str)][-1]
+    assert err.startswith("config error:") and key in err
+
+
+def test_negative_seed_flag_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(LIN2D))
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--seed", "-5"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,base", [
+    ("generate", LIN2D), ("generate", RUNS), ("generate", LOGISTIC), ("fit", LASSO),
+    ("fit", TV), ("fit", REDUCED), ("fit", CONSTANT), ("compare", LIN2D), ("sweep", LIN2D),
+], ids=["linear2d", "runs", "logistic", "lasso", "tv", "reduced", "constant", "compare",
+        "sweep"])
+def test_base_configs_run(tmp_path, command, base):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(base))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # LASSO stops at max_sweeps
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

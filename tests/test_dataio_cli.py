@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 from pathlib import Path
 
@@ -7,8 +8,10 @@ import pytest
 
 from sindykit import (
     LibrarySpec,
+    NoiseSpec,
     StlsqConfig,
     SystemSpec,
+    add_noise,
     fit,
     iterate_map,
     model_from_json,
@@ -21,6 +24,7 @@ from sindykit.dataio import (
     write_dataset_csv,
     write_pareto_csv,
 )
+from sindykit.integrate import dp45_adaptive
 from sindykit.selection import ParetoPoint
 from sindykit.systems import system_rhs
 
@@ -212,7 +216,8 @@ class TestCliCompareAndSweep:
         spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 5.0), dt=0.01)
         f = system_rhs(spec)
         grid = np.linspace(0.0, 5.0, 101)
-        err = error_curve(f, f, np.array([2.0, 0.0]), grid)
+        reference, _ = dp45_adaptive(f, np.array([2.0, 0.0]), grid)
+        err = error_curve(reference, f, grid)
         assert np.all(err == 0.0)
 
     def test_compare_writes_error_curves(self, tmp_path):
@@ -229,6 +234,60 @@ class TestCliCompareAndSweep:
         clean = np.loadtxt(out / "error_eta_0.csv", delimiter=",", skiprows=1)
         assert clean[0, 1] < 1e-12
         assert clean[:, 1].max() < 1e-5  # exact fit tracks the truth
+
+    def test_compare_builds_one_library_and_one_truth(self, tmp_path, monkeypatch):
+        import sindykit.cli
+        import sindykit.regression
+        calls = {"build": 0, "dp45": 0}
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(sindykit.regression, "build_matrix",
+                            counting("build", sindykit.regression.build_matrix))
+        monkeypatch.setattr(sindykit.cli, "dp45_adaptive",
+                            counting("dp45", sindykit.cli.dp45_adaptive))
+        doc = dict(LIN2D_CFG)
+        doc["compare"] = {"horizon": 3.0, "grid_dt": 0.05, "etas": [0.01, 0.001, 0.0],
+                          "long_horizon": 4.0}
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        assert calls == {"build": 1, "dp45": 1 + 3 + 1}  # truth, one model per eta, long run
+        monkeypatch.undo()
+        # each curve equals a direct fit of its own noisy data against its own truth
+        spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 25.0), dt=0.01)
+        base, grid = simulate(spec), np.arange(0.0, 3.0 + 0.025, 0.05)
+        f_true = system_rhs(spec)
+        for i, eta in enumerate((0.01, 0.001, 0.0)):
+            ds = add_noise(base, NoiseSpec(eta=eta, target="derivatives", seed=1 + i))
+            model, _ = fit(ds, LibrarySpec(2, 5), StlsqConfig(threshold=0.05))
+            truth, _ = dp45_adaptive(f_true, np.array(spec.x0), grid)
+            model_run, _ = dp45_adaptive(model.rhs(), np.array(spec.x0), grid)
+            curve = np.loadtxt(out / f"error_eta_{eta:g}.csv", delimiter=",", skiprows=1)
+            assert np.array_equal(curve[:, 0], grid)
+            assert np.array_equal(curve[:, 1], np.linalg.norm(truth - model_run, axis=1))
+
+    def test_compare_gives_up_on_a_stiff_model_within_seconds(self, tmp_path):
+        # two time units of noisy data identify a stiff degree-5 model for
+        # eta=0.01; integrating it used to crawl on for minutes
+        doc = json.loads((Path(__file__).resolve().parent.parent
+                          / "configs" / "linear2d.json").read_text())
+        doc["system"]["t_span"] = [0.0, 2.0]
+        doc["compare"]["horizon"] = 2.0
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "cmp"
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 30.0
+        summary = json.loads((out / "run_report.json").read_text())["summary"]
+        assert "max_error" in summary["eta_0.0"]
+        assert "step attempts" in summary["eta_0.01"]["failed"]
 
     def test_sweep_emits_pareto_and_choice(self, tmp_path):
         doc = dict(LIN2D_CFG)

@@ -56,6 +56,8 @@ class TestEnumerateTerms:
             LibrarySpec(2, 9)  # degree cap
         with pytest.raises(ConfigError):
             LibrarySpec(2, 2, trig_harmonics=frozenset({0}))
+        with pytest.raises(ConfigError, match="no terms"):
+            LibrarySpec(2, 0, include_constant=False)
 
 
 class TestBuildMatrix:

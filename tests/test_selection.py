@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from sindykit import (
     ConfigError,
     DataError,
+    LassoConfig,
     LibrarySpec,
     Mode,
     NoiseSpec,
@@ -23,6 +25,9 @@ from sindykit import (
     sweep,
 )
 from conftest import LORENZ_TRUE_SUPPORT
+
+# the sweep replaces the threshold; every other setting comes from here
+STLSQ = StlsqConfig(threshold=0.0)
 
 
 def point(lam, nnz, val, train=None):
@@ -82,7 +87,7 @@ class TestSplit:
 class TestSweep:
     def test_lorenz_plateau_and_monotone_bounds(self, noisy_lorenz_subsample):
         lams = np.logspace(-4, 0, 25)
-        points, models = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams)
+        points, models = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams, STLSQ)
         assert len(points) == 25
         # least-squares optimality: the lam=0-like leftmost point minimizes
         # the training residual across the sweep
@@ -97,26 +102,26 @@ class TestSweep:
 
     def test_zero_threshold_is_dense_least_squares(self, noisy_lorenz_subsample):
         points, models = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5),
-                               np.array([0.0, 0.5]))
+                               np.array([0.0, 0.5]), STLSQ)
         dense, _ = models[0]
         assert points[0].nnz_total == dense.nnz() > 100  # nothing pruned
 
     def test_oversparse_threshold_gives_zero_model_unit_residual(self, noisy_lorenz_subsample):
         big = 1e6
         points, models = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5),
-                               np.array([0.0, big]))
+                               np.array([0.0, big]), STLSQ)
         zero_model, _ = models[1]
         assert zero_model.nnz() == 0
         assert np.isclose(points[1].validation_residual, 1.0, atol=1e-12)
 
     def test_unsorted_thresholds_rejected(self, noisy_lorenz_subsample):
         with pytest.raises(ConfigError):
-            sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), np.array([0.1, 0.01]))
+            sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), np.array([0.1, 0.01]), STLSQ)
 
     def test_determinism(self, noisy_lorenz_subsample):
         lams = np.logspace(-3, -1, 5)
-        a, _ = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams, seed=2)
-        b, _ = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams, seed=2)
+        a, _ = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams, STLSQ, seed=2)
+        b, _ = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams, STLSQ, seed=2)
         assert a == b
 
 
@@ -153,7 +158,7 @@ class TestPickElbow:
 
     def test_lorenz_sweep_elbow_lands_in_plateau(self, noisy_lorenz_subsample):
         lams = np.logspace(-4, 0, 25)
-        points, models = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams)
+        points, models = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams, STLSQ)
         lam = pick_elbow(points)
         chosen = next(m for p, (m, _) in zip(points, models) if p.threshold == lam)
         assert chosen.nnz() == 7
@@ -192,15 +197,28 @@ class TestSweepSharesOneProblem:
         for module in (sindykit.regression, sindykit.selection):
             if hasattr(module, "build_matrix"):
                 monkeypatch.setattr(module, "build_matrix", counting)
-        sweep(small, LibrarySpec(2, 3), np.logspace(-3, 0, count))
+        sweep(small, LibrarySpec(2, 3), np.logspace(-3, 0, count), STLSQ)
         assert len(calls) == 2
 
     def test_equals_fit_per_threshold_plus_residuals(self, small):
+        self._assert_equals_fit(small, STLSQ, "threshold")
+
+    @pytest.mark.parametrize("cfg,knob", [
+        (StlsqConfig(threshold=0.0, max_iterations=1), "threshold"),
+        (LassoConfig(lambda1=0.0, max_sweeps=300), "lambda1"),
+    ], ids=["stlsq-one-pass", "lasso"])
+    def test_follows_the_configured_fit(self, small, cfg, knob):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # LASSO may stop at max_sweeps
+            self._assert_equals_fit(small, cfg, knob)
+
+    @staticmethod
+    def _assert_equals_fit(small, cfg, knob):
         lib, lams = LibrarySpec(2, 3), np.logspace(-3, 0, 9)
-        points, models = sweep(small, lib, lams, fraction=0.25, policy="blocks", seed=3)
+        points, models = sweep(small, lib, lams, cfg, fraction=0.25, policy="blocks", seed=3)
         train, val = split(small, 0.25, policy="blocks", seed=3)
         for lam, point, (model, report) in zip(lams, points, models):
-            ref, ref_report = fit(train, lib, StlsqConfig(threshold=float(lam)))
+            ref, ref_report = fit(train, lib, replace(cfg, **{knob: float(lam)}))
             assert np.array_equal(model.coefficients, ref.coefficients)
             assert report == ref_report
             assert point == ParetoPoint(
@@ -215,7 +233,7 @@ class TestSweepSharesOneProblem:
             warnings.simplefilter("ignore")
             ds = logistic_ensemble([2.8, 3.3, 3.7, 3.9], n_steps=200, eta=0.01, seed=4)
         lib, lams = LibrarySpec(2, 3), np.logspace(-3, 0, 6)
-        points, models = sweep(ds, lib, lams, mode=Mode.DISCRETE)
+        points, models = sweep(ds, lib, lams, STLSQ, mode=Mode.DISCRETE)
         train, val = split(ds, 0.2)
         for lam, point, (model, _) in zip(lams, points, models):
             ref, _ = fit(train, lib, StlsqConfig(threshold=float(lam)), mode=Mode.DISCRETE)

@@ -18,7 +18,9 @@ from sindykit import (
     simulate,
     system_rhs,
 )
-from sindykit.integrate import dp45_adaptive, rk4_fixed
+from sindykit.integrate import (STEP_ATTEMPTS_BASE, STEP_ATTEMPTS_PER_SAMPLE, dp45_adaptive,
+                                rk4_fixed)
+from conftest import LORENZ_PARAMS
 
 
 class TestSimulate:
@@ -90,6 +92,10 @@ class TestSimulate:
             SystemSpec("linear2d", x0=(1.0, 0.0), t_span=(1.0, 1.0))
         with pytest.raises(ConfigError):
             SystemSpec("linear2d", x0=(1.0, 0.0), dt=-0.1)
+        with pytest.raises(ConfigError, match="x0"):
+            SystemSpec("lorenz", x0=(1.0, 1.0), params=LORENZ_PARAMS)
+        with pytest.raises(ConfigError, match="t_span"):
+            SystemSpec("linear2d", x0=(1.0, 0.0), t_span=(0.0,))
 
 
 class TestIntegrators:
@@ -120,6 +126,22 @@ class TestIntegrators:
         times = np.linspace(0.0, 1.0, 17)
         out, _ = dp45_adaptive(f, np.array([0.0]), times, 1e-10, 1e-10)
         assert np.allclose(out[:, 0], times, atol=1e-12)
+
+    def test_step_attempt_budget_stops_a_stiff_run(self):
+        # z chases an oscillator at rate 1e6: stability caps the explicit step
+        # near 3e-6, so reaching t=1 would take some 300,000 attempts
+        stiff = lambda x: np.array([x[1], -x[0], -1e6 * (x[2] - x[0])])
+        times = np.linspace(0.0, 1.0, 11)
+        budget = STEP_ATTEMPTS_PER_SAMPLE * len(times) + STEP_ATTEMPTS_BASE
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return stiff(x)
+
+        with pytest.raises(NumericalError, match=f"after {budget} step attempts"):
+            dp45_adaptive(counted, np.array([1.0, 0.0, 0.0]), times, 1e-10, 1e-10)
+        assert len(calls) == 1 + 6 * budget  # one initial slope, six stages per attempt
 
 
 class TestIterateMap:
