@@ -36,7 +36,7 @@ from .integrate import IntegratorConfig, dp45_adaptive
 from .library import LibrarySpec
 from .model import Mode, SparseModel, TimeSeriesDataset, model_to_json, render_table
 from .reduction import compute_basis, reduce_dataset
-from .regression import (FitReport, LassoConfig, StlsqConfig, _regression_problem,
+from .regression import (FitReport, LassoConfig, StlsqConfig, _regression_data,
                          _with_sparsity, fit)
 from .selection import pick_elbow, sweep
 from .systems import (
@@ -381,7 +381,7 @@ def cmd_compare(cfg: dict, out: Path, seed: int, override_threshold: float | Non
     [base] = _simulate_runs(cfg, specs, seed)
     lib = _library(cfg, base.n_states)
     # noise only touches the derivatives: every eta shares one library and one truth
-    theta, _ = _regression_problem(base, lib, Mode.CONTINUOUS)
+    theta, _ = _regression_data(base, lib, Mode.CONTINUOUS)
     truth, _ = dp45_adaptive(system_rhs(spec), np.array(spec.x0), grid, 1e-10, 1e-10)
     artifacts, summary = {}, {}
     model = None

@@ -311,20 +311,29 @@ class TimeSeriesDataset:
         return TimeSeriesDataset(**fields)
 
 
-_TABLE_ROW = re.compile(r"^\s*'([^']*)'\s+(.*)$")
+# the name runs to the last quote before the bracketed values, so a quote
+# inside a state name stays part of it
+_TABLE_ROW = re.compile(r"^\s*'(.*)'\s+(\[.*)$")
 
 
 def parse_table(text: str) -> np.ndarray:
     """Inverse of :func:`render_table` (header is ignored).
 
     Intended for tests and for inspecting saved tables; returns the
-    coefficient matrix exactly as rendered.
+    coefficient matrix exactly as rendered.  A non-blank line that is not
+    a term row raises DataError.
     """
     rows = []
-    for line in text.splitlines()[1:]:
-        m = _TABLE_ROW.match(line)
-        if m is None:
+    for number, line in enumerate(text.splitlines()[1:], start=2):
+        if not line.strip():
             continue
-        vals = re.findall(r"\[\s*([^\]]+?)\s*\]", m.group(2))
-        rows.append([float(v) for v in vals])
+        m = _TABLE_ROW.match(line)
+        cells = re.findall(r"\[\s*([^\]]+?)\s*\]", m.group(2)) if m else []
+        try:
+            row = [float(v) for v in cells]
+        except ValueError:
+            row = []
+        if not row or (rows and len(row) != len(rows[0])):
+            raise DataError(f"table line {number} is not a term row: {line!r}")
+        rows.append(row)
     return np.array(rows, dtype=float)

@@ -5,6 +5,10 @@ thresholded least squares: start from the full least-squares solution,
 zero every coefficient below the threshold, re-solve restricted to the
 survivors, and repeat until the support stops changing.  Ordinary least
 squares and coordinate-descent LASSO are provided as baselines.
+
+Each problem is factored once: the triangular factor R of [Theta | dX]
+preserves every residual norm, so every solve, residual and condition
+estimate runs on R's p x p library block instead of Theta's m rows.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .library import LibraryMatrix, LibrarySpec, build_matrix, enumerate_terms
-from .model import Mode, SparseModel, TimeSeriesDataset, default_state_names
+from .model import Mode, SparseModel, TermDescriptor, TimeSeriesDataset, default_state_names
 
 __all__ = [
     "StlsqConfig",
     "LassoConfig",
     "FitReport",
+    "RegressionProblem",
     "least_squares",
     "stlsq",
     "lasso_cd",
@@ -80,31 +85,81 @@ class FitReport:
         return json.dumps(self.__dict__, indent=2, allow_nan=False)
 
 
-def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+# Rows of [Theta | dX] folded into the running factor per QR call: the
+# stacked block stays in cache and far below the size of Theta, while the
+# p + n rows of R carried into each call cost little.
+_QR_BLOCK_ROWS = 1024
+
+
+@dataclass(frozen=True, eq=False)
+class RegressionProblem:
+    """The regression dX = Theta Xi, kept as the triangular factor R of [Theta | dX].
+
+    With [Theta | dX] = Q R, Q having orthonormal columns, and R split
+    after the p library columns into [[R11, R12], [0, R22]],
+    ||Theta xi - dX[:, k]|| = hypot(||R11 xi - R12[:, k]||, ||R22[:, k]||)
+    for every xi, and R11 has the singular values of Theta.
+    ``n_samples`` is the row count m of Theta.
+    """
+
+    terms: tuple[TermDescriptor, ...]
+    R: np.ndarray
+    n_samples: int
+
+    @classmethod
+    def factor(cls, theta: LibraryMatrix, target: np.ndarray) -> RegressionProblem:
+        """Factor [theta | target] one row block at a time, so that the
+        full-size stacked matrix is never formed."""
+        values = theta.values
+        m, p = values.shape
+        width = p + target.shape[1]
+        stacked = np.empty((width + min(m, _QR_BLOCK_ROWS), width))
+        R = stacked[:0]
+        for start in range(0, m, _QR_BLOCK_ROWS):
+            stop = min(start + _QR_BLOCK_ROWS, m)
+            k = R.shape[0]
+            end = k + stop - start
+            stacked[:k] = R
+            stacked[k:end, :p] = values[start:stop]
+            stacked[k:end, p:] = target[start:stop]
+            R = np.linalg.qr(stacked[:end], mode="r")
+        return cls(theta.terms, R, m)
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(R11, R12, R22)."""
+        p = len(self.terms)
+        return self.R[:p, :p], self.R[:p, p:], self.R[p:, p:]
+
+
+def least_squares(A: np.ndarray, b: np.ndarray, rows: int | None = None) -> np.ndarray:
     """Minimum-norm least-squares solution of A xi = b.
 
     Singular values below max(m, p) * eps * sigma_max are treated as zero,
     pinning the rank cutoff that a backslash-style solve leaves to the
-    environment.
+    environment.  ``rows`` is m when A is the triangular factor of an
+    m-row matrix, so the cutoff stays that of the m-row solve.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise DataError("least_squares needs a nonempty 2-d matrix")
-    rcond = max(A.shape) * np.finfo(float).eps
+    m = A.shape[0] if rows is None else rows
+    rcond = max(m, A.shape[1]) * np.finfo(float).eps
     xi, *_ = np.linalg.lstsq(A, b, rcond=rcond)
     return xi
 
 
-def _stlsq_column(Theta: np.ndarray, y: np.ndarray, cfg: StlsqConfig):
-    """One equation of the threshold/re-solve loop.
+def _stlsq_column(R11: np.ndarray, r: np.ndarray, rows: int, cfg: StlsqConfig):
+    """One equation of the threshold/re-solve loop on the factor of an
+    m = ``rows`` problem (R11 and this equation's column r of R12).
 
     Returns (xi, iterations, converged, active_mask).  The active set can
     only shrink: thresholding removes columns and the re-solve is
     restricted to survivors.
     """
-    p = Theta.shape[1]
-    xi = least_squares(Theta, y)
+    p = R11.shape[1]
+    xi = least_squares(R11, r, rows)
     active = np.ones(p, dtype=bool)
     for iterations in range(1, cfg.max_iterations + 1):
         keep = active & (np.abs(xi) >= cfg.threshold)
@@ -115,29 +170,50 @@ def _stlsq_column(Theta: np.ndarray, y: np.ndarray, cfg: StlsqConfig):
             return xi, iterations, True, active
         active = keep
         xi = np.zeros(p)
-        xi[active] = least_squares(Theta[:, active], y)
+        xi[active] = least_squares(R11[:, active], r, rows)
     return xi, iterations, False, active
 
 
-def _fit_report(values: np.ndarray, target: np.ndarray, coef: np.ndarray,
+def _fit_report(problem: RegressionProblem, coef: np.ndarray,
                 actives, iterations, converged) -> FitReport:
     """Per-equation diagnostics; condition estimates use each final active set."""
+    R11, R12, R22 = problem.blocks
     report = FitReport()
     for k, active in enumerate(actives):
         xi = coef[:, k]
         report.iterations_used.append(int(iterations[k]))
-        report.residual_norm.append(float(np.linalg.norm(values @ xi - target[:, k])))
+        report.residual_norm.append(float(np.hypot(
+            np.linalg.norm(R11 @ xi - R12[:, k]), np.linalg.norm(R22[:, k]))))
         report.nnz.append(int(np.count_nonzero(xi)))
         report.condition_estimate.append(
-            float(np.linalg.cond(values[:, active])) if active.any() else None)
+            float(np.linalg.cond(R11[:, active])) if active.any() else None)
         report.converged.append(bool(converged[k]))
         report.empty_support.append(not active.any())
     return report
 
 
+def _factored(Theta: LibraryMatrix | np.ndarray, dX: np.ndarray) -> RegressionProblem:
+    """The problem of the public solvers: a library, or a raw matrix whose
+    columns are labelled as plain linear terms, and targets of matching rows."""
+    if isinstance(Theta, LibraryMatrix):
+        theta = Theta
+    else:
+        values = np.asarray(Theta, dtype=float)
+        if values.ndim != 2:
+            raise DataError("Theta must be a 2-d matrix")
+        theta = LibraryMatrix(values=values, terms=enumerate_terms(
+            LibrarySpec(n_states=values.shape[1], poly_order=1, include_constant=False)))
+    dX = np.asarray(dX, dtype=float)
+    if dX.ndim == 1:
+        dX = dX.reshape(-1, 1)
+    if dX.ndim != 2 or dX.shape[0] != theta.values.shape[0]:
+        raise DataError("Theta and dX must have the same number of rows")
+    return RegressionProblem.factor(theta, dX)
+
+
 def stlsq(
-    Theta: LibraryMatrix | np.ndarray,
-    dX: np.ndarray,
+    Theta: LibraryMatrix | np.ndarray | RegressionProblem,
+    dX: np.ndarray | None,
     cfg: StlsqConfig,
     state_names: tuple[str, ...] | None = None,
     mode: Mode = Mode.CONTINUOUS,
@@ -151,27 +227,21 @@ def stlsq(
     A raw matrix may be passed in place of an evaluated library; its
     columns are then labelled as plain linear terms of the regressor
     variables, which only coincide with the model's own states when the
-    regressors are the state data itself.
+    regressors are the state data itself.  A prebuilt RegressionProblem
+    already holds its targets, and ``dX`` is then None.
     """
-    if isinstance(Theta, LibraryMatrix):
-        terms, values = Theta.terms, Theta.values
+    if isinstance(Theta, RegressionProblem):
+        problem = Theta
     else:
-        # raw matrix: label columns as plain linear terms
-        values = np.asarray(Theta, dtype=float)
-        terms = enumerate_terms(
-            LibrarySpec(n_states=values.shape[1], poly_order=1, include_constant=False))
-    dX = np.asarray(dX, dtype=float)
-    if dX.ndim == 1:
-        dX = dX.reshape(-1, 1)
-    if dX.shape[0] != values.shape[0]:
-        raise DataError("Theta and dX must have the same number of rows")
-    n = dX.shape[1]
+        problem = _factored(Theta, dX)
+    R11, R12, _ = problem.blocks
+    n = R12.shape[1]
     names = tuple(state_names) if state_names else default_state_names(n)
     xis, iterations, converged, actives = zip(
-        *(_stlsq_column(values, dX[:, k], cfg) for k in range(n)))
+        *(_stlsq_column(R11, R12[:, k], problem.n_samples, cfg) for k in range(n)))
     coef = np.column_stack(xis)
-    model = SparseModel(terms=terms, coefficients=coef, state_names=names, mode=mode)
-    return model, _fit_report(values, dX, coef, actives, iterations, converged)
+    model = SparseModel(terms=problem.terms, coefficients=coef, state_names=names, mode=mode)
+    return model, _fit_report(problem, coef, actives, iterations, converged)
 
 
 def _soft_threshold(z: float, t: float) -> float:
@@ -189,11 +259,16 @@ def lasso_cd(Theta: LibraryMatrix | np.ndarray, y: np.ndarray, cfg: LassoConfig)
     on return; a coordinate dies when |a^T r| <= lambda1 / 2.  Stops when
     the largest coefficient change in a sweep drops below ``tol``; warns
     and returns the best iterate if ``max_sweeps`` is exhausted first.
+    Descends on the factored problem: ||R11 xi - R12||^2 differs from
+    ||Theta xi - y||^2 by the constant ||R22||^2, and R11's columns have
+    Theta's column norms.
     """
-    A = Theta.values if isinstance(Theta, LibraryMatrix) else np.asarray(Theta, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if A.ndim != 2 or A.shape[0] != y.shape[0]:
-        raise DataError("Theta and y must have matching rows")
+    R11, R12, _ = _factored(Theta, np.asarray(y, dtype=float).ravel()).blocks
+    return _lasso_on_factor(R11, R12[:, 0], cfg)
+
+
+def _lasso_on_factor(A: np.ndarray, y: np.ndarray, cfg: LassoConfig) -> np.ndarray:
+    """:func:`lasso_cd`'s descent on the factor's R11 (as A) and R12 column (as y)."""
     norms = np.linalg.norm(A, axis=0)
     live = norms > 0
     An = np.where(live, norms, 1.0)
@@ -228,7 +303,7 @@ def _require_finite(values: np.ndarray, rows: np.ndarray, problem: str) -> None:
         raise DataError(f"{problem} at dataset row {rows[np.argmax(bad)]}")
 
 
-def _regression_problem(
+def _regression_data(
     dataset: TimeSeriesDataset, spec: LibrarySpec, mode: Mode,
     theta: LibraryMatrix | None = None,
 ) -> tuple[LibraryMatrix, np.ndarray]:
@@ -266,6 +341,15 @@ def _regression_problem(
     return theta, target
 
 
+def _regression_problem(
+    dataset: TimeSeriesDataset, spec: LibrarySpec, mode: Mode,
+    theta: LibraryMatrix | None = None,
+) -> RegressionProblem:
+    """The factored regression problem of :func:`_regression_data`; the
+    library matrix itself is dropped once factored."""
+    return RegressionProblem.factor(*_regression_data(dataset, spec, mode, theta))
+
+
 def _with_sparsity(cfg: StlsqConfig | LassoConfig, value: float) -> StlsqConfig | LassoConfig:
     """``cfg`` with its sparsity knob (STLSQ threshold, LASSO lambda1) set to ``value``."""
     if isinstance(cfg, StlsqConfig):
@@ -273,18 +357,20 @@ def _with_sparsity(cfg: StlsqConfig | LassoConfig, value: float) -> StlsqConfig 
     return replace(cfg, lambda1=value)
 
 
-def _solve(theta: LibraryMatrix, target: np.ndarray, cfg: StlsqConfig | LassoConfig,
+def _solve(problem: RegressionProblem, cfg: StlsqConfig | LassoConfig,
            state_names: tuple[str, ...], mode: Mode) -> tuple[SparseModel, FitReport]:
     """Solve a prebuilt problem with the configured method, one equation per column."""
-    m, p = theta.values.shape
+    m, p = problem.n_samples, len(problem.terms)
     if m <= p:
         raise DataError(f"{m} samples do not overdetermine {p} library terms")
     if isinstance(cfg, StlsqConfig):
-        return stlsq(theta, target, cfg, state_names=state_names, mode=mode)
-    coef = np.column_stack([lasso_cd(theta, y, cfg) for y in target.T])
+        return stlsq(problem, None, cfg, state_names=state_names, mode=mode)
+    R11, R12, _ = problem.blocks
+    coef = np.column_stack([_lasso_on_factor(R11, y, cfg) for y in R12.T])
     n = coef.shape[1]
-    model = SparseModel(terms=theta.terms, coefficients=coef, state_names=state_names, mode=mode)
-    return model, _fit_report(theta.values, target, coef, coef.T != 0, [0] * n, [True] * n)
+    model = SparseModel(terms=problem.terms, coefficients=coef, state_names=state_names,
+                        mode=mode)
+    return model, _fit_report(problem, coef, coef.T != 0, [0] * n, [True] * n)
 
 
 def fit(
@@ -301,5 +387,5 @@ def fit(
     states, pairing samples within each trajectory segment.  ``theta``
     may pass in the library already built from ``dataset``'s states.
     """
-    theta, target = _regression_problem(dataset, spec, mode, theta)
-    return _solve(theta, target, cfg, dataset.state_names, mode)
+    problem = _regression_problem(dataset, spec, mode, theta)
+    return _solve(problem, cfg, dataset.state_names, mode)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .library import LibraryMatrix, LibrarySpec
+from .library import LibrarySpec
 from .model import Mode, SparseModel, TimeSeriesDataset
-from .regression import (FitReport, LassoConfig, StlsqConfig, _regression_problem, _solve,
-                         _with_sparsity)
+from .regression import (FitReport, LassoConfig, RegressionProblem, StlsqConfig,
+                         _regression_problem, _solve, _with_sparsity)
 
 __all__ = ["ParetoPoint", "split", "sweep", "pick_elbow"]
 
@@ -93,12 +93,13 @@ def _take(dataset: TimeSeriesDataset, mask: np.ndarray) -> TimeSeriesDataset:
     )
 
 
-def _residual(theta: LibraryMatrix, target: np.ndarray, model: SparseModel) -> float:
-    pred = theta.values @ model.coefficients
-    denom = np.linalg.norm(target)
-    if denom == 0.0:
-        return float(np.linalg.norm(pred))
-    return float(np.linalg.norm(target - pred) / denom)
+def _residual(problem: RegressionProblem, model: SparseModel) -> float:
+    """||Theta C - Y||_F / ||Y||_F, or ||Theta C||_F when Y = 0, from the factor:
+    [Theta | Y] [C; -I] = Q R [C; -I] and Q preserves the norm."""
+    p, n = model.coefficients.shape
+    error = np.linalg.norm(problem.R @ np.vstack([model.coefficients, -np.eye(n)]))
+    denom = np.linalg.norm(problem.R[:, p:])
+    return float(error / denom) if denom else float(error)
 
 
 def sweep(
@@ -117,17 +118,15 @@ def sweep(
     if thresholds.size and (np.any(np.diff(thresholds) < 0) or np.any(thresholds < 0)):
         raise ConfigError("thresholds must be sorted ascending and nonnegative")
     train, val = split(dataset, fraction, policy=policy, seed=seed)
-    theta, target = _regression_problem(train, spec, mode)
-    models = [_solve(theta, target, _with_sparsity(cfg, float(lam)), train.state_names, mode)
+    problem = _regression_problem(train, spec, mode)
+    problem_val = _regression_problem(val, spec, mode)
+    models = [_solve(problem, _with_sparsity(cfg, float(lam)), train.state_names, mode)
               for lam in thresholds]
-    train_residuals = [_residual(theta, target, model) for model, _ in models]
-    # built after the fits, so that it never sits beside the solver's copies
-    # of the train matrix and peak memory stays that of one fit
-    theta_val, target_val = _regression_problem(val, spec, mode)
     points = [
-        ParetoPoint(threshold=float(lam), nnz_total=model.nnz(), train_residual=res,
-                    validation_residual=_residual(theta_val, target_val, model))
-        for lam, (model, _), res in zip(thresholds, models, train_residuals)]
+        ParetoPoint(threshold=float(lam), nnz_total=model.nnz(),
+                    train_residual=_residual(problem, model),
+                    validation_residual=_residual(problem_val, model))
+        for lam, (model, _) in zip(thresholds, models)]
     return points, models
 
 

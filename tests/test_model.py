@@ -155,6 +155,19 @@ class TestRenderTable:
             assert np.array_equal(parsed, coef)
 
 
+    def test_quoted_state_name_keeps_every_row(self):
+        terms = enumerate_terms(LibrarySpec(1, 2))
+        m = SparseModel(terms, np.array([[1.5], [0.0], [-2.0]]), ("x'",))
+        assert np.array_equal(parse_table(render_table(m)), m.coefficients)
+
+    def test_row_that_does_not_parse_is_an_error(self):
+        text = render_table(SparseModel(enumerate_terms(LibrarySpec(1, 1)), np.ones((2, 1)), ("x",)))
+        assert parse_table(text + "\n").shape == (2, 1)  # blank lines are skipped
+        for bad in ("    'x' 1.0", "    'x'    [abc]", "    'xx'    [1.0]    [2.0]"):
+            with pytest.raises(DataError, match="line 4"):
+                parse_table(text + bad + "\n")
+
+
 class TestSupport:
     def test_lorenz_table_structure(self):
         assert support(lorenz_true_model()) == {

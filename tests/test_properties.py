@@ -42,7 +42,8 @@ def datasets(draw):
 
 
 @st.composite
-def models(draw, names=st.text(st.characters(categories=("L", "Nd")), min_size=1, max_size=4)):
+def models(draw, names=st.text(st.characters(categories=("L", "Nd")) | st.just("'"),
+                                min_size=1, max_size=4)):
     n, order = draw(st.integers(1, 3)), draw(st.integers(0, 3))
     harmonics = frozenset(draw(st.sets(st.integers(1, 3), max_size=2)))
     constant = draw(st.booleans()) or not (order or harmonics)  # no empty library
