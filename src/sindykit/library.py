@@ -2,8 +2,9 @@
 
 Builds the data matrix whose columns are candidate nonlinear functions
 (monomials up to a configured order, optional per-variable harmonics)
-evaluated at every sample, plus the matching single-state row evaluator
-used when simulating identified models.
+evaluated at every sample, plus its single-state row.  Both evaluate the
+terms through :func:`sindykit.model.term_evaluator`, which
+``SparseModel.rhs`` shares when simulating identified models.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model import TermDescriptor, TermKind
+from .model import TermDescriptor, TermKind, term_evaluator
 
 __all__ = ["LibrarySpec", "LibraryMatrix", "enumerate_terms", "build_matrix", "evaluate_terms"]
 
 MAX_POLY_ORDER = 8  # bounds library width; nothing in the test corpus exceeds 5
+_BLOCK_ROWS = 1024  # rows evaluated at a time, so the gathered table stays a few MB
 
 
 @dataclass(frozen=True)
@@ -86,19 +88,6 @@ def enumerate_terms(spec: LibrarySpec) -> tuple[TermDescriptor, ...]:
     return tuple(terms)
 
 
-def _term_column(term: TermDescriptor, X: np.ndarray) -> np.ndarray:
-    # single evaluation path shared by build_matrix and evaluate_terms so
-    # that matrix rows and single-state rows agree bit-for-bit
-    if term.kind is TermKind.MONOMIAL:
-        col = np.ones(X.shape[0])
-        for i, e in enumerate(term.exponents):
-            if e:
-                col = col * X[:, i] ** e
-        return col
-    arg = term.harmonic * X[:, term.variable_index]
-    return np.sin(arg) if term.kind is TermKind.SINE else np.cos(arg)
-
-
 def build_matrix(spec: LibrarySpec, X: np.ndarray) -> LibraryMatrix:
     """Evaluate every candidate term at every sample row of ``X``."""
     X = np.asarray(X, dtype=float)
@@ -110,7 +99,10 @@ def build_matrix(spec: LibrarySpec, X: np.ndarray) -> LibraryMatrix:
     if bad.any():
         raise DataError(f"non-finite state entries at row {int(np.flatnonzero(bad)[0])}")
     terms = enumerate_terms(spec)
-    values = np.column_stack([_term_column(t, X) for t in terms])
+    theta = term_evaluator(terms, spec.n_states)
+    values = np.empty((X.shape[0], len(terms)))
+    for start in range(0, X.shape[0], _BLOCK_ROWS):
+        theta(X[start:start + _BLOCK_ROWS], out=values[start:start + _BLOCK_ROWS])
     return LibraryMatrix(values=values, terms=terms)
 
 
@@ -126,5 +118,4 @@ def evaluate_terms(terms, x: np.ndarray) -> np.ndarray:
         raise DataError("x must be a single state vector")
     if not np.isfinite(x).all():
         raise DataError("non-finite state entries at row 0")
-    X = x.reshape(1, -1)
-    return np.array([_term_column(t, X)[0] for t in terms])
+    return term_evaluator(terms, x.shape[0])(x)

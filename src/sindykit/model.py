@@ -65,8 +65,8 @@ class TermDescriptor:
     harmonic: int = 0
 
     def __post_init__(self) -> None:
-        if any(e < 0 for e in self.exponents):
-            raise DataError(f"negative exponent in {self.exponents}")
+        if any(not isinstance(e, (int, np.integer)) or e < 0 for e in self.exponents):
+            raise DataError(f"exponents must be non-negative integers, got {self.exponents}")
         if self.kind is TermKind.MONOMIAL:
             if self.harmonic != 0:
                 raise DataError("monomial terms carry harmonic=0")
@@ -80,11 +80,6 @@ class TermDescriptor:
     def degree(self) -> int:
         return sum(self.exponents)
 
-    @property
-    def variable_index(self) -> int:
-        """Index of the referenced variable (trig terms only)."""
-        return self.exponents.index(1)
-
     def name(self, state_names: tuple[str, ...] | list[str]) -> str:
         """Appendix-style label: '1', 'x', 'xxy', 'sin(2x)', ..."""
         if self.kind is TermKind.MONOMIAL:
@@ -93,7 +88,39 @@ class TermDescriptor:
             return "".join(state_names[i] * e for i, e in enumerate(self.exponents))
         fn = "sin" if self.kind is TermKind.SINE else "cos"
         k = "" if self.harmonic == 1 else str(self.harmonic)
-        return f"{fn}({k}{state_names[self.variable_index]})"
+        return f"{fn}({k}{state_names[self.exponents.index(1)]})"
+
+
+def term_evaluator(terms, n_states: int):
+    """Compile a term sequence into a callable from states (..., n_states) to
+    term values (..., len(terms)), written to ``out`` if given; the callable
+    does not check its input.  A term multiplies column e * c of each state's
+    row [x^0 ... x^d, sin(k x) ..., cos(k x) ...], e its exponent there: c is 1
+    for monomials, else the term's sin/cos column."""
+    terms = tuple(terms)
+    if any(len(t.exponents) != n_states for t in terms):
+        raise DataError(f"a state of length {n_states} does not match the terms' exponents")
+    degree = max((e for t in terms for e in t.exponents), default=0)
+    harmonics = sorted({t.harmonic for t in terms} - {0})
+    trig = [(kind, h) for kind in (TermKind.SINE, TermKind.COSINE) for h in harmonics]
+    width = degree + 1 + len(trig)
+    c = {(TermKind.MONOMIAL, 0): 1} | {key: degree + 1 + j for j, key in enumerate(trig)}
+    index = np.array([[i * width + e * c[t.kind, t.harmonic] for i, e in enumerate(t.exponents)]
+                      for t in terms], dtype=np.intp).reshape(len(terms), n_states)
+    k = np.array(harmonics, dtype=float)
+
+    def theta(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        table = np.empty((*X.shape, width))
+        table[..., 0] = 1.0
+        for e in range(1, degree + 1):
+            table[..., e] = X if e == 1 else X ** e  # X ** 1 is the same, and slower
+        if trig:
+            kx = X[..., None] * k
+            table[..., degree + 1:] = np.concatenate((np.sin(kx), np.cos(kx)), axis=-1)
+        gathered = table.reshape(*X.shape[:-1], -1).take(index, axis=-1)
+        return np.multiply.reduce(gathered, axis=-1, out=out)
+
+    return theta
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -144,24 +171,14 @@ class SparseModel:
         """
         active = np.flatnonzero(np.any(self.coefficients != 0.0, axis=1))
         coef = self.coefficients[active, :]
-        terms = [self.terms[i] for i in active]
-        mono = [i for i, t in enumerate(terms) if t.kind is TermKind.MONOMIAL]
-        trig = [i for i, t in enumerate(terms) if t.kind is not TermKind.MONOMIAL]
+        theta = term_evaluator([self.terms[i] for i in active], self.n_states)
         n = self.n_states
-        expo = np.array([terms[i].exponents for i in mono], dtype=float).reshape(len(mono), n)
 
         def rhs(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
             if x.shape != (n,):
                 raise DataError(f"state vector has shape {x.shape}, expected ({n},)")
-            theta = np.empty(len(terms))
-            if mono:
-                theta[mono] = np.prod(x ** expo, axis=1)
-            for i in trig:
-                t = terms[i]
-                arg = t.harmonic * x[t.variable_index]
-                theta[i] = np.sin(arg) if t.kind is TermKind.SINE else np.cos(arg)
-            return theta @ coef
+            return theta(x) @ coef
 
         return rhs
 
@@ -169,7 +186,9 @@ class SparseModel:
 def evaluate_rhs(model: SparseModel, x: np.ndarray) -> np.ndarray:
     """Evaluate the identified right-hand side at a single state.
 
-    Symbolic term-by-term evaluation; no data matrix is formed.
+    The active terms go through :func:`term_evaluator`, the evaluator that
+    also builds the library matrix, so Θ(x) here equals the row that
+    ``build_matrix`` gives for x; no data matrix is formed.
     """
     return model.rhs()(x)
 
@@ -232,10 +251,13 @@ def model_from_json(text: str) -> SparseModel:
         TermDescriptor(TermKind(t["kind"]), tuple(t["exponents"]), t["harmonic"])
         for t in doc["terms"]
     )
+    names = tuple(doc["state_names"])
+    if any(len(t.exponents) != len(names) for t in terms):
+        raise DataError(f"every term needs one exponent per state, {len(names)} in all")
     return SparseModel(
         terms=terms,
         coefficients=np.array(doc["coefficients"], dtype=float),
-        state_names=tuple(doc["state_names"]),
+        state_names=names,
         mode=Mode(doc["mode"]),
     )
 

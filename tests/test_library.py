@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -7,6 +8,7 @@ from sindykit import (
     ConfigError,
     DataError,
     LibrarySpec,
+    TermKind,
     build_matrix,
     enumerate_terms,
     evaluate_terms,
@@ -15,6 +17,22 @@ from sindykit import (
 
 def names(spec, state_names):
     return [t.name(state_names) for t in enumerate_terms(spec)]
+
+
+def reference_column(term, X):
+    """One term on every row, with the arithmetic of a plain loop over states."""
+    if term.kind is TermKind.MONOMIAL:
+        col = np.ones(X.shape[0])
+        for i, e in enumerate(term.exponents):
+            if e:
+                col = col * X[:, i] ** e
+        return col
+    arg = term.harmonic * X[:, term.exponents.index(1)]
+    return np.sin(arg) if term.kind is TermKind.SINE else np.cos(arg)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestEnumerateTerms:
@@ -89,6 +107,29 @@ class TestBuildMatrix:
         for i in range(X.shape[0]):
             assert np.array_equal(theta.values[i], evaluate_terms(spec, X[i]))
 
+    @pytest.mark.parametrize("spec", [
+        LibrarySpec(3, 5), LibrarySpec(1, 8, trig_harmonics=frozenset({1, 3})),
+        LibrarySpec(5, 3, trig_harmonics=frozenset({2}), include_constant=False),
+        LibrarySpec(2, 0, trig_harmonics=frozenset({1, 2}))])
+    def test_equals_the_reference_loop_bit_for_bit(self, spec):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((2500, spec.n_states)) * rng.choice([0.1, 1.0, 30.0], (2500, 1))
+        expected = np.column_stack([reference_column(t, X) for t in enumerate_terms(spec)])
+        assert _same_bits(build_matrix(spec, X).values, expected)
+
+    def test_peak_memory_is_the_matrix_plus_one_block(self, lorenz_dataset, lorenz_library):
+        # blocks go straight into the preallocated matrix, so no list of
+        # full-length columns is held next to it
+        X = np.array(lorenz_dataset.states[:20_000])
+        tracemalloc.start()
+        try:
+            theta = build_matrix(lorenz_library, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert theta.values.shape == (20_000, 56)
+        assert peak < 1.25 * theta.values.nbytes
+
     def test_row_permutation_permutes_output(self):
         rng = np.random.default_rng(6)
         spec = LibrarySpec(2, 3)
@@ -121,3 +162,11 @@ class TestEvaluateTerms:
         terms = enumerate_terms(spec)
         x = np.array([0.5, -2.0])
         assert np.array_equal(evaluate_terms(terms, x), evaluate_terms(spec, x))
+
+    def test_state_length_must_match_the_terms(self):
+        with pytest.raises(DataError, match="length 2"):
+            evaluate_terms(LibrarySpec(3, 2), np.array([1.0, 2.0]))
+        with pytest.raises(DataError, match="length 3"):
+            evaluate_terms(LibrarySpec(2, 2), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DataError, match="length 3"):
+            evaluate_terms(enumerate_terms(LibrarySpec(2, 2)), np.array([1.0, 2.0, 3.0]))

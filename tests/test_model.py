@@ -66,6 +66,10 @@ class TestTermDescriptor:
         with pytest.raises(DataError):
             TermDescriptor(TermKind.MONOMIAL, (-1, 0))
 
+    def test_fractional_exponent_rejected(self):
+        with pytest.raises(DataError, match="integers"):
+            TermDescriptor(TermKind.MONOMIAL, (1.5, 0))
+
 
 class TestEvaluateRhs:
     def test_linear_model_example(self):
@@ -100,6 +104,11 @@ class TestEvaluateRhs:
             lhs = evaluate_rhs(m12, x)
             rhs = a * evaluate_rhs(m1, x) + b * evaluate_rhs(m2, x)
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+    def test_terms_of_another_state_count_are_a_data_error(self):
+        m = SparseModel(enumerate_terms(LibrarySpec(3, 1)), np.ones((4, 2)), ("x", "y"))
+        with pytest.raises(DataError, match="length 2"):
+            m.rhs()
 
     def test_trig_terms_evaluate(self):
         terms = (TermDescriptor(TermKind.SINE, (1,), 2),)
@@ -186,6 +195,12 @@ class TestJsonRoundTrip:
         assert again.state_names == m.state_names
         assert again.mode is m.mode
         assert np.array_equal(again.coefficients, m.coefficients)
+
+    def test_term_with_one_exponent_per_state_too_many_is_rejected(self):
+        doc = json.loads(model_to_json(linear_model(np.eye(2))))
+        doc["terms"][0]["exponents"] = [1, 0, 0]
+        with pytest.raises(DataError, match="one exponent per state"):
+            model_from_json(json.dumps(doc))
 
     def test_schema_fields(self):
         doc = json.loads(model_to_json(lorenz_true_model()))

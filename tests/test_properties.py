@@ -3,7 +3,7 @@
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sindykit import (
@@ -12,7 +12,9 @@ from sindykit import (
     ParetoPoint,
     SparseModel,
     TimeSeriesDataset,
+    build_matrix,
     enumerate_terms,
+    evaluate_terms,
     model_from_json,
     model_to_json,
     pick_elbow,
@@ -88,6 +90,32 @@ def test_model_json_round_trip(model):
 def test_table_round_trip(model):
     # zeros print as a bare 0, so -0.0 parses back as 0.0: compare by value
     assert np.array_equal(parse_table(render_table(model)), model.coefficients)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 3), order=st.integers(0, 4),
+       harmonics=st.sets(st.integers(1, 4), min_size=1, max_size=2), constant=st.booleans(),
+       rows=st.integers(2 * 1024 + 1, 3000), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 30.0]))
+def test_matrix_rows_equal_single_state_rows_across_blocks(n, order, harmonics, constant,
+                                                           rows, seed, scale):
+    spec = LibrarySpec(n, order, trig_harmonics=frozenset(harmonics), include_constant=constant)
+    X = np.random.default_rng(seed).standard_normal((rows, n)) * scale
+    theta = build_matrix(spec, X)
+    for i in (0, 1023, 1024, rows - 1):
+        assert _same_bits(theta.values[i], evaluate_terms(spec, X[i]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), st.data())
+def test_rhs_is_the_terms_times_the_coefficients(model, data):
+    x = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=model.n_states,
+                                    max_size=model.n_states)))
+    theta = evaluate_terms(model.terms, x)
+    with np.errstate(over="ignore"):
+        scale = np.abs(theta) @ np.abs(model.coefficients)  # bounds the rounding of either sum
+    assume(np.isfinite(scale).all())
+    assert np.all(np.abs(model.rhs()(x) - theta @ model.coefficients) <= 1e-12 * scale)
 
 
 @st.composite
