@@ -9,6 +9,7 @@ state names, segment boundaries and provenance travel in a
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
+_BLOCK_ROWS = 1024  # rows formatted per write, which bounds the text held at once
 
 
 def _meta_path(path: Path) -> Path:
@@ -37,11 +39,15 @@ def _meta_path(path: Path) -> Path:
 def write_csv(path: str | Path, header: list[str] | None, rows: np.ndarray) -> Path:
     """Write ``rows`` (and a header line unless it is None) at full precision."""
     path = Path(path)
+    rows = np.asarray(rows, dtype=float)
     with path.open("w") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+        if rows.size:
+            line = ",".join([_FMT] * rows.shape[1]) + "\n"
+            for start in range(0, rows.shape[0], _BLOCK_ROWS):
+                fh.write("".join(line % tuple(row)
+                                 for row in rows[start:start + _BLOCK_ROWS].tolist()))
     return path
 
 
@@ -68,16 +74,23 @@ def read_dataset_csv(path: str | Path) -> TimeSeriesDataset:
     path = Path(path)
     with path.open() as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not rows:
-        raise DataError(f"{path} contains no samples")
-    if header[0] != "t":
-        raise DataError(f"{path} missing 't' header column")
-    data = np.array(rows, dtype=float)
+        lines = (line for line in fh if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise DataError(f"{path} contains no samples")
+        if header[0] != "t":
+            raise DataError(f"{path} missing 't' header column")
+        try:
+            data = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                              comments=None, ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
     n = sum(1 for h in header if h.startswith("x"))
     n_deriv = sum(1 for h in header if h.startswith("dx"))
     if 1 + n + n_deriv != len(header):
         raise DataError(f"{path} has an unrecognized column layout")
+    if data.shape[1] != len(header):
+        raise DataError(f"{path} has {data.shape[1]} values per row for {len(header)} columns")
     times = data[:, 0]
     states = data[:, 1:1 + n]
     derivatives = data[:, 1 + n:1 + n + n_deriv] if n_deriv else None

@@ -7,9 +7,13 @@ total-variation regularized derivative is used: find u minimizing
 
 where A is trapezoidal cumulative integration on the uniform grid.  The
 problem is solved by lagged-diffusivity fixed-point iterations; each
-inner linear system is attacked with conjugate gradients warm-started at
-the current iterate, which keeps the smoothed objective monotonically
-non-increasing.
+inner linear system H u = Aᵀ(f - f[0]), H = AᵀA + DᵀWD, is solved by
+conjugate gradients warm-started at the current iterate, which keeps the
+smoothed objective monotonically non-increasing.  CG is preconditioned
+with the same Hessian under the rectangle rule, AᵣᵀAᵣ + DᵀWD: in the
+variable z = Aᵣu it is pentadiagonal, so each application is two first
+differences and one banded LDLᵀ solve, and an outer step takes about ten
+CG iterations instead of hundreds (Vogel & Oman 1996).
 
 Noise is injected as eta * Z with Z a seeded matrix of i.i.d. standard
 normal entries, i.e. eta is a standard-deviation multiplier.
@@ -18,7 +22,9 @@ normal entries, i.e. eta is a standard-deviation multiplier.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,14 +50,14 @@ class TvDiffConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError("alpha must be positive and finite")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError("dt must be positive and finite")
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError("epsilon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -61,8 +67,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.eta < 0:
-            raise ConfigError("eta must be nonnegative")
+        if not 0 <= self.eta < math.inf:
+            raise ConfigError("eta must be nonnegative and finite")
         if self.target not in ("derivatives", "states", "both"):
             raise ConfigError(f"unknown noise target {self.target!r}")
 
@@ -83,8 +89,13 @@ def central_difference(times: np.ndarray, states: np.ndarray) -> np.ndarray:
         raise DataError("central differences need at least three samples")
     if X.shape[0] != m:
         raise DataError("times and states must have matching length")
+    if not np.isfinite(t).all():
+        raise DataError("times must be finite")
     if not np.all(np.diff(t) > 0):
         raise DataError("times must be strictly increasing")
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise DataError(f"non-finite state entries at row {int(np.argmax(bad))}")
 
     d = np.empty_like(X)
     h1 = (t[1:-1] - t[:-2])[:, None]
@@ -134,42 +145,119 @@ def _diff_adjoint(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cg(apply_h, b: np.ndarray, x0: np.ndarray, maxiter: int, rtol: float = 1e-12):
-    """Plain conjugate gradients from x0; each iterate lowers the quadratic."""
+def _penta_factor(w: np.ndarray, dt: float):
+    """LDLᵀ factor of S = I + GᵀWG, G = D Aᵣ⁻¹, for weights ``w`` (length m-1).
+
+    Row i of G is (z[i-1] - 2 z[i] + z[i+1]) / dt with z[-1] = 0, so S is
+    pentadiagonal SPD and factors without pivoting.  Returns Python float
+    lists: 1/d, L[j+1, j] and L[j+2, j] by column j (zero past the end).
+    """
+    m = w.shape[0] + 1
+    a = np.zeros(m + 2)  # a[j + 1] = w[j] / dt², zero outside 0 <= j <= m-2
+    a[1:m] = w / (dt * dt)
+    diag = (1.0 + a[:-2] + 4.0 * a[1:-1] + a[2:]).tolist()
+    off1 = (-2.0 * (a[1:m] + a[2:m + 1])).tolist() + [0.0]
+    off2 = a[2:m].tolist() + [0.0, 0.0]
+    inv_d, sub1, sub2 = [], [], []
+    d1 = d2 = 0.0  # d[j-1], d[j-2]
+    l1 = l2 = l2_next = 0.0  # L[j, j-1], L[j, j-2], L[j+1, j-1]
+    for s0, s1, s2 in zip(diag, off1, off2):
+        dj = s0 - l1 * l1 * d1 - l2 * l2 * d2
+        l1_next = (s1 - l2_next * l1 * d1) / dj
+        l2_next2 = s2 / dj
+        inv_d.append(1.0 / dj)
+        sub1.append(l1_next)
+        sub2.append(l2_next2)
+        d2, d1 = d1, dj
+        l1, l2, l2_next = l1_next, l2_next, l2_next2
+    return inv_d, sub1, sub2
+
+
+def _penta_solve(factor, y: np.ndarray) -> np.ndarray:
+    """Solve S z = y with a factor from ``_penta_factor``."""
+    inv_d, sub1, sub2 = factor
+    v = []
+    b2 = b1 = 0.0  # v[j-2], v[j-1]
+    for yj, l1, l2 in zip(y.tolist(), [0.0] + sub1[:-1], [0.0, 0.0] + sub2[:-2]):
+        c = yj - l1 * b1 - l2 * b2
+        v.append(c)
+        b2, b1 = b1, c
+    z = []
+    b2 = b1 = 0.0  # z[j+2], z[j+1]
+    for vj, idj, l1, l2 in zip(reversed(v), reversed(inv_d), reversed(sub1), reversed(sub2)):
+        c = vj * idj - l1 * b1 - l2 * b2
+        z.append(c)
+        b2, b1 = b1, c
+    z.reverse()
+    return np.array(z)
+
+
+def _tv_preconditioner(w: np.ndarray, dt: float):
+    """r -> P⁻¹ r for P = AᵣᵀAᵣ + DᵀWD, Aᵣ = dt·tril(1) the rectangle rule.
+
+    With z = Aᵣ u, P = Aᵣᵀ S Aᵣ (see ``_penta_factor``), and Aᵣ⁻¹ is a
+    first difference over dt, so P⁻¹ r = Aᵣ⁻¹ S⁻¹ Aᵣ⁻ᵀ r costs two
+    differences and one banded solve.
+    """
+    factor = _penta_factor(w, dt)
+    scale = 1.0 / (dt * dt)
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        y = r.copy()
+        y[:-1] -= r[1:]  # Aᵣ⁻ᵀ r, times dt
+        return scale * np.diff(_penta_solve(factor, y), prepend=0.0)  # Aᵣ⁻¹ S⁻¹ y
+
+    return apply
+
+
+def _pcg(apply_h, apply_p, b: np.ndarray, x0: np.ndarray, maxiter: int, rtol: float = 1e-12):
+    """Preconditioned conjugate gradients from x0; each iterate lowers the quadratic.
+
+    Returns the iterate, the number of iterations and whether ``maxiter``
+    ran out before the residual reached ``rtol * |b|``.
+    """
     x = x0.copy()
     r = b - apply_h(x)
     tol = rtol * max(np.linalg.norm(b), 1e-300)
     if np.linalg.norm(r) <= tol:
-        return x
-    p = r.copy()
-    rs = r @ r
-    for _ in range(maxiter):
+        return x, 0, False
+    z = apply_p(r)
+    p = z.copy()
+    rz = r @ z
+    for it in range(1, maxiter + 1):
         hp = apply_h(p)
         denom = p @ hp
         if denom <= 0:
-            break
-        alpha = rs / denom
+            return x, it, False
+        alpha = rz / denom
         x += alpha * p
         r -= alpha * hp
-        rs_new = r @ r
-        if np.sqrt(rs_new) <= tol:
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
+        if np.linalg.norm(r) <= tol:
+            return x, it, False
+        z = apply_p(r)
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, maxiter, True
 
 
-def tv_derivative(samples: np.ndarray, cfg: TvDiffConfig, full_output: bool = False):
-    """Total-variation regularized derivative of uniformly sampled data.
+class _TvRun(NamedTuple):
+    u: np.ndarray
+    objectives: np.ndarray   # after every accepted outer step, non-increasing
+    cg_iterations: list[int]  # per outer step, a stalled last step included
+    cg_hit_maxiter: bool     # some step's CG ran out of iterations
+    stalled: bool            # the objective rose; the previous iterate was kept
 
-    Returns the derivative estimate (same length as ``samples``); with
-    ``full_output=True`` also returns the objective value after every
-    outer iteration, which is non-increasing.
-    """
+
+def _tv_run(samples: np.ndarray, cfg: TvDiffConfig) -> _TvRun:
+    """``tv_derivative``'s solve, with its solver counters."""
     f = np.asarray(samples, dtype=float).ravel()
     m = f.shape[0]
     if m < 5:
         raise DataError("tv_derivative needs at least five samples")
+    bad = ~np.isfinite(f)
+    if bad.any():
+        raise DataError(f"non-finite sample at row {int(np.argmax(bad))}")
     dt, alpha, eps = cfg.dt, cfg.alpha, cfg.epsilon
     fhat = f - f[0]
     atf = _integrate_adjoint(fhat, dt)
@@ -181,23 +269,40 @@ def tv_derivative(samples: np.ndarray, cfg: TvDiffConfig, full_output: bool = Fa
 
     u = np.gradient(f, dt)
     objectives = [objective(u)]
+    cg_iterations = []
+    hit_maxiter = stalled = False
     for _ in range(cfg.iterations):
         w = alpha / np.sqrt(np.diff(u) ** 2 + eps)
 
         def apply_h(v: np.ndarray) -> np.ndarray:
             return _diff_adjoint(w * np.diff(v)) + _integrate_adjoint(_integrate_op(v, dt), dt)
 
-        u_new = _cg(apply_h, atf, u, maxiter=2 * m)
+        u_new, its, hit = _pcg(apply_h, _tv_preconditioner(w, dt), atf, u, maxiter=2 * m)
+        cg_iterations.append(its)
+        hit_maxiter |= hit
         val = objective(u_new)
         if val > objectives[-1]:
+            stalled = True
             break  # numerical stall; keep the previous iterate
         u = u_new
         objectives.append(val)
         if len(objectives) >= 2 and objectives[-2] - objectives[-1] <= 1e-14 * max(1.0, objectives[-2]):
             break
+    return _TvRun(u, np.array(objectives), cg_iterations, hit_maxiter, stalled)
+
+
+def tv_derivative(samples: np.ndarray, cfg: TvDiffConfig, full_output: bool = False):
+    """Total-variation regularized derivative of uniformly sampled data.
+
+    Returns the derivative estimate (same length as ``samples``); with
+    ``full_output=True`` also returns the objective value after every
+    outer iteration, which is non-increasing.  Raises ``DataError`` on
+    fewer than five or on non-finite samples.
+    """
+    run = _tv_run(samples, cfg)
     if full_output:
-        return u, np.array(objectives)
-    return u
+        return run.u, run.objectives
+    return run.u
 
 
 def add_noise(dataset: TimeSeriesDataset, spec: NoiseSpec) -> TimeSeriesDataset:

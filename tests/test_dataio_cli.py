@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sindykit import (
+    DataError,
     LibrarySpec,
     NoiseSpec,
     StlsqConfig,
@@ -99,6 +100,69 @@ class TestDatasetCsv:
         assert np.array_equal(modes, basis.modes)
         assert np.array_equal(sv, basis.singular_values)
 
+    @staticmethod
+    def _row_by_row(header, rows) -> bytes:
+        # the writer write_csv replaced, kept as the byte-level reference
+        lines = [] if header is None else [",".join(header)]
+        lines += [",".join("%.17g" % v for v in row) for row in rows]
+        return "".join(line + "\n" for line in lines).encode()
+
+    def test_writer_bytes_equal_the_row_by_row_reference(self, lorenz_dataset, tmp_path):
+        from sindykit import compute_basis
+        ds = lorenz_dataset
+        path = write_dataset_csv(ds, tmp_path / "lorenz.csv")
+        rows = np.column_stack([ds.times, ds.states, ds.derivatives])
+        header = ["t", "x1", "x2", "x3", "dx1", "dx2", "dx3"]
+        assert path.read_bytes() == self._row_by_row(header, rows)
+
+        pts = [ParetoPoint(0.0, 56, 1 / 3, 2e-300), ParetoPoint(0.025, 7, 0.1, np.inf)]
+        path = write_pareto_csv(pts, tmp_path / "p.csv")
+        assert path.read_bytes() == self._row_by_row(
+            ["lambda", "nnz", "train_res", "val_res"],
+            [(p.threshold, p.nnz_total, p.train_residual, p.validation_residual) for p in pts])
+
+        basis = compute_basis(np.random.default_rng(1).standard_normal((3000, 8)), rank=3)
+        write_basis_csv(basis, tmp_path / "modes.csv", tmp_path / "sv.csv")
+        assert (tmp_path / "modes.csv").read_bytes() == self._row_by_row(None, basis.modes)
+        assert (tmp_path / "sv.csv").read_bytes() == self._row_by_row(
+            None, basis.singular_values.reshape(1, -1))
+
+    def test_reader_values_equal_float_parsing_bit_for_bit(self, lorenz_dataset, tmp_path):
+        path = write_dataset_csv(lorenz_dataset, tmp_path / "lorenz.csv")
+        lines = path.read_text().splitlines()[1:]
+        reference = np.array([line.split(",") for line in lines], dtype=float)
+        back = read_dataset_csv(path)
+        loaded = np.column_stack([back.times, back.states, back.derivatives])
+        assert loaded.tobytes() == reference.tobytes()
+
+    def _write(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        return path
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = self._write(tmp_path, "t,x1\n0,1.5\n\n  \n1,2.5\n\n")
+        back = read_dataset_csv(path)
+        assert back.times.tolist() == [0.0, 1.0]
+        assert back.states.tolist() == [[1.5], [2.5]]
+
+    @pytest.mark.parametrize("text,message", [
+        ("t,x1\n", "contains no samples"),
+        ("t,x1\n\n \n", "contains no samples"),
+        ("time,x1\n0,1\n", "missing 't' header column"),
+        ("t,x1,y\n0,1,2\n", "unrecognized column layout"),
+        ("t,x1\n0,1\n1,x\n", "could not convert"),
+        ("t,x1\n0,1\n1\n", "number of columns changed"),
+        ("t,x1\n0,1\n1,2,3\n", "number of columns changed"),
+        ("t,x1\n0,1\n#1,2\n", "could not convert"),
+        ("t,x1,dx1\n0,1\n1,2\n", "2 values per row for 3 columns"),
+    ])
+    def test_malformed_file_is_data_error_naming_it(self, tmp_path, text, message):
+        path = self._write(tmp_path, text)
+        with pytest.raises(DataError, match=message) as err:
+            read_dataset_csv(path)
+        assert str(path) in str(err.value)
+
     def test_fit_report_serializes(self):
         spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 5.0), dt=0.01)
         _, report = fit(simulate(spec), LibrarySpec(2, 2), StlsqConfig(threshold=0.05))
@@ -141,6 +205,18 @@ class TestCliFit:
         cfg = write_config(tmp_path / "c.json", LIN2D_CFG)
         out = tmp_path / "run"
         assert main(["fit", "--config", cfg, "--out", str(out), "--data", str(data)]) == 0
+
+    @pytest.mark.parametrize("bad_row", ["0.5,1.0,oops,2.0,3.0", "0.5,1.0"])
+    def test_malformed_data_csv_is_data_error(self, tmp_path, capsys, bad_row):
+        spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 1.0), dt=0.01)
+        data = write_dataset_csv(simulate(spec), tmp_path / "d.csv")
+        lines = data.read_text().splitlines()
+        lines[40] = bad_row
+        data.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "c.json", LIN2D_CFG)
+        rc = main(["fit", "--config", cfg, "--out", str(tmp_path / "o"), "--data", str(data)])
+        assert rc == 3
+        assert str(data) in capsys.readouterr().err
 
     def test_exact_differentiation_rejected_without_derivatives(self, tmp_path):
         spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 25.0), dt=0.01)

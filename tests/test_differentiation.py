@@ -46,6 +46,18 @@ class TestCentralDifference:
         with pytest.raises(DataError):
             central_difference(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        t = np.linspace(0.0, 1.0, 20)
+        X = np.column_stack([t, t**2])
+        X[7, 1] = bad
+        with pytest.raises(DataError, match="row 7"):
+            central_difference(t, X)
+        t_bad = t.copy()
+        t_bad[-1] = bad
+        with pytest.raises(DataError, match="finite"):
+            central_difference(t_bad, t)
+
     def test_matrix_input_per_column(self):
         t = np.linspace(0.0, 1.0, 20)
         X = np.column_stack([t, t**2])
@@ -122,6 +134,13 @@ class TestTvDerivative:
         with pytest.raises(DataError):
             tv_derivative(np.arange(4.0), TvDiffConfig(alpha=0.1, dt=1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        samples = np.sin(np.linspace(0.0, 3.0, 50))
+        samples[11] = bad
+        with pytest.raises(DataError, match="row 11"):
+            tv_derivative(samples, TvDiffConfig(alpha=0.01, dt=0.06))
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TvDiffConfig(alpha=0.0, dt=0.1)
@@ -129,6 +148,120 @@ class TestTvDerivative:
             TvDiffConfig(alpha=0.1, dt=-1.0)
         with pytest.raises(ConfigError):
             TvDiffConfig(alpha=0.1, dt=0.1, epsilon=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="alpha"):
+                TvDiffConfig(alpha=bad, dt=0.1)
+            with pytest.raises(ConfigError, match="dt"):
+                TvDiffConfig(alpha=0.1, dt=bad)
+            with pytest.raises(ConfigError, match="epsilon"):
+                TvDiffConfig(alpha=0.1, dt=0.1, epsilon=bad)
+
+
+def _rectangle_rule(m, dt):
+    return dt * np.tril(np.ones((m, m)))
+
+
+def _difference(m):
+    return (np.eye(m, m, 1) - np.eye(m))[:-1]
+
+
+class TestTvPreconditioner:
+    """The banded shortcut behind each CG step against dense linear algebra."""
+
+    @pytest.mark.parametrize("m", [5, 6, 64, 1251])
+    def test_banded_solve_matches_dense_solve(self, m):
+        from sindykit.differentiation import _penta_factor, _penta_solve
+        rng = np.random.default_rng(m)
+        w = 10.0 ** rng.uniform(-6.0, 3.0, m - 1)
+        y = rng.standard_normal(m)
+        # unit step: S = I + GᵀWG stays conditioned near 1e4, so the dense
+        # solve is itself accurate far below the bound
+        dt = 1.0
+        G = _difference(m) @ np.linalg.inv(_rectangle_rule(m, dt))
+        S = np.eye(m) + G.T @ (w[:, None] * G)
+        dense = np.linalg.solve(S, y)
+        banded = _penta_solve(_penta_factor(w, dt), y)
+        assert np.linalg.norm(banded - dense) <= 1e-10 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("m", [5, 6, 64, 1251])
+    def test_banded_solve_is_backward_stable_at_a_fine_step(self, m):
+        # at dt = 0.02 S reaches condition ~1e7, where both solves carry
+        # forward error ~cond·eps; the residual stays at rounding level
+        from sindykit.differentiation import _penta_factor, _penta_solve
+        rng = np.random.default_rng(m + 1)
+        w = 10.0 ** rng.uniform(-6.0, 3.0, m - 1)
+        y = rng.standard_normal(m)
+        dt = 0.02
+        G = _difference(m) @ np.linalg.inv(_rectangle_rule(m, dt))
+        S = np.eye(m) + G.T @ (w[:, None] * G)
+        z = _penta_solve(_penta_factor(w, dt), y)
+        assert np.linalg.norm(S @ z - y) <= 1e-14 * np.linalg.norm(S, 2) * np.linalg.norm(z)
+
+    @pytest.mark.parametrize("m,dt", [(5, 0.3), (6, 1.0), (33, 0.02), (64, 0.1)])
+    def test_preconditioner_matches_dense_solve(self, m, dt):
+        from sindykit.differentiation import _tv_preconditioner
+        rng = np.random.default_rng(m)
+        w = 10.0 ** rng.uniform(-6.0, 3.0, m - 1)
+        r = rng.standard_normal(m)
+        Ar, D = _rectangle_rule(m, dt), _difference(m)
+        P = Ar.T @ Ar + D.T @ (w[:, None] * D)
+        dense = np.linalg.solve(P, r)
+        applied = _tv_preconditioner(w, dt)(r)
+        assert np.linalg.norm(applied - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+class TestTvSolverCounters:
+    @staticmethod
+    def _hopf_column():
+        # first run of configs/hopf.json: mu = -0.2, the shipped noise and TV settings
+        spec = SystemSpec("hopf", x0=(1.0, 0.0), t_span=(0.0, 25.0), dt=0.02,
+                          params={"mu": -0.2, "omega": 1.0, "A": 1.0})
+        ds = add_noise(simulate(spec).with_(derivatives=None),
+                       NoiseSpec(eta=1e-3, target="states", seed=500))
+        return ds.states[:, 0], TvDiffConfig(alpha=3e-5, dt=0.02, iterations=20)
+
+    @staticmethod
+    def _criterion_10_sine():
+        rng = np.random.default_rng(3)
+        dt = 0.01
+        t = np.arange(0.0, 2 * np.pi + dt / 2, dt)
+        noisy = np.sin(t) + 0.01 * rng.standard_normal(t.shape)
+        return noisy, TvDiffConfig(alpha=0.01, dt=dt, iterations=60)
+
+    @pytest.mark.parametrize("case", ["_hopf_column", "_criterion_10_sine"])
+    def test_preconditioned_steps_stay_short(self, case):
+        from sindykit.differentiation import _tv_run
+        samples, cfg = getattr(self, case)()
+        run = _tv_run(samples, cfg)
+        assert len(run.cg_iterations) == len(run.objectives) - 1 + run.stalled
+        assert max(run.cg_iterations) <= 20
+        assert not run.cg_hit_maxiter
+        u, objectives = tv_derivative(samples, cfg, full_output=True)
+        assert np.array_equal(u, run.u)
+        assert np.array_equal(objectives, run.objectives)
+
+    def test_cg_reports_running_out_of_iterations(self):
+        from sindykit.differentiation import _pcg
+        H = np.diag(np.arange(1.0, 11.0))
+        b = np.ones(10)
+        x, its, hit = _pcg(lambda v: H @ v, lambda r: r, b, np.zeros(10), maxiter=3)
+        assert (its, hit) == (3, True)
+        x, its, hit = _pcg(lambda v: H @ v, lambda r: r, b, np.zeros(10), maxiter=20)
+        assert not hit and its <= 10
+        assert np.allclose(x, b / np.arange(1.0, 11.0), rtol=0, atol=1e-10)
+
+    def test_stall_keeps_the_previous_iterate_and_is_reported(self, monkeypatch):
+        import sindykit.differentiation as diff
+
+        def worse(apply_h, apply_p, b, x0, maxiter):
+            return x0 + 1.0, 1, False  # raises the data misfit
+
+        monkeypatch.setattr(diff, "_pcg", worse)
+        samples = np.sin(np.linspace(0.0, 3.0, 50))
+        run = diff._tv_run(samples, TvDiffConfig(alpha=0.01, dt=3.0 / 49))
+        assert run.stalled and run.cg_iterations == [1]
+        assert len(run.objectives) == 1
+        assert np.array_equal(run.u, np.gradient(samples, 3.0 / 49))
 
 
 class TestHardThresholdSvd:
@@ -189,6 +322,9 @@ class TestAddNoise:
             NoiseSpec(eta=-0.1)
         with pytest.raises(ConfigError):
             NoiseSpec(eta=0.1, target="everything")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="eta"):
+                NoiseSpec(eta=bad)
 
 
 class TestDifferentiateDataset:
