@@ -6,10 +6,13 @@ Subcommands: ``generate`` (simulate and write datasets), ``fit``
 ``sweep`` (threshold sweep, Pareto CSV, fit at the chosen threshold).
 
 Configs are JSON documents with ``spec_version: 1``; command-line
-``--seed`` and ``--lambda`` override config values.  Every config value
-is read through one checked conversion, so a malformed one is a config
-error naming its key.  Exit codes: 0 success, 2 config error, 3 data
-error, 4 numerical failure.
+``--seed`` and ``--lambda`` override config values.  ``main`` checks the
+whole config once against ``_KEYS``, the kind and default of every key,
+and the commands take that checked experiment.  An unknown key, a key of
+a variant the config did not choose (``fit.lambda1`` under ``stlsq``), a
+null, a malformed value and a flag the command does not read are config
+errors naming the key or flag.  Exit codes: 0 success, 2 config error,
+3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +44,7 @@ from .regression import (FitReport, LassoConfig, StlsqConfig, _regression_data,
                          _with_sparsity, fit)
 from .selection import pick_elbow, sweep
 from .systems import (
+    KINDS,
     SystemSpec,
     augment_parameter,
     concatenate,
@@ -63,14 +68,12 @@ def load_config(path: str | Path) -> dict:
         cfg = json.loads(path.read_text(), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict) or cfg.get("spec_version") != 1:
+    if (not isinstance(cfg, dict) or cfg.get("spec_version") != 1
+            or not _is_int(cfg["spec_version"])):
         raise ConfigError("config must be an object declaring spec_version: 1")
     if "system" not in cfg:
         raise ConfigError("config must declare a system")
     return cfg
-
-
-_REQUIRED = object()
 
 
 def _is_int(v) -> bool:
@@ -89,111 +92,181 @@ _KINDS = {
     "natural": ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "string": ("a string", lambda v: isinstance(v, str)),
-    "object": ("an object", lambda v: isinstance(v, dict)),
 }
 
 
-def _convert(value, kind: str, key: str):
+@dataclass(frozen=True)
+class _Choice:
+    """A key whose value picks one variant of its block's further keys."""
+
+    default: str | None  # None: the config must give the key
+    variants: dict  # value -> {key: kind} of the keys only that value reads
+
+
+_RUN = {"x0": ["number"], "t_span": ["number"], "dt": "number", "params": "number{}"}
+_CONTINUOUS = {**_RUN, "runs": ([_RUN], [{}]),
+               "integrator": {"method": "string", "abs_tol": "number", "rel_tol": "number",
+                              "record_step_size": "bool"}}
+_LOGISTIC = {"x0": (["number"], [0.5]), "ensemble_mus": (["number"], []),
+             "n_steps": ("natural", 1000), "forcing": ("number", 0.0)}
+
+# Every config key with its kind: a name in _KINDS, [kind] for a list of
+# them, "kind{}" for an object of them under any names, a dict for a block.
+# A (kind, default) pair holds a default that the package does not hold.
+_KEYS = {
+    "spec_version": "integer",
+    "seed": ("natural", 0),
+    "system": {
+        "kind": _Choice(None, {kind: _LOGISTIC if kind == "logistic" else _CONTINUOUS
+                               for kind in KINDS}),
+        "augment": {"name": "string", "param": "string"},
+    },
+    "noise": {"eta": ("number", 0.0), "target": "string", "seed": "natural"},
+    "differentiation": {
+        "method": _Choice("exact", {"exact": {}, "central": {}, "tv": {
+            "alpha": ("number", 0.01), "iterations": "integer", "epsilon": "number"}}),
+        "denoise_states": ("bool", False),
+    },
+    "library": {"poly_order": ("integer", 5), "trig_harmonics": ["integer"],
+                "include_constant": "bool"},
+    "fit": {
+        "mode": _Choice("continuous", {mode.value: {} for mode in Mode}),
+        "method": _Choice("stlsq", {
+            "stlsq": {"threshold": ("number", 0.05), "max_iterations": "integer"},
+            "lasso": {"lambda1": ("number", 0.1), "tol": "number", "max_sweeps": "integer"}}),
+    },
+    "selection": {"lambdas": ["number"], "log10_min": ("number", -4.0),
+                  "log10_max": ("number", 0.0), "count": ("natural", 25),
+                  "fraction": "number", "policy": "string"},
+    "compare": {"horizon": ("positive", 20.0), "grid_dt": ("positive", 0.01),
+                "etas": ["number"], "long_horizon": "positive"},
+    "reduction": {"rank": "natural", "energy": "number", "remove_mean": "bool"},
+}
+
+
+def _join(key: str, name) -> str:
+    return f"{key}.{name}" if key else name
+
+
+def _expect(value, cls: type, key: str):
+    if not isinstance(value, cls):
+        shape = "a list" if cls is list else "an object"
+        raise ConfigError(f"{key} must be {shape}, not {json.dumps(value)}")
+    return value
+
+
+def _parse(value, kind, key: str):
+    """``value`` checked to be ``kind`` (see ``_KEYS``), numbers as floats;
+    ``key`` is its dotted path in messages."""
+    if value is None:
+        raise ConfigError(f"{key} is null; leave a key out to take its default")
+    if isinstance(kind, dict):
+        return _block(_expect(value, dict, key), kind, key)
+    if isinstance(kind, list):
+        return [_parse(v, kind[0], f"{key}[{i}]") for i, v in enumerate(_expect(value, list, key))]
+    if kind.endswith("{}"):
+        items = _expect(value, dict, key).items()
+        return {name: _parse(v, kind[:-2], _join(key, name)) for name, v in items}
     description, accepts = _KINDS[kind]
     if not accepts(value):
         raise ConfigError(f"{key} must be {description}, not {json.dumps(value)}")
     return float(value) if kind in ("number", "positive") else value
 
 
-def _get(cfg: dict, key: str, kind: str, default=_REQUIRED, where: str = ""):
-    """The value at the dotted ``key`` of ``cfg``, checked to be ``kind``.
+def _block(value: dict, table: dict, key: str) -> dict:
+    """A block checked against its ``table``, with the default of each key
+    or block it leaves out.  Each ``_Choice`` adds the keys of the variant
+    that the block picks; a key of another variant does not apply."""
+    table, unchosen = dict(table), {}
+    choices = [(name, entry) for name, entry in table.items() if isinstance(entry, _Choice)]
+    for name, entry in choices:
+        path = _join(key, name)
+        if name not in value and entry.default is None:
+            raise ConfigError(f"config needs {path}")
+        choice = _parse(value.get(name, entry.default), "string", path)
+        if choice not in entry.variants:
+            raise ConfigError(f"unknown {path} {choice!r}")
+        table.update({name: ("string", choice), **entry.variants[choice]})
+        unchosen.update((k, f'{path} "{choice}"') for v in entry.variants.values() for k in v)
+    for name in value:
+        if name not in table:
+            raise ConfigError(f"{_join(key, name)} does not apply to {unchosen[name]}"
+                              if name in unchosen else f"unknown key {_join(key, name)}")
+    block = {}
+    for name, entry in table.items():
+        sub, *default = entry if isinstance(entry, tuple) else (entry,)
+        if isinstance(sub, dict):
+            default = [{}]  # an absent block takes the defaults of its keys
+        if name in value or default:
+            block[name] = _parse(value.get(name, *default), sub, _join(key, name))
+    return block
 
-    ``kind`` names one entry of ``_KINDS``; a ``[]`` suffix asks for a list
-    of them and a ``{}`` suffix for an object of them.  Every block on the
-    way must be an object.  An absent value reads as ``default``, as does
-    null where the default is None; ``where`` prefixes the key in messages.
-    """
-    *blocks, name = key.split(".")
-    node = cfg
-    for i, part in enumerate(blocks):
-        node = node.get(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"{where}{'.'.join(blocks[:i + 1])} must be an object")
-    value, label = node.get(name), where + key
-    if value is None and (name not in node or default is None):
-        if default is _REQUIRED:
-            raise ConfigError(f"config needs {label}")
-        return default
-    if kind.endswith("[]"):
-        if not isinstance(value, list):
-            raise ConfigError(f"{label} must be a list, not {json.dumps(value)}")
-        return [_convert(v, kind[:-2], f"{label}[{i}]") for i, v in enumerate(value)]
-    if kind.endswith("{}"):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{label} must be an object, not {json.dumps(value)}")
-        return {k: _convert(v, kind[:-2], f"{label}.{k}") for k, v in value.items()}
-    return _convert(value, kind, label)
+
+def parse_experiment(cfg: dict) -> dict:
+    """``cfg`` checked against ``_KEYS`` once, with the defaults of ``_KEYS`` filled in."""
+    exp = _parse(cfg, _KEYS, "")
+    augment = exp["system"]["augment"]
+    if augment and (missing := sorted({"name", "param"} - augment.keys())):
+        raise ConfigError(f"config needs system.augment.{missing[0]}")
+    if "lambdas" in cfg.get("selection", {}):
+        for name in ("log10_min", "log10_max", "count"):
+            if name in cfg["selection"]:
+                raise ConfigError(f"selection.{name} does not apply next to selection.lambdas")
+    return exp
+
+
+def _variant(exp: dict, block: str, selector: str) -> dict:
+    """The keys of ``block`` that only its value of ``selector`` reads, as keyword arguments."""
+    own = _KEYS[block][selector].variants[exp[block][selector]]
+    return {name: v for name, v in exp[block].items() if name in own}
 
 
 def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
-def _integrator(cfg: dict) -> IntegratorConfig:
-    return IntegratorConfig(
-        method=_get(cfg, "system.integrator.method", "string", "rk4"),
-        abs_tol=_get(cfg, "system.integrator.abs_tol", "number", 1e-10),
-        rel_tol=_get(cfg, "system.integrator.rel_tol", "number", 1e-10),
-        record_step_size=_get(cfg, "system.integrator.record_step_size", "bool", False),
-    )
-
-
-def _system_runs(cfg: dict) -> list[SystemSpec]:
+def _system_runs(exp: dict) -> list[SystemSpec]:
     """Expand the system block into one spec per trajectory.
 
     ``system.runs`` lists per-run overrides ({"params": ..., "x0": ...})
     for ensemble experiments, and the logistic map has one run per value
     of ``ensemble_mus``; otherwise there is a single run.
     """
-    kind = _get(cfg, "system.kind", "string")
-    x0 = _get(cfg, "system.x0", "number[]", [0.5] if kind == "logistic" else [])
+    system = exp["system"]
+    kind = system["kind"]
     if kind == "logistic":
-        runs = [{"params": {"mu": mu}} for mu in _get(cfg, "system.ensemble_mus", "number[]", [])]
+        runs = [{"params": {"mu": mu}} for mu in system["ensemble_mus"]]
     else:
-        runs = _get(cfg, "system.runs", "object[]", [{}])
+        runs = system["runs"]
     if not runs:
         raise ConfigError("system expands to no runs: ensemble_mus or runs is empty")
-    params = _get(cfg, "system.params", "number{}", {})
-    t_span = _get(cfg, "system.t_span", "number[]", [0.0, 10.0])
-    dt = _get(cfg, "system.dt", "number", 0.01)
-    specs = []
-    for i, run in enumerate(runs):
-        where = f"system.runs[{i}]."
-        specs.append(SystemSpec(
-            kind=kind,
-            x0=tuple(_get(run, "x0", "number[]", x0, where)),
-            t_span=tuple(_get(run, "t_span", "number[]", t_span, where)),
-            dt=_get(run, "dt", "number", dt, where),
-            params={**params, **_get(run, "params", "number{}", {}, where)},
-        ))
-    return specs
+    shared = {"x0": [],  # SystemSpec names a missing x0
+              **{name: system[name] for name in ("x0", "t_span", "dt") if name in system}}
+    params = system.get("params", {})
+    return [SystemSpec(kind=kind, **{**shared, **run,
+                                     "params": {**params, **run.get("params", {})}})
+            for run in runs]
 
 
-def _simulate_runs(cfg: dict, specs: list[SystemSpec], seed: int) -> list[TimeSeriesDataset]:
+def _simulate_runs(exp: dict, specs: list[SystemSpec], seed: int) -> list[TimeSeriesDataset]:
     """The raw trajectory of each run, before noise and augmentation."""
+    system = exp["system"]
     if specs[0].kind == "logistic":
-        n_steps = _get(cfg, "system.n_steps", "natural", 1000)
-        forcing = _get(cfg, "system.forcing", "number", 0.0)
         # per-value seeds match the slices of logistic_ensemble over all values
         return [
-            logistic_ensemble([spec.params["mu"]], n_steps=n_steps, eta=forcing,
-                              seed=seed + 1000 * i, x0=spec.x0[0])
+            logistic_ensemble([spec.params["mu"]], n_steps=system["n_steps"],
+                              eta=system["forcing"], seed=seed + 1000 * i, x0=spec.x0[0])
             for i, spec in enumerate(specs)]
-    integ = _integrator(cfg)
+    integ = IntegratorConfig(**system["integrator"])
     return [simulate(spec, integ) for spec in specs]
 
 
-def _join_runs(cfg: dict, specs: list[SystemSpec],
+def _join_runs(exp: dict, specs: list[SystemSpec],
                runs: list[TimeSeriesDataset]) -> TimeSeriesDataset:
     """Append each run's configured parameter as a known state, then concatenate."""
-    if _get(cfg, "system.augment", "object", None):
-        name = _get(cfg, "system.augment.name", "string")
-        param = _get(cfg, "system.augment.param", "string")
+    augment = exp["system"]["augment"]
+    if augment:
+        name, param = augment["name"], augment["param"]
         if any(param not in spec.params for spec in specs):
             raise ConfigError(f"system.augment.param {param!r} is not a parameter of every run")
         runs = [augment_parameter(ds, name, spec.params[param])
@@ -201,92 +274,52 @@ def _join_runs(cfg: dict, specs: list[SystemSpec],
     return concatenate(runs) if len(runs) > 1 else runs[0]
 
 
-def _library(cfg: dict, n_states: int) -> LibrarySpec:
-    return LibrarySpec(
-        n_states=n_states,
-        poly_order=_get(cfg, "library.poly_order", "integer", 5),
-        trig_harmonics=frozenset(_get(cfg, "library.trig_harmonics", "integer[]", [])),
-        include_constant=_get(cfg, "library.include_constant", "bool", True),
-    )
-
-
-def _fit_mode(cfg: dict) -> Mode:
-    mode = _get(cfg, "fit.mode", "string", "continuous")
-    try:
-        return Mode(mode)
-    except ValueError:
-        raise ConfigError(f"unknown fit mode {mode!r}") from None
-
-
-def _fit_config(cfg: dict, override_threshold: float | None) -> StlsqConfig | LassoConfig:
-    method = _get(cfg, "fit.method", "string", "stlsq")
-    if method == "stlsq":
-        fit_cfg = StlsqConfig(
-            threshold=_get(cfg, "fit.threshold", "number", 0.05),
-            max_iterations=_get(cfg, "fit.max_iterations", "integer", 10),
-        )
-    elif method == "lasso":
-        fit_cfg = LassoConfig(
-            lambda1=_get(cfg, "fit.lambda1", "number", 0.1),
-            tol=_get(cfg, "fit.tol", "number", 1e-10),
-            max_sweeps=_get(cfg, "fit.max_sweeps", "integer", 10_000),
-        )
-    else:
-        raise ConfigError(f"unknown fit method {method!r}")
+def _fit_config(exp: dict, override_threshold: float | None) -> StlsqConfig | LassoConfig:
+    config = StlsqConfig if exp["fit"]["method"] == "stlsq" else LassoConfig
+    fit_cfg = config(**_variant(exp, "fit", "method"))
     return fit_cfg if override_threshold is None else _with_sparsity(fit_cfg, override_threshold)
 
 
-def _condition(ds: TimeSeriesDataset, cfg: dict, noise_seed: int,
+def _condition(ds: TimeSeriesDataset, exp: dict, noise_seed: int,
                mode: Mode) -> TimeSeriesDataset:
     """Apply configured noise and derivative estimation to one trajectory."""
-    eta = _get(cfg, "noise.eta", "number", 0.0)
-    if eta > 0.0:
-        ds = add_noise(ds, NoiseSpec(
-            eta=eta, target=_get(cfg, "noise.target", "string", "derivatives"), seed=noise_seed))
-    if _get(cfg, "differentiation.denoise_states", "bool", False):
+    noise, diff = exp["noise"], exp["differentiation"]
+    if noise["eta"] > 0.0:
+        ds = add_noise(ds, NoiseSpec(**{**noise, "seed": noise_seed}))
+    if diff["denoise_states"]:
         ds = ds.with_(states=hard_threshold_svd(ds.states))
-    method = _get(cfg, "differentiation.method", "string", "exact")
+    method = diff["method"]
     if method == "exact":
         if ds.derivatives is None and mode is Mode.CONTINUOUS:
             raise DataError(
                 "differentiation method 'exact' needs stored derivatives; "
                 "external data without them must use 'central' or 'tv'")
-    elif method in ("central", "tv"):
+    else:
         tv = TvDiffConfig(
-            alpha=_get(cfg, "differentiation.alpha", "number", 0.01),
             dt=1.0,  # replaced per segment from the data
-            iterations=_get(cfg, "differentiation.iterations", "integer", 100),
-            epsilon=_get(cfg, "differentiation.epsilon", "number", 1e-8),
+            **_variant(exp, "differentiation", "method"),
         ) if method == "tv" else None
         ds = differentiate_dataset(ds.with_(derivatives=None), method, tv=tv)
-    else:
-        raise ConfigError(f"unknown differentiation method {method!r}")
     return ds
 
 
-def _prepare(cfg: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSeriesDataset:
+def _prepare(exp: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSeriesDataset:
     """generate (or load) -> noise -> differentiate -> augment -> reduce.
 
     Runs are noise-injected and differentiated independently (a fresh
     noise stream per run), then parameter-augmented and concatenated, so
     known parameter columns stay exact.
     """
-    noise_base = _get(cfg, "noise.seed", "natural", seed + 1)
+    noise_base = exp["noise"].get("seed", seed + 1)
     if data_path is not None:
-        ds = _condition(read_dataset_csv(data_path), cfg, noise_base, mode)
+        ds = _condition(read_dataset_csv(data_path), exp, noise_base, mode)
     else:
-        specs = _system_runs(cfg)
-        runs = [_condition(run, cfg, noise_base + i, mode)
-                for i, run in enumerate(_simulate_runs(cfg, specs, seed))]
-        ds = _join_runs(cfg, specs, runs)
-    if _get(cfg, "reduction", "object", None):
-        basis = compute_basis(
-            ds.states,
-            rank=_get(cfg, "reduction.rank", "natural", None),
-            energy=_get(cfg, "reduction.energy", "number", None),
-            remove_mean=_get(cfg, "reduction.remove_mean", "bool", False),
-        )
-        ds = reduce_dataset(ds, basis)
+        specs = _system_runs(exp)
+        runs = [_condition(run, exp, noise_base + i, mode)
+                for i, run in enumerate(_simulate_runs(exp, specs, seed))]
+        ds = _join_runs(exp, specs, runs)
+    if exp["reduction"]:
+        ds = reduce_dataset(ds, compute_basis(ds.states, **exp["reduction"]))
     return ds
 
 
@@ -335,58 +368,53 @@ def error_curve(reference: np.ndarray, f_model, grid: np.ndarray,
     return np.linalg.norm(reference - xm, axis=1)
 
 
-def cmd_generate(cfg: dict, out: Path, seed: int) -> int:
-    specs = _system_runs(cfg)
-    runs = _simulate_runs(cfg, specs, seed)
+def cmd_generate(exp: dict, out: Path, seed: int) -> tuple[dict, dict]:
+    specs = _system_runs(exp)
+    runs = _simulate_runs(exp, specs, seed)
     artifacts = {}
     if specs[0].kind == "logistic":
         # one file per parameter value next to the concatenated training set
         for i, (spec, run) in enumerate(zip(specs, runs)):
             path = write_dataset_csv(run, out / f"logistic_mu_{spec.params['mu']}.csv")
             artifacts[f"mu_{i}"] = str(path)
-    ds = _join_runs(cfg, specs, runs)
+    ds = _join_runs(exp, specs, runs)
     artifacts["dataset"] = str(write_dataset_csv(ds, out / "dataset.csv"))
-    _write_run_report(out, "generate", cfg, seed, artifacts,
-                      {"samples": ds.n_samples, "states": ds.n_states})
-    return 0
+    return artifacts, {"samples": ds.n_samples, "states": ds.n_states}
 
 
-def cmd_fit(cfg: dict, out: Path, seed: int, data_path: str | None,
-            override_threshold: float | None) -> int:
-    mode = _fit_mode(cfg)
-    fit_cfg = _fit_config(cfg, override_threshold)
-    ds = _prepare(cfg, seed, data_path, mode)
-    spec = _library(cfg, ds.n_states)
-    model, report = fit(ds, spec, fit_cfg, mode=mode)
+def cmd_fit(exp: dict, out: Path, seed: int, data_path: str | None,
+            override_threshold: float | None) -> tuple[dict, dict]:
+    mode = Mode(exp["fit"]["mode"])
+    fit_cfg = _fit_config(exp, override_threshold)
+    ds = _prepare(exp, seed, data_path, mode)
+    model, report = fit(ds, LibrarySpec(ds.n_states, **exp["library"]), fit_cfg, mode=mode)
     artifacts = _write_model_artifacts(out, model, report)
-    _write_run_report(out, "fit", cfg, seed, artifacts,
-                      {"nnz": model.nnz(), "n_terms": len(model.terms)})
-    return 0
+    return artifacts, {"nnz": model.nnz(), "n_terms": len(model.terms)}
 
 
-def cmd_compare(cfg: dict, out: Path, seed: int, override_threshold: float | None) -> int:
-    specs = _system_runs(cfg)
+def cmd_compare(exp: dict, out: Path, seed: int,
+                override_threshold: float | None) -> tuple[dict, dict]:
+    specs = _system_runs(exp)
     spec, *more = specs
     if more or spec.kind == "logistic":
         raise ConfigError("compare needs a config that expands to a single continuous-time "
                           f"run, not {len(specs)} {spec.kind} run(s)")
-    if _fit_mode(cfg) is not Mode.CONTINUOUS:
+    if exp["fit"]["mode"] != Mode.CONTINUOUS.value:
         raise ConfigError("compare needs a continuous-time model")
-    fit_cfg = _fit_config(cfg, override_threshold)
-    horizon = _get(cfg, "compare.horizon", "positive", 20.0)
-    grid_dt = _get(cfg, "compare.grid_dt", "positive", 0.01)
-    etas = _get(cfg, "compare.etas", "number[]", [_get(cfg, "noise.eta", "number", 0.0)])
-    long_h = _get(cfg, "compare.long_horizon", "positive", None)
+    fit_cfg = _fit_config(exp, override_threshold)
+    cmp = exp["compare"]
+    horizon, grid_dt, long_h = cmp["horizon"], cmp["grid_dt"], cmp.get("long_horizon")
+    etas = cmp.get("etas", [exp["noise"]["eta"]])
     grid = np.arange(0.0, horizon + grid_dt / 2, grid_dt)
-    [base] = _simulate_runs(cfg, specs, seed)
-    lib = _library(cfg, base.n_states)
+    [base] = _simulate_runs(exp, specs, seed)
+    lib = LibrarySpec(base.n_states, **exp["library"])
     # noise only touches the derivatives: every eta shares one library and one truth
     theta, _ = _regression_data(base, lib, Mode.CONTINUOUS)
     truth, _ = dp45_adaptive(system_rhs(spec), np.array(spec.x0), grid, 1e-10, 1e-10)
     artifacts, summary = {}, {}
     model = None
     for i, eta in enumerate(etas):
-        ds = add_noise(base, NoiseSpec(eta=eta, target="derivatives", seed=seed + 1 + i))
+        ds = add_noise(base, NoiseSpec(eta=eta, seed=seed + 1 + i))
         model, _ = fit(ds, lib, fit_cfg, mode=Mode.CONTINUOUS, theta=theta)
         try:
             err = error_curve(truth, model.rhs(), grid)
@@ -409,39 +437,38 @@ def cmd_compare(cfg: dict, out: Path, seed: int, override_threshold: float | Non
             "min": [float(v) for v in xm.min(axis=0)],
             "max": [float(v) for v in xm.max(axis=0)],
         }
-    _write_run_report(out, "compare", cfg, seed, artifacts, summary)
-    return 0
+    return artifacts, summary
 
 
-def cmd_sweep(cfg: dict, out: Path, seed: int, data_path: str | None) -> int:
-    mode = _fit_mode(cfg)
-    fit_cfg = _fit_config(cfg, None)
-    lambdas = _get(cfg, "selection.lambdas", "number[]", None)
+def cmd_sweep(exp: dict, out: Path, seed: int, data_path: str | None) -> tuple[dict, dict]:
+    mode = Mode(exp["fit"]["mode"])
+    fit_cfg = _fit_config(exp, None)
+    sel = exp["selection"]
+    lambdas = sel.get("lambdas")
     if lambdas is None:
-        lambdas = np.logspace(_get(cfg, "selection.log10_min", "number", -4.0),
-                              _get(cfg, "selection.log10_max", "number", 0.0),
-                              _get(cfg, "selection.count", "natural", 25))
-    fraction = _get(cfg, "selection.fraction", "number", 0.2)
-    policy = _get(cfg, "selection.policy", "string", "tail")
-    ds = _prepare(cfg, seed, data_path, mode)
-    lib = _library(cfg, ds.n_states)
-    points, models = sweep(ds, lib, np.array(lambdas), fit_cfg, fraction=fraction,
-                           policy=policy, seed=seed, mode=mode)
+        lambdas = np.logspace(sel["log10_min"], sel["log10_max"], sel["count"])
+    ds = _prepare(exp, seed, data_path, mode)
+    lib = LibrarySpec(ds.n_states, **exp["library"])
+    split = {name: sel[name] for name in ("fraction", "policy") if name in sel}
+    points, models = sweep(ds, lib, np.array(lambdas), fit_cfg, seed=seed, mode=mode, **split)
     chosen = pick_elbow(points)
     artifacts = {"pareto": str(write_pareto_csv(points, out / "pareto.csv"))}
     model, report = next(
         (m, r) for p, (m, r) in zip(points, models) if p.threshold == chosen)
     artifacts.update(_write_model_artifacts(out, model, report))
-    _write_run_report(out, "sweep", cfg, seed, artifacts,
-                      {"chosen_lambda": chosen, "nnz": model.nnz()})
-    return 0
+    return artifacts, {"chosen_lambda": chosen, "nnz": model.nnz()}
+
+
+# the optional flags that each command reads besides --seed
+_FLAGS = {"generate": (), "fit": ("--data", "--lambda"), "compare": ("--lambda",),
+          "sweep": ("--data",)}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="sindykit",
         description="Identify sparse nonlinear dynamics from time-series data.")
-    parser.add_argument("command", choices=["generate", "fit", "compare", "sweep"])
+    parser.add_argument("command", choices=list(_FLAGS))
     parser.add_argument("--config", required=True, help="experiment config JSON")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--data", default=None, help="existing dataset CSV (fit/sweep)")
@@ -451,21 +478,27 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        for flag, value in (("--data", args.data), ("--lambda", args.threshold)):
+            if value is not None and flag not in _FLAGS[args.command]:
+                raise ConfigError(f"{flag} does not apply to {args.command}")
         cfg = load_config(args.config)
+        exp = parse_experiment(cfg)
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise DataError(f"cannot create output directory {out}: {exc}") from exc
-        seed = (_get(cfg, "seed", "natural", 0) if args.seed is None
-                else _convert(args.seed, "natural", "--seed"))
+        seed = exp["seed"] if args.seed is None else _parse(args.seed, "natural", "--seed")
         if args.command == "generate":
-            return cmd_generate(cfg, out, seed)
-        if args.command == "fit":
-            return cmd_fit(cfg, out, seed, args.data, args.threshold)
-        if args.command == "compare":
-            return cmd_compare(cfg, out, seed, args.threshold)
-        return cmd_sweep(cfg, out, seed, args.data)
+            artifacts, summary = cmd_generate(exp, out, seed)
+        elif args.command == "fit":
+            artifacts, summary = cmd_fit(exp, out, seed, args.data, args.threshold)
+        elif args.command == "compare":
+            artifacts, summary = cmd_compare(exp, out, seed, args.threshold)
+        else:
+            artifacts, summary = cmd_sweep(exp, out, seed, args.data)
+        _write_run_report(out, args.command, cfg, seed, artifacts, summary)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

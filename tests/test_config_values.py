@@ -1,17 +1,19 @@
 """Every config value the command line reads, malformed one at a time.
 
-Each case writes a small valid config with a single bad value and runs the
-command that reads it.  The run must stop with exit code 2 and a config
-error that names the key, never with an exception.
+Each case writes a small valid config with a single bad value, or a key
+that no command reads, and runs a command.  The run must stop with exit
+code 2 and a config error that names the key, never with an exception.
 """
 
 import copy
 import json
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
-from sindykit.cli import main
+from sindykit.cli import _KEYS, _Choice, main
 
 LIN2D = {
     "spec_version": 1,
@@ -39,6 +41,7 @@ RUNS = dict(LIN2D, system={
 LOGISTIC = {"spec_version": 1, "seed": 0,
             "system": {"kind": "logistic", "x0": [0.5], "ensemble_mus": [3.7],
                        "n_steps": 50, "forcing": 0.01}}
+LAMBDAS = dict(LIN2D, selection={"lambdas": [0.001, 0.01, 0.1, 0.5], "fraction": 0.2})
 
 DELETE = object()
 
@@ -112,6 +115,49 @@ CASES = [
     ("sweep", LIN2D, ("selection", "count"), -1),
     ("sweep", LIN2D, ("selection", "fraction"), "0.2"),
     ("sweep", LIN2D, ("selection", "policy"), 2),
+    # null never stands for an absent key
+    ("compare", LIN2D, ("compare", "long_horizon"), None),
+    ("fit", REDUCED, ("reduction", "energy"), None),
+    ("sweep", LAMBDAS, ("selection", "lambdas"), None),
+    # spec_version is the integer 1
+    ("fit", LIN2D, ("spec_version",), True),
+    ("fit", LIN2D, ("spec_version",), 1.0),
+    # a malformed value in a block that the command does not read
+    ("fit", LIN2D, ("compare", "horizon"), "x"),
+    ("generate", LIN2D, ("selection", "count"), -3),
+    # keys that no command reads
+    ("fit", LIN2D, ("noize",), {"eta": 0.1}),
+    ("fit", LIN2D, ("fit", "treshold"), 0.5),
+    ("generate", LIN2D, ("system", "x_0"), [2.0, 0.0]),
+    ("generate", LIN2D, ("system", "integrator", "methd"), "rk45"),
+    ("generate", RUNS, ("system", "augment", "parameter"), "mu"),
+    ("generate", RUNS, ("system", "runs", 1, "xo"), [0.0, 1.0]),
+    ("fit", LIN2D, ("noise", "sigma"), 0.1),
+    ("fit", LIN2D, ("differentiation", "order"), 2),
+    ("fit", LIN2D, ("library", "degree"), 3),
+    ("sweep", LIN2D, ("selection", "folds"), 5),
+    ("compare", LIN2D, ("compare", "horizn"), 3.0),
+    ("fit", REDUCED, ("reduction", "ranks"), 2),
+    # keys of a variant that the config did not choose
+    ("fit", LIN2D, ("fit", "lambda1"), 0.1),
+    ("fit", LIN2D, ("fit", "tol"), 1e-8),
+    ("fit", LIN2D, ("fit", "max_sweeps"), 50),
+    ("fit", LASSO, ("fit", "threshold"), 0.05),
+    ("fit", LASSO, ("fit", "max_iterations"), 10),
+    ("fit", LIN2D, ("differentiation", "alpha"), 0.01),
+    ("fit", LIN2D, ("differentiation", "iterations"), 2),
+    ("fit", LIN2D, ("differentiation", "epsilon"), 1e-8),
+    ("sweep", LAMBDAS, ("selection", "log10_min"), -3),
+    ("sweep", LAMBDAS, ("selection", "log10_max"), 0),
+    ("sweep", LAMBDAS, ("selection", "count"), 5),
+    ("generate", LIN2D, ("system", "ensemble_mus"), [3.7]),
+    ("generate", LIN2D, ("system", "n_steps"), 50),
+    ("generate", LIN2D, ("system", "forcing"), 0.01),
+    ("generate", LOGISTIC, ("system", "runs"), [{"params": {"mu": 3.7}}]),
+    ("generate", LOGISTIC, ("system", "integrator"), {"method": "rk4"}),
+    ("generate", LOGISTIC, ("system", "t_span"), [0.0, 1.0]),
+    ("generate", LOGISTIC, ("system", "dt"), 0.1),
+    ("generate", LOGISTIC, ("system", "params"), {"mu": 3.7}),
 ]
 
 
@@ -150,6 +196,50 @@ def test_negative_seed_flag_is_config_error(tmp_path, capsys):
     assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--seed", "-5"]) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("sweep", "--lambda", "0.9"), ("generate", "--lambda", "0.9"),
+    ("generate", "--data", "missing.csv"), ("compare", "--data", "missing.csv"),
+])
+def test_flag_the_command_ignores_is_config_error(tmp_path, capsys, command, flag, value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(LIN2D))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 flag, value]) == 2
+    assert f"{flag} does not apply to {command}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,base,path,message", [
+    ("generate", RUNS, ("system", "runs", 1, "xo"), "unknown key system.runs[1].xo"),
+    ("fit", LIN2D, ("fit", "lambda1"), 'fit.lambda1 does not apply to fit.method "stlsq"'),
+])
+def test_message_names_the_dotted_path(tmp_path, capsys, command, base, path, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_with(base, path, 1.0)))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _key_paths(table: dict, prefix: str = ""):
+    """The dotted path of every key in a ``_KEYS`` table, ``[]`` marking list items."""
+    for name, entry in table.items():
+        yield prefix + name
+        kind = entry[0] if isinstance(entry, tuple) else entry
+        if isinstance(entry, _Choice):
+            for variant in entry.variants.values():
+                yield from _key_paths(variant, prefix)
+        elif isinstance(kind, dict):
+            yield from _key_paths(kind, f"{prefix}{name}.")
+        elif isinstance(kind, list) and isinstance(kind[0], dict):
+            yield from _key_paths(kind[0], f"{prefix}{name}[].")
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"`([a-z_0-9.\[\]]+)`", section))
+    assert sorted(set(_key_paths(_KEYS)) - listed) == []
 
 
 @pytest.mark.parametrize("command,base", [

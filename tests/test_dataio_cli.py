@@ -440,12 +440,13 @@ class TestShippedConfigs:
     CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
     def test_all_configs_parse(self):
-        from sindykit.cli import load_config
+        from sindykit.cli import load_config, parse_experiment
         paths = sorted(self.CONFIG_DIR.glob("*.json"))
         assert len(paths) == 7
         for path in paths:
             cfg = load_config(path)
             assert cfg["system"]["kind"]
+            assert parse_experiment(cfg)["system"]["kind"] == cfg["system"]["kind"]
 
     @pytest.mark.parametrize("name,expected_nnz", [
         ("linear2d.json", 4), ("cubic2d.json", 4), ("linear3d.json", 5),
