@@ -21,7 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -203,15 +203,41 @@ def _block(value: dict, table: dict, key: str) -> dict:
 
 
 def parse_experiment(cfg: dict) -> dict:
-    """``cfg`` checked against ``_KEYS`` once, with the defaults of ``_KEYS`` filled in."""
+    """``cfg`` checked against ``_KEYS`` once, with the defaults of ``_KEYS`` filled in.
+
+    The checks that need several values or a package object run here too,
+    so every command stops on them, whatever blocks it reads: the augmented
+    parameter must belong to every run, ``reduction`` takes exactly one of
+    ``rank`` and ``energy``, and each package config object is built once
+    and kept for the commands: ``exp["specs"]`` (one ``SystemSpec`` per
+    run), ``exp["integrator"]`` (``None`` for a map), ``exp["noise_spec"]``,
+    ``exp["tv"]`` (``None`` unless differentiation is ``"tv"``) and
+    ``exp["fit_config"]``.
+    """
     exp = _parse(cfg, _KEYS, "")
-    augment = exp["system"]["augment"]
+    system = exp["system"]
+    augment = system["augment"]
     if augment and (missing := sorted({"name", "param"} - augment.keys())):
         raise ConfigError(f"config needs system.augment.{missing[0]}")
     if "lambdas" in cfg.get("selection", {}):
         for name in ("log10_min", "log10_max", "count"):
             if name in cfg["selection"]:
                 raise ConfigError(f"selection.{name} does not apply next to selection.lambdas")
+    exp["specs"] = _system_runs(exp)
+    if augment and any(augment["param"] not in spec.params for spec in exp["specs"]):
+        raise ConfigError(
+            f"system.augment.param {augment['param']!r} is not a parameter of every run")
+    reduction = exp["reduction"]
+    if reduction and ("rank" in reduction) == ("energy" in reduction):
+        raise ConfigError("reduction needs exactly one of reduction.rank and reduction.energy")
+    exp["integrator"] = (IntegratorConfig(**system["integrator"])
+                         if "integrator" in system else None)
+    exp["noise_spec"] = NoiseSpec(**exp["noise"])
+    exp["tv"] = (TvDiffConfig(dt=1.0,  # replaced per segment from the data
+                              **_variant(exp, "differentiation", "method"))
+                 if exp["differentiation"]["method"] == "tv" else None)
+    config = StlsqConfig if exp["fit"]["method"] == "stlsq" else LassoConfig
+    exp["fit_config"] = config(**_variant(exp, "fit", "method"))
     return exp
 
 
@@ -248,44 +274,39 @@ def _system_runs(exp: dict) -> list[SystemSpec]:
             for run in runs]
 
 
-def _simulate_runs(exp: dict, specs: list[SystemSpec], seed: int) -> list[TimeSeriesDataset]:
+def _simulate_runs(exp: dict, seed: int) -> list[TimeSeriesDataset]:
     """The raw trajectory of each run, before noise and augmentation."""
-    system = exp["system"]
+    system, specs = exp["system"], exp["specs"]
     if specs[0].kind == "logistic":
         # per-value seeds match the slices of logistic_ensemble over all values
         return [
             logistic_ensemble([spec.params["mu"]], n_steps=system["n_steps"],
                               eta=system["forcing"], seed=seed + 1000 * i, x0=spec.x0[0])
             for i, spec in enumerate(specs)]
-    integ = IntegratorConfig(**system["integrator"])
-    return [simulate(spec, integ) for spec in specs]
+    return [simulate(spec, exp["integrator"]) for spec in specs]
 
 
-def _join_runs(exp: dict, specs: list[SystemSpec],
-               runs: list[TimeSeriesDataset]) -> TimeSeriesDataset:
+def _join_runs(exp: dict, runs: list[TimeSeriesDataset]) -> TimeSeriesDataset:
     """Append each run's configured parameter as a known state, then concatenate."""
     augment = exp["system"]["augment"]
     if augment:
         name, param = augment["name"], augment["param"]
-        if any(param not in spec.params for spec in specs):
-            raise ConfigError(f"system.augment.param {param!r} is not a parameter of every run")
         runs = [augment_parameter(ds, name, spec.params[param])
-                for spec, ds in zip(specs, runs)]
+                for spec, ds in zip(exp["specs"], runs)]
     return concatenate(runs) if len(runs) > 1 else runs[0]
 
 
 def _fit_config(exp: dict, override_threshold: float | None) -> StlsqConfig | LassoConfig:
-    config = StlsqConfig if exp["fit"]["method"] == "stlsq" else LassoConfig
-    fit_cfg = config(**_variant(exp, "fit", "method"))
+    fit_cfg = exp["fit_config"]
     return fit_cfg if override_threshold is None else _with_sparsity(fit_cfg, override_threshold)
 
 
 def _condition(ds: TimeSeriesDataset, exp: dict, noise_seed: int,
                mode: Mode) -> TimeSeriesDataset:
     """Apply configured noise and derivative estimation to one trajectory."""
-    noise, diff = exp["noise"], exp["differentiation"]
-    if noise["eta"] > 0.0:
-        ds = add_noise(ds, NoiseSpec(**{**noise, "seed": noise_seed}))
+    noise, diff = exp["noise_spec"], exp["differentiation"]
+    if noise.eta > 0.0:
+        ds = add_noise(ds, replace(noise, seed=noise_seed))
     if diff["denoise_states"]:
         ds = ds.with_(states=hard_threshold_svd(ds.states))
     method = diff["method"]
@@ -295,11 +316,7 @@ def _condition(ds: TimeSeriesDataset, exp: dict, noise_seed: int,
                 "differentiation method 'exact' needs stored derivatives; "
                 "external data without them must use 'central' or 'tv'")
     else:
-        tv = TvDiffConfig(
-            dt=1.0,  # replaced per segment from the data
-            **_variant(exp, "differentiation", "method"),
-        ) if method == "tv" else None
-        ds = differentiate_dataset(ds.with_(derivatives=None), method, tv=tv)
+        ds = differentiate_dataset(ds.with_(derivatives=None), method, tv=exp["tv"])
     return ds
 
 
@@ -314,10 +331,9 @@ def _prepare(exp: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSer
     if data_path is not None:
         ds = _condition(read_dataset_csv(data_path), exp, noise_base, mode)
     else:
-        specs = _system_runs(exp)
         runs = [_condition(run, exp, noise_base + i, mode)
-                for i, run in enumerate(_simulate_runs(exp, specs, seed))]
-        ds = _join_runs(exp, specs, runs)
+                for i, run in enumerate(_simulate_runs(exp, seed))]
+        ds = _join_runs(exp, runs)
     if exp["reduction"]:
         ds = reduce_dataset(ds, compute_basis(ds.states, **exp["reduction"]))
     return ds
@@ -369,15 +385,15 @@ def error_curve(reference: np.ndarray, f_model, grid: np.ndarray,
 
 
 def cmd_generate(exp: dict, out: Path, seed: int) -> tuple[dict, dict]:
-    specs = _system_runs(exp)
-    runs = _simulate_runs(exp, specs, seed)
+    specs = exp["specs"]
+    runs = _simulate_runs(exp, seed)
     artifacts = {}
     if specs[0].kind == "logistic":
         # one file per parameter value next to the concatenated training set
         for i, (spec, run) in enumerate(zip(specs, runs)):
             path = write_dataset_csv(run, out / f"logistic_mu_{spec.params['mu']}.csv")
             artifacts[f"mu_{i}"] = str(path)
-    ds = _join_runs(exp, specs, runs)
+    ds = _join_runs(exp, runs)
     artifacts["dataset"] = str(write_dataset_csv(ds, out / "dataset.csv"))
     return artifacts, {"samples": ds.n_samples, "states": ds.n_states}
 
@@ -394,19 +410,22 @@ def cmd_fit(exp: dict, out: Path, seed: int, data_path: str | None,
 
 def cmd_compare(exp: dict, out: Path, seed: int,
                 override_threshold: float | None) -> tuple[dict, dict]:
-    specs = _system_runs(exp)
+    specs = exp["specs"]
     spec, *more = specs
     if more or spec.kind == "logistic":
         raise ConfigError("compare needs a config that expands to a single continuous-time "
                           f"run, not {len(specs)} {spec.kind} run(s)")
     if exp["fit"]["mode"] != Mode.CONTINUOUS.value:
         raise ConfigError("compare needs a continuous-time model")
+    if (target := exp["noise_spec"].target) != "derivatives":
+        raise ConfigError(f"compare perturbs only the derivatives; noise.target "
+                          f"{target!r} does not apply to compare")
     fit_cfg = _fit_config(exp, override_threshold)
     cmp = exp["compare"]
     horizon, grid_dt, long_h = cmp["horizon"], cmp["grid_dt"], cmp.get("long_horizon")
-    etas = cmp.get("etas", [exp["noise"]["eta"]])
+    etas = cmp.get("etas", [exp["noise_spec"].eta])
     grid = np.arange(0.0, horizon + grid_dt / 2, grid_dt)
-    [base] = _simulate_runs(exp, specs, seed)
+    [base] = _simulate_runs(exp, seed)
     lib = LibrarySpec(base.n_states, **exp["library"])
     # noise only touches the derivatives: every eta shares one library and one truth
     theta, _ = _regression_data(base, lib, Mode.CONTINUOUS)
@@ -442,7 +461,7 @@ def cmd_compare(exp: dict, out: Path, seed: int,
 
 def cmd_sweep(exp: dict, out: Path, seed: int, data_path: str | None) -> tuple[dict, dict]:
     mode = Mode(exp["fit"]["mode"])
-    fit_cfg = _fit_config(exp, None)
+    fit_cfg = exp["fit_config"]
     sel = exp["selection"]
     lambdas = sel.get("lambdas")
     if lambdas is None:

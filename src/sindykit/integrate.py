@@ -33,18 +33,28 @@ class IntegratorConfig:
 
 
 def rk4_fixed(f, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Classic fourth-order Runge-Kutta, one step per grid interval."""
-    x = np.asarray(x0, dtype=float)
-    out = np.empty((len(times), x.shape[0]))
+    """Classic fourth-order Runge-Kutta, one step per grid interval.
+
+    ``f`` takes the state as a length-n sequence and returns a length-n
+    sequence (floats, or a 1-D array).  The state is stepped as a list of
+    Python floats, which costs a fraction of the small numpy arrays an
+    array step would build per stage, and each component is summed in the
+    array form's order, ``x + (0.5*h)*k`` and
+    ``x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, so the result is the same
+    bit for bit.  Each step is written into the returned array.
+    """
+    x = np.asarray(x0, dtype=float).tolist()
+    out = np.empty((len(times), len(x)))
     out[0] = x
-    for i in range(len(times) - 1):
-        h = times[i + 1] - times[i]
+    for i, h in enumerate(np.diff(times).tolist(), 1):
+        half, sixth = 0.5 * h, h / 6.0
         k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = x
+        k2 = f([a + half * k for a, k in zip(x, k1)])
+        k3 = f([a + half * k for a, k in zip(x, k2)])
+        k4 = f([a + h * k for a, k in zip(x, k3)])
+        x = [a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
+             for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+        out[i] = x
     return out
 
 

@@ -49,10 +49,6 @@ _REQUIRED_PARAMS = {
 _DIMENSION = {"linear2d": 2, "cubic2d": 2, "linear3d": 3, "lorenz": 3, "meanfield3d": 3,
               "logistic": 1, "hopf": 2}
 
-_DAMPED_2D = np.array([[-0.1, 2.0], [-2.0, -0.1]])
-_LINEAR_3D = np.array([[-0.1, 2.0, 0.0], [-2.0, -0.1, 0.0], [0.0, 0.0, -0.3]])
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     kind: str
@@ -80,45 +76,70 @@ class SystemSpec:
 
 
 def system_rhs(spec: SystemSpec):
-    """Analytic right-hand side of a continuous system."""
+    """Analytic right-hand side of a continuous system.
+
+    The function takes the state as a sequence of n components, either n
+    floats (one state, as the integrators and ``simulate``'s derivative
+    pass call it) or n equal-length arrays (the rows of a transposed state
+    matrix, ``f(states.T)``, a whole trajectory in one call), and returns
+    n values of the same form.  It unpacks the components and uses only
+    +, - and products; a square is written ``x0 * x0``, never ``x0 ** 2``,
+    because ``**`` on a float or a numpy scalar calls libm ``pow``, which
+    can round differently from a product.  The linear systems are sums
+    too, not a matrix product, which BLAS rounds differently for one state
+    and for a state matrix.  So a component has the same bits whether it
+    comes from one state or from a column of many.
+    """
     p = spec.params
     if spec.kind == "linear2d":
-        return lambda x: _DAMPED_2D @ x
+
+        def linear2d(x):
+            x0, x1 = x
+            return -0.1 * x0 + 2.0 * x1, -2.0 * x0 - 0.1 * x1
+
+        return linear2d
     if spec.kind == "cubic2d":
-        return lambda x: _DAMPED_2D @ x**3
+
+        def cubic2d(x):
+            x0, x1 = x
+            c0, c1 = x0 * x0 * x0, x1 * x1 * x1
+            return -0.1 * c0 + 2.0 * c1, -2.0 * c0 - 0.1 * c1
+
+        return cubic2d
     if spec.kind == "linear3d":
-        return lambda x: _LINEAR_3D @ x
+
+        def linear3d(x):
+            x0, x1, x2 = x
+            return -0.1 * x0 + 2.0 * x1, -2.0 * x0 - 0.1 * x1, -0.3 * x2
+
+        return linear3d
     if spec.kind == "lorenz":
         s, b, r = p["sigma"], p["beta"], p["rho"]
 
         def lorenz(x):
-            return np.array([
-                s * (x[1] - x[0]),
-                x[0] * (r - x[2]) - x[1],
-                x[0] * x[1] - b * x[2],
-            ])
+            x0, x1, x2 = x
+            return s * (x1 - x0), x0 * (r - x2) - x1, x0 * x1 - b * x2
 
         return lorenz
     if spec.kind == "meanfield3d":
         mu, om, a, lam = p["mu"], p["omega"], p["A"], p["lam"]
 
         def mean_field(x):
-            return np.array([
-                mu * x[0] - om * x[1] + a * x[0] * x[2],
-                om * x[0] + mu * x[1] + a * x[1] * x[2],
-                -lam * (x[2] - x[0] ** 2 - x[1] ** 2),
-            ])
+            x0, x1, x2 = x
+            return (
+                mu * x0 - om * x1 + a * x0 * x2,
+                om * x0 + mu * x1 + a * x1 * x2,
+                -lam * (x2 - x0 * x0 - x1 * x1),
+            )
 
         return mean_field
     if spec.kind == "hopf":
         mu, om, a = p["mu"], p["omega"], p["A"]
 
         def hopf(x):
-            r2 = x[0] ** 2 + x[1] ** 2
-            return np.array([
-                mu * x[0] - om * x[1] - a * x[0] * r2,
-                om * x[0] + mu * x[1] - a * x[1] * r2,
-            ])
+            x0, x1 = x
+            r2 = x0 * x0 + x1 * x1
+            return mu * x0 - om * x1 - a * x0 * r2, om * x0 + mu * x1 - a * x1 * r2
 
         return hopf
     raise ConfigError(f"{spec.kind} has no continuous right-hand side")
@@ -128,7 +149,7 @@ def simulate(spec: SystemSpec, integrator: IntegratorConfig = IntegratorConfig()
     """Integrate a continuous system on the requested sample grid.
 
     The stored derivatives are the analytic right-hand side evaluated at
-    the sampled states.
+    each sampled state, on Python floats as the integrator evaluates it.
     """
     f = system_rhs(spec)
     t0, t1 = spec.t_span
@@ -152,7 +173,10 @@ def simulate(spec: SystemSpec, integrator: IntegratorConfig = IntegratorConfig()
             record_steps=integrator.record_step_size)
         if steps is not None:
             meta["step_sizes"] = [float(h) for h in steps]
-    derivatives = np.array([f(x) for x in states])
+    # a block of rows at a time, so the float lists stay small next to the output
+    derivatives = np.empty_like(states)
+    for a in range(0, len(states), 256):
+        derivatives[a:a + 256] = [f(x) for x in states[a:a + 256].tolist()]
     return TimeSeriesDataset(
         times=times,
         states=states,

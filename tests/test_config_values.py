@@ -158,6 +158,27 @@ CASES = [
     ("generate", LOGISTIC, ("system", "t_span"), [0.0, 1.0]),
     ("generate", LOGISTIC, ("system", "dt"), 0.1),
     ("generate", LOGISTIC, ("system", "params"), {"mu": 3.7}),
+    # package checks that run in the parse, in blocks the command does not read
+    ("generate", REDUCED, ("reduction", "energy"), 0.9),
+    ("compare", REDUCED, ("reduction", "energy"), 0.9),
+    ("generate", LIN2D, ("noise", "eta"), -0.1),
+    ("generate", LIN2D, ("noise", "target"), "state"),
+    ("generate", LIN2D, ("fit", "threshold"), -1.0),
+    ("generate", LASSO, ("fit", "tol"), 0.0),
+    ("generate", TV, ("differentiation", "alpha"), -0.01),
+    # compare perturbs only the derivatives
+    ("compare", LIN2D, ("noise", "target"), "states"),
+]
+
+# (command, base config, path to the bad value, bad value, part of the
+# message): the command reads with --data a dataset that the valid base
+# config generated, so only a check in the parse can stop it
+DATA_CASES = [
+    ("fit", LIN2D, ("system", "x0"), [2.0, 0.0, 1.0], "x0"),
+    ("sweep", LIN2D, ("system", "x0"), [2.0, 0.0, 1.0], "x0"),
+    ("fit", LIN2D, ("system", "integrator", "method"), "rk5", "unknown integrator 'rk5'"),
+    ("fit", RUNS, ("system", "runs", 1, "params"), {"nu": 0.2},
+     "system.augment.param 'mu' is not a parameter of every run"),
 ]
 
 
@@ -188,6 +209,20 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, base, path, 
     assert "Traceback" not in err
     key = [part for part in path if isinstance(part, str)][-1]
     assert err.startswith("config error:") and key in err
+
+
+@pytest.mark.parametrize("command,base,path,value,message", DATA_CASES,
+                         ids=[_case_id(c[:4]) for c in DATA_CASES])
+def test_semantic_check_stops_a_run_on_data(tmp_path, capsys, command, base, path, value,
+                                            message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(base))
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 0
+    cfg.write_text(json.dumps(_with(base, path, value)))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--data", str(tmp_path / "gen" / "dataset.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
 
 
 def test_negative_seed_flag_is_config_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from sindykit import (
 )
 from sindykit.integrate import (STEP_ATTEMPTS_BASE, STEP_ATTEMPTS_PER_SAMPLE, dp45_adaptive,
                                 rk4_fixed)
+from sindykit.systems import KINDS
 from conftest import LORENZ_PARAMS
 
 
@@ -142,6 +145,77 @@ class TestIntegrators:
         with pytest.raises(NumericalError, match=f"after {budget} step attempts"):
             dp45_adaptive(counted, np.array([1.0, 0.0, 0.0]), times, 1e-10, 1e-10)
         assert len(calls) == 1 + 6 * budget  # one initial slope, six stages per attempt
+
+
+def _rk4_arrays(f, x0, times):
+    """RK4 stepping the state as a numpy array: the reference for ``rk4_fixed``."""
+    x = np.asarray(x0, dtype=float)
+    out = np.empty((len(times), x.shape[0]))
+    out[0] = x
+    for i in range(len(times) - 1):
+        h = times[i + 1] - times[i]
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = x
+    return out
+
+
+_CONTINUOUS_SPECS = {
+    "linear2d": SystemSpec("linear2d", x0=(2.0, 0.0)),
+    "cubic2d": SystemSpec("cubic2d", x0=(2.0, 0.0)),
+    "linear3d": SystemSpec("linear3d", x0=(2.0, 0.0, 1.0)),
+    "lorenz": SystemSpec("lorenz", x0=(-8.0, 7.0, 27.0), dt=0.001,  # 10,000 steps
+                         params=LORENZ_PARAMS),
+    "meanfield3d": SystemSpec("meanfield3d", x0=(0.4, 0.0, 0.16), t_span=(0.0, 30.0),
+                              params={"mu": 0.1, "omega": 1.0, "A": -0.1, "lam": 10.0}),
+    "hopf": SystemSpec("hopf", x0=(1.0, 0.0), t_span=(0.0, 25.0), dt=0.02,
+                       params={"mu": -0.2, "omega": 1.0, "A": 1.0}),
+}
+
+
+class TestFloatStepping:
+    """``rk4_fixed`` steps Python floats and must equal array stepping; one
+    RHS gives the same bits for a state as floats and for a state matrix."""
+
+    @pytest.mark.parametrize("kind", ["lorenz", "hopf", "meanfield3d"])
+    def test_rk4_matches_array_stepping(self, kind):
+        spec = _CONTINUOUS_SPECS[kind]
+        f = system_rhs(spec)
+        t0, t1 = spec.t_span
+        times = t0 + spec.dt * np.arange(int(round((t1 - t0) / spec.dt)) + 1)
+        # the array form needs an array from the RHS, which returns a tuple
+        expected = _rk4_arrays(lambda x: np.array(f(x)), spec.x0, times)
+        assert np.array_equal(rk4_fixed(f, spec.x0, times), expected)
+
+    @pytest.mark.parametrize("kind", sorted(set(KINDS) - {"logistic"}))
+    def test_rhs_on_state_matrix_matches_each_state(self, kind):
+        f = system_rhs(_CONTINUOUS_SPECS[kind])
+        n = len(_CONTINUOUS_SPECS[kind].x0)
+        X = 3.0 * np.random.default_rng(0).standard_normal((20_000, n))
+        rows = np.array([f(x.tolist()) for x in X])
+        assert np.array_equal(np.column_stack(f(X.T)), rows)
+
+    def test_simulate_derivatives_are_the_rhs_at_every_sample(self):
+        spec = _CONTINUOUS_SPECS["lorenz"]  # 10,001 samples: the pass runs in blocks
+        ds = simulate(spec)
+        assert np.array_equal(ds.derivatives, np.column_stack(system_rhs(spec)(ds.states.T)))
+
+    def test_simulate_memory_stays_near_its_output(self):
+        spec = SystemSpec("lorenz", x0=(-8.0, 7.0, 27.0), t_span=(0.0, 100.0), dt=0.001,
+                          params=LORENZ_PARAMS)
+        tracemalloc.start()
+        try:
+            ds = simulate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.n_samples == 100_001
+        output = ds.times.nbytes + ds.states.nbytes + ds.derivatives.nbytes
+        # array stepping and a derivative loop with an array per sample peaked at 4.1x
+        assert peak < 2.5 * output
 
 
 class TestIterateMap:
