@@ -105,8 +105,8 @@ class _Choice:
 
 _RUN = {"x0": ["number"], "t_span": ["number"], "dt": "number", "params": "number{}"}
 _CONTINUOUS = {**_RUN, "runs": ([_RUN], [{}]),
-               "integrator": {"method": "string", "abs_tol": "number", "rel_tol": "number",
-                              "record_step_size": "bool"}}
+               "integrator": {"method": _Choice("rk4", {"rk4": {}, "rk45": {
+                   "abs_tol": "number", "rel_tol": "number", "record_step_size": "bool"}})}}
 _LOGISTIC = {"x0": (["number"], [0.5]), "ensemble_mus": (["number"], []),
              "n_steps": ("natural", 1000), "forcing": ("number", 0.0)}
 
@@ -420,6 +420,14 @@ def cmd_compare(exp: dict, out: Path, seed: int,
     if (target := exp["noise_spec"].target) != "derivatives":
         raise ConfigError(f"compare perturbs only the derivatives; noise.target "
                           f"{target!r} does not apply to compare")
+    diff = exp["differentiation"]
+    for key, value in (("differentiation.method", diff["method"] != "exact"),
+                       ("differentiation.denoise_states", diff["denoise_states"]),
+                       ("reduction", exp["reduction"]),
+                       ("system.augment", exp["system"]["augment"])):
+        if value:
+            raise ConfigError(f"compare fits the exact derivatives of one run; {key} "
+                              "does not apply to compare")
     fit_cfg = _fit_config(exp, override_threshold)
     cmp = exp["compare"]
     horizon, grid_dt, long_h = cmp["horizon"], cmp["grid_dt"], cmp.get("long_horizon")

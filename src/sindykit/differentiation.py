@@ -77,8 +77,9 @@ def central_difference(times: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Second-order finite differences on a strictly increasing grid.
 
     Interior rows use the symmetric 3-point stencil, endpoints one-sided
-    3-point stencils; exact for polynomials up to degree two on uniform
-    grids and for affine signals on any grid.
+    3-point stencils (``np.gradient`` with ``edge_order=2``); exact for
+    polynomials up to degree two on uniform grids and for affine signals
+    on any grid.
     """
     t = np.asarray(times, dtype=float)
     X = np.asarray(states, dtype=float)
@@ -97,27 +98,7 @@ def central_difference(times: np.ndarray, states: np.ndarray) -> np.ndarray:
     if bad.any():
         raise DataError(f"non-finite state entries at row {int(np.argmax(bad))}")
 
-    d = np.empty_like(X)
-    h1 = (t[1:-1] - t[:-2])[:, None]
-    h2 = (t[2:] - t[1:-1])[:, None]
-    d[1:-1] = (
-        -h2 / (h1 * (h1 + h2)) * X[:-2]
-        + (h2 - h1) / (h1 * h2) * X[1:-1]
-        + h1 / (h2 * (h1 + h2)) * X[2:]
-    )
-    a, b = t[1] - t[0], t[2] - t[1]
-    d[0] = (
-        -(2 * a + b) / (a * (a + b)) * X[0]
-        + (a + b) / (a * b) * X[1]
-        - a / (b * (a + b)) * X[2]
-    )
-    a, b = t[-2] - t[-3], t[-1] - t[-2]
-    d[-1] = (
-        b / (a * (a + b)) * X[-3]
-        - (a + b) / (a * b) * X[-2]
-        + (2 * b + a) / (b * (a + b)) * X[-1]
-    )
-    return d
+    return np.gradient(X, t, axis=0, edge_order=2)
 
 
 def _integrate_op(u: np.ndarray, dt: float) -> np.ndarray:

@@ -154,6 +154,9 @@ class SparseModel:
                 f"coefficient shape {coef.shape} does not match "
                 f"{len(self.terms)} terms x {len(self.state_names)} equations"
             )
+        if any(len(t.exponents) != len(self.state_names) for t in self.terms):
+            raise DataError(
+                f"every term needs one exponent per state, {len(self.state_names)} in all")
         object.__setattr__(self, "coefficients", coef)
 
     @property
@@ -251,13 +254,10 @@ def model_from_json(text: str) -> SparseModel:
         TermDescriptor(TermKind(t["kind"]), tuple(t["exponents"]), t["harmonic"])
         for t in doc["terms"]
     )
-    names = tuple(doc["state_names"])
-    if any(len(t.exponents) != len(names) for t in terms):
-        raise DataError(f"every term needs one exponent per state, {len(names)} in all")
     return SparseModel(
         terms=terms,
         coefficients=np.array(doc["coefficients"], dtype=float),
-        state_names=names,
+        state_names=tuple(doc["state_names"]),
         mode=Mode(doc["mode"]),
     )
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .library import LibraryMatrix, LibrarySpec, build_matrix, enumerate_terms
-from .model import Mode, SparseModel, TermDescriptor, TimeSeriesDataset, default_state_names
+from .model import Mode, SparseModel, TermDescriptor, TimeSeriesDataset
 
 __all__ = [
     "StlsqConfig",
@@ -99,18 +99,17 @@ class RegressionProblem:
     after the p library columns into [[R11, R12], [0, R22]],
     ||Theta xi - dX[:, k]|| = hypot(||R11 xi - R12[:, k]||, ||R22[:, k]||)
     for every xi, and R11 has the singular values of Theta.
-    ``n_samples`` is the row count m of Theta.
+    ``n_terms`` is the column count p and ``n_samples`` the row count m of Theta.
     """
 
-    terms: tuple[TermDescriptor, ...]
+    n_terms: int
     R: np.ndarray
     n_samples: int
 
     @classmethod
-    def factor(cls, theta: LibraryMatrix, target: np.ndarray) -> RegressionProblem:
-        """Factor [theta | target] one row block at a time, so that the
+    def factor(cls, values: np.ndarray, target: np.ndarray) -> RegressionProblem:
+        """Factor [values | target] one row block at a time, so that the
         full-size stacked matrix is never formed."""
-        values = theta.values
         m, p = values.shape
         width = p + target.shape[1]
         stacked = np.empty((width + min(m, _QR_BLOCK_ROWS), width))
@@ -123,12 +122,12 @@ class RegressionProblem:
             stacked[k:end, :p] = values[start:stop]
             stacked[k:end, p:] = target[start:stop]
             R = np.linalg.qr(stacked[:end], mode="r")
-        return cls(theta.terms, R, m)
+        return cls(p, R, m)
 
     @property
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(R11, R12, R22)."""
-        p = len(self.terms)
+        p = self.n_terms
         return self.R[:p, :p], self.R[:p, p:], self.R[p:, p:]
 
 
@@ -192,56 +191,42 @@ def _fit_report(problem: RegressionProblem, coef: np.ndarray,
     return report
 
 
-def _factored(Theta: LibraryMatrix | np.ndarray, dX: np.ndarray) -> RegressionProblem:
-    """The problem of the public solvers: a library, or a raw matrix whose
-    columns are labelled as plain linear terms, and targets of matching rows."""
-    if isinstance(Theta, LibraryMatrix):
-        theta = Theta
-    else:
-        values = np.asarray(Theta, dtype=float)
-        if values.ndim != 2:
-            raise DataError("Theta must be a 2-d matrix")
-        theta = LibraryMatrix(values=values, terms=enumerate_terms(
-            LibrarySpec(n_states=values.shape[1], poly_order=1, include_constant=False)))
+def _factored(Theta: np.ndarray, dX: np.ndarray) -> RegressionProblem:
+    """The problem of the public solvers: a matrix and targets of matching rows."""
+    values = np.asarray(Theta, dtype=float)
+    if values.ndim != 2:
+        raise DataError("Theta must be a 2-d matrix")
     dX = np.asarray(dX, dtype=float)
     if dX.ndim == 1:
         dX = dX.reshape(-1, 1)
-    if dX.ndim != 2 or dX.shape[0] != theta.values.shape[0]:
+    if dX.ndim != 2 or dX.shape[0] != values.shape[0]:
         raise DataError("Theta and dX must have the same number of rows")
-    return RegressionProblem.factor(theta, dX)
+    return RegressionProblem.factor(values, dX)
 
 
 def stlsq(
-    Theta: LibraryMatrix | np.ndarray | RegressionProblem,
+    Theta: np.ndarray | RegressionProblem,
     dX: np.ndarray | None,
     cfg: StlsqConfig,
-    state_names: tuple[str, ...] | None = None,
-    mode: Mode = Mode.CONTINUOUS,
-) -> tuple[SparseModel, FitReport]:
+) -> tuple[np.ndarray, FitReport]:
     """Sequential thresholded least squares, independently per equation.
 
-    All returned nonzeros satisfy |xi| >= threshold except when an
-    iteration empties a support entirely, in which case that column is
-    returned as zero and flagged in the report.
+    Returns the p x n coefficient matrix, one column per column of ``dX``,
+    and its report.  All returned nonzeros satisfy |xi| >= threshold
+    except when an iteration empties a support entirely, in which case
+    that column is returned as zero and flagged in the report.
 
-    A raw matrix may be passed in place of an evaluated library; its
-    columns are then labelled as plain linear terms of the regressor
-    variables, which only coincide with the model's own states when the
-    regressors are the state data itself.  A prebuilt RegressionProblem
-    already holds its targets, and ``dX`` is then None.
+    A prebuilt RegressionProblem may stand in for ``Theta``; it already
+    holds its targets, and ``dX`` is then None.  That form exists only so
+    that every fit's solve goes through this function by its module name,
+    where a tracer that rebinds it from outside (perfbench) sees it.
     """
-    if isinstance(Theta, RegressionProblem):
-        problem = Theta
-    else:
-        problem = _factored(Theta, dX)
+    problem = Theta if isinstance(Theta, RegressionProblem) else _factored(Theta, dX)
     R11, R12, _ = problem.blocks
-    n = R12.shape[1]
-    names = tuple(state_names) if state_names else default_state_names(n)
     xis, iterations, converged, actives = zip(
-        *(_stlsq_column(R11, R12[:, k], problem.n_samples, cfg) for k in range(n)))
+        *(_stlsq_column(R11, R12[:, k], problem.n_samples, cfg) for k in range(R12.shape[1])))
     coef = np.column_stack(xis)
-    model = SparseModel(terms=problem.terms, coefficients=coef, state_names=names, mode=mode)
-    return model, _fit_report(problem, coef, actives, iterations, converged)
+    return coef, _fit_report(problem, coef, actives, iterations, converged)
 
 
 def _soft_threshold(z: float, t: float) -> float:
@@ -252,7 +237,7 @@ def _soft_threshold(z: float, t: float) -> float:
     return 0.0
 
 
-def lasso_cd(Theta: LibraryMatrix | np.ndarray, y: np.ndarray, cfg: LassoConfig) -> np.ndarray:
+def lasso_cd(Theta: np.ndarray, y: np.ndarray, cfg: LassoConfig) -> np.ndarray:
     """Cyclic coordinate descent for ||Theta xi - y||^2 + lambda1 ||xi||_1.
 
     Columns are scaled to unit norm internally and the scaling is undone
@@ -347,7 +332,8 @@ def _regression_problem(
 ) -> RegressionProblem:
     """The factored regression problem of :func:`_regression_data`; the
     library matrix itself is dropped once factored."""
-    return RegressionProblem.factor(*_regression_data(dataset, spec, mode, theta))
+    theta, target = _regression_data(dataset, spec, mode, theta)
+    return RegressionProblem.factor(theta.values, target)
 
 
 def _with_sparsity(cfg: StlsqConfig | LassoConfig, value: float) -> StlsqConfig | LassoConfig:
@@ -357,20 +343,24 @@ def _with_sparsity(cfg: StlsqConfig | LassoConfig, value: float) -> StlsqConfig 
     return replace(cfg, lambda1=value)
 
 
-def _solve(problem: RegressionProblem, cfg: StlsqConfig | LassoConfig,
-           state_names: tuple[str, ...], mode: Mode) -> tuple[SparseModel, FitReport]:
-    """Solve a prebuilt problem with the configured method, one equation per column."""
-    m, p = problem.n_samples, len(problem.terms)
+def _solve(problem: RegressionProblem, terms: tuple[TermDescriptor, ...],
+           cfg: StlsqConfig | LassoConfig, state_names: tuple[str, ...],
+           mode: Mode) -> tuple[SparseModel, FitReport]:
+    """Solve a prebuilt problem with the configured method, one equation per
+    column, into the model of the library ``terms``: the one place where a
+    fit becomes a :class:`SparseModel`."""
+    m, p = problem.n_samples, problem.n_terms
     if m <= p:
         raise DataError(f"{m} samples do not overdetermine {p} library terms")
     if isinstance(cfg, StlsqConfig):
-        return stlsq(problem, None, cfg, state_names=state_names, mode=mode)
-    R11, R12, _ = problem.blocks
-    coef = np.column_stack([_lasso_on_factor(R11, y, cfg) for y in R12.T])
-    n = coef.shape[1]
-    model = SparseModel(terms=problem.terms, coefficients=coef, state_names=state_names,
-                        mode=mode)
-    return model, _fit_report(problem, coef, coef.T != 0, [0] * n, [True] * n)
+        coef, report = stlsq(problem, None, cfg)
+    else:
+        R11, R12, _ = problem.blocks
+        coef = np.column_stack([_lasso_on_factor(R11, y, cfg) for y in R12.T])
+        n = coef.shape[1]
+        report = _fit_report(problem, coef, coef.T != 0, [0] * n, [True] * n)
+    model = SparseModel(terms=terms, coefficients=coef, state_names=state_names, mode=mode)
+    return model, report
 
 
 def fit(
@@ -388,4 +378,4 @@ def fit(
     may pass in the library already built from ``dataset``'s states.
     """
     problem = _regression_problem(dataset, spec, mode, theta)
-    return _solve(problem, cfg, dataset.state_names, mode)
+    return _solve(problem, enumerate_terms(spec), cfg, dataset.state_names, mode)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .library import LibrarySpec
+from .library import LibrarySpec, enumerate_terms
 from .model import Mode, SparseModel, TimeSeriesDataset
 from .regression import (FitReport, LassoConfig, RegressionProblem, StlsqConfig,
                          _regression_problem, _solve, _with_sparsity)
@@ -78,26 +78,22 @@ def _take(dataset: TimeSeriesDataset, mask: np.ndarray) -> TimeSeriesDataset:
         raise DataError("split leaves an empty side")
     # keep segment boundaries that survive the selection, plus breaks the
     # selection itself introduces
-    old_starts = set(dataset.segments)
-    segments = [0]
-    for j in range(1, idx.size):
-        if idx[j] != idx[j - 1] + 1 or idx[j] in old_starts:
-            segments.append(j)
+    breaks = np.flatnonzero((np.diff(idx) != 1) | np.isin(idx[1:], dataset.segments)) + 1
     return TimeSeriesDataset(
         times=dataset.times[idx],
         states=dataset.states[idx],
         derivatives=None if dataset.derivatives is None else dataset.derivatives[idx],
         state_names=dataset.state_names,
-        segments=tuple(segments),
+        segments=(0, *breaks.tolist()),
         meta=dict(dataset.meta),
     )
 
 
-def _residual(problem: RegressionProblem, model: SparseModel) -> float:
+def _residual(problem: RegressionProblem, C: np.ndarray) -> float:
     """||Theta C - Y||_F / ||Y||_F, or ||Theta C||_F when Y = 0, from the factor:
     [Theta | Y] [C; -I] = Q R [C; -I] and Q preserves the norm."""
-    p, n = model.coefficients.shape
-    error = np.linalg.norm(problem.R @ np.vstack([model.coefficients, -np.eye(n)]))
+    p, n = C.shape
+    error = np.linalg.norm(problem.R @ np.vstack([C, -np.eye(n)]))
     denom = np.linalg.norm(problem.R[:, p:])
     return float(error / denom) if denom else float(error)
 
@@ -120,12 +116,13 @@ def sweep(
     train, val = split(dataset, fraction, policy=policy, seed=seed)
     problem = _regression_problem(train, spec, mode)
     problem_val = _regression_problem(val, spec, mode)
-    models = [_solve(problem, _with_sparsity(cfg, float(lam)), train.state_names, mode)
+    terms = enumerate_terms(spec)
+    models = [_solve(problem, terms, _with_sparsity(cfg, float(lam)), train.state_names, mode)
               for lam in thresholds]
     points = [
         ParetoPoint(threshold=float(lam), nnz_total=model.nnz(),
-                    train_residual=_residual(problem, model),
-                    validation_residual=_residual(problem_val, model))
+                    train_residual=_residual(problem, model.coefficients),
+                    validation_residual=_residual(problem_val, model.coefficients))
         for lam, (model, _) in zip(thresholds, models)]
     return points, models
 

@@ -150,6 +150,8 @@ def simulate(spec: SystemSpec, integrator: IntegratorConfig = IntegratorConfig()
 
     The stored derivatives are the analytic right-hand side evaluated at
     each sampled state, on Python floats as the integrator evaluates it.
+    A trajectory that overflows raises :class:`NumericalError` naming the
+    time of its first non-finite sample.
     """
     f = system_rhs(spec)
     t0, t1 = spec.t_span
@@ -177,6 +179,10 @@ def simulate(spec: SystemSpec, integrator: IntegratorConfig = IntegratorConfig()
     derivatives = np.empty_like(states)
     for a in range(0, len(states), 256):
         derivatives[a:a + 256] = [f(x) for x in states[a:a + 256].tolist()]
+    finite = np.isfinite(states).all(axis=1) & np.isfinite(derivatives).all(axis=1)
+    if not finite.all():
+        raise NumericalError(
+            f"{spec.kind} trajectory is not finite at t={times[np.argmin(finite)]:.6g}")
     return TimeSeriesDataset(
         times=times,
         states=states,

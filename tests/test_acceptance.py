@@ -306,8 +306,8 @@ def test_criterion_9_stlsq_best_subset_equivalence():
         xi_true[S_true] = coeffs
         y = Theta @ xi_true
         lam = 0.5 * np.abs(coeffs).min()
-        model, _ = stlsq(Theta, y, StlsqConfig(threshold=lam, max_iterations=20))
-        xi = model.coefficients[:, 0]
+        coef, _ = stlsq(Theta, y, StlsqConfig(threshold=lam, max_iterations=20))
+        xi = coef[:, 0]
         S_oracle = best_subset(Theta, y)
         if tuple(np.flatnonzero(xi)) == S_oracle:
             agree += 1

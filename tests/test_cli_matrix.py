@@ -61,18 +61,32 @@ def test_matrix_covers_every_shipped_config(short_configs):
     assert set(EXIT_CODES) == set(short_configs)
 
 
-@pytest.mark.parametrize("name,cmd", sorted(EXPECTED))
-def test_command_exit_code(short_configs, tmp_path, name, cmd):
+def run(cmd: str, config: Path, out: Path, *flags: str) -> subprocess.CompletedProcess:
     # one BLAS thread: small solves run no faster threaded, and a loaded
     # machine makes threaded ones far slower
     env = dict(os.environ, PYTHONPATH=str(Path(sindykit.__file__).parent.parent),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "sindykit.cli", cmd,
-         "--config", str(short_configs[name]), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run(
+        [sys.executable, "-m", "sindykit.cli", cmd, "--config", str(config), "--out", str(out),
+         *flags], capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("name,cmd", sorted(EXPECTED))
+def test_command_exit_code(short_configs, tmp_path, name, cmd):
+    proc = run(cmd, short_configs[name], tmp_path / "out")
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.returncode == EXPECTED[name, cmd], proc.stderr
     if proc.returncode == 0:
         for artifact in (tmp_path / "out").glob("*.json"):
             json.loads(artifact.read_text(), parse_constant=pytest.fail)
+
+
+def test_fit_on_the_generated_dataset_writes_the_same_model(short_configs, tmp_path):
+    # a single run: the dataset CSV round-trips its values, and the loaded
+    # run draws the same noise stream as the simulated one
+    config = short_configs["lorenz"]
+    for cmd, out, flags in [("generate", "gen", ()), ("fit", "direct", ()),
+                            ("fit", "loaded", ("--data", str(tmp_path / "gen" / "dataset.csv")))]:
+        assert run(cmd, config, tmp_path / out, *flags).returncode == 0
+    direct, loaded = ((tmp_path / out / "model.json").read_bytes() for out in ("direct", "loaded"))
+    assert direct == loaded

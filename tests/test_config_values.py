@@ -42,6 +42,8 @@ LOGISTIC = {"spec_version": 1, "seed": 0,
             "system": {"kind": "logistic", "x0": [0.5], "ensemble_mus": [3.7],
                        "n_steps": 50, "forcing": 0.01}}
 LAMBDAS = dict(LIN2D, selection={"lambdas": [0.001, 0.01, 0.1, 0.5], "fraction": 0.2})
+RK45 = dict(LIN2D, system=dict(LIN2D["system"], integrator={"method": "rk45"}))
+WITH_MU = dict(LIN2D, system=dict(LIN2D["system"], params={"mu": 0.1}))
 
 DELETE = object()
 
@@ -61,9 +63,9 @@ CASES = [
     ("generate", LIN2D, ("system", "params"), {"mu": "x"}),
     ("generate", LIN2D, ("system", "integrator"), "rk45"),
     ("generate", LIN2D, ("system", "integrator", "method"), 4),
-    ("generate", LIN2D, ("system", "integrator", "abs_tol"), "1e-9"),
-    ("generate", LIN2D, ("system", "integrator", "rel_tol"), True),
-    ("generate", LIN2D, ("system", "integrator", "record_step_size"), "false"),
+    ("generate", RK45, ("system", "integrator", "abs_tol"), "1e-9"),
+    ("generate", RK45, ("system", "integrator", "rel_tol"), True),
+    ("generate", RK45, ("system", "integrator", "record_step_size"), "false"),
     ("generate", RUNS, ("system", "runs"), {"x0": [1.0, 0.0]}),
     ("generate", RUNS, ("system", "runs", 0), 3),
     ("generate", RUNS, ("system", "runs", 0, "x0"), "1"),
@@ -158,6 +160,9 @@ CASES = [
     ("generate", LOGISTIC, ("system", "t_span"), [0.0, 1.0]),
     ("generate", LOGISTIC, ("system", "dt"), 0.1),
     ("generate", LOGISTIC, ("system", "params"), {"mu": 3.7}),
+    ("generate", LIN2D, ("system", "integrator", "abs_tol"), 1e-3),
+    ("generate", LIN2D, ("system", "integrator", "rel_tol"), 1e-3),
+    ("generate", LIN2D, ("system", "integrator", "record_step_size"), True),
     # package checks that run in the parse, in blocks the command does not read
     ("generate", REDUCED, ("reduction", "energy"), 0.9),
     ("compare", REDUCED, ("reduction", "energy"), 0.9),
@@ -166,8 +171,13 @@ CASES = [
     ("generate", LIN2D, ("fit", "threshold"), -1.0),
     ("generate", LASSO, ("fit", "tol"), 0.0),
     ("generate", TV, ("differentiation", "alpha"), -0.01),
-    # compare perturbs only the derivatives
+    # compare perturbs only the derivatives, and fits the exact ones of one run
     ("compare", LIN2D, ("noise", "target"), "states"),
+    ("compare", LIN2D, ("differentiation", "method"), "central"),
+    ("compare", LIN2D, ("differentiation", "method"), "tv"),
+    ("compare", LIN2D, ("differentiation", "denoise_states"), True),
+    ("compare", LIN2D, ("reduction",), {"rank": 2}),
+    ("compare", WITH_MU, ("system", "augment"), {"name": "u", "param": "mu"}),
 ]
 
 # (command, base config, path to the bad value, bad value, part of the
@@ -176,7 +186,8 @@ CASES = [
 DATA_CASES = [
     ("fit", LIN2D, ("system", "x0"), [2.0, 0.0, 1.0], "x0"),
     ("sweep", LIN2D, ("system", "x0"), [2.0, 0.0, 1.0], "x0"),
-    ("fit", LIN2D, ("system", "integrator", "method"), "rk5", "unknown integrator 'rk5'"),
+    ("fit", LIN2D, ("system", "integrator", "method"), "rk5",
+     "unknown system.integrator.method 'rk5'"),
     ("fit", RUNS, ("system", "runs", 1, "params"), {"nu": 0.2},
      "system.augment.param 'mu' is not a parameter of every run"),
 ]
@@ -280,8 +291,9 @@ def test_readme_lists_every_config_key():
 @pytest.mark.parametrize("command,base", [
     ("generate", LIN2D), ("generate", RUNS), ("generate", LOGISTIC), ("fit", LASSO),
     ("fit", TV), ("fit", REDUCED), ("fit", CONSTANT), ("compare", LIN2D), ("sweep", LIN2D),
+    ("generate", RK45), ("compare", WITH_MU),
 ], ids=["linear2d", "runs", "logistic", "lasso", "tv", "reduced", "constant", "compare",
-        "sweep"])
+        "sweep", "rk45", "compare-with-mu"])
 def test_base_configs_run(tmp_path, command, base):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(base))

@@ -501,6 +501,16 @@ class TestCliErrors:
         assert self._fit_csv(tmp_path, 40, "state", 1e70) == 3
         assert "overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "fit", "sweep"])
+    def test_overflowing_simulation_is_numerical_failure(self, tmp_path, capsys, command):
+        doc = json.loads((Path(__file__).resolve().parent.parent / "configs" / "lorenz.json")
+                         .read_text())
+        doc["system"].update(dt=0.2, t_span=[0.0, 50.0])
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert "not finite at t=1" in capsys.readouterr().err
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_non_finite_config_number_is_config_error(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(LIN2D_CFG).replace('"threshold": 0.05', '"threshold": NaN'))

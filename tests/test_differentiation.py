@@ -42,6 +42,27 @@ class TestCentralDifference:
         d = central_difference(t, -1.7 * t + 4.0)
         assert np.abs(d + 1.7).max() < 1e-12
 
+    @pytest.mark.parametrize("grid", ["nonuniform", "uniform"])
+    def test_matches_the_explicit_three_point_stencils(self, grid):
+        rng = np.random.default_rng(8)
+        t = 0.75 * np.arange(200)  # every step exactly 0.75
+        if grid == "nonuniform":
+            t = np.cumsum(0.05 + 0.1 * rng.random(200))
+        X = rng.standard_normal((200, 3))
+        h1, h2 = (t[1:-1] - t[:-2])[:, None], (t[2:] - t[1:-1])[:, None]
+        want = np.empty_like(X)
+        want[1:-1] = (-h2 / (h1 * (h1 + h2)) * X[:-2] + (h2 - h1) / (h1 * h2) * X[1:-1]
+                      + h1 / (h2 * (h1 + h2)) * X[2:])
+        a, b = t[1] - t[0], t[2] - t[1]
+        want[0] = -(2 * a + b) / (a * (a + b)) * X[0] + (a + b) / (a * b) * X[1] \
+            - a / (b * (a + b)) * X[2]
+        a, b = t[-2] - t[-3], t[-1] - t[-2]
+        want[-1] = b / (a * (a + b)) * X[-3] - (a + b) / (a * b) * X[-2] \
+            + (2 * b + a) / (b * (a + b)) * X[-1]
+        # the same stencils; np.gradient may round a uniform grid's differently
+        tol = 8 * np.finfo(float).eps * np.abs(X).max() / np.diff(t).min()
+        assert np.abs(central_difference(t, X) - want).max() <= tol
+
     def test_too_few_samples(self):
         with pytest.raises(DataError):
             central_difference(np.array([0.0, 1.0]), np.array([0.0, 1.0]))

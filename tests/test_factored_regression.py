@@ -97,12 +97,12 @@ def tall_problems(draw):
 @given(tall_problems())
 def test_factored_stlsq_equals_direct_stlsq(problem):
     Theta, Y, cfg = problem
-    model, report = stlsq(Theta, Y, cfg)
+    coef, report = stlsq(Theta, Y, cfg)
     for k, y in enumerate(Y.T):
         xi, active, solved = direct_stlsq(Theta, y, cfg)
         # a coefficient within rounding of the threshold may fall either way
         assume(all(abs(abs(c) - cfg.threshold) > 1e-8 * (1 + cfg.threshold) for c in solved))
-        got = model.coefficients[:, k]
+        got = coef[:, k]
         assert np.array_equal(got != 0, xi != 0)
         assert np.allclose(got, xi, rtol=1e-9, atol=1e-9 * np.abs(xi).max(initial=0.0))
         assert report.residual_norm[k] == pytest.approx(np.linalg.norm(Theta @ xi - y),
@@ -173,8 +173,8 @@ class TestRankDeficient:
 
     def test_exact_duplicate_gets_the_minimum_norm_split(self):
         Theta, y = self._problem(0.0)
-        model, _ = stlsq(Theta, y, StlsqConfig(threshold=0.0))
-        xi = model.coefficients[:, 0]
+        coef, _ = stlsq(Theta, y, StlsqConfig(threshold=0.0))
+        xi = coef[:, 0]
         assert np.allclose(xi, least_squares(Theta, y), rtol=1e-9, atol=0)
         assert xi[0] == pytest.approx(xi[2], rel=1e-9)
 
@@ -185,8 +185,8 @@ class TestRankDeficient:
         Theta, y = self._problem(1e-13)
         s = np.linalg.svd(Theta, compute_uv=False)
         assert 5 * EPS < s[-1] / s[0] < 2000 * EPS
-        model, _ = stlsq(Theta, y, StlsqConfig(threshold=0.0))
-        xi = model.coefficients[:, 0]
+        coef, _ = stlsq(Theta, y, StlsqConfig(threshold=0.0))
+        xi = coef[:, 0]
         direct = least_squares(Theta, y)
         assert np.abs(direct).max() < 3.0
         assert np.allclose(xi, direct, rtol=1e-9, atol=0)

@@ -106,9 +106,8 @@ class TestEvaluateRhs:
             assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_terms_of_another_state_count_are_a_data_error(self):
-        m = SparseModel(enumerate_terms(LibrarySpec(3, 1)), np.ones((4, 2)), ("x", "y"))
-        with pytest.raises(DataError, match="length 2"):
-            m.rhs()
+        with pytest.raises(DataError, match="one exponent per state, 2 in all"):
+            SparseModel(enumerate_terms(LibrarySpec(3, 1)), np.ones((4, 2)), ("x", "y"))
 
     def test_trig_terms_evaluate(self):
         terms = (TermDescriptor(TermKind.SINE, (1,), 2),)

@@ -68,37 +68,50 @@ class TestStlsq:
     def test_oscillator_trajectory_linear_columns(self, linear2d_dataset):
         ds = linear2d_dataset
         theta = ds.states  # columns are exactly the x- and y-data
-        model, report = stlsq(theta, ds.derivatives, StlsqConfig(threshold=0.05))
-        assert np.allclose(model.coefficients, [[-0.1, -2.0], [2.0, -0.1]], atol=1e-6)
+        coef, report = stlsq(theta, ds.derivatives, StlsqConfig(threshold=0.05))
+        assert np.allclose(coef, [[-0.1, -2.0], [2.0, -0.1]], atol=1e-6)
         assert all(report.converged)
+
+    def test_raw_matrix_gives_a_coefficient_array(self):
+        # p = 4 regressors and n = 1 target: a model labelled with terms of
+        # the regressors could not name its one state
+        rng = np.random.default_rng(50)
+        Theta = rng.standard_normal((50, 4))
+        y = Theta @ [1.5, 0.0, -0.75, 0.0] + 0.01 * rng.standard_normal(50)
+        coef, report = stlsq(Theta, y, StlsqConfig(threshold=0.1))
+        want = [float.fromhex(h) for h in (
+            "0x1.8030e864af64bp+0", "0x0.0p+0", "-0x1.7f7925f3851c0p-1", "0x0.0p+0")]
+        assert type(coef) is np.ndarray and coef.shape == (4, 1)
+        assert coef[:, 0].tobytes() == np.array(want).tobytes()
+        assert report.nnz == [2] and report.iterations_used == [2]
 
     def test_zero_target_gives_flagged_zero_column(self):
         rng = np.random.default_rng(0)
         theta = rng.standard_normal((30, 4))
-        model, report = stlsq(theta, np.zeros((30, 1)), StlsqConfig(threshold=0.1))
-        assert np.all(model.coefficients == 0.0)
+        coef, report = stlsq(theta, np.zeros((30, 1)), StlsqConfig(threshold=0.1))
+        assert np.all(coef == 0.0)
         assert report.empty_support == [True]
         assert report.condition_estimate == [None]
 
     def test_seeded_recovery_matches_exhaustive_oracle(self):
         Theta, xi_true, y = seeded_instance(99)
-        model, _ = stlsq(Theta, y, StlsqConfig(threshold=0.5))
-        xi = model.coefficients[:, 0]
+        coef, _ = stlsq(Theta, y, StlsqConfig(threshold=0.5))
+        xi = coef[:, 0]
         assert np.allclose(xi, xi_true, atol=1e-10)
         S, _ = best_subset_support(Theta, y)
         assert tuple(np.flatnonzero(xi)) == S == (0, 2)
 
     def test_huge_threshold_empties_support_with_flag(self):
         Theta, _, y = seeded_instance(3)
-        model, report = stlsq(Theta, y, StlsqConfig(threshold=1e6))
-        assert np.all(model.coefficients == 0.0)
+        coef, report = stlsq(Theta, y, StlsqConfig(threshold=1e6))
+        assert np.all(coef == 0.0)
         assert report.empty_support == [True]
 
     def test_fixed_point_property(self):
         Theta, _, y = seeded_instance(7)
         cfg = StlsqConfig(threshold=0.5)
-        model, _ = stlsq(Theta, y, cfg)
-        xi = model.coefficients[:, 0]
+        coef, _ = stlsq(Theta, y, cfg)
+        xi = coef[:, 0]
         nz = np.abs(xi[xi != 0.0])
         assert nz.min() >= cfg.threshold
         active = xi != 0.0
@@ -114,8 +127,8 @@ class TestStlsq:
         supports = []
         for k in range(1, 8):
             cfg = StlsqConfig(threshold=0.4, max_iterations=k)
-            model, _ = stlsq(Theta, y, cfg)
-            supports.append(set(np.flatnonzero(model.coefficients[:, 0])))
+            coef, _ = stlsq(Theta, y, cfg)
+            supports.append(set(np.flatnonzero(coef[:, 0])))
         for earlier, later in zip(supports, supports[1:]):
             assert later.issubset(earlier)
 
@@ -127,7 +140,7 @@ class TestStlsq:
         joint, _ = stlsq(Theta, targets, cfg)
         for k in range(3):
             single, _ = stlsq(Theta, targets[:, k], cfg)
-            assert np.array_equal(single.coefficients[:, 0], joint.coefficients[:, k])
+            assert np.array_equal(single[:, 0], joint[:, k])
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
@@ -149,9 +162,9 @@ class TestOracleEquivalenceProperty:
             xi_true[S_true] = coeffs
             y = Theta @ xi_true
             lam = 0.5 * np.abs(coeffs).min()
-            model, _ = stlsq(Theta, y, StlsqConfig(threshold=lam, max_iterations=20))
+            coef, _ = stlsq(Theta, y, StlsqConfig(threshold=lam, max_iterations=20))
             S, _ = best_subset_support(Theta, y)
-            if tuple(np.flatnonzero(model.coefficients[:, 0])) == S:
+            if tuple(np.flatnonzero(coef[:, 0])) == S:
                 hits += 1
         assert hits >= 19
 

@@ -70,6 +70,24 @@ class TestSplit:
         train, _ = split(dataset, 0.2, policy="blocks", seed=0)
         assert train.n_samples > spec.n_terms
 
+    def test_kept_rows_break_segments_as_the_row_loop_does(self):
+        from sindykit import TimeSeriesDataset
+        from sindykit.selection import _take
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            m = int(rng.integers(10, 60))
+            starts = sorted(set(rng.integers(1, m, size=rng.integers(0, 4)).tolist()))
+            ds = TimeSeriesDataset(times=np.arange(float(m)), states=rng.random((m, 1)),
+                                   segments=(0, *starts))
+            idx = np.flatnonzero(rng.random(m) < rng.uniform(0.1, 0.9))
+            if idx.size == 0:
+                continue
+            mask = np.zeros(m, dtype=bool)
+            mask[idx] = True
+            want = [0] + [j for j in range(1, idx.size)
+                          if idx[j] != idx[j - 1] + 1 or idx[j] in starts]
+            assert _take(ds, mask).segments == tuple(want)
+
     def test_too_few_samples_rejected(self):
         from sindykit import TimeSeriesDataset
         tiny = TimeSeriesDataset(times=np.arange(5.0), states=np.zeros((5, 1)))

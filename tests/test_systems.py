@@ -27,6 +27,13 @@ from conftest import LORENZ_PARAMS
 
 
 class TestSimulate:
+    def test_overflowing_trajectory_names_the_time_of_its_first_non_finite_sample(self):
+        # RK4 at dt=0.2 is unstable on Lorenz: the states overflow to NaN at t=1
+        spec = SystemSpec("lorenz", x0=(-8.0, 7.0, 27.0), t_span=(0.0, 50.0), dt=0.2,
+                          params=LORENZ_PARAMS)
+        with pytest.raises(NumericalError, match=r"lorenz trajectory is not finite at t=1$"):
+            simulate(spec)
+
     def test_linear2d_matches_analytic_solution(self):
         spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 25.0), dt=0.01)
         ds = simulate(spec)
