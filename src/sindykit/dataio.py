@@ -94,18 +94,33 @@ def read_dataset_csv(path: str | Path) -> TimeSeriesDataset:
     times = data[:, 0]
     states = data[:, 1:1 + n]
     derivatives = data[:, 1 + n:1 + n + n_deriv] if n_deriv else None
-    state_names: tuple[str, ...] = ()
-    segments: tuple[int, ...] = (0,)
-    meta: dict = {}
-    sidecar = _meta_path(path)
-    if sidecar.exists():
-        doc = json.loads(sidecar.read_text())
-        state_names = tuple(doc.get("state_names", ()))
-        segments = tuple(doc.get("segments", (0,)))
-        meta = doc.get("meta", {})
+    state_names, segments, meta = _read_sidecar(_meta_path(path))
     return TimeSeriesDataset(
         times=times, states=states, derivatives=derivatives,
         state_names=state_names, segments=segments, meta=meta)
+
+
+def _read_sidecar(path: Path) -> tuple[tuple[str, ...], tuple[int, ...], dict]:
+    """State names, segment starts and provenance from a dataset sidecar, if any."""
+    if not path.exists():
+        return (), (0,), {}
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path} must hold a JSON object")
+    state_names = doc.get("state_names", [])
+    segments = doc.get("segments", [0])
+    meta = doc.get("meta", {})
+    if not (isinstance(state_names, list) and all(isinstance(s, str) for s in state_names)):
+        raise DataError(f"{path}: 'state_names' must be a list of strings")
+    if not (isinstance(segments, list)
+            and all(isinstance(s, int) and not isinstance(s, bool) for s in segments)):
+        raise DataError(f"{path}: 'segments' must be a list of integers")
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: 'meta' must be a JSON object")
+    return tuple(state_names), tuple(segments), meta
 
 
 def write_pareto_csv(points: list[ParetoPoint], path: str | Path) -> Path:

@@ -6,14 +6,14 @@ total-variation regularized derivative is used: find u minimizing
     alpha * sum_i sqrt((u[i+1] - u[i])^2 + eps) + 0.5 * ||A u - (f - f[0])||^2
 
 where A is trapezoidal cumulative integration on the uniform grid.  The
-problem is solved by lagged-diffusivity fixed-point iterations; each
-inner linear system H u = Aᵀ(f - f[0]), H = AᵀA + DᵀWD, is solved by
-conjugate gradients warm-started at the current iterate, which keeps the
-smoothed objective monotonically non-increasing.  CG is preconditioned
-with the same Hessian under the rectangle rule, AᵣᵀAᵣ + DᵀWD: in the
-variable z = Aᵣu it is pentadiagonal, so each application is two first
-differences and one banded LDLᵀ solve, and an outer step takes about ten
-CG iterations instead of hundreds (Vogel & Oman 1996).
+problem is solved by lagged-diffusivity fixed-point iterations (Vogel &
+Oman 1996).  Each is a majorize-minimize step, so the smoothed objective
+does not rise; a step that rounding makes rise is dropped and ends the
+iteration.  Each step's linear system H u = Aᵀ(f - f[0]),
+H = AᵀA + DᵀWD, is solved directly: in the integrated variable z = Aᵣu
+(Aᵣ the rectangle rule) it is pentadiagonal apart from its first row and
+column, so one banded LDLᵀ factor, two banded solves and a scalar Schur
+complement give the exact step.
 
 Noise is injected as eta * Z with Z a seeded matrix of i.i.d. standard
 normal entries, i.e. eta is a standard-deviation multiplier.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -110,39 +109,26 @@ def _integrate_op(u: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _integrate_adjoint(v: np.ndarray, dt: float) -> np.ndarray:
-    sfx = np.zeros(v.shape[0] + 1)
-    sfx[:-1] = np.cumsum(v[::-1])[::-1]
-    out = dt * (sfx[1:] + 0.5 * v)
-    out[0] = 0.5 * dt * sfx[1]
+def _b_transpose(v: np.ndarray) -> np.ndarray:
+    """Bᵀv for the B of ``_tv_step``: (Bz)₀ = 0, (Bz)ᵢ = (zᵢ + zᵢ₋₁)/2 − z₀/2."""
+    out = np.empty_like(v)
+    out[0] = -0.5 * v[2:].sum()
+    out[1:-1] = 0.5 * (v[1:-1] + v[2:])
+    out[-1] = 0.5 * v[-1]
     return out
 
 
-def _diff_adjoint(w: np.ndarray) -> np.ndarray:
-    out = np.empty(w.shape[0] + 1)
-    out[0] = -w[0]
-    out[-1] = w[-1]
-    out[1:-1] = w[:-1] - w[1:]
-    return out
+def _penta_factor(diag: np.ndarray, off1: np.ndarray, off2: np.ndarray):
+    """LDLᵀ factor of the SPD pentadiagonal matrix with these diagonals.
 
-
-def _penta_factor(w: np.ndarray, dt: float):
-    """LDLᵀ factor of S = I + GᵀWG, G = D Aᵣ⁻¹, for weights ``w`` (length m-1).
-
-    Row i of G is (z[i-1] - 2 z[i] + z[i+1]) / dt with z[-1] = 0, so S is
-    pentadiagonal SPD and factors without pivoting.  Returns Python float
-    lists: 1/d, L[j+1, j] and L[j+2, j] by column j (zero past the end).
+    ``diag`` has length n, ``off1`` (entries (j, j+1)) n-1 and ``off2``
+    (entries (j, j+2)) n-2.  No pivoting.  Returns Python float lists:
+    1/d, L[j+1, j] and L[j+2, j] by column j (zero past the end).
     """
-    m = w.shape[0] + 1
-    a = np.zeros(m + 2)  # a[j + 1] = w[j] / dt², zero outside 0 <= j <= m-2
-    a[1:m] = w / (dt * dt)
-    diag = (1.0 + a[:-2] + 4.0 * a[1:-1] + a[2:]).tolist()
-    off1 = (-2.0 * (a[1:m] + a[2:m + 1])).tolist() + [0.0]
-    off2 = a[2:m].tolist() + [0.0, 0.0]
     inv_d, sub1, sub2 = [], [], []
     d1 = d2 = 0.0  # d[j-1], d[j-2]
     l1 = l2 = l2_next = 0.0  # L[j, j-1], L[j, j-2], L[j+1, j-1]
-    for s0, s1, s2 in zip(diag, off1, off2):
+    for s0, s1, s2 in zip(diag.tolist(), off1.tolist() + [0.0], off2.tolist() + [0.0, 0.0]):
         dj = s0 - l1 * l1 * d1 - l2 * l2 * d2
         l1_next = (s1 - l2_next * l1 * d1) / dj
         l2_next2 = s2 / dj
@@ -173,65 +159,49 @@ def _penta_solve(factor, y: np.ndarray) -> np.ndarray:
     return np.array(z)
 
 
-def _tv_preconditioner(w: np.ndarray, dt: float):
-    """r -> P⁻¹ r for P = AᵣᵀAᵣ + DᵀWD, Aᵣ = dt·tril(1) the rectangle rule.
+def _tv_step(w: np.ndarray, rhs: np.ndarray, dt: float) -> np.ndarray:
+    """Solve one lagged-diffusivity step (AᵀA + DᵀWD) u = Aᵀr exactly.
 
-    With z = Aᵣ u, P = Aᵣᵀ S Aᵣ (see ``_penta_factor``), and Aᵣ⁻¹ is a
-    first difference over dt, so P⁻¹ r = Aᵣ⁻¹ S⁻¹ Aᵣ⁻ᵀ r costs two
-    differences and one banded solve.
+    ``w`` holds the m-1 weights and ``rhs`` is Bᵀr (``_b_transpose``).
+    In z = Aᵣu, Aᵣ = dt·tril(1) the rectangle rule, the trapezoid
+    integral is A = B Aᵣ and Du = Gz with G = D Aᵣ⁻¹, so the step is
+    (BᵀB + GᵀWG) z = Bᵀr.  Only column 0 of B leaves the band, so rows
+    and columns 1…m-1 of that matrix are pentadiagonal SPD: they are
+    factored once, and z₀ is eliminated as a border through a scalar
+    Schur complement.  Returns u = Aᵣ⁻¹z.
     """
-    factor = _penta_factor(w, dt)
-    scale = 1.0 / (dt * dt)
+    m = rhs.shape[0]
+    a = np.zeros(m + 2)  # a[j + 1] = w[j] / dt², zero outside 0 <= j <= m-2
+    a[1:m] = w / (dt * dt)
+    # GᵀWG; row i of G is (z[i-1] - 2 z[i] + z[i+1]) / dt with z[-1] = 0
+    diag = a[:-2] + 4.0 * a[1:-1] + a[2:]
+    off1 = -2.0 * (a[1:m] + a[2:m + 1])
+    off2 = a[2:m]
+    # BᵀB on 1…m-1: ½ on the diagonal (¼ in the last row), ¼ beside it
+    band = diag[1:] + 0.5
+    band[-1] -= 0.25
+    factor = _penta_factor(band, off1[1:] + 0.25, off2[1:])
+    # the border, column 0 below the diagonal: BᵀB gives -½ (-¼ at both ends)
+    border = np.full(m - 1, -0.5)
+    border[[0, -1]] = -0.25
+    border[0] += off1[0]
+    border[1] += off2[0]
+    x = _penta_solve(factor, border)
+    y = _penta_solve(factor, rhs[1:])
+    z = np.empty(m)
+    z[0] = (rhs[0] - border @ y) / (diag[0] + 0.25 * (m - 2) - border @ x)
+    z[1:] = y - z[0] * x
+    return np.diff(z, prepend=0.0) / dt
 
-    def apply(r: np.ndarray) -> np.ndarray:
-        y = r.copy()
-        y[:-1] -= r[1:]  # Aᵣ⁻ᵀ r, times dt
-        return scale * np.diff(_penta_solve(factor, y), prepend=0.0)  # Aᵣ⁻¹ S⁻¹ y
 
-    return apply
+def tv_derivative(samples: np.ndarray, cfg: TvDiffConfig, full_output: bool = False):
+    """Total-variation regularized derivative of uniformly sampled data.
 
-
-def _pcg(apply_h, apply_p, b: np.ndarray, x0: np.ndarray, maxiter: int, rtol: float = 1e-12):
-    """Preconditioned conjugate gradients from x0; each iterate lowers the quadratic.
-
-    Returns the iterate, the number of iterations and whether ``maxiter``
-    ran out before the residual reached ``rtol * |b|``.
+    Returns the derivative estimate (same length as ``samples``); with
+    ``full_output=True`` also returns the objective value after every
+    accepted outer iteration, which is non-increasing.  Raises
+    ``DataError`` on fewer than five or on non-finite samples.
     """
-    x = x0.copy()
-    r = b - apply_h(x)
-    tol = rtol * max(np.linalg.norm(b), 1e-300)
-    if np.linalg.norm(r) <= tol:
-        return x, 0, False
-    z = apply_p(r)
-    p = z.copy()
-    rz = r @ z
-    for it in range(1, maxiter + 1):
-        hp = apply_h(p)
-        denom = p @ hp
-        if denom <= 0:
-            return x, it, False
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * hp
-        if np.linalg.norm(r) <= tol:
-            return x, it, False
-        z = apply_p(r)
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, maxiter, True
-
-
-class _TvRun(NamedTuple):
-    u: np.ndarray
-    objectives: np.ndarray   # after every accepted outer step, non-increasing
-    cg_iterations: list[int]  # per outer step, a stalled last step included
-    cg_hit_maxiter: bool     # some step's CG ran out of iterations
-    stalled: bool            # the objective rose; the previous iterate was kept
-
-
-def _tv_run(samples: np.ndarray, cfg: TvDiffConfig) -> _TvRun:
-    """``tv_derivative``'s solve, with its solver counters."""
     f = np.asarray(samples, dtype=float).ravel()
     m = f.shape[0]
     if m < 5:
@@ -241,7 +211,7 @@ def _tv_run(samples: np.ndarray, cfg: TvDiffConfig) -> _TvRun:
         raise DataError(f"non-finite sample at row {int(np.argmax(bad))}")
     dt, alpha, eps = cfg.dt, cfg.alpha, cfg.epsilon
     fhat = f - f[0]
-    atf = _integrate_adjoint(fhat, dt)
+    rhs = _b_transpose(fhat)
 
     def objective(u: np.ndarray) -> float:
         tv = np.sum(np.sqrt(np.diff(u) ** 2 + eps))
@@ -250,40 +220,18 @@ def _tv_run(samples: np.ndarray, cfg: TvDiffConfig) -> _TvRun:
 
     u = np.gradient(f, dt)
     objectives = [objective(u)]
-    cg_iterations = []
-    hit_maxiter = stalled = False
     for _ in range(cfg.iterations):
-        w = alpha / np.sqrt(np.diff(u) ** 2 + eps)
-
-        def apply_h(v: np.ndarray) -> np.ndarray:
-            return _diff_adjoint(w * np.diff(v)) + _integrate_adjoint(_integrate_op(v, dt), dt)
-
-        u_new, its, hit = _pcg(apply_h, _tv_preconditioner(w, dt), atf, u, maxiter=2 * m)
-        cg_iterations.append(its)
-        hit_maxiter |= hit
+        u_new = _tv_step(alpha / np.sqrt(np.diff(u) ** 2 + eps), rhs, dt)
         val = objective(u_new)
         if val > objectives[-1]:
-            stalled = True
             break  # numerical stall; keep the previous iterate
         u = u_new
         objectives.append(val)
-        if len(objectives) >= 2 and objectives[-2] - objectives[-1] <= 1e-14 * max(1.0, objectives[-2]):
+        if objectives[-2] - objectives[-1] <= 1e-14 * max(1.0, objectives[-2]):
             break
-    return _TvRun(u, np.array(objectives), cg_iterations, hit_maxiter, stalled)
-
-
-def tv_derivative(samples: np.ndarray, cfg: TvDiffConfig, full_output: bool = False):
-    """Total-variation regularized derivative of uniformly sampled data.
-
-    Returns the derivative estimate (same length as ``samples``); with
-    ``full_output=True`` also returns the objective value after every
-    outer iteration, which is non-increasing.  Raises ``DataError`` on
-    fewer than five or on non-finite samples.
-    """
-    run = _tv_run(samples, cfg)
     if full_output:
-        return run.u, run.objectives
-    return run.u
+        return u, np.array(objectives)
+    return u
 
 
 def add_noise(dataset: TimeSeriesDataset, spec: NoiseSpec) -> TimeSeriesDataset:
@@ -332,8 +280,11 @@ def differentiate_dataset(
         if method == "central":
             deriv[sl] = central_difference(t, X)
             continue
+        if t.shape[0] < 5:
+            raise DataError(f"tv differentiation needs at least five samples per segment; "
+                            f"the segment at rows {sl.start}..{sl.stop - 1} has {t.shape[0]}")
         steps = np.diff(t)
-        if steps.size and not np.allclose(steps, steps[0], rtol=1e-8, atol=0):
+        if not np.allclose(steps, steps[0], rtol=1e-8, atol=0):
             raise DataError("tv differentiation needs uniform sampling; resample upstream")
         cfg = dataclasses.replace(tv, dt=float(steps[0]))
         for j in range(X.shape[1]):

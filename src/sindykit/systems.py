@@ -206,6 +206,16 @@ def iterate_map(
     the trajectory with a warning, since the map diverges once outside
     [0, 1].
     """
+    ds, escaped = _iterate(spec, n_steps, noise, parameter_name)
+    if escaped:
+        warnings.warn(f"logistic iterate escaped [-0.5, 1.5] at step {ds.n_samples} "
+                      f"(mu={ds.meta['mu']}); truncating")
+    return ds
+
+
+def _iterate(spec: SystemSpec, n_steps: int, noise: NoiseSpec | None,
+             parameter_name: str) -> tuple[TimeSeriesDataset, bool]:
+    """``iterate_map``'s run, and whether an escape truncated it."""
     if spec.kind != "logistic":
         raise ConfigError("iterate_map expects a logistic system spec")
     mu = float(spec.params["mu"])
@@ -219,11 +229,11 @@ def iterate_map(
     forcing = eta * rng.standard_normal(n_steps) if eta else np.zeros(n_steps)
     xs = [x0]
     x = x0
+    escaped = False
     for k in range(n_steps):
         x = mu * x * (1.0 - x) + forcing[k]
         if not -0.5 <= x <= 1.5:
-            warnings.warn(
-                f"logistic iterate escaped [-0.5, 1.5] at step {len(xs)} (mu={mu}); truncating")
+            escaped = True
             break
         xs.append(x)
     xcol = np.array(xs)
@@ -234,7 +244,7 @@ def iterate_map(
         state_names=("x", parameter_name),
         meta={"system": "logistic", "mu": mu, "eta": eta,
               "seed": (noise.seed if noise is not None else None), "x0": x0},
-    )
+    ), escaped
 
 
 def logistic_ensemble(
@@ -250,24 +260,32 @@ def logistic_ensemble(
     Collects ``n_steps`` transitions per parameter value.  Trajectories
     that escape and truncate are continued by fresh seeded runs, each a
     new segment, so every parameter value contributes the requested
-    amount of data regardless of where the noise drives the map.
+    amount of data regardless of where the noise drives the map.  One
+    warning per call names how many runs were truncated at each mu.
     """
     runs = []
+    truncated = {}
     for i, mu in enumerate(mus):
         collected, attempt = 0, 0
         while collected < n_steps:
             spec = SystemSpec("logistic", x0=(x0,), params={"mu": float(mu)})
-            run = iterate_map(
+            run, escaped = _iterate(
                 spec,
                 n_steps - collected,
-                noise=NoiseSpec(eta=eta, target="states", seed=seed + 1000 * i + attempt),
-                parameter_name=parameter_name,
+                NoiseSpec(eta=eta, target="states", seed=seed + 1000 * i + attempt),
+                parameter_name,
             )
             runs.append(run)
+            if escaped:
+                truncated[float(mu)] = truncated.get(float(mu), 0) + 1
             collected += run.n_samples - 1
             attempt += 1
             if attempt > 10 * n_steps:
                 raise NumericalError(f"logistic ensemble stalled at mu={mu}")
+    if truncated:
+        counts = ", ".join(f"{n} at mu={mu}" for mu, n in truncated.items())
+        warnings.warn(f"logistic iterates escaped [-0.5, 1.5]: {sum(truncated.values())} "
+                      f"truncated runs restarted ({counts})")
     return concatenate(runs)
 
 

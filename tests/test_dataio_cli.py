@@ -163,6 +163,24 @@ class TestDatasetCsv:
             read_dataset_csv(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("sidecar,message", [
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"state_names": 5}', "'state_names' must be a list of strings"),
+        ('{"state_names": [1, 2]}', "'state_names' must be a list of strings"),
+        ('{"segments": "x"}', "'segments' must be a list of integers"),
+        ('{"segments": [0.5]}', "'segments' must be a list of integers"),
+        ('{"segments": [true]}', "'segments' must be a list of integers"),
+        ('{"meta": [1]}', "'meta' must be a JSON object"),
+    ])
+    def test_malformed_sidecar_is_data_error_naming_it(self, tmp_path, sidecar, message):
+        path = self._write(tmp_path, "t,x1\n0,1\n1,2\n")
+        meta = tmp_path / "d.meta.json"
+        meta.write_text(sidecar)
+        with pytest.raises(DataError, match=message) as err:
+            read_dataset_csv(path)
+        assert str(meta) in str(err.value)
+
     def test_fit_report_serializes(self):
         spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 5.0), dt=0.01)
         _, report = fit(simulate(spec), LibrarySpec(2, 2), StlsqConfig(threshold=0.05))
@@ -490,6 +508,31 @@ class TestCliErrors:
         data = write_dataset_csv(
             ds.with_(states=cols["state"], derivatives=cols["derivative"]), tmp_path / "d.csv")
         return main(["fit", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
+
+    def _generated(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", LIN2D_CFG)
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 0
+        return tmp_path / "gen" / "dataset.csv", tmp_path / "gen" / "dataset.meta.json"
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_malformed_sidecar_is_data_error(self, tmp_path, capsys, command):
+        data, sidecar = self._generated(tmp_path)
+        sidecar.write_text("{not json")
+        cfg = write_config(tmp_path / "c.json", LIN2D_CFG)
+        rc = main([command, "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert str(sidecar) in capsys.readouterr().err
+
+    def test_one_sample_segment_is_data_error_for_tv(self, tmp_path, capsys):
+        data, sidecar = self._generated(tmp_path)
+        doc = json.loads(sidecar.read_text())
+        doc["segments"] = [0, 2500]
+        sidecar.write_text(json.dumps(doc))
+        cfg = write_config(tmp_path / "c.json", dict(
+            LIN2D_CFG, differentiation={"method": "tv", "iterations": 2}))
+        rc = main(["fit", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "rows 2500..2500 has 1" in capsys.readouterr().err
 
     def test_nan_derivative_is_data_error(self, tmp_path, capsys):
         assert self._fit_csv(tmp_path, 123, "derivative", np.nan) == 3

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,32 @@ class TestLogisticEnsemble:
             ds = logistic_ensemble([3.9, 3.95], n_steps=400, eta=0.025, seed=1)
         pairs = sum(max(sl.stop - sl.start - 1, 0) for sl in ds.segment_slices())
         assert pairs == 2 * 400
+
+    def test_escapes_warn_once_per_call(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ds = logistic_ensemble([3.9, 3.95], n_steps=400, eta=0.025, seed=1)
+        assert [str(w.message) for w in caught] == [
+            "logistic iterates escaped [-0.5, 1.5]: 17 truncated runs restarted "
+            "(8 at mu=3.9, 9 at mu=3.95)"]
+        # the same runs as restarting iterate_map by hand, one warning per escape
+        runs = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for i, mu in enumerate([3.9, 3.95]):
+                collected, attempt = 0, 0
+                while collected < 400:
+                    run = iterate_map(
+                        SystemSpec("logistic", x0=(0.5,), params={"mu": mu}), 400 - collected,
+                        noise=NoiseSpec(eta=0.025, target="states", seed=1 + 1000 * i + attempt))
+                    runs.append(run)
+                    collected += run.n_samples - 1
+                    attempt += 1
+        assert len(caught) == 17
+        ref = concatenate(runs)
+        assert ds.states.tobytes() == ref.states.tobytes()
+        assert ds.times.tobytes() == ref.times.tobytes()
+        assert ds.segments == ref.segments
 
     def test_deterministic(self):
         a = logistic_ensemble([2.5, 3.0], 200, 0.01, seed=3)
