@@ -5,15 +5,21 @@ adaptive method picks its own internal steps (never past the end time),
 controls the embedded 4th/5th-order error estimate, and fills the grid by
 cubic Hermite interpolation over each accepted step; accepted step sizes
 can be recorded for step-size colouring output.
+
+Both step the state as a list of Python floats and call the right-hand
+side on it: for the few states of these systems, per-component float
+arithmetic costs a fraction of the small numpy arrays an array step would
+build per stage.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 
 __all__ = ["IntegratorConfig", "rk4_fixed", "dp45_adaptive"]
 
@@ -58,19 +64,18 @@ def rk4_fixed(f, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner).  Row i holds the
+# weights A_ij of stage i; row 7 is also the 5th-order solution B5, so stage 7
+# is f(t + h, y_new) and becomes the next step's first stage (FSAL).  E_j =
+# B5_j - B4_j weighs the embedded error estimate; E2 = 0 drops out.
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4 = 35 / 384 - 5179 / 57600, 500 / 1113 - 7571 / 16695, 125 / 192 - 393 / 640
+_E5, _E6, _E7 = -2187 / 6784 + 92097 / 339200, 11 / 84 - 187 / 2100, -1 / 40
 
 
 # Step-attempt budget of dp45_adaptive.  Accurate runs in the shipped
@@ -80,14 +85,20 @@ STEP_ATTEMPTS_PER_SAMPLE = 50
 STEP_ATTEMPTS_BASE = 10_000
 
 
-def _hermite(y0, f0, y1, f1, h, theta):
-    t2, t3 = theta * theta, theta**3
-    return (
-        (2 * t3 - 3 * t2 + 1) * y0
-        + (t3 - 2 * t2 + theta) * h * f0
-        + (-2 * t3 + 3 * t2) * y1
-        + (t3 - t2) * h * f1
-    )
+def _check_grid(x0: np.ndarray, times: np.ndarray) -> None:
+    if times.ndim != 1 or times.size == 0:
+        raise DataError(f"times must be a non-empty 1-d grid, got shape {times.shape}")
+    if x0.ndim != 1 or x0.size == 0:
+        raise DataError(f"x0 must be a non-empty 1-d state, got shape {x0.shape}")
+    for name, a in (("times", times), ("x0", x0)):
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            raise DataError(f"{name}[{bad[0]}] = {a[bad[0]]} is not finite")
+    bad = np.flatnonzero(np.diff(times) <= 0.0)
+    if bad.size:
+        i = bad[0] + 1
+        raise DataError(f"times must be strictly increasing: times[{i}] = {times[i]:.17g} "
+                        f"does not follow times[{i - 1}] = {times[i - 1]:.17g}")
 
 
 def dp45_adaptive(
@@ -100,35 +111,54 @@ def dp45_adaptive(
 ):
     """Adaptive Dormand-Prince 5(4) sampled on ``times``.
 
-    Returns (states, accepted step sizes or None).  Raises
+    Returns (states, accepted step sizes or None).  ``times`` must be a
+    finite, strictly increasing 1-d grid and ``x0`` finite, else
+    :class:`DataError` names the first bad entry.  Raises
     :class:`NumericalError` naming the time of failure if the step size
     underflows, or once the run has tried ``STEP_ATTEMPTS_PER_SAMPLE``
     steps per entry of ``times`` plus ``STEP_ATTEMPTS_BASE``: a stiff or
     runaway right-hand side would otherwise crawl on at tiny steps.
+
+    ``f`` is called once on ``x0`` and then six times per step attempt, on
+    the state as a list of Python floats, and returns a length-n sequence.
+    The stages, the error norm and the Hermite fill are summed component by
+    component on floats, so the result agrees with an array form of the
+    same method to rounding.  A step whose error estimate is not finite is
+    rejected, as is one whose stage raises ``ValueError`` (``math.sin`` of
+    an infinite state), so a run that blows up shrinks its step until the
+    underflow check or the attempt budget ends it.
     """
-    t0, t_end = float(times[0]), float(times[-1])
-    y = np.asarray(x0, dtype=float)
-    n = y.shape[0]
-    out = np.empty((len(times), n))
+    x0 = np.asarray(x0, dtype=float)
+    times = np.asarray(times, dtype=float)
+    _check_grid(x0, times)
+    grid = times.tolist()
+    n_out = len(grid)
+    t0, t_end = grid[0], grid[-1]
+    y = x0.tolist()
+    n = len(y)
+    out = np.empty((n_out, n))
     out[0] = y
     next_sample = 1
     steps: list[float] = []
 
-    k = np.empty((7, n))
-    k[0] = f(y)
+    k1 = f(y)
 
-    scale0 = abs_tol + rel_tol * np.abs(y)
-    d0 = np.sqrt(np.mean((y / scale0) ** 2))
-    d1 = np.sqrt(np.mean((k[0] / scale0) ** 2))
+    d0 = d1 = 0.0
+    for a, b in zip(y, k1):
+        scale = abs_tol + rel_tol * abs(a)
+        q0, q1 = a / scale, b / scale
+        d0 += q0 * q0
+        d1 += q1 * q1
+    d0, d1 = math.sqrt(d0 / n), math.sqrt(d1 / n)
     h = 0.01 * d0 / d1 if d1 > 1e-15 else 1e-6
     h = min(h, (t_end - t0) / 10.0) if t_end > t0 else h
     h = max(h, 1e-12)
 
     t = t0
     tiny = 16 * np.finfo(float).eps
-    budget = STEP_ATTEMPTS_PER_SAMPLE * len(times) + STEP_ATTEMPTS_BASE
+    budget = STEP_ATTEMPTS_PER_SAMPLE * n_out + STEP_ATTEMPTS_BASE
     attempts = 0
-    while t < t_end and next_sample < len(times):
+    while t < t_end and next_sample < n_out:
         if t_end - t <= tiny * max(1.0, abs(t_end)):
             break  # within rounding of the end point
         if h < tiny * max(1.0, abs(t)):
@@ -138,27 +168,44 @@ def dp45_adaptive(
                                  f"after {budget} step attempts")
         attempts += 1
         h = min(h, t_end - t)
-        for i in range(1, 7):
-            k[i] = f(y + h * (_A[i] @ k[:i]))
-        y_new = y + h * (_B5 @ k)
-        err_vec = h * ((_B5 - _B4) @ k)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean((err_vec / scale) ** 2))
+        try:
+            k2 = f([a + h * (_A21 * b) for a, b in zip(y, k1)])
+            k3 = f([a + h * (_A31 * b + _A32 * c) for a, b, c in zip(y, k1, k2)])
+            k4 = f([a + h * (_A41 * b + _A42 * c + _A43 * d)
+                    for a, b, c, d in zip(y, k1, k2, k3)])
+            k5 = f([a + h * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
+                    for a, b, c, d, e in zip(y, k1, k2, k3, k4)])
+            k6 = f([a + h * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * g)
+                    for a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [a + h * (_A71 * b + _A73 * d + _A74 * e + _A75 * g + _A76 * p)
+                     for a, b, d, e, g, p in zip(y, k1, k3, k4, k5, k6)]
+            k7 = f(y_new)
+        except ValueError:  # math.sin/math.cos of an infinite stage
+            err = math.nan
+        else:
+            err = 0.0
+            for a, b, c1, c3, c4, c5, c6, c7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                q = (h * (_E1 * c1 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6 + _E7 * c7)
+                     / (abs_tol + rel_tol * max(abs(a), abs(b))))
+                err += q * q
+            err = math.sqrt(err / n)
         if err <= 1.0:
-            f_new = k[6]  # FSAL: stage 7 is f(t+h, y_new)
-            while next_sample < len(times) and times[next_sample] <= t + h + 1e-14 * max(1.0, abs(t)):
-                theta = (times[next_sample] - t) / h
-                out[next_sample] = _hermite(y, k[0], y_new, f_new, h, min(max(theta, 0.0), 1.0))
+            while next_sample < n_out and grid[next_sample] <= t + h + 1e-14 * max(1.0, abs(t)):
+                # cubic Hermite interpolation between (y, k1) and (y_new, k7)
+                theta = min(max((grid[next_sample] - t) / h, 0.0), 1.0)
+                t2 = theta * theta
+                t3 = t2 * theta
+                w0, w1 = 2 * t3 - 3 * t2 + 1, -2 * t3 + 3 * t2
+                v0, v1 = (t3 - 2 * t2 + theta) * h, (t3 - t2) * h
+                out[next_sample] = [w0 * a + v0 * b + w1 * c + v1 * d
+                                    for a, b, c, d in zip(y, k1, y_new, k7)]
                 next_sample += 1
             t += h
-            y = y_new
-            k[0] = f_new
+            y, k1 = y_new, k7
             steps.append(h)
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:
             factor = max(0.2, 0.9 * err ** -0.2)
         h *= factor
-    while next_sample < len(times):
-        out[next_sample] = y  # grid points within rounding of t_end
-        next_sample += 1
+    out[next_sample:] = y  # grid points within rounding of t_end
     return out, (np.array(steps) if record_steps else None)

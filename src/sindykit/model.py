@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -157,6 +158,12 @@ class SparseModel:
         if any(len(t.exponents) != len(self.state_names) for t in self.terms):
             raise DataError(
                 f"every term needs one exponent per state, {len(self.state_names)} in all")
+        bad = np.argwhere(~np.isfinite(coef))
+        if bad.size:
+            row, col = bad[0]
+            raise DataError(f"coefficient {coef[row, col]} of term "
+                            f"{self.terms[row].name(self.state_names)!r} in equation "
+                            f"{col} ({self.state_names[col]!r}) is not finite")
         object.__setattr__(self, "coefficients", coef)
 
     @property
@@ -167,23 +174,44 @@ class SparseModel:
         return int(np.count_nonzero(self.coefficients))
 
     def rhs(self):
-        """Compiled right-hand-side evaluator.
+        """Right-hand side as generated straight-line float code.
 
-        Only terms that are active in some equation are evaluated, so the
-        returned callable is cheap inside integration loops.
+        The returned ``f(x)`` takes the state as a length-n sequence and
+        returns a tuple of n floats.  Only the terms active in some
+        equation appear: each is one product of state components (``x0 *
+        x2``, never ``**``) or one ``math.sin``/``math.cos`` call, and each
+        equation is one sum of coefficient times term, so inside an
+        integration loop a call costs a few float operations and no numpy
+        arrays.  It agrees with :func:`evaluate_rhs` to rounding, not bit
+        for bit: the sums run in another order, powers are products and
+        ``math.sin`` may round differently from ``np.sin``.  The source is
+        built only from integer indices and ``repr`` of the (finite)
+        coefficients; no state name or other text reaches ``exec``.
         """
-        active = np.flatnonzero(np.any(self.coefficients != 0.0, axis=1))
-        coef = self.coefficients[active, :]
-        theta = term_evaluator([self.terms[i] for i in active], self.n_states)
         n = self.n_states
+        equations = []
+        for column in self.coefficients.T:
+            parts = [_term_code(self.terms[i], repr(c))
+                     for i, c in enumerate(column.tolist()) if c != 0.0]
+            equations.append(" + ".join(parts) or "0.0")
+        source = (f"def rhs(x):\n"
+                  f"    [{', '.join(f'x{i}' for i in range(n))}] = x\n"
+                  f"    return ({''.join(f'{e}, ' for e in equations)})\n")
+        namespace = {"math": math}
+        exec(compile(source, "<SparseModel.rhs>", "exec"), namespace)
+        return namespace["rhs"]
 
-        def rhs(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            if x.shape != (n,):
-                raise DataError(f"state vector has shape {x.shape}, expected ({n},)")
-            return theta(x) @ coef
 
-        return rhs
+def _term_code(term: TermDescriptor, coef: str) -> str:
+    """``coef * term`` as source, built from the term's integers and ``coef``."""
+    if term.kind is TermKind.MONOMIAL:
+        factors = [f"x{i}" for i, e in enumerate(term.exponents) for _ in range(e)]
+        return f"{coef} * ({' * '.join(factors)})" if factors else coef
+    fn = "math.sin" if term.kind is TermKind.SINE else "math.cos"
+    arg = f"x{term.exponents.index(1)}"
+    if term.harmonic != 1:
+        arg = f"{float(term.harmonic)!r} * {arg}"
+    return f"{coef} * {fn}({arg})"
 
 
 def evaluate_rhs(model: SparseModel, x: np.ndarray) -> np.ndarray:
@@ -193,7 +221,12 @@ def evaluate_rhs(model: SparseModel, x: np.ndarray) -> np.ndarray:
     also builds the library matrix, so Θ(x) here equals the row that
     ``build_matrix`` gives for x; no data matrix is formed.
     """
-    return model.rhs()(x)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.n_states,):
+        raise DataError(f"state vector has shape {x.shape}, expected ({model.n_states},)")
+    active = np.flatnonzero(np.any(model.coefficients != 0.0, axis=1))
+    theta = term_evaluator([model.terms[i] for i in active], model.n_states)
+    return theta(x) @ model.coefficients[active, :]
 
 
 def support(model: SparseModel) -> set[tuple[str, int]]:

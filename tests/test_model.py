@@ -18,7 +18,7 @@ from sindykit import (
     render_table,
     support,
 )
-from sindykit.model import default_state_names, parse_table
+from sindykit.model import default_state_names, parse_table, term_evaluator
 
 
 def linear_model(coeffs, names=("x", "y")):
@@ -113,6 +113,75 @@ class TestEvaluateRhs:
         terms = (TermDescriptor(TermKind.SINE, (1,), 2),)
         m = SparseModel(terms, np.array([[3.0]]), ("x",))
         assert np.isclose(evaluate_rhs(m, np.array([0.25]))[0], 3.0 * np.sin(0.5))
+
+
+
+def _sparse_model(spec, names, seed, zero_equation=None):
+    """A model on ``spec``'s terms with about a third of its coefficients set."""
+    rng = np.random.default_rng(seed)
+    terms = enumerate_terms(spec)
+    shape = (len(terms), len(names))
+    coef = rng.standard_normal(shape) * (rng.random(shape) < 0.35)
+    if zero_equation is not None:
+        coef[:, zero_equation] = 0.0
+    return SparseModel(terms, coef, names)
+
+
+class TestGeneratedRhs:
+    """``SparseModel.rhs`` is generated float code; it must agree with the
+    term evaluator's Θ(x) @ coefficients to rounding."""
+
+    @pytest.mark.parametrize("spec, names, zero_equation", [
+        # constant, cubic, sin/cos at harmonics 1 and 2, and an all-zero equation
+        (LibrarySpec(3, 3, trig_harmonics=frozenset({1, 2})), ("x", "y", "z"), 1),
+        (LibrarySpec(1, 5, trig_harmonics=frozenset({2})), ("x",), None),
+        (LibrarySpec(10, 2), default_state_names(10), None),  # x9 and later in the source
+    ])
+    def test_equals_the_term_evaluator_to_rounding(self, spec, names, zero_equation):
+        model = _sparse_model(spec, names, seed=len(names), zero_equation=zero_equation)
+        active = np.flatnonzero(np.any(model.coefficients != 0.0, axis=1))
+        assert any(model.terms[i].kind is not TermKind.MONOMIAL for i in active) == bool(
+            spec.trig_harmonics)
+        theta = term_evaluator([model.terms[i] for i in active], model.n_states)
+        coef = model.coefficients[active]
+        f = model.rhs()
+        X = 2.0 * np.random.default_rng(1).standard_normal((200, model.n_states))
+        for x in X:
+            got = np.array(f(x.tolist()))
+            assert got.shape == (model.n_states,) and got.dtype == float
+            row = theta(x)
+            # each equation is one sum: its rounding is bounded by the sum of |terms|
+            scale = np.abs(row) @ np.abs(coef)
+            assert np.all(np.abs(got - row @ coef) <= 4 * np.finfo(float).eps * scale)
+            if zero_equation is not None:
+                assert got[zero_equation] == 0.0
+
+    def test_hostile_state_names_do_not_reach_the_source(self):
+        spec = LibrarySpec(3, 2, trig_harmonics=frozenset({1}))
+        plain = _sparse_model(spec, ("x", "y", "z"), seed=3)
+        hostile = SparseModel(plain.terms, plain.coefficients,
+                              ("x'\"", "__import__('os').system('false')", "z\n)\nraise SystemExit"))
+        f, g = plain.rhs(), hostile.rhs()
+        for attr in ("co_code", "co_consts", "co_names", "co_varnames"):
+            assert getattr(f.__code__, attr) == getattr(g.__code__, attr)
+        assert f([0.5, -1.5, 2.0]) == g([0.5, -1.5, 2.0])
+
+
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_names_the_term_and_equation(self, bad):
+        coef = np.eye(2)
+        coef[1, 0] = bad
+        with pytest.raises(DataError, match=r"term 'y' in equation 0 \('x'\) is not finite"):
+            linear_model(coef)
+
+    def test_model_file_with_nan_is_a_data_error(self):
+        doc = json.loads(model_to_json(lorenz_true_model()))
+        doc["coefficients"][4][2] = float("nan")
+        text = json.dumps(doc)  # writes NaN, which json.loads reads back
+        assert "NaN" in text
+        with pytest.raises(DataError, match="in equation 2 \\('z'\\) is not finite"):
+            model_from_json(text)
 
 
 class TestRenderTable:

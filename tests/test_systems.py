@@ -10,7 +10,10 @@ from sindykit import (
     NumericalError,
     IntegratorConfig,
     NoiseSpec,
+    SparseModel,
     SystemSpec,
+    TermDescriptor,
+    TermKind,
     augment_parameter,
     augment_signal,
     augment_time,
@@ -171,6 +174,78 @@ def _rk4_arrays(f, x0, times):
     return out
 
 
+
+# Dormand-Prince 5(4) tableau for the array form below
+_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+
+
+def _dp45_arrays(f, x0, times, abs_tol, rel_tol):
+    """Dormand-Prince stepping the state as a numpy array: the reference for
+    ``dp45_adaptive``.  Returns the states and the accepted step sizes."""
+    def hermite(y0, f0, y1, f1, h, theta):
+        t2, t3 = theta * theta, theta**3
+        return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + theta) * h * f0
+                + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * h * f1)
+
+    t0, t_end = float(times[0]), float(times[-1])
+    y = np.asarray(x0, dtype=float)
+    out = np.empty((len(times), y.shape[0]))
+    out[0] = y
+    next_sample, steps = 1, []
+    k = np.empty((7, y.shape[0]))
+    k[0] = f(y)
+    scale0 = abs_tol + rel_tol * np.abs(y)
+    d0 = np.sqrt(np.mean((y / scale0) ** 2))
+    d1 = np.sqrt(np.mean((k[0] / scale0) ** 2))
+    h = 0.01 * d0 / d1 if d1 > 1e-15 else 1e-6
+    h = max(min(h, (t_end - t0) / 10.0), 1e-12)
+    t = t0
+    tiny = 16 * np.finfo(float).eps
+    while t < t_end and next_sample < len(times):
+        if t_end - t <= tiny * max(1.0, abs(t_end)):
+            break
+        h = min(h, t_end - t)
+        for i in range(1, 7):
+            k[i] = f(y + h * (_A[i] @ k[:i]))
+        y_new = y + h * (_B5 @ k)
+        err_vec = h * ((_B5 - _B4) @ k)
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = np.sqrt(np.mean((err_vec / scale) ** 2))
+        if err <= 1.0:
+            while (next_sample < len(times)
+                   and times[next_sample] <= t + h + 1e-14 * max(1.0, abs(t))):
+                theta = (times[next_sample] - t) / h
+                out[next_sample] = hermite(y, k[0], y_new, k[6], h, min(max(theta, 0.0), 1.0))
+                next_sample += 1
+            t += h
+            y = y_new
+            k[0] = k[6]
+            steps.append(h)
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        else:
+            factor = max(0.2, 0.9 * err ** -0.2)
+        h *= factor
+    out[next_sample:] = y
+    return out, np.array(steps)
+
+
+def _counted(f, calls):
+    def counted(x):
+        calls.append(1)
+        return f(x)
+    return counted
+
+
 _CONTINUOUS_SPECS = {
     "linear2d": SystemSpec("linear2d", x0=(2.0, 0.0)),
     "cubic2d": SystemSpec("cubic2d", x0=(2.0, 0.0)),
@@ -224,6 +299,70 @@ class TestFloatStepping:
         output = ds.times.nbytes + ds.states.nbytes + ds.derivatives.nbytes
         # array stepping and a derivative loop with an array per sample peaked at 4.1x
         assert peak < 2.5 * output
+
+
+    @pytest.mark.parametrize("kind, tol", [("linear3d", 1e-10), ("hopf", 1e-10), ("hopf", 1e-6)])
+    def test_dp45_matches_array_stepping(self, kind, tol):
+        spec = _CONTINUOUS_SPECS[kind]
+        f = system_rhs(spec)
+        times = np.arange(0.0, 25.005, 0.01)
+        calls, array_calls = [], []
+        out, steps = dp45_adaptive(_counted(f, calls), spec.x0, times, tol, tol,
+                                   record_steps=True)
+        expected, expected_steps = _dp45_arrays(
+            _counted(lambda x: np.array(f(x)), array_calls), spec.x0, times, tol, tol)
+        assert len(calls) == len(array_calls)  # the same number of step attempts
+        assert len(steps) == len(expected_steps)
+        assert np.all(np.abs(out - expected) <= 1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("times, message", [
+        ([0.0, -1.0], r"times\[1\] = -1 does not follow times\[0\] = 0"),
+        ([0.0, 2.0, 1.0], r"times\[2\] = 1 does not follow times\[1\] = 2"),
+        ([0.0, 1.0, 1.0], r"times\[2\] = 1 does not follow"),
+        ([0.0, np.nan, 1.0], r"times\[1\] = nan is not finite"),
+        ([0.0, 1.0, np.inf], r"times\[2\] = inf is not finite"),
+        ([[0.0, 1.0]], "1-d grid"),
+        ([], "non-empty"),
+    ], ids=["decreasing", "step-back", "repeated", "nan", "inf", "2-d", "empty"])
+    def test_dp45_rejects_a_grid_that_is_not_increasing(self, times, message):
+        with pytest.raises(DataError, match=message):
+            dp45_adaptive(lambda x: [-x[0]], [1.0], np.array(times))
+
+    def test_dp45_rejects_a_non_finite_start(self):
+        with pytest.raises(DataError, match=r"x0\[1\] = nan is not finite"):
+            dp45_adaptive(lambda x: [x[1], -x[0]], [1.0, np.nan], np.linspace(0.0, 1.0, 5))
+
+    def test_dp45_on_a_single_point_returns_the_start(self):
+        out, steps = dp45_adaptive(lambda x: [1.0], [2.0], np.array([0.5]), record_steps=True)
+        assert out.tolist() == [[2.0]] and steps.size == 0
+
+    @pytest.mark.parametrize("z0, stage_raises", [(27.0, False), (1e160, True)])
+    def test_model_blowing_up_through_a_trig_term_is_a_numerical_error(self, z0, stage_raises):
+        # Lorenz plus sin(x), cos(2y) and z^2 terms.  From z = 27 the run escapes
+        # near t = 1/27 and its step size underflows.  From z = 1e160 the first
+        # slope overflows, the stages are infinite and math.cos raises
+        # ValueError (np.cos gave nan): each such attempt is rejected likewise.
+        mono = lambda *e: TermDescriptor(TermKind.MONOMIAL, e)
+        terms = (mono(1, 0, 0), mono(0, 1, 0), mono(0, 0, 1), mono(1, 1, 0), mono(1, 0, 1),
+                 mono(0, 0, 2), TermDescriptor(TermKind.SINE, (1, 0, 0), 1),
+                 TermDescriptor(TermKind.COSINE, (0, 1, 0), 2))
+        coef = np.zeros((len(terms), 3))
+        coef[0, 0], coef[1, 0], coef[6, 0] = -10.0, 10.0, 1.0
+        coef[0, 1], coef[1, 1], coef[4, 1], coef[7, 1] = 28.0, -1.0, -1.0, 1.0
+        coef[2, 2], coef[3, 2], coef[5, 2] = -8.0 / 3.0, 1.0, 1.0
+        f = SparseModel(terms, coef, ("x", "y", "z")).rhs()
+        raised = []
+
+        def watched(x):
+            try:
+                return f(x)
+            except ValueError:
+                raised.append(x)
+                raise
+
+        with pytest.raises(NumericalError, match="step size underflow at t="):
+            dp45_adaptive(watched, [-8.0, 7.0, z0], np.arange(0.0, 1.0, 0.01), 1e-9, 1e-9)
+        assert bool(raised) == stage_raises
 
 
 class TestIterateMap:
