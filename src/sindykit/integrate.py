@@ -47,9 +47,10 @@ def rk4_fixed(f, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
     array step would build per stage, and each component is summed in the
     array form's order, ``x + (0.5*h)*k`` and
     ``x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, so the result is the same
-    bit for bit.  Each step is written into the returned array.
+    bit for bit.  Each step is written into the returned array.  ``times``
+    and ``x0`` are checked as in :func:`dp45_adaptive`.
     """
-    x = np.asarray(x0, dtype=float).tolist()
+    x, times = _check_grid(x0, times)
     out = np.empty((len(times), len(x)))
     out[0] = x
     for i, h in enumerate(np.diff(times).tolist(), 1):
@@ -85,7 +86,8 @@ STEP_ATTEMPTS_PER_SAMPLE = 50
 STEP_ATTEMPTS_BASE = 10_000
 
 
-def _check_grid(x0: np.ndarray, times: np.ndarray) -> None:
+def _check_grid(x0, times) -> tuple[list[float], np.ndarray]:
+    x0, times = np.asarray(x0, dtype=float), np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise DataError(f"times must be a non-empty 1-d grid, got shape {times.shape}")
     if x0.ndim != 1 or x0.size == 0:
@@ -99,6 +101,7 @@ def _check_grid(x0: np.ndarray, times: np.ndarray) -> None:
         i = bad[0] + 1
         raise DataError(f"times must be strictly increasing: times[{i}] = {times[i]:.17g} "
                         f"does not follow times[{i - 1}] = {times[i - 1]:.17g}")
+    return x0.tolist(), times
 
 
 def dp45_adaptive(
@@ -128,13 +131,10 @@ def dp45_adaptive(
     an infinite state), so a run that blows up shrinks its step until the
     underflow check or the attempt budget ends it.
     """
-    x0 = np.asarray(x0, dtype=float)
-    times = np.asarray(times, dtype=float)
-    _check_grid(x0, times)
+    y, times = _check_grid(x0, times)
     grid = times.tolist()
     n_out = len(grid)
     t0, t_end = grid[0], grid[-1]
-    y = x0.tolist()
     n = len(y)
     out = np.empty((n_out, n))
     out[0] = y

@@ -2,9 +2,9 @@
 
 Builds the data matrix whose columns are candidate nonlinear functions
 (monomials up to a configured order, optional per-variable harmonics)
-evaluated at every sample, plus its single-state row.  Both evaluate the
-terms through :func:`sindykit.model.term_evaluator`, which
-``SparseModel.rhs`` shares when simulating identified models.
+evaluated at every sample, plus its single-state row.  Both run
+:func:`sindykit.model.term_evaluator`, numpy code generated from the term
+source that ``SparseModel.rhs`` compiles to float code for simulation.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .model import TermDescriptor, TermKind, term_evaluator
 __all__ = ["LibrarySpec", "LibraryMatrix", "enumerate_terms", "build_matrix", "evaluate_terms"]
 
 MAX_POLY_ORDER = 8  # bounds library width; nothing in the test corpus exceeds 5
-_BLOCK_ROWS = 1024  # rows evaluated at a time, so the gathered table stays a few MB
+_BLOCK_ROWS = 1024  # rows evaluated at a time, so a block's powers stay a few hundred kB
 
 
 @dataclass(frozen=True)

@@ -93,35 +93,46 @@ class TermDescriptor:
 
 
 def term_evaluator(terms, n_states: int):
-    """Compile a term sequence into a callable from states (..., n_states) to
-    term values (..., len(terms)), written to ``out`` if given; the callable
-    does not check its input.  A term multiplies column e * c of each state's
-    row [x^0 ... x^d, sin(k x) ..., cos(k x) ...], e its exponent there: c is 1
-    for monomials, else the term's sin/cos column."""
+    """Compile a term sequence into a callable from states (m, n_states) to term
+    values (m, len(terms)), written to ``out`` if given; one state (n_states,)
+    runs as a one-row matrix and gives that row.  The callable does not check its
+    input.  It is straight-line numpy code: each power ``x ** e`` (e >= 2) a term
+    uses is computed once, then column j is :func:`_term_source` of term j."""
     terms = tuple(terms)
     if any(len(t.exponents) != n_states for t in terms):
         raise DataError(f"a state of length {n_states} does not match the terms' exponents")
-    degree = max((e for t in terms for e in t.exponents), default=0)
-    harmonics = sorted({t.harmonic for t in terms} - {0})
-    trig = [(kind, h) for kind in (TermKind.SINE, TermKind.COSINE) for h in harmonics]
-    width = degree + 1 + len(trig)
-    c = {(TermKind.MONOMIAL, 0): 1} | {key: degree + 1 + j for j, key in enumerate(trig)}
-    index = np.array([[i * width + e * c[t.kind, t.harmonic] for i, e in enumerate(t.exponents)]
-                      for t in terms], dtype=np.intp).reshape(len(terms), n_states)
-    k = np.array(harmonics, dtype=float)
+    powers = sorted({(i, e) for t in terms for i, e in enumerate(t.exponents) if e >= 2})
+    power = lambda i, e: f"x{i}_{e}" if e >= 2 else f"x{i}"
+    block = _compile("theta", "X, out", [f"x{i} = X[:, {i}]" for i in range(n_states)]
+                     + [f"x{i}_{e} = x{i} ** {e}" for i, e in powers]
+                     + [f"out[:, {j}] = {_term_source(t, power)}" for j, t in enumerate(terms)]
+                     + ["return out"], {"sin": np.sin, "cos": np.cos})
 
     def theta(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        table = np.empty((*X.shape, width))
-        table[..., 0] = 1.0
-        for e in range(1, degree + 1):
-            table[..., e] = X if e == 1 else X ** e  # X ** 1 is the same, and slower
-        if trig:
-            kx = X[..., None] * k
-            table[..., degree + 1:] = np.concatenate((np.sin(kx), np.cos(kx)), axis=-1)
-        gathered = table.reshape(*X.shape[:-1], -1).take(index, axis=-1)
-        return np.multiply.reduce(gathered, axis=-1, out=out)
+        if X.ndim == 1:
+            return theta(X[None])[0]
+        return block(X, np.empty((len(X), len(terms))) if out is None else out)
 
     return theta
+
+
+def _term_source(term: TermDescriptor, power) -> str:
+    """The term as source over states ``x0, x1, ...``: the left-to-right product
+    of ``power(i, e)`` over its states, ``1.0`` for the constant, or
+    ``sin``/``cos`` of ``k * x``.  Built only from the term's integers."""
+    if term.kind is TermKind.MONOMIAL:
+        factors = [power(i, e) for i, e in enumerate(term.exponents) if e]
+        return f"({' * '.join(factors)})" if factors else "1.0"
+    fn = "sin" if term.kind is TermKind.SINE else "cos"
+    k = "" if term.harmonic == 1 else f"{term.harmonic} * "
+    return f"{fn}({k}x{term.exponents.index(1)})"
+
+
+def _compile(name: str, args: str, lines: list[str], namespace: dict):
+    """Define ``name(args)`` with body ``lines`` in ``namespace`` and return it."""
+    source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in lines)
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -178,8 +189,9 @@ class SparseModel:
 
         The returned ``f(x)`` takes the state as a length-n sequence and
         returns a tuple of n floats.  Only the terms active in some
-        equation appear: each is one product of state components (``x0 *
-        x2``, never ``**``) or one ``math.sin``/``math.cos`` call, and each
+        equation appear, rendered by :func:`_term_source` as for Θ: each is one
+        product of states (``x0 * x2``, never ``**``, which overflows on
+        floats) or one ``math.sin``/``math.cos`` call, and each
         equation is one sum of coefficient times term, so inside an
         integration loop a call costs a few float operations and no numpy
         arrays.  It agrees with :func:`evaluate_rhs` to rounding, not bit
@@ -188,30 +200,16 @@ class SparseModel:
         built only from integer indices and ``repr`` of the (finite)
         coefficients; no state name or other text reaches ``exec``.
         """
-        n = self.n_states
+        product = lambda i, e: " * ".join([f"x{i}"] * e)
         equations = []
         for column in self.coefficients.T:
-            parts = [_term_code(self.terms[i], repr(c))
-                     for i, c in enumerate(column.tolist()) if c != 0.0]
+            parts = [f"{c!r} * {_term_source(self.terms[j], product)}"
+                     for j, c in enumerate(column.tolist()) if c != 0.0]
             equations.append(" + ".join(parts) or "0.0")
-        source = (f"def rhs(x):\n"
-                  f"    [{', '.join(f'x{i}' for i in range(n))}] = x\n"
-                  f"    return ({''.join(f'{e}, ' for e in equations)})\n")
-        namespace = {"math": math}
-        exec(compile(source, "<SparseModel.rhs>", "exec"), namespace)
-        return namespace["rhs"]
-
-
-def _term_code(term: TermDescriptor, coef: str) -> str:
-    """``coef * term`` as source, built from the term's integers and ``coef``."""
-    if term.kind is TermKind.MONOMIAL:
-        factors = [f"x{i}" for i, e in enumerate(term.exponents) for _ in range(e)]
-        return f"{coef} * ({' * '.join(factors)})" if factors else coef
-    fn = "math.sin" if term.kind is TermKind.SINE else "math.cos"
-    arg = f"x{term.exponents.index(1)}"
-    if term.harmonic != 1:
-        arg = f"{float(term.harmonic)!r} * {arg}"
-    return f"{coef} * {fn}({arg})"
+        states = ", ".join(f"x{i}" for i in range(self.n_states))
+        values = "".join(f"{e}, " for e in equations)  # a tuple even for one equation
+        return _compile("rhs", "x", [f"[{states}] = x", f"return ({values})"],
+                        {"sin": math.sin, "cos": math.cos})
 
 
 def evaluate_rhs(model: SparseModel, x: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .regression import (FitReport, LassoConfig, RegressionProblem, StlsqConfig,
                          _regression_problem, _solve, _with_sparsity)
 
 __all__ = ["ParetoPoint", "split", "sweep", "pick_elbow"]
+SPLIT_BLOCKS = 20  # contiguous blocks the "blocks" split policy draws from
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ def split(
     fraction: float,
     policy: str = "tail",
     seed: int = 0,
-    n_blocks: int = 20,
 ) -> tuple[TimeSeriesDataset, TimeSeriesDataset]:
     """Disjoint, exhaustive train/validation split.
 
@@ -59,7 +59,7 @@ def split(
         mask = np.zeros(m, dtype=bool)
         mask[cut:] = True
     else:
-        n_blocks = min(n_blocks, m)
+        n_blocks = min(SPLIT_BLOCKS, m)
         edges = np.linspace(0, m, n_blocks + 1).astype(int)
         order = np.random.default_rng(seed).permutation(n_blocks)
         mask = np.zeros(m, dtype=bool)

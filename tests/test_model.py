@@ -11,6 +11,7 @@ from sindykit import (
     TermDescriptor,
     TermKind,
     TimeSeriesDataset,
+    build_matrix,
     enumerate_terms,
     evaluate_rhs,
     model_from_json,
@@ -150,11 +151,31 @@ class TestGeneratedRhs:
             got = np.array(f(x.tolist()))
             assert got.shape == (model.n_states,) and got.dtype == float
             row = theta(x)
+            assert row.shape == (len(active),)  # one state gives one row
             # each equation is one sum: its rounding is bounded by the sum of |terms|
             scale = np.abs(row) @ np.abs(coef)
             assert np.all(np.abs(got - row @ coef) <= 4 * np.finfo(float).eps * scale)
             if zero_equation is not None:
                 assert got[zero_equation] == 0.0
+
+    @pytest.mark.parametrize("names", [
+        ("xxyyy", "xxxxx", "sin(2x)", "cos(2y)"), ("xxyyy",), ("1", "y", "xxxxx"),
+        ("xxyy", "xyyy", "cos(2y)")])
+    def test_a_subset_of_terms_gives_the_library_row(self, names):
+        # the subset needs fewer of the powers the library shares among its
+        # terms, and must still give the library's values bit for bit
+        spec = LibrarySpec(2, 5, trig_harmonics=frozenset({2}))
+        terms = enumerate_terms(spec)
+        labels = [t.name(("x", "y")) for t in terms]
+        active = sorted(labels.index(n) for n in names)
+        rng = np.random.default_rng(len(names))
+        coef = np.zeros((len(terms), 2))
+        coef[active] = rng.standard_normal((len(active), 2))
+        model = SparseModel(terms, coef, ("x", "y"))
+        for x in 1.5 * rng.standard_normal((50, 2)):
+            row = build_matrix(spec, x[None]).values[0]
+            expected = row[active] @ coef[active]
+            assert evaluate_rhs(model, x).tobytes() == expected.tobytes()
 
     def test_hostile_state_names_do_not_reach_the_source(self):
         spec = LibrarySpec(3, 2, trig_harmonics=frozenset({1}))
