@@ -376,11 +376,11 @@ def _write_run_report(out: Path, command: str, cfg: dict, seed: int,
     return path
 
 
-def error_curve(reference: np.ndarray, f_model, grid: np.ndarray,
-                abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> np.ndarray:
+def error_curve(reference: np.ndarray, f_model, grid: np.ndarray) -> np.ndarray:
     """Pointwise L2 distance between a reference trajectory sampled on
-    ``grid`` and the simulation of ``f_model`` from its first state."""
-    xm, _ = dp45_adaptive(f_model, reference[0], grid, abs_tol, rel_tol)
+    ``grid`` and the simulation of ``f_model`` from its first state, at
+    the truth's tolerances (1e-10 absolute and relative)."""
+    xm, _ = dp45_adaptive(f_model, reference[0], grid, 1e-10, 1e-10)
     return np.linalg.norm(reference - xm, axis=1)
 
 

@@ -10,10 +10,9 @@ problem is solved by lagged-diffusivity fixed-point iterations (Vogel &
 Oman 1996).  Each is a majorize-minimize step, so the smoothed objective
 does not rise; a step that rounding makes rise is dropped and ends the
 iteration.  Each step's linear system H u = Aᵀ(f - f[0]),
-H = AᵀA + DᵀWD, is solved directly: in the integrated variable z = Aᵣu
-(Aᵣ the rectangle rule) it is pentadiagonal apart from its first row and
-column, so one banded LDLᵀ factor, two banded solves and a scalar Schur
-complement give the exact step.
+H = AᵀA + DᵀWD, is solved directly: in the shifted integral
+s = Aᵣu - (dt/2) u[0] (Aᵣ the rectangle rule) it is pentadiagonal SPD,
+so one banded LDLᵀ solve gives the exact step.
 
 Noise is injected as eta * Z with Z a seeded matrix of i.i.d. standard
 normal entries, i.e. eta is a standard-deviation multiplier.
@@ -110,88 +109,70 @@ def _integrate_op(u: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _b_transpose(v: np.ndarray) -> np.ndarray:
-    """Bᵀv for the B of ``_tv_step``: (Bz)₀ = 0, (Bz)ᵢ = (zᵢ + zᵢ₋₁)/2 − z₀/2."""
+    """Bᵀv for the B of ``_tv_step``: (Bs)₀ = 0, (Bs)ᵢ = (sᵢ + sᵢ₋₁)/2."""
     out = np.empty_like(v)
-    out[0] = -0.5 * v[2:].sum()
+    out[0] = 0.5 * v[1]
     out[1:-1] = 0.5 * (v[1:-1] + v[2:])
     out[-1] = 0.5 * v[-1]
     return out
 
 
-def _penta_factor(diag: np.ndarray, off1: np.ndarray, off2: np.ndarray):
-    """LDLᵀ factor of the SPD pentadiagonal matrix with these diagonals.
+def _penta_solve(diag: np.ndarray, off1: np.ndarray, off2: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+    """Solve S x = y for the SPD pentadiagonal S with these diagonals.
 
     ``diag`` has length n, ``off1`` (entries (j, j+1)) n-1 and ``off2``
-    (entries (j, j+2)) n-2.  No pivoting.  Returns Python float lists:
-    1/d, L[j+1, j] and L[j+2, j] by column j (zero past the end).
+    (entries (j, j+2)) n-2.  LDLᵀ without pivoting: one loop factors and
+    substitutes forward, a second substitutes back.
     """
-    inv_d, sub1, sub2 = [], [], []
+    vd, sub1, sub2 = [], [], []  # v[j]/d[j], L[j+1, j], L[j+2, j]
     d1 = d2 = 0.0  # d[j-1], d[j-2]
     l1 = l2 = l2_next = 0.0  # L[j, j-1], L[j, j-2], L[j+1, j-1]
-    for s0, s1, s2 in zip(diag.tolist(), off1.tolist() + [0.0], off2.tolist() + [0.0, 0.0]):
+    b1 = b2 = 0.0  # v[j-1], v[j-2]
+    for s0, s1, s2, yj in zip(diag.tolist(), off1.tolist() + [0.0],
+                              off2.tolist() + [0.0, 0.0], y.tolist()):
         dj = s0 - l1 * l1 * d1 - l2 * l2 * d2
+        c = yj - l1 * b1 - l2 * b2
         l1_next = (s1 - l2_next * l1 * d1) / dj
         l2_next2 = s2 / dj
-        inv_d.append(1.0 / dj)
+        vd.append(c * (1.0 / dj))
         sub1.append(l1_next)
         sub2.append(l2_next2)
         d2, d1 = d1, dj
         l1, l2, l2_next = l1_next, l2_next, l2_next2
-    return inv_d, sub1, sub2
-
-
-def _penta_solve(factor, y: np.ndarray) -> np.ndarray:
-    """Solve S z = y with a factor from ``_penta_factor``."""
-    inv_d, sub1, sub2 = factor
-    v = []
-    b2 = b1 = 0.0  # v[j-2], v[j-1]
-    for yj, l1, l2 in zip(y.tolist(), [0.0] + sub1[:-1], [0.0, 0.0] + sub2[:-2]):
-        c = yj - l1 * b1 - l2 * b2
-        v.append(c)
         b2, b1 = b1, c
-    z = []
-    b2 = b1 = 0.0  # z[j+2], z[j+1]
-    for vj, idj, l1, l2 in zip(reversed(v), reversed(inv_d), reversed(sub1), reversed(sub2)):
-        c = vj * idj - l1 * b1 - l2 * b2
-        z.append(c)
+    x = []
+    b2 = b1 = 0.0  # x[j+2], x[j+1]
+    for vdj, l1, l2 in zip(reversed(vd), reversed(sub1), reversed(sub2)):
+        c = vdj - l1 * b1 - l2 * b2
+        x.append(c)
         b2, b1 = b1, c
-    z.reverse()
-    return np.array(z)
+    x.reverse()
+    return np.array(x)
 
 
 def _tv_step(w: np.ndarray, rhs: np.ndarray, dt: float) -> np.ndarray:
     """Solve one lagged-diffusivity step (AᵀA + DᵀWD) u = Aᵀr exactly.
 
     ``w`` holds the m-1 weights and ``rhs`` is Bᵀr (``_b_transpose``).
-    In z = Aᵣu, Aᵣ = dt·tril(1) the rectangle rule, the trapezoid
-    integral is A = B Aᵣ and Du = Gz with G = D Aᵣ⁻¹, so the step is
-    (BᵀB + GᵀWG) z = Bᵀr.  Only column 0 of B leaves the band, so rows
-    and columns 1…m-1 of that matrix are pentadiagonal SPD: they are
-    factored once, and z₀ is eliminated as a border through a scalar
-    Schur complement.  Returns u = Aᵣ⁻¹z.
+    In s = Aᵣu - (dt/2)·u₀, Aᵣ = dt·tril(1) the rectangle rule, so that
+    s₀ = dt·u₀/2 and sᵢ = sᵢ₋₁ + dt·uᵢ, the trapezoid integral is Au = Bs
+    and Du = Gs: row 0 of G is (-3, 1)/dt, every other row (1, -2, 1)/dt.
+    The step (BᵀB + GᵀWG) s = Bᵀr is pentadiagonal SPD, solved by one
+    banded LDLᵀ.  Returns u = diff(s, prepend=-s₀)/dt.
     """
     m = rhs.shape[0]
-    a = np.zeros(m + 2)  # a[j + 1] = w[j] / dt², zero outside 0 <= j <= m-2
+    a = np.zeros(m + 2)  # a[i + 1] = w[i] / dt², zero outside 0 <= i <= m-2
     a[1:m] = w / (dt * dt)
-    # GᵀWG; row i of G is (z[i-1] - 2 z[i] + z[i+1]) / dt with z[-1] = 0
-    diag = a[:-2] + 4.0 * a[1:-1] + a[2:]
-    off1 = -2.0 * (a[1:m] + a[2:m + 1])
-    off2 = a[2:m]
-    # BᵀB on 1…m-1: ½ on the diagonal (¼ in the last row), ¼ beside it
-    band = diag[1:] + 0.5
-    band[-1] -= 0.25
-    factor = _penta_factor(band, off1[1:] + 0.25, off2[1:])
-    # the border, column 0 below the diagonal: BᵀB gives -½ (-¼ at both ends)
-    border = np.full(m - 1, -0.5)
-    border[[0, -1]] = -0.25
-    border[0] += off1[0]
-    border[1] += off2[0]
-    x = _penta_solve(factor, border)
-    y = _penta_solve(factor, rhs[1:])
-    z = np.empty(m)
-    z[0] = (rhs[0] - border @ y) / (diag[0] + 0.25 * (m - 2) - border @ x)
-    z[1:] = y - z[0] * x
-    return np.diff(z, prepend=0.0) / dt
+    # GᵀWG as if every row were (1, -2, 1), then row 0's (-3, 1) in place
+    # of (-2, 1); BᵀB adds ½ on the diagonal (¼ at both ends), ¼ beside it
+    diag = a[:-2] + 4.0 * a[1:-1] + a[2:] + 0.5
+    diag[[0, -1]] -= 0.25
+    diag[0] += 5.0 * a[1]
+    off1 = 0.25 - 2.0 * (a[1:m] + a[2:m + 1])
+    off1[0] -= a[1]
+    s = _penta_solve(diag, off1, a[2:m], rhs)
+    return np.diff(s, prepend=-s[0]) / dt
 
 
 def tv_derivative(samples: np.ndarray, cfg: TvDiffConfig, full_output: bool = False):

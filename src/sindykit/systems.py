@@ -196,26 +196,14 @@ def iterate_map(
     spec: SystemSpec,
     n_steps: int,
     noise: NoiseSpec | None = None,
-    parameter_name: str = "r",
 ) -> TimeSeriesDataset:
     """Iterate the stochastically forced logistic map.
 
     The parameter is stored as an appended constant state column (named
-    ``parameter_name``) so ensembles over several parameter values can be
-    concatenated and fit jointly.  Iterates escaping [-0.5, 1.5] truncate
-    the trajectory with a warning, since the map diverges once outside
-    [0, 1].
+    ``r``) so ensembles over several parameter values can be concatenated
+    and fit jointly.  Iterates escaping [-0.5, 1.5] truncate the
+    trajectory with a warning, since the map diverges once outside [0, 1].
     """
-    ds, escaped = _iterate(spec, n_steps, noise, parameter_name)
-    if escaped:
-        warnings.warn(f"logistic iterate escaped [-0.5, 1.5] at step {ds.n_samples} "
-                      f"(mu={ds.meta['mu']}); truncating")
-    return ds
-
-
-def _iterate(spec: SystemSpec, n_steps: int, noise: NoiseSpec | None,
-             parameter_name: str) -> tuple[TimeSeriesDataset, bool]:
-    """``iterate_map``'s run, and whether an escape truncated it."""
     if spec.kind != "logistic":
         raise ConfigError("iterate_map expects a logistic system spec")
     mu = float(spec.params["mu"])
@@ -229,11 +217,11 @@ def _iterate(spec: SystemSpec, n_steps: int, noise: NoiseSpec | None,
     forcing = eta * rng.standard_normal(n_steps) if eta else np.zeros(n_steps)
     xs = [x0]
     x = x0
-    escaped = False
     for k in range(n_steps):
         x = mu * x * (1.0 - x) + forcing[k]
         if not -0.5 <= x <= 1.5:
-            escaped = True
+            warnings.warn(f"logistic iterate escaped [-0.5, 1.5] at step {len(xs)} "
+                          f"(mu={mu}); truncating")
             break
         xs.append(x)
     xcol = np.array(xs)
@@ -241,10 +229,10 @@ def _iterate(spec: SystemSpec, n_steps: int, noise: NoiseSpec | None,
     return TimeSeriesDataset(
         times=np.arange(xcol.shape[0], dtype=float),
         states=states,
-        state_names=("x", parameter_name),
+        state_names=("x", "r"),
         meta={"system": "logistic", "mu": mu, "eta": eta,
               "seed": (noise.seed if noise is not None else None), "x0": x0},
-    ), escaped
+    )
 
 
 def logistic_ensemble(
@@ -253,7 +241,6 @@ def logistic_ensemble(
     eta: float,
     seed: int = 0,
     x0: float = 0.5,
-    parameter_name: str = "r",
 ) -> TimeSeriesDataset:
     """Logistic-map training ensemble over several parameter values.
 
@@ -269,14 +256,13 @@ def logistic_ensemble(
         collected, attempt = 0, 0
         while collected < n_steps:
             spec = SystemSpec("logistic", x0=(x0,), params={"mu": float(mu)})
-            run, escaped = _iterate(
-                spec,
-                n_steps - collected,
-                NoiseSpec(eta=eta, target="states", seed=seed + 1000 * i + attempt),
-                parameter_name,
-            )
+            noise = NoiseSpec(eta=eta, target="states", seed=seed + 1000 * i + attempt)
+            with warnings.catch_warnings():
+                # one summary warning below replaces the per-run ones
+                warnings.filterwarnings("ignore", "logistic iterate escaped")
+                run = iterate_map(spec, n_steps - collected, noise)
             runs.append(run)
-            if escaped:
+            if run.n_samples - 1 < n_steps - collected:
                 truncated[float(mu)] = truncated.get(float(mu), 0) + 1
             collected += run.n_samples - 1
             attempt += 1

@@ -141,17 +141,19 @@ class TestTvDerivative:
         assert np.all(np.diff(obj) <= 1e-12)
 
     def test_integration_and_difference_adjoints(self):
-        # each step solves for z = Aᵣu, so Aᵀv must equal Aᵣᵀ Bᵀv and Du must
-        # equal the second difference G z that the banded factor is built on
+        # each step solves for s = Aᵣu - (dt/2)·u₀, so Aᵀv must equal Sᵀ Bᵀv,
+        # Du must equal the stencils G s that the banded solve is built on,
+        # and u = diff(s, prepend=-s₀)/dt must give u back
         from sindykit.differentiation import _b_transpose, _integrate_op
         rng = np.random.default_rng(0)
         for m in (5, 17, 100):
             u, v = rng.standard_normal(m), rng.standard_normal(m)
             dt = 0.031
-            z = dt * np.cumsum(u)
-            assert abs(_integrate_op(u, dt) @ v - z @ _b_transpose(v)) < 1e-12
-            gz = np.diff(np.diff(z, prepend=0.0)) / dt
-            assert np.abs(np.diff(u) - gz).max() < 1e-12
+            s = dt * np.cumsum(u) - 0.5 * dt * u[0]
+            assert abs(_integrate_op(u, dt) @ v - s @ _b_transpose(v)) < 1e-12
+            gs = np.diff(np.diff(s, prepend=-s[0])) / dt
+            assert np.abs(np.diff(u) - gs).max() < 1e-12
+            assert np.abs(np.diff(s, prepend=-s[0]) / dt - u).max() < 1e-12
 
     def test_too_few_samples(self):
         with pytest.raises(DataError):
@@ -196,28 +198,39 @@ def _trapezoid_rule(m, dt):
     return A
 
 
-def _border_b(m):
-    # (Bz)₀ = 0, (Bz)ᵢ = (zᵢ + zᵢ₋₁)/2 − z₀/2
+def _shifted_integral(m, dt):
+    # s = S u, S = Aᵣ - (dt/2)·1e₀ᵀ: s₀ = dt·u₀/2, sᵢ = sᵢ₋₁ + dt·uᵢ
+    return _rectangle_rule(m, dt) - 0.5 * dt * np.outer(np.ones(m), np.eye(m)[0])
+
+
+def _band_b(m):
+    # (Bs)₀ = 0, (Bs)ᵢ = (sᵢ + sᵢ₋₁)/2
     B = 0.5 * (np.eye(m) + np.eye(m, m, -1))
-    B[:, 0] -= 0.5
     B[0] = 0.0
     return B
 
 
+def _second_difference(m, dt):
+    # G with Du = G s: row 0 is (-3, 1)/dt, every other row (1, -2, 1)/dt
+    G = np.eye(m - 1, m, -1) - 2.0 * np.eye(m - 1, m) + np.eye(m - 1, m, 1)
+    G[0, 0] = -3.0
+    return G / dt
+
+
 def _pentadiagonal(w, dt):
-    # S = I + GᵀWG, G = D Aᵣ⁻¹: pentadiagonal SPD, returned with its diagonals
+    # S = I + GᵀWG: pentadiagonal SPD, returned with its diagonals
     m = w.shape[0] + 1
-    G = _difference(m) @ np.linalg.inv(_rectangle_rule(m, dt))
+    G = _second_difference(m, dt)
     S = np.eye(m) + G.T @ (w[:, None] * G)
     return S, (np.diag(S).copy(), np.diag(S, 1).copy(), np.diag(S, 2).copy())
 
 
 class TestTvPreconditioner:
-    """The banded LDLᵀ that each direct TV step factors, against dense linear algebra."""
+    """The banded LDLᵀ solve of each direct TV step, against dense linear algebra."""
 
     @pytest.mark.parametrize("m", [5, 6, 64, 1251])
     def test_banded_solve_matches_dense_solve(self, m):
-        from sindykit.differentiation import _penta_factor, _penta_solve
+        from sindykit.differentiation import _penta_solve
         rng = np.random.default_rng(m)
         w = 10.0 ** rng.uniform(-6.0, 3.0, m - 1)
         y = rng.standard_normal(m)
@@ -225,19 +238,19 @@ class TestTvPreconditioner:
         # solve is itself accurate far below the bound
         S, diagonals = _pentadiagonal(w, 1.0)
         dense = np.linalg.solve(S, y)
-        banded = _penta_solve(_penta_factor(*diagonals), y)
+        banded = _penta_solve(*diagonals, y)
         assert np.linalg.norm(banded - dense) <= 1e-10 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("m", [5, 6, 64, 1251])
     def test_banded_solve_is_backward_stable_at_a_fine_step(self, m):
         # at dt = 0.02 S reaches condition ~1e7, where both solves carry
         # forward error ~cond·eps; the residual stays at rounding level
-        from sindykit.differentiation import _penta_factor, _penta_solve
+        from sindykit.differentiation import _penta_solve
         rng = np.random.default_rng(m + 1)
         w = 10.0 ** rng.uniform(-6.0, 3.0, m - 1)
         y = rng.standard_normal(m)
         S, diagonals = _pentadiagonal(w, 0.02)
-        z = _penta_solve(_penta_factor(*diagonals), y)
+        z = _penta_solve(*diagonals, y)
         assert np.linalg.norm(S @ z - y) <= 1e-14 * np.linalg.norm(S, 2) * np.linalg.norm(z)
 
 
@@ -246,16 +259,20 @@ class TestTvStep:
 
     @pytest.mark.parametrize("m", [5, 6, 9, 64])
     def test_trapezoid_rule_is_the_border_map_of_the_rectangle_rule(self, m):
+        # in s = S u, S = Aᵣ - (dt/2)·1e₀ᵀ, the trapezoid rule is A = B S with
+        # B bidiagonal and Du = G s with G banded, so no column leaves the band
         from sindykit.differentiation import _b_transpose, _integrate_op
         dt = 0.3
-        A, B, Ar = _trapezoid_rule(m, dt), _border_b(m), _rectangle_rule(m, dt)
-        assert np.abs(A - B @ Ar).max() <= 1e-15
+        A, B, S = _trapezoid_rule(m, dt), _band_b(m), _shifted_integral(m, dt)
+        assert np.array_equal(A, B @ S)
         assert np.abs(A - np.column_stack([_integrate_op(e, dt) for e in np.eye(m)])).max() <= 1e-15
-        assert np.abs(B.T - np.column_stack([_b_transpose(e) for e in np.eye(m)])).max() == 0.0
-        # only column 0 of B leaves the band, so BᵀB on 1…m-1 is tridiagonal
-        K = (B.T @ B)[1:, 1:]
+        assert np.array_equal(B.T, np.column_stack([_b_transpose(e) for e in np.eye(m)]))
+        K = B.T @ B
         assert np.array_equal(K, np.diag(np.diag(K)) + np.diag(np.diag(K, 1), 1)
                               + np.diag(np.diag(K, -1), -1))
+        # Du = G s: G = D S⁻¹ has row 0 (-3, 1)/dt, every other row (1, -2, 1)/dt
+        G = _difference(m) @ np.linalg.inv(S)
+        assert np.abs(G - _second_difference(m, dt)).max() <= 1e-13
 
     @pytest.mark.parametrize("dt", [0.02, 0.3, 1.0])
     @pytest.mark.parametrize("m", [5, 6, 64, 1251])

@@ -510,6 +510,21 @@ class TestLogisticEnsemble:
         assert ds.times.tobytes() == ref.times.tobytes()
         assert ds.segments == ref.segments
 
+    def test_each_run_goes_through_iterate_map(self, monkeypatch):
+        # the benchmark times the map by wrapping systems.iterate_map
+        import sindykit.systems as systems
+        calls = []
+        real = systems.iterate_map
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(systems, "iterate_map", counting)
+        with pytest.warns(UserWarning, match="17 truncated runs"):
+            ds = logistic_ensemble([3.9, 3.95], n_steps=400, eta=0.025, seed=1)
+        assert len(calls) == len(list(ds.segment_slices())) == 19
+
     def test_deterministic(self):
         a = logistic_ensemble([2.5, 3.0], 200, 0.01, seed=3)
         b = logistic_ensemble([2.5, 3.0], 200, 0.01, seed=3)
