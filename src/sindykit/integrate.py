@@ -6,20 +6,25 @@ controls the embedded 4th/5th-order error estimate, and fills the grid by
 cubic Hermite interpolation over each accepted step; accepted step sizes
 can be recorded for step-size colouring output.
 
-Both step the state as a list of Python floats and call the right-hand
-side on it: for the few states of these systems, per-component float
-arithmetic costs a fraction of the small numpy arrays an array step would
-build per stage.
+Each method runs a loop generated for the state count n, compiled at its
+first use and cached: straight-line float code in which every state
+component and stage slope is its own local, each stage is one tuple passed
+to the right-hand side and each result is unpacked into locals.  For the
+few states of these systems this costs a fraction of building a list per
+stage, let alone the small numpy arrays an array step would build.  Only n
+and the tableau's constants reach the generated source.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
+from .model import _compile
 
 __all__ = ["IntegratorConfig", "rk4_fixed", "dp45_adaptive"]
 
@@ -41,11 +46,10 @@ class IntegratorConfig:
 def rk4_fixed(f, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Classic fourth-order Runge-Kutta, one step per grid interval.
 
-    ``f`` takes the state as a length-n sequence and returns a length-n
-    sequence (floats, or a 1-D array).  The state is stepped as a list of
-    Python floats, which costs a fraction of the small numpy arrays an
-    array step would build per stage, and each component is summed in the
-    array form's order, ``x + (0.5*h)*k`` and
+    ``f`` takes the state as a length-n tuple and returns a length-n
+    sequence (a tuple, a list or a 1-D array), and is called four times per
+    step.  The step runs in the loop generated for n states, and each
+    component is summed in the array form's order, ``x + (0.5*h)*k`` and
     ``x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, so the result is the same
     bit for bit.  Each step is written into the returned array.  ``times``
     and ``x0`` are checked as in :func:`dp45_adaptive`.
@@ -53,30 +57,25 @@ def rk4_fixed(f, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
     x, times = _check_grid(x0, times)
     out = np.empty((len(times), len(x)))
     out[0] = x
-    for i, h in enumerate(np.diff(times).tolist(), 1):
-        half, sixth = 0.5 * h, h / 6.0
-        k1 = f(x)
-        k2 = f([a + half * k for a, k in zip(x, k1)])
-        k3 = f([a + half * k for a, k in zip(x, k2)])
-        k4 = f([a + h * k for a, k in zip(x, k3)])
-        x = [a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
-             for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-        out[i] = x
+    _rk4_loop(len(x))(f, x, np.diff(times).tolist(), out)
     return out
 
 
-# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner).  Row i holds the
-# weights A_ij of stage i; row 7 is also the 5th-order solution B5, so stage 7
-# is f(t + h, y_new) and becomes the next step's first stage (FSAL).  E_j =
-# B5_j - B4_j weighs the embedded error estimate; E2 = 0 drops out.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4 = 35 / 384 - 5179 / 57600, 500 / 1113 - 7571 / 16695, 125 / 192 - 393 / 640
-_E5, _E6, _E7 = -2187 / 6784 + 92097 / 339200, 11 / 84 - 187 / 2100, -1 / 40
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner).  Row s holds the
+# weights of the slopes k1, k2, ... in stage s + 2; the last row is also the
+# 5th-order solution B5, so stage 7 is f(t + h, y_new) and becomes the next
+# step's first stage (FSAL).  _E = B5 - B4 weighs the embedded error
+# estimate.  Zero weights drop out of the generated sums.
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695, 125 / 192 - 393 / 640,
+      -2187 / 6784 + 92097 / 339200, 11 / 84 - 187 / 2100, -1 / 40)
 
 
 # Step-attempt budget of dp45_adaptive.  Accurate runs in the shipped
@@ -123,89 +122,142 @@ def dp45_adaptive(
     runaway right-hand side would otherwise crawl on at tiny steps.
 
     ``f`` is called once on ``x0`` and then six times per step attempt, on
-    the state as a list of Python floats, and returns a length-n sequence.
-    The stages, the error norm and the Hermite fill are summed component by
-    component on floats, so the result agrees with an array form of the
-    same method to rounding.  A step whose error estimate is not finite is
-    rejected, as is one whose stage raises ``ValueError`` (``math.sin`` of
-    an infinite state), so a run that blows up shrinks its step until the
-    underflow check or the attempt budget ends it.
+    the state as a length-n tuple, and returns a length-n sequence (a
+    tuple, a list or a 1-D array).  The steps run in the loop generated for
+    n states: the stages, the error norm and the Hermite fill are summed
+    component by component on floats, so the result agrees with an array
+    form of the same method to rounding.  A step whose error estimate is
+    not finite is rejected, as is one whose stage raises ``ValueError``
+    (``math.sin`` of an infinite state), so a run that blows up shrinks its
+    step until the underflow check or the attempt budget ends it.  Step
+    sizes are kept only when ``record_steps`` is set.
     """
     y, times = _check_grid(x0, times)
-    grid = times.tolist()
-    n_out = len(grid)
-    t0, t_end = grid[0], grid[-1]
-    n = len(y)
-    out = np.empty((n_out, n))
+    out = np.empty((len(times), len(y)))
     out[0] = y
-    next_sample = 1
-    steps: list[float] = []
-
-    k1 = f(y)
-
-    d0 = d1 = 0.0
-    for a, b in zip(y, k1):
-        scale = abs_tol + rel_tol * abs(a)
-        q0, q1 = a / scale, b / scale
-        d0 += q0 * q0
-        d1 += q1 * q1
-    d0, d1 = math.sqrt(d0 / n), math.sqrt(d1 / n)
-    h = 0.01 * d0 / d1 if d1 > 1e-15 else 1e-6
-    h = min(h, (t_end - t0) / 10.0) if t_end > t0 else h
-    h = max(h, 1e-12)
-
-    t = t0
-    tiny = 16 * np.finfo(float).eps
-    budget = STEP_ATTEMPTS_PER_SAMPLE * n_out + STEP_ATTEMPTS_BASE
-    attempts = 0
-    while t < t_end and next_sample < n_out:
-        if t_end - t <= tiny * max(1.0, abs(t_end)):
-            break  # within rounding of the end point
-        if h < tiny * max(1.0, abs(t)):
-            raise NumericalError(f"adaptive step size underflow at t={t:.6g}")
-        if attempts == budget:
-            raise NumericalError(f"adaptive integration gave up at t={t:.6g} "
-                                 f"after {budget} step attempts")
-        attempts += 1
-        h = min(h, t_end - t)
-        try:
-            k2 = f([a + h * (_A21 * b) for a, b in zip(y, k1)])
-            k3 = f([a + h * (_A31 * b + _A32 * c) for a, b, c in zip(y, k1, k2)])
-            k4 = f([a + h * (_A41 * b + _A42 * c + _A43 * d)
-                    for a, b, c, d in zip(y, k1, k2, k3)])
-            k5 = f([a + h * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
-                    for a, b, c, d, e in zip(y, k1, k2, k3, k4)])
-            k6 = f([a + h * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * g)
-                    for a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [a + h * (_A71 * b + _A73 * d + _A74 * e + _A75 * g + _A76 * p)
-                     for a, b, d, e, g, p in zip(y, k1, k3, k4, k5, k6)]
-            k7 = f(y_new)
-        except ValueError:  # math.sin/math.cos of an infinite stage
-            err = math.nan
-        else:
-            err = 0.0
-            for a, b, c1, c3, c4, c5, c6, c7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-                q = (h * (_E1 * c1 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6 + _E7 * c7)
-                     / (abs_tol + rel_tol * max(abs(a), abs(b))))
-                err += q * q
-            err = math.sqrt(err / n)
-        if err <= 1.0:
-            while next_sample < n_out and grid[next_sample] <= t + h + 1e-14 * max(1.0, abs(t)):
-                # cubic Hermite interpolation between (y, k1) and (y_new, k7)
-                theta = min(max((grid[next_sample] - t) / h, 0.0), 1.0)
-                t2 = theta * theta
-                t3 = t2 * theta
-                w0, w1 = 2 * t3 - 3 * t2 + 1, -2 * t3 + 3 * t2
-                v0, v1 = (t3 - 2 * t2 + theta) * h, (t3 - t2) * h
-                out[next_sample] = [w0 * a + v0 * b + w1 * c + v1 * d
-                                    for a, b, c, d in zip(y, k1, y_new, k7)]
-                next_sample += 1
-            t += h
-            y, k1 = y_new, k7
-            steps.append(h)
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            factor = max(0.2, 0.9 * err ** -0.2)
-        h *= factor
-    out[next_sample:] = y  # grid points within rounding of t_end
+    steps = [] if record_steps else None
+    budget = STEP_ATTEMPTS_PER_SAMPLE * len(times) + STEP_ATTEMPTS_BASE
+    loop = _dp45_loop(len(y), bool(record_steps))
+    loop(f, y, times.tolist(), out, abs_tol, rel_tol, budget, steps)
     return out, (np.array(steps) if record_steps else None)
+
+
+def _each(n: int, template: str) -> str:
+    """``template`` for each component i < n, as tuple items: ``"x0, x1,"``."""
+    return ", ".join(template.format(i=i) for i in range(n)) + ","
+
+
+def _call(n: int, result: str, state: str) -> str:
+    """Source that calls ``f`` on the tuple of ``state`` and unpacks the result into
+    ``result``, both templates over the component i."""
+    return f"{_each(n, result)} = f(({_each(n, state)}))"
+
+
+def _max(a: str, b: str) -> str:
+    """Source for ``max(a, b)`` without the call: the builtin keeps ``a`` unless
+    ``b > a``, so this conditional gives the same value, NaN included.  Inside
+    the step loop a builtin call costs more than the arithmetic it guards."""
+    return f"({b} if {b} > {a} else {a})"
+
+
+def _min(a: str, b: str) -> str:
+    """Source for ``min(a, b)`` without the call, as :func:`_max`."""
+    return f"({b} if {b} < {a} else {a})"
+
+
+def _weighted(weights) -> str:
+    """Sum of ``weight * k{j}_{i}`` over the slopes j = 1, 2, ... with nonzero weight,
+    left to right, as a template over the component i."""
+    return " + ".join(f"{w!r} * k{j}_{{i}}" for j, w in enumerate(weights, 1) if w)
+
+
+@functools.cache
+def _rk4_loop(n: int):
+    """RK4 for n states: ``loop(f, x, hs, out)`` steps the floats ``x`` by each
+    step size in ``hs`` and writes the state after step i into ``out[i]``."""
+    x = _each(n, "x{i}")
+    return _compile("rk4", "f, x, hs, out", [
+        f"{x} = x",
+        "for i, h in enumerate(hs, 1):",
+        "    half, sixth = 0.5 * h, h / 6.0",
+        "    " + _call(n, "a{i}", "x{i}"),
+        "    " + _call(n, "b{i}", "x{i} + half * a{i}"),
+        "    " + _call(n, "c{i}", "x{i} + half * b{i}"),
+        "    " + _call(n, "d{i}", "x{i} + h * c{i}"),
+        f"    {x} = {_each(n, 'x{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})')}",
+        f"    out[i] = ({x})",
+    ], {})
+
+
+@functools.cache
+def _dp45_loop(n: int, record: bool):
+    """Dormand-Prince for n states: ``loop(f, y, grid, out, abs_tol, rel_tol,
+    budget, steps)`` fills ``out[1:]`` on the time list ``grid`` from the floats
+    ``y``, appending each accepted step size to ``steps`` if ``record``."""
+    y, z, k1, k7 = _each(n, "y{i}"), _each(n, "z{i}"), _each(n, "k1_{i}"), _each(n, "k7_{i}")
+    squares = lambda q: " + ".join(f"{q}{i} * {q}{i}" for i in range(n))
+    stages = ["        " + _call(n, f"k{s}_{{i}}", f"y{{i}} + h * ({_weighted(row)})")
+              for s, row in enumerate(_A[:-1], 2)]
+    error = (f"        e{{i}} = h * ({_weighted(_E)})"
+             f" / (abs_tol + rel_tol * {_max('abs(y{i})', 'abs(z{i})')})")
+    hermite = "w0 * y{i} + v0 * k1_{i} + w1 * z{i} + v1 * k7_{i}"
+    return _compile("dp45", "f, y, grid, out, abs_tol, rel_tol, budget, steps", [
+        "n_out = len(grid)",
+        "t0, t_end = grid[0], grid[-1]",
+        f"{y} = y",
+        _call(n, "k1_{i}", "y{i}"),
+        *(f"s{i} = abs_tol + rel_tol * abs(y{i})" for i in range(n)),
+        *(f"p{i}, q{i} = y{i} / s{i}, k1_{i} / s{i}" for i in range(n)),
+        f"d0, d1 = sqrt(({squares('p')}) / {n}), sqrt(({squares('q')}) / {n})",
+        "h = 0.01 * d0 / d1 if d1 > 1e-15 else 1e-6",
+        "h = min(h, (t_end - t0) / 10.0) if t_end > t0 else h",
+        "h = max(h, 1e-12)",
+        "t = t0",
+        "tiny = TINY",
+        "attempts = 0",
+        "next_sample = 1",
+        "end_tol = tiny * max(1.0, abs(t_end))",
+        "while t < t_end and next_sample < n_out:",
+        "    if t_end - t <= end_tol:",
+        "        break  # within rounding of the end point",
+        f"    if h < tiny * {_max('1.0', 'abs(t)')}:",
+        "        raise NumericalError(f'adaptive step size underflow at t={t:.6g}')",
+        "    if attempts == budget:",
+        "        raise NumericalError(f'adaptive integration gave up at t={t:.6g} '",
+        "                             f'after {budget} step attempts')",
+        "    attempts += 1",
+        f"    h = {_min('h', 't_end - t')}",
+        "    try:",
+        *stages,
+        f"        {z} = {_each(n, f'y{{i}} + h * ({_weighted(_A[-1])})')}",
+        "        " + _call(n, "k7_{i}", "z{i}"),
+        "    except ValueError:  # math.sin/math.cos of an infinite stage",
+        "        err = nan",
+        "    else:",
+        *(error.format(i=i) for i in range(n)),
+        f"        err = sqrt(({squares('e')}) / {n})",
+        "    if err <= 1.0:",
+        "        while (next_sample < n_out",
+        f"               and grid[next_sample] <= t + h + 1e-14 * {_max('1.0', 'abs(t)')}):",
+        "            # cubic Hermite interpolation between (y, k1) and (z, k7)",
+        "            theta = (grid[next_sample] - t) / h",
+        f"            theta = {_max('theta', '0.0')}",
+        f"            theta = {_min('theta', '1.0')}",
+        "            t2 = theta * theta",
+        "            t3 = t2 * theta",
+        "            w0, w1 = 2 * t3 - 3 * t2 + 1, -2 * t3 + 3 * t2",
+        "            v0, v1 = (t3 - 2 * t2 + theta) * h, (t3 - t2) * h",
+        f"            out[next_sample] = ({_each(n, hermite)})",
+        "            next_sample += 1",
+        "        t += h",
+        f"        {y} = {z}",
+        f"        {k1} = {k7}",
+        *(["        steps.append(h)"] if record else []),
+        "        factor = 5.0 if err == 0.0 else 0.9 * err ** -0.2",
+        "    else:",
+        "        factor = 0.9 * err ** -0.2",
+        f"    factor = {_max('0.2', 'factor')}  # shrink or grow at most fivefold",
+        f"    h *= {_min('5.0', 'factor')}",
+        f"out[next_sample:] = ({y})  # grid points within rounding of t_end",
+    ], {"sqrt": math.sqrt, "nan": math.nan, "TINY": 16 * np.finfo(float).eps,
+        "NumericalError": NumericalError})

@@ -11,6 +11,7 @@ extra state with unit derivative.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -192,6 +193,18 @@ def simulate(spec: SystemSpec, integrator: IntegratorConfig = IntegratorConfig()
     )
 
 
+# Forcing samples drawn per chunk: a run that escapes early draws little
+FORCING_CHUNK = 4096
+
+
+def _forcing(rng: np.random.Generator, eta: float, n: int):
+    """``eta * rng.standard_normal(n)`` as floats, drawn one chunk at a time as the
+    loop asks for them.  The generator gives the same stream in chunks as in one
+    call, so a run that stops early sees the same samples and draws fewer."""
+    for start in range(0, n, FORCING_CHUNK):
+        yield from (eta * rng.standard_normal(min(FORCING_CHUNK, n - start))).tolist()
+
+
 def iterate_map(
     spec: SystemSpec,
     n_steps: int,
@@ -212,13 +225,15 @@ def iterate_map(
         raise ConfigError("logistic map needs x0 in (0, 1)")
     if not 0.0 < mu <= 4.0:
         raise ConfigError("logistic map needs mu in (0, 4]")
+    if n_steps < 0:
+        raise ConfigError(f"logistic map needs n_steps >= 0, got {n_steps}")
     eta = noise.eta if noise is not None else 0.0
     rng = np.random.default_rng(noise.seed if noise is not None else 0)
-    forcing = eta * rng.standard_normal(n_steps) if eta else np.zeros(n_steps)
+    forcing = _forcing(rng, eta, n_steps) if eta else itertools.repeat(0.0, n_steps)
     xs = [x0]
     x = x0
-    for k in range(n_steps):
-        x = mu * x * (1.0 - x) + forcing[k]
+    for w in forcing:
+        x = mu * x * (1.0 - x) + w
         if not -0.5 <= x <= 1.5:
             warnings.warn(f"logistic iterate escaped [-0.5, 1.5] at step {len(xs)} "
                           f"(mu={mu}); truncating")

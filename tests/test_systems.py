@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -26,7 +27,7 @@ from sindykit import (
 )
 from sindykit.integrate import (STEP_ATTEMPTS_BASE, STEP_ATTEMPTS_PER_SAMPLE, dp45_adaptive,
                                 rk4_fixed)
-from sindykit.systems import KINDS
+from sindykit.systems import FORCING_CHUNK, KINDS
 from conftest import LORENZ_PARAMS
 
 
@@ -368,6 +369,214 @@ class TestFloatStepping:
         assert bool(raised) == stage_raises
 
 
+def _rk4_lists(f, x0, times):
+    """RK4 stepping the state as a list of floats, one comprehension per stage:
+    the reference for the generated ``rk4_fixed`` loop."""
+    x = np.asarray(x0, dtype=float).tolist()
+    out = np.empty((len(times), len(x)))
+    out[0] = x
+    for i, h in enumerate(np.diff(times).tolist(), 1):
+        half, sixth = 0.5 * h, h / 6.0
+        k1 = f(x)
+        k2 = f([a + half * k for a, k in zip(x, k1)])
+        k3 = f([a + half * k for a, k in zip(x, k2)])
+        k4 = f([a + h * k for a, k in zip(x, k3)])
+        x = [a + sixth * (((b + 2.0 * c) + 2.0 * d) + e)
+             for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+        out[i] = x
+    return out
+
+
+# Dormand-Prince 5(4) tableau for the list form below, one name per weight
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_A71, _A73, _A74, _A75, _A76 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4 = 35 / 384 - 5179 / 57600, 500 / 1113 - 7571 / 16695, 125 / 192 - 393 / 640
+_E5, _E6, _E7 = -2187 / 6784 + 92097 / 339200, 11 / 84 - 187 / 2100, -1 / 40
+
+
+def _dp45_lists(f, x0, times, abs_tol, rel_tol, record_steps=False):
+    """Dormand-Prince stepping the state as a list of floats, one comprehension
+    per stage: the reference for the generated ``dp45_adaptive`` loop."""
+    y = np.asarray(x0, dtype=float).tolist()
+    grid = np.asarray(times, dtype=float).tolist()
+    n_out = len(grid)
+    t0, t_end = grid[0], grid[-1]
+    n = len(y)
+    out = np.empty((n_out, n))
+    out[0] = y
+    next_sample = 1
+    steps = []
+
+    k1 = f(y)
+
+    d0 = d1 = 0.0
+    for a, b in zip(y, k1):
+        scale = abs_tol + rel_tol * abs(a)
+        q0, q1 = a / scale, b / scale
+        d0 += q0 * q0
+        d1 += q1 * q1
+    d0, d1 = math.sqrt(d0 / n), math.sqrt(d1 / n)
+    h = 0.01 * d0 / d1 if d1 > 1e-15 else 1e-6
+    h = min(h, (t_end - t0) / 10.0) if t_end > t0 else h
+    h = max(h, 1e-12)
+
+    t = t0
+    tiny = 16 * np.finfo(float).eps
+    budget = STEP_ATTEMPTS_PER_SAMPLE * n_out + STEP_ATTEMPTS_BASE
+    attempts = 0
+    while t < t_end and next_sample < n_out:
+        if t_end - t <= tiny * max(1.0, abs(t_end)):
+            break
+        if h < tiny * max(1.0, abs(t)):
+            raise NumericalError(f"adaptive step size underflow at t={t:.6g}")
+        if attempts == budget:
+            raise NumericalError(f"adaptive integration gave up at t={t:.6g} "
+                                 f"after {budget} step attempts")
+        attempts += 1
+        h = min(h, t_end - t)
+        try:
+            k2 = f([a + h * (_A21 * b) for a, b in zip(y, k1)])
+            k3 = f([a + h * (_A31 * b + _A32 * c) for a, b, c in zip(y, k1, k2)])
+            k4 = f([a + h * (_A41 * b + _A42 * c + _A43 * d)
+                    for a, b, c, d in zip(y, k1, k2, k3)])
+            k5 = f([a + h * (_A51 * b + _A52 * c + _A53 * d + _A54 * e)
+                    for a, b, c, d, e in zip(y, k1, k2, k3, k4)])
+            k6 = f([a + h * (_A61 * b + _A62 * c + _A63 * d + _A64 * e + _A65 * g)
+                    for a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [a + h * (_A71 * b + _A73 * d + _A74 * e + _A75 * g + _A76 * p)
+                     for a, b, d, e, g, p in zip(y, k1, k3, k4, k5, k6)]
+            k7 = f(y_new)
+        except ValueError:
+            err = math.nan
+        else:
+            err = 0.0
+            for a, b, c1, c3, c4, c5, c6, c7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+                q = (h * (_E1 * c1 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6 + _E7 * c7)
+                     / (abs_tol + rel_tol * max(abs(a), abs(b))))
+                err += q * q
+            err = math.sqrt(err / n)
+        if err <= 1.0:
+            while next_sample < n_out and grid[next_sample] <= t + h + 1e-14 * max(1.0, abs(t)):
+                theta = min(max((grid[next_sample] - t) / h, 0.0), 1.0)
+                t2 = theta * theta
+                t3 = t2 * theta
+                w0, w1 = 2 * t3 - 3 * t2 + 1, -2 * t3 + 3 * t2
+                v0, v1 = (t3 - 2 * t2 + theta) * h, (t3 - t2) * h
+                out[next_sample] = [w0 * a + v0 * b + w1 * c + v1 * d
+                                    for a, b, c, d in zip(y, k1, y_new, k7)]
+                next_sample += 1
+            t += h
+            y, k1 = y_new, k7
+            steps.append(h)
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        else:
+            factor = max(0.2, 0.9 * err ** -0.2)
+        h *= factor
+    out[next_sample:] = y
+    return out, (np.array(steps) if record_steps else None)
+
+
+def _chain(n, returns):
+    """A damped nonlinear chain of n states with a sine term, whose right-hand
+    side returns a tuple, a list or a 1-d array."""
+    def f(x):
+        dx = [-0.3 * x[i] + 1.5 * x[(i + 1) % n] - 1.5 * x[(i - 1) % n]
+              - 0.2 * x[i] * x[(i + 1) % n] + 0.1 * math.sin(x[i]) for i in range(n)]
+        return returns(dx)
+    return f
+
+
+_RETURNS = {"tuple": tuple, "list": list, "array": np.array}
+
+
+class TestGeneratedLoops:
+    """The loops generated per state count equal the list-comprehension forms
+    bit for bit and call the right-hand side as often."""
+
+    @pytest.mark.parametrize("returns", sorted(_RETURNS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rk4_equals_list_stepping(self, n, returns):
+        f = _chain(n, _RETURNS[returns])
+        x0 = np.linspace(0.5, -0.7, n)
+        times = np.linspace(0.0, 3.0, 301)
+        calls, list_calls = [], []
+        out = rk4_fixed(_counted(f, calls), x0, times)
+        assert np.array_equal(out, _rk4_lists(_counted(f, list_calls), x0, times))
+        assert len(calls) == len(list_calls) == 4 * 300
+
+    @pytest.mark.parametrize("record_steps", [False, True])
+    @pytest.mark.parametrize("returns", sorted(_RETURNS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_dp45_equals_list_stepping(self, n, returns, record_steps):
+        f = _chain(n, _RETURNS[returns])
+        x0 = np.linspace(0.5, -0.7, n)
+        times = np.linspace(0.0, 3.0, 31)
+        calls, list_calls = [], []
+        out, steps = dp45_adaptive(_counted(f, calls), x0, times, 1e-9, 1e-9, record_steps)
+        expected, expected_steps = _dp45_lists(_counted(f, list_calls), x0, times, 1e-9, 1e-9,
+                                               record_steps)
+        assert np.array_equal(out, expected)
+        if record_steps:
+            assert np.array_equal(steps, expected_steps)
+        else:
+            assert steps is None
+        assert len(calls) == len(list_calls)
+        assert (len(calls) - 1) % 6 == 0  # one start-up slope, six stages per attempt
+
+    def test_dp45_rejects_a_step_whose_stage_raises_value_error_as_the_list_form_does(self):
+        # an oscillator of radius 1 whose right-hand side fails, as math.sin does
+        # on an infinite state, once a stage leaves the disc of radius 1.1: at a
+        # loose tolerance the long steps overshoot, and the rejections must shrink
+        # them exactly as in the list form
+        raised = []
+
+        def f(x):
+            if x[0] * x[0] + x[1] * x[1] > 1.21:
+                raised.append(1)
+                raise ValueError("math domain error")
+            return x[1], -x[0]
+
+        times = np.linspace(0.0, 20.0, 21)
+        out, steps = dp45_adaptive(f, [1.0, 0.0], times, 1e-2, 1e-2, record_steps=True)
+        n_raised, raised[:] = len(raised), []
+        expected, expected_steps = _dp45_lists(f, [1.0, 0.0], times, 1e-2, 1e-2, True)
+        assert n_raised > 0 and len(raised) == n_raised
+        assert np.array_equal(out, expected) and np.array_equal(steps, expected_steps)
+
+    @pytest.mark.parametrize("f, x0, times", [
+        (lambda x: (x[0] * x[0],), [1.0], np.linspace(0.0, 2.0, 21)),  # escapes at t = 1
+        # z chases an oscillator at rate 1e6 and exhausts the attempt budget
+        (lambda x: (x[1], -x[0], -1e6 * (x[2] - x[0])), [1.0, 0.0, 0.0],
+         np.linspace(0.0, 1.0, 11)),
+    ], ids=["underflow", "budget"])
+    def test_dp45_errors_keep_the_list_form_messages(self, f, x0, times):
+        with pytest.raises(NumericalError) as raised:
+            dp45_adaptive(f, x0, times, 1e-10, 1e-10)
+        with pytest.raises(NumericalError) as expected:
+            _dp45_lists(f, x0, times, 1e-10, 1e-10)
+        assert str(raised.value) == str(expected.value)
+
+    def test_dp45_keeps_no_step_sizes_unless_recording(self):
+        # a long run on a coarse grid: its step sizes would outweigh its output
+        f = system_rhs(_CONTINUOUS_SPECS["lorenz"])
+        x0, times = [-8.0, 7.0, 27.0], np.linspace(0.0, 5.0, 51)
+        _, steps = dp45_adaptive(f, x0, times, 1e-9, 1e-9, record_steps=True)
+        dp45_adaptive(f, x0, times[:2], 1e-9, 1e-9)  # compile the loop before tracing
+        tracemalloc.start()
+        try:
+            out, none = dp45_adaptive(f, x0, times, 1e-9, 1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert none is None and len(steps) > 800
+        # a kept step size costs 32 bytes, 8 in the list and 24 for the float
+        assert peak < 8 * len(steps)
+
+
 class TestIterateMap:
     def test_fixed_point_convergence(self):
         spec = SystemSpec("logistic", x0=(0.5,), params={"mu": 2.5})
@@ -399,6 +608,24 @@ class TestIterateMap:
         b = iterate_map(spec, 500, noise=NoiseSpec(eta=0.01, target="states", seed=7))
         assert np.array_equal(a.states, b.states)
 
+    @pytest.mark.parametrize("mu, n_steps", [(3.5, 3 * FORCING_CHUNK + 5), (3.95, 100_000)],
+                             ids=["chunk-boundaries", "escapes"])
+    def test_chunked_forcing_equals_one_draw(self, mu, n_steps):
+        # the forcing drawn up front in one call, as the map's reference
+        noise = NoiseSpec(eta=0.025, target="states", seed=0)
+        forcing = 0.025 * np.random.default_rng(0).standard_normal(n_steps)
+        xs, x = [0.5], 0.5
+        for w in forcing:
+            x = mu * x * (1.0 - x) + w
+            if not -0.5 <= x <= 1.5:
+                break
+            xs.append(x)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "logistic iterate escaped")
+            ds = iterate_map(SystemSpec("logistic", x0=(0.5,), params={"mu": mu}), n_steps, noise)
+        assert ds.states[:, 0].tobytes() == np.array(xs).tobytes()
+        assert (len(xs) <= n_steps) == (mu == 3.95)  # the second run escapes
+
     def test_domain_validation(self):
         with pytest.raises(ConfigError):
             iterate_map(SystemSpec("logistic", x0=(1.5,), params={"mu": 3.0}), 10)
@@ -406,6 +633,8 @@ class TestIterateMap:
             iterate_map(SystemSpec("logistic", x0=(0.5,), params={"mu": 4.5}), 10)
         with pytest.raises(ConfigError):
             iterate_map(SystemSpec("linear2d", x0=(1.0, 0.0)), 10)
+        with pytest.raises(ConfigError, match="n_steps >= 0"):
+            iterate_map(SystemSpec("logistic", x0=(0.5,), params={"mu": 3.0}), -1)
 
 
 class TestAugmentation:
