@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,8 +41,8 @@ from .integrate import IntegratorConfig, dp45_adaptive
 from .library import LibrarySpec
 from .model import Mode, SparseModel, TimeSeriesDataset, model_to_json, render_table
 from .reduction import compute_basis, reduce_dataset
-from .regression import (FitReport, LassoConfig, StlsqConfig, _regression_data,
-                         _with_sparsity, fit)
+from .regression import (FitReport, LassoConfig, RegressionProblem, StlsqConfig,
+                         _regression_problem, _with_sparsity, fit)
 from .selection import pick_elbow, sweep
 from .systems import (
     KINDS,
@@ -408,6 +409,19 @@ def cmd_fit(exp: dict, out: Path, seed: int, data_path: str | None,
     return artifacts, {"nnz": model.nnz(), "n_terms": len(model.terms)}
 
 
+def _noise_levels_problem(base: TimeSeriesDataset, lib: LibrarySpec, etas: list[float],
+                          seed: int) -> RegressionProblem:
+    """One factor of [Theta | dX_eta1 ... dX_etak] for every noise level: noise
+    touches only the derivatives, so every eta shares the library, and
+    level i is target columns n*i:n*(i+1), perturbed with seed ``seed + 1 + i``."""
+    n = base.n_states
+    derivatives = np.empty((base.n_samples, n * len(etas)))
+    for i, eta in enumerate(etas):  # no noisy dataset outlives the copy of its columns
+        derivatives[:, n * i:n * (i + 1)] = add_noise(
+            base, NoiseSpec(eta=eta, seed=seed + 1 + i)).derivatives
+    return _regression_problem(base, lib, Mode.CONTINUOUS, derivatives=derivatives)
+
+
 def cmd_compare(exp: dict, out: Path, seed: int,
                 override_threshold: float | None) -> tuple[dict, dict]:
     specs = exp["specs"]
@@ -435,14 +449,14 @@ def cmd_compare(exp: dict, out: Path, seed: int,
     grid = np.arange(0.0, horizon + grid_dt / 2, grid_dt)
     [base] = _simulate_runs(exp, seed)
     lib = LibrarySpec(base.n_states, **exp["library"])
-    # noise only touches the derivatives: every eta shares one library and one truth
-    theta, _ = _regression_data(base, lib, Mode.CONTINUOUS)
+    problem = _noise_levels_problem(base, lib, etas, seed)
     truth, _ = dp45_adaptive(system_rhs(spec), np.array(spec.x0), grid, 1e-10, 1e-10)
     artifacts, summary = {}, {}
     model = None
+    n = base.n_states
     for i, eta in enumerate(etas):
-        ds = add_noise(base, NoiseSpec(eta=eta, seed=seed + 1 + i))
-        model, _ = fit(ds, lib, fit_cfg, mode=Mode.CONTINUOUS, theta=theta)
+        model, _ = fit(base, lib, fit_cfg, mode=Mode.CONTINUOUS,
+                       problem=problem.targets(n * i, n * (i + 1)))
         try:
             err = error_curve(truth, model.rhs(), grid)
         except NumericalError as exc:
@@ -491,6 +505,12 @@ _FLAGS = {"generate": (), "fit": ("--data", "--lambda"), "compare": ("--lambda",
           "sweep": ("--data",)}
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as ``warning: <message>``, without the source path and line
+    that Python's format puts first."""
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="sindykit",
@@ -503,7 +523,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--lambda", dest="threshold", type=float, default=None,
                         help="override sparsification threshold")
     args = parser.parse_args(argv)
-
+    # only the printed form changes: a caller that records warnings still gets them
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         for flag, value in (("--data", args.data), ("--lambda", args.threshold)):
             if value is not None and flag not in _FLAGS[args.command]:
@@ -535,6 +556,8 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalError, SindykitError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

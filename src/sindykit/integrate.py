@@ -57,7 +57,7 @@ def rk4_fixed(f, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
     x, times = _check_grid(x0, times)
     out = np.empty((len(times), len(x)))
     out[0] = x
-    _rk4_loop(len(x))(f, x, np.diff(times).tolist(), out)
+    _rk4_loop(len(x))(f, x, np.diff(times).tolist(), memoryview(out.reshape(-1)))
     return out
 
 
@@ -173,19 +173,23 @@ def _weighted(weights) -> str:
 
 @functools.cache
 def _rk4_loop(n: int):
-    """RK4 for n states: ``loop(f, x, hs, out)`` steps the floats ``x`` by each
-    step size in ``hs`` and writes the state after step i into ``out[i]``."""
+    """RK4 for n states: ``loop(f, x, hs, flat)`` steps the floats ``x`` by each
+    step size in ``hs`` and writes the state after step i into items
+    ``n*i ... n*i + n-1`` of ``flat``, a flat view of the output rows: one
+    float per item costs a fraction of a row assignment from a tuple."""
     x = _each(n, "x{i}")
-    return _compile("rk4", "f, x, hs, out", [
+    return _compile("rk4", "f, x, hs, flat", [
         f"{x} = x",
-        "for i, h in enumerate(hs, 1):",
+        "row = 0",
+        "for h in hs:",
+        f"    row += {n}",
         "    half, sixth = 0.5 * h, h / 6.0",
         "    " + _call(n, "a{i}", "x{i}"),
         "    " + _call(n, "b{i}", "x{i} + half * a{i}"),
         "    " + _call(n, "c{i}", "x{i} + half * b{i}"),
         "    " + _call(n, "d{i}", "x{i} + h * c{i}"),
         f"    {x} = {_each(n, 'x{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})')}",
-        f"    out[i] = ({x})",
+        *(f"    flat[row + {i}] = x{i}" for i in range(n)),
     ], {})
 
 

@@ -9,6 +9,7 @@ source that ``SparseModel.rhs`` compiles to float code for simulation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb
@@ -67,10 +68,12 @@ class LibraryMatrix:
         object.__setattr__(self, "terms", tuple(self.terms))
 
 
+@functools.lru_cache(maxsize=64)
 def enumerate_terms(spec: LibrarySpec) -> tuple[TermDescriptor, ...]:
     """Ordered term list: graded by degree, lexicographic within a degree
     (x before y before z), trig terms appended per harmonic with the sine
-    block ahead of the cosine block."""
+    block ahead of the cosine block.  Cached per spec, as the regression
+    builds the library one row block at a time."""
     n = spec.n_states
     terms: list[TermDescriptor] = []
     start = 0 if spec.include_constant else 1

@@ -9,6 +9,7 @@ harmonics; the constant term is the all-zero monomial.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import re
@@ -97,8 +98,14 @@ def term_evaluator(terms, n_states: int):
     values (m, len(terms)), written to ``out`` if given; one state (n_states,)
     runs as a one-row matrix and gives that row.  The callable does not check its
     input.  It is straight-line numpy code: each power ``x ** e`` (e >= 2) a term
-    uses is computed once, then column j is :func:`_term_source` of term j."""
-    terms = tuple(terms)
+    uses is computed once, then column j is :func:`_term_source` of term j.
+    Callables are cached on the term tuple and ``n_states``, so the library's
+    per-block calls and :func:`evaluate_rhs` compile each term list once."""
+    return _term_evaluator(tuple(terms), n_states)
+
+
+@functools.lru_cache(maxsize=256)
+def _term_evaluator(terms: tuple[TermDescriptor, ...], n_states: int):
     if any(len(t.exponents) != n_states for t in terms):
         raise DataError(f"a state of length {n_states} does not match the terms' exponents")
     powers = sorted({(i, e) for t in terms for i, e in enumerate(t.exponents) if e >= 2})

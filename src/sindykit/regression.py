@@ -6,9 +6,13 @@ zero every coefficient below the threshold, re-solve restricted to the
 survivors, and repeat until the support stops changing.  Ordinary least
 squares and coordinate-descent LASSO are provided as baselines.
 
-Each problem is factored once: the triangular factor R of [Theta | dX]
-preserves every residual norm, so every solve, residual and condition
-estimate runs on R's p x p library block instead of Theta's m rows.
+Each problem is factored once: the factor R of [Theta | dX] preserves
+every residual norm, so every solve, residual and condition estimate runs
+on R's p x p library block instead of Theta's m rows.  A fit builds Theta
+one row block at a time and folds each block into R, so no Theta-sized
+matrix is ever formed.  R below row p need not be triangular (a problem
+cut from a factor of more targets is not): only the column norms of that
+block R22 are read.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .library import LibraryMatrix, LibrarySpec, build_matrix, enumerate_terms
-from .model import Mode, SparseModel, TermDescriptor, TimeSeriesDataset
+from .library import LibrarySpec, build_matrix, enumerate_terms
+from .model import Mode, SparseModel, TimeSeriesDataset
 
 __all__ = [
     "StlsqConfig",
@@ -93,13 +97,16 @@ _QR_BLOCK_ROWS = 1024
 
 @dataclass(frozen=True, eq=False)
 class RegressionProblem:
-    """The regression dX = Theta Xi, kept as the triangular factor R of [Theta | dX].
+    """The regression dX = Theta Xi, kept as the factor R of [Theta | dX].
 
     With [Theta | dX] = Q R, Q having orthonormal columns, and R split
     after the p library columns into [[R11, R12], [0, R22]],
     ||Theta xi - dX[:, k]|| = hypot(||R11 xi - R12[:, k]||, ||R22[:, k]||)
-    for every xi, and R11 has the singular values of Theta.
-    ``n_terms`` is the column count p and ``n_samples`` the row count m of Theta.
+    for every xi, and R11 has the singular values of Theta.  R11 is upper
+    triangular; R22 need not be, since only its column norms are read, so
+    the problem of a few targets may be cut from the factor of many
+    (:meth:`targets`).  ``n_terms`` is the column count p and
+    ``n_samples`` the row count m of Theta.
     """
 
     n_terms: int
@@ -107,10 +114,11 @@ class RegressionProblem:
     n_samples: int
 
     @classmethod
-    def factor(cls, values: np.ndarray, target: np.ndarray) -> RegressionProblem:
-        """Factor [values | target] one row block at a time, so that the
-        full-size stacked matrix is never formed."""
-        m, p = values.shape
+    def factor(cls, n_terms: int, library, target: np.ndarray) -> RegressionProblem:
+        """Factor [Theta | target] one row block at a time: ``library(start, stop)``
+        gives Theta's rows start:stop (``n_terms`` columns), so neither Theta
+        nor the stacked matrix need ever be formed."""
+        m, p = target.shape[0], n_terms
         width = p + target.shape[1]
         stacked = np.empty((width + min(m, _QR_BLOCK_ROWS), width))
         R = stacked[:0]
@@ -119,7 +127,7 @@ class RegressionProblem:
             k = R.shape[0]
             end = k + stop - start
             stacked[:k] = R
-            stacked[k:end, :p] = values[start:stop]
+            stacked[k:end, :p] = library(start, stop)
             stacked[k:end, p:] = target[start:stop]
             R = np.linalg.qr(stacked[:end], mode="r")
         return cls(p, R, m)
@@ -129,6 +137,12 @@ class RegressionProblem:
         """(R11, R12, R22)."""
         p = self.n_terms
         return self.R[:p, :p], self.R[:p, p:], self.R[p:, p:]
+
+    def targets(self, start: int, stop: int) -> RegressionProblem:
+        """The problem of target columns start:stop alone: R's library columns
+        and those columns, every row."""
+        p = self.n_terms
+        return RegressionProblem(p, self.R[:, np.r_[:p, p + start:p + stop]], self.n_samples)
 
 
 def least_squares(A: np.ndarray, b: np.ndarray, rows: int | None = None) -> np.ndarray:
@@ -201,7 +215,7 @@ def _factored(Theta: np.ndarray, dX: np.ndarray) -> RegressionProblem:
         dX = dX.reshape(-1, 1)
     if dX.ndim != 2 or dX.shape[0] != values.shape[0]:
         raise DataError("Theta and dX must have the same number of rows")
-    return RegressionProblem.factor(values, dX)
+    return RegressionProblem.factor(values.shape[1], lambda start, stop: values[start:stop], dX)
 
 
 def stlsq(
@@ -288,28 +302,30 @@ def _require_finite(values: np.ndarray, rows: np.ndarray, problem: str) -> None:
         raise DataError(f"{problem} at dataset row {rows[np.argmax(bad)]}")
 
 
-def _regression_data(
+def _regression_problem(
     dataset: TimeSeriesDataset, spec: LibrarySpec, mode: Mode,
-    theta: LibraryMatrix | None = None,
-) -> tuple[LibraryMatrix, np.ndarray]:
-    """Library matrix and target of the regression dX = Theta(X) Xi.
+    derivatives: np.ndarray | None = None,
+) -> RegressionProblem:
+    """The factored regression dX = Theta(X) Xi of ``dataset``.
 
-    Continuous mode pairs each state with its stored derivative; discrete
-    mode pairs each state with the next one in its segment, so that no
-    derivative is ever computed.  Non-finite data, and states large
-    enough to overflow the library, are rejected naming the dataset row.
-    A ``theta`` already built from the same states is reused as it is.
+    Continuous mode pairs each state with its stored derivative, or with
+    its row of ``derivatives`` (m rows, any number of columns) when given;
+    discrete mode pairs each state with the next one in its segment, so
+    that no derivative is ever computed.  Theta is built and factored one
+    row block at a time.  Non-finite data, and states large enough to
+    overflow the library, are rejected naming the dataset row.
     """
     if spec.n_states != dataset.n_states:
         raise ConfigError(
             f"library expects {spec.n_states} states, dataset has {dataset.n_states}")
     if mode is Mode.CONTINUOUS:
-        if dataset.derivatives is None:
+        target = dataset.derivatives if derivatives is None else derivatives
+        if target is None:
             raise DataError(
                 "continuous-time fit needs derivatives; compute them with "
                 "the differentiation module (central_difference or tv_derivative)")
         rows = np.arange(dataset.n_samples)
-        X, target, target_rows = dataset.states, dataset.derivatives, rows
+        X, target_rows = dataset.states, rows
     else:
         rows = np.concatenate(
             [np.arange(sl.start, sl.stop - 1) for sl in dataset.segment_slices()])
@@ -319,21 +335,14 @@ def _regression_data(
         X, target = dataset.states[rows], dataset.states[target_rows]
     _require_finite(X, rows, "non-finite state")
     _require_finite(target, target_rows, "non-finite target")
-    if theta is None:
-        theta = build_matrix(spec, X)
-        _require_finite(theta.values, rows,
-                        f"library overflow (states too large for poly_order {spec.poly_order})")
-    return theta, target
+    overflow = f"library overflow (states too large for poly_order {spec.poly_order})"
 
+    def library(start: int, stop: int) -> np.ndarray:
+        block = build_matrix(spec, X[start:stop]).values
+        _require_finite(block, rows[start:stop], overflow)
+        return block
 
-def _regression_problem(
-    dataset: TimeSeriesDataset, spec: LibrarySpec, mode: Mode,
-    theta: LibraryMatrix | None = None,
-) -> RegressionProblem:
-    """The factored regression problem of :func:`_regression_data`; the
-    library matrix itself is dropped once factored."""
-    theta, target = _regression_data(dataset, spec, mode, theta)
-    return RegressionProblem.factor(theta.values, target)
+    return RegressionProblem.factor(spec.n_terms, library, target)
 
 
 def _with_sparsity(cfg: StlsqConfig | LassoConfig, value: float) -> StlsqConfig | LassoConfig:
@@ -343,12 +352,25 @@ def _with_sparsity(cfg: StlsqConfig | LassoConfig, value: float) -> StlsqConfig 
     return replace(cfg, lambda1=value)
 
 
-def _solve(problem: RegressionProblem, terms: tuple[TermDescriptor, ...],
-           cfg: StlsqConfig | LassoConfig, state_names: tuple[str, ...],
-           mode: Mode) -> tuple[SparseModel, FitReport]:
-    """Solve a prebuilt problem with the configured method, one equation per
-    column, into the model of the library ``terms``: the one place where a
-    fit becomes a :class:`SparseModel`."""
+def fit(
+    dataset: TimeSeriesDataset,
+    spec: LibrarySpec,
+    cfg: StlsqConfig | LassoConfig,
+    mode: Mode = Mode.CONTINUOUS,
+    problem: RegressionProblem | None = None,
+) -> tuple[SparseModel, FitReport]:
+    """Fit an identified model to a dataset, one equation per target column.
+
+    Continuous mode regresses the stored derivatives onto the library;
+    discrete mode regresses next states onto the library of current
+    states, pairing samples within each trajectory segment.  ``problem``
+    may pass in the factored regression on ``spec``'s library instead
+    (a sweep's training side, one noise level of compare's shared
+    factor); ``dataset`` then gives only the state names.  Every fit
+    becomes a :class:`SparseModel` here.
+    """
+    if problem is None:
+        problem = _regression_problem(dataset, spec, mode)
     m, p = problem.n_samples, problem.n_terms
     if m <= p:
         raise DataError(f"{m} samples do not overdetermine {p} library terms")
@@ -359,23 +381,6 @@ def _solve(problem: RegressionProblem, terms: tuple[TermDescriptor, ...],
         coef = np.column_stack([_lasso_on_factor(R11, y, cfg) for y in R12.T])
         n = coef.shape[1]
         report = _fit_report(problem, coef, coef.T != 0, [0] * n, [True] * n)
-    model = SparseModel(terms=terms, coefficients=coef, state_names=state_names, mode=mode)
+    model = SparseModel(terms=enumerate_terms(spec), coefficients=coef,
+                        state_names=dataset.state_names, mode=mode)
     return model, report
-
-
-def fit(
-    dataset: TimeSeriesDataset,
-    spec: LibrarySpec,
-    cfg: StlsqConfig | LassoConfig,
-    mode: Mode = Mode.CONTINUOUS,
-    theta: LibraryMatrix | None = None,
-) -> tuple[SparseModel, FitReport]:
-    """Fit an identified model to a dataset.
-
-    Continuous mode regresses the stored derivatives onto the library;
-    discrete mode regresses next states onto the library of current
-    states, pairing samples within each trajectory segment.  ``theta``
-    may pass in the library already built from ``dataset``'s states.
-    """
-    problem = _regression_problem(dataset, spec, mode, theta)
-    return _solve(problem, enumerate_terms(spec), cfg, dataset.state_names, mode)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .library import LibrarySpec, enumerate_terms
+from .library import LibrarySpec
 from .model import Mode, SparseModel, TimeSeriesDataset
 from .regression import (FitReport, LassoConfig, RegressionProblem, StlsqConfig,
-                         _regression_problem, _solve, _with_sparsity)
+                         _regression_problem, _with_sparsity, fit)
 
 __all__ = ["ParetoPoint", "split", "sweep", "pick_elbow"]
 SPLIT_BLOCKS = 20  # contiguous blocks the "blocks" split policy draws from
@@ -116,8 +116,7 @@ def sweep(
     train, val = split(dataset, fraction, policy=policy, seed=seed)
     problem = _regression_problem(train, spec, mode)
     problem_val = _regression_problem(val, spec, mode)
-    terms = enumerate_terms(spec)
-    models = [_solve(problem, terms, _with_sparsity(cfg, float(lam)), train.state_names, mode)
+    models = [fit(train, spec, _with_sparsity(cfg, float(lam)), mode, problem=problem)
               for lam in thresholds]
     points = [
         ParetoPoint(threshold=float(lam), nnz_total=model.nnz(),

@@ -90,3 +90,11 @@ def test_fit_on_the_generated_dataset_writes_the_same_model(short_configs, tmp_p
         assert run(cmd, config, tmp_path / out, *flags).returncode == 0
     direct, loaded = ((tmp_path / out / "model.json").read_bytes() for out in ("direct", "loaded"))
     assert direct == loaded
+
+
+def test_warnings_print_their_message_without_a_source_path(short_configs, tmp_path):
+    # the logistic ensemble truncates runs that escape, and says so once
+    proc = run("generate", short_configs["logistic"], tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    assert "warning: logistic iterates escaped" in proc.stderr
+    assert ".py:" not in proc.stderr

@@ -17,8 +17,9 @@ from sindykit import (
     iterate_map,
     model_from_json,
     simulate,
+    support,
 )
-from sindykit.cli import error_curve, main
+from sindykit.cli import _noise_levels_problem, error_curve, main
 from sindykit.dataio import (
     read_dataset_csv,
     write_basis_csv,
@@ -304,6 +305,17 @@ class TestCliGenerate:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    def test_a_caller_still_records_the_warnings_of_main(self, tmp_path):
+        # main changes only how a warning prints, and only while it runs
+        doc = {"spec_version": 1, "seed": 0,
+               "system": {"kind": "logistic", "ensemble_mus": [3.95], "n_steps": 400,
+                          "forcing": 0.025}}
+        cfg = write_config(tmp_path / "c.json", doc)
+        formatwarning = warnings.formatwarning
+        with pytest.warns(UserWarning, match="logistic iterates escaped"):
+            assert main(["generate", "--config", cfg, "--out", str(tmp_path / "g")]) == 0
+        assert warnings.formatwarning is formatwarning
+
 
 class TestCliCompareAndSweep:
     def test_identical_dynamics_give_zero_error_curve(self):
@@ -332,38 +344,47 @@ class TestCliCompareAndSweep:
     def test_compare_builds_one_library_and_one_truth(self, tmp_path, monkeypatch):
         import sindykit.cli
         import sindykit.regression
-        calls = {"build": 0, "dp45": 0}
+        rows, calls = [], {"dp45": 0}
+        build, dp45 = sindykit.regression.build_matrix, sindykit.cli.dp45_adaptive
 
-        def counting(name, real):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return wrapped
+        def building(spec, X):
+            rows.append(len(X))
+            return build(spec, X)
 
-        monkeypatch.setattr(sindykit.regression, "build_matrix",
-                            counting("build", sindykit.regression.build_matrix))
-        monkeypatch.setattr(sindykit.cli, "dp45_adaptive",
-                            counting("dp45", sindykit.cli.dp45_adaptive))
+        def integrating(*args, **kwargs):
+            calls["dp45"] += 1
+            return dp45(*args, **kwargs)
+
+        monkeypatch.setattr(sindykit.regression, "build_matrix", building)
+        monkeypatch.setattr(sindykit.cli, "dp45_adaptive", integrating)
         doc = dict(LIN2D_CFG)
-        doc["compare"] = {"horizon": 3.0, "grid_dt": 0.05, "etas": [0.01, 0.001, 0.0],
+        etas = (0.01, 0.001, 0.0)
+        doc["compare"] = {"horizon": 3.0, "grid_dt": 0.05, "etas": list(etas),
                           "long_horizon": 4.0}
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "cmp"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
-        assert calls == {"build": 1, "dp45": 1 + 3 + 1}  # truth, one model per eta, long run
+        assert rows == [1024, 1024, 453]  # one pass of row blocks over the 2501 samples
+        assert calls == {"dp45": 1 + 3 + 1}  # truth, one model per eta, long run
         monkeypatch.undo()
-        # each curve equals a direct fit of its own noisy data against its own truth
+        # each curve is the run of the model fitted on its columns of the shared
+        # factor, which is the direct fit of its own noisy data up to rounding
         spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 25.0), dt=0.01)
         base, grid = simulate(spec), np.arange(0.0, 3.0 + 0.025, 0.05)
-        f_true = system_rhs(spec)
-        for i, eta in enumerate((0.01, 0.001, 0.0)):
-            ds = add_noise(base, NoiseSpec(eta=eta, target="derivatives", seed=1 + i))
-            model, _ = fit(ds, LibrarySpec(2, 5), StlsqConfig(threshold=0.05))
-            truth, _ = dp45_adaptive(f_true, np.array(spec.x0), grid)
+        lib, fit_cfg = LibrarySpec(2, 5), StlsqConfig(threshold=0.05)
+        problem = _noise_levels_problem(base, lib, list(etas), seed=0)
+        truth, _ = dp45_adaptive(system_rhs(spec), np.array(spec.x0), grid)
+        for i, eta in enumerate(etas):
+            model, _ = fit(base, lib, fit_cfg, problem=problem.targets(2 * i, 2 * i + 2))
             model_run, _ = dp45_adaptive(model.rhs(), np.array(spec.x0), grid)
             curve = np.loadtxt(out / f"error_eta_{eta:g}.csv", delimiter=",", skiprows=1)
             assert np.array_equal(curve[:, 0], grid)
             assert np.array_equal(curve[:, 1], np.linalg.norm(truth - model_run, axis=1))
+            ds = add_noise(base, NoiseSpec(eta=eta, target="derivatives", seed=1 + i))
+            direct, _ = fit(ds, lib, fit_cfg)
+            assert support(model) == support(direct)
+            np.testing.assert_allclose(model.coefficients, direct.coefficients,
+                                       rtol=1e-10, atol=0)
 
     def test_compare_gives_up_on_a_stiff_model_within_seconds(self, tmp_path):
         # two time units of noisy data identify a stiff degree-5 model for

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import sindykit
 import sindykit.regression
 from sindykit import (
+    DataError,
     LassoConfig,
     LibrarySpec,
     StlsqConfig,
@@ -32,6 +33,8 @@ from sindykit import (
     stlsq,
     sweep,
 )
+from sindykit.regression import _factored
+from sindykit.selection import _residual
 
 EPS = np.finfo(float).eps
 
@@ -219,47 +222,74 @@ def test_every_solve_is_on_the_small_factor(monkeypatch):
     assert max(rows for rows, _ in shapes) <= spec.n_terms
 
 
-def test_fit_on_a_prebuilt_library_never_copies_it():
+def test_fit_never_forms_theta():
     # threshold 0 keeps every column, so a condition estimate taken on the
-    # m rows of the support would copy all of Theta
+    # m rows of the support would copy all of Theta, as would building it
     spec = LibrarySpec(3, 5)
     ds = _lorenz_like(20_000)
-    theta = build_matrix(spec, ds.states)
-    assert theta.values.shape == (20_000, 56)
+    theta_bytes = ds.n_samples * spec.n_terms * 8
+    assert spec.n_terms == 56
     tracemalloc.start()
     try:
-        fit(ds, spec, StlsqConfig(threshold=0.0), theta=theta)
+        fit(ds, spec, StlsqConfig(threshold=0.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < theta.values.nbytes / 2
+    assert peak < theta_bytes / 2
 
 
 _RSS_PROBE = """
 import resource
-import numpy as np
-from sindykit import LibraryMatrix, LibrarySpec, StlsqConfig, build_matrix, fit
+from sindykit import LibrarySpec, StlsqConfig, fit
 from test_factored_regression import _lorenz_like
 
 spec, ds = LibrarySpec(3, 5), _lorenz_like(50_000)
-values = np.empty((ds.n_samples, spec.n_terms))
-for start in range(0, ds.n_samples, 4096):  # row blocks keep the high-water mark low
-    part = build_matrix(spec, ds.states[start:start + 4096])
-    values[start:start + 4096] = part.values
 fit(_lorenz_like(2_000), spec, StlsqConfig(threshold=0.1))  # load what a fit loads
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-fit(ds, spec, StlsqConfig(threshold=0.1), theta=LibraryMatrix(values, part.terms))
+fit(ds, spec, StlsqConfig(threshold=0.1))
 grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
-print(grown / values.nbytes)
+print(grown / (ds.n_samples * spec.n_terms * 8))
 """
 
 
-def test_fit_on_a_prebuilt_library_keeps_peak_rss_flat():
+def test_fit_keeps_peak_rss_below_a_quarter_of_theta():
     # tracemalloc cannot see LAPACK's working copies, so count resident
-    # memory in a fresh process: a solve on Theta's m rows adds one Theta
+    # memory in a fresh process: a Theta formed anywhere adds its bytes
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(Path(sindykit.__file__).parents[1]),
                                            str(Path(__file__).parent)]))
     out = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert float(out) < 0.25
+
+
+def test_a_target_view_of_a_stacked_factor_equals_its_own_factor():
+    # compare factors [Theta | Y_1 ... Y_k] once and solves each Y_i on its
+    # column view; R22 of a view is not triangular, only its column norms count
+    rng = np.random.default_rng(5)
+    m, p, k = 3_500, 12, 3
+    Theta = rng.standard_normal((m, p))
+    xi = np.where(rng.random((p, 3)) < 0.4, rng.uniform(0.5, 2.0, (p, 3)), 0.0)
+    Ys = [Theta @ xi + eta * rng.standard_normal((m, 3)) for eta in (1e-3, 1e-2, 1e-1)]
+    stacked = _factored(Theta, np.hstack(Ys))
+    cfg = StlsqConfig(threshold=0.2)
+    for i, Y in enumerate(Ys):
+        view, fresh = stacked.targets(3 * i, 3 * (i + 1)), _factored(Theta, Y)
+        assert view.R.shape == (p + 3 * k, p + 3)
+        (coef, report), (ref, ref_report) = stlsq(view, None, cfg), stlsq(fresh, None, cfg)
+        assert np.array_equal(coef != 0, ref != 0)
+        assert np.array_equal(coef != 0, xi != 0)
+        np.testing.assert_allclose(coef, ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(report.residual_norm, ref_report.residual_norm, rtol=1e-12)
+        np.testing.assert_allclose(report.condition_estimate, ref_report.condition_estimate,
+                                   rtol=1e-12)
+        assert _residual(view, coef) == pytest.approx(_residual(fresh, ref), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_library_overflow_in_a_late_block_names_its_dataset_row():
+    ds = _lorenz_like(3_000)
+    states = ds.states.copy()
+    states[2_500] = 1e70  # a fifth power overflows; rows 0-2047 fill the first two blocks
+    with pytest.raises(DataError, match="library overflow .* at dataset row 2500$"):
+        fit(ds.with_(states=states), LibrarySpec(3, 5), StlsqConfig(threshold=0.1))

@@ -24,6 +24,8 @@ from sindykit import (
     support,
     sweep,
 )
+from sindykit.regression import _QR_BLOCK_ROWS
+
 from conftest import LORENZ_TRUE_SUPPORT
 
 # the sweep replaces the threshold; every other setting comes from here
@@ -202,21 +204,25 @@ class TestSweepSharesOneProblem:
 
     @pytest.mark.parametrize("count", [3, 25])
     def test_builds_library_twice_whatever_the_threshold_count(self, small, monkeypatch, count):
+        # one pass of row blocks per split side, whatever the threshold count;
+        # each side of this small set is a single block, so two builds in all
         import sindykit.library
         import sindykit.regression
         import sindykit.selection
-        calls = []
+        rows = []
         real = sindykit.library.build_matrix
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(spec, X):
+            rows.append(len(X))
+            return real(spec, X)
 
         for module in (sindykit.regression, sindykit.selection):
             if hasattr(module, "build_matrix"):
                 monkeypatch.setattr(module, "build_matrix", counting)
         sweep(small, LibrarySpec(2, 3), np.logspace(-3, 0, count), STLSQ)
-        assert len(calls) == 2
+        blocks = lambda m: [min(_QR_BLOCK_ROWS, m - s) for s in range(0, m, _QR_BLOCK_ROWS)]
+        train, val = split(small, 0.2)
+        assert rows == blocks(train.n_samples) + blocks(val.n_samples) == [401, 100]
 
     def test_equals_fit_per_threshold_plus_residuals(self, small):
         self._assert_equals_fit(small, STLSQ, "threshold")
