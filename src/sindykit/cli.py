@@ -302,39 +302,42 @@ def _fit_config(exp: dict, override_threshold: float | None) -> StlsqConfig | La
     return fit_cfg if override_threshold is None else _with_sparsity(fit_cfg, override_threshold)
 
 
-def _condition(ds: TimeSeriesDataset, exp: dict, noise_seed: int,
-               mode: Mode) -> TimeSeriesDataset:
-    """Apply configured noise and derivative estimation to one trajectory."""
+def _condition(runs: list[TimeSeriesDataset], exp: dict, noise_base: int,
+               mode: Mode) -> list[TimeSeriesDataset]:
+    """Apply configured noise and derivative estimation to each trajectory.
+
+    Run i gets noise seed ``noise_base + i`` and its own optional SVD
+    denoising; one ``differentiate_dataset`` call then estimates every
+    run's derivatives.
+    """
     noise, diff = exp["noise_spec"], exp["differentiation"]
     if noise.eta > 0.0:
-        ds = add_noise(ds, replace(noise, seed=noise_seed))
+        runs = [add_noise(ds, replace(noise, seed=noise_base + i)) for i, ds in enumerate(runs)]
     if diff["denoise_states"]:
-        ds = ds.with_(states=hard_threshold_svd(ds.states))
+        runs = [ds.with_(states=hard_threshold_svd(ds.states)) for ds in runs]
     method = diff["method"]
     if method == "exact":
-        if ds.derivatives is None and mode is Mode.CONTINUOUS:
+        if mode is Mode.CONTINUOUS and any(ds.derivatives is None for ds in runs):
             raise DataError(
                 "differentiation method 'exact' needs stored derivatives; "
                 "external data without them must use 'central' or 'tv'")
-    else:
-        ds = differentiate_dataset(ds.with_(derivatives=None), method, tv=exp["tv"])
-    return ds
+        return runs
+    return differentiate_dataset([ds.with_(derivatives=None) for ds in runs], method,
+                                 tv=exp["tv"])
 
 
 def _prepare(exp: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSeriesDataset:
     """generate (or load) -> noise -> differentiate -> augment -> reduce.
 
-    Runs are noise-injected and differentiated independently (a fresh
-    noise stream per run), then parameter-augmented and concatenated, so
-    known parameter columns stay exact.
+    Runs are noise-injected independently (a fresh noise stream per run)
+    and differentiated together, then parameter-augmented and
+    concatenated, so known parameter columns stay exact.
     """
     noise_base = exp["noise"].get("seed", seed + 1)
     if data_path is not None:
-        ds = _condition(read_dataset_csv(data_path), exp, noise_base, mode)
+        [ds] = _condition([read_dataset_csv(data_path)], exp, noise_base, mode)
     else:
-        runs = [_condition(run, exp, noise_base + i, mode)
-                for i, run in enumerate(_simulate_runs(exp, seed))]
-        ds = _join_runs(exp, runs)
+        ds = _join_runs(exp, _condition(_simulate_runs(exp, seed), exp, noise_base, mode))
     if exp["reduction"]:
         ds = reduce_dataset(ds, compute_basis(ds.states, **exp["reduction"]))
     return ds

@@ -46,8 +46,9 @@ def write_csv(path: str | Path, header: list[str] | None, rows: np.ndarray) -> P
         if rows.size:
             line = ",".join([_FMT] * rows.shape[1]) + "\n"
             for start in range(0, rows.shape[0], _BLOCK_ROWS):
-                fh.write("".join(line % tuple(row)
-                                 for row in rows[start:start + _BLOCK_ROWS].tolist()))
+                block = rows[start:start + _BLOCK_ROWS]
+                # one % over the block's lines: the bytes of one % per row
+                fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
     return path
 
 

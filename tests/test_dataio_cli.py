@@ -1,6 +1,7 @@
 import json
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from sindykit import (
     model_from_json,
     simulate,
     support,
+    tv_derivative,
 )
 from sindykit.cli import _noise_levels_problem, error_curve, main
 from sindykit.dataio import (
@@ -27,6 +29,7 @@ from sindykit.dataio import (
     write_pareto_csv,
 )
 from sindykit.integrate import dp45_adaptive
+from sindykit.model import Mode
 from sindykit.selection import ParetoPoint
 from sindykit.systems import system_rhs
 
@@ -127,6 +130,21 @@ class TestDatasetCsv:
         assert (tmp_path / "modes.csv").read_bytes() == self._row_by_row(None, basis.modes)
         assert (tmp_path / "sv.csv").read_bytes() == self._row_by_row(
             None, basis.singular_values.reshape(1, -1))
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025])
+    def test_block_format_equals_one_row_at_a_time(self, tmp_path, n_rows):
+        # block edges of the writer, signed zeros, infinities, nan and subnormals
+        from sindykit.dataio import write_csv
+        rng = np.random.default_rng(n_rows)
+        rows = rng.standard_normal((n_rows, 4)) * 10.0 ** rng.integers(-300, 300, (n_rows, 4))
+        special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 0.0, 1e-320]
+        flat = rows.reshape(-1)
+        flat[:len(special)] = special[:flat.size]
+        header = ["a", "b", "c", "d"]
+        assert write_csv(tmp_path / "h.csv", header, rows).read_bytes() \
+            == self._row_by_row(header, rows)
+        assert write_csv(tmp_path / "n.csv", None, rows).read_bytes() \
+            == self._row_by_row(None, rows)
 
     def test_reader_values_equal_float_parsing_bit_for_bit(self, lorenz_dataset, tmp_path):
         path = write_dataset_csv(lorenz_dataset, tmp_path / "lorenz.csv")
@@ -473,6 +491,45 @@ class TestCliHopfEnsemble:
                                   ("xxx", 0), ("xyy", 0), ("xxy", 1), ("yyy", 1)}
         table = (out / "model_table.txt").read_text()
         assert table.splitlines()[0].split() == ["''", "'xdot'", "'ydot'", "'udot'"]
+
+    @staticmethod
+    def _condition_per_run(ds, exp, noise_seed):
+        """The per-run conditioning ``_prepare`` replaced, kept as its reference:
+        noise, then one ``tv_derivative`` call per segment and state column."""
+        ds = add_noise(ds, replace(exp["noise_spec"], seed=noise_seed)).with_(derivatives=None)
+        deriv = np.empty_like(ds.states)
+        for sl in ds.segment_slices():
+            cfg = replace(exp["tv"], dt=float(ds.times[sl][1] - ds.times[sl][0]))
+            for j in range(ds.n_states):
+                deriv[sl, j] = tv_derivative(ds.states[sl, j], cfg)
+        return ds.with_(derivatives=deriv, meta={**ds.meta, "differentiation": "tv"})
+
+    def test_prepare_differentiates_every_run_in_one_call(self, monkeypatch):
+        import sindykit.cli as cli
+        import sindykit.differentiation as diff
+        exp = cli.parse_experiment(cli.load_config(TestShippedConfigs.CONFIG_DIR / "hopf.json"))
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "differentiate_dataset", counted(diff.differentiate_dataset))
+        monkeypatch.setattr(diff, "tv_derivative", counted(diff.tv_derivative))
+        ds = cli._prepare(exp, exp["seed"], None, Mode.CONTINUOUS)
+        assert calls == ["differentiate_dataset", "tv_derivative"]
+        monkeypatch.undo()
+
+        runs = cli._simulate_runs(exp, exp["seed"])
+        assert len(runs) == 24
+        base = exp["noise"]["seed"]
+        ref = cli._join_runs(exp, [self._condition_per_run(run, exp, base + i)
+                                   for i, run in enumerate(runs)])
+        for name in ("times", "states", "derivatives"):
+            assert getattr(ds, name).tobytes() == getattr(ref, name).tobytes()
+        assert (ds.segments, ds.state_names, ds.meta) == (ref.segments, ref.state_names, ref.meta)
 
 
 class TestShippedConfigs:

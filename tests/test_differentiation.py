@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from sindykit import (
     simulate,
     tv_derivative,
 )
+from sindykit.differentiation import _ROW_PATH_MIN
 
 
 class TestCentralDifference:
@@ -253,6 +256,26 @@ class TestTvPreconditioner:
         z = _penta_solve(*diagonals, y)
         assert np.linalg.norm(S @ z - y) <= 1e-14 * np.linalg.norm(S, 2) * np.linalg.norm(z)
 
+    @pytest.mark.parametrize("m", [5, 6, 64, 1251])
+    def test_row_path_equals_the_float_loop(self, m):
+        # the two cases above as columns 0 and 1 of one batch, plus a third
+        from sindykit.differentiation import _penta_rows, _penta_solve
+        cases = []
+        for seed, dt in ((m, 1.0), (m + 1, 0.02), (m + 2, 0.3)):
+            rng = np.random.default_rng(seed)
+            w = 10.0 ** rng.uniform(-6.0, 3.0, m - 1)
+            y = rng.standard_normal(m)
+            cases.append((*_pentadiagonal(w, dt), y))
+        # fresh arrays: the row path overwrites the diagonals with the factor
+        diag, off1, off2 = (np.column_stack(d) for d in zip(*(c[1] for c in cases)))
+        x = _penta_rows(diag, off1, off2, np.column_stack([c[2] for c in cases]))
+        for j, (_, diagonals, y) in enumerate(cases):
+            assert x[:, j].tobytes() == _penta_solve(*diagonals, y).tobytes()
+        (S, _, y), z = cases[0], x[:, 0]
+        assert np.linalg.norm(z - np.linalg.solve(S, y)) <= 1e-10 * np.linalg.norm(z)
+        (S, _, y), z = cases[1], x[:, 1]
+        assert np.linalg.norm(S @ z - y) <= 1e-14 * np.linalg.norm(S, 2) * np.linalg.norm(z)
+
 
 class TestTvStep:
     """One lagged-diffusivity step, solved directly, against dense linear algebra."""
@@ -326,7 +349,8 @@ class TestTvSolverCounters:
 
         def worse(w, rhs, dt):
             calls.append(dt)
-            return np.gradient(samples, dt) + 1.0  # raises the data misfit
+            # raises the data misfit; a 1-D signal is solved as one column
+            return np.gradient(samples, dt).reshape(rhs.shape) + 1.0
 
         monkeypatch.setattr(diff, "_tv_step", worse)
         samples = np.sin(np.linspace(0.0, 3.0, 50))
@@ -335,6 +359,90 @@ class TestTvSolverCounters:
         assert len(calls) == 1
         assert len(objectives) == 1
         assert np.array_equal(u, np.gradient(samples, 3.0 / 49))
+
+
+def _signals(m, dt, k):
+    # ramps stop after one step (accepted, or a rounding stall), |t - c|
+    # meets the plateau test part-way, noisy sines and random walks run on
+    rng = np.random.default_rng(k)
+    t = dt * np.arange(m)
+    columns = []
+    for j in range(k):
+        kind = j % 4
+        if kind == 0:
+            columns.append((j + 1) * 0.3 * t - 0.5 * j)
+        elif kind == 1:
+            columns.append(np.sin((1 + 0.1 * j) * t) + 0.01 * rng.standard_normal(m))
+        elif kind == 2:
+            columns.append(np.abs(t - t[m // 3 + j % 7]))
+        else:
+            columns.append(0.1 * np.cumsum(rng.standard_normal(m)))
+    return np.column_stack(columns)
+
+
+class TestBatchedTv:
+    """k columns solved together give each column the bits it gets alone."""
+
+    CFG = TvDiffConfig(alpha=0.01, dt=0.1, iterations=40)
+
+    def _assert_columns_alone(self, F, cfg):
+        U, objectives = tv_derivative(F, cfg, full_output=True)
+        assert U.shape == F.shape and len(objectives) == F.shape[1]
+        for j in range(F.shape[1]):
+            u, obj = tv_derivative(F[:, j], cfg, full_output=True)
+            assert U[:, j].tobytes() == u.tobytes()
+            assert objectives[j].tobytes() == obj.tobytes()
+        assert tv_derivative(F, cfg).tobytes() == U.tobytes()
+        return objectives
+
+    @pytest.mark.parametrize("k", [1, 2, _ROW_PATH_MIN - 1, _ROW_PATH_MIN, 48])
+    def test_batch_equals_each_column_alone(self, k):
+        objectives = self._assert_columns_alone(_signals(60, 0.1, k), self.CFG)
+        if k >= 4:
+            stops = {len(o) - 1 for o in objectives}  # accepted outer steps
+            assert min(stops) <= 1 and max(stops) == 40 and any(1 < n < 40 for n in stops)
+
+    def test_columns_that_stall_part_way_keep_their_previous_iterate(self, monkeypatch):
+        # a step that raises the misfit of chosen columns at a chosen outer
+        # step, recognised by their right-hand side whatever batch they are in
+        import sindykit.differentiation as diff
+        from sindykit.differentiation import _b_transpose
+        F = _signals(60, 0.1, 48)
+        stall_at = {_b_transpose(F[:, j] - F[0, j]).tobytes(): 3 + j % 5
+                    for j in range(48) if j % 4 == 3}  # random walks, which never plateau
+        seen = {}
+
+        def stalling(w, rhs, dt):
+            u = real(w, rhs, dt)
+            for c in range(rhs.shape[1]):
+                key = rhs[:, c].tobytes()
+                seen[key] = seen.get(key, 0) + 1
+                if seen[key] == stall_at.get(key):
+                    u[:, c] += 1.0
+            return u
+
+        real = diff._tv_step
+        monkeypatch.setattr(diff, "_tv_step", stalling)
+        U, objectives = tv_derivative(F, self.CFG, full_output=True)
+        for j in range(48):
+            seen.clear()
+            u, obj = tv_derivative(F[:, j], self.CFG, full_output=True)
+            assert U[:, j].tobytes() == u.tobytes()
+            assert objectives[j].tobytes() == obj.tobytes()
+            if j % 4 == 3:
+                # the stalled step is dropped: its 2 + j % 5 accepted steps remain
+                assert len(obj) == 3 + j % 5
+
+    def test_non_finite_sample_names_row_and_column(self):
+        F = _signals(30, 0.1, 3)
+        F[12, 2] = np.nan
+        F[20, 0] = np.inf
+        with pytest.raises(DataError, match="row 12 of column 2"):
+            tv_derivative(F, self.CFG)
+
+    def test_three_dimensional_samples_rejected(self):
+        with pytest.raises(DataError, match="shape"):
+            tv_derivative(np.zeros((10, 2, 2)), self.CFG)
 
 
 class TestHardThresholdSvd:
@@ -431,6 +539,56 @@ class TestDifferentiateDataset:
                                segments=(0, 40 - length))
         with pytest.raises(DataError, match=f"rows {40 - length}..39 has {length}"):
             differentiate_dataset(ds, "tv", tv=TvDiffConfig(alpha=0.01, dt=1.0, iterations=2))
+
+    @staticmethod
+    def _runs():
+        # two 40-sample runs, one 30-sample run, and a run of segments of
+        # 40 and 25 samples: three (length, step) groups
+        rng = np.random.default_rng(4)
+        runs = []
+        for length, segments in ((40, (0,)), (30, (0,)), (40, (0,)), (65, (0, 40))):
+            t = 0.1 * np.arange(length)
+            runs.append(TimeSeriesDataset(times=t, segments=segments,
+                                          states=0.1 * np.cumsum(rng.standard_normal((length, 2)), axis=0)))
+        return runs
+
+    def test_list_is_one_tv_call_per_length_and_step(self, monkeypatch):
+        import sindykit.differentiation as diff
+        cfg = TvDiffConfig(alpha=0.01, dt=1.0, iterations=10)
+        runs, shapes = self._runs(), []
+
+        def counted(samples, *args, **kwargs):
+            shapes.append(samples.shape)
+            return tv_derivative(samples, *args, **kwargs)
+
+        monkeypatch.setattr(diff, "tv_derivative", counted)
+        out = differentiate_dataset(runs, "tv", tv=cfg)
+        assert sorted(shapes) == [(25, 2), (30, 2), (40, 6)]
+        monkeypatch.undo()
+        for ds, got in zip(runs, out):
+            assert got.meta["differentiation"] == "tv"
+            for sl in ds.segment_slices():
+                step = float(ds.times[sl][1] - ds.times[sl][0])
+                for j in range(2):
+                    alone = tv_derivative(ds.states[sl, j], replace(cfg, dt=step))
+                    assert got.derivatives[sl, j].tobytes() == alone.tobytes()
+        assert differentiate_dataset(runs[3], "tv", tv=cfg).derivatives.tobytes() \
+            == out[3].derivatives.tobytes()
+
+    def test_list_errors_name_the_run_and_the_row(self):
+        cfg = TvDiffConfig(alpha=0.01, dt=1.0, iterations=2)
+        runs = self._runs()
+        states = runs[3].states.copy()
+        states[47, 1] = np.nan
+        runs[3] = runs[3].with_(states=states)
+        with pytest.raises(DataError, match="run 3: non-finite sample at row 47"):
+            differentiate_dataset(runs, "tv", tv=cfg)
+        with pytest.raises(DataError, match="^non-finite sample at row 47"):
+            differentiate_dataset(runs[3], "tv", tv=cfg)
+        runs = self._runs()
+        runs[1] = runs[1].with_(segments=(0, 27))
+        with pytest.raises(DataError, match="run 1: .* rows 27..29 has 3"):
+            differentiate_dataset(runs, "tv", tv=cfg)
 
     def test_unknown_method_rejected(self):
         ds = TimeSeriesDataset(times=np.arange(10.0), states=np.zeros((10, 1)))
