@@ -12,14 +12,14 @@ does not rise; a step that rounding makes rise is dropped and ends the
 iteration.  Each step's linear system H u = Aᵀ(f - f[0]),
 H = AᵀA + DᵀWD, is solved directly: in the shifted integral
 s = Aᵣu - (dt/2) u[0] (Aᵣ the rectangle rule) it is pentadiagonal SPD,
-so one banded LDLᵀ solve gives the exact step.
+so one banded solve gives the exact step.
 
-Signals of one length and step are solved as the columns of one array:
-a wide batch runs the banded solve one numpy row of all columns per
-index, with the operations of the one-column float loop in its order,
-and each column stops on its own, so every column gets the bits it would
-get alone.  ``differentiate_dataset`` gathers the segments of a list of
-runs into such batches.
+Signals of one length and step are solved as the columns of one array.
+The banded solve is odd-even block cyclic reduction: about log₂ m levels
+of whole-array operations, each elementwise across the columns, for any
+number of columns.  With each column stopping on its own, every column
+gets the bits it would get alone.  ``differentiate_dataset`` gathers the
+segments of a list of runs into such batches.
 
 Noise is injected as eta * Z with Z a seeded matrix of i.i.d. standard
 normal entries, i.e. eta is a standard-deviation multiplier.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .model import TimeSeriesDataset
 
 __all__ = [
@@ -124,121 +124,138 @@ def _b_transpose(v: np.ndarray) -> np.ndarray:
     return out
 
 
-# From this many columns on, ``_penta_solve`` steps one numpy row of all
-# columns per index instead of a float loop per column.  At n = 1251 a
-# row took 8-11 µs whatever the width and the float loop 0.45-0.55 µs per
-# index and column; the row path was 1.1x the float loop's time at 20
-# columns and 0.8x at 24.
-_ROW_PATH_MIN = 22
-
-
 def _penta_solve(diag: np.ndarray, off1: np.ndarray, off2: np.ndarray,
                  y: np.ndarray) -> np.ndarray:
     """Solve S x = y for the SPD pentadiagonal S with these diagonals.
 
-    ``diag`` has length n, ``off1`` (entries (j, j+1)) n-1 and ``off2``
-    (entries (j, j+2)) n-2.  LDLᵀ without pivoting: one loop factors and
-    substitutes forward, a second substitutes back.  Given (n, k) arrays
-    it solves k systems, one per column; wide batches take
-    ``_penta_rows``, which gives each column the float loop's bits and
-    overwrites the diagonals.
+    For n = len(y), the diagonals have the even length n + n % 2, as
+    ``_tv_diagonals`` builds them: ``diag`` (entries (j, j)), ``off1``
+    ((j, j+1)) and ``off2`` ((j, j+2)), with an identity row bordering
+    an odd n and the entries past the matrix ignored.  Given (n, k)
+    arrays it solves k systems, one per column.  The diagonals are
+    overwritten with the factor; y is copied once and kept.
+
+    Odd-even block cyclic reduction (Heller 1976): rows 2i and 2i+1 form
+    block i, so S is block tridiagonal with SPD 2x2 blocks Aᵢ and the
+    couplings Cᵢ of block i to block i+1.  Each level factors the odd
+    blocks j, A = LLᵀ, over A and forms w = L⁻¹v over v, P = Cⱼ₋₁L⁻ᵀ over
+    Cⱼ₋₁ and Qᵀ = L⁻¹Cⱼ over Cⱼ.  The even blocks are left as a block
+    tridiagonal system of half the size: A -= PPᵀ or QQᵀ, v -= Pw or Qw,
+    coupled by -PQᵀ.  Back substitution gives x = L⁻ᵀ(w - Pᵀxⱼ₋₁ - Qᵀxⱼ₊₁).
+    Every operation is elementwise across columns, so each column gets
+    the bits it gets alone.  Raises ``NumericalError`` naming the row
+    (and column) of a non-positive or non-finite pivot.
     """
-    if y.ndim == 2:
-        if y.shape[1] >= _ROW_PATH_MIN:
-            return _penta_rows(diag, off1, off2, y)
-        return np.column_stack([_penta_solve(diag[:, c], off1[:, c], off2[:, c], y[:, c])
-                                for c in range(y.shape[1])])
-    vd, sub1, sub2 = [], [], []  # v[j]/d[j], L[j+1, j], L[j+2, j]
-    d1 = d2 = 0.0  # d[j-1], d[j-2]
-    l1 = l2 = l2_next = 0.0  # L[j, j-1], L[j, j-2], L[j+1, j-1]
-    b1 = b2 = 0.0  # v[j-1], v[j-2]
-    for s0, s1, s2, yj in zip(diag.tolist(), off1.tolist() + [0.0],
-                              off2.tolist() + [0.0, 0.0], y.tolist()):
-        dj = s0 - l1 * l1 * d1 - l2 * l2 * d2
-        c = yj - l1 * b1 - l2 * b2
-        l1_next = (s1 - l2_next * l1 * d1) / dj
-        l2_next2 = s2 / dj
-        vd.append(c * (1.0 / dj))
-        sub1.append(l1_next)
-        sub2.append(l2_next2)
-        d2, d1 = d1, dj
-        l1, l2, l2_next = l1_next, l2_next, l2_next2
-        b2, b1 = b1, c
-    x = []
-    b2 = b1 = 0.0  # x[j+2], x[j+1]
-    for vdj, l1, l2 in zip(reversed(vd), reversed(sub1), reversed(sub2)):
-        c = vdj - l1 * b1 - l2 * b2
-        x.append(c)
-        b2, b1 = b1, c
-    x.reverse()
-    return np.array(x)
+    n = y.shape[0]
+    x = np.zeros(diag.shape)  # v; then w at the odd blocks of each level; then x
+    x[:n] = y
+    a00, a10, a11, v0, v1 = diag[0::2], off1[0::2], diag[1::2], x[0::2], x[1::2]
+    # the couplings (c00, c01, c10, c11): c_rs[i] = S[2i + r, 2i + 2 + s]
+    C = (off2[0:-2:2], np.zeros(a00[1:].shape), off1[1:-2:2], off2[1:-2:2])
+    step = 2  # rows per block of the current level
+    levels = []
+    while a00.shape[0] > 1:
+        # ne even blocks; the first ne - 1 odd blocks have an even block on either side
+        ne = (a00.shape[0] + 1) // 2
+        l00, l10, l11, w0, w1 = a00[1::2], a10[1::2], a11[1::2], v0[1::2], v1[1::2]
+        _cholesky(l00, l10, l11, step, 2 * step)
+        _forward(l00, l10, l11, w0, w1)
+        # P over the couplings from even to odd blocks, Qᵀ over those from odd to even
+        p00, p01, p10, p11 = P = tuple(c[0::2] for c in C)
+        _forward(l00, l10, l11, p00, p01)
+        _forward(l00, l10, l11, p10, p11)
+        r00, r01, r10, r11 = R = tuple(c[1::2] for c in C)
+        lr = l00[:ne - 1], l10[:ne - 1], l11[:ne - 1]
+        _forward(*lr, r00, r10)
+        _forward(*lr, r01, r11)
+        a00, a10, a11, v0, v1 = a00[0::2], a10[0::2], a11[0::2], v0[0::2], v1[0::2]
+        no = w0.shape[0]
+        a00[:no] -= p00 * p00 + p01 * p01
+        a10[:no] -= p10 * p00 + p11 * p01
+        a11[:no] -= p10 * p10 + p11 * p11
+        v0[:no] -= p00 * w0 + p01 * w1
+        v1[:no] -= p10 * w0 + p11 * w1
+        wr0, wr1 = w0[:ne - 1], w1[:ne - 1]
+        a00[1:] -= r00 * r00 + r10 * r10
+        a10[1:] -= r01 * r00 + r11 * r10
+        a11[1:] -= r01 * r01 + r11 * r11
+        v0[1:] -= r00 * wr0 + r10 * wr1
+        v1[1:] -= r01 * wr0 + r11 * wr1
+        p00, p01, p10, p11 = (p[:ne - 1] for p in P)  # the couplings -PQᵀ of the new level
+        C = (-(p00 * r00 + p01 * r10), -(p00 * r01 + p01 * r11),
+             -(p10 * r00 + p11 * r10), -(p10 * r01 + p11 * r11))
+        levels.append((l00, l10, l11, w0, w1, P, R, v0, v1))
+        step *= 2
+    _cholesky(a00, a10, a11, 0, step)
+    _forward(a00, a10, a11, v0, v1)
+    _backward(a00, a10, a11, v0, v1)
+    while levels:  # each level's couplings are freed once it is substituted
+        l00, l10, l11, w0, w1, (p00, p01, p10, p11), (r00, r01, r10, r11), x0, x1 = levels.pop()
+        no, nr = w0.shape[0], r00.shape[0]
+        w0 -= p00 * x0[:no] + p10 * x1[:no]
+        w1 -= p01 * x0[:no] + p11 * x1[:no]
+        w0[:nr] -= r00 * x0[1:] + r01 * x1[1:]
+        w1[:nr] -= r10 * x0[1:] + r11 * x1[1:]
+        _backward(l00, l10, l11, w0, w1)
+    return x[:n]
 
 
-def _penta_rows(diag: np.ndarray, off1: np.ndarray, off2: np.ndarray,
-                y: np.ndarray) -> np.ndarray:
-    """``_penta_solve``'s float loop on k columns at once, one row of k values per index.
+def _cholesky(a00: np.ndarray, a10: np.ndarray, a11: np.ndarray, row: int, step: int) -> None:
+    """Factor the blocks [[a00, a10], [a10, a11]] = LLᵀ in place; block t is at row + step·t."""
+    _check_pivot(a00, row, step)
+    np.sqrt(a00, out=a00)
+    a10 /= a00
+    a11 -= a10 * a10
+    _check_pivot(a11, row + 1, step)
+    np.sqrt(a11, out=a11)
 
-    Every line of the loop becomes the same operations, in the same
-    order, on rows, so each column of the (n, k) result has the bits the
-    float loop gives that column.  The factor overwrites the diagonals:
-    row j of ``diag`` becomes d[j], of ``off1`` L[j+1, j], of ``off2``
-    L[j+2, j].  v[j]/d[j] is formed after the loop, for all j at once,
-    and the back substitution overwrites it with the solution.
-    """
-    n, k = y.shape
-    zero = np.zeros(k)
-    pad = np.zeros((3, k))  # off1 and off2 past their ends, as the float loop pads them
-    sub1, sub2 = [*off1, pad[0]], [*off2, pad[1], pad[2]]  # read at j, then overwritten
-    x = np.empty((n, k))  # v[j]; then v[j]/d[j]; then the solution
-    t = np.empty(k)
-    d1 = d2 = l1 = l2 = l2_next = b1 = b2 = zero
-    for dj, l1_next, l2_next2, yj, c in zip(diag, sub1, sub2, y, x):
-        # dj = s0 - l1 * l1 * d1 - l2 * l2 * d2, in place of s0
-        np.multiply(l1, l1, out=t)
-        t *= d1
-        dj -= t
-        np.multiply(l2, l2, out=t)
-        t *= d2
-        dj -= t
-        # c = yj - l1 * b1 - l2 * b2
-        np.multiply(l1, b1, out=t)
-        np.subtract(yj, t, out=c)
-        np.multiply(l2, b2, out=t)
-        c -= t
-        # l1_next = (s1 - l2_next * l1 * d1) / dj, in place of s1
-        np.multiply(l2_next, l1, out=t)
-        t *= d1
-        l1_next -= t
-        l1_next /= dj
-        l2_next2 /= dj  # s2 / dj, in place of s2
-        d2, d1 = d1, dj
-        l1, l2, l2_next = l1_next, l2_next, l2_next2
-        b2, b1 = b1, c
-    x *= np.divide(1.0, diag, out=diag)
-    b2 = b1 = zero  # x[j+2], x[j+1]
-    for c, l1, l2 in zip(x[::-1], sub1[::-1], sub2[::-1]):
-        # c = vdj - l1 * b1 - l2 * b2
-        np.multiply(l1, b1, out=t)
-        c -= t
-        np.multiply(l2, b2, out=t)
-        c -= t
-        b2, b1 = b1, c
-    return x
+
+def _check_pivot(p: np.ndarray, row: int, step: int) -> None:
+    """Raise ``NumericalError`` unless every pivot is positive and finite."""
+    if p.min() > 0.0 and p.max() < math.inf:  # a NaN fails both
+        return
+    t, *col = np.argwhere(~((p > 0.0) & (p < math.inf)))[0]
+    where = f" of column {col[0]}" if col else ""
+    raise NumericalError(f"banded solve: pivot {p[(t, *col)]} at row {row + step * t}{where} "
+                         "is not positive and finite")
+
+
+def _forward(l00: np.ndarray, l10: np.ndarray, l11: np.ndarray, y0: np.ndarray,
+             y1: np.ndarray) -> None:
+    """(y0, y1) <- L⁻¹(y0, y1) for the factor of ``_cholesky``."""
+    y0 /= l00
+    y1 -= l10 * y0
+    y1 /= l11
+
+
+def _backward(l00: np.ndarray, l10: np.ndarray, l11: np.ndarray, y0: np.ndarray,
+              y1: np.ndarray) -> None:
+    """(y0, y1) <- L⁻ᵀ(y0, y1) for the factor of ``_cholesky``."""
+    y1 /= l11
+    y0 -= l10 * y1
+    y0 /= l00
 
 
 def _tv_diagonals(w: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The diagonals of BᵀB + GᵀWG, the matrix of ``_tv_step``, for the m-1 weights ``w``."""
+    """The diagonals of BᵀB + GᵀWG, the matrix of ``_tv_step``, for the m-1 weights ``w``.
+
+    Each has the even length m + m % 2 that ``_penta_solve`` takes; an
+    odd m is bordered by one identity row.
+    """
     m = w.shape[0] + 1
-    a = np.zeros((m + 2,) + w.shape[1:])  # a[i + 1] = w[i] / dt², zero outside 0 <= i <= m-2
+    n = m + m % 2
+    a = np.zeros((n + 2,) + w.shape[1:])  # a[i + 1] = w[i] / dt², zero outside 0 <= i <= m-2
     np.divide(w, dt * dt, out=a[1:m])
     # GᵀWG as if every row were (1, -2, 1), then row 0's (-3, 1) in place
     # of (-2, 1); BᵀB adds ½ on the diagonal (¼ at both ends), ¼ beside it
     diag = a[:-2] + 4.0 * a[1:-1] + a[2:] + 0.5
-    diag[[0, -1]] -= 0.25
+    diag[[0, m - 1]] -= 0.25
     diag[0] += 5.0 * a[1]
-    off1 = 0.25 - 2.0 * (a[1:m] + a[2:m + 1])
+    diag[m:] = 1.0
+    off1 = 0.25 - 2.0 * (a[1:-1] + a[2:])
     off1[0] -= a[1]
-    return diag, off1, a[2:m]
+    off1[m - 1:] = 0.0
+    return diag, off1, a[2:]
 
 
 def _tv_step(w: np.ndarray, rhs: np.ndarray, dt: float) -> np.ndarray:
@@ -249,11 +266,15 @@ def _tv_step(w: np.ndarray, rhs: np.ndarray, dt: float) -> np.ndarray:
     In s = Aᵣu - (dt/2)·u₀, Aᵣ = dt·tril(1) the rectangle rule, so that
     s₀ = dt·u₀/2 and sᵢ = sᵢ₋₁ + dt·uᵢ, the trapezoid integral is Au = Bs
     and Du = Gs: row 0 of G is (-3, 1)/dt, every other row (1, -2, 1)/dt.
-    The step (BᵀB + GᵀWG) s = Bᵀr is pentadiagonal SPD, solved by one
-    banded LDLᵀ.  Returns u = diff(s, prepend=-s₀)/dt.
+    The step (BᵀB + GᵀWG) s = Bᵀr is pentadiagonal SPD, solved by
+    ``_penta_solve``.  Returns u = diff(s, prepend=-s₀)/dt.
     """
     s = _penta_solve(*_tv_diagonals(w, dt), rhs)
-    return np.diff(s, axis=0, prepend=-s[:1]) / dt
+    u = np.empty_like(s)
+    np.subtract(s[1:], s[:-1], out=u[1:])
+    np.add(s[:1], s[:1], out=u[:1])  # s₀ - (-s₀)
+    u /= dt
+    return u
 
 
 def _objectives(u: np.ndarray, fhat: np.ndarray, alpha: float, eps: float,

@@ -7,6 +7,7 @@ from sindykit import (
     ConfigError,
     DataError,
     NoiseSpec,
+    NumericalError,
     SystemSpec,
     TimeSeriesDataset,
     TvDiffConfig,
@@ -16,7 +17,6 @@ from sindykit import (
     simulate,
     tv_derivative,
 )
-from sindykit.differentiation import _ROW_PATH_MIN
 
 
 class TestCentralDifference:
@@ -221,17 +221,21 @@ def _second_difference(m, dt):
 
 
 def _pentadiagonal(w, dt):
-    # S = I + GᵀWG: pentadiagonal SPD, returned with its diagonals
+    # S = I + GᵀWG: pentadiagonal SPD, returned with its diagonals as
+    # _penta_solve takes them: even length, an odd m bordered by an identity row
     m = w.shape[0] + 1
     G = _second_difference(m, dt)
     S = np.eye(m) + G.T @ (w[:, None] * G)
-    return S, (np.diag(S).copy(), np.diag(S, 1).copy(), np.diag(S, 2).copy())
+    n = m + m % 2
+    T = np.eye(n + 2)
+    T[:m, :m] = S
+    return S, tuple(np.diag(T, j)[:n].copy() for j in range(3))
 
 
 class TestTvPreconditioner:
-    """The banded LDLᵀ solve of each direct TV step, against dense linear algebra."""
+    """The banded solve of each direct TV step, against dense linear algebra."""
 
-    @pytest.mark.parametrize("m", [5, 6, 64, 1251])
+    @pytest.mark.parametrize("m", [5, 6, 7, 9, 64, 1251])
     def test_banded_solve_matches_dense_solve(self, m):
         from sindykit.differentiation import _penta_solve
         rng = np.random.default_rng(m)
@@ -244,7 +248,7 @@ class TestTvPreconditioner:
         banded = _penta_solve(*diagonals, y)
         assert np.linalg.norm(banded - dense) <= 1e-10 * np.linalg.norm(dense)
 
-    @pytest.mark.parametrize("m", [5, 6, 64, 1251])
+    @pytest.mark.parametrize("m", [5, 6, 7, 9, 64, 1251])
     def test_banded_solve_is_backward_stable_at_a_fine_step(self, m):
         # at dt = 0.02 S reaches condition ~1e7, where both solves carry
         # forward error ~cond·eps; the residual stays at rounding level
@@ -256,25 +260,52 @@ class TestTvPreconditioner:
         z = _penta_solve(*diagonals, y)
         assert np.linalg.norm(S @ z - y) <= 1e-14 * np.linalg.norm(S, 2) * np.linalg.norm(z)
 
-    @pytest.mark.parametrize("m", [5, 6, 64, 1251])
-    def test_row_path_equals_the_float_loop(self, m):
+    @pytest.mark.parametrize("m", [5, 6, 7, 64, 1251])
+    def test_each_column_has_the_bits_of_its_own_solve(self, m):
         # the two cases above as columns 0 and 1 of one batch, plus a third
-        from sindykit.differentiation import _penta_rows, _penta_solve
+        from sindykit.differentiation import _penta_solve
         cases = []
         for seed, dt in ((m, 1.0), (m + 1, 0.02), (m + 2, 0.3)):
             rng = np.random.default_rng(seed)
             w = 10.0 ** rng.uniform(-6.0, 3.0, m - 1)
             y = rng.standard_normal(m)
             cases.append((*_pentadiagonal(w, dt), y))
-        # fresh arrays: the row path overwrites the diagonals with the factor
+        # fresh arrays: the solve overwrites the diagonals with the factor
         diag, off1, off2 = (np.column_stack(d) for d in zip(*(c[1] for c in cases)))
-        x = _penta_rows(diag, off1, off2, np.column_stack([c[2] for c in cases]))
+        Y = np.column_stack([c[2] for c in cases])
+        x = _penta_solve(diag, off1, off2, Y)
+        assert np.array_equal(Y, np.column_stack([c[2] for c in cases]))  # y is kept
         for j, (_, diagonals, y) in enumerate(cases):
             assert x[:, j].tobytes() == _penta_solve(*diagonals, y).tobytes()
         (S, _, y), z = cases[0], x[:, 0]
         assert np.linalg.norm(z - np.linalg.solve(S, y)) <= 1e-10 * np.linalg.norm(z)
         (S, _, y), z = cases[1], x[:, 1]
         assert np.linalg.norm(S @ z - y) <= 1e-14 * np.linalg.norm(S, 2) * np.linalg.norm(z)
+
+    def test_indefinite_system_names_the_pivot_row_and_column(self):
+        from sindykit.differentiation import _penta_solve
+        m = 10
+        w = 10.0 ** np.random.default_rng(m).uniform(-6.0, 3.0, m - 1)
+        S, diagonals = _pentadiagonal(w, 1.0)
+        # S shifted by its median eigenvalue is indefinite, with every diagonal filled
+        shifted = (diagonals[0] - np.median(np.linalg.eigvalsh(S)),) + diagonals[1:]
+        # rows 6 and 7 coupled by 3 with a unit diagonal: the 2x2 block
+        # [[1, 3], [3, 1]], whose second pivot is 1 - 3² = -8
+        block = np.ones(m), np.zeros(m), np.zeros(m)
+        block[1][6] = 3.0
+        y = np.ones(m)
+        for bad, where in ((shifted, r"row \d of column 1"), (block, "-8.0 at row 7 of column 1")):
+            columns = [_pentadiagonal(w, 1.0)[1], bad, _pentadiagonal(w, 0.3)[1]]
+            diag, off1, off2 = (np.column_stack(d) for d in zip(*columns))
+            with pytest.raises(NumericalError, match=where):
+                _penta_solve(diag, off1, off2, np.column_stack([y, y, y]))
+        with pytest.raises(NumericalError, match="-8.0 at row 7 is"):
+            _penta_solve(*block, y)
+        for value in (np.nan, np.inf, 0.0):
+            diag = np.ones(m)
+            diag[4] = value
+            with pytest.raises(NumericalError, match=f"{value} at row 4 is"):
+                _penta_solve(diag, np.zeros(m), np.zeros(m), y)
 
 
 class TestTvStep:
@@ -314,6 +345,24 @@ class TestTvStep:
         # forward error within cond(H)·eps of the dense solve (cond up to ~7e7)
         dense = np.linalg.solve(H, A.T @ b)
         assert np.linalg.norm(u - dense) <= 1e-8 * np.linalg.norm(dense)
+
+    def test_step_holds_at_most_seven_arrays_of_its_size(self):
+        # the solve works in the diagonals, one copy of the right-hand side
+        # and each level's new couplings: measured 6.55 (m, k) arrays at the
+        # peak, against 14.5 for a variant that makes each level's factor
+        # and reduced blocks fresh arrays
+        import tracemalloc
+        from sindykit.differentiation import _b_transpose, _tv_step
+        rng = np.random.default_rng(0)
+        w = 10.0 ** rng.uniform(-6.0, 3.0, (1250, 48))
+        rhs = _b_transpose(rng.standard_normal((1251, 48)))
+        tracemalloc.start()
+        try:
+            u = _tv_step(w, rhs, 0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * u.nbytes
 
 
 class TestTvSolverCounters:
@@ -395,7 +444,7 @@ class TestBatchedTv:
         assert tv_derivative(F, cfg).tobytes() == U.tobytes()
         return objectives
 
-    @pytest.mark.parametrize("k", [1, 2, _ROW_PATH_MIN - 1, _ROW_PATH_MIN, 48])
+    @pytest.mark.parametrize("k", [1, 2, 21, 22, 48])
     def test_batch_equals_each_column_alone(self, k):
         objectives = self._assert_columns_alone(_signals(60, 0.1, k), self.CFG)
         if k >= 4:
