@@ -208,12 +208,13 @@ def parse_experiment(cfg: dict) -> dict:
 
     The checks that need several values or a package object run here too,
     so every command stops on them, whatever blocks it reads: the augmented
-    parameter must belong to every run, ``reduction`` takes exactly one of
-    ``rank`` and ``energy``, and each package config object is built once
-    and kept for the commands: ``exp["specs"]`` (one ``SystemSpec`` per
-    run), ``exp["integrator"]`` (``None`` for a map), ``exp["noise_spec"]``,
-    ``exp["tv"]`` (``None`` unless differentiation is ``"tv"``) and
-    ``exp["fit_config"]``.
+    parameter must belong to every run, ``compare.etas`` holds at least one
+    level and no two whose curves share a file name, ``reduction`` takes
+    exactly one of ``rank`` and ``energy``, and each package config object
+    is built once and kept for the commands: ``exp["specs"]`` (one
+    ``SystemSpec`` per run), ``exp["integrator"]`` (``None`` for a map),
+    ``exp["noise_spec"]``, ``exp["tv"]`` (``None`` unless differentiation
+    is ``"tv"``) and ``exp["fit_config"]``.
     """
     exp = _parse(cfg, _KEYS, "")
     system = exp["system"]
@@ -228,6 +229,14 @@ def parse_experiment(cfg: dict) -> dict:
     if augment and any(augment["param"] not in spec.params for spec in exp["specs"]):
         raise ConfigError(
             f"system.augment.param {augment['param']!r} is not a parameter of every run")
+    etas = exp["compare"].get("etas")
+    if etas == []:
+        raise ConfigError("compare.etas is empty; compare needs a noise level")
+    first = {}  # curve name -> index of the level that writes it
+    for i, eta in enumerate(etas or ()):
+        if (j := first.setdefault(f"{eta:g}", i)) != i:
+            raise ConfigError(f"compare.etas[{j}] {etas[j]!r} and compare.etas[{i}] {eta!r} "
+                              f"would both write error_eta_{eta:g}.csv")
     reduction = exp["reduction"]
     if reduction and ("rank" in reduction) == ("energy" in reduction):
         raise ConfigError("reduction needs exactly one of reduction.rank and reduction.energy")
@@ -416,13 +425,26 @@ def _noise_levels_problem(base: TimeSeriesDataset, lib: LibrarySpec, etas: list[
                           seed: int) -> RegressionProblem:
     """One factor of [Theta | dX_eta1 ... dX_etak] for every noise level: noise
     touches only the derivatives, so every eta shares the library, and
-    level i is target columns n*i:n*(i+1), perturbed with seed ``seed + 1 + i``."""
+    level i is target columns n*i:n*(i+1), perturbed with seed ``seed + 1 + i``.
+
+    Each level's noise is drawn one row block at a time, as the factor
+    reads the rows, from that level's one generator: the levels get the
+    bits of noising ``base`` whole, and no more than a block of them is
+    ever held."""
     n = base.n_states
-    derivatives = np.empty((base.n_samples, n * len(etas)))
-    for i, eta in enumerate(etas):  # no noisy dataset outlives the copy of its columns
-        derivatives[:, n * i:n * (i + 1)] = add_noise(
-            base, NoiseSpec(eta=eta, seed=seed + 1 + i)).derivatives
-    return _regression_problem(base, lib, Mode.CONTINUOUS, derivatives=derivatives)
+    specs = [NoiseSpec(eta=eta, seed=seed + 1 + i) for i, eta in enumerate(etas)]
+    rngs = [np.random.default_rng(spec.seed) for spec in specs]
+
+    def noisy_rows(start: int, stop: int) -> np.ndarray:
+        block = TimeSeriesDataset(base.times[start:stop], base.states[start:stop],
+                                  base.derivatives[start:stop], base.state_names)
+        rows = np.empty((stop - start, n * len(specs)))
+        for i, (spec, rng) in enumerate(zip(specs, rngs)):
+            rows[:, n * i:n * (i + 1)] = add_noise(block, spec, rng).derivatives
+        return rows
+
+    return _regression_problem(base, lib, Mode.CONTINUOUS, derivatives=noisy_rows,
+                               n_targets=n * len(specs))
 
 
 def cmd_compare(exp: dict, out: Path, seed: int,

@@ -351,19 +351,27 @@ def tv_derivative(samples: np.ndarray, cfg: TvDiffConfig, full_output: bool = Fa
     return result
 
 
-def add_noise(dataset: TimeSeriesDataset, spec: NoiseSpec) -> TimeSeriesDataset:
+def add_noise(dataset: TimeSeriesDataset, spec: NoiseSpec,
+              rng: np.random.Generator | None = None) -> TimeSeriesDataset:
     """Add eta * Z (seeded standard normal Z) to the selected matrices.
 
     The perturbation scales linearly in eta under a fixed seed: eta=2
     adds exactly twice the eta=1 matrix.  State noise is drawn before
     derivative noise when both targets are selected.  With eta=0 the
-    dataset is returned unchanged.
+    dataset is returned unchanged and nothing is drawn.
+
+    ``rng`` continues a caller's generator instead of seeding a fresh one
+    from ``spec.seed``.  Z is drawn row after row, so the row blocks of a
+    dataset noised in order from one generator get exactly the bits of
+    noising it whole, for a single target; "both" draws the states of
+    every call first, so it does not split that way.
     """
     if spec.eta == 0.0:
         return dataset
     if spec.target in ("derivatives", "both") and dataset.derivatives is None:
         raise DataError("dataset has no derivatives to perturb")
-    rng = np.random.default_rng(spec.seed)
+    if rng is None:
+        rng = np.random.default_rng(spec.seed)
     states = dataset.states
     derivatives = dataset.derivatives
     if spec.target in ("states", "both"):

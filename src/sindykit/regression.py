@@ -9,10 +9,10 @@ squares and coordinate-descent LASSO are provided as baselines.
 Each problem is factored once: the factor R of [Theta | dX] preserves
 every residual norm, so every solve, residual and condition estimate runs
 on R's p x p library block instead of Theta's m rows.  A fit builds Theta
-one row block at a time and folds each block into R, so no Theta-sized
-matrix is ever formed.  R below row p need not be triangular (a problem
-cut from a factor of more targets is not): only the column norms of that
-block R22 are read.
+(and may take dX) one row block at a time and folds each block into R,
+so no Theta-sized matrix is ever formed.  R below row p need not be
+triangular (a problem cut from a factor of more targets is not): only
+the column norms of that block R22 are read.
 """
 
 from __future__ import annotations
@@ -114,12 +114,15 @@ class RegressionProblem:
     n_samples: int
 
     @classmethod
-    def factor(cls, n_terms: int, library, target: np.ndarray) -> RegressionProblem:
-        """Factor [Theta | target] one row block at a time: ``library(start, stop)``
-        gives Theta's rows start:stop (``n_terms`` columns), so neither Theta
-        nor the stacked matrix need ever be formed."""
-        m, p = target.shape[0], n_terms
-        width = p + target.shape[1]
+    def factor(cls, n_samples: int, n_terms: int, library,
+               n_targets: int, target) -> RegressionProblem:
+        """Factor the ``n_samples`` rows of [Theta | dX] one row block at a time:
+        ``target(start, stop)`` gives dX's rows start:stop (``n_targets``
+        columns) and then ``library(start, stop)`` Theta's (``n_terms``
+        columns), so neither Theta, dX nor the stacked matrix need ever be
+        formed."""
+        m, p = n_samples, n_terms
+        width = p + n_targets
         stacked = np.empty((width + min(m, _QR_BLOCK_ROWS), width))
         R = stacked[:0]
         for start in range(0, m, _QR_BLOCK_ROWS):
@@ -127,8 +130,8 @@ class RegressionProblem:
             k = R.shape[0]
             end = k + stop - start
             stacked[:k] = R
+            stacked[k:end, p:] = target(start, stop)
             stacked[k:end, :p] = library(start, stop)
-            stacked[k:end, p:] = target[start:stop]
             R = np.linalg.qr(stacked[:end], mode="r")
         return cls(p, R, m)
 
@@ -215,7 +218,9 @@ def _factored(Theta: np.ndarray, dX: np.ndarray) -> RegressionProblem:
         dX = dX.reshape(-1, 1)
     if dX.ndim != 2 or dX.shape[0] != values.shape[0]:
         raise DataError("Theta and dX must have the same number of rows")
-    return RegressionProblem.factor(values.shape[1], lambda start, stop: values[start:stop], dX)
+    return RegressionProblem.factor(values.shape[0], values.shape[1],
+                                    lambda start, stop: values[start:stop],
+                                    dX.shape[1], lambda start, stop: dX[start:stop])
 
 
 def stlsq(
@@ -295,7 +300,7 @@ def _lasso_on_factor(A: np.ndarray, y: np.ndarray, cfg: LassoConfig) -> np.ndarr
     return xi / An
 
 
-def _require_finite(values: np.ndarray, rows: np.ndarray, problem: str) -> None:
+def _require_finite(values: np.ndarray, rows: np.ndarray | range, problem: str) -> None:
     """Raise naming the dataset row of the first non-finite row of ``values``."""
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
@@ -304,28 +309,29 @@ def _require_finite(values: np.ndarray, rows: np.ndarray, problem: str) -> None:
 
 def _regression_problem(
     dataset: TimeSeriesDataset, spec: LibrarySpec, mode: Mode,
-    derivatives: np.ndarray | None = None,
+    derivatives=None, n_targets: int | None = None,
 ) -> RegressionProblem:
     """The factored regression dX = Theta(X) Xi of ``dataset``.
 
     Continuous mode pairs each state with its stored derivative, or with
-    its row of ``derivatives`` (m rows, any number of columns) when given;
-    discrete mode pairs each state with the next one in its segment, so
-    that no derivative is ever computed.  Theta is built and factored one
-    row block at a time.  Non-finite data, and states large enough to
-    overflow the library, are rejected naming the dataset row.
+    the row that ``derivatives(start, stop)`` gives (``n_targets``
+    columns per row) when that row source is given; discrete mode pairs
+    each state with the next one in its segment, so that no derivative is
+    ever computed.  Theta and dX are built and factored one row block at
+    a time.  Non-finite data, and states large enough to overflow the
+    library, are rejected naming the dataset row: the states before any
+    block, each block's targets and then its library in row order.
     """
     if spec.n_states != dataset.n_states:
         raise ConfigError(
             f"library expects {spec.n_states} states, dataset has {dataset.n_states}")
     if mode is Mode.CONTINUOUS:
-        target = dataset.derivatives if derivatives is None else derivatives
-        if target is None:
+        rows = range(dataset.n_samples)  # no m-long index array
+        X, target, target_rows = dataset.states, dataset.derivatives, rows
+        if target is None and derivatives is None:
             raise DataError(
                 "continuous-time fit needs derivatives; compute them with "
                 "the differentiation module (central_difference or tv_derivative)")
-        rows = np.arange(dataset.n_samples)
-        X, target_rows = dataset.states, rows
     else:
         rows = np.concatenate(
             [np.arange(sl.start, sl.stop - 1) for sl in dataset.segment_slices()])
@@ -333,16 +339,24 @@ def _regression_problem(
             raise DataError("discrete-time fit needs a segment of two or more samples")
         target_rows = rows + 1
         X, target = dataset.states[rows], dataset.states[target_rows]
+        derivatives = None  # next states are the targets
+    if derivatives is None:
+        n_targets = target.shape[1]
+        derivatives = lambda start, stop: target[start:stop]
     _require_finite(X, rows, "non-finite state")
-    _require_finite(target, target_rows, "non-finite target")
     overflow = f"library overflow (states too large for poly_order {spec.poly_order})"
+
+    def targets(start: int, stop: int) -> np.ndarray:
+        block = derivatives(start, stop)
+        _require_finite(block, target_rows[start:stop], "non-finite target")
+        return block
 
     def library(start: int, stop: int) -> np.ndarray:
         block = build_matrix(spec, X[start:stop]).values
         _require_finite(block, rows[start:stop], overflow)
         return block
 
-    return RegressionProblem.factor(spec.n_terms, library, target)
+    return RegressionProblem.factor(X.shape[0], spec.n_terms, library, n_targets, targets)
 
 
 def _with_sparsity(cfg: StlsqConfig | LassoConfig, value: float) -> StlsqConfig | LassoConfig:

@@ -109,6 +109,7 @@ CASES = [
     ("compare", LIN2D, ("compare", "grid_dt"), None),
     ("compare", LIN2D, ("compare", "etas"), 0.1),
     ("compare", LIN2D, ("compare", "etas"), ["0"]),
+    ("generate", LIN2D, ("compare", "etas"), [0.1, 0.1000001]),
     ("compare", LIN2D, ("compare", "long_horizon"), "250"),
     ("sweep", LIN2D, ("selection", "lambdas"), "0.1"),
     ("sweep", LIN2D, ("selection", "log10_min"), "x"),

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +14,9 @@ from sindykit import (
     NoiseSpec,
     StlsqConfig,
     SystemSpec,
+    TimeSeriesDataset,
     add_noise,
+    build_matrix,
     fit,
     iterate_map,
     model_from_json,
@@ -30,6 +33,7 @@ from sindykit.dataio import (
 )
 from sindykit.integrate import dp45_adaptive
 from sindykit.model import Mode
+from sindykit.regression import _factored
 from sindykit.selection import ParetoPoint
 from sindykit.systems import system_rhs
 
@@ -456,6 +460,81 @@ class TestCliCompareAndSweep:
             assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert model_from_json((out / "model.json").read_text()).mode.value == "discrete"
         assert len((out / "pareto.csv").read_text().splitlines()) == 7
+
+
+def whole_noise_levels(base, etas, seed):
+    """Every level's noisy derivatives side by side, each level noised as a
+    whole dataset: the m x n*k matrix that compare no longer forms."""
+    n = base.n_states
+    derivatives = np.empty((base.n_samples, n * len(etas)))
+    for i, eta in enumerate(etas):
+        derivatives[:, n * i:n * (i + 1)] = add_noise(
+            base, NoiseSpec(eta=eta, seed=seed + 1 + i)).derivatives
+    return derivatives
+
+
+class TestNoiseLevelsProblem:
+    @pytest.fixture(scope="class")
+    def base(self):
+        # 2501 rows: two whole 1,024-row blocks of the factor and a partial one
+        spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 25.0), dt=0.01)
+        return simulate(spec)
+
+    def test_streamed_factor_equals_the_factor_of_the_whole_matrix(self, base):
+        etas, lib = [0.01, 0.0, 1.0], LibrarySpec(2, 5)
+        streamed = _noise_levels_problem(base, lib, etas, seed=4)
+        whole = _factored(build_matrix(lib, base.states).values,
+                          whole_noise_levels(base, etas, seed=4))
+        assert base.n_samples % 1024 != 0
+        assert streamed.n_samples == whole.n_samples == base.n_samples
+        assert np.array_equal(streamed.R, whole.R)
+
+    def test_memory_stays_below_one_derivative_array(self):
+        # one row block of the factor holds about 0.5 MB whatever m is, so m
+        # is large enough for one m x n array (1.2 MB) to stand above it
+        m, n = 50_000, 3
+        rng = np.random.default_rng(0)
+        base = TimeSeriesDataset(0.01 * np.arange(m), rng.standard_normal((m, n)),
+                                 rng.standard_normal((m, n)))
+        lib, etas = LibrarySpec(n, 2), [1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0]
+        _noise_levels_problem(base, lib, etas[:1], seed=0)  # compile the term evaluator
+        tracemalloc.start()
+        try:
+            _noise_levels_problem(base, lib, etas, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * 8
+
+    @pytest.mark.parametrize("eta", [1e308, 5e307])
+    def test_non_finite_level_names_the_first_row_of_the_whole_matrix(
+            self, tmp_path, capsys, base, eta):
+        etas = [0.01, eta]
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(whole_noise_levels(base, etas, seed=0)).all(axis=1)
+        row = int(np.argmax(bad))
+        assert bad.any() and (eta == 1e308 or row > 1024)  # 5e307 overflows in a later block
+        doc = dict(LIN2D_CFG, compare={"horizon": 1.0, "grid_dt": 0.05, "etas": etas})
+        cfg = write_config(tmp_path / "c.json", doc)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"data error: non-finite target at dataset row {row}\n"
+        assert not (tmp_path / "o" / "error_eta_0.01.csv").exists()
+
+    @pytest.mark.parametrize("etas,message", [
+        ([0.1, 0.0, 0.1000001], "compare.etas[0] 0.1 and compare.etas[2] 0.1000001 "
+                                "would both write error_eta_0.1.csv"),
+        ([1, 1.0], "compare.etas[0] 1.0 and compare.etas[1] 1.0 would both write "
+                   "error_eta_1.csv"),
+        ([], "compare.etas is empty; compare needs a noise level"),
+    ], ids=["near-equal", "int-and-float", "empty"])
+    def test_levels_must_name_distinct_curves(self, tmp_path, capsys, etas, message):
+        doc = dict(LIN2D_CFG, compare={"horizon": 1.0, "grid_dt": 0.05, "etas": etas})
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "o"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 class TestCliHopfEnsemble:

@@ -536,6 +536,19 @@ class TestAddNoise:
         assert np.array_equal(d.states, dataset.states)
         assert not np.array_equal(d.derivatives, dataset.derivatives)
 
+    @pytest.mark.parametrize("target", ["states", "derivatives"])
+    def test_row_blocks_from_one_generator_equal_one_whole_call(self, dataset, target):
+        spec = NoiseSpec(eta=0.3, target=target, seed=13)
+        whole = add_noise(dataset, spec)
+        rng = np.random.default_rng(spec.seed)
+        bounds = [0, 1, 8, 9, 150, dataset.n_samples]  # uneven blocks, one a single row
+        blocks = [add_noise(TimeSeriesDataset(dataset.times[a:b], dataset.states[a:b],
+                                              dataset.derivatives[a:b]), spec, rng)
+                  for a, b in zip(bounds[:-1], bounds[1:])]
+        for name in ("states", "derivatives"):
+            stacked = np.vstack([getattr(block, name) for block in blocks])
+            assert np.array_equal(stacked, getattr(whole, name))
+
     def test_meta_records_provenance(self, dataset):
         out = add_noise(dataset, NoiseSpec(eta=0.25, target="states", seed=11))
         assert out.meta["noise_eta"] == 0.25
