@@ -43,7 +43,7 @@ from .model import Mode, SparseModel, TimeSeriesDataset, model_to_json, render_t
 from .reduction import compute_basis, reduce_dataset
 from .regression import (FitReport, LassoConfig, RegressionProblem, StlsqConfig,
                          _regression_problem, _with_sparsity, fit)
-from .selection import pick_elbow, sweep
+from .selection import SPLIT_POLICIES, pick_elbow, sweep
 from .systems import (
     KINDS,
     SystemSpec,
@@ -210,11 +210,13 @@ def parse_experiment(cfg: dict) -> dict:
     so every command stops on them, whatever blocks it reads: the augmented
     parameter must belong to every run, ``compare.etas`` holds at least one
     level and no two whose curves share a file name, ``reduction`` takes
-    exactly one of ``rank`` and ``energy``, and each package config object
-    is built once and kept for the commands: ``exp["specs"]`` (one
-    ``SystemSpec`` per run), ``exp["integrator"]`` (``None`` for a map),
-    ``exp["noise_spec"]``, ``exp["tv"]`` (``None`` unless differentiation
-    is ``"tv"``) and ``exp["fit_config"]``.
+    exactly one of ``rank`` and ``energy``, the ``selection`` block gives a
+    split the sweep can take and a nonempty, ascending, nonnegative
+    threshold grid, and each package config object is built once and kept
+    for the commands: ``exp["specs"]`` (one ``SystemSpec`` per run),
+    ``exp["integrator"]`` (``None`` for a map), ``exp["noise_spec"]``,
+    ``exp["tv"]`` (``None`` unless differentiation is ``"tv"``),
+    ``exp["fit_config"]`` and ``exp["thresholds"]`` (the sweep's grid).
     """
     exp = _parse(cfg, _KEYS, "")
     system = exp["system"]
@@ -248,7 +250,31 @@ def parse_experiment(cfg: dict) -> dict:
                  if exp["differentiation"]["method"] == "tv" else None)
     config = StlsqConfig if exp["fit"]["method"] == "stlsq" else LassoConfig
     exp["fit_config"] = config(**_variant(exp, "fit", "method"))
+    exp["thresholds"] = _thresholds(exp["selection"])
     return exp
+
+
+def _thresholds(sel: dict) -> np.ndarray:
+    """The sweep's threshold grid from a parsed ``selection`` block, whose
+    split settings must be ones ``selection.split`` takes."""
+    if "fraction" in sel and not 0.0 < sel["fraction"] < 1.0:
+        raise ConfigError(f"selection.fraction must lie strictly between 0 and 1, "
+                          f"not {sel['fraction']!r}")
+    if "policy" in sel and sel["policy"] not in SPLIT_POLICIES:
+        raise ConfigError(f"unknown selection.policy {sel['policy']!r}")
+    if "lambdas" in sel:
+        thresholds = np.array(sel["lambdas"])
+        empty = "selection.lambdas is empty"
+        unordered = "selection.lambdas must be sorted ascending and nonnegative"
+    else:
+        thresholds = np.logspace(sel["log10_min"], sel["log10_max"], sel["count"])
+        empty = "selection.count is 0"
+        unordered = "selection.log10_min exceeds selection.log10_max"
+    if thresholds.size == 0:
+        raise ConfigError(f"{empty}; the sweep needs a threshold")
+    if np.any(np.diff(thresholds) < 0) or np.any(thresholds < 0):
+        raise ConfigError(unordered)
+    return thresholds
 
 
 def _variant(exp: dict, block: str, selector: str) -> dict:
@@ -510,13 +536,10 @@ def cmd_sweep(exp: dict, out: Path, seed: int, data_path: str | None) -> tuple[d
     mode = Mode(exp["fit"]["mode"])
     fit_cfg = exp["fit_config"]
     sel = exp["selection"]
-    lambdas = sel.get("lambdas")
-    if lambdas is None:
-        lambdas = np.logspace(sel["log10_min"], sel["log10_max"], sel["count"])
     ds = _prepare(exp, seed, data_path, mode)
     lib = LibrarySpec(ds.n_states, **exp["library"])
     split = {name: sel[name] for name in ("fraction", "policy") if name in sel}
-    points, models = sweep(ds, lib, np.array(lambdas), fit_cfg, seed=seed, mode=mode, **split)
+    points, models = sweep(ds, lib, exp["thresholds"], fit_cfg, seed=seed, mode=mode, **split)
     chosen = pick_elbow(points)
     artifacts = {"pareto": str(write_pareto_csv(points, out / "pareto.csv"))}
     model, report = next(

@@ -1,4 +1,4 @@
-"""CSV and JSON persistence for datasets, sweeps and bases.
+"""CSV and JSON persistence for datasets and sweeps.
 
 Every CSV goes through one writer: comma separated, values printed with
 17 significant digits so they read back bit-identically.  Dataset
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DataError
 from .model import TimeSeriesDataset
-from .reduction import ReducedBasis
 from .selection import ParetoPoint
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "write_dataset_csv",
     "read_dataset_csv",
     "write_pareto_csv",
-    "write_basis_csv",
 ]
 
 _FMT = "%.17g"
@@ -128,12 +126,6 @@ def write_pareto_csv(points: list[ParetoPoint], path: str | Path) -> Path:
     rows = [(p.threshold, p.nnz_total, p.train_residual, p.validation_residual)
             for p in points]
     return write_csv(path, ["lambda", "nnz", "train_res", "val_res"], rows)
-
-
-def write_basis_csv(basis: ReducedBasis, modes_path: str | Path, sv_path: str | Path) -> None:
-    """Persist a reduced basis as a plain-text CSV pair for inspection."""
-    write_csv(modes_path, None, basis.modes)
-    write_csv(sv_path, None, basis.singular_values.reshape(1, -1))
 
 
 def _jsonable(obj):

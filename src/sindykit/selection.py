@@ -2,15 +2,14 @@
 
 Sweeps the sparsification threshold over a grid, fitting on a training
 split and scoring one-step regression residuals on held-out data, then
-picks the elbow of the resulting curve: the point of maximum discrete
-curvature of the (log complexity, log validation residual) polyline.
-The validation metric is a regression residual rather than trajectory
-error, which stays well defined for chaotic systems.
+picks the largest threshold whose validation residual lies within 5 % of
+the best one: the sparsest model that describes the held-out data about
+as well as any.  The validation metric is a regression residual rather
+than trajectory error, which stays well defined for chaotic systems.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .regression import (FitReport, LassoConfig, RegressionProblem, StlsqConfig,
 
 __all__ = ["ParetoPoint", "split", "sweep", "pick_elbow"]
 SPLIT_BLOCKS = 20  # contiguous blocks the "blocks" split policy draws from
+SPLIT_POLICIES = ("tail", "blocks")
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def split(
     """
     if not 0.0 < fraction < 1.0:
         raise ConfigError("fraction must lie strictly between 0 and 1")
-    if policy not in ("tail", "blocks"):
+    if policy not in SPLIT_POLICIES:
         raise ConfigError(f"unknown split policy {policy!r}")
     m = dataset.n_samples
     if m < 10:
@@ -126,53 +126,15 @@ def sweep(
     return points, models
 
 
-def _menger_curvature(P: np.ndarray) -> np.ndarray:
-    """Curvature at interior vertices of a polyline (circumcircle based)."""
-    a = P[:-2]
-    b = P[1:-1]
-    c = P[2:]
-    ab = np.linalg.norm(b - a, axis=1)
-    bc = np.linalg.norm(c - b, axis=1)
-    ca = np.linalg.norm(c - a, axis=1)
-    cross = np.abs((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-    denom = ab * bc * ca
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.where(denom > 0, 2.0 * cross / denom, 0.0)
-    return k
-
-
 def pick_elbow(points: list[ParetoPoint]) -> float:
-    """Threshold at the knee of the accuracy/complexity curve.
+    """The largest threshold whose validation residual is within 5 % of the
+    best validation residual of the sweep.
 
-    Curvature is computed on log axes, so the pick is invariant to a
-    uniform rescaling of the residuals.  Ties and duplicate curve points
-    resolve toward larger thresholds (sparser models).  If the curve is
-    degenerate (too few distinct points, or no curved vertex), falls back
-    to the largest threshold within 5% of the best validation residual
-    and warns.
+    Ties resolve toward the larger threshold, the sparser model.  The rule
+    compares residuals only by ratio, so a uniform rescaling of the
+    residuals leaves the pick unchanged (exactly, for a power of two).
     """
-    if len(points) < 3:
-        raise DataError("need at least three sweep points")
-    pts = sorted(points, key=lambda p: p.threshold)
-    # collapse duplicate (nnz, residual) runs, keeping the largest threshold
-    distinct: list[ParetoPoint] = []
-    for p in pts:
-        if distinct and distinct[-1].nnz_total == p.nnz_total and np.isclose(
-                distinct[-1].validation_residual, p.validation_residual,
-                rtol=1e-9, atol=1e-300):
-            distinct[-1] = p
-        else:
-            distinct.append(p)
-    if len(distinct) >= 3:
-        xy = np.column_stack([
-            np.log([p.nnz_total + 1 for p in distinct]),
-            np.log([max(p.validation_residual, 1e-300) for p in distinct]),
-        ])
-        curv = _menger_curvature(xy)
-        if np.max(curv) > 0:
-            best = int(np.flatnonzero(curv >= np.max(curv) - 1e-12)[-1])
-            return distinct[best + 1].threshold
-    best_res = min(p.validation_residual for p in pts)
-    warnings.warn("pick_elbow: degenerate curve, falling back to residual-within-5% rule")
-    return max(p.threshold for p in pts if p.validation_residual <= 1.05 * best_res)
+    if not points:
+        raise DataError("need at least one sweep point")
+    best = min(p.validation_residual for p in points)
+    return max(p.threshold for p in points if p.validation_residual <= 1.05 * best)

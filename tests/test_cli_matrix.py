@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import sindykit
+import sindykit.cli
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 COMMANDS = ("generate", "fit", "compare", "sweep")
@@ -98,3 +99,28 @@ def test_warnings_print_their_message_without_a_source_path(short_configs, tmp_p
     assert proc.returncode == 0, proc.stderr
     assert "warning: logistic iterates escaped" in proc.stderr
     assert ".py:" not in proc.stderr
+
+
+# the terms of each shipped system's equations, as (term, equation) pairs
+TRUE_SUPPORT = {
+    "cubic2d": {("xxx", 0), ("yyy", 0), ("xxx", 1), ("yyy", 1)},
+    "hopf": {("y", 0), ("xu", 0), ("xxx", 0), ("xyy", 0),
+             ("x", 1), ("yu", 1), ("xxy", 1), ("yyy", 1)},
+    "linear2d": {("x", 0), ("y", 0), ("x", 1), ("y", 1)},
+    "linear3d": {("x", 0), ("y", 0), ("x", 1), ("y", 1), ("z", 2)},
+    "logistic": {("xr", 0), ("xxr", 0), ("r", 1)},
+    "lorenz": {("x", 0), ("y", 0), ("x", 1), ("y", 1), ("xz", 1), ("z", 2), ("xy", 2)},
+    "meanfield": {("x", 0), ("y", 0), ("xz", 0), ("x", 1), ("y", 1), ("yz", 1),
+                  ("z", 2), ("xx", 2), ("yy", 2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+@pytest.mark.filterwarnings("ignore:logistic iterates escaped")  # the shipped mu >= 3.75
+def test_sweep_selects_the_true_support_on_the_full_config(tmp_path, name):
+    # the full configs: a shortened run can hold too little data to tell
+    # the true model from a denser one under any selection rule
+    assert sindykit.cli.main(["sweep", "--config", str(CONFIG_DIR / f"{name}.json"),
+                              "--out", str(tmp_path)]) == 0
+    model = sindykit.model_from_json((tmp_path / "model.json").read_text())
+    assert sindykit.support(model) == TRUE_SUPPORT[name]

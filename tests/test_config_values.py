@@ -181,6 +181,19 @@ CASES = [
     ("compare", WITH_MU, ("system", "augment"), {"name": "u", "param": "mu"}),
 ]
 
+# (base config, path to the bad value, bad value): a selection block that
+# only sweep reads, and that every command checks before it simulates
+SELECTION_CASES = [
+    (LIN2D, ("selection", "count"), 0),
+    (LAMBDAS, ("selection", "lambdas"), []),
+    (LAMBDAS, ("selection", "lambdas"), [0.1, 0.01]),
+    (LAMBDAS, ("selection", "lambdas"), [-0.1, 0.1]),
+    (LIN2D, ("selection", "log10_min"), 0.5),
+    (LIN2D, ("selection", "fraction"), 0.0),
+    (LIN2D, ("selection", "fraction"), 1.0),
+    (LIN2D, ("selection", "policy"), "random"),
+]
+
 # (command, base config, path to the bad value, bad value, part of the
 # message): the command reads with --data a dataset that the valid base
 # config generated, so only a check in the parse can stop it
@@ -235,6 +248,21 @@ def test_semantic_check_stops_a_run_on_data(tmp_path, capsys, command, base, pat
                  "--data", str(tmp_path / "gen" / "dataset.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("base,path,value", SELECTION_CASES,
+                         ids=[_case_id(("", *c))[1:] for c in SELECTION_CASES])
+def test_selection_is_checked_before_any_simulation(tmp_path, capsys, monkeypatch, command,
+                                                    base, path, value):
+    def simulate(*args):
+        pytest.fail("simulated before the selection block was checked")
+
+    monkeypatch.setattr("sindykit.cli._simulate_runs", simulate)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_with(base, path, value)))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert re.match(rf"config error: .*{path[-1]}", capsys.readouterr().err)
 
 
 def test_negative_seed_flag_is_config_error(tmp_path, capsys):

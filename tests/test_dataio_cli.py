@@ -27,7 +27,6 @@ from sindykit import (
 from sindykit.cli import _noise_levels_problem, error_curve, main
 from sindykit.dataio import (
     read_dataset_csv,
-    write_basis_csv,
     write_dataset_csv,
     write_pareto_csv,
 )
@@ -98,16 +97,6 @@ class TestDatasetCsv:
         assert lines[0] == "lambda,nnz,train_res,val_res"
         assert lines[1].split(",")[1] == "7"
 
-    def test_basis_csv_pair_round_trips(self, tmp_path):
-        from sindykit import compute_basis
-        snaps = np.random.default_rng(0).standard_normal((30, 8))
-        basis = compute_basis(snaps, rank=3)
-        write_basis_csv(basis, tmp_path / "modes.csv", tmp_path / "sv.csv")
-        modes = np.loadtxt(tmp_path / "modes.csv", delimiter=",")
-        sv = np.atleast_1d(np.loadtxt(tmp_path / "sv.csv", delimiter=","))
-        assert np.array_equal(modes, basis.modes)
-        assert np.array_equal(sv, basis.singular_values)
-
     @staticmethod
     def _row_by_row(header, rows) -> bytes:
         # the writer write_csv replaced, kept as the byte-level reference
@@ -116,7 +105,6 @@ class TestDatasetCsv:
         return "".join(line + "\n" for line in lines).encode()
 
     def test_writer_bytes_equal_the_row_by_row_reference(self, lorenz_dataset, tmp_path):
-        from sindykit import compute_basis
         ds = lorenz_dataset
         path = write_dataset_csv(ds, tmp_path / "lorenz.csv")
         rows = np.column_stack([ds.times, ds.states, ds.derivatives])
@@ -128,12 +116,6 @@ class TestDatasetCsv:
         assert path.read_bytes() == self._row_by_row(
             ["lambda", "nnz", "train_res", "val_res"],
             [(p.threshold, p.nnz_total, p.train_residual, p.validation_residual) for p in pts])
-
-        basis = compute_basis(np.random.default_rng(1).standard_normal((3000, 8)), rank=3)
-        write_basis_csv(basis, tmp_path / "modes.csv", tmp_path / "sv.csv")
-        assert (tmp_path / "modes.csv").read_bytes() == self._row_by_row(None, basis.modes)
-        assert (tmp_path / "sv.csv").read_bytes() == self._row_by_row(
-            None, basis.singular_values.reshape(1, -1))
 
     @pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025])
     def test_block_format_equals_one_row_at_a_time(self, tmp_path, n_rows):

@@ -147,17 +147,22 @@ class TestSweep:
 
 class TestPickElbow:
     def test_three_point_corner(self):
+        # 1.1e-6 is 10 % above the best residual, outside the 5 % band
         pts = [point(0.01, 10, 1e-6), point(0.1, 7, 1.1e-6), point(1.0, 3, 0.5)]
+        assert pick_elbow(pts) == 0.01
+
+    def test_band_includes_exactly_five_percent(self):
+        pts = [point(0.01, 10, 1.0), point(0.1, 7, 1.05), point(1.0, 3, 1.0500001)]
         assert pick_elbow(pts) == 0.1
 
-    def test_flat_curve_falls_back_with_warning(self):
+    def test_flat_curve_picks_largest_threshold_without_warning(self):
         pts = [point(10.0 ** -k, 5, 1e-3) for k in range(5, 0, -1)]
-        with pytest.warns(UserWarning, match="degenerate"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             lam = pick_elbow(pts)
         assert lam == max(p.threshold for p in pts)
 
     def test_invariant_under_uniform_residual_rescaling(self):
-        rng = np.random.default_rng(3)
         pts = [point(10.0 ** e, n, v) for e, n, v in
                zip(np.linspace(-4, 0, 9),
                    [56, 40, 22, 11, 7, 7, 7, 3, 1],
@@ -170,11 +175,17 @@ class TestPickElbow:
     def test_ties_resolve_to_larger_threshold(self):
         pts = [point(0.01, 10, 1e-6), point(0.05, 7, 1.1e-6),
                point(0.1, 7, 1.1e-6), point(1.0, 3, 0.5)]
-        assert pick_elbow(pts) == 0.1
+        assert pick_elbow(pts) == 0.01
+        tied = [point(0.01, 10, 1e-6), point(0.05, 7, 1.04e-6),
+                point(0.1, 7, 1.04e-6), point(1.0, 3, 0.5)]
+        assert pick_elbow(tied) == 0.1
 
-    def test_needs_three_points(self):
+    def test_empty_sweep_raises(self):
         with pytest.raises(DataError):
-            pick_elbow([point(0.1, 5, 1.0), point(0.2, 4, 1.0)])
+            pick_elbow([])
+
+    def test_one_point_is_its_own_pick(self):
+        assert pick_elbow([point(0.2, 4, 1.0)]) == 0.2
 
     def test_lorenz_sweep_elbow_lands_in_plateau(self, noisy_lorenz_subsample):
         lams = np.logspace(-4, 0, 25)
