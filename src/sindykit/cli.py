@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -62,11 +63,10 @@ def _reject_constant(name: str):
 
 
 def load_config(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        cfg = json.loads(path.read_text(), parse_constant=_reject_constant)
+        cfg = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if (not isinstance(cfg, dict) or cfg.get("spec_version") != 1
@@ -82,7 +82,12 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    """An int or float that a finite double holds: JSON reads 1e400 as
+    infinity, and an integer of 400 digits overflows a double."""
+    try:
+        return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 # kind -> (description, test); JSON booleans are not numbers here
@@ -580,10 +585,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         exp = parse_experiment(cfg)
         out = Path(args.out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise DataError(f"cannot create output directory {out}: {exc}") from exc
+        out.mkdir(parents=True, exist_ok=True)
         seed = exp["seed"] if args.seed is None else _parse(args.seed, "natural", "--seed")
         if args.command == "generate":
             artifacts, summary = cmd_generate(exp, out, seed)
@@ -598,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (NumericalError, SindykitError, np.linalg.LinAlgError) as exc:

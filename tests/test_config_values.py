@@ -207,6 +207,18 @@ DATA_CASES = [
 ]
 
 
+# (command, base config, path to the value, the value as JSON text, the key
+# the error names): numbers that JSON reads but that no finite double holds
+BEYOND_DOUBLE_CASES = [
+    ("compare", LIN2D, ("compare", "horizon"), "1e400", "compare.horizon"),
+    ("compare", LIN2D, ("compare", "horizon"), "9" * 401, "compare.horizon"),
+    ("generate", LIN2D, ("compare", "horizon"), "9" * 401, "compare.horizon"),
+    ("sweep", LAMBDAS, ("selection", "lambdas"), "[0.01, 1e400]", "selection.lambdas[1]"),
+    ("fit", LIN2D, ("fit", "threshold"), "1e400", "fit.threshold"),
+    ("generate", LIN2D, ("system", "x0"), "[1e400, 0]", "system.x0[0]"),
+]
+
+
 def _with(base: dict, path: tuple, value) -> dict:
     doc = copy.deepcopy(base)
     node = doc
@@ -234,6 +246,17 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, base, path, 
     assert "Traceback" not in err
     key = [part for part in path if isinstance(part, str)][-1]
     assert err.startswith("config error:") and key in err
+
+
+@pytest.mark.parametrize("command,base,path,text,key", BEYOND_DOUBLE_CASES, ids=[
+    f"{c[0]}-{c[4]}={c[3] if len(c[3]) < 20 else f'{len(c[3])}-digits'}"
+    for c in BEYOND_DOUBLE_CASES])
+def test_number_beyond_a_double_is_config_error(tmp_path, capsys, command, base, path, text,
+                                                key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_with(base, path, "<number>")).replace('"<number>"', text))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
 
 
 @pytest.mark.parametrize("command,base,path,value,message", DATA_CASES,

@@ -634,6 +634,31 @@ class TestCliErrors:
         assert main(["fit", "--config", cfg,
                      "--out", str(blocker / "sub")]) == 3
 
+    def test_config_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        assert main(["fit", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config: ")
+
+    # (command, whether the path is --data, the path under tmp_path that the
+    # command fails on, whether a directory takes that path)
+    @pytest.mark.parametrize("command,data,path,directory", [
+        ("fit", True, "missing.csv", False),
+        ("sweep", True, "a_directory", True),
+        ("fit", False, "o/model.json", True),
+        ("generate", False, "o/dataset.csv", True),
+    ], ids=["fit-missing-data", "sweep-data-directory", "model-json-directory",
+            "dataset-csv-directory"])
+    def test_unreadable_or_unwritable_path_is_data_error(self, tmp_path, capsys, command,
+                                                         data, path, directory):
+        cfg = write_config(tmp_path / "c.json", LIN2D_CFG)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        if data:
+            argv += ["--data", str(tmp_path / path)]
+        if directory:
+            (tmp_path / path).mkdir(parents=True)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(tmp_path / path) in err
+
     def test_wrong_spec_version_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", dict(LIN2D_CFG, spec_version=2))
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -692,6 +717,14 @@ class TestCliErrors:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4
         assert "not finite at t=1" in capsys.readouterr().err
         assert list((tmp_path / "o").iterdir()) == []
+
+    def test_stalled_logistic_ensemble_is_numerical_failure(self, tmp_path, capsys):
+        doc = {"spec_version": 1, "system": {"kind": "logistic", "ensemble_mus": [4.0],
+                                             "n_steps": 5, "forcing": 100.0}}
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: logistic ensemble stalled at mu=4.0\n")
 
     def test_non_finite_config_number_is_config_error(self, tmp_path):
         path = tmp_path / "c.json"

@@ -608,12 +608,16 @@ class TestIterateMap:
         b = iterate_map(spec, 500, noise=NoiseSpec(eta=0.01, target="states", seed=7))
         assert np.array_equal(a.states, b.states)
 
-    @pytest.mark.parametrize("mu, n_steps", [(3.5, 3 * FORCING_CHUNK + 5), (3.95, 100_000)],
-                             ids=["chunk-boundaries", "escapes"])
-    def test_chunked_forcing_equals_one_draw(self, mu, n_steps):
-        # the forcing drawn up front in one call, as the map's reference
-        noise = NoiseSpec(eta=0.025, target="states", seed=0)
-        forcing = 0.025 * np.random.default_rng(0).standard_normal(n_steps)
+    @pytest.mark.parametrize("mu, n_steps, eta", [
+        (3.5, 3 * FORCING_CHUNK + 5, 0.025), (3.95, 100_000, 0.025),
+        (4.0, 3 * FORCING_CHUNK + 5, 0.0),
+    ], ids=["chunk-boundaries", "escapes", "unforced"])
+    def test_chunked_forcing_equals_one_draw(self, mu, n_steps, eta):
+        # the forcing drawn up front in one call, as the map's reference;
+        # unforced, the plain recurrence (adding +0.0 changes no iterate here)
+        noise = NoiseSpec(eta=eta, target="states", seed=0) if eta else None
+        forcing = (eta * np.random.default_rng(0).standard_normal(n_steps) if eta
+                   else np.zeros(n_steps))
         xs, x = [0.5], 0.5
         for w in forcing:
             x = mu * x * (1.0 - x) + w
@@ -625,6 +629,8 @@ class TestIterateMap:
             ds = iterate_map(SystemSpec("logistic", x0=(0.5,), params={"mu": mu}), n_steps, noise)
         assert ds.states[:, 0].tobytes() == np.array(xs).tobytes()
         assert (len(xs) <= n_steps) == (mu == 3.95)  # the second run escapes
+        if not eta:  # the orbit from 0.5 at mu = 4 lands on 1.0, then stays at 0.0
+            assert xs[1] == 1.0 and set(xs[2:]) == {0.0}
 
     def test_domain_validation(self):
         with pytest.raises(ConfigError):
@@ -753,6 +759,21 @@ class TestLogisticEnsemble:
         with pytest.warns(UserWarning, match="17 truncated runs"):
             ds = logistic_ensemble([3.9, 3.95], n_steps=400, eta=0.025, seed=1)
         assert len(calls) == len(list(ds.segment_slices())) == 19
+
+    def test_stalls_when_no_run_keeps_a_step(self, monkeypatch):
+        # forcing this strong throws every run out of [-0.5, 1.5] at its first step
+        import sindykit.systems as systems
+        calls = []
+        real = systems.iterate_map
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(systems, "iterate_map", counting)
+        with pytest.raises(NumericalError, match=r"^logistic ensemble stalled at mu=4\.0$"):
+            logistic_ensemble([4.0], n_steps=5, eta=100.0)
+        assert len(calls) == 10 * 5 + 1
 
     def test_deterministic(self):
         a = logistic_ensemble([2.5, 3.0], 200, 0.01, seed=3)
