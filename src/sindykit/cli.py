@@ -272,6 +272,8 @@ def _thresholds(sel: dict) -> np.ndarray:
         empty = "selection.lambdas is empty"
         unordered = "selection.lambdas must be sorted ascending and nonnegative"
     else:
+        if sel["count"] > 10**6:  # a fit per threshold; far larger ones break np.logspace
+            raise ConfigError(f"selection.count must be at most 1000000, not {sel['count']}")
         thresholds = np.logspace(sel["log10_min"], sel["log10_max"], sel["count"])
         empty = "selection.count is 0"
         unordered = "selection.log10_min exceeds selection.log10_max"
@@ -327,13 +329,28 @@ def _simulate_runs(exp: dict, seed: int) -> list[TimeSeriesDataset]:
     return [simulate(spec, exp["integrator"]) for spec in specs]
 
 
+def _loaded_runs(exp: dict, data_path: str) -> list[TimeSeriesDataset]:
+    """The runs of a dataset file, one per segment, without the configured
+    ``system.augment.name`` column, which ``_join_runs`` appends again."""
+    ds = read_dataset_csv(data_path)
+    keep = [i for i, name in enumerate(ds.state_names)
+            if name != exp["system"]["augment"].get("name")]
+    if len(ds.segments) == 1 and len(keep) == ds.n_states:
+        return [ds]
+    names, deriv = tuple(ds.state_names[i] for i in keep), ds.derivatives
+    return [TimeSeriesDataset(ds.times[sl], ds.states[sl, keep],
+                              None if deriv is None else deriv[sl, keep], names)
+            for sl in ds.segment_slices()]
+
+
 def _join_runs(exp: dict, runs: list[TimeSeriesDataset]) -> TimeSeriesDataset:
     """Append each run's configured parameter as a known state, then concatenate."""
-    augment = exp["system"]["augment"]
+    augment, specs = exp["system"]["augment"], exp["specs"]
     if augment:
+        if len(runs) != len(specs):
+            raise DataError(f"the data holds {len(runs)} runs; system.augment needs {len(specs)}")
         name, param = augment["name"], augment["param"]
-        runs = [augment_parameter(ds, name, spec.params[param])
-                for spec, ds in zip(exp["specs"], runs)]
+        runs = [augment_parameter(ds, name, spec.params[param]) for spec, ds in zip(specs, runs)]
     return concatenate(runs) if len(runs) > 1 else runs[0]
 
 
@@ -344,7 +361,8 @@ def _fit_config(exp: dict, override_threshold: float | None) -> StlsqConfig | La
 
 def _condition(runs: list[TimeSeriesDataset], exp: dict, noise_base: int,
                mode: Mode) -> list[TimeSeriesDataset]:
-    """Apply configured noise and derivative estimation to each trajectory.
+    """Apply configured noise and derivative estimation to each run, simulated
+    or loaded, before ``_join_runs`` appends the augmented column.
 
     Run i gets noise seed ``noise_base + i`` and its own optional SVD
     denoising; one ``differentiate_dataset`` call then estimates every
@@ -354,7 +372,7 @@ def _condition(runs: list[TimeSeriesDataset], exp: dict, noise_base: int,
     if noise.eta > 0.0:
         runs = [add_noise(ds, replace(noise, seed=noise_base + i)) for i, ds in enumerate(runs)]
     if diff["denoise_states"]:
-        runs = [ds.with_(states=hard_threshold_svd(ds.states)) for ds in runs]
+        runs = [replace(ds, states=hard_threshold_svd(ds.states)) for ds in runs]
     method = diff["method"]
     if method == "exact":
         if mode is Mode.CONTINUOUS and any(ds.derivatives is None for ds in runs):
@@ -362,22 +380,23 @@ def _condition(runs: list[TimeSeriesDataset], exp: dict, noise_base: int,
                 "differentiation method 'exact' needs stored derivatives; "
                 "external data without them must use 'central' or 'tv'")
         return runs
-    return differentiate_dataset([ds.with_(derivatives=None) for ds in runs], method,
+    return differentiate_dataset([replace(ds, derivatives=None) for ds in runs], method,
                                  tv=exp["tv"])
 
 
 def _prepare(exp: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSeriesDataset:
-    """generate (or load) -> noise -> differentiate -> augment -> reduce.
+    """simulate (or load) -> noise -> differentiate -> augment -> reduce.
 
-    Runs are noise-injected independently (a fresh noise stream per run)
-    and differentiated together, then parameter-augmented and
-    concatenated, so known parameter columns stay exact.
+    Runs (simulated, or one per segment of a loaded file) are
+    noise-injected independently (a fresh noise stream per run) and
+    differentiated together, then parameter-augmented and concatenated,
+    so known parameter columns stay exact.
     """
     noise_base = exp["noise"].get("seed", seed + 1)
-    if data_path is not None:
-        [ds] = _condition([read_dataset_csv(data_path)], exp, noise_base, mode)
-    else:
-        ds = _join_runs(exp, _condition(_simulate_runs(exp, seed), exp, noise_base, mode))
+    # the runs go straight through: a name holding them would keep every raw run alive
+    ds = _join_runs(exp, _condition(
+        _simulate_runs(exp, seed) if data_path is None else _loaded_runs(exp, data_path),
+        exp, noise_base, mode))
     if exp["reduction"]:
         ds = reduce_dataset(ds, compute_basis(ds.states, **exp["reduction"]))
     return ds
@@ -587,12 +606,13 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         seed = exp["seed"] if args.seed is None else _parse(args.seed, "natural", "--seed")
+        threshold = None if args.threshold is None else _parse(args.threshold, "number", "--lambda")
         if args.command == "generate":
             artifacts, summary = cmd_generate(exp, out, seed)
         elif args.command == "fit":
-            artifacts, summary = cmd_fit(exp, out, seed, args.data, args.threshold)
+            artifacts, summary = cmd_fit(exp, out, seed, args.data, threshold)
         elif args.command == "compare":
-            artifacts, summary = cmd_compare(exp, out, seed, args.threshold)
+            artifacts, summary = cmd_compare(exp, out, seed, threshold)
         else:
             artifacts, summary = cmd_sweep(exp, out, seed, args.data)
         _write_run_report(out, args.command, cfg, seed, artifacts, summary)

@@ -380,7 +380,7 @@ def add_noise(dataset: TimeSeriesDataset, spec: NoiseSpec,
         derivatives = derivatives + spec.eta * rng.standard_normal(derivatives.shape)
     meta = dict(dataset.meta)
     meta.update({"noise_eta": spec.eta, "noise_seed": spec.seed, "noise_target": spec.target})
-    return dataset.with_(states=states, derivatives=derivatives, meta=meta)
+    return dataclasses.replace(dataset, states=states, derivatives=derivatives, meta=meta)
 
 
 def differentiate_dataset(
@@ -431,7 +431,7 @@ def differentiate_dataset(
             n = runs[i].n_states
             derivs[i][sl] = u[:, col:col + n]
             col += n
-    out = [ds.with_(derivatives=d, meta={**ds.meta, "differentiation": method})
+    out = [dataclasses.replace(ds, derivatives=d, meta={**ds.meta, "differentiation": method})
            for ds, d in zip(runs, derivs)]
     return out[0] if single else out
 

@@ -303,12 +303,12 @@ def model_from_json(text: str) -> SparseModel:
 @dataclass(frozen=True)
 class TimeSeriesDataset:
     """Sampled trajectory data: states (and optionally derivatives) on a
-    strictly increasing time grid.
+    time grid that increases strictly within each segment.
 
-    ``segments`` records the start row of each independent trajectory when
-    several runs have been concatenated; shift-pairing and per-trajectory
-    differentiation respect these boundaries.  ``meta`` is free-form
-    provenance (generating system, noise level, seeds).
+    ``segments`` records the start row of each independent trajectory, on
+    its own clock, when several runs have been concatenated; shift-pairing
+    and per-trajectory differentiation respect these boundaries.  ``meta``
+    is free-form provenance (generating system, noise level, seeds).
     """
 
     times: np.ndarray
@@ -325,8 +325,14 @@ class TimeSeriesDataset:
             raise DataError("times must be one-dimensional")
         if states.ndim != 2 or states.shape[0] != times.shape[0]:
             raise DataError("states must be an m x n matrix matching times")
-        if times.shape[0] >= 2 and not np.all(np.diff(times) > 0):
-            raise DataError("times must be strictly increasing")
+        segs = tuple(int(s) for s in self.segments)
+        if not segs or segs[0] != 0 or list(segs) != sorted(set(segs)):
+            raise DataError("segments must be sorted unique start rows beginning at 0")
+        if segs[-1] >= max(states.shape[0], 1):
+            raise DataError("segment start beyond end of data")
+        if not np.delete(times[1:] > times[:-1], np.array(segs[1:], dtype=int) - 1).all():
+            raise DataError("times must be strictly increasing within each segment")
+        object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
         if self.derivatives is not None:
@@ -338,12 +344,6 @@ class TimeSeriesDataset:
         if len(names) != states.shape[1]:
             raise DataError("state_names length must match state dimension")
         object.__setattr__(self, "state_names", names)
-        segs = tuple(int(s) for s in self.segments)
-        if not segs or segs[0] != 0 or list(segs) != sorted(set(segs)):
-            raise DataError("segments must be sorted unique start rows beginning at 0")
-        if segs[-1] >= max(states.shape[0], 1):
-            raise DataError("segment start beyond end of data")
-        object.__setattr__(self, "segments", segs)
 
     @property
     def n_samples(self) -> int:
@@ -356,19 +356,6 @@ class TimeSeriesDataset:
     def segment_slices(self) -> list[slice]:
         starts = list(self.segments) + [self.n_samples]
         return [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
-
-    def with_(self, **updates) -> "TimeSeriesDataset":
-        """Functional update; arrays are re-validated by the constructor."""
-        fields = {
-            "times": self.times,
-            "states": self.states,
-            "derivatives": self.derivatives,
-            "state_names": self.state_names,
-            "segments": self.segments,
-            "meta": dict(self.meta),
-        }
-        fields.update(updates)
-        return TimeSeriesDataset(**fields)
 
 
 # the name runs to the last quote before the bracketed values, so a quote

@@ -12,7 +12,7 @@ extra state with unit derivative.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -298,8 +298,8 @@ def _append_column(ds: TimeSeriesDataset, name: str, col: np.ndarray,
         if dcol is None:
             raise DataError(f"appending {name!r} needs a derivative column")
         derivatives = np.column_stack([derivatives, dcol])
-    return ds.with_(states=states, derivatives=derivatives,
-                    state_names=ds.state_names + (name,))
+    return replace(ds, states=states, derivatives=derivatives,
+                   state_names=ds.state_names + (name,))
 
 
 def augment_parameter(ds: TimeSeriesDataset, name: str, value: float) -> TimeSeriesDataset:
@@ -332,9 +332,8 @@ def augment_signal(
 def concatenate(datasets: list[TimeSeriesDataset]) -> TimeSeriesDataset:
     """Stack several runs into one dataset with recorded segment starts.
 
-    Later runs have their time stamps shifted to keep the global time
-    vector strictly increasing; fits and differentiation treat segments
-    independently.
+    Each run keeps its own time stamps, so the times restart at every
+    segment start; fits and differentiation treat segments independently.
     """
     if not datasets:
         raise DataError("nothing to concatenate")
@@ -345,18 +344,12 @@ def concatenate(datasets: list[TimeSeriesDataset]) -> TimeSeriesDataset:
             raise DataError("state names differ between datasets")
         if (ds.derivatives is not None) != has_deriv:
             raise DataError("derivative presence differs between datasets")
-    times, segments, offset = [], [], 0.0
-    row = 0
+    segments, row = [], 0
     for ds in datasets:
-        t = ds.times
-        gap = float(t[1] - t[0]) if t.shape[0] > 1 else 1.0
-        shifted = t - t[0] + offset
-        offset = shifted[-1] + gap
-        times.append(shifted)
         segments.extend(row + s for s in ds.segments)
         row += ds.n_samples
     return TimeSeriesDataset(
-        times=np.concatenate(times),
+        times=np.concatenate([ds.times for ds in datasets]),
         states=np.vstack([ds.states for ds in datasets]),
         derivatives=np.vstack([ds.derivatives for ds in datasets]) if has_deriv else None,
         state_names=names,

@@ -7,6 +7,7 @@ Heavy datasets are session-scoped fixtures shared across tests.
 
 import time
 import warnings
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -199,8 +200,8 @@ def test_criterion_7_mean_field_surrogate_and_pod():
     rng = np.random.default_rng(2024)
     Q, _ = np.linalg.qr(rng.standard_normal((n_big, 3)))
     wide_names = tuple(f"x{i + 1}" for i in range(n_big))
-    embedded = mixed.with_(states=mixed.states @ Q.T, derivatives=mixed.derivatives @ Q.T,
-                           state_names=wide_names)
+    embedded = replace(mixed, states=mixed.states @ Q.T, derivatives=mixed.derivatives @ Q.T,
+                       state_names=wide_names)
 
     basis = compute_basis(embedded.states, energy=0.9999)
     assert basis.rank == 3
@@ -218,7 +219,7 @@ def test_criterion_7_mean_field_surrogate_and_pod():
     dpad[:, :3] = noisy.derivatives
     identity_basis = ReducedBasis(modes=np.eye(n_big)[:, :3], singular_values=np.ones(3))
     flat = reduce_dataset(
-        noisy.with_(states=pad, derivatives=dpad, state_names=wide_names), identity_basis)
+        replace(noisy, states=pad, derivatives=dpad, state_names=wide_names), identity_basis)
     id_model, _ = fit(flat, LibrarySpec(3, 3), StlsqConfig(threshold=0.01))
     expected_support = {("x", 0), ("y", 0), ("xz", 0), ("x", 1), ("y", 1), ("yz", 1),
                         ("z", 2), ("xx", 2), ("yy", 2)}
@@ -258,7 +259,7 @@ def test_criterion_8_hopf_normal_form():
         for ic in ics:
             spec = SystemSpec("hopf", x0=ic, t_span=(0.0, 25.0), dt=0.02,
                               params={"mu": mu, "omega": 1.0, "A": 1.0})
-            ds = simulate(spec).with_(derivatives=None)  # sensors see states only
+            ds = replace(simulate(spec), derivatives=None)  # sensors see states only
             ds = add_noise(ds, NoiseSpec(eta=1e-3, target="states", seed=500 + k))
             k += 1
             ds = differentiate_dataset(

@@ -9,12 +9,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sindykit
 import sindykit.cli
+from sindykit import TimeSeriesDataset
+from sindykit.dataio import read_dataset_csv, write_dataset_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 COMMANDS = ("generate", "fit", "compare", "sweep")
@@ -82,15 +86,74 @@ def test_command_exit_code(short_configs, tmp_path, name, cmd):
             json.loads(artifact.read_text(), parse_constant=pytest.fail)
 
 
-def test_fit_on_the_generated_dataset_writes_the_same_model(short_configs, tmp_path):
-    # a single run: the dataset CSV round-trips its values, and the loaded
-    # run draws the same noise stream as the simulated one
-    config = short_configs["lorenz"]
-    for cmd, out, flags in [("generate", "gen", ()), ("fit", "direct", ()),
-                            ("fit", "loaded", ("--data", str(tmp_path / "gen" / "dataset.csv")))]:
-        assert run(cmd, config, tmp_path / out, *flags).returncode == 0
-    direct, loaded = ((tmp_path / out / "model.json").read_bytes() for out in ("direct", "loaded"))
+@pytest.fixture(scope="module")
+def generated(short_configs, tmp_path_factory):
+    """The dataset CSV that ``generate`` writes for a shortened config, made once."""
+    paths = {}
+
+    def dataset(name: str) -> Path:
+        if name not in paths:
+            out = tmp_path_factory.mktemp(f"generate-{name}")
+            assert sindykit.cli.main(["generate", "--config", str(short_configs[name]),
+                                      "--out", str(out)]) == 0
+            paths[name] = out / "dataset.csv"
+        return paths[name]
+    return dataset
+
+
+def models_fitted_directly_and_from(data: Path, config: Path, tmp_path: Path,
+                                    cmd: str) -> list[bytes]:
+    """The model.json that ``cmd`` writes on its own and with ``--data data``."""
+    models = []
+    for out, flags in [("direct", ()), ("loaded", ("--data", str(data)))]:
+        assert sindykit.cli.main([cmd, "--config", str(config), "--out", str(tmp_path / out),
+                                  *flags]) == 0
+        models.append((tmp_path / out / "model.json").read_bytes())
+    return models
+
+
+# each segment of the file is one run with its own noise stream, and the
+# augmented column comes back exact from the config
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+@pytest.mark.filterwarnings("ignore:logistic iterates escaped")  # the shipped mu >= 3.75
+def test_fit_on_the_generated_dataset_writes_the_same_model(short_configs, generated, tmp_path,
+                                                            name):
+    direct, loaded = models_fitted_directly_and_from(generated(name), short_configs[name],
+                                                     tmp_path, "fit")
     assert direct == loaded
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+@pytest.mark.filterwarnings("ignore:logistic iterates escaped")
+def test_sweep_on_the_generated_dataset_writes_the_same_model(short_configs, generated, tmp_path,
+                                                              name):
+    direct, loaded = models_fitted_directly_and_from(generated(name), short_configs[name],
+                                                     tmp_path, "sweep")
+    assert direct == loaded
+
+
+def shifted_clocks(ds: TimeSeriesDataset) -> TimeSeriesDataset:
+    """``ds`` with its runs laid end to end on one increasing clock, each
+    one step after the last, as dataset files were once written."""
+    times, offset = [], 0.0
+    for sl in ds.segment_slices():
+        t = ds.times[sl]
+        times.append(t - t[0] + offset)
+        offset = times[-1][-1] + (t[1] - t[0])
+    return replace(ds, times=np.concatenate(times))
+
+
+@pytest.mark.parametrize("name", ["hopf", "meanfield"])
+def test_fit_loads_a_dataset_written_with_shifted_clocks(short_configs, generated, tmp_path,
+                                                         name):
+    data = write_dataset_csv(shifted_clocks(read_dataset_csv(generated(name))),
+                             tmp_path / "shifted.csv")
+    assert np.all(np.diff(read_dataset_csv(data).times) > 0)
+    direct, loaded = (sindykit.model_from_json(model.decode()) for model in
+                      models_fitted_directly_and_from(data, short_configs[name], tmp_path, "fit"))
+    # TV takes each run's step from its clock, whose last bits the shift moves
+    assert sindykit.support(loaded) == sindykit.support(direct)
+    np.testing.assert_allclose(loaded.coefficients, direct.coefficients, rtol=0, atol=1e-9)
 
 
 def test_warnings_print_their_message_without_a_source_path(short_configs, tmp_path):

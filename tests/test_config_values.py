@@ -185,6 +185,8 @@ CASES = [
 # only sweep reads, and that every command checks before it simulates
 SELECTION_CASES = [
     (LIN2D, ("selection", "count"), 0),
+    (LIN2D, ("selection", "count"), 10**6 + 1),
+    (LIN2D, ("selection", "count"), int("9" * 401)),
     (LAMBDAS, ("selection", "lambdas"), []),
     (LAMBDAS, ("selection", "lambdas"), [0.1, 0.01]),
     (LAMBDAS, ("selection", "lambdas"), [-0.1, 0.1]),
@@ -234,6 +236,8 @@ def _with(base: dict, path: tuple, value) -> dict:
 def _case_id(case) -> str:
     command, _, path, value = case
     shown = "missing" if value is DELETE else json.dumps(value)
+    if len(shown) > 20 and shown.isdigit():
+        shown = f"{len(shown)}-digits"
     return f"{command}-{'.'.join(map(str, path))}={shown}"
 
 
@@ -294,6 +298,16 @@ def test_negative_seed_flag_is_config_error(tmp_path, capsys):
     assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--seed", "-5"]) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_non_finite_lambda_flag_is_config_error(tmp_path, capsys, command, value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(LIN2D))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 f"--lambda={value}"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --lambda must be a number, not ")
 
 
 @pytest.mark.parametrize("command,flag,value", [

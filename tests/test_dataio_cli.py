@@ -243,7 +243,7 @@ class TestCliFit:
 
     def test_exact_differentiation_rejected_without_derivatives(self, tmp_path):
         spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 25.0), dt=0.01)
-        bare = simulate(spec).with_(derivatives=None)
+        bare = replace(simulate(spec), derivatives=None)
         data = write_dataset_csv(bare, tmp_path / "d.csv")
         cfg = write_config(tmp_path / "c.json", LIN2D_CFG)
         rc = main(["fit", "--config", cfg, "--out", str(tmp_path / "x"), "--data", str(data)])
@@ -557,13 +557,13 @@ class TestCliHopfEnsemble:
     def _condition_per_run(ds, exp, noise_seed):
         """The per-run conditioning ``_prepare`` replaced, kept as its reference:
         noise, then one ``tv_derivative`` call per segment and state column."""
-        ds = add_noise(ds, replace(exp["noise_spec"], seed=noise_seed)).with_(derivatives=None)
+        ds = replace(add_noise(ds, replace(exp["noise_spec"], seed=noise_seed)), derivatives=None)
         deriv = np.empty_like(ds.states)
         for sl in ds.segment_slices():
             cfg = replace(exp["tv"], dt=float(ds.times[sl][1] - ds.times[sl][0]))
             for j in range(ds.n_states):
                 deriv[sl, j] = tv_derivative(ds.states[sl, j], cfg)
-        return ds.with_(derivatives=deriv, meta={**ds.meta, "differentiation": "tv"})
+        return replace(ds, derivatives=deriv, meta={**ds.meta, "differentiation": "tv"})
 
     def test_prepare_differentiates_every_run_in_one_call(self, monkeypatch):
         import sindykit.cli as cli
@@ -670,7 +670,7 @@ class TestCliErrors:
         cols = {"state": ds.states.copy(), "derivative": ds.derivatives.copy()}
         cols[column][row, 0] = value
         data = write_dataset_csv(
-            ds.with_(states=cols["state"], derivatives=cols["derivative"]), tmp_path / "d.csv")
+            replace(ds, states=cols["state"], derivatives=cols["derivative"]), tmp_path / "d.csv")
         return main(["fit", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
 
     def _generated(self, tmp_path):
@@ -696,7 +696,23 @@ class TestCliErrors:
             LIN2D_CFG, differentiation={"method": "tv", "iterations": 2}))
         rc = main(["fit", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
         assert rc == 3
-        assert "rows 2500..2500 has 1" in capsys.readouterr().err
+        # each segment of the file is a run, named with the row within it
+        assert "run 1: " in (err := capsys.readouterr().err)
+        assert "the segment at rows 0..0 has 1" in err
+
+    def test_augmented_data_with_another_run_count_is_data_error(self, tmp_path, capsys):
+        # each segment of the file is one run, and system.augment gives each
+        # configured run its own parameter value
+        runs = [{"params": {"mu": mu}} for mu in (0.1, 0.2, 0.3)]
+        system = dict(LIN2D_CFG["system"], t_span=[0.0, 1.0], runs=runs[:2],
+                      augment={"name": "u", "param": "mu"})
+        cfg = write_config(tmp_path / "c.json", dict(LIN2D_CFG, system=system))
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 0
+        cfg = write_config(tmp_path / "c.json", dict(LIN2D_CFG, system=dict(system, runs=runs)))
+        rc = main(["fit", "--config", cfg, "--data", str(tmp_path / "gen" / "dataset.csv"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "the data holds 2 runs; system.augment needs 3" in capsys.readouterr().err
 
     def test_nan_derivative_is_data_error(self, tmp_path, capsys):
         assert self._fit_csv(tmp_path, 123, "derivative", np.nan) == 3

@@ -373,7 +373,7 @@ class TestTvSolverCounters:
         # first run of configs/hopf.json: mu = -0.2, the shipped noise and TV settings
         spec = SystemSpec("hopf", x0=(1.0, 0.0), t_span=(0.0, 25.0), dt=0.02,
                           params={"mu": -0.2, "omega": 1.0, "A": 1.0})
-        ds = add_noise(simulate(spec).with_(derivatives=None),
+        ds = add_noise(replace(simulate(spec), derivatives=None),
                        NoiseSpec(eta=1e-3, target="states", seed=500))
         return ds.states[:, 0], TvDiffConfig(alpha=3e-5, dt=0.02, iterations=20)
 
@@ -556,7 +556,7 @@ class TestAddNoise:
         assert out.meta["noise_target"] == "states"
 
     def test_missing_derivatives_rejected(self, dataset):
-        bare = dataset.with_(derivatives=None)
+        bare = replace(dataset, derivatives=None)
         with pytest.raises(DataError):
             add_noise(bare, NoiseSpec(eta=0.1, target="derivatives", seed=0))
 
@@ -642,13 +642,13 @@ class TestDifferentiateDataset:
         runs = self._runs()
         states = runs[3].states.copy()
         states[47, 1] = np.nan
-        runs[3] = runs[3].with_(states=states)
+        runs[3] = replace(runs[3], states=states)
         with pytest.raises(DataError, match="run 3: non-finite sample at row 47"):
             differentiate_dataset(runs, "tv", tv=cfg)
         with pytest.raises(DataError, match="^non-finite sample at row 47"):
             differentiate_dataset(runs[3], "tv", tv=cfg)
         runs = self._runs()
-        runs[1] = runs[1].with_(segments=(0, 27))
+        runs[1] = replace(runs[1], segments=(0, 27))
         with pytest.raises(DataError, match="run 1: .* rows 27..29 has 3"):
             differentiate_dataset(runs, "tv", tv=cfg)
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -292,4 +293,4 @@ def test_library_overflow_in_a_late_block_names_its_dataset_row():
     states = ds.states.copy()
     states[2_500] = 1e70  # a fifth power overflows; rows 0-2047 fill the first two blocks
     with pytest.raises(DataError, match="library overflow .* at dataset row 2500$"):
-        fit(ds.with_(states=states), LibrarySpec(3, 5), StlsqConfig(threshold=0.1))
+        fit(replace(ds, states=states), LibrarySpec(3, 5), StlsqConfig(threshold=0.1))

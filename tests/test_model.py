@@ -302,6 +302,14 @@ class TestTimeSeriesDataset:
         with pytest.raises(DataError):
             TimeSeriesDataset(times=np.array([0.0, 0.0, 1.0]), states=np.zeros((3, 1)))
 
+    def test_times_restart_only_at_a_segment_start(self):
+        times = np.array([0.0, 1.0, 2.0, 0.0, 1.0])
+        ds = TimeSeriesDataset(times=times, states=np.zeros((5, 1)), segments=(0, 3))
+        assert ds.times.tobytes() == times.tobytes()
+        for segments in ((0,), (0, 2), (0, 4)):
+            with pytest.raises(DataError, match="within each segment"):
+                TimeSeriesDataset(times=times, states=np.zeros((5, 1)), segments=segments)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DataError):
             TimeSeriesDataset(times=np.arange(3.0), states=np.zeros((4, 2)))

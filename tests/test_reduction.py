@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -131,8 +133,8 @@ class TestReduceDataset:
         ds = simulate(spec)
         rng = np.random.default_rng(13)
         Q, _ = np.linalg.qr(rng.standard_normal((40, 3)))
-        emb = ds.with_(states=ds.states @ Q.T, derivatives=ds.derivatives @ Q.T,
-                       state_names=tuple(f"x{i+1}" for i in range(40)))
+        emb = replace(ds, states=ds.states @ Q.T, derivatives=ds.derivatives @ Q.T,
+                      state_names=tuple(f"x{i+1}" for i in range(40)))
         basis = compute_basis(emb.states, energy=0.9999)
         red = reduce_dataset(emb, basis)
         assert red.n_states == basis.rank == 3

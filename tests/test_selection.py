@@ -41,8 +41,8 @@ def point(lam, nnz, val, train=None):
 @pytest.fixture(scope="module")
 def noisy_lorenz_subsample(lorenz_dataset):
     ds = lorenz_dataset
-    sub = ds.with_(times=ds.times[::10], states=ds.states[::10],
-                   derivatives=ds.derivatives[::10])
+    sub = replace(ds, times=ds.times[::10], states=ds.states[::10],
+                  derivatives=ds.derivatives[::10])
     return add_noise(sub, NoiseSpec(eta=1.0, target="derivatives", seed=17))
 
 
