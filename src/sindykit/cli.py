@@ -30,13 +30,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import read_dataset_csv, write_csv, write_dataset_csv, write_pareto_csv
-from .differentiation import (
-    NoiseSpec,
-    TvDiffConfig,
-    add_noise,
-    differentiate_dataset,
-    hard_threshold_svd,
-)
+from .differentiation import NoiseSpec, TvDiffConfig, add_noise, differentiate_dataset
 from .errors import ConfigError, DataError, NumericalError, SindykitError
 from .integrate import IntegratorConfig, dp45_adaptive
 from .library import LibrarySpec
@@ -67,7 +61,7 @@ def load_config(path: str | Path) -> dict:
         cfg = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if (not isinstance(cfg, dict) or cfg.get("spec_version") != 1
             or not _is_int(cfg["spec_version"])):
@@ -131,7 +125,6 @@ _KEYS = {
     "differentiation": {
         "method": _Choice("exact", {"exact": {}, "central": {}, "tv": {
             "alpha": ("number", 0.01), "iterations": "integer", "epsilon": "number"}}),
-        "denoise_states": ("bool", False),
     },
     "library": {"poly_order": ("integer", 5), "trig_harmonics": ["integer"],
                 "include_constant": "bool"},
@@ -215,7 +208,10 @@ def parse_experiment(cfg: dict) -> dict:
     so every command stops on them, whatever blocks it reads: the augmented
     parameter must belong to every run, ``compare.etas`` holds at least one
     level and no two whose curves share a file name, ``reduction`` takes
-    exactly one of ``rank`` and ``energy``, the ``selection`` block gives a
+    exactly one of ``rank`` and ``energy``, every conditioning setting
+    reaches the fit (``central`` and ``tv`` only under a continuous fit,
+    derivative noise only on the stored derivatives that a continuous
+    fit reads under ``exact``), the ``selection`` block gives a
     split the sweep can take and a nonempty, ascending, nonnegative
     threshold grid, and each package config object is built once and kept
     for the commands: ``exp["specs"]`` (one ``SystemSpec`` per run),
@@ -249,10 +245,19 @@ def parse_experiment(cfg: dict) -> dict:
         raise ConfigError("reduction needs exactly one of reduction.rank and reduction.energy")
     exp["integrator"] = (IntegratorConfig(**system["integrator"])
                          if "integrator" in system else None)
-    exp["noise_spec"] = NoiseSpec(**exp["noise"])
+    noise = exp["noise_spec"] = NoiseSpec(**exp["noise"])
+    method, discrete = exp["differentiation"]["method"], exp["fit"]["mode"] == Mode.DISCRETE.value
+    if discrete and method != "exact":
+        raise ConfigError(f'differentiation.method "{method}" does not apply to fit.mode '
+                          '"discrete", which reads no derivatives')
+    if noise.eta > 0.0 and noise.target != "states" and (discrete or method != "exact"):
+        reader = ('fit.mode "discrete" never reads' if discrete else
+                  f'differentiation.method "{method}" replaces with its estimates')
+        raise ConfigError(f'noise.eta {noise.eta:g} on noise.target "{noise.target}" '
+                          f'perturbs derivatives that {reader}')
     exp["tv"] = (TvDiffConfig(dt=1.0,  # replaced per segment from the data
                               **_variant(exp, "differentiation", "method"))
-                 if exp["differentiation"]["method"] == "tv" else None)
+                 if method == "tv" else None)
     config = StlsqConfig if exp["fit"]["method"] == "stlsq" else LassoConfig
     exp["fit_config"] = config(**_variant(exp, "fit", "method"))
     exp["thresholds"] = _thresholds(exp["selection"])
@@ -364,24 +369,22 @@ def _condition(runs: list[TimeSeriesDataset], exp: dict, noise_base: int,
     """Apply configured noise and derivative estimation to each run, simulated
     or loaded, before ``_join_runs`` appends the augmented column.
 
-    Run i gets noise seed ``noise_base + i`` and its own optional SVD
-    denoising; one ``differentiate_dataset`` call then estimates every
-    run's derivatives.
+    Run i gets noise seed ``noise_base + i``.  ``exact`` keeps the stored
+    derivatives, which a continuous fit needs and which derivative noise
+    perturbs; ``central`` and ``tv`` estimate them from the states of
+    every run in one ``differentiate_dataset`` call.  The parse has
+    refused derivative noise that the fit would not read.
     """
-    noise, diff = exp["noise_spec"], exp["differentiation"]
+    noise, method = exp["noise_spec"], exp["differentiation"]["method"]
     if noise.eta > 0.0:
         runs = [add_noise(ds, replace(noise, seed=noise_base + i)) for i, ds in enumerate(runs)]
-    if diff["denoise_states"]:
-        runs = [replace(ds, states=hard_threshold_svd(ds.states)) for ds in runs]
-    method = diff["method"]
     if method == "exact":
         if mode is Mode.CONTINUOUS and any(ds.derivatives is None for ds in runs):
             raise DataError(
                 "differentiation method 'exact' needs stored derivatives; "
                 "external data without them must use 'central' or 'tv'")
         return runs
-    return differentiate_dataset([replace(ds, derivatives=None) for ds in runs], method,
-                                 tv=exp["tv"])
+    return differentiate_dataset(runs, method, tv=exp["tv"])
 
 
 def _prepare(exp: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSeriesDataset:
@@ -509,9 +512,7 @@ def cmd_compare(exp: dict, out: Path, seed: int,
     if (target := exp["noise_spec"].target) != "derivatives":
         raise ConfigError(f"compare perturbs only the derivatives; noise.target "
                           f"{target!r} does not apply to compare")
-    diff = exp["differentiation"]
-    for key, value in (("differentiation.method", diff["method"] != "exact"),
-                       ("differentiation.denoise_states", diff["denoise_states"]),
+    for key, value in (("differentiation.method", exp["differentiation"]["method"] != "exact"),
                        ("reduction", exp["reduction"]),
                        ("system.augment", exp["system"]["augment"])):
         if value:

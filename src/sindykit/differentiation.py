@@ -43,7 +43,6 @@ __all__ = [
     "tv_derivative",
     "add_noise",
     "differentiate_dataset",
-    "hard_threshold_svd",
 ]
 
 
@@ -435,19 +434,3 @@ def differentiate_dataset(
            for ds, d in zip(runs, derivs)]
     return out[0] if single else out
 
-
-def hard_threshold_svd(states: np.ndarray) -> np.ndarray:
-    """Optional SVD denoising of the state matrix (off by default).
-
-    Zeroes singular values below the optimal-hard-threshold rule for an
-    m x n matrix with unknown noise level, using the standard polynomial
-    approximation omega(beta) ~ 0.56 b^3 - 0.95 b^2 + 1.82 b + 1.43 times
-    the median singular value.  Not exercised by the acceptance suite.
-    """
-    X = np.asarray(states, dtype=float)
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    beta = min(X.shape) / max(X.shape)
-    omega = 0.56 * beta**3 - 0.95 * beta**2 + 1.82 * beta + 1.43
-    cutoff = omega * np.median(s)
-    s = np.where(s >= cutoff, s, 0.0)
-    return (U * s) @ Vt

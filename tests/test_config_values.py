@@ -29,8 +29,8 @@ LIN2D = {
     "compare": {"horizon": 1.0, "grid_dt": 0.05, "etas": [0.0], "long_horizon": 2.0},
 }
 LASSO = dict(LIN2D, fit={"method": "lasso", "lambda1": 0.1, "tol": 1e-8, "max_sweeps": 50})
-TV = dict(LIN2D, differentiation={"method": "tv", "alpha": 0.01, "iterations": 2,
-                                  "epsilon": 1e-8, "denoise_states": False})
+TV = dict(LIN2D, noise=dict(LIN2D["noise"], target="states"),
+         differentiation={"method": "tv", "alpha": 0.01, "iterations": 2, "epsilon": 1e-8})
 REDUCED = dict(LIN2D, reduction={"rank": 2, "remove_mean": False})
 CONSTANT = dict(LIN2D, library={"poly_order": 0, "include_constant": True})
 RUNS = dict(LIN2D, system={
@@ -220,6 +220,24 @@ BEYOND_DOUBLE_CASES = [
     ("generate", LIN2D, ("system", "x0"), "[1e400, 0]", "system.x0[0]"),
 ]
 
+# (base config, {path: value}, the keys the error names): conditioning that
+# would not change the fit, which every command refuses before it simulates
+INERT_CASES = [
+    (LIN2D, {("differentiation", "denoise_states"): True}, ["differentiation.denoise_states"]),
+    (LIN2D, {("differentiation", "method"): "central"},
+     ["noise.target", "differentiation.method"]),
+    (LIN2D, {("differentiation", "method"): "tv"}, ["noise.target", "differentiation.method"]),
+    (LIN2D, {("differentiation", "method"): "tv", ("noise", "target"): "both"},
+     ["noise.target", "differentiation.method"]),
+    (LIN2D, {("fit", "mode"): "discrete"}, ["noise.target", "fit.mode"]),
+    (LOGISTIC, {("noise",): {"eta": 0.01}, ("fit",): {"mode": "discrete"}},
+     ["noise.target", "fit.mode"]),
+    (LOGISTIC, {("differentiation",): {"method": "central"}, ("fit",): {"mode": "discrete"}},
+     ["differentiation.method", "fit.mode"]),
+    (LOGISTIC, {("differentiation",): {"method": "tv"}, ("fit",): {"mode": "discrete"}},
+     ["differentiation.method", "fit.mode"]),
+]
+
 
 def _with(base: dict, path: tuple, value) -> dict:
     doc = copy.deepcopy(base)
@@ -261,6 +279,39 @@ def test_number_beyond_a_double_is_config_error(tmp_path, capsys, command, base,
     cfg.write_text(json.dumps(_with(base, path, "<number>")).replace('"<number>"', text))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key} must be ")
+
+
+def _inert_id(case) -> str:
+    base, values, _ = case
+    return "-".join([base["system"]["kind"], *(f"{'.'.join(path)}={json.dumps(v)}"
+                                                for path, v in values.items())])
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "sweep", "compare"])
+@pytest.mark.parametrize("base,values,keys", INERT_CASES, ids=[_inert_id(c) for c in INERT_CASES])
+def test_conditioning_the_fit_would_not_see_is_config_error(tmp_path, capsys, monkeypatch,
+                                                             command, base, values, keys):
+    def simulate(*args):
+        pytest.fail("simulated before the conditioning settings were checked")
+
+    monkeypatch.setattr("sindykit.cli._simulate_runs", simulate)
+    doc = base
+    for path, value in values.items():
+        doc = _with(doc, path, value)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and all(key in err for key in keys)
+
+
+def test_integer_past_the_int_string_limit_is_config_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, on such an integer
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(LIN2D).replace('"seed": 0', '"seed": ' + "9" * 5000, 1))
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config is not valid JSON:") and "digits" in err
 
 
 @pytest.mark.parametrize("command,base,path,value,message", DATA_CASES,

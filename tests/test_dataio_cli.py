@@ -34,7 +34,7 @@ from sindykit.integrate import dp45_adaptive
 from sindykit.model import Mode
 from sindykit.regression import _factored
 from sindykit.selection import ParetoPoint
-from sindykit.systems import system_rhs
+from sindykit.systems import logistic_ensemble, system_rhs
 
 
 def write_config(path: Path, doc: dict) -> str:
@@ -249,22 +249,6 @@ class TestCliFit:
         rc = main(["fit", "--config", cfg, "--out", str(tmp_path / "x"), "--data", str(data)])
         assert rc == 3
 
-    def test_state_denoising_flag_is_honored(self, tmp_path):
-        # optional pre-filter: low-dimensional clean data has no noise floor,
-        # so the hard-threshold rule prunes aggressively; the flag must alter
-        # the pipeline rather than being ignored
-        doc = dict(LIN2D_CFG, differentiation={"method": "central", "denoise_states": True})
-        cfg = write_config(tmp_path / "c.json", doc)
-        out = tmp_path / "run"
-        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
-        flagged = model_from_json((out / "model.json").read_text())
-        doc_off = dict(LIN2D_CFG, differentiation={"method": "central"})
-        cfg_off = write_config(tmp_path / "c2.json", doc_off)
-        main(["fit", "--config", cfg_off, "--out", str(tmp_path / "off")])
-        plain = model_from_json((tmp_path / "off" / "model.json").read_text())
-        assert plain.nnz() == 4
-        assert not np.array_equal(flagged.coefficients, plain.coefficients)
-
     def test_central_differentiation_path(self, tmp_path):
         doc = dict(LIN2D_CFG, differentiation={"method": "central"})
         cfg = write_config(tmp_path / "c.json", doc)
@@ -302,6 +286,23 @@ class TestCliGenerate:
         parts = [read_dataset_csv(out / f"logistic_mu_{mu}.csv").states
                  for mu in doc["system"]["ensemble_mus"]]
         assert np.array_equal(ens.states, np.vstack(parts))
+
+    def test_logistic_dataset_follows_the_seed_rule_of_logistic_ensemble(self, tmp_path):
+        # generate simulates one value at a time with seed + 1000 * i, which
+        # must give the slices of one logistic_ensemble call over every value
+        doc = json.loads((TestShippedConfigs.CONFIG_DIR / "logistic.json").read_text())
+        doc["system"]["n_steps"] = 400
+        cfg = write_config(tmp_path / "c.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # escaped iterates restart with a warning
+            assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 0
+            ref = logistic_ensemble(doc["system"]["ensemble_mus"], 400,
+                                    doc["system"]["forcing"], seed=42, x0=0.5)
+        ds = read_dataset_csv(tmp_path / "gen" / "dataset.csv")
+        assert len(ref.segments) > len(doc["system"]["ensemble_mus"])  # restarts happened
+        for name in ("times", "states"):
+            assert getattr(ds, name).tobytes() == getattr(ref, name).tobytes()
+        assert ds.segments == ref.segments
 
     def test_zero_duration_span_rejected(self, tmp_path):
         doc = dict(LIN2D_CFG, system={"kind": "linear2d", "x0": [2.0, 0.0],

@@ -494,18 +494,6 @@ class TestBatchedTv:
             tv_derivative(np.zeros((10, 2, 2)), self.CFG)
 
 
-class TestHardThresholdSvd:
-    def test_denoises_low_rank_matrix(self):
-        from sindykit.differentiation import hard_threshold_svd
-        rng = np.random.default_rng(5)
-        clean = np.outer(rng.standard_normal(300), rng.standard_normal(8))
-        clean += np.outer(rng.standard_normal(300), rng.standard_normal(8))
-        noisy = clean + 0.05 * rng.standard_normal(clean.shape)
-        denoised = hard_threshold_svd(noisy)
-        assert np.linalg.matrix_rank(denoised, tol=1e-8) <= 4
-        assert np.linalg.norm(denoised - clean) < np.linalg.norm(noisy - clean)
-
-
 class TestAddNoise:
     @pytest.fixture()
     def dataset(self):
