@@ -31,7 +31,7 @@ from .model import (
     support,
 )
 from .reduction import ReducedBasis, compute_basis, lift, project, reduce_dataset
-from .regression import FitReport, LassoConfig, StlsqConfig, fit, lasso_cd, least_squares, stlsq
+from .regression import FitReport, StlsqConfig, fit, least_squares, stlsq
 from .selection import ParetoPoint, pick_elbow, split, sweep
 from .systems import (
     SystemSpec,

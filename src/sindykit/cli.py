@@ -9,10 +9,10 @@ Configs are JSON documents with ``spec_version: 1``; command-line
 ``--seed`` and ``--lambda`` override config values.  ``main`` checks the
 whole config once against ``_KEYS``, the kind and default of every key,
 and the commands take that checked experiment.  An unknown key, a key of
-a variant the config did not choose (``fit.lambda1`` under ``stlsq``), a
-null, a malformed value and a flag the command does not read are config
-errors naming the key or flag.  Exit codes: 0 success, 2 config error,
-3 data error, 4 numerical failure.
+a variant the config did not choose (``differentiation.alpha`` under
+``exact``), a null, a malformed value and a flag the command does not
+read are config errors naming the key or flag.  Exit codes: 0 success,
+2 config error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from .integrate import IntegratorConfig, dp45_adaptive
 from .library import LibrarySpec
 from .model import Mode, SparseModel, TimeSeriesDataset, model_to_json, render_table
 from .reduction import compute_basis, reduce_dataset
-from .regression import (FitReport, LassoConfig, RegressionProblem, StlsqConfig,
-                         _regression_problem, _with_sparsity, fit)
+from .regression import FitReport, RegressionProblem, StlsqConfig, _regression_problem, fit
 from .selection import SPLIT_POLICIES, pick_elbow, sweep
 from .systems import (
     KINDS,
@@ -131,8 +130,7 @@ _KEYS = {
     "fit": {
         "mode": _Choice("continuous", {mode.value: {} for mode in Mode}),
         "method": _Choice("stlsq", {
-            "stlsq": {"threshold": ("number", 0.05), "max_iterations": "integer"},
-            "lasso": {"lambda1": ("number", 0.1), "tol": "number", "max_sweeps": "integer"}}),
+            "stlsq": {"threshold": ("number", 0.05), "max_iterations": "integer"}}),
     },
     "selection": {"lambdas": ["number"], "log10_min": ("number", -4.0),
                   "log10_max": ("number", 0.0), "count": ("natural", 25),
@@ -258,8 +256,7 @@ def parse_experiment(cfg: dict) -> dict:
     exp["tv"] = (TvDiffConfig(dt=1.0,  # replaced per segment from the data
                               **_variant(exp, "differentiation", "method"))
                  if method == "tv" else None)
-    config = StlsqConfig if exp["fit"]["method"] == "stlsq" else LassoConfig
-    exp["fit_config"] = config(**_variant(exp, "fit", "method"))
+    exp["fit_config"] = StlsqConfig(**_variant(exp, "fit", "method"))
     exp["thresholds"] = _thresholds(exp["selection"])
     return exp
 
@@ -359,9 +356,9 @@ def _join_runs(exp: dict, runs: list[TimeSeriesDataset]) -> TimeSeriesDataset:
     return concatenate(runs) if len(runs) > 1 else runs[0]
 
 
-def _fit_config(exp: dict, override_threshold: float | None) -> StlsqConfig | LassoConfig:
-    fit_cfg = exp["fit_config"]
-    return fit_cfg if override_threshold is None else _with_sparsity(fit_cfg, override_threshold)
+def _fit_config(exp: dict, override_threshold: float | None) -> StlsqConfig:
+    cfg = exp["fit_config"]
+    return cfg if override_threshold is None else replace(cfg, threshold=override_threshold)
 
 
 def _condition(runs: list[TimeSeriesDataset], exp: dict, noise_base: int,
@@ -594,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--data", default=None, help="existing dataset CSV (fit/sweep)")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--lambda", dest="threshold", type=float, default=None,
-                        help="override sparsification threshold")
+                        help="override the STLSQ threshold")
     args = parser.parse_args(argv)
     # only the printed form changes: a caller that records warnings still gets them
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning

@@ -3,8 +3,9 @@
 Solves dX = Theta(X) Xi column by column.  The workhorse is sequential
 thresholded least squares: start from the full least-squares solution,
 zero every coefficient below the threshold, re-solve restricted to the
-survivors, and repeat until the support stops changing.  Ordinary least
-squares and coordinate-descent LASSO are provided as baselines.
+survivors, and repeat until the support stops changing.  A zero
+threshold, or :func:`least_squares` itself, gives the ordinary
+least-squares baseline.
 
 Each problem is factored once: the factor R of [Theta | dX] preserves
 every residual norm, so every solve, residual and condition estimate runs
@@ -18,8 +19,7 @@ the column norms of that block R22 are read.
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,12 +29,10 @@ from .model import Mode, SparseModel, TimeSeriesDataset
 
 __all__ = [
     "StlsqConfig",
-    "LassoConfig",
     "FitReport",
     "RegressionProblem",
     "least_squares",
     "stlsq",
-    "lasso_cd",
     "fit",
 ]
 
@@ -55,23 +53,6 @@ class StlsqConfig:
             raise ConfigError("threshold must be nonnegative")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
-
-
-@dataclass(frozen=True)
-class LassoConfig:
-    """L1 weight and stopping rule for coordinate descent."""
-
-    lambda1: float
-    tol: float = 1e-10
-    max_sweeps: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.lambda1 < 0:
-            raise ConfigError("lambda1 must be nonnegative")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
-        if self.max_sweeps < 1:
-            raise ConfigError("max_sweeps must be at least 1")
 
 
 @dataclass
@@ -248,58 +229,6 @@ def stlsq(
     return coef, _fit_report(problem, coef, actives, iterations, converged)
 
 
-def _soft_threshold(z: float, t: float) -> float:
-    if z > t:
-        return z - t
-    if z < -t:
-        return z + t
-    return 0.0
-
-
-def lasso_cd(Theta: np.ndarray, y: np.ndarray, cfg: LassoConfig) -> np.ndarray:
-    """Cyclic coordinate descent for ||Theta xi - y||^2 + lambda1 ||xi||_1.
-
-    Columns are scaled to unit norm internally and the scaling is undone
-    on return; a coordinate dies when |a^T r| <= lambda1 / 2.  Stops when
-    the largest coefficient change in a sweep drops below ``tol``; warns
-    and returns the best iterate if ``max_sweeps`` is exhausted first.
-    Descends on the factored problem: ||R11 xi - R12||^2 differs from
-    ||Theta xi - y||^2 by the constant ||R22||^2, and R11's columns have
-    Theta's column norms.
-    """
-    R11, R12, _ = _factored(Theta, np.asarray(y, dtype=float).ravel()).blocks
-    return _lasso_on_factor(R11, R12[:, 0], cfg)
-
-
-def _lasso_on_factor(A: np.ndarray, y: np.ndarray, cfg: LassoConfig) -> np.ndarray:
-    """:func:`lasso_cd`'s descent on the factor's R11 (as A) and R12 column (as y)."""
-    norms = np.linalg.norm(A, axis=0)
-    live = norms > 0
-    An = np.where(live, norms, 1.0)
-    A = A / An
-    p = A.shape[1]
-    xi = np.zeros(p)
-    r = y.copy()
-    half = cfg.lambda1 / 2.0
-    for _ in range(cfg.max_sweeps):
-        delta = 0.0
-        for j in range(p):
-            if not live[j]:
-                continue
-            old = xi[j]
-            rho = A[:, j] @ r + old  # unit-norm column: a^T a = 1
-            new = _soft_threshold(rho, half)
-            if new != old:
-                r += A[:, j] * (old - new)
-                xi[j] = new
-                delta = max(delta, abs(new - old))
-        if delta < cfg.tol:
-            break
-    else:
-        warnings.warn("lasso_cd: not converged within max_sweeps, returning best iterate")
-    return xi / An
-
-
 def _require_finite(values: np.ndarray, rows: np.ndarray | range, problem: str) -> None:
     """Raise naming the dataset row of the first non-finite row of ``values``."""
     bad = ~np.isfinite(values).all(axis=1)
@@ -359,21 +288,15 @@ def _regression_problem(
     return RegressionProblem.factor(X.shape[0], spec.n_terms, library, n_targets, targets)
 
 
-def _with_sparsity(cfg: StlsqConfig | LassoConfig, value: float) -> StlsqConfig | LassoConfig:
-    """``cfg`` with its sparsity knob (STLSQ threshold, LASSO lambda1) set to ``value``."""
-    if isinstance(cfg, StlsqConfig):
-        return replace(cfg, threshold=value)
-    return replace(cfg, lambda1=value)
-
-
 def fit(
     dataset: TimeSeriesDataset,
     spec: LibrarySpec,
-    cfg: StlsqConfig | LassoConfig,
+    cfg: StlsqConfig,
     mode: Mode = Mode.CONTINUOUS,
     problem: RegressionProblem | None = None,
 ) -> tuple[SparseModel, FitReport]:
-    """Fit an identified model to a dataset, one equation per target column.
+    """Fit an identified model to a dataset by :func:`stlsq`, one equation
+    per target column.
 
     Continuous mode regresses the stored derivatives onto the library;
     discrete mode regresses next states onto the library of current
@@ -388,13 +311,7 @@ def fit(
     m, p = problem.n_samples, problem.n_terms
     if m <= p:
         raise DataError(f"{m} samples do not overdetermine {p} library terms")
-    if isinstance(cfg, StlsqConfig):
-        coef, report = stlsq(problem, None, cfg)
-    else:
-        R11, R12, _ = problem.blocks
-        coef = np.column_stack([_lasso_on_factor(R11, y, cfg) for y in R12.T])
-        n = coef.shape[1]
-        report = _fit_report(problem, coef, coef.T != 0, [0] * n, [True] * n)
+    coef, report = stlsq(problem, None, cfg)
     model = SparseModel(terms=enumerate_terms(spec), coefficients=coef,
                         state_names=dataset.state_names, mode=mode)
     return model, report

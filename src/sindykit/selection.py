@@ -10,15 +10,14 @@ than trajectory error, which stays well defined for chaotic systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .library import LibrarySpec
 from .model import Mode, SparseModel, TimeSeriesDataset
-from .regression import (FitReport, LassoConfig, RegressionProblem, StlsqConfig,
-                         _regression_problem, _with_sparsity, fit)
+from .regression import FitReport, RegressionProblem, StlsqConfig, _regression_problem, fit
 
 __all__ = ["ParetoPoint", "split", "sweep", "pick_elbow"]
 SPLIT_BLOCKS = 20  # contiguous blocks the "blocks" split policy draws from
@@ -102,21 +101,21 @@ def sweep(
     dataset: TimeSeriesDataset,
     spec: LibrarySpec,
     thresholds: np.ndarray,
-    cfg: StlsqConfig | LassoConfig,
+    cfg: StlsqConfig,
     fraction: float = 0.2,
     policy: str = "tail",
     seed: int = 0,
     mode: Mode = Mode.CONTINUOUS,
 ) -> tuple[list[ParetoPoint], list[tuple[SparseModel, FitReport]]]:
-    """One fit of ``cfg`` per threshold, which replaces its STLSQ threshold or
-    LASSO lambda1, on one prebuilt problem per split side."""
+    """One fit of ``cfg`` per threshold, which replaces its STLSQ threshold,
+    on one prebuilt problem per split side."""
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.size and (np.any(np.diff(thresholds) < 0) or np.any(thresholds < 0)):
         raise ConfigError("thresholds must be sorted ascending and nonnegative")
     train, val = split(dataset, fraction, policy=policy, seed=seed)
     problem = _regression_problem(train, spec, mode)
     problem_val = _regression_problem(val, spec, mode)
-    models = [fit(train, spec, _with_sparsity(cfg, float(lam)), mode, problem=problem)
+    models = [fit(train, spec, replace(cfg, threshold=float(lam)), mode, problem=problem)
               for lam in thresholds]
     points = [
         ParetoPoint(threshold=float(lam), nnz_total=model.nnz(),

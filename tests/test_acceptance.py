@@ -177,7 +177,7 @@ def test_criterion_5_lorenz_error_growth(lorenz_dataset, lorenz_library, lorenz_
 def test_criterion_6_logistic_map():
     mus = [2.5, 2.75, 3.0, 3.25, 3.5, 3.75, 3.8, 3.85, 3.9, 3.95]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # escape/restart warnings at high mu
+        warnings.filterwarnings("ignore", "logistic iterates escaped")  # restarts at high mu
         ens = logistic_ensemble(mus, n_steps=100_000, eta=0.025, seed=42)
     model, _ = fit(ens, LibrarySpec(2, 5), StlsqConfig(threshold=0.05, max_iterations=30),
                    mode=Mode.DISCRETE)

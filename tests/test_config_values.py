@@ -8,7 +8,6 @@ code 2 and a config error that names the key, never with an exception.
 import copy
 import json
 import re
-import warnings
 from pathlib import Path
 
 import pytest
@@ -28,7 +27,6 @@ LIN2D = {
                   "policy": "tail"},
     "compare": {"horizon": 1.0, "grid_dt": 0.05, "etas": [0.0], "long_horizon": 2.0},
 }
-LASSO = dict(LIN2D, fit={"method": "lasso", "lambda1": 0.1, "tol": 1e-8, "max_sweeps": 50})
 TV = dict(LIN2D, noise=dict(LIN2D["noise"], target="states"),
          differentiation={"method": "tv", "alpha": 0.01, "iterations": 2, "epsilon": 1e-8})
 REDUCED = dict(LIN2D, reduction={"rank": 2, "remove_mean": False})
@@ -100,10 +98,10 @@ CASES = [
     ("fit", LIN2D, ("fit", "mode"), 1),
     ("fit", LIN2D, ("fit", "method"), ["stlsq"]),
     ("fit", LIN2D, ("fit", "threshold"), "x"),
+    ("fit", LIN2D, ("fit", "threshold"), -1.0),
     ("fit", LIN2D, ("fit", "max_iterations"), "10"),
-    ("fit", LASSO, ("fit", "lambda1"), "x"),
-    ("fit", LASSO, ("fit", "tol"), None),
-    ("fit", LASSO, ("fit", "max_sweeps"), 1e3),
+    ("fit", LIN2D, ("fit", "max_iterations"), 1e3),
+    ("fit", LIN2D, ("fit", "method"), "STLSQ"),
     ("compare", LIN2D, ("compare", "horizon"), "20"),
     ("compare", LIN2D, ("compare", "horizon"), -1.0),
     ("compare", LIN2D, ("compare", "grid_dt"), None),
@@ -122,6 +120,7 @@ CASES = [
     ("compare", LIN2D, ("compare", "long_horizon"), None),
     ("fit", REDUCED, ("reduction", "energy"), None),
     ("sweep", LAMBDAS, ("selection", "lambdas"), None),
+    ("fit", LIN2D, ("fit", "threshold"), None),
     # spec_version is the integer 1
     ("fit", LIN2D, ("spec_version",), True),
     ("fit", LIN2D, ("spec_version",), 1.0),
@@ -131,6 +130,9 @@ CASES = [
     # keys that no command reads
     ("fit", LIN2D, ("noize",), {"eta": 0.1}),
     ("fit", LIN2D, ("fit", "treshold"), 0.5),
+    ("fit", LIN2D, ("fit", "lambda1"), 0.1),
+    ("fit", LIN2D, ("fit", "tol"), 1e-8),
+    ("fit", LIN2D, ("fit", "max_sweeps"), 50),
     ("generate", LIN2D, ("system", "x_0"), [2.0, 0.0]),
     ("generate", LIN2D, ("system", "integrator", "methd"), "rk45"),
     ("generate", RUNS, ("system", "augment", "parameter"), "mu"),
@@ -142,11 +144,6 @@ CASES = [
     ("compare", LIN2D, ("compare", "horizn"), 3.0),
     ("fit", REDUCED, ("reduction", "ranks"), 2),
     # keys of a variant that the config did not choose
-    ("fit", LIN2D, ("fit", "lambda1"), 0.1),
-    ("fit", LIN2D, ("fit", "tol"), 1e-8),
-    ("fit", LIN2D, ("fit", "max_sweeps"), 50),
-    ("fit", LASSO, ("fit", "threshold"), 0.05),
-    ("fit", LASSO, ("fit", "max_iterations"), 10),
     ("fit", LIN2D, ("differentiation", "alpha"), 0.01),
     ("fit", LIN2D, ("differentiation", "iterations"), 2),
     ("fit", LIN2D, ("differentiation", "epsilon"), 1e-8),
@@ -170,7 +167,7 @@ CASES = [
     ("generate", LIN2D, ("noise", "eta"), -0.1),
     ("generate", LIN2D, ("noise", "target"), "state"),
     ("generate", LIN2D, ("fit", "threshold"), -1.0),
-    ("generate", LASSO, ("fit", "tol"), 0.0),
+    ("generate", LIN2D, ("fit", "max_iterations"), 0),
     ("generate", TV, ("differentiation", "alpha"), -0.01),
     # compare perturbs only the derivatives, and fits the exact ones of one run
     ("compare", LIN2D, ("noise", "target"), "states"),
@@ -343,6 +340,19 @@ def test_selection_is_checked_before_any_simulation(tmp_path, capsys, monkeypatc
     assert re.match(rf"config error: .*{path[-1]}", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["generate", "fit", "sweep", "compare"])
+def test_fit_method_other_than_stlsq_is_checked_before_any_simulation(tmp_path, capsys,
+                                                                      monkeypatch, command):
+    def simulate(*args):
+        pytest.fail("simulated before fit.method was checked")
+
+    monkeypatch.setattr("sindykit.cli._simulate_runs", simulate)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_with(LIN2D, ("fit", "method"), "lasso")))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: unknown fit.method 'lasso'\n"
+
+
 def test_negative_seed_flag_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(LIN2D))
@@ -375,7 +385,8 @@ def test_flag_the_command_ignores_is_config_error(tmp_path, capsys, command, fla
 
 @pytest.mark.parametrize("command,base,path,message", [
     ("generate", RUNS, ("system", "runs", 1, "xo"), "unknown key system.runs[1].xo"),
-    ("fit", LIN2D, ("fit", "lambda1"), 'fit.lambda1 does not apply to fit.method "stlsq"'),
+    ("fit", LIN2D, ("differentiation", "alpha"),
+     'differentiation.alpha does not apply to differentiation.method "exact"'),
 ])
 def test_message_names_the_dotted_path(tmp_path, capsys, command, base, path, message):
     cfg = tmp_path / "c.json"
@@ -406,14 +417,12 @@ def test_readme_lists_every_config_key():
 
 
 @pytest.mark.parametrize("command,base", [
-    ("generate", LIN2D), ("generate", RUNS), ("generate", LOGISTIC), ("fit", LASSO),
+    ("generate", LIN2D), ("generate", RUNS), ("generate", LOGISTIC), ("fit", LIN2D),
     ("fit", TV), ("fit", REDUCED), ("fit", CONSTANT), ("compare", LIN2D), ("sweep", LIN2D),
     ("generate", RK45), ("compare", WITH_MU),
-], ids=["linear2d", "runs", "logistic", "lasso", "tv", "reduced", "constant", "compare",
+], ids=["linear2d", "runs", "logistic", "fit", "tv", "reduced", "constant", "compare",
         "sweep", "rk45", "compare-with-mu"])
 def test_base_configs_run(tmp_path, command, base):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(base))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # LASSO stops at max_sweeps
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

@@ -72,9 +72,7 @@ class TestDatasetCsv:
         assert header == "t,x1,x2,dx1,dx2"
 
     def test_segments_survive_via_sidecar(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ds = iterate_map(SystemSpec("logistic", x0=(0.5,), params={"mu": 3.0}), 50)
+        ds = iterate_map(SystemSpec("logistic", x0=(0.5,), params={"mu": 3.0}), 50)
         path = write_dataset_csv(ds, tmp_path / "map.csv")
         back = read_dataset_csv(path)
         assert back.derivatives is None
@@ -216,11 +214,20 @@ class TestCliFit:
         assert ra["config_sha256"] == rb["config_sha256"]
 
     def test_lambda_override_takes_precedence(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", LIN2D_CFG)
-        out = tmp_path / "dense"
-        main(["fit", "--config", cfg, "--out", str(out), "--lambda", "0.0"])
-        model = model_from_json((out / "model.json").read_text())
-        assert model.nnz() > 4  # unthresholded least squares keeps clutter
+        # --lambda X writes the bytes of a config whose fit.threshold is X
+        doc = dict(LIN2D_CFG, compare={"horizon": 2.0, "grid_dt": 0.05, "etas": [0.0, 0.01]})
+        flag = write_config(tmp_path / "flag.json", doc)
+        key = write_config(tmp_path / "key.json",
+                           dict(doc, fit=dict(doc["fit"], threshold=0.5)))
+        for command, names in (("fit", ["model.json", "model_table.txt", "fit_report.json"]),
+                               ("compare", ["error_eta_0.csv", "error_eta_0.01.csv"])):
+            by_flag, by_key = tmp_path / f"{command}-flag", tmp_path / f"{command}-key"
+            assert main([command, "--config", flag, "--out", str(by_flag), "--lambda", "0.5"]) == 0
+            assert main([command, "--config", key, "--out", str(by_key)]) == 0
+            for name in names:
+                assert (by_flag / name).read_bytes() == (by_key / name).read_bytes()
+        model = model_from_json((tmp_path / "fit-flag" / "model.json").read_text())
+        assert model.nnz() == 2  # only the +-2 couplings reach the threshold
 
     def test_fit_from_external_data(self, tmp_path):
         spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 25.0), dt=0.01)
@@ -277,7 +284,7 @@ class TestCliGenerate:
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "gen"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.filterwarnings("ignore", "logistic iterates escaped")
             assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
         csvs = sorted(out.glob("*.csv"))
         assert len(csvs) == 11  # one per parameter value plus the ensemble
@@ -294,7 +301,7 @@ class TestCliGenerate:
         doc["system"]["n_steps"] = 400
         cfg = write_config(tmp_path / "c.json", doc)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # escaped iterates restart with a warning
+            warnings.filterwarnings("ignore", "logistic iterates escaped")
             assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 0
             ref = logistic_ensemble(doc["system"]["ensemble_mus"], 400,
                                     doc["system"]["forcing"], seed=42, x0=0.5)
@@ -401,9 +408,7 @@ class TestCliCompareAndSweep:
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "cmp"
         start = time.perf_counter()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         assert time.perf_counter() - start < 30.0
         summary = json.loads((out / "run_report.json").read_text())["summary"]
         assert "max_error" in summary["eta_0.0"]
@@ -416,9 +421,7 @@ class TestCliCompareAndSweep:
                             "fraction": 0.2, "policy": "tail"}
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "sweep"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "pareto.csv").exists()
         report = json.loads((out / "run_report.json").read_text())
         assert report["summary"]["nnz"] == 4
@@ -439,7 +442,7 @@ class TestCliCompareAndSweep:
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "sweep"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.filterwarnings("ignore", "logistic iterates escaped")
             assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert model_from_json((out / "model.json").read_text()).mode.value == "discrete"
         assert len((out / "pareto.csv").read_text().splitlines()) == 7

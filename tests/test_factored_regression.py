@@ -22,13 +22,11 @@ import sindykit
 import sindykit.regression
 from sindykit import (
     DataError,
-    LassoConfig,
     LibrarySpec,
     StlsqConfig,
     TimeSeriesDataset,
     build_matrix,
     fit,
-    lasso_cd,
     least_squares,
     split,
     stlsq,
@@ -59,28 +57,6 @@ def direct_stlsq(Theta, y, cfg):
         xi = np.zeros(p)
         xi[active] = direct_lstsq(Theta[:, active], y)
     return xi, active, solved
-
-
-def direct_lasso(A, y, cfg):
-    """Coordinate descent on the m-row matrix, step for step as ``lasso_cd`` descends."""
-    norms = np.linalg.norm(A, axis=0)
-    live = norms > 0
-    scale = np.where(live, norms, 1.0)
-    A = A / scale
-    xi, r = np.zeros(A.shape[1]), y.copy()
-    for _ in range(cfg.max_sweeps):
-        delta = 0.0
-        for j in np.flatnonzero(live):
-            old = xi[j]
-            rho = A[:, j] @ r + old
-            new = np.sign(rho) * max(abs(rho) - cfg.lambda1 / 2, 0.0)
-            if new != old:
-                r += A[:, j] * (old - new)
-                xi[j] = new
-                delta = max(delta, abs(new - old))
-        if delta < cfg.tol:
-            break
-    return xi / scale
 
 
 @st.composite
@@ -116,17 +92,6 @@ def test_factored_stlsq_equals_direct_stlsq(problem):
                 np.linalg.cond(Theta[:, active]), rel=1e-9)
         else:
             assert report.condition_estimate[k] is None
-
-
-@settings(max_examples=60, deadline=None)
-@given(tall_problems(), st.sampled_from([1e-1, 1.0, 10.0]))
-def test_factored_lasso_equals_direct_descent(problem, lambda1):
-    Theta, Y, _ = problem
-    cfg = LassoConfig(lambda1=lambda1, tol=1e-10, max_sweeps=2_000)
-    norms = np.linalg.norm(Theta, axis=0)
-    got, want = lasso_cd(Theta, Y[:, 0], cfg), direct_lasso(Theta, Y[:, 0], cfg)
-    # both stop once a sweep moves no unit-norm coordinate by tol
-    assert np.abs((got - want) * norms).max() <= cfg.tol
 
 
 @st.composite

@@ -6,13 +6,11 @@ import pytest
 from sindykit import (
     ConfigError,
     DataError,
-    LassoConfig,
     LibrarySpec,
     Mode,
     StlsqConfig,
     TimeSeriesDataset,
     fit,
-    lasso_cd,
     least_squares,
     stlsq,
     support,
@@ -142,6 +140,51 @@ class TestStlsq:
             single, _ = stlsq(Theta, targets[:, k], cfg)
             assert np.array_equal(single[:, 0], joint[:, k])
 
+    def test_zero_threshold_matches_least_squares(self):
+        rng = np.random.default_rng(2)
+        A = rng.standard_normal((30, 4))
+        y = rng.standard_normal(30)
+        coef, report = stlsq(A, y, StlsqConfig(threshold=0.0))
+        assert np.allclose(coef[:, 0], least_squares(A, y), rtol=1e-12, atol=1e-12)
+        assert report.iterations_used == [1] and report.converged == [True]
+
+    def test_single_column_kept_only_at_or_above_threshold(self):
+        a = np.array([0.6, 0.8, 0.0])
+        b = np.array([1.0, 0.5, 0.2])
+        corr = abs(a @ b)  # the least-squares coefficient of a unit-norm column
+        coef, report = stlsq(a.reshape(-1, 1), b, StlsqConfig(threshold=corr + 0.1))
+        assert coef[0, 0] == 0.0 and report.empty_support == [True]
+        coef, report = stlsq(a.reshape(-1, 1), b, StlsqConfig(threshold=corr - 0.1))
+        assert np.isclose(coef[0, 0], corr) and report.empty_support == [False]
+
+    def test_zero_column_gets_a_zero_coefficient(self):
+        A = np.column_stack([np.zeros(10), np.ones(10)])
+        coef, report = stlsq(A, np.full(10, 3.0), StlsqConfig(threshold=1e-12))
+        assert coef[0, 0] == 0.0
+        assert np.isclose(coef[1, 0], 3.0, atol=1e-12)
+        assert report.nnz == [1]
+
+    def test_noisy_seeded_instance_finds_true_support(self):
+        Theta, xi_true, y = seeded_instance(99)
+        y = y + 0.01 * np.random.default_rng(5).standard_normal(len(y))
+        coef, _ = stlsq(Theta, y, StlsqConfig(threshold=0.5))
+        xi = coef[:, 0]
+        assert tuple(np.flatnonzero(xi)) == (0, 2)
+        active = np.flatnonzero(xi)
+        rel = np.abs(xi[active] - xi_true[active]) / np.abs(xi_true[active])
+        assert rel.max() < 0.05  # STLSQ re-solves, so no shrinkage bias
+
+    def test_iteration_cap_reports_not_converged(self):
+        # the decaying instance drops terms over several rounds
+        rng = np.random.default_rng(21)
+        Theta = rng.standard_normal((60, 8))
+        y = Theta @ np.array([3.0, 1.5, 0.8, 0.45, 0.28, 0.0, 0.0, 0.0])
+        y += 0.05 * rng.standard_normal(60)
+        _, capped = stlsq(Theta, y, StlsqConfig(threshold=0.4, max_iterations=1))
+        assert capped.iterations_used == [1] and capped.converged == [False]
+        _, free = stlsq(Theta, y, StlsqConfig(threshold=0.4, max_iterations=20))
+        assert free.converged == [True] and free.iterations_used[0] > 1
+
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
             StlsqConfig(threshold=-1.0)
@@ -167,46 +210,6 @@ class TestOracleEquivalenceProperty:
             if tuple(np.flatnonzero(coef[:, 0])) == S:
                 hits += 1
         assert hits >= 19
-
-
-class TestLassoCd:
-    def test_zero_penalty_matches_least_squares(self):
-        rng = np.random.default_rng(2)
-        A = rng.standard_normal((30, 4))
-        y = rng.standard_normal(30)
-        xi = lasso_cd(A, y, LassoConfig(lambda1=0.0, tol=1e-13, max_sweeps=50_000))
-        assert np.allclose(xi, least_squares(A, y), atol=1e-8)
-
-    def test_full_shrinkage_of_single_column(self):
-        a = np.array([0.6, 0.8, 0.0])
-        b = np.array([1.0, 0.5, 0.2])
-        corr = abs(a @ b)  # unit-norm column
-        xi = lasso_cd(a.reshape(-1, 1), b, LassoConfig(lambda1=2.0 * corr + 0.1))
-        assert xi[0] == 0.0
-        xi = lasso_cd(a.reshape(-1, 1), b, LassoConfig(lambda1=2.0 * corr - 0.1))
-        assert xi[0] != 0.0
-
-    def test_seeded_instance_support_and_shrinkage(self):
-        Theta, xi_true, y = seeded_instance(99)
-        xi = lasso_cd(Theta, y, LassoConfig(lambda1=1.0))
-        S, _ = best_subset_support(Theta, y)
-        assert tuple(np.flatnonzero(xi)) == S
-        active = np.flatnonzero(xi)
-        rel = np.abs(xi[active] - xi_true[active]) / np.abs(xi_true[active])
-        assert rel.max() < 0.05  # shrinkage bias stays small
-
-    def test_zero_column_ignored(self):
-        A = np.column_stack([np.zeros(10), np.ones(10)])
-        xi = lasso_cd(A, np.full(10, 3.0), LassoConfig(lambda1=1e-12))
-        assert xi[0] == 0.0
-        assert np.isclose(xi[1], 3.0, atol=1e-6)
-
-    def test_non_convergence_warns(self):
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((40, 10))
-        y = rng.standard_normal(40)
-        with pytest.warns(UserWarning, match="not converged"):
-            lasso_cd(A, y, LassoConfig(lambda1=1e-6, tol=1e-15, max_sweeps=2))
 
 
 class TestFit:
@@ -252,11 +255,17 @@ class TestFit:
                             mode=Mode.DISCRETE)
         assert report.residual_norm[0] < 1e-12
 
-    def test_lasso_config_dispatch(self, linear2d_dataset):
-        model, report = fit(linear2d_dataset, LibrarySpec(2, 2),
-                            LassoConfig(lambda1=1e-8, tol=1e-12, max_sweeps=200_000))
+    def test_zero_threshold_keeps_every_term(self, linear2d_dataset):
+        model, report = fit(linear2d_dataset, LibrarySpec(2, 2), StlsqConfig(threshold=0.0))
         assert np.isclose(coefficient(model, "y", 0), 2.0, atol=1e-3)
-        assert len(report.residual_norm) == 2
+        assert report.nnz == [6, 6] and len(report.residual_norm) == 2
+
+    def test_report_has_one_entry_per_equation(self, linear2d_dataset):
+        _, report = fit(linear2d_dataset, LibrarySpec(2, 2), StlsqConfig(threshold=0.05))
+        assert report.empty_support == [False, False]
+        assert all(c is not None and c >= 1.0 for c in report.condition_estimate)
+        assert report.converged == [True, True] and report.nnz == [2, 2]
+        assert all(k >= 1 for k in report.iterations_used)
 
     def test_nan_derivative_rejected_naming_row(self):
         rng = np.random.default_rng(3)
@@ -283,12 +292,3 @@ class TestFit:
                                derivatives=rng.random((40, 2)))
         with pytest.raises(DataError, match="overflow.*row 9"):
             fit(ds, LibrarySpec(2, 5), StlsqConfig(threshold=0.1))
-
-    def test_lasso_and_stlsq_reports_share_one_layout(self, linear2d_dataset):
-        lib = LibrarySpec(2, 2)
-        _, lasso = fit(linear2d_dataset, lib, LassoConfig(lambda1=1e-3, max_sweeps=500))
-        _, st = fit(linear2d_dataset, lib, StlsqConfig(threshold=0.05))
-        for report in (lasso, st):
-            assert report.empty_support == [False, False]
-            assert all(c is not None and c >= 1.0 for c in report.condition_estimate)
-        assert lasso.iterations_used == [0, 0] and lasso.converged == [True, True]

@@ -7,7 +7,6 @@ import pytest
 from sindykit import (
     ConfigError,
     DataError,
-    LassoConfig,
     LibrarySpec,
     Mode,
     NoiseSpec,
@@ -236,24 +235,21 @@ class TestSweepSharesOneProblem:
         assert rows == blocks(train.n_samples) + blocks(val.n_samples) == [401, 100]
 
     def test_equals_fit_per_threshold_plus_residuals(self, small):
-        self._assert_equals_fit(small, STLSQ, "threshold")
+        self._assert_equals_fit(small, STLSQ)
 
-    @pytest.mark.parametrize("cfg,knob", [
-        (StlsqConfig(threshold=0.0, max_iterations=1), "threshold"),
-        (LassoConfig(lambda1=0.0, max_sweeps=300), "lambda1"),
-    ], ids=["stlsq-one-pass", "lasso"])
-    def test_follows_the_configured_fit(self, small, cfg, knob):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # LASSO may stop at max_sweeps
-            self._assert_equals_fit(small, cfg, knob)
+    @pytest.mark.parametrize("cfg", [StlsqConfig(threshold=0.0, max_iterations=1),
+                                     StlsqConfig(threshold=0.0, max_iterations=2)],
+                             ids=["stlsq-one-pass", "stlsq-two-passes"])
+    def test_follows_the_configured_fit(self, small, cfg):
+        self._assert_equals_fit(small, cfg)
 
     @staticmethod
-    def _assert_equals_fit(small, cfg, knob):
+    def _assert_equals_fit(small, cfg):
         lib, lams = LibrarySpec(2, 3), np.logspace(-3, 0, 9)
         points, models = sweep(small, lib, lams, cfg, fraction=0.25, policy="blocks", seed=3)
         train, val = split(small, 0.25, policy="blocks", seed=3)
         for lam, point, (model, report) in zip(lams, points, models):
-            ref, ref_report = fit(train, lib, replace(cfg, **{knob: float(lam)}))
+            ref, ref_report = fit(train, lib, replace(cfg, threshold=float(lam)))
             assert np.array_equal(model.coefficients, ref.coefficients)
             assert report == ref_report
             # the sweep scores from the factor, the reference from the m rows
@@ -264,9 +260,7 @@ class TestSweepSharesOneProblem:
                 rel=1e-12)
 
     def test_discrete_mode_pairs_within_segments(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ds = logistic_ensemble([2.8, 3.3, 3.7, 3.9], n_steps=200, eta=0.01, seed=4)
+        ds = logistic_ensemble([2.8, 3.3, 3.7, 3.9], n_steps=200, eta=0.01, seed=4)
         lib, lams = LibrarySpec(2, 3), np.logspace(-3, 0, 6)
         points, models = sweep(ds, lib, lams, STLSQ, mode=Mode.DISCRETE)
         train, val = split(ds, 0.2)
