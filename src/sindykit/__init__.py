@@ -32,7 +32,7 @@ from .model import (
 )
 from .reduction import ReducedBasis, compute_basis, lift, project, reduce_dataset
 from .regression import FitReport, StlsqConfig, fit, least_squares, stlsq
-from .selection import ParetoPoint, pick_elbow, split, sweep
+from .selection import ParetoPoint, pick_elbow, sweep
 from .systems import (
     SystemSpec,
     augment_parameter,

@@ -37,7 +37,7 @@ from .library import LibrarySpec
 from .model import Mode, SparseModel, TimeSeriesDataset, model_to_json, render_table
 from .reduction import compute_basis, reduce_dataset
 from .regression import FitReport, RegressionProblem, StlsqConfig, _regression_problem, fit
-from .selection import SPLIT_POLICIES, pick_elbow, sweep
+from .selection import pick_elbow, sweep
 from .systems import (
     KINDS,
     SystemSpec,
@@ -133,8 +133,7 @@ _KEYS = {
             "stlsq": {"threshold": ("number", 0.05), "max_iterations": "integer"}}),
     },
     "selection": {"lambdas": ["number"], "log10_min": ("number", -4.0),
-                  "log10_max": ("number", 0.0), "count": ("natural", 25),
-                  "fraction": "number", "policy": "string"},
+                  "log10_max": ("number", 0.0), "count": ("natural", 25)},
     "compare": {"horizon": ("positive", 20.0), "grid_dt": ("positive", 0.01),
                 "etas": ["number"], "long_horizon": "positive"},
     "reduction": {"rank": "natural", "energy": "number", "remove_mean": "bool"},
@@ -209,13 +208,13 @@ def parse_experiment(cfg: dict) -> dict:
     exactly one of ``rank`` and ``energy``, every conditioning setting
     reaches the fit (``central`` and ``tv`` only under a continuous fit,
     derivative noise only on the stored derivatives that a continuous
-    fit reads under ``exact``), the ``selection`` block gives a
-    split the sweep can take and a nonempty, ascending, nonnegative
-    threshold grid, and each package config object is built once and kept
-    for the commands: ``exp["specs"]`` (one ``SystemSpec`` per run),
-    ``exp["integrator"]`` (``None`` for a map), ``exp["noise_spec"]``,
-    ``exp["tv"]`` (``None`` unless differentiation is ``"tv"``),
-    ``exp["fit_config"]`` and ``exp["thresholds"]`` (the sweep's grid).
+    fit reads under ``exact``), the ``selection`` block gives a nonempty,
+    ascending, nonnegative threshold grid, and each package config object
+    is built once and kept for the commands: ``exp["specs"]`` (one
+    ``SystemSpec`` per run), ``exp["integrator"]`` (``None`` for a map),
+    ``exp["noise_spec"]``, ``exp["tv"]`` (``None`` unless differentiation
+    is ``"tv"``), ``exp["fit_config"]`` and ``exp["thresholds"]`` (the
+    sweep's grid).
     """
     exp = _parse(cfg, _KEYS, "")
     system = exp["system"]
@@ -262,13 +261,7 @@ def parse_experiment(cfg: dict) -> dict:
 
 
 def _thresholds(sel: dict) -> np.ndarray:
-    """The sweep's threshold grid from a parsed ``selection`` block, whose
-    split settings must be ones ``selection.split`` takes."""
-    if "fraction" in sel and not 0.0 < sel["fraction"] < 1.0:
-        raise ConfigError(f"selection.fraction must lie strictly between 0 and 1, "
-                          f"not {sel['fraction']!r}")
-    if "policy" in sel and sel["policy"] not in SPLIT_POLICIES:
-        raise ConfigError(f"unknown selection.policy {sel['policy']!r}")
+    """The sweep's threshold grid from a parsed ``selection`` block."""
     if "lambdas" in sel:
         thresholds = np.array(sel["lambdas"])
         empty = "selection.lambdas is empty"
@@ -556,12 +549,9 @@ def cmd_compare(exp: dict, out: Path, seed: int,
 
 def cmd_sweep(exp: dict, out: Path, seed: int, data_path: str | None) -> tuple[dict, dict]:
     mode = Mode(exp["fit"]["mode"])
-    fit_cfg = exp["fit_config"]
-    sel = exp["selection"]
     ds = _prepare(exp, seed, data_path, mode)
     lib = LibrarySpec(ds.n_states, **exp["library"])
-    split = {name: sel[name] for name in ("fraction", "policy") if name in sel}
-    points, models = sweep(ds, lib, exp["thresholds"], fit_cfg, seed=seed, mode=mode, **split)
+    points, models = sweep(ds, lib, exp["thresholds"], exp["fit_config"], mode=mode)
     chosen = pick_elbow(points)
     artifacts = {"pareto": str(write_pareto_csv(points, out / "pareto.csv"))}
     model, report = next(

@@ -238,16 +238,17 @@ def _require_finite(values: np.ndarray, rows: np.ndarray | range, problem: str) 
 
 def _regression_problem(
     dataset: TimeSeriesDataset, spec: LibrarySpec, mode: Mode,
-    derivatives=None, n_targets: int | None = None,
+    derivatives=None, n_targets: int | None = None, within: slice = slice(None),
 ) -> RegressionProblem:
-    """The factored regression dX = Theta(X) Xi of ``dataset``.
+    """The factored regression dX = Theta(X) Xi of the dataset rows ``within``.
 
     Continuous mode pairs each state with its stored derivative, or with
     the row that ``derivatives(start, stop)`` gives (``n_targets``
-    columns per row) when that row source is given; discrete mode pairs
-    each state with the next one in its segment, so that no derivative is
-    ever computed.  Theta and dX are built and factored one row block at
-    a time.  Non-finite data, and states large enough to overflow the
+    columns per row, counted from the first row of ``within``) when that
+    row source is given; discrete mode pairs each state with the next one
+    in its segment, both inside ``within``, so that no derivative is ever
+    computed.  Theta and dX are built and factored one row block at a
+    time.  Non-finite data, and states large enough to overflow the
     library, are rejected naming the dataset row: the states before any
     block, each block's targets and then its library in row order.
     """
@@ -255,15 +256,18 @@ def _regression_problem(
         raise ConfigError(
             f"library expects {spec.n_states} states, dataset has {dataset.n_states}")
     if mode is Mode.CONTINUOUS:
-        rows = range(dataset.n_samples)  # no m-long index array
-        X, target, target_rows = dataset.states, dataset.derivatives, rows
-        if target is None and derivatives is None:
-            raise DataError(
-                "continuous-time fit needs derivatives; compute them with "
-                "the differentiation module (central_difference or tv_derivative)")
+        rows = range(dataset.n_samples)[within]  # no m-long index array
+        X, target, target_rows = dataset.states[within], dataset.derivatives, rows
+        if derivatives is None:
+            if target is None:
+                raise DataError(
+                    "continuous-time fit needs derivatives; compute them with "
+                    "the differentiation module (central_difference or tv_derivative)")
+            target = target[within]
     else:
-        rows = np.concatenate(
-            [np.arange(sl.start, sl.stop - 1) for sl in dataset.segment_slices()])
+        first, stop, _ = within.indices(dataset.n_samples)
+        rows = np.concatenate([np.arange(max(sl.start, first), min(sl.stop, stop) - 1)
+                               for sl in dataset.segment_slices()])
         if rows.size == 0:
             raise DataError("discrete-time fit needs a segment of two or more samples")
         target_rows = rows + 1
@@ -302,9 +306,9 @@ def fit(
     discrete mode regresses next states onto the library of current
     states, pairing samples within each trajectory segment.  ``problem``
     may pass in the factored regression on ``spec``'s library instead
-    (a sweep's training side, one noise level of compare's shared
-    factor); ``dataset`` then gives only the state names.  Every fit
-    becomes a :class:`SparseModel` here.
+    (the rows before a sweep's held-out tail, one noise level of
+    compare's shared factor); ``dataset`` then gives only the state
+    names.  Every fit becomes a :class:`SparseModel` here.
     """
     if problem is None:
         problem = _regression_problem(dataset, spec, mode)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from sindykit import LibrarySpec, SystemSpec, simulate
+from sindykit import LibrarySpec, SystemSpec, TimeSeriesDataset, simulate
 
 # every run draws the same examples, so a newly drawn one cannot turn the suite
 # red; each test keeps its own max_examples
@@ -40,6 +40,22 @@ def lorenz_library():
 def linear2d_dataset():
     spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 25.0), dt=0.01)
     return simulate(spec)
+
+
+def tail_split(ds):
+    """The two sides of ``sweep`` as explicit datasets: rows [:cut] and
+    [cut:] with cut = m - round(0.2 m), each keeping the segment starts
+    that fall inside it, so that no segment runs across the cut."""
+    cut = ds.n_samples - round(0.2 * ds.n_samples)
+
+    def side(lo, hi):
+        return TimeSeriesDataset(
+            times=ds.times[lo:hi], states=ds.states[lo:hi],
+            derivatives=None if ds.derivatives is None else ds.derivatives[lo:hi],
+            state_names=ds.state_names,
+            segments=(0, *(s - lo for s in ds.segments if lo < s < hi)))
+
+    return side(0, cut), side(cut, ds.n_samples)
 
 
 def coefficient(model, term_name: str, equation: int) -> float:

@@ -23,8 +23,7 @@ LIN2D = {
     "differentiation": {"method": "exact"},
     "library": {"poly_order": 2, "trig_harmonics": [], "include_constant": True},
     "fit": {"method": "stlsq", "threshold": 0.05, "max_iterations": 10, "mode": "continuous"},
-    "selection": {"log10_min": -3, "log10_max": -0.3, "count": 5, "fraction": 0.2,
-                  "policy": "tail"},
+    "selection": {"log10_min": -3, "log10_max": -0.3, "count": 5},
     "compare": {"horizon": 1.0, "grid_dt": 0.05, "etas": [0.0], "long_horizon": 2.0},
 }
 TV = dict(LIN2D, noise=dict(LIN2D["noise"], target="states"),
@@ -39,7 +38,7 @@ RUNS = dict(LIN2D, system={
 LOGISTIC = {"spec_version": 1, "seed": 0,
             "system": {"kind": "logistic", "x0": [0.5], "ensemble_mus": [3.7],
                        "n_steps": 50, "forcing": 0.01}}
-LAMBDAS = dict(LIN2D, selection={"lambdas": [0.001, 0.01, 0.1, 0.5], "fraction": 0.2})
+LAMBDAS = dict(LIN2D, selection={"lambdas": [0.001, 0.01, 0.1, 0.5]})
 RK45 = dict(LIN2D, system=dict(LIN2D["system"], integrator={"method": "rk45"}))
 WITH_MU = dict(LIN2D, system=dict(LIN2D["system"], params={"mu": 0.1}))
 
@@ -114,8 +113,6 @@ CASES = [
     ("sweep", LIN2D, ("selection", "log10_max"), None),
     ("sweep", LIN2D, ("selection", "count"), "abc"),
     ("sweep", LIN2D, ("selection", "count"), -1),
-    ("sweep", LIN2D, ("selection", "fraction"), "0.2"),
-    ("sweep", LIN2D, ("selection", "policy"), 2),
     # null never stands for an absent key
     ("compare", LIN2D, ("compare", "long_horizon"), None),
     ("fit", REDUCED, ("reduction", "energy"), None),
@@ -141,6 +138,8 @@ CASES = [
     ("fit", LIN2D, ("differentiation", "order"), 2),
     ("fit", LIN2D, ("library", "degree"), 3),
     ("sweep", LIN2D, ("selection", "folds"), 5),
+    ("sweep", LIN2D, ("selection", "fraction"), "0.2"),
+    ("sweep", LIN2D, ("selection", "policy"), 2),
     ("compare", LIN2D, ("compare", "horizn"), 3.0),
     ("fit", REDUCED, ("reduction", "ranks"), 2),
     # keys of a variant that the config did not choose
@@ -188,9 +187,6 @@ SELECTION_CASES = [
     (LAMBDAS, ("selection", "lambdas"), [0.1, 0.01]),
     (LAMBDAS, ("selection", "lambdas"), [-0.1, 0.1]),
     (LIN2D, ("selection", "log10_min"), 0.5),
-    (LIN2D, ("selection", "fraction"), 0.0),
-    (LIN2D, ("selection", "fraction"), 1.0),
-    (LIN2D, ("selection", "policy"), "random"),
 ]
 
 # (command, base config, path to the bad value, bad value, part of the
@@ -341,6 +337,24 @@ def test_selection_is_checked_before_any_simulation(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("command", ["generate", "fit", "sweep", "compare"])
+@pytest.mark.parametrize("name,value", [("fraction", 0.0), ("fraction", 1.0),
+                                        ("policy", "random")],
+                         ids=["selection.fraction=0.0", "selection.fraction=1.0",
+                              'selection.policy="random"'])
+def test_split_keys_are_unknown_before_any_simulation(tmp_path, capsys, monkeypatch, command,
+                                                      name, value):
+    # sweep always holds out the last 20 % of the rows
+    def simulate(*args):
+        pytest.fail(f"simulated before selection.{name} was checked")
+
+    monkeypatch.setattr("sindykit.cli._simulate_runs", simulate)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_with(LIN2D, ("selection", name), value)))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: unknown key selection.{name}\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "sweep", "compare"])
 def test_fit_method_other_than_stlsq_is_checked_before_any_simulation(tmp_path, capsys,
                                                                       monkeypatch, command):
     def simulate(*args):
@@ -409,11 +423,16 @@ def _key_paths(table: dict, prefix: str = ""):
             yield from _key_paths(kind[0], f"{prefix}{name}[].")
 
 
-def test_readme_lists_every_config_key():
+def test_readme_key_list_equals_the_schema():
+    # the bullets after "The config keys,": every path in them that starts
+    # with a top-level key (values such as `lorenz` do not) is a key of
+    # _KEYS, and every key of _KEYS is there, so a key deleted from the
+    # schema or added to it cannot go out of step with the README
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    listed = set(re.findall(r"`([a-z_0-9.\[\]]+)`", section))
-    assert sorted(set(_key_paths(_KEYS)) - listed) == []
+    section = readme.split("\nThe config keys,", 1)[1].split("\n\n", 2)[1]
+    named = {path for path in re.findall(r"`([a-z_0-9.\[\]]+)`", section)
+             if path.split(".")[0] in _KEYS}
+    assert sorted(named ^ set(_key_paths(_KEYS))) == []
 
 
 @pytest.mark.parametrize("command,base", [

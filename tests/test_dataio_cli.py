@@ -417,8 +417,7 @@ class TestCliCompareAndSweep:
     def test_sweep_emits_pareto_and_choice(self, tmp_path):
         doc = dict(LIN2D_CFG)
         doc["noise"] = {"eta": 0.01, "target": "derivatives", "seed": 3}
-        doc["selection"] = {"log10_min": -3, "log10_max": -0.3, "count": 8,
-                            "fraction": 0.2, "policy": "tail"}
+        doc["selection"] = {"log10_min": -3, "log10_max": -0.3, "count": 8}
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
@@ -667,7 +666,7 @@ class TestCliErrors:
         cfg = write_config(tmp_path / "c.json", dict(LIN2D_CFG, spec_version=2))
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    def _fit_csv(self, tmp_path, row, column, value):
+    def _run_on_edited_csv(self, tmp_path, row, column, value, command="fit"):
         cfg = write_config(tmp_path / "c.json", LIN2D_CFG)
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 0
         ds = read_dataset_csv(tmp_path / "gen" / "dataset.csv")
@@ -675,7 +674,7 @@ class TestCliErrors:
         cols[column][row, 0] = value
         data = write_dataset_csv(
             replace(ds, states=cols["state"], derivatives=cols["derivative"]), tmp_path / "d.csv")
-        return main(["fit", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
+        return main([command, "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
 
     def _generated(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", LIN2D_CFG)
@@ -719,13 +718,20 @@ class TestCliErrors:
         assert "the data holds 2 runs; system.augment needs 3" in capsys.readouterr().err
 
     def test_nan_derivative_is_data_error(self, tmp_path, capsys):
-        assert self._fit_csv(tmp_path, 123, "derivative", np.nan) == 3
+        assert self._run_on_edited_csv(tmp_path, 123, "derivative", np.nan) == 3
         assert "row 123" in capsys.readouterr().err
         assert not (tmp_path / "o" / "fit_report.json").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_nan_state_in_the_held_out_rows_names_its_dataset_row(self, tmp_path, capsys,
+                                                                  command):
+        # row 2400 of 2501 lies in the 20 % that sweep holds out
+        assert self._run_on_edited_csv(tmp_path, 2400, "state", np.nan, command) == 3
+        assert capsys.readouterr().err == "data error: non-finite state at dataset row 2400\n"
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_state_is_data_error(self, tmp_path, capsys):
-        assert self._fit_csv(tmp_path, 40, "state", 1e70) == 3
+        assert self._run_on_edited_csv(tmp_path, 40, "state", 1e70) == 3
         assert "overflow" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["generate", "fit", "sweep"])

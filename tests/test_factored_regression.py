@@ -28,12 +28,13 @@ from sindykit import (
     build_matrix,
     fit,
     least_squares,
-    split,
     stlsq,
     sweep,
 )
 from sindykit.regression import _factored
 from sindykit.selection import _residual
+
+from conftest import tail_split
 
 EPS = np.finfo(float).eps
 
@@ -105,7 +106,7 @@ def sweep_datasets(draw):
     dX = build_matrix(spec, states).values @ Xi + 0.1 * rng.standard_normal((m, n))
     ds = TimeSeriesDataset(times=np.arange(m, dtype=float), states=states, derivatives=dX,
                            state_names=tuple("xyz"[:n]))
-    return ds, spec, draw(st.sampled_from(["tail", "blocks"]))
+    return ds, spec
 
 
 def _relative_residual(theta, target, coefficients):
@@ -115,10 +116,9 @@ def _relative_residual(theta, target, coefficients):
 @settings(max_examples=40, deadline=None)
 @given(sweep_datasets())
 def test_sweep_residuals_equal_direct_residuals(case):
-    ds, spec, policy = case
-    points, models = sweep(ds, spec, np.array([0.0, 0.3, 1.0, 5.0]), StlsqConfig(threshold=0.0),
-                           fraction=0.25, policy=policy, seed=2)
-    train, val = split(ds, 0.25, policy=policy, seed=2)
+    ds, spec = case
+    points, models = sweep(ds, spec, np.array([0.0, 0.3, 1.0, 5.0]), StlsqConfig(threshold=0.0))
+    train, val = tail_split(ds)
     theta_train, theta_val = build_matrix(spec, train.states), build_matrix(spec, val.states)
     for point, (model, _) in zip(points, models):
         C = model.coefficients

@@ -13,19 +13,19 @@ from sindykit import (
     ParetoPoint,
     StlsqConfig,
     SystemSpec,
+    TimeSeriesDataset,
     add_noise,
     build_matrix,
     fit,
     logistic_ensemble,
     pick_elbow,
     simulate,
-    split,
     support,
     sweep,
 )
-from sindykit.regression import _QR_BLOCK_ROWS
+from sindykit.regression import _QR_BLOCK_ROWS, _regression_problem
 
-from conftest import LORENZ_TRUE_SUPPORT
+from conftest import LORENZ_TRUE_SUPPORT, tail_split
 
 # the sweep replaces the threshold; every other setting comes from here
 STLSQ = StlsqConfig(threshold=0.0)
@@ -46,61 +46,51 @@ def noisy_lorenz_subsample(lorenz_dataset):
 
 
 class TestSplit:
-    @pytest.fixture()
-    def dataset(self):
+    @staticmethod
+    def _sweep_problems(monkeypatch, ds, spec, mode=Mode.CONTINUOUS):
+        """The factored problems of the two sides of one sweep, train first."""
+        import sindykit.selection
+        problems = []
+
+        def recording(*args, **kwargs):
+            problems.append(_regression_problem(*args, **kwargs))
+            return problems[-1]
+
+        monkeypatch.setattr(sindykit.selection, "_regression_problem", recording)
+        sweep(ds, spec, np.array([0.1]), STLSQ, mode=mode)
+        return problems
+
+    def test_tail_split_sizes(self, monkeypatch):
         spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 10.0), dt=0.01)
-        return simulate(spec)
+        train, val = self._sweep_problems(monkeypatch, simulate(spec), LibrarySpec(2, 2))
+        assert (train.n_samples, val.n_samples) == (801, 200)  # of 1001 rows
 
-    def test_tail_split_sizes(self, dataset):
-        train, val = split(dataset, 0.2, policy="tail")
-        m = dataset.n_samples
-        assert val.n_samples == int(round(0.2 * m))
-        assert train.n_samples + val.n_samples == m
-        assert val.times[0] > train.times[-1]  # temporal contiguity
-
-    def test_seeded_blocks_reproducible_and_exhaustive(self, dataset):
-        a_train, a_val = split(dataset, 0.3, policy="blocks", seed=4)
-        b_train, b_val = split(dataset, 0.3, policy="blocks", seed=4)
-        assert np.array_equal(a_val.times, b_val.times)
-        assert a_train.n_samples + a_val.n_samples == dataset.n_samples
-        c_train, c_val = split(dataset, 0.3, policy="blocks", seed=5)
-        assert not np.array_equal(a_val.times, c_val.times)
-
-    def test_block_split_keeps_train_overdetermined(self, dataset):
-        spec = LibrarySpec(2, 5)
-        train, _ = split(dataset, 0.2, policy="blocks", seed=0)
-        assert train.n_samples > spec.n_terms
-
-    def test_kept_rows_break_segments_as_the_row_loop_does(self):
-        from sindykit import TimeSeriesDataset
-        from sindykit.selection import _take
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            m = int(rng.integers(10, 60))
-            starts = sorted(set(rng.integers(1, m, size=rng.integers(0, 4)).tolist()))
-            ds = TimeSeriesDataset(times=np.arange(float(m)), states=rng.random((m, 1)),
-                                   segments=(0, *starts))
-            idx = np.flatnonzero(rng.random(m) < rng.uniform(0.1, 0.9))
-            if idx.size == 0:
-                continue
-            mask = np.zeros(m, dtype=bool)
-            mask[idx] = True
-            want = [0] + [j for j in range(1, idx.size)
-                          if idx[j] != idx[j - 1] + 1 or idx[j] in starts]
-            assert _take(ds, mask).segments == tuple(want)
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("m", [23, 3000])
+    def test_sides_equal_the_factors_of_explicit_datasets(self, monkeypatch, mode, m):
+        # segments start just before and just after the cut, and in the
+        # middle of the training side; the factor of each side in place
+        # equals, bit for bit, that of its rows copied into a dataset
+        cut = m - round(0.2 * m)
+        rng = np.random.default_rng(m)
+        ds = TimeSeriesDataset(times=np.arange(float(m)), states=rng.uniform(-1, 1, (m, 2)),
+                               derivatives=rng.standard_normal((m, 2)),
+                               segments=(0, cut // 2, cut - 1, cut + 1))
+        spec = LibrarySpec(2, 3)
+        problems = self._sweep_problems(monkeypatch, ds, spec, mode)
+        sides = tail_split(ds)
+        assert [side.segments for side in sides] == [(0, cut // 2, cut - 1), (0, 1)]
+        assert len(problems) == len(sides) == 2
+        for problem, side in zip(problems, sides):
+            reference = _regression_problem(side, spec, mode)
+            assert problem.n_samples == reference.n_samples
+            assert np.array_equal(problem.R, reference.R)
 
     def test_too_few_samples_rejected(self):
-        from sindykit import TimeSeriesDataset
-        tiny = TimeSeriesDataset(times=np.arange(5.0), states=np.zeros((5, 1)))
-        with pytest.raises(DataError):
-            split(tiny, 0.2)
-
-    def test_fraction_validation(self, dataset):
-        for bad in (0.0, 1.0, -0.5):
-            with pytest.raises(ConfigError):
-                split(dataset, bad)
-        with pytest.raises(ConfigError):
-            split(dataset, 0.5, policy="shuffle")
+        tiny = TimeSeriesDataset(times=np.arange(9.0), states=np.zeros((9, 1)),
+                                 derivatives=np.zeros((9, 1)))
+        with pytest.raises(DataError, match="too few samples"):
+            sweep(tiny, LibrarySpec(1, 1), np.array([0.1]), STLSQ)
 
 
 class TestSweep:
@@ -139,8 +129,8 @@ class TestSweep:
 
     def test_determinism(self, noisy_lorenz_subsample):
         lams = np.logspace(-3, -1, 5)
-        a, _ = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams, STLSQ, seed=2)
-        b, _ = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams, STLSQ, seed=2)
+        a, _ = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams, STLSQ)
+        b, _ = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams, STLSQ)
         assert a == b
 
 
@@ -214,7 +204,7 @@ class TestSweepSharesOneProblem:
 
     @pytest.mark.parametrize("count", [3, 25])
     def test_builds_library_twice_whatever_the_threshold_count(self, small, monkeypatch, count):
-        # one pass of row blocks per split side, whatever the threshold count;
+        # one pass of row blocks per side of the cut, whatever the threshold count;
         # each side of this small set is a single block, so two builds in all
         import sindykit.library
         import sindykit.regression
@@ -231,7 +221,7 @@ class TestSweepSharesOneProblem:
                 monkeypatch.setattr(module, "build_matrix", counting)
         sweep(small, LibrarySpec(2, 3), np.logspace(-3, 0, count), STLSQ)
         blocks = lambda m: [min(_QR_BLOCK_ROWS, m - s) for s in range(0, m, _QR_BLOCK_ROWS)]
-        train, val = split(small, 0.2)
+        train, val = tail_split(small)
         assert rows == blocks(train.n_samples) + blocks(val.n_samples) == [401, 100]
 
     def test_equals_fit_per_threshold_plus_residuals(self, small):
@@ -246,8 +236,8 @@ class TestSweepSharesOneProblem:
     @staticmethod
     def _assert_equals_fit(small, cfg):
         lib, lams = LibrarySpec(2, 3), np.logspace(-3, 0, 9)
-        points, models = sweep(small, lib, lams, cfg, fraction=0.25, policy="blocks", seed=3)
-        train, val = split(small, 0.25, policy="blocks", seed=3)
+        points, models = sweep(small, lib, lams, cfg)
+        train, val = tail_split(small)
         for lam, point, (model, report) in zip(lams, points, models):
             ref, ref_report = fit(train, lib, replace(cfg, threshold=float(lam)))
             assert np.array_equal(model.coefficients, ref.coefficients)
@@ -263,7 +253,7 @@ class TestSweepSharesOneProblem:
         ds = logistic_ensemble([2.8, 3.3, 3.7, 3.9], n_steps=200, eta=0.01, seed=4)
         lib, lams = LibrarySpec(2, 3), np.logspace(-3, 0, 6)
         points, models = sweep(ds, lib, lams, STLSQ, mode=Mode.DISCRETE)
-        train, val = split(ds, 0.2)
+        train, val = tail_split(ds)
         for lam, point, (model, _) in zip(lams, points, models):
             ref, _ = fit(train, lib, StlsqConfig(threshold=float(lam)), mode=Mode.DISCRETE)
             assert model.mode is Mode.DISCRETE
