@@ -41,6 +41,7 @@ from .selection import pick_elbow, sweep
 from .systems import (
     KINDS,
     SystemSpec,
+    _SYSTEMS,
     augment_parameter,
     concatenate,
     logistic_ensemble,
@@ -203,8 +204,9 @@ def parse_experiment(cfg: dict) -> dict:
 
     The checks that need several values or a package object run here too,
     so every command stops on them, whatever blocks it reads: the augmented
-    parameter must belong to every run, ``compare.etas`` holds at least one
-    level and no two whose curves share a file name, ``reduction`` takes
+    parameter must belong to every run, every run parameter is one that the
+    system kind or ``system.augment.param`` reads, ``compare.etas`` holds at
+    least one level and no two whose curves share a file name, ``reduction`` takes
     exactly one of ``rank`` and ``energy``, every conditioning setting
     reaches the fit (``central`` and ``tv`` only under a continuous fit,
     derivative noise only on the stored derivatives that a continuous
@@ -229,6 +231,14 @@ def parse_experiment(cfg: dict) -> dict:
     if augment and any(augment["param"] not in spec.params for spec in exp["specs"]):
         raise ConfigError(
             f"system.augment.param {augment['param']!r} is not a parameter of every run")
+    _, names, _ = _SYSTEMS[system["kind"]]
+    reads = {*names, *([augment["param"]] if augment else [])}
+    runs = [(f"system.runs[{i}]", run) for i, run in enumerate(system.get("runs", []))]
+    for key, block in [("system", system), *runs]:
+        for name in block.get("params", {}):
+            if name not in reads:
+                raise ConfigError(f"{key}.params.{name} is read by neither {system['kind']} "
+                                  "nor system.augment.param")
     etas = exp["compare"].get("etas")
     if etas == []:
         raise ConfigError("compare.etas is empty; compare needs a noise level")

@@ -19,7 +19,7 @@ import numpy as np
 from .differentiation import NoiseSpec
 from .errors import ConfigError, DataError, NumericalError
 from .integrate import IntegratorConfig, dp45_adaptive, rk4_fixed
-from .model import TimeSeriesDataset, default_state_names
+from .model import TimeSeriesDataset, _compile, default_state_names
 
 __all__ = [
     "SystemSpec",
@@ -34,20 +34,32 @@ __all__ = [
     "mean_field_surrogate",
 ]
 
-KINDS = ("linear2d", "cubic2d", "linear3d", "lorenz", "meanfield3d", "logistic", "hopf")
-
-_REQUIRED_PARAMS = {
-    "linear2d": (),
-    "cubic2d": (),
-    "linear3d": (),
-    "lorenz": ("sigma", "beta", "rho"),
-    "meanfield3d": ("mu", "omega", "A", "lam"),
-    "logistic": ("mu",),
-    "hopf": ("mu", "omega", "A"),
+# kind -> (state count, the parameters its runs read, its right-hand side as
+# source lines over the states x0, x1, ... and those parameters; None for the
+# map).  A body uses only +, - and products: a square is x0 * x0, never
+# x0 ** 2, because ** on a float or a numpy scalar calls libm pow, which can
+# round differently from a product, and a linear system is a sum, never a
+# matrix product, which BLAS rounds differently for one state and for a state
+# matrix.  So a component has the same bits whether it comes from one state
+# or from a column of many.
+_SYSTEMS = {
+    "linear2d": (2, (), ["return -0.1 * x0 + 2.0 * x1, -2.0 * x0 - 0.1 * x1"]),
+    "cubic2d": (2, (), ["c0, c1 = x0 * x0 * x0, x1 * x1 * x1",
+                        "return -0.1 * c0 + 2.0 * c1, -2.0 * c0 - 0.1 * c1"]),
+    "linear3d": (3, (), ["return -0.1 * x0 + 2.0 * x1, -2.0 * x0 - 0.1 * x1, -0.3 * x2"]),
+    "lorenz": (3, ("sigma", "beta", "rho"),
+               ["return sigma * (x1 - x0), x0 * (rho - x2) - x1, x0 * x1 - beta * x2"]),
+    "meanfield3d": (3, ("mu", "omega", "A", "lam"),
+                    ["return (mu * x0 - omega * x1 + A * x0 * x2,",
+                     "        omega * x0 + mu * x1 + A * x1 * x2,",
+                     "        -lam * (x2 - x0 * x0 - x1 * x1))"]),
+    "logistic": (1, ("mu",), None),
+    "hopf": (2, ("mu", "omega", "A"),
+             ["r2 = x0 * x0 + x1 * x1",
+              "return mu * x0 - omega * x1 - A * x0 * r2, omega * x0 + mu * x1 - A * x1 * r2"]),
 }
+KINDS = tuple(_SYSTEMS)
 
-_DIMENSION = {"linear2d": 2, "cubic2d": 2, "linear3d": 3, "lorenz": 3, "meanfield3d": 3,
-              "logistic": 1, "hopf": 2}
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -58,13 +70,14 @@ class SystemSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in _SYSTEMS:
             raise ConfigError(f"unknown system kind {self.kind!r}")
-        missing = [p for p in _REQUIRED_PARAMS[self.kind] if p not in self.params]
+        n, names, _ = _SYSTEMS[self.kind]
+        missing = [p for p in names if p not in self.params]
         if missing:
             raise ConfigError(f"{self.kind} needs parameters {missing}")
-        if len(self.x0) != _DIMENSION[self.kind]:
-            raise ConfigError(f"{self.kind} needs {_DIMENSION[self.kind]} initial values in x0")
+        if len(self.x0) != n:
+            raise ConfigError(f"{self.kind} needs {n} initial values in x0")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if len(self.t_span) != 2:
@@ -76,73 +89,23 @@ class SystemSpec:
 
 
 def system_rhs(spec: SystemSpec):
-    """Analytic right-hand side of a continuous system.
+    """Analytic right-hand side of a continuous system, compiled from its
+    ``_SYSTEMS`` body as ``SparseModel.rhs`` compiles a model.
 
     The function takes the state as a sequence of n components, either n
     floats (one state, as the integrators and ``simulate``'s derivative
     pass call it) or n equal-length arrays (the rows of a transposed state
     matrix, ``f(states.T)``, a whole trajectory in one call), and returns
-    n values of the same form.  It unpacks the components and uses only
-    +, - and products; a square is written ``x0 * x0``, never ``x0 ** 2``,
-    because ``**`` on a float or a numpy scalar calls libm ``pow``, which
-    can round differently from a product.  The linear systems are sums
-    too, not a matrix product, which BLAS rounds differently for one state
-    and for a state matrix.  So a component has the same bits whether it
-    comes from one state or from a column of many.
+    n values of the same form, with the same bits for a state either way.
+    The parameter values are bound as names of the function's namespace,
+    so the compiled source is only the table's own text.
     """
-    p = spec.params
-    if spec.kind == "linear2d":
-
-        def linear2d(x):
-            x0, x1 = x
-            return -0.1 * x0 + 2.0 * x1, -2.0 * x0 - 0.1 * x1
-
-        return linear2d
-    if spec.kind == "cubic2d":
-
-        def cubic2d(x):
-            x0, x1 = x
-            c0, c1 = x0 * x0 * x0, x1 * x1 * x1
-            return -0.1 * c0 + 2.0 * c1, -2.0 * c0 - 0.1 * c1
-
-        return cubic2d
-    if spec.kind == "linear3d":
-
-        def linear3d(x):
-            x0, x1, x2 = x
-            return -0.1 * x0 + 2.0 * x1, -2.0 * x0 - 0.1 * x1, -0.3 * x2
-
-        return linear3d
-    if spec.kind == "lorenz":
-        s, b, r = p["sigma"], p["beta"], p["rho"]
-
-        def lorenz(x):
-            x0, x1, x2 = x
-            return s * (x1 - x0), x0 * (r - x2) - x1, x0 * x1 - b * x2
-
-        return lorenz
-    if spec.kind == "meanfield3d":
-        mu, om, a, lam = p["mu"], p["omega"], p["A"], p["lam"]
-
-        def mean_field(x):
-            x0, x1, x2 = x
-            return (
-                mu * x0 - om * x1 + a * x0 * x2,
-                om * x0 + mu * x1 + a * x1 * x2,
-                -lam * (x2 - x0 * x0 - x1 * x1),
-            )
-
-        return mean_field
-    if spec.kind == "hopf":
-        mu, om, a = p["mu"], p["omega"], p["A"]
-
-        def hopf(x):
-            x0, x1 = x
-            r2 = x0 * x0 + x1 * x1
-            return mu * x0 - om * x1 - a * x0 * r2, om * x0 + mu * x1 - a * x1 * r2
-
-        return hopf
-    raise ConfigError(f"{spec.kind} has no continuous right-hand side")
+    n, names, body = _SYSTEMS[spec.kind]
+    if body is None:
+        raise ConfigError(f"{spec.kind} has no continuous right-hand side")
+    states = ", ".join(f"x{i}" for i in range(n))
+    return _compile(spec.kind, "x", [f"{states} = x", *body],
+                    {name: spec.params[name] for name in names})
 
 
 def simulate(spec: SystemSpec, integrator: IntegratorConfig = IntegratorConfig()) -> TimeSeriesDataset:

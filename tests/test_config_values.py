@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from sindykit.cli import _KEYS, _Choice, main
+from sindykit.systems import _SYSTEMS
 
 LIN2D = {
     "spec_version": 1,
@@ -40,7 +41,9 @@ LOGISTIC = {"spec_version": 1, "seed": 0,
                        "n_steps": 50, "forcing": 0.01}}
 LAMBDAS = dict(LIN2D, selection={"lambdas": [0.001, 0.01, 0.1, 0.5]})
 RK45 = dict(LIN2D, system=dict(LIN2D["system"], integrator={"method": "rk45"}))
-WITH_MU = dict(LIN2D, system=dict(LIN2D["system"], params={"mu": 0.1}))
+# one hopf run, which reads mu, omega and A
+WITH_MU = dict(LIN2D, system=dict(LIN2D["system"], kind="hopf",
+                                  params={"mu": 0.1, "omega": 1.0, "A": 1.0}))
 
 DELETE = object()
 
@@ -199,6 +202,17 @@ DATA_CASES = [
      "unknown system.integrator.method 'rk5'"),
     ("fit", RUNS, ("system", "runs", 1, "params"), {"nu": 0.2},
      "system.augment.param 'mu' is not a parameter of every run"),
+    ("fit", LIN2D, ("system", "params"), {"mu": 3.0, "sigmaa": 1.0},
+     "system.params.mu is read by neither linear2d nor system.augment.param"),
+]
+
+# (base config, path, value, the key the error names): a run parameter that
+# neither the system kind nor system.augment.param reads
+UNREAD_PARAM_CASES = [
+    (LIN2D, ("system", "params"), {"mu": 3.0, "sigmaa": 1.0}, "system.params.mu"),
+    (WITH_MU, ("system", "params", "sigma"), 10.0, "system.params.sigma"),
+    (RUNS, ("system", "params"), {"mu": 0.3, "omega": 1.0}, "system.params.omega"),
+    (RUNS, ("system", "runs", 1, "params", "nu"), 0.2, "system.runs[1].params.nu"),
 ]
 
 
@@ -296,6 +310,21 @@ def test_conditioning_the_fit_would_not_see_is_config_error(tmp_path, capsys, mo
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and all(key in err for key in keys)
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "sweep", "compare"])
+@pytest.mark.parametrize("base,path,value,key", UNREAD_PARAM_CASES,
+                         ids=[_case_id(("", *c[:3]))[1:] for c in UNREAD_PARAM_CASES])
+def test_unread_run_parameter_is_config_error(tmp_path, capsys, monkeypatch, command, base,
+                                              path, value, key):
+    def simulate(*args):
+        pytest.fail("simulated before the run parameters were checked")
+
+    monkeypatch.setattr("sindykit.cli._simulate_runs", simulate)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_with(base, path, value)))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} is read by neither ")
 
 
 def test_integer_past_the_int_string_limit_is_config_error(tmp_path, capsys):
@@ -433,6 +462,21 @@ def test_readme_key_list_equals_the_schema():
     named = {path for path in re.findall(r"`([a-z_0-9.\[\]]+)`", section)
              if path.split(".")[0] in _KEYS}
     assert sorted(named ^ set(_key_paths(_KEYS))) == []
+
+
+def test_readme_run_parameters_equal_the_system_table():
+    # "`kind` `param`, ...;" per kind with parameters, and "`kind`, ... none"
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = readme.split("Run parameters of each continuous kind, all required:", 1)[1]
+    named = {}
+    for part in text.split(".\n", 1)[0].split(";"):
+        names = re.findall(r"`(\w+)`", part)
+        if part.rstrip().endswith(" none"):
+            named.update((kind, ()) for kind in names)
+        else:
+            named[names[0]] = tuple(names[1:])
+    assert named == {kind: params for kind, (_, params, body) in _SYSTEMS.items()
+                     if body is not None}
 
 
 @pytest.mark.parametrize("command,base", [

@@ -27,7 +27,7 @@ from sindykit import (
 )
 from sindykit.integrate import (STEP_ATTEMPTS_BASE, STEP_ATTEMPTS_PER_SAMPLE, dp45_adaptive,
                                 rk4_fixed)
-from sindykit.systems import FORCING_CHUNK, KINDS
+from sindykit.systems import FORCING_CHUNK, KINDS, _SYSTEMS
 from conftest import LORENZ_PARAMS
 
 
@@ -367,6 +367,102 @@ class TestFloatStepping:
         with pytest.raises(NumericalError, match="step size underflow at t="):
             dp45_adaptive(watched, [-8.0, 7.0, z0], np.arange(0.0, 1.0, 0.01), 1e-9, 1e-9)
         assert bool(raised) == stage_raises
+
+
+def _reference_rhs(kind, p):
+    """The right-hand sides as they were written by hand, one closure per
+    kind, before ``systems._SYSTEMS`` held them as source lines."""
+    if kind == "linear2d":
+        def linear2d(x):
+            x0, x1 = x
+            return -0.1 * x0 + 2.0 * x1, -2.0 * x0 - 0.1 * x1
+        return linear2d
+    if kind == "cubic2d":
+        def cubic2d(x):
+            x0, x1 = x
+            c0, c1 = x0 * x0 * x0, x1 * x1 * x1
+            return -0.1 * c0 + 2.0 * c1, -2.0 * c0 - 0.1 * c1
+        return cubic2d
+    if kind == "linear3d":
+        def linear3d(x):
+            x0, x1, x2 = x
+            return -0.1 * x0 + 2.0 * x1, -2.0 * x0 - 0.1 * x1, -0.3 * x2
+        return linear3d
+    if kind == "lorenz":
+        s, b, r = p["sigma"], p["beta"], p["rho"]
+
+        def lorenz(x):
+            x0, x1, x2 = x
+            return s * (x1 - x0), x0 * (r - x2) - x1, x0 * x1 - b * x2
+        return lorenz
+    if kind == "meanfield3d":
+        mu, om, a, lam = p["mu"], p["omega"], p["A"], p["lam"]
+
+        def mean_field(x):
+            x0, x1, x2 = x
+            return (
+                mu * x0 - om * x1 + a * x0 * x2,
+                om * x0 + mu * x1 + a * x1 * x2,
+                -lam * (x2 - x0 * x0 - x1 * x1),
+            )
+        return mean_field
+    assert kind == "hopf"
+    mu, om, a = p["mu"], p["omega"], p["A"]
+
+    def hopf(x):
+        x0, x1 = x
+        r2 = x0 * x0 + x1 * x1
+        return mu * x0 - om * x1 - a * x0 * r2, om * x0 + mu * x1 - a * x1 * r2
+    return hopf
+
+
+class _Unprintable(float):
+    """A parameter value that cannot be turned into text."""
+
+    def __repr__(self):
+        raise AssertionError("a parameter value was turned into source text")
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        raise AssertionError("a parameter value was turned into source text")
+
+
+class TestSystemTable:
+    """Each kind's right-hand side is compiled from its ``_SYSTEMS`` source lines."""
+
+    CONTINUOUS = sorted(set(KINDS) - {"logistic"})
+
+    @staticmethod
+    def _spec(kind, make=float):
+        # parameters that differ from 1 and from each other, so a reordered or
+        # swapped factor changes some bits
+        n, names, _ = _SYSTEMS[kind]
+        return SystemSpec(kind, x0=(0.5,) * n,
+                          params={name: make(0.3 + 0.7 * i + 0.01 * len(name))
+                                  for i, name in enumerate(names)})
+
+    @pytest.mark.parametrize("kind", CONTINUOUS)
+    def test_compiled_rhs_equals_the_hand_written_one_bit_for_bit(self, kind):
+        spec = self._spec(kind)
+        f, reference = system_rhs(spec), _reference_rhs(kind, spec.params)
+        X = 3.0 * np.random.default_rng(1).standard_normal((5_000, len(spec.x0)))
+        rows = X.tolist()
+        assert np.array_equal(np.array([f(x) for x in rows]).view(np.int64),
+                              np.array([reference(x) for x in rows]).view(np.int64))
+        assert np.array_equal(np.column_stack(f(X.T)).view(np.int64),
+                              np.column_stack(reference(X.T)).view(np.int64))
+
+    def test_no_body_uses_a_power_or_a_matrix_product(self):
+        for kind in self.CONTINUOUS:
+            assert not any("**" in line or "@" in line for line in _SYSTEMS[kind][2]), kind
+
+    @pytest.mark.parametrize("kind", ["lorenz", "meanfield3d", "hopf"])
+    def test_parameter_values_never_become_source_text(self, kind):
+        spec = self._spec(kind, make=_Unprintable)
+        reference = _reference_rhs(kind, self._spec(kind).params)
+        x = [0.25, -1.5, 2.0][:len(spec.x0)]
+        assert system_rhs(spec)(x) == reference(x)
 
 
 def _rk4_lists(f, x0, times):
