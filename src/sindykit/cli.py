@@ -121,20 +121,21 @@ _KEYS = {
                                for kind in KINDS}),
         "augment": {"name": "string", "param": "string"},
     },
-    "noise": {"eta": ("number", 0.0), "target": "string", "seed": "natural"},
+    "noise": {"eta": ("number", 0.0),
+              "target": _Choice("derivatives", {"derivatives": {}, "states": {}}),
+              "seed": "natural"},
     "differentiation": {
         "method": _Choice("exact", {"exact": {}, "central": {}, "tv": {
-            "alpha": ("number", 0.01), "iterations": "integer", "epsilon": "number"}}),
+            "alpha": ("number", 0.01), "iterations": "integer"}}),
     },
-    "library": {"poly_order": ("integer", 5), "trig_harmonics": ["integer"],
-                "include_constant": "bool"},
+    "library": {"poly_order": ("integer", 5), "trig_harmonics": ["integer"]},
     "fit": {
         "mode": _Choice("continuous", {mode.value: {} for mode in Mode}),
         "method": _Choice("stlsq", {
             "stlsq": {"threshold": ("number", 0.05), "max_iterations": "integer"}}),
     },
-    "selection": {"lambdas": ["number"], "log10_min": ("number", -4.0),
-                  "log10_max": ("number", 0.0), "count": ("natural", 25)},
+    "selection": {"log10_min": ("number", -4.0), "log10_max": ("number", 0.0),
+                  "count": ("natural", 25)},
     "compare": {"horizon": ("positive", 20.0), "grid_dt": ("positive", 0.01),
                 "etas": ["number"], "long_horizon": "positive"},
     "reduction": {"rank": "natural", "energy": "number", "remove_mean": "bool"},
@@ -211,7 +212,7 @@ def parse_experiment(cfg: dict) -> dict:
     reaches the fit (``central`` and ``tv`` only under a continuous fit,
     derivative noise only on the stored derivatives that a continuous
     fit reads under ``exact``), the ``selection`` block gives a nonempty,
-    ascending, nonnegative threshold grid, and each package config object
+    ascending threshold grid, and each package config object
     is built once and kept for the commands: ``exp["specs"]`` (one
     ``SystemSpec`` per run), ``exp["integrator"]`` (``None`` for a map),
     ``exp["noise_spec"]``, ``exp["tv"]`` (``None`` unless differentiation
@@ -223,10 +224,6 @@ def parse_experiment(cfg: dict) -> dict:
     augment = system["augment"]
     if augment and (missing := sorted({"name", "param"} - augment.keys())):
         raise ConfigError(f"config needs system.augment.{missing[0]}")
-    if "lambdas" in cfg.get("selection", {}):
-        for name in ("log10_min", "log10_max", "count"):
-            if name in cfg["selection"]:
-                raise ConfigError(f"selection.{name} does not apply next to selection.lambdas")
     exp["specs"] = _system_runs(exp)
     if augment and any(augment["param"] not in spec.params for spec in exp["specs"]):
         raise ConfigError(
@@ -272,20 +269,13 @@ def parse_experiment(cfg: dict) -> dict:
 
 def _thresholds(sel: dict) -> np.ndarray:
     """The sweep's threshold grid from a parsed ``selection`` block."""
-    if "lambdas" in sel:
-        thresholds = np.array(sel["lambdas"])
-        empty = "selection.lambdas is empty"
-        unordered = "selection.lambdas must be sorted ascending and nonnegative"
-    else:
-        if sel["count"] > 10**6:  # a fit per threshold; far larger ones break np.logspace
-            raise ConfigError(f"selection.count must be at most 1000000, not {sel['count']}")
-        thresholds = np.logspace(sel["log10_min"], sel["log10_max"], sel["count"])
-        empty = "selection.count is 0"
-        unordered = "selection.log10_min exceeds selection.log10_max"
-    if thresholds.size == 0:
-        raise ConfigError(f"{empty}; the sweep needs a threshold")
-    if np.any(np.diff(thresholds) < 0) or np.any(thresholds < 0):
-        raise ConfigError(unordered)
+    if sel["count"] == 0:
+        raise ConfigError("selection.count is 0; the sweep needs a threshold")
+    if sel["count"] > 10**6:  # a fit per threshold; far larger ones break np.logspace
+        raise ConfigError(f"selection.count must be at most 1000000, not {sel['count']}")
+    thresholds = np.logspace(sel["log10_min"], sel["log10_max"], sel["count"])
+    if np.any(np.diff(thresholds) < 0):
+        raise ConfigError("selection.log10_min exceeds selection.log10_max")
     return thresholds
 
 

@@ -73,7 +73,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not 0 <= self.eta < math.inf:
             raise ConfigError("eta must be nonnegative and finite")
-        if self.target not in ("derivatives", "states", "both"):
+        if self.target not in ("derivatives", "states"):
             raise ConfigError(f"unknown noise target {self.target!r}")
 
 
@@ -352,30 +352,29 @@ def tv_derivative(samples: np.ndarray, cfg: TvDiffConfig, full_output: bool = Fa
 
 def add_noise(dataset: TimeSeriesDataset, spec: NoiseSpec,
               rng: np.random.Generator | None = None) -> TimeSeriesDataset:
-    """Add eta * Z (seeded standard normal Z) to the selected matrices.
+    """Add eta * Z (seeded standard normal Z) to the target matrix, the
+    states or the derivatives.
 
     The perturbation scales linearly in eta under a fixed seed: eta=2
-    adds exactly twice the eta=1 matrix.  State noise is drawn before
-    derivative noise when both targets are selected.  With eta=0 the
-    dataset is returned unchanged and nothing is drawn.
+    adds exactly twice the eta=1 matrix.  With eta=0 the dataset is
+    returned unchanged and nothing is drawn.
 
     ``rng`` continues a caller's generator instead of seeding a fresh one
     from ``spec.seed``.  Z is drawn row after row, so the row blocks of a
     dataset noised in order from one generator get exactly the bits of
-    noising it whole, for a single target; "both" draws the states of
-    every call first, so it does not split that way.
+    noising it whole.
     """
     if spec.eta == 0.0:
         return dataset
-    if spec.target in ("derivatives", "both") and dataset.derivatives is None:
+    if spec.target == "derivatives" and dataset.derivatives is None:
         raise DataError("dataset has no derivatives to perturb")
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     states = dataset.states
     derivatives = dataset.derivatives
-    if spec.target in ("states", "both"):
+    if spec.target == "states":
         states = states + spec.eta * rng.standard_normal(states.shape)
-    if spec.target in ("derivatives", "both"):
+    else:
         derivatives = derivatives + spec.eta * rng.standard_normal(derivatives.shape)
     meta = dict(dataset.meta)
     meta.update({"noise_eta": spec.eta, "noise_seed": spec.seed, "noise_target": spec.target})

@@ -76,6 +76,9 @@ class SystemSpec:
         missing = [p for p in names if p not in self.params]
         if missing:
             raise ConfigError(f"{self.kind} needs parameters {missing}")
+        if self.kind == "meanfield3d" and not self.params["lam"] > 0:
+            raise ConfigError(f"meanfield3d needs a positive relaxation rate lam, "
+                              f"not {self.params['lam']!r}")
         if len(self.x0) != n:
             raise ConfigError(f"{self.kind} needs {n} initial values in x0")
         if self.dt <= 0:
@@ -334,8 +337,6 @@ def mean_field_surrogate(
     off-manifold transients the fast coordinate stays slaved to
     z = x^2 + y^2 and the regression problem degenerates.
     """
-    if params["lam"] <= 0:
-        raise ConfigError("mean-field relaxation rate lam must be positive")
     runs = [
         simulate(SystemSpec("meanfield3d", x0=ic, t_span=t_span, dt=dt, params=params), integrator)
         for ic in initial_conditions

@@ -22,15 +22,15 @@ LIN2D = {
                "integrator": {"method": "rk4"}},
     "noise": {"eta": 0.01, "target": "derivatives", "seed": 3},
     "differentiation": {"method": "exact"},
-    "library": {"poly_order": 2, "trig_harmonics": [], "include_constant": True},
+    "library": {"poly_order": 2, "trig_harmonics": []},
     "fit": {"method": "stlsq", "threshold": 0.05, "max_iterations": 10, "mode": "continuous"},
     "selection": {"log10_min": -3, "log10_max": -0.3, "count": 5},
     "compare": {"horizon": 1.0, "grid_dt": 0.05, "etas": [0.0], "long_horizon": 2.0},
 }
 TV = dict(LIN2D, noise=dict(LIN2D["noise"], target="states"),
-         differentiation={"method": "tv", "alpha": 0.01, "iterations": 2, "epsilon": 1e-8})
+         differentiation={"method": "tv", "alpha": 0.01, "iterations": 2})
 REDUCED = dict(LIN2D, reduction={"rank": 2, "remove_mean": False})
-CONSTANT = dict(LIN2D, library={"poly_order": 0, "include_constant": True})
+CONSTANT = dict(LIN2D, library={"poly_order": 0})
 RUNS = dict(LIN2D, system={
     "kind": "linear2d", "t_span": [0.0, 2.0], "dt": 0.01,
     "runs": [{"x0": [1.0, 0.0], "t_span": [0.0, 2.0], "dt": 0.01, "params": {"mu": 0.1}},
@@ -39,8 +39,10 @@ RUNS = dict(LIN2D, system={
 LOGISTIC = {"spec_version": 1, "seed": 0,
             "system": {"kind": "logistic", "x0": [0.5], "ensemble_mus": [3.7],
                        "n_steps": 50, "forcing": 0.01}}
-LAMBDAS = dict(LIN2D, selection={"lambdas": [0.001, 0.01, 0.1, 0.5]})
 RK45 = dict(LIN2D, system=dict(LIN2D["system"], integrator={"method": "rk45"}))
+MEANFIELD = {"spec_version": 1,
+             "system": {"kind": "meanfield3d", "x0": [0.4, 0.0, 0.16], "t_span": [0.0, 1.0],
+                        "params": {"mu": 0.1, "omega": 1.0, "A": -0.1, "lam": 10.0}}}
 # one hopf run, which reads mu, omega and A
 WITH_MU = dict(LIN2D, system=dict(LIN2D["system"], kind="hopf",
                                   params={"mu": 0.1, "omega": 1.0, "A": 1.0}))
@@ -87,15 +89,12 @@ CASES = [
     ("fit", TV, ("differentiation", "denoise_states"), 1),
     ("fit", TV, ("differentiation", "alpha"), "x"),
     ("fit", TV, ("differentiation", "iterations"), 2.5),
-    ("fit", TV, ("differentiation", "epsilon"), [1e-8]),
     ("fit", REDUCED, ("reduction",), 2),
     ("fit", REDUCED, ("reduction", "rank"), "2"),
     ("fit", REDUCED, ("reduction", "energy"), "x"),
     ("fit", REDUCED, ("reduction", "remove_mean"), "no"),
     ("fit", LIN2D, ("library", "poly_order"), 2.5),
     ("fit", LIN2D, ("library", "trig_harmonics"), [1.5]),
-    ("fit", LIN2D, ("library", "include_constant"), "false"),
-    ("fit", CONSTANT, ("library", "include_constant"), False),
     ("fit", LIN2D, ("fit",), 5),
     ("fit", LIN2D, ("fit", "mode"), 1),
     ("fit", LIN2D, ("fit", "method"), ["stlsq"]),
@@ -111,7 +110,6 @@ CASES = [
     ("compare", LIN2D, ("compare", "etas"), ["0"]),
     ("generate", LIN2D, ("compare", "etas"), [0.1, 0.1000001]),
     ("compare", LIN2D, ("compare", "long_horizon"), "250"),
-    ("sweep", LIN2D, ("selection", "lambdas"), "0.1"),
     ("sweep", LIN2D, ("selection", "log10_min"), "x"),
     ("sweep", LIN2D, ("selection", "log10_max"), None),
     ("sweep", LIN2D, ("selection", "count"), "abc"),
@@ -119,7 +117,6 @@ CASES = [
     # null never stands for an absent key
     ("compare", LIN2D, ("compare", "long_horizon"), None),
     ("fit", REDUCED, ("reduction", "energy"), None),
-    ("sweep", LAMBDAS, ("selection", "lambdas"), None),
     ("fit", LIN2D, ("fit", "threshold"), None),
     # spec_version is the integer 1
     ("fit", LIN2D, ("spec_version",), True),
@@ -148,10 +145,6 @@ CASES = [
     # keys of a variant that the config did not choose
     ("fit", LIN2D, ("differentiation", "alpha"), 0.01),
     ("fit", LIN2D, ("differentiation", "iterations"), 2),
-    ("fit", LIN2D, ("differentiation", "epsilon"), 1e-8),
-    ("sweep", LAMBDAS, ("selection", "log10_min"), -3),
-    ("sweep", LAMBDAS, ("selection", "log10_max"), 0),
-    ("sweep", LAMBDAS, ("selection", "count"), 5),
     ("generate", LIN2D, ("system", "ensemble_mus"), [3.7]),
     ("generate", LIN2D, ("system", "n_steps"), 50),
     ("generate", LIN2D, ("system", "forcing"), 0.01),
@@ -186,9 +179,6 @@ SELECTION_CASES = [
     (LIN2D, ("selection", "count"), 0),
     (LIN2D, ("selection", "count"), 10**6 + 1),
     (LIN2D, ("selection", "count"), int("9" * 401)),
-    (LAMBDAS, ("selection", "lambdas"), []),
-    (LAMBDAS, ("selection", "lambdas"), [0.1, 0.01]),
-    (LAMBDAS, ("selection", "lambdas"), [-0.1, 0.1]),
     (LIN2D, ("selection", "log10_min"), 0.5),
 ]
 
@@ -215,6 +205,20 @@ UNREAD_PARAM_CASES = [
     (RUNS, ("system", "runs", 1, "params", "nu"), 0.2, "system.runs[1].params.nu"),
 ]
 
+# (base config, path, value, the start of the message): settings that the
+# config schema no longer holds, and mean-field relaxation rates that the
+# package refuses
+REFUSED_CASES = [
+    (LIN2D, ("selection", "lambdas"), [0.001, 0.01, 0.1],
+     "unknown key selection.lambdas"),
+    (LIN2D, ("noise", "target"), "both", "unknown noise.target 'both'"),
+    (TV, ("differentiation", "epsilon"), 1e-8, "unknown key differentiation.epsilon"),
+    (LIN2D, ("library", "include_constant"), False, "unknown key library.include_constant"),
+    (MEANFIELD, ("system", "params", "lam"), 0.0,
+     "meanfield3d needs a positive relaxation rate lam, not 0.0"),
+    (MEANFIELD, ("system", "params", "lam"), -1.0,
+     "meanfield3d needs a positive relaxation rate lam, not -1.0"),
+]
 
 # (command, base config, path to the value, the value as JSON text, the key
 # the error names): numbers that JSON reads but that no finite double holds
@@ -222,7 +226,6 @@ BEYOND_DOUBLE_CASES = [
     ("compare", LIN2D, ("compare", "horizon"), "1e400", "compare.horizon"),
     ("compare", LIN2D, ("compare", "horizon"), "9" * 401, "compare.horizon"),
     ("generate", LIN2D, ("compare", "horizon"), "9" * 401, "compare.horizon"),
-    ("sweep", LAMBDAS, ("selection", "lambdas"), "[0.01, 1e400]", "selection.lambdas[1]"),
     ("fit", LIN2D, ("fit", "threshold"), "1e400", "fit.threshold"),
     ("generate", LIN2D, ("system", "x0"), "[1e400, 0]", "system.x0[0]"),
 ]
@@ -234,8 +237,6 @@ INERT_CASES = [
     (LIN2D, {("differentiation", "method"): "central"},
      ["noise.target", "differentiation.method"]),
     (LIN2D, {("differentiation", "method"): "tv"}, ["noise.target", "differentiation.method"]),
-    (LIN2D, {("differentiation", "method"): "tv", ("noise", "target"): "both"},
-     ["noise.target", "differentiation.method"]),
     (LIN2D, {("fit", "mode"): "discrete"}, ["noise.target", "fit.mode"]),
     (LOGISTIC, {("noise",): {"eta": 0.01}, ("fit",): {"mode": "discrete"}},
      ["noise.target", "fit.mode"]),
@@ -325,6 +326,22 @@ def test_unread_run_parameter_is_config_error(tmp_path, capsys, monkeypatch, com
     cfg.write_text(json.dumps(_with(base, path, value)))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key} is read by neither ")
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "sweep", "compare"])
+@pytest.mark.parametrize("base,path,value,message", REFUSED_CASES,
+                         ids=[_case_id(("", *c[:3]))[1:] for c in REFUSED_CASES])
+def test_refused_setting_stops_every_command_before_any_simulation(tmp_path, capsys,
+                                                                   monkeypatch, command,
+                                                                   base, path, value, message):
+    def simulate(*args):
+        pytest.fail(f"simulated before {'.'.join(path)} was checked")
+
+    monkeypatch.setattr("sindykit.cli._simulate_runs", simulate)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_with(base, path, value)))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_integer_past_the_int_string_limit_is_config_error(tmp_path, capsys):
@@ -482,9 +499,9 @@ def test_readme_run_parameters_equal_the_system_table():
 @pytest.mark.parametrize("command,base", [
     ("generate", LIN2D), ("generate", RUNS), ("generate", LOGISTIC), ("fit", LIN2D),
     ("fit", TV), ("fit", REDUCED), ("fit", CONSTANT), ("compare", LIN2D), ("sweep", LIN2D),
-    ("generate", RK45), ("compare", WITH_MU),
+    ("generate", RK45), ("compare", WITH_MU), ("generate", MEANFIELD),
 ], ids=["linear2d", "runs", "logistic", "fit", "tv", "reduced", "constant", "compare",
-        "sweep", "rk45", "compare-with-mu"])
+        "sweep", "rk45", "compare-with-mu", "meanfield"])
 def test_base_configs_run(tmp_path, command, base):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(base))

@@ -500,12 +500,14 @@ class TestAddNoise:
         spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 2.0), dt=0.01)
         return simulate(spec)
 
-    def test_zero_eta_is_identity(self, dataset):
-        assert add_noise(dataset, NoiseSpec(eta=0.0, target="both", seed=1)) is dataset
+    @pytest.mark.parametrize("target", ["states", "derivatives"])
+    def test_zero_eta_is_identity(self, dataset, target):
+        assert add_noise(dataset, NoiseSpec(eta=0.0, target=target, seed=1)) is dataset
 
-    def test_same_seed_same_output(self, dataset):
-        a = add_noise(dataset, NoiseSpec(eta=0.3, target="both", seed=5))
-        b = add_noise(dataset, NoiseSpec(eta=0.3, target="both", seed=5))
+    @pytest.mark.parametrize("target", ["states", "derivatives"])
+    def test_same_seed_same_output(self, dataset, target):
+        a = add_noise(dataset, NoiseSpec(eta=0.3, target=target, seed=5))
+        b = add_noise(dataset, NoiseSpec(eta=0.3, target=target, seed=5))
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.derivatives, b.derivatives)
 
@@ -551,8 +553,9 @@ class TestAddNoise:
     def test_eta_validation(self):
         with pytest.raises(ConfigError):
             NoiseSpec(eta=-0.1)
-        with pytest.raises(ConfigError):
-            NoiseSpec(eta=0.1, target="everything")
+        for target in ("everything", "both"):  # noise perturbs exactly one target
+            with pytest.raises(ConfigError, match="target"):
+                NoiseSpec(eta=0.1, target=target)
         for bad in (np.nan, np.inf):
             with pytest.raises(ConfigError, match="eta"):
                 NoiseSpec(eta=bad)

@@ -25,8 +25,7 @@ from sindykit import (
     simulate,
     system_rhs,
 )
-from sindykit.integrate import (STEP_ATTEMPTS_BASE, STEP_ATTEMPTS_PER_SAMPLE, dp45_adaptive,
-                                rk4_fixed)
+from sindykit.integrate import MAX_REJECTED_STEPS, dp45_adaptive, rk4_fixed
 from sindykit.systems import FORCING_CHUNK, KINDS, _SYSTEMS
 from conftest import LORENZ_PARAMS
 
@@ -144,19 +143,33 @@ class TestIntegrators:
 
     def test_step_attempt_budget_stops_a_stiff_run(self):
         # z chases an oscillator at rate 1e6: stability caps the explicit step
-        # near 3e-6, so reaching t=1 would take some 300,000 attempts
+        # near 3e-6, so reaching t=1 would take some 300,000 attempts, of
+        # which some 7,600 are rejected
         stiff = lambda x: np.array([x[1], -x[0], -1e6 * (x[2] - x[0])])
         times = np.linspace(0.0, 1.0, 11)
-        budget = STEP_ATTEMPTS_PER_SAMPLE * len(times) + STEP_ATTEMPTS_BASE
         calls = []
 
         def counted(x):
             calls.append(1)
             return stiff(x)
 
-        with pytest.raises(NumericalError, match=f"after {budget} step attempts"):
+        with pytest.raises(NumericalError,
+                           match=f"after {MAX_REJECTED_STEPS} rejected step attempts"):
             dp45_adaptive(counted, np.array([1.0, 0.0, 0.0]), times, 1e-10, 1e-10)
-        assert len(calls) == 1 + 6 * budget  # one initial slope, six stages per attempt
+        attempts, rest = divmod(len(calls) - 1, 6)  # one initial slope, six stages per attempt
+        assert rest == 0 and 60 * MAX_REJECTED_STEPS > attempts > 10 * MAX_REJECTED_STEPS
+
+    def test_steps_do_not_depend_on_the_output_grid(self):
+        # Lorenz over t = 0..100: the two-point grid takes the accepted steps
+        # of the dense one, and ends on the same state
+        f = system_rhs(SystemSpec("lorenz", x0=(-8.0, 7.0, 27.0), params=LORENZ_PARAMS))
+        x0 = np.array([-8.0, 7.0, 27.0])
+        dense, dense_steps = dp45_adaptive(f, x0, np.linspace(0.0, 100.0, 10_001), 1e-10, 1e-10,
+                                           record_steps=True)
+        ends, end_steps = dp45_adaptive(f, x0, np.array([0.0, 100.0]), 1e-10, 1e-10,
+                                        record_steps=True)
+        assert np.array_equal(end_steps, dense_steps)
+        assert ends[-1].tobytes() == dense[-1].tobytes()
 
 
 def _rk4_arrays(f, x0, times):
@@ -522,17 +535,12 @@ def _dp45_lists(f, x0, times, abs_tol, rel_tol, record_steps=False):
 
     t = t0
     tiny = 16 * np.finfo(float).eps
-    budget = STEP_ATTEMPTS_PER_SAMPLE * n_out + STEP_ATTEMPTS_BASE
-    attempts = 0
+    rejected = 0
     while t < t_end and next_sample < n_out:
         if t_end - t <= tiny * max(1.0, abs(t_end)):
             break
         if h < tiny * max(1.0, abs(t)):
             raise NumericalError(f"adaptive step size underflow at t={t:.6g}")
-        if attempts == budget:
-            raise NumericalError(f"adaptive integration gave up at t={t:.6g} "
-                                 f"after {budget} step attempts")
-        attempts += 1
         h = min(h, t_end - t)
         try:
             k2 = f([a + h * (_A21 * b) for a, b in zip(y, k1)])
@@ -570,6 +578,10 @@ def _dp45_lists(f, x0, times, abs_tol, rel_tol, record_steps=False):
             steps.append(h)
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         else:
+            rejected += 1
+            if rejected == MAX_REJECTED_STEPS:
+                raise NumericalError(f"adaptive integration gave up at t={t:.6g} "
+                                     f"after {MAX_REJECTED_STEPS} rejected step attempts")
             factor = max(0.2, 0.9 * err ** -0.2)
         h *= factor
     out[next_sample:] = y
@@ -803,9 +815,13 @@ class TestMeanField:
                                   t_span=(0.0, 1.0), dt=0.01)
         assert len(ds.segments) == 2
 
-    def test_relaxation_rate_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            mean_field_surrogate(dict(self.PARAMS, lam=-1.0), [(0.1, 0.0, 0.0)])
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_relaxation_rate_must_be_positive(self, lam):
+        params = dict(self.PARAMS, lam=lam)
+        with pytest.raises(ConfigError, match="lam"):
+            SystemSpec("meanfield3d", x0=(0.1, 0.0, 0.0), params=params)
+        with pytest.raises(ConfigError, match="lam"):
+            mean_field_surrogate(params, [(0.1, 0.0, 0.0)])
 
 
 class TestLogisticEnsemble:
