@@ -16,7 +16,6 @@ from .differentiation import (
     tv_derivative,
 )
 from .errors import ConfigError, DataError, NumericalError, SindykitError
-from .integrate import IntegratorConfig
 from .library import LibraryMatrix, LibrarySpec, build_matrix, enumerate_terms, evaluate_terms
 from .model import (
     Mode,

@@ -32,7 +32,7 @@ from . import __version__
 from .dataio import read_dataset_csv, write_csv, write_dataset_csv, write_pareto_csv
 from .differentiation import NoiseSpec, TvDiffConfig, add_noise, differentiate_dataset
 from .errors import ConfigError, DataError, NumericalError, SindykitError
-from .integrate import IntegratorConfig, dp45_adaptive
+from .integrate import dp45_adaptive
 from .library import LibrarySpec
 from .model import Mode, SparseModel, TimeSeriesDataset, model_to_json, render_table
 from .reduction import compute_basis, reduce_dataset
@@ -88,6 +88,7 @@ def _is_number(v) -> bool:
 _KINDS = {
     "number": ("a number", _is_number),
     "positive": ("a positive number", lambda v: _is_number(v) and v > 0),
+    "nonnegative": ("a nonnegative number", lambda v: _is_number(v) and v >= 0),
     "integer": ("an integer", _is_int),
     "natural": ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
@@ -104,9 +105,7 @@ class _Choice:
 
 
 _RUN = {"x0": ["number"], "t_span": ["number"], "dt": "number", "params": "number{}"}
-_CONTINUOUS = {**_RUN, "runs": ([_RUN], [{}]),
-               "integrator": {"method": _Choice("rk4", {"rk4": {}, "rk45": {
-                   "abs_tol": "number", "rel_tol": "number", "record_step_size": "bool"}})}}
+_CONTINUOUS = {**_RUN, "runs": ([_RUN], [{}])}
 _LOGISTIC = {"x0": (["number"], [0.5]), "ensemble_mus": (["number"], []),
              "n_steps": ("natural", 1000), "forcing": ("number", 0.0)}
 
@@ -137,7 +136,7 @@ _KEYS = {
     "selection": {"log10_min": ("number", -4.0), "log10_max": ("number", 0.0),
                   "count": ("natural", 25)},
     "compare": {"horizon": ("positive", 20.0), "grid_dt": ("positive", 0.01),
-                "etas": ["number"], "long_horizon": "positive"},
+                "etas": ["nonnegative"], "long_horizon": "positive"},
     "reduction": {"rank": "natural", "energy": "number", "remove_mean": "bool"},
 }
 
@@ -168,7 +167,7 @@ def _parse(value, kind, key: str):
     description, accepts = _KINDS[kind]
     if not accepts(value):
         raise ConfigError(f"{key} must be {description}, not {json.dumps(value)}")
-    return float(value) if kind in ("number", "positive") else value
+    return float(value) if kind in ("number", "positive", "nonnegative") else value
 
 
 def _block(value: dict, table: dict, key: str) -> dict:
@@ -214,10 +213,9 @@ def parse_experiment(cfg: dict) -> dict:
     fit reads under ``exact``), the ``selection`` block gives a nonempty,
     ascending threshold grid, and each package config object
     is built once and kept for the commands: ``exp["specs"]`` (one
-    ``SystemSpec`` per run), ``exp["integrator"]`` (``None`` for a map),
-    ``exp["noise_spec"]``, ``exp["tv"]`` (``None`` unless differentiation
-    is ``"tv"``), ``exp["fit_config"]`` and ``exp["thresholds"]`` (the
-    sweep's grid).
+    ``SystemSpec`` per run), ``exp["noise_spec"]``, ``exp["tv"]``
+    (``None`` unless differentiation is ``"tv"``), ``exp["fit_config"]``
+    and ``exp["thresholds"]`` (the sweep's grid).
     """
     exp = _parse(cfg, _KEYS, "")
     system = exp["system"]
@@ -247,8 +245,6 @@ def parse_experiment(cfg: dict) -> dict:
     reduction = exp["reduction"]
     if reduction and ("rank" in reduction) == ("energy" in reduction):
         raise ConfigError("reduction needs exactly one of reduction.rank and reduction.energy")
-    exp["integrator"] = (IntegratorConfig(**system["integrator"])
-                         if "integrator" in system else None)
     noise = exp["noise_spec"] = NoiseSpec(**exp["noise"])
     method, discrete = exp["differentiation"]["method"], exp["fit"]["mode"] == Mode.DISCRETE.value
     if discrete and method != "exact":
@@ -321,7 +317,7 @@ def _simulate_runs(exp: dict, seed: int) -> list[TimeSeriesDataset]:
             logistic_ensemble([spec.params["mu"]], n_steps=system["n_steps"],
                               eta=system["forcing"], seed=seed + 1000 * i, x0=spec.x0[0])
             for i, spec in enumerate(specs)]
-    return [simulate(spec, exp["integrator"]) for spec in specs]
+    return [simulate(spec) for spec in specs]
 
 
 def _loaded_runs(exp: dict, data_path: str) -> list[TimeSeriesDataset]:

@@ -34,13 +34,12 @@ def _meta_path(path: Path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
-def write_csv(path: str | Path, header: list[str] | None, rows: np.ndarray) -> Path:
-    """Write ``rows`` (and a header line unless it is None) at full precision."""
+def write_csv(path: str | Path, header: list[str], rows: np.ndarray) -> Path:
+    """Write a header line and ``rows`` at full precision."""
     path = Path(path)
     rows = np.asarray(rows, dtype=float)
     with path.open("w") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
+        fh.write(",".join(header) + "\n")
         if rows.size:
             line = ",".join([_FMT] * rows.shape[1]) + "\n"
             for start in range(0, rows.shape[0], _BLOCK_ROWS):

@@ -5,7 +5,8 @@ total-variation regularized derivative is used: find u minimizing
 
     alpha * sum_i sqrt((u[i+1] - u[i])^2 + eps) + 0.5 * ||A u - (f - f[0])||^2
 
-where A is trapezoidal cumulative integration on the uniform grid.  The
+where A is trapezoidal cumulative integration on the uniform grid and
+eps is ``EPSILON``, which keeps the objective smooth where u is flat.  The
 problem is solved by lagged-diffusivity fixed-point iterations (Vogel &
 Oman 1996).  Each is a majorize-minimize step, so the smoothed objective
 does not rise; a step that rounding makes rise is dropped and ends the
@@ -45,13 +46,14 @@ __all__ = [
     "differentiate_dataset",
 ]
 
+EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class TvDiffConfig:
     alpha: float
     dt: float
     iterations: int = 100
-    epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < math.inf:
@@ -60,8 +62,6 @@ class TvDiffConfig:
             raise ConfigError("dt must be positive and finite")
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
-        if not 0 < self.epsilon < math.inf:
-            raise ConfigError("epsilon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -276,14 +276,13 @@ def _tv_step(w: np.ndarray, rhs: np.ndarray, dt: float) -> np.ndarray:
     return u
 
 
-def _objectives(u: np.ndarray, fhat: np.ndarray, alpha: float, eps: float,
-                dt: float) -> np.ndarray:
+def _objectives(u: np.ndarray, fhat: np.ndarray, alpha: float, dt: float) -> np.ndarray:
     """The smoothed objective of each column of u.
 
     Each column's sum and dot product run over one contiguous row, so a
     column gets the bits it would get on its own.
     """
-    tv = np.ascontiguousarray(np.sqrt(np.diff(u, axis=0) ** 2 + eps).T).sum(axis=1)
+    tv = np.ascontiguousarray(np.sqrt(np.diff(u, axis=0) ** 2 + EPSILON).T).sum(axis=1)
     res = np.ascontiguousarray((_integrate_op(u, dt) - fhat).T)
     return alpha * tv + 0.5 * np.array([r @ r for r in res])
 
@@ -312,20 +311,20 @@ def tv_derivative(samples: np.ndarray, cfg: TvDiffConfig, full_output: bool = Fa
         row, col = np.argwhere(bad)[0]
         where = f" of column {col}" if f.ndim == 2 else ""
         raise DataError(f"non-finite sample at row {row}{where}")
-    dt, alpha, eps = cfg.dt, cfg.alpha, cfg.epsilon
+    dt, alpha = cfg.dt, cfg.alpha
     fhat = F - F[0]
     rhs = _b_transpose(fhat)
 
     result = None  # allocated once a column stops before the others
     cols = np.arange(k)  # the columns still iterating
     u = np.gradient(F, dt, axis=0)
-    last = _objectives(u, fhat, alpha, eps, dt)
+    last = _objectives(u, fhat, alpha, dt)
     objectives = [[v] for v in last.tolist()]
     for _ in range(cfg.iterations):
         if not cols.size:
             break
-        u_new = _tv_step(alpha / np.sqrt(np.diff(u, axis=0) ** 2 + eps), rhs, dt)
-        val = _objectives(u_new, fhat, alpha, eps, dt)
+        u_new = _tv_step(alpha / np.sqrt(np.diff(u, axis=0) ** 2 + EPSILON), rhs, dt)
+        val = _objectives(u_new, fhat, alpha, dt)
         stall = val > last  # numerical stall; keep the previous iterate
         u_new[:, stall] = u[:, stall]
         for c, v in zip(cols[~stall].tolist(), val[~stall].tolist()):

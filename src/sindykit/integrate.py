@@ -19,28 +19,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import DataError, NumericalError
 from .model import _compile
 
-__all__ = ["IntegratorConfig", "rk4_fixed", "dp45_adaptive"]
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    method: str = "rk4"
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    record_step_size: bool = False
-
-    def __post_init__(self) -> None:
-        if self.method not in ("rk4", "rk45"):
-            raise ConfigError(f"unknown integrator {self.method!r}")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ConfigError("tolerances must be positive")
+__all__ = ["rk4_fixed", "dp45_adaptive"]
 
 
 def rk4_fixed(f, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -57,7 +42,7 @@ def rk4_fixed(f, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
     x, times = _check_grid(x0, times)
     out = np.empty((len(times), len(x)))
     out[0] = x
-    _rk4_loop(len(x))(f, x, np.diff(times).tolist(), memoryview(out.reshape(-1)))
+    _rk4_loop(len(x))(f, x, memoryview(np.diff(times)), memoryview(out.reshape(-1)))
     return out
 
 
@@ -176,7 +161,9 @@ def _rk4_loop(n: int):
     """RK4 for n states: ``loop(f, x, hs, flat)`` steps the floats ``x`` by each
     step size in ``hs`` and writes the state after step i into items
     ``n*i ... n*i + n-1`` of ``flat``, a flat view of the output rows: one
-    float per item costs a fraction of a row assignment from a tuple."""
+    float per item costs a fraction of a row assignment from a tuple.  ``hs``
+    may be a memoryview of the step array, which yields each step as a float
+    without a list of them all."""
     x = _each(n, "x{i}")
     return _compile("rk4", "f, x, hs, flat", [
         f"{x} = x",

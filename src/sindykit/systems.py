@@ -1,12 +1,11 @@
 """Ground-truth trajectory generation for the benchmark systems.
 
-Continuous systems are integrated with fixed-step RK4 or adaptive RK45;
-derivatives stored in a generated dataset come from the analytic
-right-hand side at the sample points, never from numerical
-differentiation.  The logistic map is iterated directly.  Parameterized
-and forced systems are handled by state augmentation: a bifurcation
-parameter becomes a constant extra state with zero derivative, time an
-extra state with unit derivative.
+Continuous systems are integrated with fixed-step RK4; derivatives
+stored in a generated dataset come from the analytic right-hand side at
+the sample points, never from numerical differentiation.  The logistic
+map is iterated directly.  Parameterized and forced systems are handled
+by state augmentation: a bifurcation parameter becomes a constant extra
+state with zero derivative, time an extra state with unit derivative.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from .differentiation import NoiseSpec
 from .errors import ConfigError, DataError, NumericalError
-from .integrate import IntegratorConfig, dp45_adaptive, rk4_fixed
+from .integrate import rk4_fixed
 from .model import TimeSeriesDataset, _compile, default_state_names
 
 __all__ = [
@@ -111,8 +110,8 @@ def system_rhs(spec: SystemSpec):
                     {name: spec.params[name] for name in names})
 
 
-def simulate(spec: SystemSpec, integrator: IntegratorConfig = IntegratorConfig()) -> TimeSeriesDataset:
-    """Integrate a continuous system on the requested sample grid.
+def simulate(spec: SystemSpec) -> TimeSeriesDataset:
+    """Integrate a continuous system by fixed-step RK4 on the requested sample grid.
 
     The stored derivatives are the analytic right-hand side evaluated at
     each sampled state, on Python floats as the integrator evaluates it.
@@ -131,16 +130,9 @@ def simulate(spec: SystemSpec, integrator: IntegratorConfig = IntegratorConfig()
         "params": dict(spec.params),
         "x0": list(spec.x0),
         "dt": spec.dt,
-        "integrator": integrator.method,
+        "integrator": "rk4",
     }
-    if integrator.method == "rk4":
-        states = rk4_fixed(f, x0, times)
-    else:
-        states, steps = dp45_adaptive(
-            f, x0, times, integrator.abs_tol, integrator.rel_tol,
-            record_steps=integrator.record_step_size)
-        if steps is not None:
-            meta["step_sizes"] = [float(h) for h in steps]
+    states = rk4_fixed(f, x0, times)
     # a block of rows at a time, so the float lists stay small next to the output
     derivatives = np.empty_like(states)
     for a in range(0, len(states), 256):
@@ -329,7 +321,6 @@ def mean_field_surrogate(
     initial_conditions: list[tuple[float, float, float]],
     t_span: tuple[float, float] = (0.0, 50.0),
     dt: float = 0.01,
-    integrator: IntegratorConfig = IntegratorConfig(),
 ) -> TimeSeriesDataset:
     """Mean-field cylinder-wake surrogate runs from several initial states.
 
@@ -338,7 +329,7 @@ def mean_field_surrogate(
     z = x^2 + y^2 and the regression problem degenerates.
     """
     runs = [
-        simulate(SystemSpec("meanfield3d", x0=ic, t_span=t_span, dt=dt, params=params), integrator)
+        simulate(SystemSpec("meanfield3d", x0=ic, t_span=t_span, dt=dt, params=params))
         for ic in initial_conditions
     ]
     return concatenate(runs) if len(runs) > 1 else runs[0]

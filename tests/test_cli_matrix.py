@@ -128,13 +128,33 @@ DATASET_SHA256 = {
 }
 
 
+# SHA-256 of the dataset.meta.json sidecar written next to each of those
+# files, which carries simulate's provenance (system, parameters, start,
+# step and "integrator": "rk4"), recorded while a config could still pick
+# the integrator; any change to that provenance must keep every byte.
+DATASET_META_SHA256 = {
+    "cubic2d": "9173ada055ddd2220ec8767fa14d140b9e5eaaaa814a35076049a468aeb3291e",
+    "hopf": "f293dc3dd21cecf6cac95e8c2fb1550406fdc9b77386e29a1dbc9de4947ef669",
+    "linear2d": "3a640039dca1aa4c830b713ab11bf844c3d233b07796b6e21e20ea1f173fb83e",
+    "linear3d": "d7bd576dd332cb50774c571c6645cdce332906061e723f85195934ff97279374",
+    "lorenz": "d3af0b1dc96f5b554f92a5933b0dd0e5b160b224e717223665d8e7029ed67984",
+    "meanfield": "55ba364893f2a593030828315b71bd4c56f2cda11139ecc69ea9a16feb47f75b",
+}
+
+
 def test_pinned_datasets_cover_every_continuous_config():
-    assert set(DATASET_SHA256) == set(EXIT_CODES) - {"logistic"}
+    assert set(DATASET_SHA256) == set(DATASET_META_SHA256) == set(EXIT_CODES) - {"logistic"}
 
 
 @pytest.mark.parametrize("name", sorted(DATASET_SHA256))
 def test_generated_dataset_keeps_its_bytes(generated, name):
     assert hashlib.sha256(generated(name).read_bytes()).hexdigest() == DATASET_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(DATASET_META_SHA256))
+def test_generated_sidecar_keeps_its_bytes(generated, name):
+    sidecar = generated(name).with_name("dataset.meta.json")
+    assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == DATASET_META_SHA256[name]
 
 
 # each segment of the file is one run with its own noise stream, and the

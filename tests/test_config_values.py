@@ -18,8 +18,7 @@ from sindykit.systems import _SYSTEMS
 LIN2D = {
     "spec_version": 1,
     "seed": 0,
-    "system": {"kind": "linear2d", "x0": [2.0, 0.0], "t_span": [0.0, 2.0], "dt": 0.01,
-               "integrator": {"method": "rk4"}},
+    "system": {"kind": "linear2d", "x0": [2.0, 0.0], "t_span": [0.0, 2.0], "dt": 0.01},
     "noise": {"eta": 0.01, "target": "derivatives", "seed": 3},
     "differentiation": {"method": "exact"},
     "library": {"poly_order": 2, "trig_harmonics": []},
@@ -39,7 +38,6 @@ RUNS = dict(LIN2D, system={
 LOGISTIC = {"spec_version": 1, "seed": 0,
             "system": {"kind": "logistic", "x0": [0.5], "ensemble_mus": [3.7],
                        "n_steps": 50, "forcing": 0.01}}
-RK45 = dict(LIN2D, system=dict(LIN2D["system"], integrator={"method": "rk45"}))
 MEANFIELD = {"spec_version": 1,
              "system": {"kind": "meanfield3d", "x0": [0.4, 0.0, 0.16], "t_span": [0.0, 1.0],
                         "params": {"mu": 0.1, "omega": 1.0, "A": -0.1, "lam": 10.0}}}
@@ -63,11 +61,6 @@ CASES = [
     ("generate", LIN2D, ("system", "dt"), "0.01"),
     ("generate", LIN2D, ("system", "params"), [1.0]),
     ("generate", LIN2D, ("system", "params"), {"mu": "x"}),
-    ("generate", LIN2D, ("system", "integrator"), "rk45"),
-    ("generate", LIN2D, ("system", "integrator", "method"), 4),
-    ("generate", RK45, ("system", "integrator", "abs_tol"), "1e-9"),
-    ("generate", RK45, ("system", "integrator", "rel_tol"), True),
-    ("generate", RK45, ("system", "integrator", "record_step_size"), "false"),
     ("generate", RUNS, ("system", "runs"), {"x0": [1.0, 0.0]}),
     ("generate", RUNS, ("system", "runs", 0), 3),
     ("generate", RUNS, ("system", "runs", 0, "x0"), "1"),
@@ -131,7 +124,6 @@ CASES = [
     ("fit", LIN2D, ("fit", "tol"), 1e-8),
     ("fit", LIN2D, ("fit", "max_sweeps"), 50),
     ("generate", LIN2D, ("system", "x_0"), [2.0, 0.0]),
-    ("generate", LIN2D, ("system", "integrator", "methd"), "rk45"),
     ("generate", RUNS, ("system", "augment", "parameter"), "mu"),
     ("generate", RUNS, ("system", "runs", 1, "xo"), [0.0, 1.0]),
     ("fit", LIN2D, ("noise", "sigma"), 0.1),
@@ -149,13 +141,9 @@ CASES = [
     ("generate", LIN2D, ("system", "n_steps"), 50),
     ("generate", LIN2D, ("system", "forcing"), 0.01),
     ("generate", LOGISTIC, ("system", "runs"), [{"params": {"mu": 3.7}}]),
-    ("generate", LOGISTIC, ("system", "integrator"), {"method": "rk4"}),
     ("generate", LOGISTIC, ("system", "t_span"), [0.0, 1.0]),
     ("generate", LOGISTIC, ("system", "dt"), 0.1),
     ("generate", LOGISTIC, ("system", "params"), {"mu": 3.7}),
-    ("generate", LIN2D, ("system", "integrator", "abs_tol"), 1e-3),
-    ("generate", LIN2D, ("system", "integrator", "rel_tol"), 1e-3),
-    ("generate", LIN2D, ("system", "integrator", "record_step_size"), True),
     # package checks that run in the parse, in blocks the command does not read
     ("generate", REDUCED, ("reduction", "energy"), 0.9),
     ("compare", REDUCED, ("reduction", "energy"), 0.9),
@@ -188,8 +176,8 @@ SELECTION_CASES = [
 DATA_CASES = [
     ("fit", LIN2D, ("system", "x0"), [2.0, 0.0, 1.0], "x0"),
     ("sweep", LIN2D, ("system", "x0"), [2.0, 0.0, 1.0], "x0"),
-    ("fit", LIN2D, ("system", "integrator", "method"), "rk5",
-     "unknown system.integrator.method 'rk5'"),
+    ("fit", LIN2D, ("system", "integrator"), {"method": "rk4"},
+     "unknown key system.integrator"),
     ("fit", RUNS, ("system", "runs", 1, "params"), {"nu": 0.2},
      "system.augment.param 'mu' is not a parameter of every run"),
     ("fit", LIN2D, ("system", "params"), {"mu": 3.0, "sigmaa": 1.0},
@@ -206,9 +194,13 @@ UNREAD_PARAM_CASES = [
 ]
 
 # (base config, path, value, the start of the message): settings that the
-# config schema no longer holds, and mean-field relaxation rates that the
-# package refuses
+# config schema no longer holds, mean-field relaxation rates that the
+# package refuses and a negative noise level for compare
 REFUSED_CASES = [
+    (LIN2D, ("system", "integrator"), {"method": "rk4"}, "unknown key system.integrator"),
+    (LIN2D, ("system", "integrator"), {"method": "rk45", "abs_tol": 1e-9},
+     "unknown key system.integrator"),
+    (LOGISTIC, ("system", "integrator"), {}, "unknown key system.integrator"),
     (LIN2D, ("selection", "lambdas"), [0.001, 0.01, 0.1],
      "unknown key selection.lambdas"),
     (LIN2D, ("noise", "target"), "both", "unknown noise.target 'both'"),
@@ -218,6 +210,10 @@ REFUSED_CASES = [
      "meanfield3d needs a positive relaxation rate lam, not 0.0"),
     (MEANFIELD, ("system", "params", "lam"), -1.0,
      "meanfield3d needs a positive relaxation rate lam, not -1.0"),
+    (LIN2D, ("compare", "etas"), [-1.0],
+     "compare.etas[0] must be a nonnegative number, not -1.0"),
+    (LIN2D, ("compare", "etas"), [0.0, -0.1],
+     "compare.etas[1] must be a nonnegative number, not -0.1"),
 ]
 
 # (command, base config, path to the value, the value as JSON text, the key
@@ -499,9 +495,9 @@ def test_readme_run_parameters_equal_the_system_table():
 @pytest.mark.parametrize("command,base", [
     ("generate", LIN2D), ("generate", RUNS), ("generate", LOGISTIC), ("fit", LIN2D),
     ("fit", TV), ("fit", REDUCED), ("fit", CONSTANT), ("compare", LIN2D), ("sweep", LIN2D),
-    ("generate", RK45), ("compare", WITH_MU), ("generate", MEANFIELD),
+    ("compare", WITH_MU), ("generate", MEANFIELD),
 ], ids=["linear2d", "runs", "logistic", "fit", "tv", "reduced", "constant", "compare",
-        "sweep", "rk45", "compare-with-mu", "meanfield"])
+        "sweep", "compare-with-mu", "meanfield"])
 def test_base_configs_run(tmp_path, command, base):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(base))

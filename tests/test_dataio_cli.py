@@ -98,7 +98,7 @@ class TestDatasetCsv:
     @staticmethod
     def _row_by_row(header, rows) -> bytes:
         # the writer write_csv replaced, kept as the byte-level reference
-        lines = [] if header is None else [",".join(header)]
+        lines = [",".join(header)]
         lines += [",".join("%.17g" % v for v in row) for row in rows]
         return "".join(line + "\n" for line in lines).encode()
 
@@ -127,8 +127,6 @@ class TestDatasetCsv:
         header = ["a", "b", "c", "d"]
         assert write_csv(tmp_path / "h.csv", header, rows).read_bytes() \
             == self._row_by_row(header, rows)
-        assert write_csv(tmp_path / "n.csv", None, rows).read_bytes() \
-            == self._row_by_row(None, rows)
 
     def test_reader_values_equal_float_parsing_bit_for_bit(self, lorenz_dataset, tmp_path):
         path = write_dataset_csv(lorenz_dataset, tmp_path / "lorenz.csv")
