@@ -16,7 +16,7 @@ from .differentiation import (
     tv_derivative,
 )
 from .errors import ConfigError, DataError, NumericalError, SindykitError
-from .library import LibraryMatrix, LibrarySpec, build_matrix, enumerate_terms, evaluate_terms
+from .library import LibraryMatrix, LibrarySpec, build_matrix, enumerate_terms
 from .model import (
     Mode,
     SparseModel,
@@ -29,7 +29,7 @@ from .model import (
     render_table,
     support,
 )
-from .reduction import ReducedBasis, compute_basis, lift, project, reduce_dataset
+from .reduction import ReducedBasis, compute_basis, project, reduce_dataset
 from .regression import FitReport, StlsqConfig, fit, least_squares, stlsq
 from .selection import ParetoPoint, pick_elbow, sweep
 from .systems import (

@@ -35,7 +35,6 @@ from .errors import ConfigError, DataError, NumericalError, SindykitError
 from .integrate import dp45_adaptive
 from .library import LibrarySpec
 from .model import Mode, SparseModel, TimeSeriesDataset, model_to_json, render_table
-from .reduction import compute_basis, reduce_dataset
 from .regression import FitReport, RegressionProblem, StlsqConfig, _regression_problem, fit
 from .selection import pick_elbow, sweep
 from .systems import (
@@ -130,14 +129,13 @@ _KEYS = {
     "library": {"poly_order": ("integer", 5), "trig_harmonics": ["integer"]},
     "fit": {
         "mode": _Choice("continuous", {mode.value: {} for mode in Mode}),
-        "method": _Choice("stlsq", {
-            "stlsq": {"threshold": ("number", 0.05), "max_iterations": "integer"}}),
+        "threshold": ("number", 0.05),
+        "max_iterations": "integer",
     },
     "selection": {"log10_min": ("number", -4.0), "log10_max": ("number", 0.0),
                   "count": ("natural", 25)},
     "compare": {"horizon": ("positive", 20.0), "grid_dt": ("positive", 0.01),
                 "etas": ["nonnegative"], "long_horizon": "positive"},
-    "reduction": {"rank": "natural", "energy": "number", "remove_mean": "bool"},
 }
 
 
@@ -167,7 +165,9 @@ def _parse(value, kind, key: str):
     description, accepts = _KINDS[kind]
     if not accepts(value):
         raise ConfigError(f"{key} must be {description}, not {json.dumps(value)}")
-    return float(value) if kind in ("number", "positive", "nonnegative") else value
+    if kind == "nonnegative":
+        return float(value) + 0.0  # -0.0 + 0.0 is 0.0: one noise level, one curve name
+    return float(value) if kind in ("number", "positive") else value
 
 
 def _block(value: dict, table: dict, key: str) -> dict:
@@ -206,12 +206,11 @@ def parse_experiment(cfg: dict) -> dict:
     so every command stops on them, whatever blocks it reads: the augmented
     parameter must belong to every run, every run parameter is one that the
     system kind or ``system.augment.param`` reads, ``compare.etas`` holds at
-    least one level and no two whose curves share a file name, ``reduction`` takes
-    exactly one of ``rank`` and ``energy``, every conditioning setting
-    reaches the fit (``central`` and ``tv`` only under a continuous fit,
-    derivative noise only on the stored derivatives that a continuous
-    fit reads under ``exact``), the ``selection`` block gives a nonempty,
-    ascending threshold grid, and each package config object
+    least one level and no two whose curves share a file name, every
+    conditioning setting reaches the fit (``central`` and ``tv`` only under
+    a continuous fit, derivative noise only on the stored derivatives that
+    a continuous fit reads under ``exact``), the ``selection`` block gives a
+    nonempty, ascending threshold grid, and each package config object
     is built once and kept for the commands: ``exp["specs"]`` (one
     ``SystemSpec`` per run), ``exp["noise_spec"]``, ``exp["tv"]``
     (``None`` unless differentiation is ``"tv"``), ``exp["fit_config"]``
@@ -242,9 +241,6 @@ def parse_experiment(cfg: dict) -> dict:
         if (j := first.setdefault(f"{eta:g}", i)) != i:
             raise ConfigError(f"compare.etas[{j}] {etas[j]!r} and compare.etas[{i}] {eta!r} "
                               f"would both write error_eta_{eta:g}.csv")
-    reduction = exp["reduction"]
-    if reduction and ("rank" in reduction) == ("energy" in reduction):
-        raise ConfigError("reduction needs exactly one of reduction.rank and reduction.energy")
     noise = exp["noise_spec"] = NoiseSpec(**exp["noise"])
     method, discrete = exp["differentiation"]["method"], exp["fit"]["mode"] == Mode.DISCRETE.value
     if discrete and method != "exact":
@@ -258,7 +254,7 @@ def parse_experiment(cfg: dict) -> dict:
     exp["tv"] = (TvDiffConfig(dt=1.0,  # replaced per segment from the data
                               **_variant(exp, "differentiation", "method"))
                  if method == "tv" else None)
-    exp["fit_config"] = StlsqConfig(**_variant(exp, "fit", "method"))
+    exp["fit_config"] = StlsqConfig(**{k: v for k, v in exp["fit"].items() if k != "mode"})
     exp["thresholds"] = _thresholds(exp["selection"])
     return exp
 
@@ -374,7 +370,7 @@ def _condition(runs: list[TimeSeriesDataset], exp: dict, noise_base: int,
 
 
 def _prepare(exp: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSeriesDataset:
-    """simulate (or load) -> noise -> differentiate -> augment -> reduce.
+    """simulate (or load) -> noise -> differentiate -> augment.
 
     Runs (simulated, or one per segment of a loaded file) are
     noise-injected independently (a fresh noise stream per run) and
@@ -383,12 +379,9 @@ def _prepare(exp: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSer
     """
     noise_base = exp["noise"].get("seed", seed + 1)
     # the runs go straight through: a name holding them would keep every raw run alive
-    ds = _join_runs(exp, _condition(
+    return _join_runs(exp, _condition(
         _simulate_runs(exp, seed) if data_path is None else _loaded_runs(exp, data_path),
         exp, noise_base, mode))
-    if exp["reduction"]:
-        ds = reduce_dataset(ds, compute_basis(ds.states, **exp["reduction"]))
-    return ds
 
 
 def _json_artifact(path: Path, render) -> None:
@@ -499,7 +492,6 @@ def cmd_compare(exp: dict, out: Path, seed: int,
         raise ConfigError(f"compare perturbs only the derivatives; noise.target "
                           f"{target!r} does not apply to compare")
     for key, value in (("differentiation.method", exp["differentiation"]["method"] != "exact"),
-                       ("reduction", exp["reduction"]),
                        ("system.augment", exp["system"]["augment"])):
         if value:
             raise ConfigError(f"compare fits the exact derivatives of one run; {key} "

@@ -78,20 +78,22 @@ def read_dataset_csv(path: str | Path) -> TimeSeriesDataset:
             raise DataError(f"{path} contains no samples")
         if header[0] != "t":
             raise DataError(f"{path} missing 't' header column")
+        # the writer's layout exactly: a column read by its place in the header
+        n = len(header) - 1
+        if header[1:] != [f"x{i + 1}" for i in range(n)]:
+            n //= 2
+            if header[1:] != [f"{d}x{i + 1}" for d in ("", "d") for i in range(n)]:
+                raise DataError(f"{path} has an unrecognized column layout")
         try:
             data = np.loadtxt(itertools.chain([first], lines), delimiter=",",
                               comments=None, ndmin=2)
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from exc
-    n = sum(1 for h in header if h.startswith("x"))
-    n_deriv = sum(1 for h in header if h.startswith("dx"))
-    if 1 + n + n_deriv != len(header):
-        raise DataError(f"{path} has an unrecognized column layout")
     if data.shape[1] != len(header):
         raise DataError(f"{path} has {data.shape[1]} values per row for {len(header)} columns")
     times = data[:, 0]
     states = data[:, 1:1 + n]
-    derivatives = data[:, 1 + n:1 + n + n_deriv] if n_deriv else None
+    derivatives = data[:, 1 + n:] if 1 + n < len(header) else None
     state_names, segments, meta = _read_sidecar(_meta_path(path))
     return TimeSeriesDataset(
         times=times, states=states, derivatives=derivatives,

@@ -2,9 +2,9 @@
 
 Builds the data matrix whose columns are candidate nonlinear functions
 (monomials up to a configured order, optional per-variable harmonics)
-evaluated at every sample, plus its single-state row.  Both run
-:func:`sindykit.model.term_evaluator`, numpy code generated from the term
-source that ``SparseModel.rhs`` compiles to float code for simulation.
+evaluated at every sample by :func:`sindykit.model.term_evaluator`, numpy
+code generated from the term source that ``SparseModel.rhs`` compiles to
+float code for simulation.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .model import TermDescriptor, TermKind, term_evaluator
 
-__all__ = ["LibrarySpec", "LibraryMatrix", "enumerate_terms", "build_matrix", "evaluate_terms"]
+__all__ = ["LibrarySpec", "LibraryMatrix", "enumerate_terms", "build_matrix"]
 
 MAX_POLY_ORDER = 8  # bounds library width; nothing in the test corpus exceeds 5
 _BLOCK_ROWS = 1024  # rows evaluated at a time, so a block's powers stay a few hundred kB
@@ -107,18 +107,3 @@ def build_matrix(spec: LibrarySpec, X: np.ndarray) -> LibraryMatrix:
     for start in range(0, X.shape[0], _BLOCK_ROWS):
         theta(X[start:start + _BLOCK_ROWS], out=values[start:start + _BLOCK_ROWS])
     return LibraryMatrix(values=values, terms=terms)
-
-
-def evaluate_terms(terms, x: np.ndarray) -> np.ndarray:
-    """Single-row analogue of :func:`build_matrix`.
-
-    ``terms`` may be a LibrarySpec or an explicit term sequence.
-    """
-    if isinstance(terms, LibrarySpec):
-        terms = enumerate_terms(terms)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DataError("x must be a single state vector")
-    if not np.isfinite(x).all():
-        raise DataError("non-finite state entries at row 0")
-    return term_evaluator(terms, x.shape[0])(x)

@@ -1,9 +1,8 @@
 """SVD-based dimensionality reduction of high-dimensional snapshots.
 
-A truncated orthonormal basis is extracted from the snapshot matrix; high
-dimensional states project to mode coefficients, identified reduced
-dynamics lift back to the full space.  The mean is retained by default
-(subtracting it is configurable) and mode signs are normalized so the
+A truncated orthonormal basis is extracted from the snapshot matrix, and
+high-dimensional states and derivatives project to mode coefficients.  The
+snapshots are not centred, and mode signs are normalized so the
 largest-magnitude entry of each mode is positive.
 """
 
@@ -16,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .model import TimeSeriesDataset, default_state_names
 
-__all__ = ["ReducedBasis", "compute_basis", "project", "lift", "reduce_dataset"]
+__all__ = ["ReducedBasis", "compute_basis", "project", "reduce_dataset"]
 
 
 @dataclass(frozen=True)
@@ -25,7 +24,6 @@ class ReducedBasis:
 
     modes: np.ndarray
     singular_values: np.ndarray
-    mean: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         modes = np.array(self.modes, dtype=float)
@@ -41,12 +39,6 @@ class ReducedBasis:
         sv.setflags(write=False)
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "singular_values", sv)
-        if self.mean is not None:
-            mean = np.array(self.mean, dtype=float)
-            if mean.shape != (modes.shape[0],):
-                raise DataError("mean must be an N-vector")
-            mean.setflags(write=False)
-            object.__setattr__(self, "mean", mean)
 
     @property
     def rank(self) -> int:
@@ -57,7 +49,6 @@ def compute_basis(
     snapshots: np.ndarray,
     rank: int | None = None,
     energy: float | None = None,
-    remove_mean: bool = False,
 ) -> ReducedBasis:
     """Economy SVD of the transposed snapshot matrix, truncated either to a
     fixed rank or to the smallest rank capturing the requested fraction of
@@ -67,10 +58,6 @@ def compute_basis(
         raise DataError("need an m x N snapshot matrix with m >= 2")
     if (rank is None) == (energy is None):
         raise ConfigError("give exactly one of rank= or energy=")
-    mean = None
-    if remove_mean:
-        mean = X.mean(axis=0)
-        X = X - mean
     # left singular vectors of X^T are the rows' principal directions
     _, s, Vt = np.linalg.svd(X, full_matrices=False)
     if energy is not None:
@@ -91,7 +78,7 @@ def compute_basis(
         lead = np.argmax(np.abs(modes[:, j]))
         if modes[lead, j] < 0:
             modes[:, j] = -modes[:, j]
-    return ReducedBasis(modes=modes, singular_values=s[:r], mean=mean)
+    return ReducedBasis(modes=modes, singular_values=s[:r])
 
 
 def project(basis: ReducedBasis, x: np.ndarray) -> np.ndarray:
@@ -99,28 +86,11 @@ def project(basis: ReducedBasis, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != basis.modes.shape[0]:
         raise DataError(f"state dimension {x.shape[-1]} != basis dimension {basis.modes.shape[0]}")
-    if basis.mean is not None:
-        x = x - basis.mean
     return x @ basis.modes
 
 
-def lift(basis: ReducedBasis, a: np.ndarray) -> np.ndarray:
-    """Affine inverse of :func:`project` onto the spanned subspace."""
-    a = np.asarray(a, dtype=float)
-    if a.shape[-1] != basis.rank:
-        raise DataError(f"coefficient dimension {a.shape[-1]} != basis rank {basis.rank}")
-    x = a @ basis.modes.T
-    if basis.mean is not None:
-        x = x + basis.mean
-    return x
-
-
 def reduce_dataset(dataset: TimeSeriesDataset, basis: ReducedBasis) -> TimeSeriesDataset:
-    """Project a high-dimensional dataset to reduced coordinates.
-
-    Derivative projection is linear, so any mean shift drops out of the
-    projected derivatives.
-    """
+    """Project a high-dimensional dataset's states and derivatives to reduced coordinates."""
     states = project(basis, dataset.states)
     derivatives = None
     if dataset.derivatives is not None:

@@ -223,12 +223,14 @@ TRUE_SUPPORT = {
 }
 
 
+@pytest.mark.parametrize("command", ["fit", "sweep"])
 @pytest.mark.parametrize("name", sorted(EXIT_CODES))
 @pytest.mark.filterwarnings("ignore:logistic iterates escaped")  # the shipped mu >= 3.75
-def test_sweep_selects_the_true_support_on_the_full_config(tmp_path, name):
+def test_fit_and_sweep_find_the_true_support_on_the_full_config(tmp_path, name, command):
     # the full configs: a shortened run can hold too little data to tell
-    # the true model from a denser one under any selection rule
-    assert sindykit.cli.main(["sweep", "--config", str(CONFIG_DIR / f"{name}.json"),
+    # the true model from a denser one under any selection rule; fit keeps
+    # the config's threshold, sweep picks its own
+    assert sindykit.cli.main([command, "--config", str(CONFIG_DIR / f"{name}.json"),
                               "--out", str(tmp_path)]) == 0
     model = sindykit.model_from_json((tmp_path / "model.json").read_text())
     assert sindykit.support(model) == TRUE_SUPPORT[name]

@@ -22,13 +22,12 @@ LIN2D = {
     "noise": {"eta": 0.01, "target": "derivatives", "seed": 3},
     "differentiation": {"method": "exact"},
     "library": {"poly_order": 2, "trig_harmonics": []},
-    "fit": {"method": "stlsq", "threshold": 0.05, "max_iterations": 10, "mode": "continuous"},
+    "fit": {"threshold": 0.05, "max_iterations": 10, "mode": "continuous"},
     "selection": {"log10_min": -3, "log10_max": -0.3, "count": 5},
     "compare": {"horizon": 1.0, "grid_dt": 0.05, "etas": [0.0], "long_horizon": 2.0},
 }
 TV = dict(LIN2D, noise=dict(LIN2D["noise"], target="states"),
          differentiation={"method": "tv", "alpha": 0.01, "iterations": 2})
-REDUCED = dict(LIN2D, reduction={"rank": 2, "remove_mean": False})
 CONSTANT = dict(LIN2D, library={"poly_order": 0})
 RUNS = dict(LIN2D, system={
     "kind": "linear2d", "t_span": [0.0, 2.0], "dt": 0.01,
@@ -82,20 +81,14 @@ CASES = [
     ("fit", TV, ("differentiation", "denoise_states"), 1),
     ("fit", TV, ("differentiation", "alpha"), "x"),
     ("fit", TV, ("differentiation", "iterations"), 2.5),
-    ("fit", REDUCED, ("reduction",), 2),
-    ("fit", REDUCED, ("reduction", "rank"), "2"),
-    ("fit", REDUCED, ("reduction", "energy"), "x"),
-    ("fit", REDUCED, ("reduction", "remove_mean"), "no"),
     ("fit", LIN2D, ("library", "poly_order"), 2.5),
     ("fit", LIN2D, ("library", "trig_harmonics"), [1.5]),
     ("fit", LIN2D, ("fit",), 5),
     ("fit", LIN2D, ("fit", "mode"), 1),
-    ("fit", LIN2D, ("fit", "method"), ["stlsq"]),
     ("fit", LIN2D, ("fit", "threshold"), "x"),
     ("fit", LIN2D, ("fit", "threshold"), -1.0),
     ("fit", LIN2D, ("fit", "max_iterations"), "10"),
     ("fit", LIN2D, ("fit", "max_iterations"), 1e3),
-    ("fit", LIN2D, ("fit", "method"), "STLSQ"),
     ("compare", LIN2D, ("compare", "horizon"), "20"),
     ("compare", LIN2D, ("compare", "horizon"), -1.0),
     ("compare", LIN2D, ("compare", "grid_dt"), None),
@@ -109,7 +102,6 @@ CASES = [
     ("sweep", LIN2D, ("selection", "count"), -1),
     # null never stands for an absent key
     ("compare", LIN2D, ("compare", "long_horizon"), None),
-    ("fit", REDUCED, ("reduction", "energy"), None),
     ("fit", LIN2D, ("fit", "threshold"), None),
     # spec_version is the integer 1
     ("fit", LIN2D, ("spec_version",), True),
@@ -133,7 +125,6 @@ CASES = [
     ("sweep", LIN2D, ("selection", "fraction"), "0.2"),
     ("sweep", LIN2D, ("selection", "policy"), 2),
     ("compare", LIN2D, ("compare", "horizn"), 3.0),
-    ("fit", REDUCED, ("reduction", "ranks"), 2),
     # keys of a variant that the config did not choose
     ("fit", LIN2D, ("differentiation", "alpha"), 0.01),
     ("fit", LIN2D, ("differentiation", "iterations"), 2),
@@ -145,8 +136,6 @@ CASES = [
     ("generate", LOGISTIC, ("system", "dt"), 0.1),
     ("generate", LOGISTIC, ("system", "params"), {"mu": 3.7}),
     # package checks that run in the parse, in blocks the command does not read
-    ("generate", REDUCED, ("reduction", "energy"), 0.9),
-    ("compare", REDUCED, ("reduction", "energy"), 0.9),
     ("generate", LIN2D, ("noise", "eta"), -0.1),
     ("generate", LIN2D, ("noise", "target"), "state"),
     ("generate", LIN2D, ("fit", "threshold"), -1.0),
@@ -157,7 +146,6 @@ CASES = [
     ("compare", LIN2D, ("differentiation", "method"), "central"),
     ("compare", LIN2D, ("differentiation", "method"), "tv"),
     ("compare", LIN2D, ("differentiation", "denoise_states"), True),
-    ("compare", LIN2D, ("reduction",), {"rank": 2}),
     ("compare", WITH_MU, ("system", "augment"), {"name": "u", "param": "mu"}),
 ]
 
@@ -195,7 +183,7 @@ UNREAD_PARAM_CASES = [
 
 # (base config, path, value, the start of the message): settings that the
 # config schema no longer holds, mean-field relaxation rates that the
-# package refuses and a negative noise level for compare
+# package refuses, and a negative or repeated noise level for compare
 REFUSED_CASES = [
     (LIN2D, ("system", "integrator"), {"method": "rk4"}, "unknown key system.integrator"),
     (LIN2D, ("system", "integrator"), {"method": "rk45", "abs_tol": 1e-9},
@@ -206,6 +194,11 @@ REFUSED_CASES = [
     (LIN2D, ("noise", "target"), "both", "unknown noise.target 'both'"),
     (TV, ("differentiation", "epsilon"), 1e-8, "unknown key differentiation.epsilon"),
     (LIN2D, ("library", "include_constant"), False, "unknown key library.include_constant"),
+    (LIN2D, ("reduction",), {}, "unknown key reduction"),
+    (LIN2D, ("reduction",), {"rank": 2}, "unknown key reduction"),
+    (LIN2D, ("reduction",), {"energy": 0.9, "remove_mean": True}, "unknown key reduction"),
+    (LIN2D, ("fit", "method"), "stlsq", "unknown key fit.method"),
+    (LIN2D, ("fit", "method"), "lasso", "unknown key fit.method"),
     (MEANFIELD, ("system", "params", "lam"), 0.0,
      "meanfield3d needs a positive relaxation rate lam, not 0.0"),
     (MEANFIELD, ("system", "params", "lam"), -1.0,
@@ -214,6 +207,8 @@ REFUSED_CASES = [
      "compare.etas[0] must be a nonnegative number, not -1.0"),
     (LIN2D, ("compare", "etas"), [0.0, -0.1],
      "compare.etas[1] must be a nonnegative number, not -0.1"),
+    (LIN2D, ("compare", "etas"), [0.0, -0.0],
+     "compare.etas[0] 0.0 and compare.etas[1] 0.0 would both write error_eta_0.csv"),
 ]
 
 # (command, base config, path to the value, the value as JSON text, the key
@@ -396,19 +391,6 @@ def test_split_keys_are_unknown_before_any_simulation(tmp_path, capsys, monkeypa
     assert capsys.readouterr().err == f"config error: unknown key selection.{name}\n"
 
 
-@pytest.mark.parametrize("command", ["generate", "fit", "sweep", "compare"])
-def test_fit_method_other_than_stlsq_is_checked_before_any_simulation(tmp_path, capsys,
-                                                                      monkeypatch, command):
-    def simulate(*args):
-        pytest.fail("simulated before fit.method was checked")
-
-    monkeypatch.setattr("sindykit.cli._simulate_runs", simulate)
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps(_with(LIN2D, ("fit", "method"), "lasso")))
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "config error: unknown fit.method 'lasso'\n"
-
-
 def test_negative_seed_flag_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(LIN2D))
@@ -466,15 +448,17 @@ def _key_paths(table: dict, prefix: str = ""):
 
 
 def test_readme_key_list_equals_the_schema():
-    # the bullets after "The config keys,": every path in them that starts
-    # with a top-level key (values such as `lorenz` do not) is a key of
-    # _KEYS, and every key of _KEYS is there, so a key deleted from the
+    # README's key reference, from "The config keys," to the BLAS paragraph,
+    # names every key path of _KEYS in backticks, and every dotted name in
+    # backticks there is a key path of _KEYS, so a key deleted from the
     # schema or added to it cannot go out of step with the README
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("\nThe config keys,", 1)[1].split("\n\n", 2)[1]
-    named = {path for path in re.findall(r"`([a-z_0-9.\[\]]+)`", section)
-             if path.split(".")[0] in _KEYS}
-    assert sorted(named ^ set(_key_paths(_KEYS))) == []
+    section = readme.split("\nThe config keys, with the default", 1)[1]
+    section = section.split("\nRun the commands with one BLAS", 1)[0]
+    named = set(re.findall(r"`([^`]+)`", section))
+    dotted = {name for name in named if re.fullmatch(r"\w+(\[\])?(\.\w+(\[\])?)+", name)}
+    paths = set(_key_paths(_KEYS))
+    assert (sorted(paths - named), sorted(dotted - paths)) == ([], [])
 
 
 def test_readme_run_parameters_equal_the_system_table():
@@ -494,9 +478,9 @@ def test_readme_run_parameters_equal_the_system_table():
 
 @pytest.mark.parametrize("command,base", [
     ("generate", LIN2D), ("generate", RUNS), ("generate", LOGISTIC), ("fit", LIN2D),
-    ("fit", TV), ("fit", REDUCED), ("fit", CONSTANT), ("compare", LIN2D), ("sweep", LIN2D),
+    ("fit", TV), ("fit", CONSTANT), ("compare", LIN2D), ("sweep", LIN2D),
     ("compare", WITH_MU), ("generate", MEANFIELD),
-], ids=["linear2d", "runs", "logistic", "fit", "tv", "reduced", "constant", "compare",
+], ids=["linear2d", "runs", "logistic", "fit", "tv", "constant", "compare",
         "sweep", "compare-with-mu", "meanfield"])
 def test_base_configs_run(tmp_path, command, base):
     cfg = tmp_path / "c.json"

@@ -49,7 +49,7 @@ LIN2D_CFG = {
     "noise": {"eta": 0.0},
     "differentiation": {"method": "exact"},
     "library": {"poly_order": 5},
-    "fit": {"method": "stlsq", "threshold": 0.05},
+    "fit": {"threshold": 0.05},
 }
 
 
@@ -152,6 +152,8 @@ class TestDatasetCsv:
         ("t,x1\n\n \n", "contains no samples"),
         ("time,x1\n0,1\n", "missing 't' header column"),
         ("t,x1,y\n0,1,2\n", "unrecognized column layout"),
+        ("t,dx1,x1\n0,1,5\n", "unrecognized column layout"),
+        ("t,x2,x1\n0,1,2\n", "unrecognized column layout"),
         ("t,x1\n0,1\n1,x\n", "could not convert"),
         ("t,x1\n0,1\n1\n", "number of columns changed"),
         ("t,x1\n0,1\n1,2,3\n", "number of columns changed"),
@@ -433,7 +435,7 @@ class TestCliCompareAndSweep:
             "system": {"kind": "logistic", "x0": [0.5], "ensemble_mus": [2.9, 3.4, 3.7, 3.9],
                        "n_steps": 300, "forcing": 0.01},
             "library": {"poly_order": 3},
-            "fit": {"method": "stlsq", "mode": "discrete"},
+            "fit": {"mode": "discrete"},
             "selection": {"log10_min": -3, "log10_max": 0, "count": 6},
         }
         cfg = write_config(tmp_path / "c.json", doc)
@@ -542,7 +544,7 @@ class TestCliHopfEnsemble:
             "noise": {"eta": 1e-3, "target": "states", "seed": 500},
             "differentiation": {"method": "tv", "alpha": 3e-5, "iterations": 20},
             "library": {"poly_order": 5},
-            "fit": {"method": "stlsq", "threshold": 0.05, "max_iterations": 30},
+            "fit": {"threshold": 0.05, "max_iterations": 30},
         }
         cfg = write_config(tmp_path / "hopf.json", doc)
         out = tmp_path / "run"
@@ -773,6 +775,6 @@ class TestCliErrors:
         assert "single continuous-time run" in capsys.readouterr().err
 
     def test_unknown_fit_mode_is_config_error(self, tmp_path):
-        doc = dict(LIN2D_CFG, fit={"method": "stlsq", "threshold": 0.05, "mode": "hybrid"})
+        doc = dict(LIN2D_CFG, fit={"threshold": 0.05, "mode": "hybrid"})
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -11,8 +11,8 @@ from sindykit import (
     TermKind,
     build_matrix,
     enumerate_terms,
-    evaluate_terms,
 )
+from sindykit.model import term_evaluator
 
 
 def names(spec, state_names):
@@ -104,8 +104,10 @@ class TestBuildMatrix:
         spec = LibrarySpec(3, 4, trig_harmonics=frozenset({1}))
         X = rng.standard_normal((30, 3)) * 3.0
         theta = build_matrix(spec, X)
+        one_state = term_evaluator(enumerate_terms(spec), 3)  # the path of evaluate_rhs
         for i in range(X.shape[0]):
-            assert np.array_equal(theta.values[i], evaluate_terms(spec, X[i]))
+            assert _same_bits(theta.values[i], one_state(X[i]))
+            assert _same_bits(theta.values[i:i + 1], build_matrix(spec, X[i:i + 1]).values)
 
     @pytest.mark.parametrize("spec", [
         LibrarySpec(3, 5), LibrarySpec(1, 8, trig_harmonics=frozenset({1, 3})),
@@ -140,33 +142,31 @@ class TestBuildMatrix:
             build_matrix(spec, X).values[perm])
 
 
-class TestEvaluateTerms:
+class TestSingleStateRow:
     def test_ones_are_monomial_fixed_points(self):
-        out = evaluate_terms(LibrarySpec(2, 3), np.array([1.0, 1.0]))
-        assert out.shape == (10,)
-        assert np.array_equal(out, np.ones(10))
+        out = build_matrix(LibrarySpec(2, 3), np.ones((1, 2))).values
+        assert np.array_equal(out, np.ones((1, 10)))
 
     def test_lorenz_initial_condition_row(self):
-        out = evaluate_terms(LibrarySpec(3, 2), np.array([-8.0, 7.0, 27.0]))
+        out = build_matrix(LibrarySpec(3, 2), np.array([[-8.0, 7.0, 27.0]])).values
         assert np.array_equal(
-            out, [1.0, -8.0, 7.0, 27.0, 64.0, -56.0, -216.0, 49.0, 189.0, 729.0])
+            out, [[1.0, -8.0, 7.0, 27.0, 64.0, -56.0, -216.0, 49.0, 189.0, 729.0]])
 
     def test_trig_at_pi(self):
         spec = LibrarySpec(1, 0, trig_harmonics=frozenset({1}))
-        out = evaluate_terms(spec, np.array([np.pi]))
+        [out] = build_matrix(spec, np.array([[np.pi]])).values
         assert abs(out[1]) < 1e-12      # sin(pi)
         assert out[2] == -1.0           # cos(pi)
 
-    def test_accepts_explicit_term_list(self):
+    def test_one_state_gives_the_one_row_matrix(self):
         spec = LibrarySpec(2, 2)
-        terms = enumerate_terms(spec)
         x = np.array([0.5, -2.0])
-        assert np.array_equal(evaluate_terms(terms, x), evaluate_terms(spec, x))
+        out = term_evaluator(enumerate_terms(spec), 2)(x)
+        assert out.shape == (6,)
+        assert _same_bits(out[None], build_matrix(spec, x[None]).values)
 
     def test_state_length_must_match_the_terms(self):
         with pytest.raises(DataError, match="length 2"):
-            evaluate_terms(LibrarySpec(3, 2), np.array([1.0, 2.0]))
+            term_evaluator(enumerate_terms(LibrarySpec(3, 2)), 2)
         with pytest.raises(DataError, match="length 3"):
-            evaluate_terms(LibrarySpec(2, 2), np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(DataError, match="length 3"):
-            evaluate_terms(enumerate_terms(LibrarySpec(2, 2)), np.array([1.0, 2.0, 3.0]))
+            term_evaluator(enumerate_terms(LibrarySpec(2, 2)), 3)

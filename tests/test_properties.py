@@ -14,14 +14,13 @@ from sindykit import (
     TimeSeriesDataset,
     build_matrix,
     enumerate_terms,
-    evaluate_terms,
     model_from_json,
     model_to_json,
     pick_elbow,
     render_table,
 )
 from sindykit.dataio import read_dataset_csv, write_dataset_csv
-from sindykit.model import parse_table
+from sindykit.model import parse_table, term_evaluator
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -102,8 +101,10 @@ def test_matrix_rows_equal_single_state_rows_across_blocks(n, order, harmonics, 
     spec = LibrarySpec(n, order, trig_harmonics=frozenset(harmonics), include_constant=constant)
     X = np.random.default_rng(seed).standard_normal((rows, n)) * scale
     theta = build_matrix(spec, X)
+    one_state = term_evaluator(enumerate_terms(spec), n)
     for i in (0, 1023, 1024, rows - 1):
-        assert _same_bits(theta.values[i], evaluate_terms(spec, X[i]))
+        assert _same_bits(theta.values[i], one_state(X[i]))
+        assert _same_bits(theta.values[i:i + 1], build_matrix(spec, X[i:i + 1]).values)
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,7 +112,7 @@ def test_matrix_rows_equal_single_state_rows_across_blocks(n, order, harmonics, 
 def test_rhs_is_the_terms_times_the_coefficients(model, data):
     x = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=model.n_states,
                                     max_size=model.n_states)))
-    theta = evaluate_terms(model.terms, x)
+    theta = term_evaluator(model.terms, model.n_states)(x)
     with np.errstate(over="ignore"):
         scale = np.abs(theta) @ np.abs(model.coefficients)  # bounds the rounding of either sum
     assume(np.isfinite(scale).all())

@@ -9,7 +9,6 @@ from sindykit import (
     ReducedBasis,
     SystemSpec,
     compute_basis,
-    lift,
     project,
     reduce_dataset,
     simulate,
@@ -31,7 +30,7 @@ class TestComputeBasis:
         snaps = random_snapshots(2)
         _, s, _ = np.linalg.svd(snaps, full_matrices=False)
         basis = compute_basis(snaps, rank=3)
-        recon = lift(basis, project(basis, snaps))
+        recon = project(basis, snaps) @ basis.modes.T
         resid = np.linalg.norm(snaps - recon)
         assert abs(resid - np.sqrt(np.sum(s[3:] ** 2))) < 1e-8
 
@@ -75,23 +74,15 @@ class TestComputeBasis:
         with pytest.raises(ConfigError):
             compute_basis(snaps, rank=9)
 
-    def test_mean_removal_recorded(self):
-        snaps = random_snapshots(9, m=20, n=5) + 10.0
-        basis = compute_basis(snaps, rank=2, remove_mean=True)
-        assert basis.mean is not None
-        x = snaps[3]
-        assert np.allclose(lift(basis, project(basis, x)),
-                           basis.mean + basis.modes @ (basis.modes.T @ (x - basis.mean)))
 
-
-class TestProjectLift:
+class TestProject:
     @pytest.fixture()
     def basis(self):
         return compute_basis(random_snapshots(10), rank=4)
 
-    def test_in_span_round_trip(self, basis):
-        x = basis.modes @ np.array([1.0, -2.0, 0.5, 3.0])
-        assert np.abs(lift(basis, project(basis, x)) - x).max() < 1e-10
+    def test_in_span_state_gives_its_coefficients(self, basis):
+        a = np.array([1.0, -2.0, 0.5, 3.0])
+        assert np.abs(project(basis, basis.modes @ a) - a).max() < 1e-12
 
     def test_orthogonal_vector_projects_to_zero(self, basis):
         rng = np.random.default_rng(11)
@@ -99,22 +90,9 @@ class TestProjectLift:
         x -= basis.modes @ (basis.modes.T @ x)
         assert np.abs(project(basis, x)).max() < 1e-10
 
-    def test_project_lift_identity_on_coefficients(self, basis):
-        a = np.array([0.3, -1.2, 2.2, 0.9])
-        assert np.abs(project(basis, lift(basis, a)) - a).max() < 1e-12
-
-    def test_residual_matches_direct_projection(self, basis):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal(basis.modes.shape[0])
-        recon = lift(basis, project(basis, x))
-        direct = basis.modes @ (basis.modes.T @ x)
-        assert np.abs(recon - direct).max() < 1e-12
-
     def test_dimension_mismatch(self, basis):
         with pytest.raises(DataError):
             project(basis, np.zeros(7))
-        with pytest.raises(DataError):
-            lift(basis, np.zeros(5))
 
 
 class TestReducedBasisValidation:
