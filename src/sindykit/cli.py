@@ -41,7 +41,7 @@ from .systems import (
     KINDS,
     SystemSpec,
     _SYSTEMS,
-    augment_parameter,
+    augment_signal,
     concatenate,
     logistic_ensemble,
     simulate,
@@ -204,13 +204,15 @@ def parse_experiment(cfg: dict) -> dict:
 
     The checks that need several values or a package object run here too,
     so every command stops on them, whatever blocks it reads: the augmented
-    parameter must belong to every run, every run parameter is one that the
+    parameter must belong to every run (and logistic, whose map holds mu as
+    a state, takes none), every run parameter is one that the
     system kind or ``system.augment.param`` reads, ``compare.etas`` holds at
     least one level and no two whose curves share a file name, every
     conditioning setting reaches the fit (``central`` and ``tv`` only under
     a continuous fit, derivative noise only on the stored derivatives that
-    a continuous fit reads under ``exact``), the ``selection`` block gives a
-    nonempty, ascending threshold grid, and each package config object
+    a continuous fit reads under ``exact``), the ``library`` block passes
+    ``LibrarySpec``'s checks, the ``selection`` block gives a nonempty,
+    ascending threshold grid, and each package config object
     is built once and kept for the commands: ``exp["specs"]`` (one
     ``SystemSpec`` per run), ``exp["noise_spec"]``, ``exp["tv"]``
     (``None`` unless differentiation is ``"tv"``), ``exp["fit_config"]``
@@ -221,6 +223,9 @@ def parse_experiment(cfg: dict) -> dict:
     augment = system["augment"]
     if augment and (missing := sorted({"name", "param"} - augment.keys())):
         raise ConfigError(f"config needs system.augment.{missing[0]}")
+    if augment and system["kind"] == "logistic":
+        raise ConfigError("system.augment does not apply to logistic, whose map already "
+                          "holds mu as its state r")
     exp["specs"] = _system_runs(exp)
     if augment and any(augment["param"] not in spec.params for spec in exp["specs"]):
         raise ConfigError(
@@ -251,9 +256,9 @@ def parse_experiment(cfg: dict) -> dict:
                   f'differentiation.method "{method}" replaces with its estimates')
         raise ConfigError(f'noise.eta {noise.eta:g} on noise.target "{noise.target}" '
                           f'perturbs derivatives that {reader}')
-    exp["tv"] = (TvDiffConfig(dt=1.0,  # replaced per segment from the data
-                              **_variant(exp, "differentiation", "method"))
+    exp["tv"] = (TvDiffConfig(**_variant(exp, "differentiation", "method"))
                  if method == "tv" else None)
+    LibrarySpec(1, **exp["library"])  # its value checks; the data's state count changes none
     exp["fit_config"] = StlsqConfig(**{k: v for k, v in exp["fit"].items() if k != "mode"})
     exp["thresholds"] = _thresholds(exp["selection"])
     return exp
@@ -318,7 +323,7 @@ def _simulate_runs(exp: dict, seed: int) -> list[TimeSeriesDataset]:
 
 def _loaded_runs(exp: dict, data_path: str) -> list[TimeSeriesDataset]:
     """The runs of a dataset file, one per segment, without the configured
-    ``system.augment.name`` column, which ``_join_runs`` appends again."""
+    ``system.augment.name`` column, which ``_augment`` appends again."""
     ds = read_dataset_csv(data_path)
     keep = [i for i, name in enumerate(ds.state_names)
             if name != exp["system"]["augment"].get("name")]
@@ -330,15 +335,17 @@ def _loaded_runs(exp: dict, data_path: str) -> list[TimeSeriesDataset]:
             for sl in ds.segment_slices()]
 
 
-def _join_runs(exp: dict, runs: list[TimeSeriesDataset]) -> TimeSeriesDataset:
-    """Append each run's configured parameter as a known state, then concatenate."""
+def _augment(exp: dict, ds: TimeSeriesDataset) -> TimeSeriesDataset:
+    """Append the configured parameter as a known state: run i's value on segment i."""
     augment, specs = exp["system"]["augment"], exp["specs"]
-    if augment:
-        if len(runs) != len(specs):
-            raise DataError(f"the data holds {len(runs)} runs; system.augment needs {len(specs)}")
-        name, param = augment["name"], augment["param"]
-        runs = [augment_parameter(ds, name, spec.params[param]) for spec, ds in zip(specs, runs)]
-    return concatenate(runs) if len(runs) > 1 else runs[0]
+    if not augment:
+        return ds
+    if len(ds.segments) != len(specs):
+        raise DataError(f"the data holds {len(ds.segments)} runs; "
+                        f"system.augment needs {len(specs)}")
+    values = [spec.params[augment["param"]] for spec in specs]
+    column = np.repeat(np.array(values, dtype=float), np.diff([*ds.segments, ds.n_samples]))
+    return augment_signal(ds, augment["name"], column, np.zeros(ds.n_samples))
 
 
 def _fit_config(exp: dict, override_threshold: float | None) -> StlsqConfig:
@@ -346,42 +353,31 @@ def _fit_config(exp: dict, override_threshold: float | None) -> StlsqConfig:
     return cfg if override_threshold is None else replace(cfg, threshold=override_threshold)
 
 
-def _condition(runs: list[TimeSeriesDataset], exp: dict, noise_base: int,
-               mode: Mode) -> list[TimeSeriesDataset]:
-    """Apply configured noise and derivative estimation to each run, simulated
-    or loaded, before ``_join_runs`` appends the augmented column.
-
-    Run i gets noise seed ``noise_base + i``.  ``exact`` keeps the stored
-    derivatives, which a continuous fit needs and which derivative noise
-    perturbs; ``central`` and ``tv`` estimate them from the states of
-    every run in one ``differentiate_dataset`` call.  The parse has
-    refused derivative noise that the fit would not read.
-    """
-    noise, method = exp["noise_spec"], exp["differentiation"]["method"]
-    if noise.eta > 0.0:
-        runs = [add_noise(ds, replace(noise, seed=noise_base + i)) for i, ds in enumerate(runs)]
-    if method == "exact":
-        if mode is Mode.CONTINUOUS and any(ds.derivatives is None for ds in runs):
-            raise DataError(
-                "differentiation method 'exact' needs stored derivatives; "
-                "external data without them must use 'central' or 'tv'")
-        return runs
-    return differentiate_dataset(runs, method, tv=exp["tv"])
-
-
 def _prepare(exp: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSeriesDataset:
-    """simulate (or load) -> noise -> differentiate -> augment.
+    """simulate (or load) -> noise -> concatenate -> differentiate -> augment.
 
     Runs (simulated, or one per segment of a loaded file) are
-    noise-injected independently (a fresh noise stream per run) and
-    differentiated together, then parameter-augmented and concatenated,
-    so known parameter columns stay exact.
+    noise-injected independently, run i with noise seed
+    ``noise.seed + i``, and concatenated, run i as segment i.  ``exact``
+    keeps the stored derivatives, which a continuous fit needs and which
+    derivative noise perturbs; ``central`` and ``tv`` estimate them from
+    the states of every segment in one ``differentiate_dataset`` call.
+    The parameter column is appended last, so it stays exact.  The parse
+    has refused derivative noise that the fit would not read.
     """
+    noise, method = exp["noise_spec"], exp["differentiation"]["method"]
     noise_base = exp["noise"].get("seed", seed + 1)
-    # the runs go straight through: a name holding them would keep every raw run alive
-    return _join_runs(exp, _condition(
-        _simulate_runs(exp, seed) if data_path is None else _loaded_runs(exp, data_path),
-        exp, noise_base, mode))
+    runs = _simulate_runs(exp, seed) if data_path is None else _loaded_runs(exp, data_path)
+    if noise.eta > 0.0:
+        runs = [add_noise(ds, replace(noise, seed=noise_base + i)) for i, ds in enumerate(runs)]
+    ds = concatenate(runs) if len(runs) > 1 else runs[0]
+    del runs  # the joined copy holds every sample; the runs are freed before differentiating
+    if method != "exact":
+        ds = differentiate_dataset(ds, method, tv=exp["tv"])
+    elif mode is Mode.CONTINUOUS and ds.derivatives is None:
+        raise DataError("differentiation method 'exact' needs stored derivatives; "
+                        "external data without them must use 'central' or 'tv'")
+    return _augment(exp, ds)
 
 
 def _json_artifact(path: Path, render) -> None:
@@ -438,7 +434,7 @@ def cmd_generate(exp: dict, out: Path, seed: int) -> tuple[dict, dict]:
         for i, (spec, run) in enumerate(zip(specs, runs)):
             path = write_dataset_csv(run, out / f"logistic_mu_{spec.params['mu']}.csv")
             artifacts[f"mu_{i}"] = str(path)
-    ds = _join_runs(exp, runs)
+    ds = _augment(exp, concatenate(runs) if len(runs) > 1 else runs[0])
     artifacts["dataset"] = str(write_dataset_csv(ds, out / "dataset.csv"))
     return artifacts, {"samples": ds.n_samples, "states": ds.n_states}
 

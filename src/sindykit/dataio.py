@@ -83,7 +83,9 @@ def read_dataset_csv(path: str | Path) -> TimeSeriesDataset:
         if header[1:] != [f"x{i + 1}" for i in range(n)]:
             n //= 2
             if header[1:] != [f"{d}x{i + 1}" for d in ("", "d") for i in range(n)]:
-                raise DataError(f"{path} has an unrecognized column layout")
+                n = 0
+        if n == 0:  # a header of t alone holds no states
+            raise DataError(f"{path} has an unrecognized column layout")
         try:
             data = np.loadtxt(itertools.chain([first], lines), delimiter=",",
                               comments=None, ndmin=2)

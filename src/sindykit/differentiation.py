@@ -20,7 +20,7 @@ The banded solve is odd-even block cyclic reduction: about log₂ m levels
 of whole-array operations, each elementwise across the columns, for any
 number of columns.  With each column stopping on its own, every column
 gets the bits it would get alone.  ``differentiate_dataset`` gathers the
-segments of a list of runs into such batches.
+segments of a dataset into such batches.
 
 Noise is injected as eta * Z with Z a seeded matrix of i.i.d. standard
 normal entries, i.e. eta is a standard-deviation multiplier.
@@ -52,14 +52,11 @@ EPSILON = 1e-8
 @dataclass(frozen=True)
 class TvDiffConfig:
     alpha: float
-    dt: float
     iterations: int = 100
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < math.inf:
             raise ConfigError("alpha must be positive and finite")
-        if not 0 < self.dt < math.inf:
-            raise ConfigError("dt must be positive and finite")
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
 
@@ -287,11 +284,12 @@ def _objectives(u: np.ndarray, fhat: np.ndarray, alpha: float, dt: float) -> np.
     return alpha * tv + 0.5 * np.array([r @ r for r in res])
 
 
-def tv_derivative(samples: np.ndarray, cfg: TvDiffConfig, full_output: bool = False):
+def tv_derivative(samples: np.ndarray, dt: float, cfg: TvDiffConfig,
+                  full_output: bool = False):
     """Total-variation regularized derivative of uniformly sampled data.
 
     ``samples`` is one signal of shape (m,) or k signals as the columns
-    of an (m, k) array, all on the step ``cfg.dt``; each column is solved
+    of an (m, k) array, all on the step ``dt``; each column is solved
     and stops on its own, bit for bit as it would alone.  Returns the
     derivative estimate (the shape of ``samples``); with
     ``full_output=True`` also the objective value after every accepted
@@ -299,6 +297,8 @@ def tv_derivative(samples: np.ndarray, cfg: TvDiffConfig, full_output: bool = Fa
     per column.  Raises ``DataError`` on fewer than five or on non-finite
     samples.
     """
+    if not 0 < dt < math.inf:
+        raise ConfigError("dt must be positive and finite")
     f = np.asarray(samples, dtype=float)
     if f.ndim not in (1, 2):
         raise DataError("tv_derivative takes samples of shape (m,) or (m, k)")
@@ -311,42 +311,31 @@ def tv_derivative(samples: np.ndarray, cfg: TvDiffConfig, full_output: bool = Fa
         row, col = np.argwhere(bad)[0]
         where = f" of column {col}" if f.ndim == 2 else ""
         raise DataError(f"non-finite sample at row {row}{where}")
-    dt, alpha = cfg.dt, cfg.alpha
+    alpha = cfg.alpha
     fhat = F - F[0]
     rhs = _b_transpose(fhat)
 
-    result = None  # allocated once a column stops before the others
-    cols = np.arange(k)  # the columns still iterating
+    active = np.ones(k, dtype=bool)  # a column that stops keeps its iterate from then on
     u = np.gradient(F, dt, axis=0)
     last = _objectives(u, fhat, alpha, dt)
     objectives = [[v] for v in last.tolist()]
     for _ in range(cfg.iterations):
-        if not cols.size:
+        if not active.any():
             break
         u_new = _tv_step(alpha / np.sqrt(np.diff(u, axis=0) ** 2 + EPSILON), rhs, dt)
         val = _objectives(u_new, fhat, alpha, dt)
         stall = val > last  # numerical stall; keep the previous iterate
-        u_new[:, stall] = u[:, stall]
-        for c, v in zip(cols[~stall].tolist(), val[~stall].tolist()):
+        frozen = stall | ~active
+        u_new[:, frozen] = u[:, frozen]
+        for c, v in zip(np.flatnonzero(~frozen).tolist(), val[~frozen].tolist()):
             objectives[c].append(v)
-        done = stall | (last - val <= 1e-14 * np.fmax(1.0, last))
+        active &= ~(stall | (last - val <= 1e-14 * np.fmax(1.0, last)))
         u, last = u_new, val
-        if done.any():
-            if result is None:
-                result = np.empty_like(F)
-            result[:, cols[done]] = u[:, done]
-            keep = ~done
-            cols, u, rhs, fhat, last = cols[keep], u[:, keep], rhs[:, keep], fhat[:, keep], last[keep]
-    if result is None:
-        result = u
-    else:
-        result[:, cols] = u
     if f.ndim == 1:
-        result, objectives = result[:, 0], objectives[0]
+        u, objectives = u[:, 0], objectives[0]
     if full_output:
-        return result, (np.array(objectives) if f.ndim == 1
-                        else [np.array(o) for o in objectives])
-    return result
+        return u, (np.array(objectives) if f.ndim == 1 else [np.array(o) for o in objectives])
+    return u
 
 
 def add_noise(dataset: TimeSeriesDataset, spec: NoiseSpec,
@@ -380,55 +369,43 @@ def add_noise(dataset: TimeSeriesDataset, spec: NoiseSpec,
     return dataclasses.replace(dataset, states=states, derivatives=derivatives, meta=meta)
 
 
-def differentiate_dataset(
-    dataset: TimeSeriesDataset | list[TimeSeriesDataset],
-    method: str = "central",
-    tv: TvDiffConfig | None = None,
-) -> TimeSeriesDataset | list[TimeSeriesDataset]:
+def differentiate_dataset(dataset: TimeSeriesDataset, method: str = "central",
+                          tv: TvDiffConfig | None = None) -> TimeSeriesDataset:
     """Attach derivatives estimated from the sampled states.
 
-    Takes one dataset and returns one, or a list of them (the runs of an
-    ensemble) and returns a list.  Each trajectory segment is
-    differentiated on its own.  ``method`` is "central" or "tv"; the TV path requires uniform
-    sampling within each segment and takes its step size from the data.
-    It solves every column of the segments that share a length and an
-    exact step in one batched ``tv_derivative`` call.  Errors name the
-    dataset row, and for several datasets also the run.
+    Each trajectory segment is differentiated on its own.  ``method`` is
+    "central" or "tv"; the TV path requires uniform sampling within each
+    segment and takes its step size from the data.  It solves every
+    column of the segments that share a length and an exact step in one
+    batched ``tv_derivative`` call.  Errors name the dataset row.
     """
     if method not in ("central", "tv"):
         raise ConfigError(f"unknown differentiation method {method!r}")
     if method == "tv" and tv is None:
         raise ConfigError("tv differentiation needs a TvDiffConfig")
-    single = isinstance(dataset, TimeSeriesDataset)
-    runs = [dataset] if single else list(dataset)
-    derivs = [np.empty_like(ds.states) for ds in runs]
-    groups: dict[tuple[int, float], list[tuple[int, slice]]] = {}  # (length, step) -> segments
-    for i, ds in enumerate(runs):
-        run = f"run {i}: " if len(runs) > 1 else ""
-        for sl in ds.segment_slices():
-            t, X = ds.times[sl], ds.states[sl]
-            if method == "central":
-                derivs[i][sl] = central_difference(t, X)
-                continue
-            if t.shape[0] < 5:
-                raise DataError(f"{run}tv differentiation needs at least five samples per segment; "
-                                f"the segment at rows {sl.start}..{sl.stop - 1} has {t.shape[0]}")
-            steps = np.diff(t)
-            if not np.allclose(steps, steps[0], rtol=1e-8, atol=0):
-                raise DataError(f"{run}tv differentiation needs uniform sampling; resample upstream")
-            bad = ~np.isfinite(X).all(axis=1)
-            if bad.any():
-                raise DataError(f"{run}non-finite sample at row {sl.start + int(np.argmax(bad))}")
-            groups.setdefault((t.shape[0], float(steps[0])), []).append((i, sl))
+    deriv = np.empty_like(dataset.states)
+    groups: dict[tuple[int, float], list[slice]] = {}  # (length, step) -> segments
+    fewest, words = (3, "three") if method == "central" else (5, "five")
+    for sl in dataset.segment_slices():
+        t, X = dataset.times[sl], dataset.states[sl]
+        if t.shape[0] < fewest:
+            raise DataError(f"{method} differentiation needs at least {words} samples per "
+                            f"segment; the segment at rows {sl.start}..{sl.stop - 1} "
+                            f"has {t.shape[0]}")
+        steps = np.diff(t)
+        if method == "tv" and not np.allclose(steps, steps[0], rtol=1e-8, atol=0):
+            raise DataError("tv differentiation needs uniform sampling; resample upstream")
+        bad = ~np.isfinite(X).all(axis=1)
+        if bad.any():
+            raise DataError(f"non-finite sample at row {sl.start + int(np.argmax(bad))}")
+        if method == "central":
+            deriv[sl] = central_difference(t, X)
+        else:
+            groups.setdefault((t.shape[0], float(steps[0])), []).append(sl)
+    n = dataset.n_states
     for (_, step), members in groups.items():
-        u = tv_derivative(np.hstack([runs[i].states[sl] for i, sl in members]),
-                          dataclasses.replace(tv, dt=step))
-        col = 0
-        for i, sl in members:
-            n = runs[i].n_states
-            derivs[i][sl] = u[:, col:col + n]
-            col += n
-    out = [dataclasses.replace(ds, derivatives=d, meta={**ds.meta, "differentiation": method})
-           for ds, d in zip(runs, derivs)]
-    return out[0] if single else out
-
+        u = tv_derivative(np.hstack([dataset.states[sl] for sl in members]), step, tv)
+        for j, sl in enumerate(members):
+            deriv[sl] = u[:, n * j:n * (j + 1)]
+    return dataclasses.replace(dataset, derivatives=deriv,
+                               meta={**dataset.meta, "differentiation": method})

@@ -3,8 +3,8 @@
 Both integrators sample the solution on a caller-supplied time grid.  The
 adaptive method picks its own internal steps (never past the end time),
 controls the embedded 4th/5th-order error estimate, and fills the grid by
-cubic Hermite interpolation over each accepted step; accepted step sizes
-can be recorded for step-size colouring output.
+cubic Hermite interpolation over each accepted step; with
+``record_steps`` it also returns the accepted step sizes.
 
 Each method runs a loop generated for the state count n, compiled at its
 first use and cached: straight-line float code in which every state

@@ -262,8 +262,7 @@ def test_criterion_8_hopf_normal_form():
             ds = replace(simulate(spec), derivatives=None)  # sensors see states only
             ds = add_noise(ds, NoiseSpec(eta=1e-3, target="states", seed=500 + k))
             k += 1
-            ds = differentiate_dataset(
-                ds, "tv", tv=TvDiffConfig(alpha=3e-5, dt=0.02, iterations=20))
+            ds = differentiate_dataset(ds, "tv", tv=TvDiffConfig(alpha=3e-5, iterations=20))
             runs.append(augment_parameter(ds, "u", mu))
     ensemble = concatenate(runs)
     model, freport = fit(ensemble, LibrarySpec(3, 5),
@@ -329,7 +328,7 @@ def test_criterion_10_tv_differentiation():
     noisy = np.sin(t) + 0.01 * rng.standard_normal(t.shape)
     truth = np.cos(t)
     cd_rmse = float(np.sqrt(np.mean((central_difference(t, noisy) - truth) ** 2)))
-    u, objectives = tv_derivative(noisy, TvDiffConfig(alpha=0.01, dt=dt, iterations=60),
+    u, objectives = tv_derivative(noisy, dt, TvDiffConfig(alpha=0.01, iterations=60),
                                   full_output=True)
     tv_rmse = float(np.sqrt(np.mean((u - truth) ** 2)))
     assert tv_rmse <= 0.5 * cd_rmse

@@ -209,6 +209,11 @@ REFUSED_CASES = [
      "compare.etas[1] must be a nonnegative number, not -0.1"),
     (LIN2D, ("compare", "etas"), [0.0, -0.0],
      "compare.etas[0] 0.0 and compare.etas[1] 0.0 would both write error_eta_0.csv"),
+    (LIN2D, ("library", "poly_order"), 9, "poly_order must be in [0, 8]"),
+    (LIN2D, ("library", "poly_order"), -1, "poly_order must be in [0, 8]"),
+    (LIN2D, ("library", "trig_harmonics"), [0], "trig harmonics must be positive integers"),
+    (LOGISTIC, ("system", "augment"), {"name": "m", "param": "mu"},
+     "system.augment does not apply to logistic, whose map already holds mu as its state r"),
 ]
 
 # (command, base config, path to the value, the value as JSON text, the key

@@ -16,7 +16,9 @@ from sindykit import (
     SystemSpec,
     TimeSeriesDataset,
     add_noise,
+    augment_parameter,
     build_matrix,
+    concatenate,
     fit,
     iterate_map,
     model_from_json,
@@ -154,6 +156,7 @@ class TestDatasetCsv:
         ("t,x1,y\n0,1,2\n", "unrecognized column layout"),
         ("t,dx1,x1\n0,1,5\n", "unrecognized column layout"),
         ("t,x2,x1\n0,1,2\n", "unrecognized column layout"),
+        ("t\n0\n1\n2\n", "unrecognized column layout"),
         ("t,x1\n0,1\n1,x\n", "could not convert"),
         ("t,x1\n0,1\n1\n", "number of columns changed"),
         ("t,x1\n0,1\n1,2,3\n", "number of columns changed"),
@@ -563,10 +566,10 @@ class TestCliHopfEnsemble:
         ds = replace(add_noise(ds, replace(exp["noise_spec"], seed=noise_seed)), derivatives=None)
         deriv = np.empty_like(ds.states)
         for sl in ds.segment_slices():
-            cfg = replace(exp["tv"], dt=float(ds.times[sl][1] - ds.times[sl][0]))
+            dt = float(ds.times[sl][1] - ds.times[sl][0])
             for j in range(ds.n_states):
-                deriv[sl, j] = tv_derivative(ds.states[sl, j], cfg)
-        return replace(ds, derivatives=deriv, meta={**ds.meta, "differentiation": "tv"})
+                deriv[sl, j] = tv_derivative(ds.states[sl, j], dt, exp["tv"])
+        return replace(ds, derivatives=deriv)
 
     def test_prepare_differentiates_every_run_in_one_call(self, monkeypatch):
         import sindykit.cli as cli
@@ -588,12 +591,15 @@ class TestCliHopfEnsemble:
 
         runs = cli._simulate_runs(exp, exp["seed"])
         assert len(runs) == 24
-        base = exp["noise"]["seed"]
-        ref = cli._join_runs(exp, [self._condition_per_run(run, exp, base + i)
-                                   for i, run in enumerate(runs)])
+        base, augment = exp["noise"]["seed"], exp["system"]["augment"]
+        ref = concatenate([augment_parameter(self._condition_per_run(run, exp, base + i),
+                                             augment["name"], spec.params[augment["param"]])
+                           for i, (spec, run) in enumerate(zip(exp["specs"], runs))])
         for name in ("times", "states", "derivatives"):
             assert getattr(ds, name).tobytes() == getattr(ref, name).tobytes()
-        assert (ds.segments, ds.state_names, ds.meta) == (ref.segments, ref.state_names, ref.meta)
+        assert (ds.segments, ds.state_names) == (ref.segments, ref.state_names)
+        # the runs are differentiated joined, so the method is recorded once
+        assert ds.meta == {**ref.meta, "differentiation": "tv"}
 
 
 class TestShippedConfigs:
@@ -699,9 +705,10 @@ class TestCliErrors:
             LIN2D_CFG, differentiation={"method": "tv", "iterations": 2}))
         rc = main(["fit", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
         assert rc == 3
-        # each segment of the file is a run, named with the row within it
-        assert "run 1: " in (err := capsys.readouterr().err)
-        assert "the segment at rows 0..0 has 1" in err
+        # the rows are the file's rows
+        assert capsys.readouterr().err == (
+            "data error: tv differentiation needs at least five samples per segment; "
+            "the segment at rows 2500..2500 has 1\n")
 
     def test_augmented_data_with_another_run_count_is_data_error(self, tmp_path, capsys):
         # each segment of the file is one run, and system.augment gives each

@@ -13,6 +13,7 @@ from sindykit import (
     TvDiffConfig,
     add_noise,
     central_difference,
+    concatenate,
     differentiate_dataset,
     simulate,
     tv_derivative,
@@ -95,7 +96,7 @@ class TestTvDerivative:
     def test_ramp_recovers_constant_slope(self):
         dt = 0.02
         samples = 3.7 * np.arange(0, 100) * dt
-        u = tv_derivative(samples, TvDiffConfig(alpha=0.01, dt=dt, iterations=50))
+        u = tv_derivative(samples, dt, TvDiffConfig(alpha=0.01, iterations=50))
         assert np.abs(u - 3.7).max() < 1e-6
 
     def test_noisy_sine_beats_central_difference(self):
@@ -105,7 +106,7 @@ class TestTvDerivative:
         noisy = np.sin(t) + 0.01 * rng.standard_normal(t.shape)
         truth = np.cos(t)
         cd_rmse = np.sqrt(np.mean((central_difference(t, noisy) - truth) ** 2))
-        u, obj = tv_derivative(noisy, TvDiffConfig(alpha=0.01, dt=dt, iterations=60),
+        u, obj = tv_derivative(noisy, dt, TvDiffConfig(alpha=0.01, iterations=60),
                                full_output=True)
         tv_rmse = np.sqrt(np.mean((u - truth) ** 2))
         assert tv_rmse <= 0.5 * cd_rmse
@@ -115,8 +116,8 @@ class TestTvDerivative:
         dt = 0.01
         t = np.arange(-1.0, 1.0 + dt / 2, dt)
         samples = np.abs(t)
-        cfg = TvDiffConfig(alpha=0.005, dt=dt, iterations=200)
-        u, obj = tv_derivative(samples, cfg, full_output=True)
+        cfg = TvDiffConfig(alpha=0.005, iterations=200)
+        u, obj = tv_derivative(samples, dt, cfg, full_output=True)
         away = np.abs(t) > 3 * dt
         assert np.abs(u[away] - np.sign(t[away])).max() < 0.05
         assert int(np.sum(np.abs(u - np.sign(t)) > 0.5)) <= 3
@@ -140,7 +141,7 @@ class TestTvDerivative:
     def test_objective_non_increasing_every_iteration(self):
         rng = np.random.default_rng(8)
         samples = np.cumsum(rng.standard_normal(200)) * 0.1
-        _, obj = tv_derivative(samples, TvDiffConfig(alpha=0.05, dt=0.1, iterations=80),
+        _, obj = tv_derivative(samples, 0.1, TvDiffConfig(alpha=0.05, iterations=80),
                                full_output=True)
         assert np.all(np.diff(obj) <= 1e-12)
 
@@ -161,25 +162,26 @@ class TestTvDerivative:
 
     def test_too_few_samples(self):
         with pytest.raises(DataError):
-            tv_derivative(np.arange(4.0), TvDiffConfig(alpha=0.1, dt=1.0))
+            tv_derivative(np.arange(4.0), 1.0, TvDiffConfig(alpha=0.1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_rejected(self, bad):
         samples = np.sin(np.linspace(0.0, 3.0, 50))
         samples[11] = bad
         with pytest.raises(DataError, match="row 11"):
-            tv_derivative(samples, TvDiffConfig(alpha=0.01, dt=0.06))
+            tv_derivative(samples, 0.06, TvDiffConfig(alpha=0.01))
 
     def test_config_validation(self):
+        samples = np.sin(np.linspace(0.0, 3.0, 50))
         with pytest.raises(ConfigError):
-            TvDiffConfig(alpha=0.0, dt=0.1)
+            TvDiffConfig(alpha=0.0)
         with pytest.raises(ConfigError):
-            TvDiffConfig(alpha=0.1, dt=-1.0)
+            tv_derivative(samples, -1.0, TvDiffConfig(alpha=0.1))
         for bad in (np.nan, np.inf):
             with pytest.raises(ConfigError, match="alpha"):
-                TvDiffConfig(alpha=bad, dt=0.1)
+                TvDiffConfig(alpha=bad)
             with pytest.raises(ConfigError, match="dt"):
-                TvDiffConfig(alpha=0.1, dt=bad)
+                tv_derivative(samples, bad, TvDiffConfig(alpha=0.1))
 
 
 def _rectangle_rule(m, dt):
@@ -372,7 +374,7 @@ class TestTvSolverCounters:
                           params={"mu": -0.2, "omega": 1.0, "A": 1.0})
         ds = add_noise(replace(simulate(spec), derivatives=None),
                        NoiseSpec(eta=1e-3, target="states", seed=500))
-        return ds.states[:, 0], TvDiffConfig(alpha=3e-5, dt=0.02, iterations=20)
+        return ds.states[:, 0], 0.02, TvDiffConfig(alpha=3e-5, iterations=20)
 
     @staticmethod
     def _criterion_10_sine():
@@ -380,12 +382,12 @@ class TestTvSolverCounters:
         dt = 0.01
         t = np.arange(0.0, 2 * np.pi + dt / 2, dt)
         noisy = np.sin(t) + 0.01 * rng.standard_normal(t.shape)
-        return noisy, TvDiffConfig(alpha=0.01, dt=dt, iterations=60)
+        return noisy, dt, TvDiffConfig(alpha=0.01, iterations=60)
 
     @pytest.mark.parametrize("case", ["_hopf_column", "_criterion_10_sine"])
     def test_every_outer_step_lowers_the_objective(self, case):
-        samples, cfg = getattr(self, case)()
-        _, objectives = tv_derivative(samples, cfg, full_output=True)
+        samples, dt, cfg = getattr(self, case)()
+        _, objectives = tv_derivative(samples, dt, cfg, full_output=True)
         assert len(objectives) > 2
         assert np.all(np.diff(objectives) < 0)
 
@@ -400,7 +402,7 @@ class TestTvSolverCounters:
 
         monkeypatch.setattr(diff, "_tv_step", worse)
         samples = np.sin(np.linspace(0.0, 3.0, 50))
-        u, objectives = tv_derivative(samples, TvDiffConfig(alpha=0.01, dt=3.0 / 49),
+        u, objectives = tv_derivative(samples, 3.0 / 49, TvDiffConfig(alpha=0.01),
                                       full_output=True)
         assert len(calls) == 1
         assert len(objectives) == 1
@@ -429,16 +431,17 @@ def _signals(m, dt, k):
 class TestBatchedTv:
     """k columns solved together give each column the bits it gets alone."""
 
-    CFG = TvDiffConfig(alpha=0.01, dt=0.1, iterations=40)
+    DT = 0.1
+    CFG = TvDiffConfig(alpha=0.01, iterations=40)
 
     def _assert_columns_alone(self, F, cfg):
-        U, objectives = tv_derivative(F, cfg, full_output=True)
+        U, objectives = tv_derivative(F, self.DT, cfg, full_output=True)
         assert U.shape == F.shape and len(objectives) == F.shape[1]
         for j in range(F.shape[1]):
-            u, obj = tv_derivative(F[:, j], cfg, full_output=True)
+            u, obj = tv_derivative(F[:, j], self.DT, cfg, full_output=True)
             assert U[:, j].tobytes() == u.tobytes()
             assert objectives[j].tobytes() == obj.tobytes()
-        assert tv_derivative(F, cfg).tobytes() == U.tobytes()
+        assert tv_derivative(F, self.DT, cfg).tobytes() == U.tobytes()
         return objectives
 
     @pytest.mark.parametrize("k", [1, 2, 21, 22, 48])
@@ -469,10 +472,10 @@ class TestBatchedTv:
 
         real = diff._tv_step
         monkeypatch.setattr(diff, "_tv_step", stalling)
-        U, objectives = tv_derivative(F, self.CFG, full_output=True)
+        U, objectives = tv_derivative(F, self.DT, self.CFG, full_output=True)
         for j in range(48):
             seen.clear()
-            u, obj = tv_derivative(F[:, j], self.CFG, full_output=True)
+            u, obj = tv_derivative(F[:, j], self.DT, self.CFG, full_output=True)
             assert U[:, j].tobytes() == u.tobytes()
             assert objectives[j].tobytes() == obj.tobytes()
             if j % 4 == 3:
@@ -484,11 +487,11 @@ class TestBatchedTv:
         F[12, 2] = np.nan
         F[20, 0] = np.inf
         with pytest.raises(DataError, match="row 12 of column 2"):
-            tv_derivative(F, self.CFG)
+            tv_derivative(F, self.DT, self.CFG)
 
     def test_three_dimensional_samples_rejected(self):
         with pytest.raises(DataError, match="shape"):
-            tv_derivative(np.zeros((10, 2, 2)), self.CFG)
+            tv_derivative(np.zeros((10, 2, 2)), self.DT, self.CFG)
 
 
 class TestAddNoise:
@@ -580,15 +583,17 @@ class TestDifferentiateDataset:
         t = np.cumsum(0.05 + 0.1 * rng.random(40))
         ds = TimeSeriesDataset(times=t, states=t.reshape(-1, 1))
         with pytest.raises(DataError, match="uniform"):
-            differentiate_dataset(ds, "tv", tv=TvDiffConfig(alpha=0.01, dt=1.0))
+            differentiate_dataset(ds, "tv", tv=TvDiffConfig(alpha=0.01))
 
-    @pytest.mark.parametrize("length", [1, 2, 4])
-    def test_tv_segment_shorter_than_five_samples_is_named(self, length):
+    @pytest.mark.parametrize("method,length", [("tv", 1), ("tv", 2), ("tv", 4),
+                                               ("central", 1), ("central", 2)])
+    def test_segment_too_short_for_the_method_is_named(self, method, length):
         t = 0.1 * np.arange(40.0)
         ds = TimeSeriesDataset(times=t, states=np.sin(t).reshape(-1, 1),
                                segments=(0, 40 - length))
-        with pytest.raises(DataError, match=f"rows {40 - length}..39 has {length}"):
-            differentiate_dataset(ds, "tv", tv=TvDiffConfig(alpha=0.01, dt=1.0, iterations=2))
+        with pytest.raises(DataError, match=f"^{method} differentiation needs at least .* "
+                                            f"rows {40 - length}..39 has {length}$"):
+            differentiate_dataset(ds, method, tv=TvDiffConfig(alpha=0.01, iterations=2))
 
     @staticmethod
     def _runs():
@@ -602,9 +607,9 @@ class TestDifferentiateDataset:
                                           states=0.1 * np.cumsum(rng.standard_normal((length, 2)), axis=0)))
         return runs
 
-    def test_list_is_one_tv_call_per_length_and_step(self, monkeypatch):
+    def test_one_tv_call_per_length_and_step(self, monkeypatch):
         import sindykit.differentiation as diff
-        cfg = TvDiffConfig(alpha=0.01, dt=1.0, iterations=10)
+        cfg = TvDiffConfig(alpha=0.01, iterations=10)
         runs, shapes = self._runs(), []
 
         def counted(samples, *args, **kwargs):
@@ -612,33 +617,34 @@ class TestDifferentiateDataset:
             return tv_derivative(samples, *args, **kwargs)
 
         monkeypatch.setattr(diff, "tv_derivative", counted)
-        out = differentiate_dataset(runs, "tv", tv=cfg)
+        ds = concatenate(runs)
+        out = differentiate_dataset(ds, "tv", tv=cfg)
         assert sorted(shapes) == [(25, 2), (30, 2), (40, 6)]
         monkeypatch.undo()
-        for ds, got in zip(runs, out):
-            assert got.meta["differentiation"] == "tv"
-            for sl in ds.segment_slices():
-                step = float(ds.times[sl][1] - ds.times[sl][0])
-                for j in range(2):
-                    alone = tv_derivative(ds.states[sl, j], replace(cfg, dt=step))
-                    assert got.derivatives[sl, j].tobytes() == alone.tobytes()
+        assert out.meta["differentiation"] == "tv"
+        for sl in ds.segment_slices():
+            step = float(ds.times[sl][1] - ds.times[sl][0])
+            for j in range(2):
+                alone = tv_derivative(ds.states[sl, j], step, cfg)
+                assert out.derivatives[sl, j].tobytes() == alone.tobytes()
         assert differentiate_dataset(runs[3], "tv", tv=cfg).derivatives.tobytes() \
-            == out[3].derivatives.tobytes()
+            == out.derivatives[110:].tobytes()
 
-    def test_list_errors_name_the_run_and_the_row(self):
-        cfg = TvDiffConfig(alpha=0.01, dt=1.0, iterations=2)
+    def test_errors_name_the_dataset_row(self):
+        # runs 0..3 start at rows 0, 40, 70 and 110 of the joined dataset
+        cfg = TvDiffConfig(alpha=0.01, iterations=2)
         runs = self._runs()
         states = runs[3].states.copy()
         states[47, 1] = np.nan
         runs[3] = replace(runs[3], states=states)
-        with pytest.raises(DataError, match="run 3: non-finite sample at row 47"):
-            differentiate_dataset(runs, "tv", tv=cfg)
+        with pytest.raises(DataError, match="^non-finite sample at row 157"):
+            differentiate_dataset(concatenate(runs), "tv", tv=cfg)
         with pytest.raises(DataError, match="^non-finite sample at row 47"):
             differentiate_dataset(runs[3], "tv", tv=cfg)
         runs = self._runs()
         runs[1] = replace(runs[1], segments=(0, 27))
-        with pytest.raises(DataError, match="run 1: .* rows 27..29 has 3"):
-            differentiate_dataset(runs, "tv", tv=cfg)
+        with pytest.raises(DataError, match=" rows 67..69 has 3$"):
+            differentiate_dataset(concatenate(runs), "tv", tv=cfg)
 
     def test_unknown_method_rejected(self):
         ds = TimeSeriesDataset(times=np.arange(10.0), states=np.zeros((10, 1)))
