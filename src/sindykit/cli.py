@@ -321,17 +321,27 @@ def _simulate_runs(exp: dict, seed: int) -> list[TimeSeriesDataset]:
     return [simulate(spec) for spec in specs]
 
 
-def _loaded_runs(exp: dict, data_path: str) -> list[TimeSeriesDataset]:
-    """The runs of a dataset file, one per segment, without the configured
-    ``system.augment.name`` column, which ``_augment`` appends again."""
+def _loaded_dataset(exp: dict, data_path: str) -> TimeSeriesDataset:
+    """A dataset file without the configured ``system.augment.name`` column,
+    which ``_augment`` appends again."""
     ds = read_dataset_csv(data_path)
     keep = [i for i, name in enumerate(ds.state_names)
             if name != exp["system"]["augment"].get("name")]
-    if len(ds.segments) == 1 and len(keep) == ds.n_states:
+    if len(keep) == ds.n_states:
+        return ds
+    deriv = ds.derivatives
+    return replace(ds, states=ds.states[:, keep],
+                   derivatives=None if deriv is None else deriv[:, keep],
+                   state_names=tuple(ds.state_names[i] for i in keep))
+
+
+def _segment_runs(ds: TimeSeriesDataset) -> list[TimeSeriesDataset]:
+    """``ds`` as one dataset per segment; a one-segment dataset as itself."""
+    if len(ds.segments) == 1:
         return [ds]
-    names, deriv = tuple(ds.state_names[i] for i in keep), ds.derivatives
-    return [TimeSeriesDataset(ds.times[sl], ds.states[sl, keep],
-                              None if deriv is None else deriv[sl, keep], names)
+    deriv = ds.derivatives
+    return [TimeSeriesDataset(ds.times[sl], ds.states[sl],
+                              None if deriv is None else deriv[sl], ds.state_names)
             for sl in ds.segment_slices()]
 
 
@@ -356,9 +366,10 @@ def _fit_config(exp: dict, override_threshold: float | None) -> StlsqConfig:
 def _prepare(exp: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSeriesDataset:
     """simulate (or load) -> noise -> concatenate -> differentiate -> augment.
 
-    Runs (simulated, or one per segment of a loaded file) are
-    noise-injected independently, run i with noise seed
-    ``noise.seed + i``, and concatenated, run i as segment i.  ``exact``
+    Noise is drawn per segment of the joined dataset, segment j with seed
+    ``noise.seed + j``, so a loaded file, whose segments are the simulated
+    runs' segments, is noised as those runs were.  A continuous run is one
+    segment; a logistic run has one per restart.  ``exact``
     keeps the stored derivatives, which a continuous fit needs and which
     derivative noise perturbs; ``central`` and ``tv`` estimate them from
     the states of every segment in one ``differentiate_dataset`` call.
@@ -367,9 +378,10 @@ def _prepare(exp: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSer
     """
     noise, method = exp["noise_spec"], exp["differentiation"]["method"]
     noise_base = exp["noise"].get("seed", seed + 1)
-    runs = _simulate_runs(exp, seed) if data_path is None else _loaded_runs(exp, data_path)
+    runs = _simulate_runs(exp, seed) if data_path is None else [_loaded_dataset(exp, data_path)]
     if noise.eta > 0.0:
-        runs = [add_noise(ds, replace(noise, seed=noise_base + i)) for i, ds in enumerate(runs)]
+        segments = (segment for run in runs for segment in _segment_runs(run))
+        runs = [add_noise(s, replace(noise, seed=noise_base + j)) for j, s in enumerate(segments)]
     ds = concatenate(runs) if len(runs) > 1 else runs[0]
     del runs  # the joined copy holds every sample; the runs are freed before differentiating
     if method != "exact":
@@ -519,7 +531,11 @@ def cmd_compare(exp: dict, out: Path, seed: int,
                                  "tail_mean": float(err[grid >= 0.75 * horizon].mean())}
     if long_h and model is not None:
         lgrid = np.arange(0.0, long_h + grid_dt / 2, grid_dt)
-        xm, _ = dp45_adaptive(model.rhs(), np.array(spec.x0), lgrid, 1e-9, 1e-9)
+        try:
+            xm, _ = dp45_adaptive(model.rhs(), np.array(spec.x0), lgrid, 1e-9, 1e-9)
+        except NumericalError as exc:
+            summary["long_horizon"] = {"failed": str(exc)}
+            return artifacts, summary
         path = write_csv(out / "long_horizon.csv",
                          ["t"] + [f"x{i + 1}" for i in range(xm.shape[1])],
                          np.column_stack([lgrid, xm]))

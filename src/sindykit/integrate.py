@@ -123,7 +123,7 @@ def dp45_adaptive(
     out = np.empty((len(times), len(y)))
     out[0] = y
     steps = [] if record_steps else None
-    _dp45_loop(len(y))(f, y, times.tolist(), out, abs_tol, rel_tol, MAX_REJECTED_STEPS, steps)
+    _dp45_loop(len(y))(f, y, memoryview(times), out, abs_tol, rel_tol, MAX_REJECTED_STEPS, steps)
     return out, (np.array(steps) if record_steps else None)
 
 
@@ -183,9 +183,10 @@ def _rk4_loop(n: int):
 @functools.cache
 def _dp45_loop(n: int):
     """Dormand-Prince for n states: ``loop(f, y, grid, out, abs_tol, rel_tol,
-    budget, steps)`` fills ``out[1:]`` on the time list ``grid`` from the floats
-    ``y``, appending each accepted step size to ``steps`` unless it is None, and
-    gives up at the ``budget``-th rejected step."""
+    budget, steps)`` fills ``out[1:]`` on the times ``grid`` (a memoryview of the
+    time array, which yields each time as a float without a list of them all) from
+    the floats ``y``, appending each accepted step size to ``steps`` unless it is
+    None, and gives up at the ``budget``-th rejected step."""
     y, z, k1, k7 = _each(n, "y{i}"), _each(n, "z{i}"), _each(n, "k1_{i}"), _each(n, "k7_{i}")
     squares = lambda q: " + ".join(f"{q}{i} * {q}{i}" for i in range(n))
     stages = ["        " + _call(n, f"k{s}_{{i}}", f"y{{i}} + h * ({_weighted(row)})")

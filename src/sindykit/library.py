@@ -4,7 +4,8 @@ Builds the data matrix whose columns are candidate nonlinear functions
 (monomials up to a configured order, optional per-variable harmonics)
 evaluated at every sample by :func:`sindykit.model.term_evaluator`, numpy
 code generated from the term source that ``SparseModel.rhs`` compiles to
-float code for simulation.
+float code for simulation.  A monomial is a product of its states, left to
+right, so each column holds the bits the simulated model gives that term.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .model import TermDescriptor, TermKind, term_evaluator
 
 __all__ = ["LibrarySpec", "LibraryMatrix", "enumerate_terms", "build_matrix"]
 
-MAX_POLY_ORDER = 8  # bounds library width; nothing in the test corpus exceeds 5
-_BLOCK_ROWS = 1024  # rows evaluated at a time, so a block's powers stay a few hundred kB
+MAX_POLY_ORDER = 8  # bounds library width; the shipped configs go to 5, the tests to 8
+_BLOCK_ROWS = 1024  # rows evaluated at a time, so each temporary product is 8 kB
 
 
 @dataclass(frozen=True)

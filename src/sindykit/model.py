@@ -97,8 +97,8 @@ def term_evaluator(terms, n_states: int):
     """Compile a term sequence into a callable from states (m, n_states) to term
     values (m, len(terms)), written to ``out`` if given; one state (n_states,)
     runs as a one-row matrix and gives that row.  The callable does not check its
-    input.  It is straight-line numpy code: each power ``x ** e`` (e >= 2) a term
-    uses is computed once, then column j is :func:`_term_source` of term j.
+    input.  It is straight-line numpy code: column j is :func:`_term_source` of
+    term j, the text ``SparseModel.rhs`` compiles, so a monomial has its bits there.
     Callables are cached on the term tuple and ``n_states``, so the library's
     per-block calls and :func:`evaluate_rhs` compile each term list once."""
     return _term_evaluator(tuple(terms), n_states)
@@ -108,11 +108,8 @@ def term_evaluator(terms, n_states: int):
 def _term_evaluator(terms: tuple[TermDescriptor, ...], n_states: int):
     if any(len(t.exponents) != n_states for t in terms):
         raise DataError(f"a state of length {n_states} does not match the terms' exponents")
-    powers = sorted({(i, e) for t in terms for i, e in enumerate(t.exponents) if e >= 2})
-    power = lambda i, e: f"x{i}_{e}" if e >= 2 else f"x{i}"
     block = _compile("theta", "X, out", [f"x{i} = X[:, {i}]" for i in range(n_states)]
-                     + [f"x{i}_{e} = x{i} ** {e}" for i, e in powers]
-                     + [f"out[:, {j}] = {_term_source(t, power)}" for j, t in enumerate(terms)]
+                     + [f"out[:, {j}] = {_term_source(t)}" for j, t in enumerate(terms)]
                      + ["return out"], {"sin": np.sin, "cos": np.cos})
 
     def theta(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -123,12 +120,12 @@ def _term_evaluator(terms: tuple[TermDescriptor, ...], n_states: int):
     return theta
 
 
-def _term_source(term: TermDescriptor, power) -> str:
-    """The term as source over states ``x0, x1, ...``: the left-to-right product
-    of ``power(i, e)`` over its states, ``1.0`` for the constant, or
-    ``sin``/``cos`` of ``k * x``.  Built only from the term's integers."""
+def _term_source(term: TermDescriptor) -> str:
+    """The term as source over states ``x0, x1, ...`` for Θ and ``SparseModel.rhs``
+    alike: the flat product of its states in state order (``(x0 * x0 * x1)``), ``1.0``
+    for the constant, or ``sin``/``cos`` of ``k * x``.  Built only from the term's integers."""
     if term.kind is TermKind.MONOMIAL:
-        factors = [power(i, e) for i, e in enumerate(term.exponents) if e]
+        factors = [f"x{i}" for i, e in enumerate(term.exponents) for _ in range(e)]
         return f"({' * '.join(factors)})" if factors else "1.0"
     fn = "sin" if term.kind is TermKind.SINE else "cos"
     k = "" if term.harmonic == 1 else f"{term.harmonic} * "
@@ -143,6 +140,9 @@ def _compile(name: str, args: str, lines: list[str], namespace: dict):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    if (isinstance(a, np.ndarray) and a.dtype == float
+            and a.flags.owndata and not a.flags.writeable):
+        return a  # as this would return it: a dataset built from another's shares it
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
@@ -197,20 +197,19 @@ class SparseModel:
         The returned ``f(x)`` takes the state as a length-n sequence and
         returns a tuple of n floats.  Only the terms active in some
         equation appear, rendered by :func:`_term_source` as for Θ: each is one
-        product of states (``x0 * x2``, never ``**``, which overflows on
-        floats) or one ``math.sin``/``math.cos`` call, and each
-        equation is one sum of coefficient times term, so inside an
-        integration loop a call costs a few float operations and no numpy
-        arrays.  It agrees with :func:`evaluate_rhs` to rounding, not bit
-        for bit: the sums run in another order, powers are products and
-        ``math.sin`` may round differently from ``np.sin``.  The source is
-        built only from integer indices and ``repr`` of the (finite)
-        coefficients; no state name or other text reaches ``exec``.
+        product of states (``x0 * x2``) or one ``math.sin``/``math.cos``
+        call, and each equation is one sum of coefficient times term, so
+        inside an integration loop a call costs a few float operations and
+        no numpy arrays.  A monomial's value equals its column of Θ bit for
+        bit, but the whole agrees with :func:`evaluate_rhs` to rounding
+        only: the sums run in another order and ``math.sin`` may round
+        differently from ``np.sin``.  The source is built only from integer
+        indices and ``repr`` of the (finite) coefficients; no state name or
+        other text reaches ``exec``.
         """
-        product = lambda i, e: " * ".join([f"x{i}"] * e)
         equations = []
         for column in self.coefficients.T:
-            parts = [f"{c!r} * {_term_source(self.terms[j], product)}"
+            parts = [f"{c!r} * {_term_source(self.terms[j])}"
                      for j, c in enumerate(column.tolist()) if c != 0.0]
             equations.append(" + ".join(parts) or "0.0")
         states = ", ".join(f"x{i}" for i in range(self.n_states))
@@ -223,8 +222,8 @@ def evaluate_rhs(model: SparseModel, x: np.ndarray) -> np.ndarray:
     """Evaluate the identified right-hand side at a single state.
 
     The active terms go through :func:`term_evaluator`, the evaluator that
-    also builds the library matrix, so Θ(x) here equals the row that
-    ``build_matrix`` gives for x; no data matrix is formed.
+    also builds the library matrix, so Θ(x) equals ``build_matrix``'s row for x
+    and its monomials the terms of ``SparseModel.rhs``; no data matrix is formed.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n_states,):

@@ -35,12 +35,13 @@ __all__ = [
 
 # kind -> (state count, the parameters its runs read, its right-hand side as
 # source lines over the states x0, x1, ... and those parameters; None for the
-# map).  A body uses only +, - and products: a square is x0 * x0, never
-# x0 ** 2, because ** on a float or a numpy scalar calls libm pow, which can
-# round differently from a product, and a linear system is a sum, never a
-# matrix product, which BLAS rounds differently for one state and for a state
-# matrix.  So a component has the same bits whether it comes from one state
-# or from a column of many.
+# map).  A body uses only +, - and products, the rule of the whole package: a
+# monomial is its states multiplied left to right, x0 * x0, never x0 ** 2,
+# here as in the library Θ and in SparseModel.rhs, because ** calls libm pow,
+# which can round differently from a product; and a linear system is a sum,
+# never a matrix product, which BLAS rounds differently for one state and for
+# a state matrix.  So a value has the same bits whether it comes from one
+# state or from a column of many.
 _SYSTEMS = {
     "linear2d": (2, (), ["return -0.1 * x0 + 2.0 * x1, -2.0 * x0 - 0.1 * x1"]),
     "cubic2d": (2, (), ["c0, c1 = x0 * x0 * x0, x1 * x1 * x1",
@@ -141,6 +142,8 @@ def simulate(spec: SystemSpec) -> TimeSeriesDataset:
     if not finite.all():
         raise NumericalError(
             f"{spec.kind} trajectory is not finite at t={times[np.argmin(finite)]:.6g}")
+    for a in (times, states, derivatives):
+        a.setflags(write=False)  # so the dataset takes them without a copy
     return TimeSeriesDataset(
         times=times,
         states=states,

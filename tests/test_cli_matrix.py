@@ -87,15 +87,30 @@ def test_command_exit_code(short_configs, tmp_path, name, cmd):
             json.loads(artifact.read_text(), parse_constant=pytest.fail)
 
 
+# the shortened logistic config with state noise: each of its runs spans
+# several restart segments, which a file read back holds as segments
+NOISED_LOGISTIC = "logistic-noised"
+
+
 @pytest.fixture(scope="module")
-def generated(short_configs, tmp_path_factory):
+def data_configs(short_configs, tmp_path_factory):
+    """The shortened configs, and NOISED_LOGISTIC."""
+    doc = json.loads(short_configs["logistic"].read_text())
+    doc["noise"] = {"eta": 0.001, "target": "states", "seed": 5}
+    path = tmp_path_factory.mktemp("noised") / f"{NOISED_LOGISTIC}.json"
+    path.write_text(json.dumps(doc))
+    return {**short_configs, NOISED_LOGISTIC: path}
+
+
+@pytest.fixture(scope="module")
+def generated(data_configs, tmp_path_factory):
     """The dataset CSV that ``generate`` writes for a shortened config, made once."""
     paths = {}
 
     def dataset(name: str) -> Path:
         if name not in paths:
             out = tmp_path_factory.mktemp(f"generate-{name}")
-            assert sindykit.cli.main(["generate", "--config", str(short_configs[name]),
+            assert sindykit.cli.main(["generate", "--config", str(data_configs[name]),
                                       "--out", str(out)]) == 0
             paths[name] = out / "dataset.csv"
         return paths[name]
@@ -157,22 +172,23 @@ def test_generated_sidecar_keeps_its_bytes(generated, name):
     assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == DATASET_META_SHA256[name]
 
 
-# each segment of the file is one run with its own noise stream, and the
-# augmented column comes back exact from the config
-@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+# each segment of the file draws its own noise stream, as that segment of
+# the simulated runs does, and the augmented column comes back exact from
+# the config
+@pytest.mark.parametrize("name", sorted([*EXIT_CODES, NOISED_LOGISTIC]))
 @pytest.mark.filterwarnings("ignore:logistic iterates escaped")  # the shipped mu >= 3.75
-def test_fit_on_the_generated_dataset_writes_the_same_model(short_configs, generated, tmp_path,
+def test_fit_on_the_generated_dataset_writes_the_same_model(data_configs, generated, tmp_path,
                                                             name):
-    direct, loaded = models_fitted_directly_and_from(generated(name), short_configs[name],
+    direct, loaded = models_fitted_directly_and_from(generated(name), data_configs[name],
                                                      tmp_path, "fit")
     assert direct == loaded
 
 
-@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+@pytest.mark.parametrize("name", sorted([*EXIT_CODES, NOISED_LOGISTIC]))
 @pytest.mark.filterwarnings("ignore:logistic iterates escaped")
-def test_sweep_on_the_generated_dataset_writes_the_same_model(short_configs, generated, tmp_path,
+def test_sweep_on_the_generated_dataset_writes_the_same_model(data_configs, generated, tmp_path,
                                                               name):
-    direct, loaded = models_fitted_directly_and_from(generated(name), short_configs[name],
+    direct, loaded = models_fitted_directly_and_from(generated(name), data_configs[name],
                                                      tmp_path, "sweep")
     assert direct == loaded
 

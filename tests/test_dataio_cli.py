@@ -401,13 +401,17 @@ class TestCliCompareAndSweep:
             np.testing.assert_allclose(model.coefficients, direct.coefficients,
                                        rtol=1e-10, atol=0)
 
-    def test_compare_gives_up_on_a_stiff_model_within_seconds(self, tmp_path):
+    @pytest.mark.parametrize("long_horizon", [None, 10.0])
+    def test_compare_gives_up_on_a_stiff_model_within_seconds(self, tmp_path, long_horizon):
         # two time units of noisy data identify a stiff degree-5 model for
-        # eta=0.01; integrating it used to crawl on for minutes
+        # eta=0.01; integrating it used to crawl on for minutes, and the
+        # long-horizon run of that last model must fail the same way
         doc = json.loads((Path(__file__).resolve().parent.parent
                           / "configs" / "linear2d.json").read_text())
         doc["system"]["t_span"] = [0.0, 2.0]
         doc["compare"]["horizon"] = 2.0
+        if long_horizon is not None:
+            doc["compare"]["long_horizon"] = long_horizon
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "cmp"
         start = time.perf_counter()
@@ -416,6 +420,9 @@ class TestCliCompareAndSweep:
         summary = json.loads((out / "run_report.json").read_text())["summary"]
         assert "max_error" in summary["eta_0.0"]
         assert "step attempts" in summary["eta_0.01"]["failed"]
+        if long_horizon is not None:
+            assert "step attempts" in summary["long_horizon"]["failed"]
+            assert not (out / "long_horizon.csv").exists()
 
     def test_sweep_emits_pareto_and_choice(self, tmp_path):
         doc = dict(LIN2D_CFG)

@@ -8,6 +8,7 @@ from sindykit import (
     ConfigError,
     DataError,
     LibrarySpec,
+    SparseModel,
     TermKind,
     build_matrix,
     enumerate_terms,
@@ -20,12 +21,13 @@ def names(spec, state_names):
 
 
 def reference_column(term, X):
-    """One term on every row, with the arithmetic of a plain loop over states."""
+    """One term on every row, with the arithmetic of a plain loop over states:
+    a monomial multiplies its states in, one factor at a time, in state order."""
     if term.kind is TermKind.MONOMIAL:
         col = np.ones(X.shape[0])
         for i, e in enumerate(term.exponents):
-            if e:
-                col = col * X[:, i] ** e
+            for _ in range(e):
+                col = col * X[:, i]
         return col
     arg = term.harmonic * X[:, term.exponents.index(1)]
     return np.sin(arg) if term.kind is TermKind.SINE else np.cos(arg)
@@ -118,6 +120,21 @@ class TestBuildMatrix:
         X = rng.standard_normal((2500, spec.n_states)) * rng.choice([0.1, 1.0, 30.0], (2500, 1))
         expected = np.column_stack([reference_column(t, X) for t in enumerate_terms(spec)])
         assert _same_bits(build_matrix(spec, X).values, expected)
+
+    def test_each_monomial_column_is_the_term_value_of_the_rhs(self):
+        # a one-term model's rhs with coefficient 1.0 returns the term's value,
+        # and the library's column must hold the same bits, to order 8
+        spec = LibrarySpec(3, 8)
+        rng = np.random.default_rng(11)
+        X = (rng.choice([-1.0, 1.0], (40, 3)) * 10.0 ** rng.uniform(-1.0, np.log10(30.0), (40, 3)))
+        values = build_matrix(spec, X).values
+        terms = enumerate_terms(spec)
+        for j, term in enumerate(terms):
+            coef = np.zeros((len(terms), 3))
+            coef[j, 0] = 1.0
+            f = SparseModel(terms, coef, ("x", "y", "z")).rhs()
+            expected = np.array([f(x)[0] for x in X.tolist()])
+            assert _same_bits(values[:, j], expected), term.name(("x", "y", "z"))
 
     def test_peak_memory_is_the_matrix_plus_one_block(self, lorenz_dataset, lorenz_library):
         # blocks go straight into the preallocated matrix, so no list of

@@ -162,8 +162,8 @@ class TestGeneratedRhs:
         ("xxyyy", "xxxxx", "sin(2x)", "cos(2y)"), ("xxyyy",), ("1", "y", "xxxxx"),
         ("xxyy", "xyyy", "cos(2y)")])
     def test_a_subset_of_terms_gives_the_library_row(self, names):
-        # the subset needs fewer of the powers the library shares among its
-        # terms, and must still give the library's values bit for bit
+        # the subset compiles fewer terms than the library, and must still
+        # give the library's values bit for bit
         spec = LibrarySpec(2, 5, trig_harmonics=frozenset({2}))
         terms = enumerate_terms(spec)
         labels = [t.name(("x", "y")) for t in terms]
@@ -332,6 +332,16 @@ class TestTimeSeriesDataset:
         ds = TimeSeriesDataset(times=np.arange(3.0), states=np.zeros((3, 1)))
         with pytest.raises(ValueError):
             ds.states[0, 0] = 1.0
+
+    def test_a_dataset_built_from_another_shares_its_arrays(self):
+        # a caller's writable array is copied, so writing to it later leaves the
+        # dataset as it was; a dataset's own read-only array is taken as it is
+        times, states = np.arange(3.0), np.zeros((3, 1))
+        ds = TimeSeriesDataset(times=times, states=states)
+        times[0], states[0, 0] = -1.0, 5.0
+        assert ds.times[0] == 0.0 and ds.states[0, 0] == 0.0
+        noised = TimeSeriesDataset(ds.times, ds.states + 1.0, state_names=ds.state_names)
+        assert noised.times is ds.times and not noised.states.flags.writeable
 
 
 def test_default_state_names():
