@@ -127,11 +127,7 @@ _KEYS = {
             "alpha": ("number", 0.01), "iterations": "integer"}}),
     },
     "library": {"poly_order": ("integer", 5), "trig_harmonics": ["integer"]},
-    "fit": {
-        "mode": _Choice("continuous", {mode.value: {} for mode in Mode}),
-        "threshold": ("number", 0.05),
-        "max_iterations": "integer",
-    },
+    "fit": {"threshold": ("number", 0.05), "max_iterations": "integer"},
     "selection": {"log10_min": ("number", -4.0), "log10_max": ("number", 0.0),
                   "count": ("natural", 25)},
     "compare": {"horizon": ("positive", 20.0), "grid_dt": ("positive", 0.01),
@@ -207,13 +203,17 @@ def parse_experiment(cfg: dict) -> dict:
     parameter must belong to every run (and logistic, whose map holds mu as
     a state, takes none), every run parameter is one that the
     system kind or ``system.augment.param`` reads, ``compare.etas`` holds at
-    least one level and no two whose curves share a file name, every
+    least one level and no two whose curves share a file name,
+    ``compare.horizon`` and ``compare.long_horizon`` are whole numbers of
+    ``compare.grid_dt`` steps, so that each grid ends on its horizon, every
     conditioning setting reaches the fit (``central`` and ``tv`` only under
-    a continuous fit, derivative noise only on the stored derivatives that
-    a continuous fit reads under ``exact``), the ``library`` block passes
+    a flow, derivative noise only on the stored derivatives that a flow's
+    fit reads under ``exact``), the ``library`` block passes
     ``LibrarySpec``'s checks, the ``selection`` block gives a nonempty,
-    ascending threshold grid, and each package config object
-    is built once and kept for the commands: ``exp["specs"]`` (one
+    ascending, finite threshold grid, and each package config object
+    is built once and kept for the commands: ``exp["mode"]`` (discrete for
+    the map, whose right-hand side ``_SYSTEMS`` leaves ``None``, and
+    continuous for every flow), ``exp["specs"]`` (one
     ``SystemSpec`` per run), ``exp["noise_spec"]``, ``exp["tv"]``
     (``None`` unless differentiation is ``"tv"``), ``exp["fit_config"]``
     and ``exp["thresholds"]`` (the sweep's grid).
@@ -230,13 +230,15 @@ def parse_experiment(cfg: dict) -> dict:
     if augment and any(augment["param"] not in spec.params for spec in exp["specs"]):
         raise ConfigError(
             f"system.augment.param {augment['param']!r} is not a parameter of every run")
-    _, names, _ = _SYSTEMS[system["kind"]]
+    kind = system["kind"]
+    _, names, body = _SYSTEMS[kind]
+    exp["mode"] = Mode.DISCRETE if body is None else Mode.CONTINUOUS
     reads = {*names, *([augment["param"]] if augment else [])}
     runs = [(f"system.runs[{i}]", run) for i, run in enumerate(system.get("runs", []))]
     for key, block in [("system", system), *runs]:
         for name in block.get("params", {}):
             if name not in reads:
-                raise ConfigError(f"{key}.params.{name} is read by neither {system['kind']} "
+                raise ConfigError(f"{key}.params.{name} is read by neither {kind} "
                                   "nor system.augment.param")
     etas = exp["compare"].get("etas")
     if etas == []:
@@ -246,20 +248,26 @@ def parse_experiment(cfg: dict) -> dict:
         if (j := first.setdefault(f"{eta:g}", i)) != i:
             raise ConfigError(f"compare.etas[{j}] {etas[j]!r} and compare.etas[{i}] {eta!r} "
                               f"would both write error_eta_{eta:g}.csv")
+    cmp = exp["compare"]
+    for name in ("horizon", "long_horizon"):  # a compare grid ends on its horizon
+        if name in cmp and not (math.isfinite(steps := cmp[name] / cmp["grid_dt"])
+                                and math.isclose(steps, round(steps), rel_tol=1e-9)):
+            raise ConfigError(f"compare.{name} {cmp[name]!r} is not a whole number of "
+                              f"compare.grid_dt {cmp['grid_dt']!r} steps")
     noise = exp["noise_spec"] = NoiseSpec(**exp["noise"])
-    method, discrete = exp["differentiation"]["method"], exp["fit"]["mode"] == Mode.DISCRETE.value
+    method, discrete = exp["differentiation"]["method"], exp["mode"] is Mode.DISCRETE
     if discrete and method != "exact":
-        raise ConfigError(f'differentiation.method "{method}" does not apply to fit.mode '
-                          '"discrete", which reads no derivatives')
+        raise ConfigError(f'differentiation.method "{method}" does not apply to {kind}, '
+                          'a map whose fit reads no derivatives')
     if noise.eta > 0.0 and noise.target != "states" and (discrete or method != "exact"):
-        reader = ('fit.mode "discrete" never reads' if discrete else
+        reader = (f'{kind}, a map, never reads' if discrete else
                   f'differentiation.method "{method}" replaces with its estimates')
         raise ConfigError(f'noise.eta {noise.eta:g} on noise.target "{noise.target}" '
                           f'perturbs derivatives that {reader}')
     exp["tv"] = (TvDiffConfig(**_variant(exp, "differentiation", "method"))
                  if method == "tv" else None)
     LibrarySpec(1, **exp["library"])  # its value checks; the data's state count changes none
-    exp["fit_config"] = StlsqConfig(**{k: v for k, v in exp["fit"].items() if k != "mode"})
+    exp["fit_config"] = StlsqConfig(**exp["fit"])
     exp["thresholds"] = _thresholds(exp["selection"])
     return exp
 
@@ -270,9 +278,14 @@ def _thresholds(sel: dict) -> np.ndarray:
         raise ConfigError("selection.count is 0; the sweep needs a threshold")
     if sel["count"] > 10**6:  # a fit per threshold; far larger ones break np.logspace
         raise ConfigError(f"selection.count must be at most 1000000, not {sel['count']}")
-    thresholds = np.logspace(sel["log10_min"], sel["log10_max"], sel["count"])
-    if np.any(np.diff(thresholds) < 0):
-        raise ConfigError("selection.log10_min exceeds selection.log10_max")
+    with np.errstate(over="ignore", invalid="ignore"):  # a threshold past a double is refused
+        thresholds = np.logspace(sel["log10_min"], sel["log10_max"], sel["count"])
+        if np.any(np.diff(thresholds) < 0):
+            raise ConfigError("selection.log10_min exceeds selection.log10_max")
+    if not np.isfinite(thresholds[-1]):  # the largest; with one threshold, 10 ** log10_min
+        key = "log10_max" if sel["count"] > 1 else "log10_min"
+        raise ConfigError(f"selection.{key} {sel[key]!r} puts a threshold past the largest "
+                          "double, about 10 ** 308")
     return thresholds
 
 
@@ -363,14 +376,14 @@ def _fit_config(exp: dict, override_threshold: float | None) -> StlsqConfig:
     return cfg if override_threshold is None else replace(cfg, threshold=override_threshold)
 
 
-def _prepare(exp: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSeriesDataset:
+def _prepare(exp: dict, seed: int, data_path: str | None) -> TimeSeriesDataset:
     """simulate (or load) -> noise -> concatenate -> differentiate -> augment.
 
     Noise is drawn per segment of the joined dataset, segment j with seed
     ``noise.seed + j``, so a loaded file, whose segments are the simulated
     runs' segments, is noised as those runs were.  A continuous run is one
     segment; a logistic run has one per restart.  ``exact``
-    keeps the stored derivatives, which a continuous fit needs and which
+    keeps the stored derivatives, which a flow's fit needs and which
     derivative noise perturbs; ``central`` and ``tv`` estimate them from
     the states of every segment in one ``differentiate_dataset`` call.
     The parameter column is appended last, so it stays exact.  The parse
@@ -386,7 +399,7 @@ def _prepare(exp: dict, seed: int, data_path: str | None, mode: Mode) -> TimeSer
     del runs  # the joined copy holds every sample; the runs are freed before differentiating
     if method != "exact":
         ds = differentiate_dataset(ds, method, tv=exp["tv"])
-    elif mode is Mode.CONTINUOUS and ds.derivatives is None:
+    elif exp["mode"] is Mode.CONTINUOUS and ds.derivatives is None:
         raise DataError("differentiation method 'exact' needs stored derivatives; "
                         "external data without them must use 'central' or 'tv'")
     return _augment(exp, ds)
@@ -438,25 +451,18 @@ def error_curve(reference: np.ndarray, f_model, grid: np.ndarray) -> np.ndarray:
 
 
 def cmd_generate(exp: dict, out: Path, seed: int) -> tuple[dict, dict]:
-    specs = exp["specs"]
     runs = _simulate_runs(exp, seed)
-    artifacts = {}
-    if specs[0].kind == "logistic":
-        # one file per parameter value next to the concatenated training set
-        for i, (spec, run) in enumerate(zip(specs, runs)):
-            path = write_dataset_csv(run, out / f"logistic_mu_{spec.params['mu']}.csv")
-            artifacts[f"mu_{i}"] = str(path)
     ds = _augment(exp, concatenate(runs) if len(runs) > 1 else runs[0])
-    artifacts["dataset"] = str(write_dataset_csv(ds, out / "dataset.csv"))
+    artifacts = {"dataset": str(write_dataset_csv(ds, out / "dataset.csv"))}
     return artifacts, {"samples": ds.n_samples, "states": ds.n_states}
 
 
 def cmd_fit(exp: dict, out: Path, seed: int, data_path: str | None,
             override_threshold: float | None) -> tuple[dict, dict]:
-    mode = Mode(exp["fit"]["mode"])
     fit_cfg = _fit_config(exp, override_threshold)
-    ds = _prepare(exp, seed, data_path, mode)
-    model, report = fit(ds, LibrarySpec(ds.n_states, **exp["library"]), fit_cfg, mode=mode)
+    ds = _prepare(exp, seed, data_path)
+    model, report = fit(ds, LibrarySpec(ds.n_states, **exp["library"]), fit_cfg,
+                        mode=exp["mode"])
     artifacts = _write_model_artifacts(out, model, report)
     return artifacts, {"nnz": model.nnz(), "n_terms": len(model.terms)}
 
@@ -494,8 +500,6 @@ def cmd_compare(exp: dict, out: Path, seed: int,
     if more or spec.kind == "logistic":
         raise ConfigError("compare needs a config that expands to a single continuous-time "
                           f"run, not {len(specs)} {spec.kind} run(s)")
-    if exp["fit"]["mode"] != Mode.CONTINUOUS.value:
-        raise ConfigError("compare needs a continuous-time model")
     if (target := exp["noise_spec"].target) != "derivatives":
         raise ConfigError(f"compare perturbs only the derivatives; noise.target "
                           f"{target!r} does not apply to compare")
@@ -514,7 +518,6 @@ def cmd_compare(exp: dict, out: Path, seed: int,
     problem = _noise_levels_problem(base, lib, etas, seed)
     truth, _ = dp45_adaptive(system_rhs(spec), np.array(spec.x0), grid, 1e-10, 1e-10)
     artifacts, summary = {}, {}
-    model = None
     n = base.n_states
     for i, eta in enumerate(etas):
         model, _ = fit(base, lib, fit_cfg, mode=Mode.CONTINUOUS,
@@ -529,7 +532,10 @@ def cmd_compare(exp: dict, out: Path, seed: int,
         artifacts[f"error_eta_{eta:g}"] = str(path)
         summary[f"eta_{eta}"] = {"max_error": float(err.max()),
                                  "tail_mean": float(err[grid >= 0.75 * horizon].mean())}
-    if long_h and model is not None:
+    last = summary[f"eta_{etas[-1]}"]  # the level whose model the long run would integrate
+    if long_h and "failed" in last:
+        summary["long_horizon"] = {"failed": last["failed"]}  # not integrated a second time
+    elif long_h:
         lgrid = np.arange(0.0, long_h + grid_dt / 2, grid_dt)
         try:
             xm, _ = dp45_adaptive(model.rhs(), np.array(spec.x0), lgrid, 1e-9, 1e-9)
@@ -548,10 +554,9 @@ def cmd_compare(exp: dict, out: Path, seed: int,
 
 
 def cmd_sweep(exp: dict, out: Path, seed: int, data_path: str | None) -> tuple[dict, dict]:
-    mode = Mode(exp["fit"]["mode"])
-    ds = _prepare(exp, seed, data_path, mode)
+    ds = _prepare(exp, seed, data_path)
     lib = LibrarySpec(ds.n_states, **exp["library"])
-    points, models = sweep(ds, lib, exp["thresholds"], exp["fit_config"], mode=mode)
+    points, models = sweep(ds, lib, exp["thresholds"], exp["fit_config"], mode=exp["mode"])
     chosen = pick_elbow(points)
     artifacts = {"pareto": str(write_pareto_csv(points, out / "pareto.csv"))}
     model, report = next(

@@ -22,7 +22,7 @@ LIN2D = {
     "noise": {"eta": 0.01, "target": "derivatives", "seed": 3},
     "differentiation": {"method": "exact"},
     "library": {"poly_order": 2, "trig_harmonics": []},
-    "fit": {"threshold": 0.05, "max_iterations": 10, "mode": "continuous"},
+    "fit": {"threshold": 0.05, "max_iterations": 10},
     "selection": {"log10_min": -3, "log10_max": -0.3, "count": 5},
     "compare": {"horizon": 1.0, "grid_dt": 0.05, "etas": [0.0], "long_horizon": 2.0},
 }
@@ -199,6 +199,10 @@ REFUSED_CASES = [
     (LIN2D, ("reduction",), {"energy": 0.9, "remove_mean": True}, "unknown key reduction"),
     (LIN2D, ("fit", "method"), "stlsq", "unknown key fit.method"),
     (LIN2D, ("fit", "method"), "lasso", "unknown key fit.method"),
+    # the system kind alone decides whether the fit is of a map or a flow
+    (LIN2D, ("fit", "mode"), "continuous", "unknown key fit.mode"),
+    (LIN2D, ("fit", "mode"), "discrete", "unknown key fit.mode"),
+    (LOGISTIC, ("fit",), {"mode": "discrete"}, "unknown key fit.mode"),
     (MEANFIELD, ("system", "params", "lam"), 0.0,
      "meanfield3d needs a positive relaxation rate lam, not 0.0"),
     (MEANFIELD, ("system", "params", "lam"), -1.0,
@@ -214,6 +218,26 @@ REFUSED_CASES = [
     (LIN2D, ("library", "trig_harmonics"), [0], "trig harmonics must be positive integers"),
     (LOGISTIC, ("system", "augment"), {"name": "m", "param": "mu"},
      "system.augment does not apply to logistic, whose map already holds mu as its state r"),
+    # a compare grid that would not end on its horizon
+    (LIN2D, ("compare", "grid_dt"), 0.7,
+     "compare.horizon 1.0 is not a whole number of compare.grid_dt 0.7 steps"),
+    (LIN2D, ("compare", "grid_dt"), 5.0,
+     "compare.horizon 1.0 is not a whole number of compare.grid_dt 5.0 steps"),
+    (LIN2D, ("compare", "grid_dt"), 0.6,
+     "compare.horizon 1.0 is not a whole number of compare.grid_dt 0.6 steps"),
+    (LIN2D, ("compare", "grid_dt"), 1.5,
+     "compare.horizon 1.0 is not a whole number of compare.grid_dt 1.5 steps"),
+    (LIN2D, ("compare", "grid_dt"), 5e-324,
+     "compare.horizon 1.0 is not a whole number of compare.grid_dt 5e-324 steps"),
+    (LIN2D, ("compare",), {"horizon": 1.0, "grid_dt": 0.5, "long_horizon": 0.1},
+     "compare.long_horizon 0.1 is not a whole number of compare.grid_dt 0.5 steps"),
+    (LIN2D, ("compare", "long_horizon"), 2.01,
+     "compare.long_horizon 2.01 is not a whole number of compare.grid_dt 0.05 steps"),
+    # a threshold grid past the largest double
+    (LIN2D, ("selection", "log10_max"), 400,
+     "selection.log10_max 400.0 puts a threshold past the largest double, about 10 ** 308"),
+    (LIN2D, ("selection",), {"log10_min": 309, "log10_max": 310, "count": 1},
+     "selection.log10_min 309.0 puts a threshold past the largest double, about 10 ** 308"),
 ]
 
 # (command, base config, path to the value, the value as JSON text, the key
@@ -233,13 +257,10 @@ INERT_CASES = [
     (LIN2D, {("differentiation", "method"): "central"},
      ["noise.target", "differentiation.method"]),
     (LIN2D, {("differentiation", "method"): "tv"}, ["noise.target", "differentiation.method"]),
-    (LIN2D, {("fit", "mode"): "discrete"}, ["noise.target", "fit.mode"]),
-    (LOGISTIC, {("noise",): {"eta": 0.01}, ("fit",): {"mode": "discrete"}},
-     ["noise.target", "fit.mode"]),
-    (LOGISTIC, {("differentiation",): {"method": "central"}, ("fit",): {"mode": "discrete"}},
-     ["differentiation.method", "fit.mode"]),
-    (LOGISTIC, {("differentiation",): {"method": "tv"}, ("fit",): {"mode": "discrete"}},
-     ["differentiation.method", "fit.mode"]),
+    (LOGISTIC, {("noise",): {"eta": 0.01}}, ["noise.target", "logistic"]),
+    (LOGISTIC, {("differentiation",): {"method": "central"}},
+     ["differentiation.method", "logistic"]),
+    (LOGISTIC, {("differentiation",): {"method": "tv"}}, ["differentiation.method", "logistic"]),
 ]
 
 

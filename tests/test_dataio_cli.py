@@ -289,13 +289,12 @@ class TestCliGenerate:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "logistic iterates escaped")
             assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
-        csvs = sorted(out.glob("*.csv"))
-        assert len(csvs) == 11  # one per parameter value plus the ensemble
+        # one dataset holds every parameter value; no file repeats a value's rows
+        assert sorted(path.name for path in out.iterdir()) == [
+            "dataset.csv", "dataset.meta.json", "run_report.json"]
         ens = read_dataset_csv(out / "dataset.csv")
         assert ens.state_names == ("x", "r")
-        parts = [read_dataset_csv(out / f"logistic_mu_{mu}.csv").states
-                 for mu in doc["system"]["ensemble_mus"]]
-        assert np.array_equal(ens.states, np.vstack(parts))
+        assert set(ens.states[:, 1]) == set(doc["system"]["ensemble_mus"])
 
     def test_logistic_dataset_follows_the_seed_rule_of_logistic_ensemble(self, tmp_path):
         # generate simulates one value at a time with seed + 1000 * i, which
@@ -402,10 +401,20 @@ class TestCliCompareAndSweep:
                                        rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("long_horizon", [None, 10.0])
-    def test_compare_gives_up_on_a_stiff_model_within_seconds(self, tmp_path, long_horizon):
+    def test_compare_gives_up_on_a_stiff_model_within_seconds(self, tmp_path, monkeypatch,
+                                                              long_horizon):
         # two time units of noisy data identify a stiff degree-5 model for
         # eta=0.01; integrating it used to crawl on for minutes, and the
-        # long-horizon run of that last model must fail the same way
+        # long-horizon run of that last model is recorded as failed without
+        # integrating the model a second time
+        import sindykit.cli
+        calls, dp45 = [], sindykit.cli.dp45_adaptive
+
+        def integrating(*args, **kwargs):
+            calls.append(len(args[2]))
+            return dp45(*args, **kwargs)
+
+        monkeypatch.setattr(sindykit.cli, "dp45_adaptive", integrating)
         doc = json.loads((Path(__file__).resolve().parent.parent
                           / "configs" / "linear2d.json").read_text())
         doc["system"]["t_span"] = [0.0, 2.0]
@@ -421,8 +430,9 @@ class TestCliCompareAndSweep:
         assert "max_error" in summary["eta_0.0"]
         assert "step attempts" in summary["eta_0.01"]["failed"]
         if long_horizon is not None:
-            assert "step attempts" in summary["long_horizon"]["failed"]
+            assert summary["long_horizon"] == summary["eta_0.01"]
             assert not (out / "long_horizon.csv").exists()
+        assert calls == [201, 201, 201]  # truth and one model per eta, all on the 2.0 grid
 
     def test_sweep_emits_pareto_and_choice(self, tmp_path):
         doc = dict(LIN2D_CFG)
@@ -438,23 +448,17 @@ class TestCliCompareAndSweep:
         assert model.nnz() == 4
 
 
-    def test_sweep_follows_discrete_fit_mode(self, tmp_path):
-        doc = {
-            "spec_version": 1,
-            "seed": 0,
-            "system": {"kind": "logistic", "x0": [0.5], "ensemble_mus": [2.9, 3.4, 3.7, 3.9],
-                       "n_steps": 300, "forcing": 0.01},
-            "library": {"poly_order": 3},
-            "fit": {"mode": "discrete"},
-            "selection": {"log10_min": -3, "log10_max": 0, "count": 6},
-        }
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_logistic_is_fitted_as_a_map(self, tmp_path, command):
+        # the system kind alone makes the fit discrete: no config key says so
+        doc = json.loads((TestShippedConfigs.CONFIG_DIR / "logistic.json").read_text())
+        doc["system"].update(n_steps=300, ensemble_mus=doc["system"]["ensemble_mus"][:3])
+        doc["selection"] = {"log10_min": -3, "log10_max": 0, "count": 6}
+        assert "mode" not in doc["fit"]
         cfg = write_config(tmp_path / "c.json", doc)
-        out = tmp_path / "sweep"
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "logistic iterates escaped")
-            assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-        assert model_from_json((out / "model.json").read_text()).mode.value == "discrete"
-        assert len((out / "pareto.csv").read_text().splitlines()) == 7
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "model.json").read_text())["mode"] == "discrete"
 
 
 def whole_noise_levels(base, etas, seed):
@@ -592,7 +596,7 @@ class TestCliHopfEnsemble:
 
         monkeypatch.setattr(cli, "differentiate_dataset", counted(diff.differentiate_dataset))
         monkeypatch.setattr(diff, "tv_derivative", counted(diff.tv_derivative))
-        ds = cli._prepare(exp, exp["seed"], None, Mode.CONTINUOUS)
+        ds = cli._prepare(exp, exp["seed"], None)
         assert calls == ["differentiate_dataset", "tv_derivative"]
         monkeypatch.undo()
 
