@@ -29,18 +29,15 @@ from .model import (
     render_table,
     support,
 )
-from .reduction import ReducedBasis, compute_basis, project, reduce_dataset
+from .reduction import compute_basis, reduce_dataset
 from .regression import FitReport, StlsqConfig, fit, least_squares, stlsq
 from .selection import ParetoPoint, pick_elbow, sweep
 from .systems import (
     SystemSpec,
-    augment_parameter,
     augment_signal,
-    augment_time,
     concatenate,
     iterate_map,
     logistic_ensemble,
-    mean_field_surrogate,
     simulate,
     system_rhs,
 )

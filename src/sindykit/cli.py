@@ -210,7 +210,8 @@ def parse_experiment(cfg: dict) -> dict:
     a flow, derivative noise only on the stored derivatives that a flow's
     fit reads under ``exact``), the ``library`` block passes
     ``LibrarySpec``'s checks, the ``selection`` block gives a nonempty,
-    ascending, finite threshold grid, and each package config object
+    ascending grid of finite, nonzero thresholds, ``logistic`` iterates at
+    least one step, and each package config object
     is built once and kept for the commands: ``exp["mode"]`` (discrete for
     the map, whose right-hand side ``_SYSTEMS`` leaves ``None``, and
     continuous for every flow), ``exp["specs"]`` (one
@@ -226,6 +227,9 @@ def parse_experiment(cfg: dict) -> dict:
     if augment and system["kind"] == "logistic":
         raise ConfigError("system.augment does not apply to logistic, whose map already "
                           "holds mu as its state r")
+    if system["kind"] == "logistic" and system["n_steps"] == 0:
+        raise ConfigError("system.n_steps is 0; logistic needs a transition per "
+                          "system.ensemble_mus value")
     exp["specs"] = _system_runs(exp)
     if augment and any(augment["param"] not in spec.params for spec in exp["specs"]):
         raise ConfigError(
@@ -278,14 +282,17 @@ def _thresholds(sel: dict) -> np.ndarray:
         raise ConfigError("selection.count is 0; the sweep needs a threshold")
     if sel["count"] > 10**6:  # a fit per threshold; far larger ones break np.logspace
         raise ConfigError(f"selection.count must be at most 1000000, not {sel['count']}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a threshold past a double is refused
+    if sel["log10_min"] > sel["log10_max"]:
+        raise ConfigError("selection.log10_min exceeds selection.log10_max")
+    with np.errstate(over="ignore"):  # a threshold past a double is refused
         thresholds = np.logspace(sel["log10_min"], sel["log10_max"], sel["count"])
-        if np.any(np.diff(thresholds) < 0):
-            raise ConfigError("selection.log10_min exceeds selection.log10_max")
     if not np.isfinite(thresholds[-1]):  # the largest; with one threshold, 10 ** log10_min
         key = "log10_max" if sel["count"] > 1 else "log10_min"
         raise ConfigError(f"selection.{key} {sel[key]!r} puts a threshold past the largest "
                           "double, about 10 ** 308")
+    if thresholds[0] == 0.0:  # the smallest, rounded to 0: the sweep would fit it repeatedly
+        raise ConfigError(f"selection.log10_min {sel['log10_min']!r} puts a threshold below "
+                          "the smallest double, about 10 ** -323")
     return thresholds
 
 

@@ -12,7 +12,6 @@ import enum
 import functools
 import json
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -356,30 +355,3 @@ class TimeSeriesDataset:
         starts = list(self.segments) + [self.n_samples]
         return [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
 
-
-# the name runs to the last quote before the bracketed values, so a quote
-# inside a state name stays part of it
-_TABLE_ROW = re.compile(r"^\s*'(.*)'\s+(\[.*)$")
-
-
-def parse_table(text: str) -> np.ndarray:
-    """Inverse of :func:`render_table` (header is ignored).
-
-    Intended for tests and for inspecting saved tables; returns the
-    coefficient matrix exactly as rendered.  A non-blank line that is not
-    a term row raises DataError.
-    """
-    rows = []
-    for number, line in enumerate(text.splitlines()[1:], start=2):
-        if not line.strip():
-            continue
-        m = _TABLE_ROW.match(line)
-        cells = re.findall(r"\[\s*([^\]]+?)\s*\]", m.group(2)) if m else []
-        try:
-            row = [float(v) for v in cells]
-        except ValueError:
-            row = []
-        if not row or (rows and len(row) != len(rows[0])):
-            raise DataError(f"table line {number} is not a term row: {line!r}")
-        rows.append(row)
-    return np.array(rows, dtype=float)

@@ -4,8 +4,9 @@ Continuous systems are integrated with fixed-step RK4; derivatives
 stored in a generated dataset come from the analytic right-hand side at
 the sample points, never from numerical differentiation.  The logistic
 map is iterated directly.  Parameterized and forced systems are handled
-by state augmentation: a bifurcation parameter becomes a constant extra
-state with zero derivative, time an extra state with unit derivative.
+by state augmentation: ``augment_signal`` appends a known signal as an
+extra state, such as a bifurcation parameter (a constant with zero
+derivative), time (with unit derivative) or a forcing input.
 """
 
 from __future__ import annotations
@@ -25,12 +26,9 @@ __all__ = [
     "system_rhs",
     "simulate",
     "iterate_map",
-    "augment_parameter",
-    "augment_time",
     "augment_signal",
     "concatenate",
     "logistic_ensemble",
-    "mean_field_surrogate",
 ]
 
 # kind -> (state count, the parameters its runs read, its right-hand side as
@@ -249,8 +247,26 @@ def logistic_ensemble(
     return concatenate(runs)
 
 
-def _append_column(ds: TimeSeriesDataset, name: str, col: np.ndarray,
-                   dcol: np.ndarray | None) -> TimeSeriesDataset:
+def augment_signal(
+    ds: TimeSeriesDataset,
+    name: str,
+    samples: np.ndarray,
+    derivative_samples: np.ndarray | None = None,
+) -> TimeSeriesDataset:
+    """Append a known signal sampled on the dataset grid as a new state.
+
+    Each of ``samples`` and ``derivative_samples`` is one value per sample.
+    The derivative is needed when the dataset holds derivatives.  A
+    bifurcation parameter ``mu`` is ``np.full(m, mu)`` with derivative
+    ``np.zeros(m)``, time is ``ds.times`` with ``np.ones(m)``, and a forcing
+    or control input is its samples with their derivative.
+    """
+    col = np.asarray(samples, dtype=float)
+    dcol = None if derivative_samples is None else np.asarray(derivative_samples, dtype=float)
+    for role, values in (("signal", col), ("derivative", dcol)):
+        if values is not None and values.shape != (ds.n_samples,):
+            raise DataError(f"{role} of {name!r} must hold one value per sample, "
+                            f"shape ({ds.n_samples},), not {values.shape}")
     if name in ds.state_names:
         raise DataError(f"state {name!r} already present")
     states = np.column_stack([ds.states, col])
@@ -261,33 +277,6 @@ def _append_column(ds: TimeSeriesDataset, name: str, col: np.ndarray,
         derivatives = np.column_stack([derivatives, dcol])
     return replace(ds, states=states, derivatives=derivatives,
                    state_names=ds.state_names + (name,))
-
-
-def augment_parameter(ds: TimeSeriesDataset, name: str, value: float) -> TimeSeriesDataset:
-    """Append a bifurcation parameter as a constant state with zero derivative."""
-    m = ds.n_samples
-    return _append_column(ds, name, np.full(m, float(value)), np.zeros(m))
-
-
-def augment_time(ds: TimeSeriesDataset, name: str = "t") -> TimeSeriesDataset:
-    """Append time as a state with unit derivative."""
-    return _append_column(ds, name, ds.times.copy(), np.ones(ds.n_samples))
-
-
-def augment_signal(
-    ds: TimeSeriesDataset,
-    name: str,
-    samples: np.ndarray,
-    derivative_samples: np.ndarray | None = None,
-) -> TimeSeriesDataset:
-    """Append a known forcing/control signal sampled on the dataset grid."""
-    samples = np.asarray(samples, dtype=float).ravel()
-    if samples.shape[0] != ds.n_samples:
-        raise DataError("signal length must match the dataset")
-    dcol = None
-    if derivative_samples is not None:
-        dcol = np.asarray(derivative_samples, dtype=float).ravel()
-    return _append_column(ds, name, samples, dcol)
 
 
 def concatenate(datasets: list[TimeSeriesDataset]) -> TimeSeriesDataset:
@@ -317,22 +306,3 @@ def concatenate(datasets: list[TimeSeriesDataset]) -> TimeSeriesDataset:
         segments=tuple(segments),
         meta={"runs": [dict(ds.meta) for ds in datasets]},
     )
-
-
-def mean_field_surrogate(
-    params: dict,
-    initial_conditions: list[tuple[float, float, float]],
-    t_span: tuple[float, float] = (0.0, 50.0),
-    dt: float = 0.01,
-) -> TimeSeriesDataset:
-    """Mean-field cylinder-wake surrogate runs from several initial states.
-
-    The on/off-manifold mix of initial conditions matters: without
-    off-manifold transients the fast coordinate stays slaved to
-    z = x^2 + y^2 and the regression problem degenerates.
-    """
-    runs = [
-        simulate(SystemSpec("meanfield3d", x0=ic, t_span=t_span, dt=dt, params=params))
-        for ic in initial_conditions
-    ]
-    return concatenate(runs) if len(runs) > 1 else runs[0]

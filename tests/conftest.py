@@ -1,7 +1,10 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from sindykit import LibrarySpec, SystemSpec, TimeSeriesDataset, simulate
+from sindykit import DataError, LibrarySpec, SystemSpec, TimeSeriesDataset, concatenate, simulate
 
 # every run draws the same examples, so a newly drawn one cannot turn the suite
 # red; each test keeps its own max_examples
@@ -68,3 +71,44 @@ def max_relative_error(model, expected) -> float:
         abs((coefficient(model, nm, eq) - truth) / truth)
         for nm, eq, truth in expected
     )
+
+
+def mean_field_surrogate(params, initial_conditions, t_span=(0.0, 50.0), dt=0.01):
+    """Mean-field cylinder-wake surrogate runs from several initial states.
+
+    The on/off-manifold mix of initial conditions matters: without
+    off-manifold transients the fast coordinate stays slaved to
+    z = x^2 + y^2 and the regression problem degenerates.
+    """
+    runs = [
+        simulate(SystemSpec("meanfield3d", x0=ic, t_span=t_span, dt=dt, params=params))
+        for ic in initial_conditions
+    ]
+    return concatenate(runs) if len(runs) > 1 else runs[0]
+
+
+# the name runs to the last quote before the bracketed values, so a quote
+# inside a state name stays part of it
+_TABLE_ROW = re.compile(r"^\s*'(.*)'\s+(\[.*)$")
+
+
+def parse_table(text: str) -> np.ndarray:
+    """Inverse of :func:`sindykit.render_table` (header is ignored).
+
+    Returns the coefficient matrix exactly as rendered.  A non-blank line
+    that is not a term row raises DataError.
+    """
+    rows = []
+    for number, line in enumerate(text.splitlines()[1:], start=2):
+        if not line.strip():
+            continue
+        m = _TABLE_ROW.match(line)
+        cells = re.findall(r"\[\s*([^\]]+?)\s*\]", m.group(2)) if m else []
+        try:
+            row = [float(v) for v in cells]
+        except ValueError:
+            row = []
+        if not row or (rows and len(row) != len(rows[0])):
+            raise DataError(f"table line {number} is not a term row: {line!r}")
+        rows.append(row)
+    return np.array(rows, dtype=float)

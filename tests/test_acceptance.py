@@ -17,12 +17,11 @@ from sindykit import (
     LibrarySpec,
     Mode,
     NoiseSpec,
-    ReducedBasis,
     StlsqConfig,
     SystemSpec,
     TvDiffConfig,
     add_noise,
-    augment_parameter,
+    augment_signal,
     central_difference,
     compute_basis,
     concatenate,
@@ -30,7 +29,6 @@ from sindykit import (
     fit,
     least_squares,
     logistic_ensemble,
-    mean_field_surrogate,
     reduce_dataset,
     simulate,
     stlsq,
@@ -46,6 +44,7 @@ from conftest import (
     LORENZ_TRUE_VALUES,
     coefficient,
     max_relative_error,
+    mean_field_surrogate,
 )
 
 OSC_LIB = LibrarySpec(n_states=2, poly_order=5)
@@ -203,9 +202,9 @@ def test_criterion_7_mean_field_surrogate_and_pod():
     embedded = replace(mixed, states=mixed.states @ Q.T, derivatives=mixed.derivatives @ Q.T,
                        state_names=wide_names)
 
-    basis = compute_basis(embedded.states, energy=0.9999)
-    assert basis.rank == 3
-    reduced = reduce_dataset(embedded, basis)
+    modes = compute_basis(embedded.states, energy=0.9999)
+    assert modes.shape[1] == 3
+    reduced = reduce_dataset(embedded, modes)
     pod_model, _ = fit(reduced, LibrarySpec(3, 3), StlsqConfig(threshold=0.01))
     active_degrees = {pod_model.terms[r].degree
                       for r, _ in zip(*np.nonzero(pod_model.coefficients))}
@@ -217,9 +216,9 @@ def test_criterion_7_mean_field_surrogate_and_pod():
     pad[:, :3] = noisy.states
     dpad = np.zeros((noisy.n_samples, n_big))
     dpad[:, :3] = noisy.derivatives
-    identity_basis = ReducedBasis(modes=np.eye(n_big)[:, :3], singular_values=np.ones(3))
     flat = reduce_dataset(
-        replace(noisy, states=pad, derivatives=dpad, state_names=wide_names), identity_basis)
+        replace(noisy, states=pad, derivatives=dpad, state_names=wide_names),
+        np.eye(n_big)[:, :3])
     id_model, _ = fit(flat, LibrarySpec(3, 3), StlsqConfig(threshold=0.01))
     expected_support = {("x", 0), ("y", 0), ("xz", 0), ("x", 1), ("y", 1), ("yz", 1),
                         ("z", 2), ("xx", 2), ("yy", 2)}
@@ -263,7 +262,8 @@ def test_criterion_8_hopf_normal_form():
             ds = add_noise(ds, NoiseSpec(eta=1e-3, target="states", seed=500 + k))
             k += 1
             ds = differentiate_dataset(ds, "tv", tv=TvDiffConfig(alpha=3e-5, iterations=20))
-            runs.append(augment_parameter(ds, "u", mu))
+            runs.append(augment_signal(ds, "u", np.full(ds.n_samples, mu),
+                                       np.zeros(ds.n_samples)))
     ensemble = concatenate(runs)
     model, freport = fit(ensemble, LibrarySpec(3, 5),
                          StlsqConfig(threshold=0.05, max_iterations=30))

@@ -183,7 +183,8 @@ UNREAD_PARAM_CASES = [
 
 # (base config, path, value, the start of the message): settings that the
 # config schema no longer holds, mean-field relaxation rates that the
-# package refuses, and a negative or repeated noise level for compare
+# package refuses, a negative or repeated noise level for compare, threshold
+# grids that the sweep cannot take, and a logistic ensemble of no steps
 REFUSED_CASES = [
     (LIN2D, ("system", "integrator"), {"method": "rk4"}, "unknown key system.integrator"),
     (LIN2D, ("system", "integrator"), {"method": "rk45", "abs_tol": 1e-9},
@@ -238,6 +239,13 @@ REFUSED_CASES = [
      "selection.log10_max 400.0 puts a threshold past the largest double, about 10 ** 308"),
     (LIN2D, ("selection",), {"log10_min": 309, "log10_max": 310, "count": 1},
      "selection.log10_min 309.0 puts a threshold past the largest double, about 10 ** 308"),
+    # a one-threshold grid in the wrong order, and thresholds that round to 0
+    (LIN2D, ("selection",), {"log10_min": 0, "log10_max": -3, "count": 1},
+     "selection.log10_min exceeds selection.log10_max"),
+    (LIN2D, ("selection",), {"log10_min": -400, "log10_max": 0, "count": 25},
+     "selection.log10_min -400.0 puts a threshold below the smallest double, about 10 ** -323"),
+    (LOGISTIC, ("system", "n_steps"), 0,
+     "system.n_steps is 0; logistic needs a transition per system.ensemble_mus value"),
 ]
 
 # (command, base config, path to the value, the value as JSON text, the key

@@ -16,7 +16,7 @@ from sindykit import (
     SystemSpec,
     TimeSeriesDataset,
     add_noise,
-    augment_parameter,
+    augment_signal,
     build_matrix,
     concatenate,
     fit,
@@ -603,8 +603,10 @@ class TestCliHopfEnsemble:
         runs = cli._simulate_runs(exp, exp["seed"])
         assert len(runs) == 24
         base, augment = exp["noise"]["seed"], exp["system"]["augment"]
-        ref = concatenate([augment_parameter(self._condition_per_run(run, exp, base + i),
-                                             augment["name"], spec.params[augment["param"]])
+        ref = concatenate([augment_signal(self._condition_per_run(run, exp, base + i),
+                                          augment["name"],
+                                          np.full(run.n_samples, spec.params[augment["param"]]),
+                                          np.zeros(run.n_samples))
                            for i, (spec, run) in enumerate(zip(exp["specs"], runs))])
         for name in ("times", "states", "derivatives"):
             assert getattr(ds, name).tobytes() == getattr(ref, name).tobytes()

@@ -19,7 +19,8 @@ from sindykit import (
     render_table,
     support,
 )
-from sindykit.model import default_state_names, parse_table, term_evaluator
+from sindykit.model import default_state_names, term_evaluator
+from conftest import parse_table
 
 
 def linear_model(coeffs, names=("x", "y")):

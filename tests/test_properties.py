@@ -20,7 +20,8 @@ from sindykit import (
     render_table,
 )
 from sindykit.dataio import read_dataset_csv, write_dataset_csv
-from sindykit.model import parse_table, term_evaluator
+from sindykit.model import term_evaluator
+from conftest import parse_table
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 

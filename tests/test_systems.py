@@ -14,19 +14,16 @@ from sindykit import (
     SystemSpec,
     TermDescriptor,
     TermKind,
-    augment_parameter,
     augment_signal,
-    augment_time,
     concatenate,
     iterate_map,
     logistic_ensemble,
-    mean_field_surrogate,
     simulate,
     system_rhs,
 )
 from sindykit.integrate import MAX_REJECTED_STEPS, dp45_adaptive, rk4_fixed
 from sindykit.systems import FORCING_CHUNK, KINDS, _SYSTEMS
-from conftest import LORENZ_PARAMS
+from conftest import LORENZ_PARAMS, mean_field_surrogate
 
 
 class TestSimulate:
@@ -750,13 +747,14 @@ class TestAugmentation:
         return simulate(spec)
 
     def test_parameter_column_constant_with_zero_derivative(self, dataset):
-        out = augment_parameter(dataset, "u", 3.0)
+        m = dataset.n_samples
+        out = augment_signal(dataset, "u", np.full(m, 3.0), np.zeros(m))
         assert out.state_names == ("x", "y", "u")
         assert np.all(out.states[:, 2] == 3.0)
         assert np.all(out.derivatives[:, 2] == 0.0)
 
     def test_time_column_has_unit_derivative(self, dataset):
-        out = augment_time(dataset)
+        out = augment_signal(dataset, "t", dataset.times, np.ones(dataset.n_samples))
         assert np.array_equal(out.states[:, 2], dataset.times)
         assert np.all(out.derivatives[:, 2] == 1.0)
 
@@ -766,8 +764,20 @@ class TestAugmentation:
         assert np.array_equal(out.states[:, 2], u)
 
     def test_duplicate_name_rejected(self, dataset):
-        with pytest.raises(DataError):
-            augment_parameter(dataset, "x", 1.0)
+        with pytest.raises(DataError, match="'x' already present"):
+            augment_signal(dataset, "x", np.ones(dataset.n_samples), np.zeros(dataset.n_samples))
+
+    @pytest.mark.parametrize("signal,derivative,message", [
+        ((5, 2), (10,), r"signal of 'u' must hold one value per sample, shape \(10,\), "
+                        r"not \(5, 2\)"),
+        ((10,), (9,), r"derivative of 'u' must hold .* not \(9,\)"),
+        ((10,), (10, 1), r"derivative of 'u' must hold .* not \(10, 1\)"),
+    ], ids=["2-d signal", "short derivative", "2-d derivative"])
+    def test_signal_and_derivative_hold_one_value_per_sample(self, signal, derivative, message):
+        ds = simulate(SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 0.09), dt=0.01))
+        assert ds.n_samples == 10
+        with pytest.raises(DataError, match=message):
+            augment_signal(ds, "u", np.ones(signal), np.zeros(derivative))
 
     def test_concatenate_tracks_segments_and_keeps_each_run_clock(self, dataset):
         exp = concatenate([dataset, dataset, dataset])
@@ -776,7 +786,8 @@ class TestAugmentation:
         assert exp.n_samples == 3 * dataset.n_samples
 
     def test_concatenate_rejects_mismatched_names(self, dataset):
-        other = augment_parameter(dataset, "u", 1.0)
+        other = augment_signal(dataset, "u", np.ones(dataset.n_samples),
+                               np.zeros(dataset.n_samples))
         with pytest.raises(DataError):
             concatenate([dataset, other])
 
@@ -812,8 +823,6 @@ class TestMeanField:
         params = dict(self.PARAMS, lam=lam)
         with pytest.raises(ConfigError, match="lam"):
             SystemSpec("meanfield3d", x0=(0.1, 0.0, 0.0), params=params)
-        with pytest.raises(ConfigError, match="lam"):
-            mean_field_surrogate(params, [(0.1, 0.0, 0.0)])
 
 
 class TestLogisticEnsemble:
