@@ -106,7 +106,7 @@ class _Choice:
 _RUN = {"x0": ["number"], "t_span": ["number"], "dt": "number", "params": "number{}"}
 _CONTINUOUS = {**_RUN, "runs": ([_RUN], [{}])}
 _LOGISTIC = {"x0": (["number"], [0.5]), "ensemble_mus": (["number"], []),
-             "n_steps": ("natural", 1000), "forcing": ("number", 0.0)}
+             "n_steps": ("natural", 1000), "forcing": ("nonnegative", 0.0)}
 
 # Every config key with its kind: a name in _KINDS, [kind] for a list of
 # them, "kind{}" for an object of them under any names, a dict for a block.
@@ -210,8 +210,8 @@ def parse_experiment(cfg: dict) -> dict:
     a flow, derivative noise only on the stored derivatives that a flow's
     fit reads under ``exact``), the ``library`` block passes
     ``LibrarySpec``'s checks, the ``selection`` block gives a nonempty,
-    ascending grid of finite, nonzero thresholds, ``logistic`` iterates at
-    least one step, and each package config object
+    ascending grid of distinct, finite, nonzero thresholds, ``logistic``
+    iterates at least one step, and each package config object
     is built once and kept for the commands: ``exp["mode"]`` (discrete for
     the map, whose right-hand side ``_SYSTEMS`` leaves ``None``, and
     continuous for every flow), ``exp["specs"]`` (one
@@ -293,6 +293,9 @@ def _thresholds(sel: dict) -> np.ndarray:
     if thresholds[0] == 0.0:  # the smallest, rounded to 0: the sweep would fit it repeatedly
         raise ConfigError(f"selection.log10_min {sel['log10_min']!r} puts a threshold below "
                           "the smallest double, about 10 ** -323")
+    if (np.diff(thresholds) <= 0.0).any():  # bounds too close: the sweep would repeat a fit
+        raise ConfigError("selection.count {count} repeats a threshold from selection.log10_min "
+                          "{log10_min!r} to selection.log10_max {log10_max!r}".format(**sel))
     return thresholds
 
 
@@ -329,16 +332,15 @@ def _system_runs(exp: dict) -> list[SystemSpec]:
             for run in runs]
 
 
-def _simulate_runs(exp: dict, seed: int) -> list[TimeSeriesDataset]:
-    """The raw trajectory of each run, before noise and augmentation."""
-    system, specs = exp["system"], exp["specs"]
-    if specs[0].kind == "logistic":
-        # per-value seeds match the slices of logistic_ensemble over all values
-        return [
-            logistic_ensemble([spec.params["mu"]], n_steps=system["n_steps"],
-                              eta=system["forcing"], seed=seed + 1000 * i, x0=spec.x0[0])
-            for i, spec in enumerate(specs)]
-    return [simulate(spec) for spec in specs]
+def _simulate_runs(exp: dict, seed: int) -> TimeSeriesDataset:
+    """The command's runs joined, before noise and augmentation: a flow's by
+    ``concatenate``, a segment per run, and the map's in one ``logistic_ensemble``
+    call over every ``system.ensemble_mus`` value, a segment per restart."""
+    system = exp["system"]
+    if system["kind"] == "logistic":
+        return logistic_ensemble(system["ensemble_mus"], system["n_steps"], system["forcing"],
+                                 seed, system["x0"][0])
+    return concatenate([simulate(spec) for spec in exp["specs"]])
 
 
 def _loaded_dataset(exp: dict, data_path: str) -> TimeSeriesDataset:
@@ -384,12 +386,12 @@ def _fit_config(exp: dict, override_threshold: float | None) -> StlsqConfig:
 
 
 def _prepare(exp: dict, seed: int, data_path: str | None) -> TimeSeriesDataset:
-    """simulate (or load) -> noise -> concatenate -> differentiate -> augment.
+    """simulate (joined) or load -> noise -> differentiate -> augment.
 
-    Noise is drawn per segment of the joined dataset, segment j with seed
-    ``noise.seed + j``, so a loaded file, whose segments are the simulated
-    runs' segments, is noised as those runs were.  A continuous run is one
-    segment; a logistic run has one per restart.  ``exact``
+    Noise is drawn per segment, segment j with seed ``noise.seed + j``, and
+    the noised segments are joined by one ``concatenate`` call, so a loaded
+    file, whose segments are the simulated dataset's, is noised as it was.
+    A continuous run is one segment; a logistic run has one per restart.  ``exact``
     keeps the stored derivatives, which a flow's fit needs and which
     derivative noise perturbs; ``central`` and ``tv`` estimate them from
     the states of every segment in one ``differentiate_dataset`` call.
@@ -398,12 +400,10 @@ def _prepare(exp: dict, seed: int, data_path: str | None) -> TimeSeriesDataset:
     """
     noise, method = exp["noise_spec"], exp["differentiation"]["method"]
     noise_base = exp["noise"].get("seed", seed + 1)
-    runs = _simulate_runs(exp, seed) if data_path is None else [_loaded_dataset(exp, data_path)]
+    ds = _simulate_runs(exp, seed) if data_path is None else _loaded_dataset(exp, data_path)
     if noise.eta > 0.0:
-        segments = (segment for run in runs for segment in _segment_runs(run))
-        runs = [add_noise(s, replace(noise, seed=noise_base + j)) for j, s in enumerate(segments)]
-    ds = concatenate(runs) if len(runs) > 1 else runs[0]
-    del runs  # the joined copy holds every sample; the runs are freed before differentiating
+        ds = concatenate([add_noise(s, replace(noise, seed=noise_base + j))
+                          for j, s in enumerate(_segment_runs(ds))])
     if method != "exact":
         ds = differentiate_dataset(ds, method, tv=exp["tv"])
     elif exp["mode"] is Mode.CONTINUOUS and ds.derivatives is None:
@@ -458,8 +458,7 @@ def error_curve(reference: np.ndarray, f_model, grid: np.ndarray) -> np.ndarray:
 
 
 def cmd_generate(exp: dict, out: Path, seed: int) -> tuple[dict, dict]:
-    runs = _simulate_runs(exp, seed)
-    ds = _augment(exp, concatenate(runs) if len(runs) > 1 else runs[0])
+    ds = _augment(exp, _simulate_runs(exp, seed))
     artifacts = {"dataset": str(write_dataset_csv(ds, out / "dataset.csv"))}
     return artifacts, {"samples": ds.n_samples, "states": ds.n_states}
 
@@ -520,7 +519,7 @@ def cmd_compare(exp: dict, out: Path, seed: int,
     horizon, grid_dt, long_h = cmp["horizon"], cmp["grid_dt"], cmp.get("long_horizon")
     etas = cmp.get("etas", [exp["noise_spec"].eta])
     grid = np.arange(0.0, horizon + grid_dt / 2, grid_dt)
-    [base] = _simulate_runs(exp, seed)
+    base = _simulate_runs(exp, seed)
     lib = LibrarySpec(base.n_states, **exp["library"])
     problem = _noise_levels_problem(base, lib, etas, seed)
     truth, _ = dp45_adaptive(system_rhs(spec), np.array(spec.x0), grid, 1e-10, 1e-10)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .model import TimeSeriesDataset
+from .model import TimeSeriesDataset, _frozen
 
 __all__ = [
     "TvDiffConfig",
@@ -407,5 +407,5 @@ def differentiate_dataset(dataset: TimeSeriesDataset, method: str = "central",
         u = tv_derivative(np.hstack([dataset.states[sl] for sl in members]), step, tv)
         for j, sl in enumerate(members):
             deriv[sl] = u[:, n * j:n * (j + 1)]
-    return dataclasses.replace(dataset, derivatives=deriv,
+    return dataclasses.replace(dataset, derivatives=_frozen(deriv),
                                meta={**dataset.meta, "differentiation": method})

@@ -142,7 +142,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     if (isinstance(a, np.ndarray) and a.dtype == float
             and a.flags.owndata and not a.flags.writeable):
         return a  # as this would return it: a dataset built from another's shares it
-    a = np.array(a, dtype=float)
+    return _frozen(np.array(a, dtype=float))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, just built and held nowhere else, read-only: a dataset takes it as it is."""
     a.setflags(write=False)
     return a
 

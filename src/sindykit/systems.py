@@ -16,10 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .differentiation import NoiseSpec
 from .errors import ConfigError, DataError, NumericalError
 from .integrate import rk4_fixed
-from .model import TimeSeriesDataset, _compile, default_state_names
+from .model import TimeSeriesDataset, _compile, _frozen, default_state_names
 
 __all__ = [
     "SystemSpec",
@@ -140,12 +139,10 @@ def simulate(spec: SystemSpec) -> TimeSeriesDataset:
     if not finite.all():
         raise NumericalError(
             f"{spec.kind} trajectory is not finite at t={times[np.argmin(finite)]:.6g}")
-    for a in (times, states, derivatives):
-        a.setflags(write=False)  # so the dataset takes them without a copy
     return TimeSeriesDataset(
-        times=times,
-        states=states,
-        derivatives=derivatives,
+        times=_frozen(times),
+        states=_frozen(states),
+        derivatives=_frozen(derivatives),
         state_names=default_state_names(states.shape[1]),
         meta=meta,
     )
@@ -160,14 +157,14 @@ FORCING_CHUNK = 256
 def iterate_map(
     spec: SystemSpec,
     n_steps: int,
-    noise: NoiseSpec | None = None,
+    eta: float = 0.0,
+    seed: int = 0,
 ) -> TimeSeriesDataset:
-    """Iterate the stochastically forced logistic map.
-
-    The parameter is stored as an appended constant state column (named
-    ``r``) so ensembles over several parameter values can be concatenated
-    and fit jointly.  Iterates escaping [-0.5, 1.5] truncate the
-    trajectory with a warning, since the map diverges once outside [0, 1].
+    """Iterate the logistic map x_{k+1} = mu x_k (1 - x_k) + eta z_k, each z_k
+    a standard normal draw of a generator seeded with ``seed``.  mu is stored
+    as an appended constant state ``r``, so runs over several values can be
+    joined and fit jointly.  An iterate escaping [-0.5, 1.5], outside which
+    the map diverges, truncates the run with a warning.
     """
     if spec.kind != "logistic":
         raise ConfigError("iterate_map expects a logistic system spec")
@@ -179,8 +176,9 @@ def iterate_map(
         raise ConfigError("logistic map needs mu in (0, 4]")
     if n_steps < 0:
         raise ConfigError(f"logistic map needs n_steps >= 0, got {n_steps}")
-    eta = noise.eta if noise is not None else 0.0
-    rng = np.random.default_rng(noise.seed if noise is not None else 0)
+    if not 0.0 <= eta < np.inf:
+        raise ConfigError("eta must be nonnegative and finite")
+    rng = np.random.default_rng(seed)
     xs = [x0]
     x = x0
     # a stream drawn in chunks equals one drawn at once, so an early escape draws
@@ -197,13 +195,11 @@ def iterate_map(
                       f"(mu={mu}); truncating")
         break
     xcol = np.array(xs)
-    states = np.column_stack([xcol, np.full(xcol.shape[0], mu)])
     return TimeSeriesDataset(
-        times=np.arange(xcol.shape[0], dtype=float),
-        states=states,
+        times=_frozen(np.arange(xcol.shape[0], dtype=float)),
+        states=_frozen(np.column_stack([xcol, np.full(xcol.shape[0], mu)])),
         state_names=("x", "r"),
-        meta={"system": "logistic", "mu": mu, "eta": eta,
-              "seed": (noise.seed if noise is not None else None), "x0": x0},
+        meta={"system": "logistic", "mu": mu, "eta": eta, "seed": seed, "x0": x0},
     )
 
 
@@ -216,23 +212,20 @@ def logistic_ensemble(
 ) -> TimeSeriesDataset:
     """Logistic-map training ensemble over several parameter values.
 
-    Collects ``n_steps`` transitions per parameter value.  Trajectories
-    that escape and truncate are continued by fresh seeded runs, each a
-    new segment, so every parameter value contributes the requested
-    amount of data regardless of where the noise drives the map.  One
-    warning per call names how many runs were truncated at each mu.
+    Collects ``n_steps`` transitions per value, wherever the noise drives
+    the map: a run that escapes is continued by a fresh seeded run in a new
+    segment, run j of the i-th value forced from seed ``seed + 1000 * i + j``.
+    One warning per call names how many runs were truncated at each mu.
     """
-    runs = []
-    truncated = {}
+    blocks, metas, truncated = [], [], {}
     with warnings.catch_warnings():
         # one summary warning below replaces the per-run ones
         warnings.filterwarnings("ignore", "logistic iterate escaped")
         for i, mu in enumerate(mus):
             spec = SystemSpec("logistic", x0=(x0,), params={"mu": float(mu)})
-            collected, attempt = 0, 0
+            runs, collected, attempt = [], 0, 0
             while collected < n_steps:
-                noise = NoiseSpec(eta=eta, target="states", seed=seed + 1000 * i + attempt)
-                run = iterate_map(spec, n_steps - collected, noise)
+                run = iterate_map(spec, n_steps - collected, eta, seed + 1000 * i + attempt)
                 runs.append(run)
                 collected += run.n_samples - 1
                 attempt += 1
@@ -240,11 +233,13 @@ def logistic_ensemble(
                     raise NumericalError(f"logistic ensemble stalled at mu={mu}")
             if attempt > 1:  # every run but the last was truncated
                 truncated[float(mu)] = truncated.get(float(mu), 0) + attempt - 1
+            blocks.append(concatenate(runs))  # the small runs of one value held at a time
+            metas += [run.meta for run in runs]
     if truncated:
         counts = ", ".join(f"{n} at mu={mu}" for mu, n in truncated.items())
         warnings.warn(f"logistic iterates escaped [-0.5, 1.5]: {sum(truncated.values())} "
                       f"truncated runs restarted ({counts})")
-    return concatenate(runs)
+    return replace(concatenate(blocks), meta={"runs": metas})
 
 
 def augment_signal(
@@ -269,13 +264,11 @@ def augment_signal(
                             f"shape ({ds.n_samples},), not {values.shape}")
     if name in ds.state_names:
         raise DataError(f"state {name!r} already present")
-    states = np.column_stack([ds.states, col])
-    derivatives = ds.derivatives
-    if derivatives is not None:
-        if dcol is None:
-            raise DataError(f"appending {name!r} needs a derivative column")
-        derivatives = np.column_stack([derivatives, dcol])
-    return replace(ds, states=states, derivatives=derivatives,
+    if ds.derivatives is not None and dcol is None:
+        raise DataError(f"appending {name!r} needs a derivative column")
+    derivatives = (None if ds.derivatives is None
+                   else _frozen(np.column_stack([ds.derivatives, dcol])))
+    return replace(ds, states=_frozen(np.column_stack([ds.states, col])), derivatives=derivatives,
                    state_names=ds.state_names + (name,))
 
 
@@ -284,9 +277,12 @@ def concatenate(datasets: list[TimeSeriesDataset]) -> TimeSeriesDataset:
 
     Each run keeps its own time stamps, so the times restart at every
     segment start; fits and differentiation treat segments independently.
+    A lone dataset is returned as it is.
     """
     if not datasets:
         raise DataError("nothing to concatenate")
+    if len(datasets) == 1:
+        return datasets[0]
     names = datasets[0].state_names
     has_deriv = datasets[0].derivatives is not None
     for ds in datasets[1:]:
@@ -299,9 +295,9 @@ def concatenate(datasets: list[TimeSeriesDataset]) -> TimeSeriesDataset:
         segments.extend(row + s for s in ds.segments)
         row += ds.n_samples
     return TimeSeriesDataset(
-        times=np.concatenate([ds.times for ds in datasets]),
-        states=np.vstack([ds.states for ds in datasets]),
-        derivatives=np.vstack([ds.derivatives for ds in datasets]) if has_deriv else None,
+        times=_frozen(np.concatenate([ds.times for ds in datasets])),
+        states=_frozen(np.vstack([ds.states for ds in datasets])),
+        derivatives=_frozen(np.vstack([ds.derivatives for ds in datasets])) if has_deriv else None,
         state_names=names,
         segments=tuple(segments),
         meta={"runs": [dict(ds.meta) for ds in datasets]},

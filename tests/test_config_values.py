@@ -184,7 +184,8 @@ UNREAD_PARAM_CASES = [
 # (base config, path, value, the start of the message): settings that the
 # config schema no longer holds, mean-field relaxation rates that the
 # package refuses, a negative or repeated noise level for compare, threshold
-# grids that the sweep cannot take, and a logistic ensemble of no steps
+# grids that the sweep cannot take, a logistic ensemble of no steps and a
+# negative map forcing
 REFUSED_CASES = [
     (LIN2D, ("system", "integrator"), {"method": "rk4"}, "unknown key system.integrator"),
     (LIN2D, ("system", "integrator"), {"method": "rk45", "abs_tol": 1e-9},
@@ -244,6 +245,15 @@ REFUSED_CASES = [
      "selection.log10_min exceeds selection.log10_max"),
     (LIN2D, ("selection",), {"log10_min": -400, "log10_max": 0, "count": 25},
      "selection.log10_min -400.0 puts a threshold below the smallest double, about 10 ** -323"),
+    # a grid that would fit one threshold more than once
+    (LIN2D, ("selection",), {"log10_min": -2, "log10_max": -2, "count": 5},
+     "selection.count 5 repeats a threshold from selection.log10_min -2.0 to "
+     "selection.log10_max -2.0"),
+    (LIN2D, ("selection",), {"log10_min": 0, "log10_max": 1e-17, "count": 3},
+     "selection.count 3 repeats a threshold from selection.log10_min 0.0 to "
+     "selection.log10_max 1e-17"),
+    (LOGISTIC, ("system", "forcing"), -0.01,
+     "system.forcing must be a nonnegative number, not -0.01"),
     (LOGISTIC, ("system", "n_steps"), 0,
      "system.n_steps is 0; logistic needs a transition per system.ensemble_mus value"),
 ]

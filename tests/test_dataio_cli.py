@@ -297,8 +297,7 @@ class TestCliGenerate:
         assert set(ens.states[:, 1]) == set(doc["system"]["ensemble_mus"])
 
     def test_logistic_dataset_follows_the_seed_rule_of_logistic_ensemble(self, tmp_path):
-        # generate simulates one value at a time with seed + 1000 * i, which
-        # must give the slices of one logistic_ensemble call over every value
+        # generate writes the dataset of one logistic_ensemble call over every value
         doc = json.loads((TestShippedConfigs.CONFIG_DIR / "logistic.json").read_text())
         doc["system"]["n_steps"] = 400
         cfg = write_config(tmp_path / "c.json", doc)
@@ -312,6 +311,28 @@ class TestCliGenerate:
         for name in ("times", "states"):
             assert getattr(ds, name).tobytes() == getattr(ref, name).tobytes()
         assert ds.segments == ref.segments
+
+    @pytest.mark.parametrize("command", ["generate", "fit", "sweep"])
+    def test_logistic_runs_are_one_ensemble_with_one_warning(self, tmp_path, monkeypatch,
+                                                             command):
+        import sindykit.cli as cli
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return logistic_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "logistic_ensemble", counted)
+        doc = json.loads((TestShippedConfigs.CONFIG_DIR / "logistic.json").read_text())
+        doc["system"]["n_steps"] = 500
+        cfg = write_config(tmp_path / "c.json", doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+        assert [str(w.message) for w in caught] == [
+            "logistic iterates escaped [-0.5, 1.5]: 23 truncated runs restarted "
+            "(1 at mu=3.75, 3 at mu=3.85, 8 at mu=3.9, 11 at mu=3.95)"]
 
     def test_zero_duration_span_rejected(self, tmp_path):
         doc = dict(LIN2D_CFG, system={"kind": "linear2d", "x0": [2.0, 0.0],
@@ -600,7 +621,7 @@ class TestCliHopfEnsemble:
         assert calls == ["differentiate_dataset", "tv_derivative"]
         monkeypatch.undo()
 
-        runs = cli._simulate_runs(exp, exp["seed"])
+        runs = [simulate(spec) for spec in exp["specs"]]
         assert len(runs) == 24
         base, augment = exp["noise"]["seed"], exp["system"]["augment"]
         ref = concatenate([augment_signal(self._condition_per_run(run, exp, base + i),
@@ -611,8 +632,10 @@ class TestCliHopfEnsemble:
         for name in ("times", "states", "derivatives"):
             assert getattr(ds, name).tobytes() == getattr(ref, name).tobytes()
         assert (ds.segments, ds.state_names) == (ref.segments, ref.state_names)
-        # the runs are differentiated joined, so the method is recorded once
-        assert ds.meta == {**ref.meta, "differentiation": "tv"}
+        # segment i of the joined runs records its own noise, and the runs are
+        # differentiated joined, so the method is recorded once
+        assert [run["noise_seed"] for run in ds.meta["runs"]] == list(range(base, base + 24))
+        assert ds.meta["differentiation"] == "tv"
 
 
 class TestShippedConfigs:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from sindykit import (
     TermDescriptor,
     TermKind,
     TimeSeriesDataset,
+    augment_signal,
     build_matrix,
+    concatenate,
+    differentiate_dataset,
     enumerate_terms,
     evaluate_rhs,
     model_from_json,
@@ -343,6 +347,48 @@ class TestTimeSeriesDataset:
         assert ds.times[0] == 0.0 and ds.states[0, 0] == 0.0
         noised = TimeSeriesDataset(ds.times, ds.states + 1.0, state_names=ds.state_names)
         assert noised.times is ds.times and not noised.states.flags.writeable
+
+
+def _dataset(m: int, segments=(0,), derivatives=True) -> TimeSeriesDataset:
+    """Random data of m samples of 3 states, each segment on its own clock."""
+    rng = np.random.default_rng(0)
+    ends = [*segments[1:], m]
+    times = np.concatenate([np.arange(b - a, dtype=float) for a, b in zip(segments, ends)])
+    return TimeSeriesDataset(times, rng.standard_normal((m, 3)),
+                             rng.standard_normal((m, 3)) if derivatives else None,
+                             segments=segments)
+
+
+M = 100_000
+# producer -> (its inputs, built once, and the call); the call's new arrays
+# are those of the returned dataset that its inputs do not hold
+PRODUCERS = {
+    "concatenate": (lambda: [_dataset(M // 4) for _ in range(4)], concatenate),
+    "augment_signal": (lambda: _dataset(M),
+                       lambda ds: augment_signal(ds, "u", np.full(M, 3.0), np.zeros(M))),
+    "differentiate_dataset": (lambda: _dataset(M, tuple(range(0, M, 1000)), derivatives=False),
+                              lambda ds: differentiate_dataset(ds, "central")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCERS))
+def test_a_dataset_adopts_the_arrays_its_producer_built(name):
+    # the dataset keeps each new array as its producer built it, so the call
+    # holds one set of them at its peak; copying them again holds two
+    # (peak / new bytes measured: 2.00-2.01 with the copy, 1.05-1.13 without)
+    make, produce = PRODUCERS[name]
+    given = make()
+    inputs = {id(a) for ds in (given if isinstance(given, list) else [given])
+              for a in (ds.times, ds.states, ds.derivatives)}
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        out = produce(given)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    new = [a for a in (out.times, out.states, out.derivatives) if id(a) not in inputs]
+    assert new and peak - start < 1.5 * sum(a.nbytes for a in new)
 
 
 def test_default_state_names():

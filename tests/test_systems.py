@@ -9,7 +9,6 @@ from sindykit import (
     ConfigError,
     DataError,
     NumericalError,
-    NoiseSpec,
     SparseModel,
     SystemSpec,
     TermDescriptor,
@@ -695,14 +694,14 @@ class TestIterateMap:
     def test_escape_truncates_with_warning(self):
         spec = SystemSpec("logistic", x0=(0.5,), params={"mu": 3.95})
         with pytest.warns(UserWarning, match="escaped"):
-            ds = iterate_map(spec, 100_000, noise=NoiseSpec(eta=0.025, target="states", seed=0))
+            ds = iterate_map(spec, 100_000, eta=0.025, seed=0)
         assert ds.n_samples < 100_001
         assert np.all(ds.states[:, 0] >= -0.5) and np.all(ds.states[:, 0] <= 1.5)
 
     def test_determinism(self):
         spec = SystemSpec("logistic", x0=(0.5,), params={"mu": 3.5})
-        a = iterate_map(spec, 500, noise=NoiseSpec(eta=0.01, target="states", seed=7))
-        b = iterate_map(spec, 500, noise=NoiseSpec(eta=0.01, target="states", seed=7))
+        a = iterate_map(spec, 500, eta=0.01, seed=7)
+        b = iterate_map(spec, 500, eta=0.01, seed=7)
         assert np.array_equal(a.states, b.states)
 
     @pytest.mark.parametrize("mu, n_steps, eta", [
@@ -712,7 +711,6 @@ class TestIterateMap:
     def test_chunked_forcing_equals_one_draw(self, mu, n_steps, eta):
         # the forcing drawn up front in one call, as the map's reference;
         # unforced, the plain recurrence (adding +0.0 changes no iterate here)
-        noise = NoiseSpec(eta=eta, target="states", seed=0) if eta else None
         forcing = (eta * np.random.default_rng(0).standard_normal(n_steps) if eta
                    else np.zeros(n_steps))
         xs, x = [0.5], 0.5
@@ -723,7 +721,7 @@ class TestIterateMap:
             xs.append(x)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "logistic iterate escaped")
-            ds = iterate_map(SystemSpec("logistic", x0=(0.5,), params={"mu": mu}), n_steps, noise)
+            ds = iterate_map(SystemSpec("logistic", x0=(0.5,), params={"mu": mu}), n_steps, eta)
         assert ds.states[:, 0].tobytes() == np.array(xs).tobytes()
         assert (len(xs) <= n_steps) == (mu == 3.95)  # the second run escapes
         if not eta:  # the orbit from 0.5 at mu = 4 lands on 1.0, then stays at 0.0
@@ -738,6 +736,12 @@ class TestIterateMap:
             iterate_map(SystemSpec("linear2d", x0=(1.0, 0.0)), 10)
         with pytest.raises(ConfigError, match="n_steps >= 0"):
             iterate_map(SystemSpec("logistic", x0=(0.5,), params={"mu": 3.0}), -1)
+
+    @pytest.mark.parametrize("eta", [-0.01, -np.inf, np.inf, np.nan])
+    def test_forcing_must_be_nonnegative_and_finite(self, eta):
+        spec = SystemSpec("logistic", x0=(0.5,), params={"mu": 3.0})
+        with pytest.raises(ConfigError, match="^eta must be nonnegative and finite$"):
+            iterate_map(spec, 10, eta=eta)
 
 
 class TestAugmentation:
@@ -784,6 +788,9 @@ class TestAugmentation:
         assert exp.segments == (0, dataset.n_samples, 2 * dataset.n_samples)
         assert exp.times.tobytes() == np.tile(dataset.times, 3).tobytes()
         assert exp.n_samples == 3 * dataset.n_samples
+
+    def test_concatenate_returns_a_lone_dataset_as_it_is(self, dataset):
+        assert concatenate([dataset]) is dataset
 
     def test_concatenate_rejects_mismatched_names(self, dataset):
         other = augment_signal(dataset, "u", np.ones(dataset.n_samples),
@@ -848,7 +855,7 @@ class TestLogisticEnsemble:
                 while collected < 400:
                     run = iterate_map(
                         SystemSpec("logistic", x0=(0.5,), params={"mu": mu}), 400 - collected,
-                        noise=NoiseSpec(eta=0.025, target="states", seed=1 + 1000 * i + attempt))
+                        eta=0.025, seed=1 + 1000 * i + attempt)
                     runs.append(run)
                     collected += run.n_samples - 1
                     attempt += 1
