@@ -268,8 +268,8 @@ def parse_experiment(cfg: dict) -> dict:
                   f'differentiation.method "{method}" replaces with its estimates')
         raise ConfigError(f'noise.eta {noise.eta:g} on noise.target "{noise.target}" '
                           f'perturbs derivatives that {reader}')
-    exp["tv"] = (TvDiffConfig(**_variant(exp, "differentiation", "method"))
-                 if method == "tv" else None)
+    exp["tv"] = (TvDiffConfig(**{name: v for name, v in exp["differentiation"].items()
+                                 if name != "method"}) if method == "tv" else None)
     LibrarySpec(1, **exp["library"])  # its value checks; the data's state count changes none
     exp["fit_config"] = StlsqConfig(**exp["fit"])
     exp["thresholds"] = _thresholds(exp["selection"])
@@ -297,16 +297,6 @@ def _thresholds(sel: dict) -> np.ndarray:
         raise ConfigError("selection.count {count} repeats a threshold from selection.log10_min "
                           "{log10_min!r} to selection.log10_max {log10_max!r}".format(**sel))
     return thresholds
-
-
-def _variant(exp: dict, block: str, selector: str) -> dict:
-    """The keys of ``block`` that only its value of ``selector`` reads, as keyword arguments."""
-    own = _KEYS[block][selector].variants[exp[block][selector]]
-    return {name: v for name, v in exp[block].items() if name in own}
-
-
-def _config_hash(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
 def _system_runs(exp: dict) -> list[SystemSpec]:
@@ -358,13 +348,17 @@ def _loaded_dataset(exp: dict, data_path: str) -> TimeSeriesDataset:
 
 
 def _segment_runs(ds: TimeSeriesDataset) -> list[TimeSeriesDataset]:
-    """``ds`` as one dataset per segment; a one-segment dataset as itself."""
+    """``ds`` as one dataset per segment, sharing its rows, segment i with meta
+    ``ds.meta["runs"][i]`` where ``concatenate`` or ``logistic_ensemble`` listed
+    one run per segment; a one-segment dataset as itself."""
     if len(ds.segments) == 1:
         return [ds]
-    deriv = ds.derivatives
-    return [TimeSeriesDataset(ds.times[sl], ds.states[sl],
-                              None if deriv is None else deriv[sl], ds.state_names)
-            for sl in ds.segment_slices()]
+    runs, deriv = ds.meta.get("runs"), ds.derivatives
+    if not isinstance(runs, list) or len(runs) != len(ds.segments):
+        runs = [{}] * len(ds.segments)
+    return [TimeSeriesDataset(ds.times[sl], ds.states[sl], None if deriv is None else deriv[sl],
+                              ds.state_names, meta=run if isinstance(run, dict) else {})
+            for sl, run in zip(ds.segment_slices(), runs)]
 
 
 def _augment(exp: dict, ds: TimeSeriesDataset) -> TimeSeriesDataset:
@@ -438,7 +432,7 @@ def _write_run_report(out: Path, command: str, cfg: dict, seed: int,
     report = {
         "spec_version": 1,
         "command": command,
-        "config_sha256": _config_hash(cfg),
+        "config_sha256": hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
         "seed": seed,
         "version": __version__,
         "artifacts": artifacts,

@@ -139,9 +139,10 @@ def _compile(name: str, args: str, lines: list[str], namespace: dict):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    if (isinstance(a, np.ndarray) and a.dtype == float
-            and a.flags.owndata and not a.flags.writeable):
-        return a  # as this would return it: a dataset built from another's shares it
+    owner = a.base if isinstance(a, np.ndarray) and a.base is not None else a
+    if (isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
+            and a.dtype == float and (a is owner or a.flags.c_contiguous)):
+        return a  # a dataset built from another's arrays, or their row blocks, shares them
     return _frozen(np.array(a, dtype=float))
 
 

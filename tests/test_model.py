@@ -348,6 +348,20 @@ class TestTimeSeriesDataset:
         noised = TimeSeriesDataset(ds.times, ds.states + 1.0, state_names=ds.state_names)
         assert noised.times is ds.times and not noised.states.flags.writeable
 
+    def test_a_dataset_built_from_row_blocks_of_another_shares_them(self):
+        # a row block of a dataset's array is read-only and contiguous, so it is
+        # taken as it is; a column block, or a row block of a caller's writable
+        # array, is copied
+        ds = TimeSeriesDataset(times=np.arange(6.0), states=np.arange(12.0).reshape(6, 2))
+        block = TimeSeriesDataset(ds.times[2:5], ds.states[2:5])
+        assert block.times.base is ds.times and block.states.base is ds.states
+        column = TimeSeriesDataset(ds.times, ds.states[:, 1:])
+        assert column.states.base is None and column.states.flags.c_contiguous
+        states = np.zeros((6, 1))
+        mine = TimeSeriesDataset(times=ds.times[:3], states=states[:3])
+        states[0, 0] = 5.0
+        assert mine.states[0, 0] == 0.0 and not mine.states.flags.writeable
+
 
 def _dataset(m: int, segments=(0,), derivatives=True) -> TimeSeriesDataset:
     """Random data of m samples of 3 states, each segment on its own clock."""
