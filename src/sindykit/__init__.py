@@ -21,7 +21,6 @@ from .model import (
     Mode,
     SparseModel,
     TermDescriptor,
-    TermKind,
     TimeSeriesDataset,
     evaluate_rhs,
     model_from_json,

@@ -103,7 +103,11 @@ class _Choice:
     variants: dict  # value -> {key: kind} of the keys only that value reads
 
 
-_RUN = {"x0": ["number"], "t_span": ["number"], "dt": "number", "params": "number{}"}
+# the most steps a run takes, 100 times lorenz's 1e5: far beyond it np.arange
+# refuses the grid, and well before that the samples outgrow memory
+MAX_STEPS = 10**7
+
+_RUN = {"x0": ["number"], "t_span": ["number"], "dt": "positive", "params": "number{}"}
 _CONTINUOUS = {**_RUN, "runs": ([_RUN], [{}])}
 _LOGISTIC = {"x0": (["number"], [0.5]), "ensemble_mus": (["number"], []),
              "n_steps": ("natural", 1000), "forcing": ("nonnegative", 0.0)}
@@ -119,15 +123,15 @@ _KEYS = {
                                for kind in KINDS}),
         "augment": {"name": "string", "param": "string"},
     },
-    "noise": {"eta": ("number", 0.0),
+    "noise": {"eta": ("nonnegative", 0.0),
               "target": _Choice("derivatives", {"derivatives": {}, "states": {}}),
               "seed": "natural"},
     "differentiation": {
         "method": _Choice("exact", {"exact": {}, "central": {}, "tv": {
-            "alpha": ("number", 0.01), "iterations": "integer"}}),
+            "alpha": ("positive", 0.01), "iterations": "integer"}}),
     },
-    "library": {"poly_order": ("integer", 5), "trig_harmonics": ["integer"]},
-    "fit": {"threshold": ("number", 0.05), "max_iterations": "integer"},
+    "library": {"poly_order": ("integer", 5)},
+    "fit": {"threshold": ("nonnegative", 0.05), "max_iterations": "integer"},
     "selection": {"log10_min": ("number", -4.0), "log10_max": ("number", 0.0),
                   "count": ("natural", 25)},
     "compare": {"horizon": ("positive", 20.0), "grid_dt": ("positive", 0.01),
@@ -205,7 +209,9 @@ def parse_experiment(cfg: dict) -> dict:
     system kind or ``system.augment.param`` reads, ``compare.etas`` holds at
     least one level and no two whose curves share a file name,
     ``compare.horizon`` and ``compare.long_horizon`` are whole numbers of
-    ``compare.grid_dt`` steps, so that each grid ends on its horizon, every
+    ``compare.grid_dt`` steps, so that each grid ends on its horizon, no run
+    takes more than ``MAX_STEPS`` steps (a flow run's ``t_span`` over its
+    ``dt``, ``logistic``'s ``n_steps`` and each compare grid), every
     conditioning setting reaches the fit (``central`` and ``tv`` only under
     a flow, derivative noise only on the stored derivatives that a flow's
     fit reads under ``exact``), the ``library`` block passes
@@ -227,10 +233,17 @@ def parse_experiment(cfg: dict) -> dict:
     if augment and system["kind"] == "logistic":
         raise ConfigError("system.augment does not apply to logistic, whose map already "
                           "holds mu as its state r")
-    if system["kind"] == "logistic" and system["n_steps"] == 0:
-        raise ConfigError("system.n_steps is 0; logistic needs a transition per "
-                          "system.ensemble_mus value")
+    if system["kind"] == "logistic":
+        if system["n_steps"] == 0:
+            raise ConfigError("system.n_steps is 0; logistic needs a transition per "
+                              "system.ensemble_mus value")
+        _bound_steps(system["n_steps"], f"system.n_steps {system['n_steps']}")
     exp["specs"] = _system_runs(exp)
+    for i, (spec, run) in enumerate(zip(exp["specs"], system.get("runs", []))):  # flows
+        span, dt = (f"system.runs[{i}].{name}" if name in run else f"system.{name}"
+                    for name in ("t_span", "dt"))
+        (t0, t1), step = spec.t_span, spec.dt
+        _bound_steps((t1 - t0) / step, f"{span} {[t0, t1]} over {dt} {step!r}")
     if augment and any(augment["param"] not in spec.params for spec in exp["specs"]):
         raise ConfigError(
             f"system.augment.param {augment['param']!r} is not a parameter of every run")
@@ -254,10 +267,14 @@ def parse_experiment(cfg: dict) -> dict:
                               f"would both write error_eta_{eta:g}.csv")
     cmp = exp["compare"]
     for name in ("horizon", "long_horizon"):  # a compare grid ends on its horizon
-        if name in cmp and not (math.isfinite(steps := cmp[name] / cmp["grid_dt"])
-                                and math.isclose(steps, round(steps), rel_tol=1e-9)):
+        if name not in cmp:
+            continue
+        steps = cmp[name] / cmp["grid_dt"]
+        if not (math.isfinite(steps) and math.isclose(steps, round(steps), rel_tol=1e-9)):
             raise ConfigError(f"compare.{name} {cmp[name]!r} is not a whole number of "
                               f"compare.grid_dt {cmp['grid_dt']!r} steps")
+        _bound_steps(steps, f"compare.{name} {cmp[name]!r} over compare.grid_dt "
+                            f"{cmp['grid_dt']!r}")
     noise = exp["noise_spec"] = NoiseSpec(**exp["noise"])
     method, discrete = exp["differentiation"]["method"], exp["mode"] is Mode.DISCRETE
     if discrete and method != "exact":
@@ -274,6 +291,12 @@ def parse_experiment(cfg: dict) -> dict:
     exp["fit_config"] = StlsqConfig(**exp["fit"])
     exp["thresholds"] = _thresholds(exp["selection"])
     return exp
+
+
+def _bound_steps(steps: float, what: str) -> None:
+    """Refuse a run of more than ``MAX_STEPS`` steps; ``what`` names the keys that set it."""
+    if not steps <= MAX_STEPS:  # infinity too
+        raise ConfigError(f"{what} is more than {MAX_STEPS} steps, the most a run takes")
 
 
 def _thresholds(sel: dict) -> np.ndarray:

@@ -114,10 +114,10 @@ def dp45_adaptive(
     n states: the stages, the error norm and the Hermite fill are summed
     component by component on floats, so the result agrees with an array
     form of the same method to rounding.  A step whose error estimate is
-    not finite is rejected, as is one whose stage raises ``ValueError``
-    (``math.sin`` of an infinite state), so a run that blows up shrinks its
-    step until the underflow check or the attempt budget ends it.  Step
-    sizes are kept only when ``record_steps`` is set.
+    not finite is rejected, as is one whose stage raises ``ValueError`` (as
+    a caller's own right-hand side may on an infinite state), so a run that
+    blows up shrinks its step until the underflow check or the attempt
+    budget ends it.  Step sizes are kept only when ``record_steps`` is set.
     """
     y, times = _check_grid(x0, times)
     out = np.empty((len(times), len(y)))
@@ -220,7 +220,7 @@ def _dp45_loop(n: int):
         *stages,
         f"        {z} = {_each(n, f'y{{i}} + h * ({_weighted(_A[-1])})')}",
         "        " + _call(n, "k7_{i}", "z{i}"),
-        "    except ValueError:  # math.sin/math.cos of an infinite stage",
+        "    except ValueError:  # a caller's right-hand side refusing an infinite stage",
         "        err = nan",
         "    else:",
         *(error.format(i=i) for i in range(n)),

@@ -1,11 +1,11 @@
 """Candidate-function library.
 
 Builds the data matrix whose columns are candidate nonlinear functions
-(monomials up to a configured order, optional per-variable harmonics)
-evaluated at every sample by :func:`sindykit.model.term_evaluator`, numpy
-code generated from the term source that ``SparseModel.rhs`` compiles to
-float code for simulation.  A monomial is a product of its states, left to
-right, so each column holds the bits the simulated model gives that term.
+(the monomials up to a configured order) evaluated at every sample by
+:func:`sindykit.model.term_evaluator`, numpy code generated from the term
+source that ``SparseModel.rhs`` compiles to float code for simulation.  A
+monomial is a product of its states, left to right, so each column holds
+the bits the simulated model gives that term.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model import TermDescriptor, TermKind, term_evaluator
+from .model import TermDescriptor, term_evaluator
 
 __all__ = ["LibrarySpec", "LibraryMatrix", "enumerate_terms", "build_matrix"]
 
@@ -30,25 +30,20 @@ _BLOCK_ROWS = 1024  # rows evaluated at a time, so each temporary product is 8 k
 class LibrarySpec:
     n_states: int
     poly_order: int
-    trig_harmonics: frozenset[int] = frozenset()
     include_constant: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trig_harmonics", frozenset(int(k) for k in self.trig_harmonics))
         if self.n_states < 1:
             raise ConfigError("n_states must be positive")
         if not 0 <= self.poly_order <= MAX_POLY_ORDER:
             raise ConfigError(f"poly_order must be in [0, {MAX_POLY_ORDER}]")
-        if any(k < 1 for k in self.trig_harmonics):
-            raise ConfigError("trig harmonics must be positive integers")
         if self.n_terms == 0:
-            raise ConfigError("the library has no terms: poly_order 0 needs include_constant "
-                              "or trig_harmonics")
+            raise ConfigError("the library has no terms: poly_order 0 needs include_constant")
 
     @property
     def n_terms(self) -> int:
         n, d = self.n_states, self.poly_order
-        p = comb(n + d, d) + 2 * len(self.trig_harmonics) * n
+        p = comb(n + d, d)
         if not self.include_constant:
             p -= 1
         return p
@@ -72,9 +67,8 @@ class LibraryMatrix:
 @functools.lru_cache(maxsize=64)
 def enumerate_terms(spec: LibrarySpec) -> tuple[TermDescriptor, ...]:
     """Ordered term list: graded by degree, lexicographic within a degree
-    (x before y before z), trig terms appended per harmonic with the sine
-    block ahead of the cosine block.  Cached per spec, as the regression
-    builds the library one row block at a time."""
+    (x before y before z).  Cached per spec, as the regression builds the
+    library one row block at a time."""
     n = spec.n_states
     terms: list[TermDescriptor] = []
     start = 0 if spec.include_constant else 1
@@ -83,12 +77,7 @@ def enumerate_terms(spec: LibrarySpec) -> tuple[TermDescriptor, ...]:
             expo = [0] * n
             for i in combo:
                 expo[i] += 1
-            terms.append(TermDescriptor(TermKind.MONOMIAL, tuple(expo)))
-    for k in sorted(spec.trig_harmonics):
-        for kind in (TermKind.SINE, TermKind.COSINE):
-            for i in range(n):
-                expo = tuple(1 if j == i else 0 for j in range(n))
-                terms.append(TermDescriptor(kind, expo, harmonic=k))
+            terms.append(TermDescriptor(tuple(expo)))
     return tuple(terms)
 
 

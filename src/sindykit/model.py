@@ -2,8 +2,8 @@
 
 A fitted model is a dense coefficient matrix (one column per state
 equation) together with the ordered list of candidate terms labelling its
-rows.  Terms are monomials in the state variables or single-variable
-harmonics; the constant term is the all-zero monomial.
+rows.  Terms are monomials in the state variables; the constant term is
+the all-zero monomial.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
-    "TermKind",
     "Mode",
     "TermDescriptor",
     "SparseModel",
@@ -31,12 +29,6 @@ __all__ = [
     "model_to_json",
     "model_from_json",
 ]
-
-
-class TermKind(enum.Enum):
-    MONOMIAL = "monomial"
-    SINE = "sine"
-    COSINE = "cosine"
 
 
 class Mode(enum.Enum):
@@ -53,43 +45,24 @@ def default_state_names(n: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class TermDescriptor:
-    """One candidate function of the state vector.
+    """One candidate function of the state vector: the monomial whose power of
+    each state variable is given by ``exponents``."""
 
-    ``exponents`` gives the monomial powers per state variable.  For trig
-    terms the single nonzero entry (which must be 1) selects the variable
-    and ``harmonic`` is the frequency multiplier k in sin(k x)/cos(k x);
-    monomials carry ``harmonic == 0``.
-    """
-
-    kind: TermKind
     exponents: tuple[int, ...]
-    harmonic: int = 0
 
     def __post_init__(self) -> None:
         if any(not isinstance(e, (int, np.integer)) or e < 0 for e in self.exponents):
             raise DataError(f"exponents must be non-negative integers, got {self.exponents}")
-        if self.kind is TermKind.MONOMIAL:
-            if self.harmonic != 0:
-                raise DataError("monomial terms carry harmonic=0")
-        else:
-            if self.harmonic < 1:
-                raise DataError("trig terms need a positive harmonic")
-            if sum(self.exponents) != 1 or max(self.exponents) != 1:
-                raise DataError("trig terms reference exactly one state variable")
 
     @property
     def degree(self) -> int:
         return sum(self.exponents)
 
     def name(self, state_names: tuple[str, ...] | list[str]) -> str:
-        """Appendix-style label: '1', 'x', 'xxy', 'sin(2x)', ..."""
-        if self.kind is TermKind.MONOMIAL:
-            if self.degree == 0:
-                return "1"
-            return "".join(state_names[i] * e for i, e in enumerate(self.exponents))
-        fn = "sin" if self.kind is TermKind.SINE else "cos"
-        k = "" if self.harmonic == 1 else str(self.harmonic)
-        return f"{fn}({k}{state_names[self.exponents.index(1)]})"
+        """Appendix-style label: '1', 'x', 'xxy', ..."""
+        if self.degree == 0:
+            return "1"
+        return "".join(state_names[i] * e for i, e in enumerate(self.exponents))
 
 
 def term_evaluator(terms, n_states: int):
@@ -97,7 +70,7 @@ def term_evaluator(terms, n_states: int):
     values (m, len(terms)), written to ``out`` if given; one state (n_states,)
     runs as a one-row matrix and gives that row.  The callable does not check its
     input.  It is straight-line numpy code: column j is :func:`_term_source` of
-    term j, the text ``SparseModel.rhs`` compiles, so a monomial has its bits there.
+    term j, the text ``SparseModel.rhs`` compiles, so a term has its bits there.
     Callables are cached on the term tuple and ``n_states``, so the library's
     per-block calls and :func:`evaluate_rhs` compile each term list once."""
     return _term_evaluator(tuple(terms), n_states)
@@ -109,7 +82,7 @@ def _term_evaluator(terms: tuple[TermDescriptor, ...], n_states: int):
         raise DataError(f"a state of length {n_states} does not match the terms' exponents")
     block = _compile("theta", "X, out", [f"x{i} = X[:, {i}]" for i in range(n_states)]
                      + [f"out[:, {j}] = {_term_source(t)}" for j, t in enumerate(terms)]
-                     + ["return out"], {"sin": np.sin, "cos": np.cos})
+                     + ["return out"], {})
 
     def theta(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if X.ndim == 1:
@@ -121,14 +94,10 @@ def _term_evaluator(terms: tuple[TermDescriptor, ...], n_states: int):
 
 def _term_source(term: TermDescriptor) -> str:
     """The term as source over states ``x0, x1, ...`` for Θ and ``SparseModel.rhs``
-    alike: the flat product of its states in state order (``(x0 * x0 * x1)``), ``1.0``
-    for the constant, or ``sin``/``cos`` of ``k * x``.  Built only from the term's integers."""
-    if term.kind is TermKind.MONOMIAL:
-        factors = [f"x{i}" for i, e in enumerate(term.exponents) for _ in range(e)]
-        return f"({' * '.join(factors)})" if factors else "1.0"
-    fn = "sin" if term.kind is TermKind.SINE else "cos"
-    k = "" if term.harmonic == 1 else f"{term.harmonic} * "
-    return f"{fn}({k}x{term.exponents.index(1)})"
+    alike: the flat product of its states in state order (``(x0 * x0 * x1)``), or ``1.0``
+    for the constant.  Built only from the term's integers."""
+    factors = [f"x{i}" for i, e in enumerate(term.exponents) for _ in range(e)]
+    return f"({' * '.join(factors)})" if factors else "1.0"
 
 
 def _compile(name: str, args: str, lines: list[str], namespace: dict):
@@ -201,15 +170,13 @@ class SparseModel:
         The returned ``f(x)`` takes the state as a length-n sequence and
         returns a tuple of n floats.  Only the terms active in some
         equation appear, rendered by :func:`_term_source` as for Θ: each is one
-        product of states (``x0 * x2``) or one ``math.sin``/``math.cos``
-        call, and each equation is one sum of coefficient times term, so
-        inside an integration loop a call costs a few float operations and
-        no numpy arrays.  A monomial's value equals its column of Θ bit for
-        bit, but the whole agrees with :func:`evaluate_rhs` to rounding
-        only: the sums run in another order and ``math.sin`` may round
-        differently from ``np.sin``.  The source is built only from integer
-        indices and ``repr`` of the (finite) coefficients; no state name or
-        other text reaches ``exec``.
+        product of states (``x0 * x2``), and each equation is one sum of
+        coefficient times term, so inside an integration loop a call costs a
+        few float operations and no numpy arrays.  A term's value equals its
+        column of Θ bit for bit, but the whole agrees with :func:`evaluate_rhs`
+        to rounding only: the sums run in another order.  The source is built
+        only from integer indices and ``repr`` of the (finite) coefficients;
+        no state name or other text reaches ``exec``.
         """
         equations = []
         for column in self.coefficients.T:
@@ -218,8 +185,7 @@ class SparseModel:
             equations.append(" + ".join(parts) or "0.0")
         states = ", ".join(f"x{i}" for i in range(self.n_states))
         values = "".join(f"{e}, " for e in equations)  # a tuple even for one equation
-        return _compile("rhs", "x", [f"[{states}] = x", f"return ({values})"],
-                        {"sin": math.sin, "cos": math.cos})
+        return _compile("rhs", "x", [f"[{states}] = x", f"return ({values})"], {})
 
 
 def evaluate_rhs(model: SparseModel, x: np.ndarray) -> np.ndarray:
@@ -277,11 +243,13 @@ def render_table(model: SparseModel) -> str:
 
 
 def model_to_json(model: SparseModel) -> str:
+    """The model as JSON.  Each term keeps the ``"kind": "monomial"`` and
+    ``"harmonic": 0`` keys of the format, which readers of ``model.json`` parse."""
     doc = {
         "state_names": list(model.state_names),
         "mode": model.mode.value,
         "terms": [
-            {"kind": t.kind.value, "exponents": list(t.exponents), "harmonic": t.harmonic}
+            {"kind": "monomial", "exponents": list(t.exponents), "harmonic": 0}
             for t in model.terms
         ],
         "coefficients": [[float(v) for v in row] for row in model.coefficients],
@@ -291,10 +259,11 @@ def model_to_json(model: SparseModel) -> str:
 
 def model_from_json(text: str) -> SparseModel:
     doc = json.loads(text)
-    terms = tuple(
-        TermDescriptor(TermKind(t["kind"]), tuple(t["exponents"]), t["harmonic"])
-        for t in doc["terms"]
-    )
+    for i, t in enumerate(doc["terms"]):
+        if t["kind"] != "monomial" or t["harmonic"] != 0:
+            raise DataError(f"term {i} is not a monomial: kind {t['kind']!r}, "
+                            f"harmonic {t['harmonic']!r}")
+    terms = tuple(TermDescriptor(tuple(t["exponents"])) for t in doc["terms"])
     return SparseModel(
         terms=terms,
         coefficients=np.array(doc["coefficients"], dtype=float),

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from sindykit.cli import _KEYS, _Choice, main
+from sindykit import ConfigError
+from sindykit.cli import _KEYS, MAX_STEPS, _Choice, main, parse_experiment
 from sindykit.systems import _SYSTEMS
 
 LIN2D = {
@@ -21,7 +22,7 @@ LIN2D = {
     "system": {"kind": "linear2d", "x0": [2.0, 0.0], "t_span": [0.0, 2.0], "dt": 0.01},
     "noise": {"eta": 0.01, "target": "derivatives", "seed": 3},
     "differentiation": {"method": "exact"},
-    "library": {"poly_order": 2, "trig_harmonics": []},
+    "library": {"poly_order": 2},
     "fit": {"threshold": 0.05, "max_iterations": 10},
     "selection": {"log10_min": -3, "log10_max": -0.3, "count": 5},
     "compare": {"horizon": 1.0, "grid_dt": 0.05, "etas": [0.0], "long_horizon": 2.0},
@@ -184,8 +185,9 @@ UNREAD_PARAM_CASES = [
 # (base config, path, value, the start of the message): settings that the
 # config schema no longer holds, mean-field relaxation rates that the
 # package refuses, a negative or repeated noise level for compare, threshold
-# grids that the sweep cannot take, a logistic ensemble of no steps and a
-# negative map forcing
+# grids that the sweep cannot take, a logistic ensemble of no steps, a
+# negative map forcing, values that the package constructors would refuse
+# without naming the key, and runs of more steps than memory holds
 REFUSED_CASES = [
     (LIN2D, ("system", "integrator"), {"method": "rk4"}, "unknown key system.integrator"),
     (LIN2D, ("system", "integrator"), {"method": "rk45", "abs_tol": 1e-9},
@@ -217,7 +219,7 @@ REFUSED_CASES = [
      "compare.etas[0] 0.0 and compare.etas[1] 0.0 would both write error_eta_0.csv"),
     (LIN2D, ("library", "poly_order"), 9, "poly_order must be in [0, 8]"),
     (LIN2D, ("library", "poly_order"), -1, "poly_order must be in [0, 8]"),
-    (LIN2D, ("library", "trig_harmonics"), [0], "trig harmonics must be positive integers"),
+    (LIN2D, ("library", "trig_harmonics"), [1], "unknown key library.trig_harmonics"),
     (LOGISTIC, ("system", "augment"), {"name": "m", "param": "mu"},
      "system.augment does not apply to logistic, whose map already holds mu as its state r"),
     # a compare grid that would not end on its horizon
@@ -256,6 +258,24 @@ REFUSED_CASES = [
      "system.forcing must be a nonnegative number, not -0.01"),
     (LOGISTIC, ("system", "n_steps"), 0,
      "system.n_steps is 0; logistic needs a transition per system.ensemble_mus value"),
+    (LIN2D, ("fit", "threshold"), -1, "fit.threshold must be a nonnegative number, not -1"),
+    (LIN2D, ("system", "dt"), 0, "system.dt must be a positive number, not 0"),
+    (RUNS, ("system", "runs", 1, "dt"), 0, "system.runs[1].dt must be a positive number, not 0"),
+    (LIN2D, ("noise", "eta"), -1, "noise.eta must be a nonnegative number, not -1"),
+    (TV, ("differentiation", "alpha"), -1,
+     "differentiation.alpha must be a positive number, not -1"),
+    (LIN2D, ("system", "dt"), 1e-300, "system.t_span [0.0, 2.0] over system.dt 1e-300 is "
+     "more than 10000000 steps, the most a run takes"),
+    (LIN2D, ("system", "t_span"), [0.0, 1e300], "system.t_span [0.0, 1e+300] over "
+     "system.dt 0.01 is more than 10000000 steps, the most a run takes"),
+    (RUNS, ("system", "runs", 0, "dt"), 1e-300, "system.runs[0].t_span [0.0, 2.0] over "
+     "system.runs[0].dt 1e-300 is more than 10000000 steps, the most a run takes"),
+    (LIN2D, ("compare", "horizon"), 1e300, "compare.horizon 1e+300 over compare.grid_dt 0.05 "
+     "is more than 10000000 steps, the most a run takes"),
+    (LIN2D, ("compare", "long_horizon"), 1e300, "compare.long_horizon 1e+300 over "
+     "compare.grid_dt 0.05 is more than 10000000 steps, the most a run takes"),
+    (LOGISTIC, ("system", "n_steps"), 10**7 + 1,
+     "system.n_steps 10000001 is more than 10000000 steps, the most a run takes"),
 ]
 
 # (command, base config, path to the value, the value as JSON text, the key
@@ -377,6 +397,19 @@ def test_refused_setting_stops_every_command_before_any_simulation(tmp_path, cap
     cfg.write_text(json.dumps(_with(base, path, value)))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_a_run_of_max_steps_parses_and_one_step_more_is_refused():
+    # the parse alone: nothing of this length is simulated
+    run = _with(LIN2D, ("system", "dt"), 0.5)
+    parse_experiment(_with(run, ("system", "t_span"), [0.0, 0.5 * MAX_STEPS]))
+    parse_experiment(_with(LOGISTIC, ("system", "n_steps"), MAX_STEPS))
+    grid = _with(LIN2D, ("compare",), {"horizon": 0.5 * MAX_STEPS, "grid_dt": 0.5})
+    parse_experiment(grid)
+    with pytest.raises(ConfigError, match="system.t_span .* is more than"):
+        parse_experiment(_with(run, ("system", "t_span"), [0.0, 0.5 * MAX_STEPS + 0.5]))
+    with pytest.raises(ConfigError, match="compare.horizon .* is more than"):
+        parse_experiment(_with(grid, ("compare", "horizon"), 0.5 * MAX_STEPS + 0.5))
 
 
 def test_integer_past_the_int_string_limit_is_config_error(tmp_path, capsys):

@@ -9,7 +9,6 @@ from sindykit import (
     DataError,
     LibrarySpec,
     SparseModel,
-    TermKind,
     build_matrix,
     enumerate_terms,
 )
@@ -23,14 +22,11 @@ def names(spec, state_names):
 def reference_column(term, X):
     """One term on every row, with the arithmetic of a plain loop over states:
     a monomial multiplies its states in, one factor at a time, in state order."""
-    if term.kind is TermKind.MONOMIAL:
-        col = np.ones(X.shape[0])
-        for i, e in enumerate(term.exponents):
-            for _ in range(e):
-                col = col * X[:, i]
-        return col
-    arg = term.harmonic * X[:, term.exponents.index(1)]
-    return np.sin(arg) if term.kind is TermKind.SINE else np.cos(arg)
+    col = np.ones(X.shape[0])
+    for i, e in enumerate(term.exponents):
+        for _ in range(e):
+            col = col * X[:, i]
+    return col
 
 
 def _same_bits(a, b):
@@ -55,27 +51,17 @@ class TestEnumerateTerms:
     def test_term_count_formula_exhaustive(self):
         for n in range(1, 7):
             for d in range(0, 6):
-                for harmonics in (frozenset(), frozenset({1}), frozenset({1, 2})):
-                    spec = LibrarySpec(n, d, trig_harmonics=harmonics)
-                    expected = comb(n + d, d) + 2 * len(harmonics) * n
-                    terms = enumerate_terms(spec)
-                    assert len(terms) == expected == spec.n_terms
+                spec = LibrarySpec(n, d)
+                assert len(enumerate_terms(spec)) == comb(n + d, d) == spec.n_terms
 
     def test_without_constant(self):
         assert names(LibrarySpec(2, 1, include_constant=False), ("x", "y")) == ["x", "y"]
-
-    def test_trig_block_ordering(self):
-        got = names(LibrarySpec(2, 0, trig_harmonics=frozenset({2, 1})), ("x", "y"))
-        assert got == ["1", "sin(x)", "sin(y)", "cos(x)", "cos(y)",
-                       "sin(2x)", "sin(2y)", "cos(2x)", "cos(2y)"]
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ConfigError):
             LibrarySpec(0, 2)
         with pytest.raises(ConfigError):
             LibrarySpec(2, 9)  # degree cap
-        with pytest.raises(ConfigError):
-            LibrarySpec(2, 2, trig_harmonics=frozenset({0}))
         with pytest.raises(ConfigError, match="no terms"):
             LibrarySpec(2, 0, include_constant=False)
 
@@ -103,7 +89,7 @@ class TestBuildMatrix:
 
     def test_rows_match_single_state_evaluation_exactly(self):
         rng = np.random.default_rng(5)
-        spec = LibrarySpec(3, 4, trig_harmonics=frozenset({1}))
+        spec = LibrarySpec(3, 4)
         X = rng.standard_normal((30, 3)) * 3.0
         theta = build_matrix(spec, X)
         one_state = term_evaluator(enumerate_terms(spec), 3)  # the path of evaluate_rhs
@@ -112,9 +98,8 @@ class TestBuildMatrix:
             assert _same_bits(theta.values[i:i + 1], build_matrix(spec, X[i:i + 1]).values)
 
     @pytest.mark.parametrize("spec", [
-        LibrarySpec(3, 5), LibrarySpec(1, 8, trig_harmonics=frozenset({1, 3})),
-        LibrarySpec(5, 3, trig_harmonics=frozenset({2}), include_constant=False),
-        LibrarySpec(2, 0, trig_harmonics=frozenset({1, 2}))])
+        LibrarySpec(3, 5), LibrarySpec(1, 8), LibrarySpec(5, 3, include_constant=False),
+        LibrarySpec(2, 0)])
     def test_equals_the_reference_loop_bit_for_bit(self, spec):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((2500, spec.n_states)) * rng.choice([0.1, 1.0, 30.0], (2500, 1))
@@ -168,12 +153,6 @@ class TestSingleStateRow:
         out = build_matrix(LibrarySpec(3, 2), np.array([[-8.0, 7.0, 27.0]])).values
         assert np.array_equal(
             out, [[1.0, -8.0, 7.0, 27.0, 64.0, -56.0, -216.0, 49.0, 189.0, 729.0]])
-
-    def test_trig_at_pi(self):
-        spec = LibrarySpec(1, 0, trig_harmonics=frozenset({1}))
-        [out] = build_matrix(spec, np.array([[np.pi]])).values
-        assert abs(out[1]) < 1e-12      # sin(pi)
-        assert out[2] == -1.0           # cos(pi)
 
     def test_one_state_gives_the_one_row_matrix(self):
         spec = LibrarySpec(2, 2)

@@ -10,7 +10,6 @@ from sindykit import (
     Mode,
     SparseModel,
     TermDescriptor,
-    TermKind,
     TimeSeriesDataset,
     augment_signal,
     build_matrix,
@@ -48,33 +47,21 @@ def lorenz_true_model():
 
 class TestTermDescriptor:
     def test_constant_is_all_zero_monomial(self):
-        t = TermDescriptor(TermKind.MONOMIAL, (0, 0))
+        t = TermDescriptor((0, 0))
         assert t.name(("x", "y")) == "1"
         assert t.degree == 0
 
     def test_monomial_names_use_repeated_letters(self):
-        assert TermDescriptor(TermKind.MONOMIAL, (2, 1)).name(("x", "y")) == "xxy"
-        assert TermDescriptor(TermKind.MONOMIAL, (0, 3)).name(("x", "y")) == "yyy"
-
-    def test_trig_names(self):
-        assert TermDescriptor(TermKind.SINE, (1, 0), 1).name(("x", "y")) == "sin(x)"
-        assert TermDescriptor(TermKind.COSINE, (0, 1), 2).name(("x", "y")) == "cos(2y)"
-
-    def test_trig_must_reference_one_variable(self):
-        with pytest.raises(DataError):
-            TermDescriptor(TermKind.SINE, (1, 1), 1)
-        with pytest.raises(DataError):
-            TermDescriptor(TermKind.SINE, (2, 0), 1)
-        with pytest.raises(DataError):
-            TermDescriptor(TermKind.SINE, (1, 0), 0)
+        assert TermDescriptor((2, 1)).name(("x", "y")) == "xxy"
+        assert TermDescriptor((0, 3)).name(("x", "y")) == "yyy"
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(DataError):
-            TermDescriptor(TermKind.MONOMIAL, (-1, 0))
+            TermDescriptor((-1, 0))
 
     def test_fractional_exponent_rejected(self):
         with pytest.raises(DataError, match="integers"):
-            TermDescriptor(TermKind.MONOMIAL, (1.5, 0))
+            TermDescriptor((1.5, 0))
 
 
 class TestEvaluateRhs:
@@ -115,11 +102,6 @@ class TestEvaluateRhs:
         with pytest.raises(DataError, match="one exponent per state, 2 in all"):
             SparseModel(enumerate_terms(LibrarySpec(3, 1)), np.ones((4, 2)), ("x", "y"))
 
-    def test_trig_terms_evaluate(self):
-        terms = (TermDescriptor(TermKind.SINE, (1,), 2),)
-        m = SparseModel(terms, np.array([[3.0]]), ("x",))
-        assert np.isclose(evaluate_rhs(m, np.array([0.25]))[0], 3.0 * np.sin(0.5))
-
 
 
 def _sparse_model(spec, names, seed, zero_equation=None):
@@ -138,16 +120,14 @@ class TestGeneratedRhs:
     term evaluator's Θ(x) @ coefficients to rounding."""
 
     @pytest.mark.parametrize("spec, names, zero_equation", [
-        # constant, cubic, sin/cos at harmonics 1 and 2, and an all-zero equation
-        (LibrarySpec(3, 3, trig_harmonics=frozenset({1, 2})), ("x", "y", "z"), 1),
-        (LibrarySpec(1, 5, trig_harmonics=frozenset({2})), ("x",), None),
+        # constant, cubic, and an all-zero equation
+        (LibrarySpec(3, 3), ("x", "y", "z"), 1),
+        (LibrarySpec(1, 5), ("x",), None),
         (LibrarySpec(10, 2), default_state_names(10), None),  # x9 and later in the source
     ])
     def test_equals_the_term_evaluator_to_rounding(self, spec, names, zero_equation):
         model = _sparse_model(spec, names, seed=len(names), zero_equation=zero_equation)
         active = np.flatnonzero(np.any(model.coefficients != 0.0, axis=1))
-        assert any(model.terms[i].kind is not TermKind.MONOMIAL for i in active) == bool(
-            spec.trig_harmonics)
         theta = term_evaluator([model.terms[i] for i in active], model.n_states)
         coef = model.coefficients[active]
         f = model.rhs()
@@ -164,12 +144,11 @@ class TestGeneratedRhs:
                 assert got[zero_equation] == 0.0
 
     @pytest.mark.parametrize("names", [
-        ("xxyyy", "xxxxx", "sin(2x)", "cos(2y)"), ("xxyyy",), ("1", "y", "xxxxx"),
-        ("xxyy", "xyyy", "cos(2y)")])
+        ("xxyyy", "xxxxx"), ("xxyyy",), ("1", "y", "xxxxx"), ("xxyy", "xyyy")])
     def test_a_subset_of_terms_gives_the_library_row(self, names):
         # the subset compiles fewer terms than the library, and must still
         # give the library's values bit for bit
-        spec = LibrarySpec(2, 5, trig_harmonics=frozenset({2}))
+        spec = LibrarySpec(2, 5)
         terms = enumerate_terms(spec)
         labels = [t.name(("x", "y")) for t in terms]
         active = sorted(labels.index(n) for n in names)
@@ -183,7 +162,7 @@ class TestGeneratedRhs:
             assert evaluate_rhs(model, x).tobytes() == expected.tobytes()
 
     def test_hostile_state_names_do_not_reach_the_source(self):
-        spec = LibrarySpec(3, 2, trig_harmonics=frozenset({1}))
+        spec = LibrarySpec(3, 2)
         plain = _sparse_model(spec, ("x", "y", "z"), seed=3)
         hostile = SparseModel(plain.terms, plain.coefficients,
                               ("x'\"", "__import__('os').system('false')", "z\n)\nraise SystemExit"))
@@ -294,6 +273,13 @@ class TestJsonRoundTrip:
         doc = json.loads(model_to_json(linear_model(np.eye(2))))
         doc["terms"][0]["exponents"] = [1, 0, 0]
         with pytest.raises(DataError, match="one exponent per state"):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key,value", [("kind", "sine"), ("harmonic", 1)])
+    def test_a_term_that_is_not_a_monomial_is_refused(self, key, value):
+        doc = json.loads(model_to_json(lorenz_true_model()))
+        doc["terms"][3][key] = value
+        with pytest.raises(DataError, match="term 3 is not a monomial"):
             model_from_json(json.dumps(doc))
 
     def test_schema_fields(self):

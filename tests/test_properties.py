@@ -47,9 +47,8 @@ def datasets(draw):
 def models(draw, names=st.text(st.characters(categories=("L", "Nd")) | st.just("'"),
                                 min_size=1, max_size=4)):
     n, order = draw(st.integers(1, 3)), draw(st.integers(0, 3))
-    harmonics = frozenset(draw(st.sets(st.integers(1, 3), max_size=2)))
-    constant = draw(st.booleans()) or not (order or harmonics)  # no empty library
-    spec = LibrarySpec(n, order, trig_harmonics=harmonics, include_constant=constant)
+    constant = draw(st.booleans()) or not order  # no empty library
+    spec = LibrarySpec(n, order, include_constant=constant)
     terms = enumerate_terms(spec)
     coef = draw(st.lists(finite, min_size=len(terms) * n, max_size=len(terms) * n))
     return SparseModel(terms=terms, coefficients=np.reshape(coef, (len(terms), n)),
@@ -93,13 +92,12 @@ def test_table_round_trip(model):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(1, 3), order=st.integers(0, 4),
-       harmonics=st.sets(st.integers(1, 4), min_size=1, max_size=2), constant=st.booleans(),
+@given(n=st.integers(1, 3), order=st.integers(0, 4), constant=st.booleans(),
        rows=st.integers(2 * 1024 + 1, 3000), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1e-3, 1.0, 30.0]))
-def test_matrix_rows_equal_single_state_rows_across_blocks(n, order, harmonics, constant,
-                                                           rows, seed, scale):
-    spec = LibrarySpec(n, order, trig_harmonics=frozenset(harmonics), include_constant=constant)
+def test_matrix_rows_equal_single_state_rows_across_blocks(n, order, constant, rows, seed,
+                                                           scale):
+    spec = LibrarySpec(n, order, include_constant=constant or not order)  # no empty library
     X = np.random.default_rng(seed).standard_normal((rows, n)) * scale
     theta = build_matrix(spec, X)
     one_state = term_evaluator(enumerate_terms(spec), n)

@@ -12,7 +12,6 @@ from sindykit import (
     SparseModel,
     SystemSpec,
     TermDescriptor,
-    TermKind,
     augment_signal,
     concatenate,
     iterate_map,
@@ -341,33 +340,18 @@ class TestFloatStepping:
         out, steps = dp45_adaptive(lambda x: [1.0], [2.0], np.array([0.5]), record_steps=True)
         assert out.tolist() == [[2.0]] and steps.size == 0
 
-    @pytest.mark.parametrize("z0, stage_raises", [(27.0, False), (1e160, True)])
-    def test_model_blowing_up_through_a_trig_term_is_a_numerical_error(self, z0, stage_raises):
-        # Lorenz plus sin(x), cos(2y) and z^2 terms.  From z = 27 the run escapes
-        # near t = 1/27 and its step size underflows.  From z = 1e160 the first
-        # slope overflows, the stages are infinite and math.cos raises
-        # ValueError (np.cos gave nan): each such attempt is rejected likewise.
-        mono = lambda *e: TermDescriptor(TermKind.MONOMIAL, e)
-        terms = (mono(1, 0, 0), mono(0, 1, 0), mono(0, 0, 1), mono(1, 1, 0), mono(1, 0, 1),
-                 mono(0, 0, 2), TermDescriptor(TermKind.SINE, (1, 0, 0), 1),
-                 TermDescriptor(TermKind.COSINE, (0, 1, 0), 2))
+    def test_model_blowing_up_through_a_squared_term_is_a_numerical_error(self):
+        # Lorenz plus a z^2 term: from z = 27 the run escapes near t = 1/27
+        # and its step size underflows
+        terms = tuple(TermDescriptor(e) for e in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0),
+                                                  (1, 0, 1), (0, 0, 2)])
         coef = np.zeros((len(terms), 3))
-        coef[0, 0], coef[1, 0], coef[6, 0] = -10.0, 10.0, 1.0
-        coef[0, 1], coef[1, 1], coef[4, 1], coef[7, 1] = 28.0, -1.0, -1.0, 1.0
+        coef[0, 0], coef[1, 0] = -10.0, 10.0
+        coef[0, 1], coef[1, 1], coef[4, 1] = 28.0, -1.0, -1.0
         coef[2, 2], coef[3, 2], coef[5, 2] = -8.0 / 3.0, 1.0, 1.0
         f = SparseModel(terms, coef, ("x", "y", "z")).rhs()
-        raised = []
-
-        def watched(x):
-            try:
-                return f(x)
-            except ValueError:
-                raised.append(x)
-                raise
-
         with pytest.raises(NumericalError, match="step size underflow at t="):
-            dp45_adaptive(watched, [-8.0, 7.0, z0], np.arange(0.0, 1.0, 0.01), 1e-9, 1e-9)
-        assert bool(raised) == stage_raises
+            dp45_adaptive(f, [-8.0, 7.0, 27.0], np.arange(0.0, 1.0, 0.01), 1e-9, 1e-9)
 
 
 def _reference_rhs(kind, p):
