@@ -16,13 +16,12 @@ from .differentiation import (
     tv_derivative,
 )
 from .errors import ConfigError, DataError, NumericalError, SindykitError
-from .library import LibraryMatrix, LibrarySpec, build_matrix, enumerate_terms
+from .library import LibrarySpec, build_matrix, enumerate_terms
 from .model import (
     Mode,
     SparseModel,
     TermDescriptor,
     TimeSeriesDataset,
-    evaluate_rhs,
     model_from_json,
     model_to_json,
     render_table,

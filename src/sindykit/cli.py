@@ -90,6 +90,7 @@ _KINDS = {
     "nonnegative": ("a nonnegative number", lambda v: _is_number(v) and v >= 0),
     "integer": ("an integer", _is_int),
     "natural": ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
+    "counting": ("a positive integer", lambda v: _is_int(v) and v >= 1),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "string": ("a string", lambda v: isinstance(v, str)),
 }
@@ -128,10 +129,10 @@ _KEYS = {
               "seed": "natural"},
     "differentiation": {
         "method": _Choice("exact", {"exact": {}, "central": {}, "tv": {
-            "alpha": ("positive", 0.01), "iterations": "integer"}}),
+            "alpha": ("positive", 0.01), "iterations": "counting"}}),
     },
     "library": {"poly_order": ("integer", 5)},
-    "fit": {"threshold": ("nonnegative", 0.05), "max_iterations": "integer"},
+    "fit": {"threshold": ("nonnegative", 0.05), "max_iterations": "counting"},
     "selection": {"log10_min": ("number", -4.0), "log10_max": ("number", 0.0),
                   "count": ("natural", 25)},
     "compare": {"horizon": ("positive", 20.0), "grid_dt": ("positive", 0.01),
@@ -209,9 +210,10 @@ def parse_experiment(cfg: dict) -> dict:
     system kind or ``system.augment.param`` reads, ``compare.etas`` holds at
     least one level and no two whose curves share a file name,
     ``compare.horizon`` and ``compare.long_horizon`` are whole numbers of
-    ``compare.grid_dt`` steps, so that each grid ends on its horizon, no run
-    takes more than ``MAX_STEPS`` steps (a flow run's ``t_span`` over its
-    ``dt``, ``logistic``'s ``n_steps`` and each compare grid), every
+    ``compare.grid_dt`` steps, so that each grid ends on its horizon, a flow
+    run takes at least one step and no run more than ``MAX_STEPS`` steps (a
+    flow run's ``t_span`` over its ``dt``, ``logistic``'s ``n_steps`` and
+    each compare grid), every
     conditioning setting reaches the fit (``central`` and ``tv`` only under
     a flow, derivative noise only on the stored derivatives that a flow's
     fit reads under ``exact``), the ``library`` block passes
@@ -243,7 +245,10 @@ def parse_experiment(cfg: dict) -> dict:
         span, dt = (f"system.runs[{i}].{name}" if name in run else f"system.{name}"
                     for name in ("t_span", "dt"))
         (t0, t1), step = spec.t_span, spec.dt
-        _bound_steps((t1 - t0) / step, f"{span} {[t0, t1]} over {dt} {step!r}")
+        steps, what = (t1 - t0) / step, f"{span} {[t0, t1]} over {dt} {step!r}"
+        _bound_steps(steps, what)
+        if round(steps) < 1:  # simulate's step count
+            raise ConfigError(f"{what} is shorter than one step")
     if augment and any(augment["param"] not in spec.params for spec in exp["specs"]):
         raise ConfigError(
             f"system.augment.param {augment['param']!r} is not a parameter of every run")
@@ -619,10 +624,12 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"{flag} does not apply to {args.command}")
         cfg = load_config(args.config)
         exp = parse_experiment(cfg)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         seed = exp["seed"] if args.seed is None else _parse(args.seed, "natural", "--seed")
         threshold = None if args.threshold is None else _parse(args.threshold, "number", "--lambda")
+        if threshold is not None and threshold < 0:
+            raise ConfigError(f"--lambda must be a nonnegative number, not {threshold!r}")
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "generate":
             artifacts, summary = cmd_generate(exp, out, seed)
         elif args.command == "fit":

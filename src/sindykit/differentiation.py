@@ -139,33 +139,43 @@ def _penta_solve(diag: np.ndarray, off1: np.ndarray, off2: np.ndarray,
     tridiagonal system of half the size: A -= PPᵀ or QQᵀ, v -= Pw or Qw,
     coupled by -PQᵀ.  Back substitution gives x = L⁻ᵀ(w - Pᵀxⱼ₋₁ - Qᵀxⱼ₊₁).
     Every operation is elementwise across columns, so each column gets
-    the bits it gets alone.  Raises ``NumericalError`` naming the row
-    (and column) of a non-positive or non-finite pivot.
+    the bits it gets alone.  Each level first reorders the rows of its
+    arrays in place as [even blocks | odd blocks] (``_split``), so that
+    every operation reads and writes contiguous rows, and back
+    substitution restores the order of x (``_merge``).  Raises
+    ``NumericalError`` naming the row (and column) of a non-positive or
+    non-finite pivot.
     """
     n = y.shape[0]
     x = np.zeros(diag.shape)  # v; then w at the odd blocks of each level; then x
     x[:n] = y
-    a00, a10, a11, v0, v1 = diag[0::2], off1[0::2], diag[1::2], x[0::2], x[1::2]
+    nb = diag.shape[0] // 2
+    for a in (diag, off1, off2, x):  # rows 2i, then rows 2i + 1
+        _split(a)
+    a00, a10, a11, v0, v1 = diag[:nb], off1[:nb], diag[nb:], x[:nb], x[nb:]
     # the couplings (c00, c01, c10, c11): c_rs[i] = S[2i + r, 2i + 2 + s]
-    C = (off2[0:-2:2], np.zeros(a00[1:].shape), off1[1:-2:2], off2[1:-2:2])
+    C = (off2[:nb - 1], np.zeros(a00[1:].shape), off1[nb:-1], off2[nb:-1])
     step = 2  # rows per block of the current level
     levels = []
-    while a00.shape[0] > 1:
+    while nb > 1:
         # ne even blocks; the first ne - 1 odd blocks have an even block on either side
-        ne = (a00.shape[0] + 1) // 2
-        l00, l10, l11, w0, w1 = a00[1::2], a10[1::2], a11[1::2], v0[1::2], v1[1::2]
+        ne = (nb + 1) // 2
+        for a in (a00, a10, a11, v0, v1, *C):
+            _split(a)
+        l00, l10, l11, w0, w1 = (a[ne:] for a in (a00, a10, a11, v0, v1))
         _cholesky(l00, l10, l11, step, 2 * step)
         _forward(l00, l10, l11, w0, w1)
         # P over the couplings from even to odd blocks, Qᵀ over those from odd to even
-        p00, p01, p10, p11 = P = tuple(c[0::2] for c in C)
+        no = w0.shape[0]
+        p00, p01, p10, p11 = P = tuple(c[:no] for c in C)
         _forward(l00, l10, l11, p00, p01)
         _forward(l00, l10, l11, p10, p11)
-        r00, r01, r10, r11 = R = tuple(c[1::2] for c in C)
+        r00, r01, r10, r11 = R = tuple(c[no:] for c in C)
         lr = l00[:ne - 1], l10[:ne - 1], l11[:ne - 1]
         _forward(*lr, r00, r10)
         _forward(*lr, r01, r11)
-        a00, a10, a11, v0, v1 = a00[0::2], a10[0::2], a11[0::2], v0[0::2], v1[0::2]
-        no = w0.shape[0]
+        levels.append((l00, l10, l11, w0, w1, P, R, v0, v1))
+        a00, a10, a11, v0, v1 = (a[:ne] for a in (a00, a10, a11, v0, v1))
         a00[:no] -= p00 * p00 + p01 * p01
         a10[:no] -= p10 * p00 + p11 * p01
         a11[:no] -= p10 * p10 + p11 * p11
@@ -180,20 +190,40 @@ def _penta_solve(diag: np.ndarray, off1: np.ndarray, off2: np.ndarray,
         p00, p01, p10, p11 = (p[:ne - 1] for p in P)  # the couplings -PQᵀ of the new level
         C = (-(p00 * r00 + p01 * r10), -(p00 * r01 + p01 * r11),
              -(p10 * r00 + p11 * r10), -(p10 * r01 + p11 * r11))
-        levels.append((l00, l10, l11, w0, w1, P, R, v0, v1))
         step *= 2
+        nb = ne
     _cholesky(a00, a10, a11, 0, step)
     _forward(a00, a10, a11, v0, v1)
     _backward(a00, a10, a11, v0, v1)
     while levels:  # each level's couplings are freed once it is substituted
-        l00, l10, l11, w0, w1, (p00, p01, p10, p11), (r00, r01, r10, r11), x0, x1 = levels.pop()
+        l00, l10, l11, w0, w1, (p00, p01, p10, p11), (r00, r01, r10, r11), v0, v1 = levels.pop()
         no, nr = w0.shape[0], r00.shape[0]
+        x0, x1 = v0[:-no], v1[:-no]
         w0 -= p00 * x0[:no] + p10 * x1[:no]
         w1 -= p01 * x0[:no] + p11 * x1[:no]
         w0[:nr] -= r00 * x0[1:] + r01 * x1[1:]
         w1[:nr] -= r10 * x0[1:] + r11 * x1[1:]
         _backward(l00, l10, l11, w0, w1)
+        _merge(v0)
+        _merge(v1)
+    _merge(x)
     return x[:n]
+
+
+def _split(a: np.ndarray) -> None:
+    """Reorder the rows of ``a`` in place as [even rows | odd rows]."""
+    ne = (a.shape[0] + 1) // 2
+    odd = a[1::2].copy()
+    a[:ne] = a[0::2]  # row i from row 2i >= i: numpy copies through a buffer where needed
+    a[ne:] = odd
+
+
+def _merge(a: np.ndarray) -> None:
+    """Undo ``_split``: rows [even | odd] of ``a`` back to their order."""
+    ne = (a.shape[0] + 1) // 2
+    even, odd = a[:ne].copy(), a[ne:].copy()
+    a[0::2] = even
+    a[1::2] = odd
 
 
 def _cholesky(a00: np.ndarray, a10: np.ndarray, a11: np.ndarray, row: int, step: int) -> None:

@@ -23,7 +23,6 @@ __all__ = [
     "SparseModel",
     "TimeSeriesDataset",
     "default_state_names",
-    "evaluate_rhs",
     "render_table",
     "support",
     "model_to_json",
@@ -67,12 +66,11 @@ class TermDescriptor:
 
 def term_evaluator(terms, n_states: int):
     """Compile a term sequence into a callable from states (m, n_states) to term
-    values (m, len(terms)), written to ``out`` if given; one state (n_states,)
-    runs as a one-row matrix and gives that row.  The callable does not check its
-    input.  It is straight-line numpy code: column j is :func:`_term_source` of
-    term j, the text ``SparseModel.rhs`` compiles, so a term has its bits there.
-    Callables are cached on the term tuple and ``n_states``, so the library's
-    per-block calls and :func:`evaluate_rhs` compile each term list once."""
+    values (m, len(terms)), written to ``out`` if given.  The callable does not
+    check its input.  It is straight-line numpy code: column j is
+    :func:`_term_source` of term j, the text ``SparseModel.rhs`` compiles, so a
+    term has its bits there.  Callables are cached on the term tuple and
+    ``n_states``, so the library's per-block calls compile each term list once."""
     return _term_evaluator(tuple(terms), n_states)
 
 
@@ -85,8 +83,6 @@ def _term_evaluator(terms: tuple[TermDescriptor, ...], n_states: int):
                      + ["return out"], {})
 
     def theta(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if X.ndim == 1:
-            return theta(X[None])[0]
         return block(X, np.empty((len(X), len(terms))) if out is None else out)
 
     return theta
@@ -173,10 +169,10 @@ class SparseModel:
         product of states (``x0 * x2``), and each equation is one sum of
         coefficient times term, so inside an integration loop a call costs a
         few float operations and no numpy arrays.  A term's value equals its
-        column of Θ bit for bit, but the whole agrees with :func:`evaluate_rhs`
-        to rounding only: the sums run in another order.  The source is built
-        only from integer indices and ``repr`` of the (finite) coefficients;
-        no state name or other text reaches ``exec``.
+        column of Θ bit for bit, but the whole agrees with Θ(x) times the
+        coefficients to rounding only: the sums run in another order.  The
+        source is built only from integer indices and ``repr`` of the (finite)
+        coefficients; no state name or other text reaches ``exec``.
         """
         equations = []
         for column in self.coefficients.T:
@@ -186,21 +182,6 @@ class SparseModel:
         states = ", ".join(f"x{i}" for i in range(self.n_states))
         values = "".join(f"{e}, " for e in equations)  # a tuple even for one equation
         return _compile("rhs", "x", [f"[{states}] = x", f"return ({values})"], {})
-
-
-def evaluate_rhs(model: SparseModel, x: np.ndarray) -> np.ndarray:
-    """Evaluate the identified right-hand side at a single state.
-
-    The active terms go through :func:`term_evaluator`, the evaluator that
-    also builds the library matrix, so Θ(x) equals ``build_matrix``'s row for x
-    and its monomials the terms of ``SparseModel.rhs``; no data matrix is formed.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n_states,):
-        raise DataError(f"state vector has shape {x.shape}, expected ({model.n_states},)")
-    active = np.flatnonzero(np.any(model.coefficients != 0.0, axis=1))
-    theta = term_evaluator([model.terms[i] for i in active], model.n_states)
-    return theta(x) @ model.coefficients[active, :]
 
 
 def support(model: SparseModel) -> set[tuple[str, int]]:

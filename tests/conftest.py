@@ -1,48 +1,84 @@
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from sindykit import DataError, LibrarySpec, SystemSpec, TimeSeriesDataset, concatenate, simulate
+from sindykit import DataError, TimeSeriesDataset, model_from_json, simulate
+from sindykit.cli import load_config, main, parse_experiment
 
 # every run draws the same examples, so a newly drawn one cannot turn the suite
 # red; each test keeps its own max_examples
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
-LORENZ_PARAMS = {"sigma": 10.0, "beta": 8.0 / 3.0, "rho": 28.0}
-LORENZ_TRUE_SUPPORT = {
-    ("x", 0), ("y", 0),
-    ("x", 1), ("y", 1), ("xz", 1),
-    ("z", 2), ("xy", 2),
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# the true model of each shipped config, (term, equation) -> coefficient:
+# its keys are the support that fit and sweep must find
+TRUE_MODELS = {
+    "cubic2d": {("xxx", 0): -0.1, ("yyy", 0): 2.0, ("xxx", 1): -2.0, ("yyy", 1): -0.1},
+    "hopf": {("y", 0): -1.0, ("xu", 0): 1.0, ("xxx", 0): -1.0, ("xyy", 0): -1.0,
+             ("x", 1): 1.0, ("yu", 1): 1.0, ("xxy", 1): -1.0, ("yyy", 1): -1.0},
+    "linear2d": {("x", 0): -0.1, ("y", 0): 2.0, ("x", 1): -2.0, ("y", 1): -0.1},
+    "linear3d": {("x", 0): -0.1, ("y", 0): 2.0, ("x", 1): -2.0, ("y", 1): -0.1,
+                 ("z", 2): -0.3},
+    "logistic": {("xr", 0): 1.0, ("xxr", 0): -1.0, ("r", 1): 1.0},
+    "lorenz": {("x", 0): -10.0, ("y", 0): 10.0, ("x", 1): 28.0, ("y", 1): -1.0,
+               ("xz", 1): -1.0, ("z", 2): -8.0 / 3.0, ("xy", 2): 1.0},
+    "meanfield": {("x", 0): 0.1, ("y", 0): -1.0, ("xz", 0): -0.1,
+                  ("x", 1): 1.0, ("y", 1): 0.1, ("yz", 1): -0.1,
+                  ("z", 2): -10.0, ("xx", 2): 10.0, ("yy", 2): 10.0},
 }
-LORENZ_TRUE_VALUES = [
-    ("x", 0, -10.0), ("y", 0, 10.0),
-    ("x", 1, 28.0), ("y", 1, -1.0), ("xz", 1, -1.0),
-    ("z", 2, -8.0 / 3.0), ("xy", 2, 1.0),
-]
+
+
+def shipped_config(name: str) -> dict:
+    """``configs/<name>.json`` as a dict of its own, to edit before a run."""
+    return load_config(CONFIG_DIR / f"{name}.json")
+
+
+def shipped_spec(name: str):
+    """The ``SystemSpec`` of the first run of ``configs/<name>.json``."""
+    return parse_experiment(shipped_config(name))["specs"][0]
+
+
+def run_config(command: str, doc: dict, out: Path) -> Path:
+    """``out``, after ``sindykit <command>`` on the config ``doc`` wrote its artifacts there."""
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(json.dumps(doc))
+    assert main([command, "--config", str(out / "config.json"), "--out", str(out)]) == 0
+    return out
+
+
+def fitted_model(out: Path):
+    return model_from_json((out / "model.json").read_text())
+
+
+@pytest.fixture(scope="session")
+def shipped_run(tmp_path_factory):
+    """``shipped_run(command, name)``: the output directory of ``command`` on
+    ``configs/<name>.json``, run once per session."""
+    outs = {}
+
+    def run(command: str, name: str) -> Path:
+        if (command, name) not in outs:
+            outs[command, name] = run_config(command, shipped_config(name),
+                                             tmp_path_factory.mktemp(f"{command}-{name}"))
+        return outs[command, name]
+    return run
 
 
 @pytest.fixture(scope="session")
 def lorenz_dataset():
-    """Chaotic reference trajectory: t in [0, 100], dt = 0.001, exact
-    derivatives from the analytic right-hand side."""
-    spec = SystemSpec(
-        "lorenz", x0=(-8.0, 7.0, 27.0), t_span=(0.0, 100.0), dt=0.001,
-        params=LORENZ_PARAMS)
-    return simulate(spec)
-
-
-@pytest.fixture(scope="session")
-def lorenz_library():
-    return LibrarySpec(n_states=3, poly_order=5)
+    """The shipped Lorenz run, t in [0, 100] at dt 0.001, with exact derivatives."""
+    return simulate(shipped_spec("lorenz"))
 
 
 @pytest.fixture(scope="session")
 def linear2d_dataset():
-    spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 25.0), dt=0.01)
-    return simulate(spec)
+    return simulate(shipped_spec("linear2d"))
 
 
 def tail_split(ds):
@@ -64,27 +100,6 @@ def tail_split(ds):
 def coefficient(model, term_name: str, equation: int) -> float:
     names = [t.name(model.state_names) for t in model.terms]
     return float(model.coefficients[names.index(term_name), equation])
-
-
-def max_relative_error(model, expected) -> float:
-    return max(
-        abs((coefficient(model, nm, eq) - truth) / truth)
-        for nm, eq, truth in expected
-    )
-
-
-def mean_field_surrogate(params, initial_conditions, t_span=(0.0, 50.0), dt=0.01):
-    """Mean-field cylinder-wake surrogate runs from several initial states.
-
-    The on/off-manifold mix of initial conditions matters: without
-    off-manifold transients the fast coordinate stays slaved to
-    z = x^2 + y^2 and the regression problem degenerates.
-    """
-    runs = [
-        simulate(SystemSpec("meanfield3d", x0=ic, t_span=t_span, dt=dt, params=params))
-        for ic in initial_conditions
-    ]
-    return concatenate(runs) if len(runs) > 1 else runs[0]
 
 
 # the name runs to the last quote before the bracketed values, so a quote

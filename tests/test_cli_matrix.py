@@ -20,8 +20,8 @@ import sindykit
 import sindykit.cli
 from sindykit import TimeSeriesDataset
 from sindykit.dataio import read_dataset_csv, write_dataset_csv
+from conftest import CONFIG_DIR, TRUE_MODELS, fitted_model
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 COMMANDS = ("generate", "fit", "compare", "sweep")
 SPAN = 4.0  # simulated time units per run
 N_STEPS = 500  # logistic map iterations per parameter value
@@ -240,28 +240,11 @@ def test_warnings_print_their_message_without_a_source_path(short_configs, tmp_p
     assert ".py:" not in proc.stderr
 
 
-# the terms of each shipped system's equations, as (term, equation) pairs
-TRUE_SUPPORT = {
-    "cubic2d": {("xxx", 0), ("yyy", 0), ("xxx", 1), ("yyy", 1)},
-    "hopf": {("y", 0), ("xu", 0), ("xxx", 0), ("xyy", 0),
-             ("x", 1), ("yu", 1), ("xxy", 1), ("yyy", 1)},
-    "linear2d": {("x", 0), ("y", 0), ("x", 1), ("y", 1)},
-    "linear3d": {("x", 0), ("y", 0), ("x", 1), ("y", 1), ("z", 2)},
-    "logistic": {("xr", 0), ("xxr", 0), ("r", 1)},
-    "lorenz": {("x", 0), ("y", 0), ("x", 1), ("y", 1), ("xz", 1), ("z", 2), ("xy", 2)},
-    "meanfield": {("x", 0), ("y", 0), ("xz", 0), ("x", 1), ("y", 1), ("yz", 1),
-                  ("z", 2), ("xx", 2), ("yy", 2)},
-}
-
-
 @pytest.mark.parametrize("command", ["fit", "sweep"])
 @pytest.mark.parametrize("name", sorted(EXIT_CODES))
 @pytest.mark.filterwarnings("ignore:logistic iterates escaped")  # the shipped mu >= 3.75
-def test_fit_and_sweep_find_the_true_support_on_the_full_config(tmp_path, name, command):
+def test_fit_and_sweep_find_the_true_support_on_the_full_config(shipped_run, name, command):
     # the full configs: a shortened run can hold too little data to tell
     # the true model from a denser one under any selection rule; fit keeps
     # the config's threshold, sweep picks its own
-    assert sindykit.cli.main([command, "--config", str(CONFIG_DIR / f"{name}.json"),
-                              "--out", str(tmp_path)]) == 0
-    model = sindykit.model_from_json((tmp_path / "model.json").read_text())
-    assert sindykit.support(model) == TRUE_SUPPORT[name]
+    assert sindykit.support(fitted_model(shipped_run(command, name))) == set(TRUE_MODELS[name])

@@ -276,6 +276,14 @@ REFUSED_CASES = [
      "compare.grid_dt 0.05 is more than 10000000 steps, the most a run takes"),
     (LOGISTIC, ("system", "n_steps"), 10**7 + 1,
      "system.n_steps 10000001 is more than 10000000 steps, the most a run takes"),
+    # package checks that would not name the key, and a flow run of no step
+    (LIN2D, ("fit", "max_iterations"), 0, "fit.max_iterations must be a positive integer, not 0"),
+    (TV, ("differentiation", "iterations"), 0,
+     "differentiation.iterations must be a positive integer, not 0"),
+    (LIN2D, ("system", "t_span"), [0.0, 0.001],
+     "system.t_span [0.0, 0.001] over system.dt 0.01 is shorter than one step"),
+    (RUNS, ("system", "runs", 1, "t_span"), [0.0, 0.004],
+     "system.runs[1].t_span [0.0, 0.004] over system.dt 0.01 is shorter than one step"),
 ]
 
 # (command, base config, path to the value, the value as JSON text, the key
@@ -474,6 +482,7 @@ def test_negative_seed_flag_is_config_error(tmp_path, capsys):
     assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--seed", "-5"]) == 2
     assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "compare"])
@@ -484,6 +493,17 @@ def test_non_finite_lambda_flag_is_config_error(tmp_path, capsys, command, value
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
                  f"--lambda={value}"]) == 2
     assert capsys.readouterr().err.startswith("config error: --lambda must be a number, not ")
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_negative_lambda_flag_is_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(LIN2D))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--lambda", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --lambda must be a nonnegative number, not -1.0\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -37,6 +37,7 @@ from sindykit.model import Mode
 from sindykit.regression import _factored
 from sindykit.selection import ParetoPoint
 from sindykit.systems import logistic_ensemble, system_rhs
+from conftest import CONFIG_DIR, shipped_config
 
 
 def write_config(path: Path, doc: dict) -> str:
@@ -277,13 +278,8 @@ class TestCliGenerate:
         assert ds.n_samples == 2501
 
     def test_logistic_ensemble_file_count(self, tmp_path):
-        doc = {
-            "spec_version": 1,
-            "seed": 0,
-            "system": {"kind": "logistic", "x0": [0.5],
-                       "ensemble_mus": [2.5, 2.75, 3.0, 3.25, 3.5, 3.75, 3.8, 3.85, 3.9, 3.95],
-                       "n_steps": 60, "forcing": 0.025},
-        }
+        doc = shipped_config("logistic")
+        doc["system"]["n_steps"] = 60
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "gen"
         with warnings.catch_warnings():
@@ -298,7 +294,7 @@ class TestCliGenerate:
 
     def test_logistic_dataset_follows_the_seed_rule_of_logistic_ensemble(self, tmp_path):
         # generate writes the dataset of one logistic_ensemble call over every value
-        doc = json.loads((TestShippedConfigs.CONFIG_DIR / "logistic.json").read_text())
+        doc = shipped_config("logistic")
         doc["system"]["n_steps"] = 400
         cfg = write_config(tmp_path / "c.json", doc)
         with warnings.catch_warnings():
@@ -323,7 +319,7 @@ class TestCliGenerate:
             return logistic_ensemble(*args, **kwargs)
 
         monkeypatch.setattr(cli, "logistic_ensemble", counted)
-        doc = json.loads((TestShippedConfigs.CONFIG_DIR / "logistic.json").read_text())
+        doc = shipped_config("logistic")
         doc["system"]["n_steps"] = 500
         cfg = write_config(tmp_path / "c.json", doc)
         with warnings.catch_warnings(record=True) as caught:
@@ -436,8 +432,7 @@ class TestCliCompareAndSweep:
             return dp45(*args, **kwargs)
 
         monkeypatch.setattr(sindykit.cli, "dp45_adaptive", integrating)
-        doc = json.loads((Path(__file__).resolve().parent.parent
-                          / "configs" / "linear2d.json").read_text())
+        doc = shipped_config("linear2d")
         doc["system"]["t_span"] = [0.0, 2.0]
         doc["compare"]["horizon"] = 2.0
         if long_horizon is not None:
@@ -472,7 +467,7 @@ class TestCliCompareAndSweep:
     @pytest.mark.parametrize("command", ["fit", "sweep"])
     def test_logistic_is_fitted_as_a_map(self, tmp_path, command):
         # the system kind alone makes the fit discrete: no config key says so
-        doc = json.loads((TestShippedConfigs.CONFIG_DIR / "logistic.json").read_text())
+        doc = shipped_config("logistic")
         doc["system"].update(n_steps=300, ensemble_mus=doc["system"]["ensemble_mus"][:3])
         doc["selection"] = {"log10_min": -3, "log10_max": 0, "count": 6}
         assert "mode" not in doc["fit"]
@@ -558,42 +553,9 @@ class TestNoiseLevelsProblem:
 
 
 class TestCliHopfEnsemble:
-    def test_hopf_config_recovers_normal_form_structure(self, tmp_path):
-        golden = 2.399963229728653
-        runs = []
-        for j in range(9):
-            mu = round(-0.2 + 0.1 * j, 10)
-            ics = [(np.cos(golden * j), np.sin(golden * j)),
-                   (1.3 * np.cos(golden * j + 2.1), 1.3 * np.sin(golden * j + 2.1))]
-            if mu > 0:
-                r_in = 0.5 * np.sqrt(mu)
-                ics.append((r_in * np.cos(golden * j + 1.7), r_in * np.sin(golden * j + 1.7)))
-            runs.extend({"params": {"mu": mu}, "x0": list(ic)} for ic in ics)
-        doc = {
-            "spec_version": 1,
-            "seed": 499,
-            "system": {"kind": "hopf", "t_span": [0.0, 25.0], "dt": 0.02,
-                       "params": {"omega": 1.0, "A": 1.0},
-                       "runs": runs,
-                       "augment": {"name": "u", "param": "mu"}},
-            "noise": {"eta": 1e-3, "target": "states", "seed": 500},
-            "differentiation": {"method": "tv", "alpha": 3e-5, "iterations": 20},
-            "library": {"poly_order": 5},
-            "fit": {"threshold": 0.05, "max_iterations": 30},
-        }
-        cfg = write_config(tmp_path / "hopf.json", doc)
-        out = tmp_path / "run"
-        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
-        model = model_from_json((out / "model.json").read_text())
-        from sindykit import support
-        assert support(model) == {("y", 0), ("x", 1), ("xu", 0), ("yu", 1),
-                                  ("xxx", 0), ("xyy", 0), ("xxy", 1), ("yyy", 1)}
-        table = (out / "model_table.txt").read_text()
-        assert table.splitlines()[0].split() == ["''", "'xdot'", "'ydot'", "'udot'"]
-
     def test_segments_share_the_joined_rows_and_keep_their_run_meta(self):
         import sindykit.cli as cli
-        exp = cli.parse_experiment(cli.load_config(TestShippedConfigs.CONFIG_DIR / "hopf.json"))
+        exp = cli.parse_experiment(shipped_config("hopf"))
         ds = cli._simulate_runs(exp, exp["seed"])
         tracemalloc.start()
         try:
@@ -628,7 +590,7 @@ class TestCliHopfEnsemble:
     def test_prepare_differentiates_every_run_in_one_call(self, monkeypatch):
         import sindykit.cli as cli
         import sindykit.differentiation as diff
-        exp = cli.parse_experiment(cli.load_config(TestShippedConfigs.CONFIG_DIR / "hopf.json"))
+        exp = cli.parse_experiment(shipped_config("hopf"))
         calls = []
 
         def counted(fn):
@@ -659,27 +621,15 @@ class TestCliHopfEnsemble:
 
 
 class TestShippedConfigs:
-    CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-
     def test_all_configs_parse(self):
         from sindykit.cli import load_config, parse_experiment
-        paths = sorted(self.CONFIG_DIR.glob("*.json"))
+        paths = sorted(CONFIG_DIR.glob("*.json"))
         assert len(paths) == 7
         for path in paths:
             cfg = load_config(path)
             assert cfg["system"]["kind"]
             assert parse_experiment(cfg)["system"]["kind"] == cfg["system"]["kind"]
 
-    @pytest.mark.parametrize("name,expected_nnz", [
-        ("linear2d.json", 4), ("cubic2d.json", 4), ("linear3d.json", 5),
-        ("meanfield.json", 9),
-    ])
-    def test_fast_configs_recover_structure(self, tmp_path, name, expected_nnz):
-        out = tmp_path / "run"
-        assert main(["fit", "--config", str(self.CONFIG_DIR / name),
-                     "--out", str(out)]) == 0
-        model = model_from_json((out / "model.json").read_text())
-        assert model.nnz() == expected_nnz
 
 
 class TestCliErrors:
@@ -799,8 +749,7 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("command", ["generate", "fit", "sweep"])
     def test_overflowing_simulation_is_numerical_failure(self, tmp_path, capsys, command):
-        doc = json.loads((Path(__file__).resolve().parent.parent / "configs" / "lorenz.json")
-                         .read_text())
+        doc = shipped_config("lorenz")
         doc["system"].update(dt=0.2, t_span=[0.0, 50.0])
         cfg = write_config(tmp_path / "c.json", doc)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 4

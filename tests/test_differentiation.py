@@ -18,7 +18,9 @@ from sindykit import (
     simulate,
     tv_derivative,
 )
+from sindykit.cli import parse_experiment
 from sindykit.differentiation import EPSILON
+from conftest import shipped_config
 
 
 class TestCentralDifference:
@@ -345,6 +347,19 @@ class TestTvStep:
         dense = np.linalg.solve(H, A.T @ b)
         assert np.linalg.norm(u - dense) <= 1e-8 * np.linalg.norm(dense)
 
+    def test_step_keeps_the_bits_of_the_strided_solve(self):
+        # SHA-256 of these steps, recorded when each level of the solve ran
+        # on row-strided views instead of contiguous [even | odd] rows
+        import hashlib
+        from sindykit.differentiation import _b_transpose, _tv_step
+        rng = np.random.default_rng(0)
+        digest = hashlib.sha256()
+        for shape in [(1251, 48), (1250, 3), (9, 2), (10,)]:
+            w = 10.0 ** rng.uniform(-6.0, 3.0, (shape[0] - 1, *shape[1:]))
+            digest.update(_tv_step(w, _b_transpose(rng.standard_normal(shape)), 0.02).tobytes())
+        assert digest.hexdigest() == (
+            "017555173ed10aa3e50ec52a5962f3dc1a979709d776e1aecb9f6b2eaca7a512")
+
     def test_step_holds_at_most_seven_arrays_of_its_size(self):
         # the solve works in the diagonals, one copy of the right-hand side
         # and each level's new couplings: measured 6.55 (m, k) arrays at the
@@ -369,12 +384,11 @@ class TestTvSolverCounters:
 
     @staticmethod
     def _hopf_column():
-        # first run of configs/hopf.json: mu = -0.2, the shipped noise and TV settings
-        spec = SystemSpec("hopf", x0=(1.0, 0.0), t_span=(0.0, 25.0), dt=0.02,
-                          params={"mu": -0.2, "omega": 1.0, "A": 1.0})
-        ds = add_noise(replace(simulate(spec), derivatives=None),
-                       NoiseSpec(eta=1e-3, target="states", seed=500))
-        return ds.states[:, 0], 0.02, TvDiffConfig(alpha=3e-5, iterations=20)
+        # first run of configs/hopf.json, with its noise and TV settings
+        exp = parse_experiment(shipped_config("hopf"))
+        spec = exp["specs"][0]
+        ds = add_noise(replace(simulate(spec), derivatives=None), exp["noise_spec"])
+        return ds.states[:, 0], spec.dt, exp["tv"]
 
     @staticmethod
     def _criterion_10_sine():

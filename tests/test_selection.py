@@ -25,7 +25,7 @@ from sindykit import (
 )
 from sindykit.regression import _QR_BLOCK_ROWS, _regression_problem
 
-from conftest import LORENZ_TRUE_SUPPORT, tail_split
+from conftest import TRUE_MODELS, tail_split
 
 # the sweep replaces the threshold; every other setting comes from here
 STLSQ = StlsqConfig(threshold=0.0)
@@ -106,7 +106,7 @@ class TestSweep:
         vals = [p.validation_residual for p in plateau]
         assert max(vals) - min(vals) < 0.05 * max(vals)
         correct = [m for p, (m, _) in zip(points, models)
-                   if p.nnz_total == 7 and support(m) == LORENZ_TRUE_SUPPORT]
+                   if p.nnz_total == 7 and support(m) == set(TRUE_MODELS["lorenz"])]
         assert len(correct) == len(plateau)
 
     def test_zero_threshold_is_dense_least_squares(self, noisy_lorenz_subsample):
@@ -182,7 +182,7 @@ class TestPickElbow:
         lam = pick_elbow(points)
         chosen = next(m for p, (m, _) in zip(points, models) if p.threshold == lam)
         assert chosen.nnz() == 7
-        assert support(chosen) == LORENZ_TRUE_SUPPORT
+        assert support(chosen) == set(TRUE_MODELS["lorenz"])
 
 
 def _relative_residual(theta, target, model):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,14 +22,15 @@ from sindykit import (
 )
 from sindykit.integrate import MAX_REJECTED_STEPS, dp45_adaptive, rk4_fixed
 from sindykit.systems import FORCING_CHUNK, KINDS, _SYSTEMS
-from conftest import LORENZ_PARAMS, mean_field_surrogate
+from conftest import shipped_spec
+
+LORENZ, MEANFIELD = shipped_spec("lorenz"), shipped_spec("meanfield")
 
 
 class TestSimulate:
     def test_overflowing_trajectory_names_the_time_of_its_first_non_finite_sample(self):
         # RK4 at dt=0.2 is unstable on Lorenz: the states overflow to NaN at t=1
-        spec = SystemSpec("lorenz", x0=(-8.0, 7.0, 27.0), t_span=(0.0, 50.0), dt=0.2,
-                          params=LORENZ_PARAMS)
+        spec = replace(LORENZ, t_span=(0.0, 50.0), dt=0.2)
         with pytest.raises(NumericalError, match=r"lorenz trajectory is not finite at t=1$"):
             simulate(spec)
 
@@ -49,9 +51,7 @@ class TestSimulate:
         assert np.all(ds.derivatives == 0.0)
 
     def test_derivatives_are_analytic_rhs(self):
-        spec = SystemSpec(
-            "lorenz", x0=(-8.0, 7.0, 27.0), t_span=(0.0, 1.0), dt=0.01,
-            params={"sigma": 10.0, "beta": 8.0 / 3.0, "rho": 28.0})
+        spec = replace(LORENZ, t_span=(0.0, 1.0), dt=0.01)
         ds = simulate(spec)
         f = system_rhs(spec)
         for i in range(0, ds.n_samples, 17):
@@ -94,7 +94,7 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             SystemSpec("linear2d", x0=(1.0, 0.0), dt=-0.1)
         with pytest.raises(ConfigError, match="x0"):
-            SystemSpec("lorenz", x0=(1.0, 1.0), params=LORENZ_PARAMS)
+            SystemSpec("lorenz", x0=(1.0, 1.0), params=LORENZ.params)
         with pytest.raises(ConfigError, match="t_span"):
             SystemSpec("linear2d", x0=(1.0, 0.0), t_span=(0.0,))
 
@@ -149,7 +149,7 @@ class TestIntegrators:
     def test_steps_do_not_depend_on_the_output_grid(self):
         # Lorenz over t = 0..100: the two-point grid takes the accepted steps
         # of the dense one, and ends on the same state
-        f = system_rhs(SystemSpec("lorenz", x0=(-8.0, 7.0, 27.0), params=LORENZ_PARAMS))
+        f = system_rhs(LORENZ)
         x0 = np.array([-8.0, 7.0, 27.0])
         dense, dense_steps = dp45_adaptive(f, x0, np.linspace(0.0, 100.0, 10_001), 1e-10, 1e-10,
                                            record_steps=True)
@@ -251,12 +251,9 @@ _CONTINUOUS_SPECS = {
     "linear2d": SystemSpec("linear2d", x0=(2.0, 0.0)),
     "cubic2d": SystemSpec("cubic2d", x0=(2.0, 0.0)),
     "linear3d": SystemSpec("linear3d", x0=(2.0, 0.0, 1.0)),
-    "lorenz": SystemSpec("lorenz", x0=(-8.0, 7.0, 27.0), dt=0.001,  # 10,000 steps
-                         params=LORENZ_PARAMS),
-    "meanfield3d": SystemSpec("meanfield3d", x0=(0.4, 0.0, 0.16), t_span=(0.0, 30.0),
-                              params={"mu": 0.1, "omega": 1.0, "A": -0.1, "lam": 10.0}),
-    "hopf": SystemSpec("hopf", x0=(1.0, 0.0), t_span=(0.0, 25.0), dt=0.02,
-                       params={"mu": -0.2, "omega": 1.0, "A": 1.0}),
+    "lorenz": replace(LORENZ, t_span=(0.0, 10.0)),  # 10,000 steps
+    "meanfield3d": replace(MEANFIELD, t_span=(0.0, 30.0)),
+    "hopf": shipped_spec("hopf"),  # the first run of configs/hopf.json
 }
 
 
@@ -288,8 +285,7 @@ class TestFloatStepping:
         assert np.array_equal(ds.derivatives, np.column_stack(system_rhs(spec)(ds.states.T)))
 
     def test_simulate_memory_stays_near_its_output(self):
-        spec = SystemSpec("lorenz", x0=(-8.0, 7.0, 27.0), t_span=(0.0, 10.0), dt=0.001,
-                          params=LORENZ_PARAMS)
+        spec = replace(LORENZ, t_span=(0.0, 10.0), dt=0.001)
         tracemalloc.start()
         try:
             ds = simulate(spec)
@@ -783,8 +779,15 @@ class TestAugmentation:
             concatenate([dataset, other])
 
 
+def mean_field_surrogate(params, initial_conditions, t_span, dt):
+    """Mean-field runs from several initial states, joined."""
+    return concatenate([
+        simulate(SystemSpec("meanfield3d", x0=ic, t_span=t_span, dt=dt, params=params))
+        for ic in initial_conditions])
+
+
 class TestMeanField:
-    PARAMS = {"mu": 0.1, "omega": 1.0, "A": -0.1, "lam": 10.0}
+    PARAMS = MEANFIELD.params
 
     def test_z_axis_decays_exactly(self):
         spec = SystemSpec("meanfield3d", x0=(0.0, 0.0, 2.0), t_span=(0.0, 2.0),
