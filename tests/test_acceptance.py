@@ -2,10 +2,10 @@
 
 Each test exercises one pipeline guarantee at its stated tolerance and
 prints a PASS line (run with ``pytest tests/test_acceptance.py -v -s``);
-its figures also go to ``record_property``, so a ``--junitxml`` run keeps
-them.  Criteria 1-8 run ``sindykit`` on the shipped ``configs/<name>.json``,
-edited only in what they vary, and read back the artifacts; criteria 9-11
-are synthetic.  The true models are ``TRUE_MODELS``.
+its figures also go to ``record_testsuite_property``, so a ``--junitxml``
+run keeps them, in either ``junit_family``.  Criteria 1-8 run ``sindykit``
+on the shipped ``configs/<name>.json``, edited only in what they vary, and
+read back the artifacts; criteria 9-11 are synthetic.  The true models are ``TRUE_MODELS``.
 """
 
 import json
@@ -42,12 +42,12 @@ from conftest import (
 
 
 @pytest.fixture
-def report(record_property):
+def report(record_testsuite_property):
     """``report(criterion, message, **figures)``: print the PASS line and
-    record each figure as the property ``criterion_<n>_<name>``."""
+    record each figure as the test-suite property ``criterion_<n>_<name>``."""
     def report(criterion: int, message: str, **figures) -> None:
         for name, value in figures.items():
-            record_property(f"criterion_{criterion}_{name}", value)
+            record_testsuite_property(f"criterion_{criterion}_{name}", value)
         print(f"ACCEPTANCE {criterion:>2} PASS: {message}")
     return report
 
