@@ -211,7 +211,8 @@ def parse_experiment(cfg: dict) -> dict:
     least one level and no two whose curves share a file name,
     ``compare.horizon`` and ``compare.long_horizon`` are whole numbers of
     ``compare.grid_dt`` steps, so that each grid ends on its horizon, a flow
-    run takes at least one step and no run more than ``MAX_STEPS`` steps (a
+    run's ``t_span`` ends after it starts and takes at least one step, no
+    run takes more than ``MAX_STEPS`` steps (a
     flow run's ``t_span`` over its ``dt``, ``logistic``'s ``n_steps`` and
     each compare grid), every
     conditioning setting reaches the fit (``central`` and ``tv`` only under
@@ -240,10 +241,15 @@ def parse_experiment(cfg: dict) -> dict:
             raise ConfigError("system.n_steps is 0; logistic needs a transition per "
                               "system.ensemble_mus value")
         _bound_steps(system["n_steps"], f"system.n_steps {system['n_steps']}")
+    runs = [(f"system.runs[{i}]", run) for i, run in enumerate(system.get("runs", []))]  # flows
+    keys = [tuple(f"{key}.{name}" if name in run else f"system.{name}"
+                  for name in ("t_span", "dt")) for key, run in runs]
+    for (span, _), (_, run) in zip(keys, runs):  # the key that sets each run's span
+        t_span = run.get("t_span", system.get("t_span"))
+        if t_span is not None and (len(t_span) != 2 or not t_span[0] < t_span[1]):
+            raise ConfigError(f"{span} {t_span} must hold a start and a later end time")
     exp["specs"] = _system_runs(exp)
-    for i, (spec, run) in enumerate(zip(exp["specs"], system.get("runs", []))):  # flows
-        span, dt = (f"system.runs[{i}].{name}" if name in run else f"system.{name}"
-                    for name in ("t_span", "dt"))
+    for (span, dt), spec in zip(keys, exp["specs"]):
         (t0, t1), step = spec.t_span, spec.dt
         steps, what = (t1 - t0) / step, f"{span} {[t0, t1]} over {dt} {step!r}"
         _bound_steps(steps, what)
@@ -256,7 +262,6 @@ def parse_experiment(cfg: dict) -> dict:
     _, names, body = _SYSTEMS[kind]
     exp["mode"] = Mode.DISCRETE if body is None else Mode.CONTINUOUS
     reads = {*names, *([augment["param"]] if augment else [])}
-    runs = [(f"system.runs[{i}]", run) for i, run in enumerate(system.get("runs", []))]
     for key, block in [("system", system), *runs]:
         for name in block.get("params", {}):
             if name not in reads:
@@ -350,15 +355,16 @@ def _system_runs(exp: dict) -> list[SystemSpec]:
             for run in runs]
 
 
-def _simulate_runs(exp: dict, seed: int) -> TimeSeriesDataset:
+def _simulate_runs(exp: dict, seed: int, derivatives: bool = True) -> TimeSeriesDataset:
     """The command's runs joined, before noise and augmentation: a flow's by
-    ``concatenate``, a segment per run, and the map's in one ``logistic_ensemble``
-    call over every ``system.ensemble_mus`` value, a segment per restart."""
+    ``concatenate``, a segment per run (``derivatives``: with its exact ones),
+    and the map's in one ``logistic_ensemble`` call over every
+    ``system.ensemble_mus`` value, a segment per restart."""
     system = exp["system"]
     if system["kind"] == "logistic":
         return logistic_ensemble(system["ensemble_mus"], system["n_steps"], system["forcing"],
                                  seed, system["x0"][0])
-    return concatenate([simulate(spec) for spec in exp["specs"]])
+    return concatenate([simulate(spec, derivatives) for spec in exp["specs"]])
 
 
 def _loaded_dataset(exp: dict, data_path: str) -> TimeSeriesDataset:
@@ -373,20 +379,6 @@ def _loaded_dataset(exp: dict, data_path: str) -> TimeSeriesDataset:
     return replace(ds, states=ds.states[:, keep],
                    derivatives=None if deriv is None else deriv[:, keep],
                    state_names=tuple(ds.state_names[i] for i in keep))
-
-
-def _segment_runs(ds: TimeSeriesDataset) -> list[TimeSeriesDataset]:
-    """``ds`` as one dataset per segment, sharing its rows, segment i with meta
-    ``ds.meta["runs"][i]`` where ``concatenate`` or ``logistic_ensemble`` listed
-    one run per segment; a one-segment dataset as itself."""
-    if len(ds.segments) == 1:
-        return [ds]
-    runs, deriv = ds.meta.get("runs"), ds.derivatives
-    if not isinstance(runs, list) or len(runs) != len(ds.segments):
-        runs = [{}] * len(ds.segments)
-    return [TimeSeriesDataset(ds.times[sl], ds.states[sl], None if deriv is None else deriv[sl],
-                              ds.state_names, meta=run if isinstance(run, dict) else {})
-            for sl, run in zip(ds.segment_slices(), runs)]
 
 
 def _augment(exp: dict, ds: TimeSeriesDataset) -> TimeSeriesDataset:
@@ -410,22 +402,20 @@ def _fit_config(exp: dict, override_threshold: float | None) -> StlsqConfig:
 def _prepare(exp: dict, seed: int, data_path: str | None) -> TimeSeriesDataset:
     """simulate (joined) or load -> noise -> differentiate -> augment.
 
-    Noise is drawn per segment, segment j with seed ``noise.seed + j``, and
-    the noised segments are joined by one ``concatenate`` call, so a loaded
-    file, whose segments are the simulated dataset's, is noised as it was.
-    A continuous run is one segment; a logistic run has one per restart.  ``exact``
-    keeps the stored derivatives, which a flow's fit needs and which
-    derivative noise perturbs; ``central`` and ``tv`` estimate them from
-    the states of every segment in one ``differentiate_dataset`` call.
+    One ``add_noise`` call noises the joined runs, segment j with seed
+    ``noise.seed + j``, so a loaded file, whose segments are the simulated
+    dataset's, is noised as it was.  ``exact`` keeps the stored derivatives,
+    which a flow's fit needs and which derivative noise perturbs; ``central``
+    and ``tv`` estimate them from the states of every segment in one
+    ``differentiate_dataset`` call, so the runs are simulated without them.
     The parameter column is appended last, so it stays exact.  The parse
     has refused derivative noise that the fit would not read.
     """
     noise, method = exp["noise_spec"], exp["differentiation"]["method"]
-    noise_base = exp["noise"].get("seed", seed + 1)
-    ds = _simulate_runs(exp, seed) if data_path is None else _loaded_dataset(exp, data_path)
+    ds = (_simulate_runs(exp, seed, method == "exact") if data_path is None
+          else _loaded_dataset(exp, data_path))
     if noise.eta > 0.0:
-        ds = concatenate([add_noise(s, replace(noise, seed=noise_base + j))
-                          for j, s in enumerate(_segment_runs(ds))])
+        ds = add_noise(ds, replace(noise, seed=exp["noise"].get("seed", seed + 1)))
     if method != "exact":
         ds = differentiate_dataset(ds, method, tv=exp["tv"])
     elif exp["mode"] is Mode.CONTINUOUS and ds.derivatives is None:

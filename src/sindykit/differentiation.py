@@ -22,8 +22,8 @@ number of columns.  With each column stopping on its own, every column
 gets the bits it would get alone.  ``differentiate_dataset`` gathers the
 segments of a dataset into such batches.
 
-Noise is injected as eta * Z with Z a seeded matrix of i.i.d. standard
-normal entries, i.e. eta is a standard-deviation multiplier.
+Noise is injected as eta * Z with Z a matrix of i.i.d. standard normal
+entries seeded per segment, i.e. eta is a standard-deviation multiplier.
 """
 
 from __future__ import annotations
@@ -373,30 +373,32 @@ def add_noise(dataset: TimeSeriesDataset, spec: NoiseSpec,
     """Add eta * Z (seeded standard normal Z) to the target matrix, the
     states or the derivatives.
 
+    Segment j draws its rows of Z from ``default_rng(spec.seed + j)``, so
+    a joined dataset noised once gets the bits of each run noised alone.
     The perturbation scales linearly in eta under a fixed seed: eta=2
     adds exactly twice the eta=1 matrix.  With eta=0 the dataset is
     returned unchanged and nothing is drawn.
 
-    ``rng`` continues a caller's generator instead of seeding a fresh one
-    from ``spec.seed``.  Z is drawn row after row, so the row blocks of a
-    dataset noised in order from one generator get exactly the bits of
-    noising it whole.
+    ``rng`` continues a caller's generator over every row instead.  Z is
+    drawn row after row, so the row blocks of a dataset noised in order
+    from one generator get exactly the bits of noising it whole.
     """
     if spec.eta == 0.0:
         return dataset
     if spec.target == "derivatives" and dataset.derivatives is None:
         raise DataError("dataset has no derivatives to perturb")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    states = dataset.states
-    derivatives = dataset.derivatives
-    if spec.target == "states":
-        states = states + spec.eta * rng.standard_normal(states.shape)
-    else:
-        derivatives = derivatives + spec.eta * rng.standard_normal(derivatives.shape)
-    meta = dict(dataset.meta)
-    meta.update({"noise_eta": spec.eta, "noise_seed": spec.seed, "noise_target": spec.target})
-    return dataclasses.replace(dataset, states=states, derivatives=derivatives, meta=meta)
+    target = getattr(dataset, spec.target)
+    draws = ([(slice(None), rng)] if rng is not None else
+             [(sl, np.random.default_rng(spec.seed + j))
+              for j, sl in enumerate(dataset.segment_slices())])
+    noised = np.empty(target.shape)  # C order: each segment's rows are one block
+    for sl, gen in draws:
+        z = gen.standard_normal(out=noised[sl])
+        z *= spec.eta
+        z += target[sl]  # eta * Z + target in place: the bits of target + eta * Z
+    meta = {**dataset.meta, "noise_eta": spec.eta, "noise_seed": spec.seed,
+            "noise_target": spec.target}
+    return dataclasses.replace(dataset, **{spec.target: noised}, meta=meta)
 
 
 def differentiate_dataset(dataset: TimeSeriesDataset, method: str = "central",
@@ -407,13 +409,14 @@ def differentiate_dataset(dataset: TimeSeriesDataset, method: str = "central",
     "central" or "tv"; the TV path requires uniform sampling within each
     segment and takes its step size from the data.  It solves every
     column of the segments that share a length and an exact step in one
-    batched ``tv_derivative`` call.  Errors name the dataset row.
+    batched ``tv_derivative`` call, and allocates its output once the first
+    call returns, so it is not held through the solve.  Errors name the dataset row.
     """
     if method not in ("central", "tv"):
         raise ConfigError(f"unknown differentiation method {method!r}")
     if method == "tv" and tv is None:
         raise ConfigError("tv differentiation needs a TvDiffConfig")
-    deriv = np.empty_like(dataset.states)
+    deriv = np.empty_like(dataset.states) if method == "central" else None
     groups: dict[tuple[int, float], list[slice]] = {}  # (length, step) -> segments
     fewest, words = (3, "three") if method == "central" else (5, "five")
     for sl in dataset.segment_slices():
@@ -435,6 +438,7 @@ def differentiate_dataset(dataset: TimeSeriesDataset, method: str = "central",
     n = dataset.n_states
     for (_, step), members in groups.items():
         u = tv_derivative(np.hstack([dataset.states[sl] for sl in members]), step, tv)
+        deriv = np.empty_like(dataset.states) if deriv is None else deriv
         for j, sl in enumerate(members):
             deriv[sl] = u[:, n * j:n * (j + 1)]
     return dataclasses.replace(dataset, derivatives=_frozen(deriv),

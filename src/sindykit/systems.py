@@ -108,13 +108,14 @@ def system_rhs(spec: SystemSpec):
                     {name: spec.params[name] for name in names})
 
 
-def simulate(spec: SystemSpec) -> TimeSeriesDataset:
+def simulate(spec: SystemSpec, derivatives: bool = True) -> TimeSeriesDataset:
     """Integrate a continuous system by fixed-step RK4 on the requested sample grid.
 
     The stored derivatives are the analytic right-hand side evaluated at
-    each sampled state, on Python floats as the integrator evaluates it.
-    A trajectory that overflows raises :class:`NumericalError` naming the
-    time of its first non-finite sample.
+    each sampled state, on Python floats as the integrator evaluates it;
+    ``derivatives=False`` skips that pass and stores none.  A trajectory
+    that overflows raises :class:`NumericalError` naming the time of its
+    first non-finite sample.
     """
     f = system_rhs(spec)
     t0, t1 = spec.t_span
@@ -131,18 +132,21 @@ def simulate(spec: SystemSpec) -> TimeSeriesDataset:
         "integrator": "rk4",
     }
     states = rk4_fixed(f, x0, times)
-    # a block of rows at a time, so the float lists stay small next to the output
-    derivatives = np.empty_like(states)
-    for a in range(0, len(states), 256):
-        derivatives[a:a + 256] = [f(x) for x in states[a:a + 256].tolist()]
-    finite = np.isfinite(states).all(axis=1) & np.isfinite(derivatives).all(axis=1)
+    finite = np.isfinite(states).all(axis=1)
+    deriv = None
+    if derivatives:
+        # a block of rows at a time, so the float lists stay small next to the output
+        deriv = np.empty_like(states)
+        for a in range(0, len(states), 256):
+            deriv[a:a + 256] = [f(x) for x in states[a:a + 256].tolist()]
+        finite &= np.isfinite(deriv).all(axis=1)
     if not finite.all():
         raise NumericalError(
             f"{spec.kind} trajectory is not finite at t={times[np.argmin(finite)]:.6g}")
     return TimeSeriesDataset(
         times=_frozen(times),
         states=_frozen(states),
-        derivatives=_frozen(derivatives),
+        derivatives=None if deriv is None else _frozen(deriv),
         state_names=default_state_names(states.shape[1]),
         meta=meta,
     )

@@ -15,6 +15,7 @@ import pytest
 from sindykit import ConfigError
 from sindykit.cli import _KEYS, MAX_STEPS, _Choice, main, parse_experiment
 from sindykit.systems import _SYSTEMS
+from conftest import shipped_config
 
 LIN2D = {
     "spec_version": 1,
@@ -41,6 +42,7 @@ LOGISTIC = {"spec_version": 1, "seed": 0,
 MEANFIELD = {"spec_version": 1,
              "system": {"kind": "meanfield3d", "x0": [0.4, 0.0, 0.16], "t_span": [0.0, 1.0],
                         "params": {"mu": 0.1, "omega": 1.0, "A": -0.1, "lam": 10.0}}}
+HOPF = shipped_config("hopf")
 # one hopf run, which reads mu, omega and A
 WITH_MU = dict(LIN2D, system=dict(LIN2D["system"], kind="hopf",
                                   params={"mu": 0.1, "omega": 1.0, "A": 1.0}))
@@ -284,6 +286,11 @@ REFUSED_CASES = [
      "system.t_span [0.0, 0.001] over system.dt 0.01 is shorter than one step"),
     (RUNS, ("system", "runs", 1, "t_span"), [0.0, 0.004],
      "system.runs[1].t_span [0.0, 0.004] over system.dt 0.01 is shorter than one step"),
+    # a span that does not end after it starts, named by the key that sets it
+    (LIN2D, ("system", "t_span"), [1.0, 0.0],
+     "system.t_span [1.0, 0.0] must hold a start and a later end time"),
+    (HOPF, ("system", "runs", 3, "t_span"), [5.0, 5.0],
+     "system.runs[3].t_span [5.0, 5.0] must hold a start and a later end time"),
 ]
 
 # (command, base config, path to the value, the value as JSON text, the key

@@ -553,28 +553,6 @@ class TestNoiseLevelsProblem:
 
 
 class TestCliHopfEnsemble:
-    def test_segments_share_the_joined_rows_and_keep_their_run_meta(self):
-        import sindykit.cli as cli
-        exp = cli.parse_experiment(shipped_config("hopf"))
-        ds = cli._simulate_runs(exp, exp["seed"])
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
-            segments = cli._segment_runs(ds)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the segments are views of the joined arrays: copying them traces
-        # every joined byte again (peak measured: 1.01x the joined bytes with
-        # the copies, 0.02x without)
-        joined = ds.times.nbytes + ds.states.nbytes + ds.derivatives.nbytes
-        assert peak - start < 0.05 * joined
-        assert len(segments) == 24
-        for segment, run, sl in zip(segments, ds.meta["runs"], ds.segment_slices()):
-            assert segment.states.base is ds.states
-            assert segment.states.tobytes() == ds.states[sl].tobytes()
-            assert segment.meta == run and segment.meta["system"] == "hopf"
-
     @staticmethod
     def _condition_per_run(ds, exp, noise_seed):
         """The per-run conditioning ``_prepare`` replaced, kept as its reference:
@@ -616,8 +594,12 @@ class TestCliHopfEnsemble:
         for name in ("times", "states", "derivatives"):
             assert getattr(ds, name).tobytes() == getattr(ref, name).tobytes()
         assert (ds.segments, ds.state_names) == (ref.segments, ref.state_names)
-        # the runs are differentiated joined, so the method is recorded once
-        assert ds.meta == {**ref.meta, "differentiation": "tv"}
+        # the runs are noised and differentiated joined, so the noise and the
+        # method are recorded once, beside each run's system, parameters and x0
+        noise = exp["noise_spec"]
+        assert ds.meta == {"runs": [run.meta for run in runs], "noise_eta": noise.eta,
+                           "noise_seed": base, "noise_target": noise.target,
+                           "differentiation": "tv"}
 
 
 class TestShippedConfigs:

@@ -553,6 +553,28 @@ class TestAddNoise:
             stacked = np.vstack([getattr(block, name) for block in blocks])
             assert np.array_equal(stacked, getattr(whole, name))
 
+    @pytest.mark.parametrize("target", ["states", "derivatives"])
+    def test_one_segment_draws_from_the_seed_itself(self, dataset, target):
+        out = add_noise(dataset, NoiseSpec(eta=0.3, target=target, seed=13))
+        z = np.random.default_rng(13).standard_normal(dataset.states.shape)
+        assert getattr(out, target).tobytes() == (getattr(dataset, target) + 0.3 * z).tobytes()
+
+    @pytest.mark.parametrize("target", ["states", "derivatives"])
+    def test_joined_runs_noised_once_equal_each_run_noised_alone(self, target):
+        # uneven runs, one of three samples: segment j draws from seed + j
+        runs = [simulate(SystemSpec("linear2d", x0=x0, t_span=(0.0, t1), dt=0.01))
+                for x0, t1 in (((2.0, 0.0), 2.0), ((0.0, 1.0), 0.02), ((1.0, 1.0), 0.5))]
+        spec = NoiseSpec(eta=0.3, target=target, seed=13)
+        joined = concatenate(runs)
+        once = add_noise(joined, spec)
+        alone = concatenate([add_noise(run, replace(spec, seed=13 + j))
+                             for j, run in enumerate(runs)])
+        for name in ("times", "states", "derivatives"):
+            assert getattr(once, name).tobytes() == getattr(alone, name).tobytes()
+        # the provenance is recorded once, beside the runs' own meta
+        assert once.meta == {**joined.meta, "noise_eta": 0.3, "noise_seed": 13,
+                             "noise_target": target}
+
     def test_meta_records_provenance(self, dataset):
         out = add_noise(dataset, NoiseSpec(eta=0.25, target="states", seed=11))
         assert out.meta["noise_eta"] == 0.25

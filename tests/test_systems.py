@@ -28,11 +28,21 @@ LORENZ, MEANFIELD = shipped_spec("lorenz"), shipped_spec("meanfield")
 
 
 class TestSimulate:
-    def test_overflowing_trajectory_names_the_time_of_its_first_non_finite_sample(self):
+    @pytest.mark.parametrize("derivatives", [True, False])
+    def test_overflowing_trajectory_names_the_time_of_its_first_non_finite_sample(self,
+                                                                                  derivatives):
         # RK4 at dt=0.2 is unstable on Lorenz: the states overflow to NaN at t=1
         spec = replace(LORENZ, t_span=(0.0, 50.0), dt=0.2)
         with pytest.raises(NumericalError, match=r"lorenz trajectory is not finite at t=1$"):
-            simulate(spec)
+            simulate(spec, derivatives)
+
+    def test_without_derivatives_keeps_the_times_and_states(self):
+        spec = replace(LORENZ, t_span=(0.0, 3.0), dt=0.01)
+        full, bare = simulate(spec), simulate(spec, derivatives=False)
+        assert bare.derivatives is None
+        for name in ("times", "states"):
+            assert getattr(bare, name).tobytes() == getattr(full, name).tobytes()
+        assert (bare.state_names, bare.meta) == (full.state_names, full.meta)
 
     def test_linear2d_matches_analytic_solution(self):
         spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 25.0), dt=0.01)
