@@ -5,14 +5,13 @@ Subcommands: ``generate`` (simulate and write datasets), ``fit``
 (simulate true vs identified dynamics, write error-vs-time curves) and
 ``sweep`` (threshold sweep, Pareto CSV, fit at the chosen threshold).
 
-Configs are JSON documents with ``spec_version: 1``; command-line
-``--seed`` and ``--lambda`` override config values.  ``main`` checks the
-whole config once against ``_KEYS``, the kind and default of every key,
-and the commands take that checked experiment.  An unknown key, a key of
-a variant the config did not choose (``differentiation.alpha`` under
-``exact``), a null, a malformed value and a flag the command does not
-read are config errors naming the key or flag.  Exit codes: 0 success,
-2 config error, 3 data error, 4 numerical failure.
+Configs are JSON documents with ``spec_version: 1``; command-line ``--seed`` and
+``--lambda`` override config values.  ``main`` checks the whole config once against
+``_KEYS``, the kind and default of every key, and runs the command's entry of
+``_COMMANDS`` on that experiment.  An unknown key, a key of a variant the config did not
+choose (``differentiation.alpha`` under ``exact``), a null, a malformed value and a flag
+the command does not read are config errors naming the key or flag.  Exit codes: 0
+success, 2 config error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -33,8 +32,9 @@ from .dataio import read_dataset_csv, write_csv, write_dataset_csv, write_pareto
 from .differentiation import NoiseSpec, TvDiffConfig, add_noise, differentiate_dataset
 from .errors import ConfigError, DataError, NumericalError, SindykitError
 from .integrate import dp45_adaptive
-from .library import LibrarySpec
-from .model import Mode, SparseModel, TimeSeriesDataset, model_to_json, render_table
+from .library import LibrarySpec, enumerate_terms
+from .model import Mode, SparseModel, TimeSeriesDataset, _frozen, model_to_json, render_table
+from .model import default_state_names
 from .regression import FitReport, RegressionProblem, StlsqConfig, _regression_problem, fit
 from .selection import pick_elbow, sweep
 from .systems import (
@@ -200,35 +200,39 @@ def _block(value: dict, table: dict, key: str) -> dict:
     return block
 
 
-def parse_experiment(cfg: dict) -> dict:
+def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None = None) -> dict:
     """``cfg`` checked against ``_KEYS`` once, with the defaults of ``_KEYS`` filled in.
 
-    The checks that need several values or a package object run here too,
-    so every command stops on them, whatever blocks it reads: the augmented
-    parameter must belong to every run (and logistic, whose map holds mu as
-    a state, takes none), every run parameter is one that the
-    system kind or ``system.augment.param`` reads, ``compare.etas`` holds at
-    least one level and no two whose curves share a file name,
+    ``seed`` and ``threshold`` (``--seed`` and ``--lambda``), checked right after the
+    keys, replace the keys ``seed`` and ``fit.threshold``, so the experiment holds what
+    runs.  The checks that need several values or a package object run here too, so every
+    command stops on them, whatever blocks it reads: the augmented parameter must belong
+    to every run (and logistic, whose map holds mu as a state, takes none), every run
+    parameter is one that the system kind or ``system.augment.param`` reads,
+    ``compare.etas`` holds at least one level and no two whose curves share a file name,
     ``compare.horizon`` and ``compare.long_horizon`` are whole numbers of
-    ``compare.grid_dt`` steps, so that each grid ends on its horizon, a flow
-    run's ``t_span`` ends after it starts and takes at least one step, no
-    run takes more than ``MAX_STEPS`` steps (a
-    flow run's ``t_span`` over its ``dt``, ``logistic``'s ``n_steps`` and
-    each compare grid), every
-    conditioning setting reaches the fit (``central`` and ``tv`` only under
-    a flow, derivative noise only on the stored derivatives that a flow's
-    fit reads under ``exact``), the ``library`` block passes
-    ``LibrarySpec``'s checks, the ``selection`` block gives a nonempty,
-    ascending grid of distinct, finite, nonzero thresholds, ``logistic``
-    iterates at least one step, and each package config object
-    is built once and kept for the commands: ``exp["mode"]`` (discrete for
-    the map, whose right-hand side ``_SYSTEMS`` leaves ``None``, and
-    continuous for every flow), ``exp["specs"]`` (one
-    ``SystemSpec`` per run), ``exp["noise_spec"]``, ``exp["tv"]``
-    (``None`` unless differentiation is ``"tv"``), ``exp["fit_config"]``
+    ``compare.grid_dt`` steps, so that each grid ends on its horizon, a flow run's
+    ``t_span`` ends after it starts and takes at least one step, no run takes more than
+    ``MAX_STEPS`` steps (a flow run's ``t_span`` over its ``dt``, ``logistic``'s
+    ``n_steps`` and each compare grid), ``system.augment.name`` gives no two library
+    terms one name (``x`` times ``u`` is ``xu``), every conditioning setting reaches the
+    fit (``central`` and ``tv`` only under a flow, derivative noise only on the stored
+    derivatives that a flow's fit reads under ``exact``), the ``library`` block passes
+    ``LibrarySpec``'s checks, the ``selection`` block gives a nonempty, ascending grid
+    of distinct, finite, nonzero thresholds, ``logistic`` iterates at least one step,
+    and each package config object is built once and kept for the commands:
+    ``exp["mode"]`` (discrete for the map, whose right-hand side ``_SYSTEMS`` leaves
+    ``None``, and continuous for every flow), ``exp["specs"]`` (one ``SystemSpec`` per
+    run), ``exp["noise_spec"]`` (its seed ``seed`` + 1 unless ``noise.seed`` is given),
+    ``exp["tv"]`` (``None`` unless differentiation is ``"tv"``), ``exp["fit_config"]``
     and ``exp["thresholds"]`` (the sweep's grid).
     """
     exp = _parse(cfg, _KEYS, "")
+    if seed is not None:
+        exp["seed"] = _parse(seed, "natural", "--seed")
+    if threshold is not None:  # a non-finite value is refused as no number
+        exp["fit"]["threshold"] = _parse(_parse(threshold, "number", "--lambda"),
+                                         "nonnegative", "--lambda")
     system = exp["system"]
     augment = system["augment"]
     if augment and (missing := sorted({"name", "param"} - augment.keys())):
@@ -285,7 +289,7 @@ def parse_experiment(cfg: dict) -> dict:
                               f"compare.grid_dt {cmp['grid_dt']!r} steps")
         _bound_steps(steps, f"compare.{name} {cmp[name]!r} over compare.grid_dt "
                             f"{cmp['grid_dt']!r}")
-    noise = exp["noise_spec"] = NoiseSpec(**exp["noise"])
+    noise = exp["noise_spec"] = NoiseSpec(**{"seed": exp["seed"] + 1, **exp["noise"]})
     method, discrete = exp["differentiation"]["method"], exp["mode"] is Mode.DISCRETE
     if discrete and method != "exact":
         raise ConfigError(f'differentiation.method "{method}" does not apply to {kind}, '
@@ -298,6 +302,9 @@ def parse_experiment(cfg: dict) -> dict:
     exp["tv"] = (TvDiffConfig(**{name: v for name, v in exp["differentiation"].items()
                                  if name != "method"}) if method == "tv" else None)
     LibrarySpec(1, **exp["library"])  # its value checks; the data's state count changes none
+    if augment:
+        _check_term_names((*default_state_names(_SYSTEMS[kind][0]), augment["name"]), exp,
+                          f"system.augment.name {json.dumps(augment['name'])}", ConfigError)
     exp["fit_config"] = StlsqConfig(**exp["fit"])
     exp["thresholds"] = _thresholds(exp["selection"])
     return exp
@@ -332,6 +339,18 @@ def _thresholds(sel: dict) -> np.ndarray:
     return thresholds
 
 
+def _check_term_names(names: tuple[str, ...], exp: dict, what: str, error: type) -> None:
+    """Refuse state ``names`` under which two terms of the fit's library share
+    a name: a term's name joins its states' names, so beside ``x`` and ``y``
+    a state ``xy`` shares its name with the term x·y."""
+    seen = set()
+    for term in enumerate_terms(LibrarySpec(len(names), **exp["library"])):
+        if (name := term.name(names)) in seen:
+            raise error(f"{what}: two library terms of the states {list(names)} "
+                        f"are named {name!r}")
+        seen.add(name)
+
+
 def _system_runs(exp: dict) -> list[SystemSpec]:
     """Expand the system block into one spec per trajectory.
 
@@ -355,7 +374,7 @@ def _system_runs(exp: dict) -> list[SystemSpec]:
             for run in runs]
 
 
-def _simulate_runs(exp: dict, seed: int, derivatives: bool = True) -> TimeSeriesDataset:
+def _simulate_runs(exp: dict, derivatives: bool = True) -> TimeSeriesDataset:
     """The command's runs joined, before noise and augmentation: a flow's by
     ``concatenate``, a segment per run (``derivatives``: with its exact ones),
     and the map's in one ``logistic_ensemble`` call over every
@@ -363,22 +382,26 @@ def _simulate_runs(exp: dict, seed: int, derivatives: bool = True) -> TimeSeries
     system = exp["system"]
     if system["kind"] == "logistic":
         return logistic_ensemble(system["ensemble_mus"], system["n_steps"], system["forcing"],
-                                 seed, system["x0"][0])
+                                 exp["seed"], system["x0"][0])
     return concatenate([simulate(spec, derivatives) for spec in exp["specs"]])
 
 
 def _loaded_dataset(exp: dict, data_path: str) -> TimeSeriesDataset:
     """A dataset file without the configured ``system.augment.name`` column,
-    which ``_augment`` appends again."""
+    which ``_augment`` appends again; the states that the fit then reads
+    must give its library terms distinct names."""
     ds = read_dataset_csv(data_path)
-    keep = [i for i, name in enumerate(ds.state_names)
-            if name != exp["system"]["augment"].get("name")]
+    augment = exp["system"]["augment"].get("name")
+    keep = [i for i, name in enumerate(ds.state_names) if name != augment]
+    names = tuple(ds.state_names[i] for i in keep)
+    _check_term_names(names + ((augment,) if augment is not None else ()), exp,
+                      data_path, DataError)
     if len(keep) == ds.n_states:
         return ds
     deriv = ds.derivatives
-    return replace(ds, states=ds.states[:, keep],
-                   derivatives=None if deriv is None else deriv[:, keep],
-                   state_names=tuple(ds.state_names[i] for i in keep))
+    return replace(ds, states=_frozen(np.take(ds.states, keep, axis=1)),
+                   derivatives=None if deriv is None else _frozen(np.take(deriv, keep, axis=1)),
+                   state_names=names)
 
 
 def _augment(exp: dict, ds: TimeSeriesDataset) -> TimeSeriesDataset:
@@ -394,12 +417,7 @@ def _augment(exp: dict, ds: TimeSeriesDataset) -> TimeSeriesDataset:
     return augment_signal(ds, augment["name"], column, np.zeros(ds.n_samples))
 
 
-def _fit_config(exp: dict, override_threshold: float | None) -> StlsqConfig:
-    cfg = exp["fit_config"]
-    return cfg if override_threshold is None else replace(cfg, threshold=override_threshold)
-
-
-def _prepare(exp: dict, seed: int, data_path: str | None) -> TimeSeriesDataset:
+def _prepare(exp: dict, data_path: str | None) -> TimeSeriesDataset:
     """simulate (joined) or load -> noise -> differentiate -> augment.
 
     One ``add_noise`` call noises the joined runs, segment j with seed
@@ -412,10 +430,10 @@ def _prepare(exp: dict, seed: int, data_path: str | None) -> TimeSeriesDataset:
     has refused derivative noise that the fit would not read.
     """
     noise, method = exp["noise_spec"], exp["differentiation"]["method"]
-    ds = (_simulate_runs(exp, seed, method == "exact") if data_path is None
+    ds = (_simulate_runs(exp, method == "exact") if data_path is None
           else _loaded_dataset(exp, data_path))
     if noise.eta > 0.0:
-        ds = add_noise(ds, replace(noise, seed=exp["noise"].get("seed", seed + 1)))
+        ds = add_noise(ds, noise)
     if method != "exact":
         ds = differentiate_dataset(ds, method, tv=exp["tv"])
     elif exp["mode"] is Mode.CONTINUOUS and ds.derivatives is None:
@@ -469,17 +487,15 @@ def error_curve(reference: np.ndarray, f_model, grid: np.ndarray) -> np.ndarray:
     return np.linalg.norm(reference - xm, axis=1)
 
 
-def cmd_generate(exp: dict, out: Path, seed: int) -> tuple[dict, dict]:
-    ds = _augment(exp, _simulate_runs(exp, seed))
+def cmd_generate(exp: dict, out: Path, data_path: None) -> tuple[dict, dict]:
+    ds = _augment(exp, _simulate_runs(exp))
     artifacts = {"dataset": str(write_dataset_csv(ds, out / "dataset.csv"))}
     return artifacts, {"samples": ds.n_samples, "states": ds.n_states}
 
 
-def cmd_fit(exp: dict, out: Path, seed: int, data_path: str | None,
-            override_threshold: float | None) -> tuple[dict, dict]:
-    fit_cfg = _fit_config(exp, override_threshold)
-    ds = _prepare(exp, seed, data_path)
-    model, report = fit(ds, LibrarySpec(ds.n_states, **exp["library"]), fit_cfg,
+def cmd_fit(exp: dict, out: Path, data_path: str | None) -> tuple[dict, dict]:
+    ds = _prepare(exp, data_path)
+    model, report = fit(ds, LibrarySpec(ds.n_states, **exp["library"]), exp["fit_config"],
                         mode=exp["mode"])
     artifacts = _write_model_artifacts(out, model, report)
     return artifacts, {"nnz": model.nnz(), "n_terms": len(model.terms)}
@@ -511,8 +527,7 @@ def _noise_levels_problem(base: TimeSeriesDataset, lib: LibrarySpec, etas: list[
                                n_targets=n * len(specs))
 
 
-def cmd_compare(exp: dict, out: Path, seed: int,
-                override_threshold: float | None) -> tuple[dict, dict]:
+def cmd_compare(exp: dict, out: Path, data_path: None) -> tuple[dict, dict]:
     specs = exp["specs"]
     spec, *more = specs
     if more or spec.kind == "logistic":
@@ -526,19 +541,18 @@ def cmd_compare(exp: dict, out: Path, seed: int,
         if value:
             raise ConfigError(f"compare fits the exact derivatives of one run; {key} "
                               "does not apply to compare")
-    fit_cfg = _fit_config(exp, override_threshold)
     cmp = exp["compare"]
     horizon, grid_dt, long_h = cmp["horizon"], cmp["grid_dt"], cmp.get("long_horizon")
     etas = cmp.get("etas", [exp["noise_spec"].eta])
     grid = np.arange(0.0, horizon + grid_dt / 2, grid_dt)
-    base = _simulate_runs(exp, seed)
+    base = _simulate_runs(exp)
     lib = LibrarySpec(base.n_states, **exp["library"])
-    problem = _noise_levels_problem(base, lib, etas, seed)
+    problem = _noise_levels_problem(base, lib, etas, exp["seed"])
     truth, _ = dp45_adaptive(system_rhs(spec), np.array(spec.x0), grid, 1e-10, 1e-10)
     artifacts, summary = {}, {}
     n = base.n_states
     for i, eta in enumerate(etas):
-        model, _ = fit(base, lib, fit_cfg, mode=Mode.CONTINUOUS,
+        model, _ = fit(base, lib, exp["fit_config"], mode=Mode.CONTINUOUS,
                        problem=problem.targets(n * i, n * (i + 1)))
         try:
             err = error_curve(truth, model.rhs(), grid)
@@ -571,8 +585,8 @@ def cmd_compare(exp: dict, out: Path, seed: int,
     return artifacts, summary
 
 
-def cmd_sweep(exp: dict, out: Path, seed: int, data_path: str | None) -> tuple[dict, dict]:
-    ds = _prepare(exp, seed, data_path)
+def cmd_sweep(exp: dict, out: Path, data_path: str | None) -> tuple[dict, dict]:
+    ds = _prepare(exp, data_path)
     lib = LibrarySpec(ds.n_states, **exp["library"])
     points, models = sweep(ds, lib, exp["thresholds"], exp["fit_config"], mode=exp["mode"])
     chosen = pick_elbow(points)
@@ -583,9 +597,10 @@ def cmd_sweep(exp: dict, out: Path, seed: int, data_path: str | None) -> tuple[d
     return artifacts, {"chosen_lambda": chosen, "nnz": model.nnz()}
 
 
-# the optional flags that each command reads besides --seed
-_FLAGS = {"generate": (), "fit": ("--data", "--lambda"), "compare": ("--lambda",),
-          "sweep": ("--data",)}
+# command -> (its function of the experiment, the output directory and the
+# --data path; the optional flags that it reads besides --seed)
+_COMMANDS = {"generate": (cmd_generate, ()), "fit": (cmd_fit, ("--data", "--lambda")),
+             "compare": (cmd_compare, ("--lambda",)), "sweep": (cmd_sweep, ("--data",))}
 
 
 def _format_warning(message, category, filename, lineno, line=None) -> str:
@@ -595,10 +610,13 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: refuse a flag that it does not read, parse the config
+    with ``--seed`` and ``--lambda`` in effect, run the command's function
+    from ``_COMMANDS`` and write ``run_report.json``; returns the exit code."""
     parser = argparse.ArgumentParser(
         prog="sindykit",
         description="Identify sparse nonlinear dynamics from time-series data.")
-    parser.add_argument("command", choices=list(_FLAGS))
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="experiment config JSON")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--data", default=None, help="existing dataset CSV (fit/sweep)")
@@ -609,26 +627,16 @@ def main(argv: list[str] | None = None) -> int:
     # only the printed form changes: a caller that records warnings still gets them
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
+        command, flags = _COMMANDS[args.command]
         for flag, value in (("--data", args.data), ("--lambda", args.threshold)):
-            if value is not None and flag not in _FLAGS[args.command]:
+            if value is not None and flag not in flags:
                 raise ConfigError(f"{flag} does not apply to {args.command}")
         cfg = load_config(args.config)
-        exp = parse_experiment(cfg)
-        seed = exp["seed"] if args.seed is None else _parse(args.seed, "natural", "--seed")
-        threshold = None if args.threshold is None else _parse(args.threshold, "number", "--lambda")
-        if threshold is not None and threshold < 0:
-            raise ConfigError(f"--lambda must be a nonnegative number, not {threshold!r}")
+        exp = parse_experiment(cfg, args.seed, args.threshold)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "generate":
-            artifacts, summary = cmd_generate(exp, out, seed)
-        elif args.command == "fit":
-            artifacts, summary = cmd_fit(exp, out, seed, args.data, threshold)
-        elif args.command == "compare":
-            artifacts, summary = cmd_compare(exp, out, seed, threshold)
-        else:
-            artifacts, summary = cmd_sweep(exp, out, seed, args.data)
-        _write_run_report(out, args.command, cfg, seed, artifacts, summary)
+        artifacts, summary = command(exp, out, args.data)
+        _write_run_report(out, args.command, cfg, exp["seed"], artifacts, summary)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -108,7 +108,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     if (isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
             and a.dtype == float and (a is owner or a.flags.c_contiguous)):
         return a  # a dataset built from another's arrays, or their row blocks, shares them
-    return _frozen(np.array(a, dtype=float))
+    return _frozen(np.array(a, dtype=float, order="C"))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

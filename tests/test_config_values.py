@@ -291,6 +291,15 @@ REFUSED_CASES = [
      "system.t_span [1.0, 0.0] must hold a start and a later end time"),
     (HOPF, ("system", "runs", 3, "t_span"), [5.0, 5.0],
      "system.runs[3].t_span [5.0, 5.0] must hold a start and a later end time"),
+    # an augmented state name under which two library terms share a name
+    (RUNS, ("system", "augment", "name"), "",
+     "system.augment.name \"\": two library terms of the states ['x', 'y', ''] are named 'x'"),
+    (RUNS, ("system", "augment", "name"), "xy",
+     "system.augment.name \"xy\": two library terms of the states ['x', 'y', 'xy'] are "
+     "named 'xy'"),
+    (RUNS, ("system", "augment", "name"), "x",
+     "system.augment.name \"x\": two library terms of the states ['x', 'y', 'x'] are "
+     "named 'x'"),
 ]
 
 # (command, base config, path to the value, the value as JSON text, the key

@@ -218,20 +218,38 @@ class TestCliFit:
         assert ra["config_sha256"] == rb["config_sha256"]
 
     def test_lambda_override_takes_precedence(self, tmp_path):
-        # --lambda X writes the bytes of a config whose fit.threshold is X
+        # --lambda X writes the bytes of a config whose fit.threshold is X, and
+        # --seed N those of a config whose seed is N: without noise.seed, whose
+        # default seed + 1 follows the flag, and with it
         doc = dict(LIN2D_CFG, compare={"horizon": 2.0, "grid_dt": 0.05, "etas": [0.0, 0.01]})
-        flag = write_config(tmp_path / "flag.json", doc)
-        key = write_config(tmp_path / "key.json",
-                           dict(doc, fit=dict(doc["fit"], threshold=0.5)))
-        for command, names in (("fit", ["model.json", "model_table.txt", "fit_report.json"]),
-                               ("compare", ["error_eta_0.csv", "error_eta_0.01.csv"])):
-            by_flag, by_key = tmp_path / f"{command}-flag", tmp_path / f"{command}-key"
-            assert main([command, "--config", flag, "--out", str(by_flag), "--lambda", "0.5"]) == 0
+        model_files = ["model.json", "model_table.txt", "fit_report.json"]
+        files = {"generate": ["dataset.csv", "dataset.meta.json"], "fit": model_files,
+                 "sweep": ["pareto.csv", *model_files],
+                 "compare": ["error_eta_0.csv", "error_eta_0.01.csv"]}
+
+        def same_bytes(command, flag_doc, flags, key_doc):
+            name = f"{command}{''.join(flags)}{len(key_doc['noise'])}"
+            by_flag, by_key = tmp_path / f"{name}-flag", tmp_path / f"{name}-key"
+            flag = write_config(tmp_path / f"{name}-flag.json", flag_doc)
+            key = write_config(tmp_path / f"{name}-key.json", key_doc)
+            assert main([command, "--config", flag, "--out", str(by_flag), *flags]) == 0
             assert main([command, "--config", key, "--out", str(by_key)]) == 0
-            for name in names:
-                assert (by_flag / name).read_bytes() == (by_key / name).read_bytes()
-        model = model_from_json((tmp_path / "fit-flag" / "model.json").read_text())
-        assert model.nnz() == 2  # only the +-2 couplings reach the threshold
+            for file in files[command]:
+                assert (by_flag / file).read_bytes() == (by_key / file).read_bytes()
+            report = json.loads((by_flag / "run_report.json").read_text())
+            assert report["seed"] == key_doc["seed"]
+            return by_flag
+
+        for command in ("fit", "compare"):
+            fitted = same_bytes(command, doc, ["--lambda", "0.5"],
+                                dict(doc, fit=dict(doc["fit"], threshold=0.5)))
+            if command == "fit":
+                model = model_from_json((fitted / "model.json").read_text())
+                assert model.nnz() == 2  # only the +-2 couplings reach the threshold
+        for noise in ({"eta": 0.01}, {"eta": 0.01, "seed": 3}):
+            noisy = dict(doc, noise=noise)
+            for command in files:
+                same_bytes(command, noisy, ["--seed", "5"], dict(noisy, seed=5))
 
     def test_fit_from_external_data(self, tmp_path):
         spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 25.0), dt=0.01)
@@ -579,7 +597,7 @@ class TestCliHopfEnsemble:
 
         monkeypatch.setattr(cli, "differentiate_dataset", counted(diff.differentiate_dataset))
         monkeypatch.setattr(diff, "tv_derivative", counted(diff.tv_derivative))
-        ds = cli._prepare(exp, exp["seed"], None)
+        ds = cli._prepare(exp, None)
         assert calls == ["differentiate_dataset", "tv_derivative"]
         monkeypatch.undo()
 
@@ -600,6 +618,18 @@ class TestCliHopfEnsemble:
         assert ds.meta == {"runs": [run.meta for run in runs], "noise_eta": noise.eta,
                            "noise_seed": base, "noise_target": noise.target,
                            "differentiation": "tv"}
+
+
+    def test_loaded_columns_are_c_ordered(self, tmp_path):
+        # the augmented column is taken off a file's states and derivatives
+        import sindykit.cli as cli
+        config = tmp_path / "hopf.json"
+        config.write_text(json.dumps(shipped_config("hopf")))
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path)]) == 0
+        ds = cli._loaded_dataset(cli.parse_experiment(shipped_config("hopf")),
+                                 str(tmp_path / "dataset.csv"))
+        assert ds.state_names == ("x", "y")
+        assert ds.states.flags.c_contiguous and ds.derivatives.flags.c_contiguous
 
 
 class TestShippedConfigs:
@@ -683,6 +713,20 @@ class TestCliErrors:
         rc = main([command, "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert str(sidecar) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    @pytest.mark.parametrize("names,term", [(["a", "a"], "a"), (["", "b"], ""),
+                                            (["x", "xx"], "xx")])
+    def test_state_names_that_name_two_terms_alike_are_data_error(self, tmp_path, capsys,
+                                                                  command, names, term):
+        # a term's name joins its states' names, so x times x is the state xx
+        data, sidecar = self._generated(tmp_path)
+        sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), state_names=names)))
+        cfg = write_config(tmp_path / "c.json", LIN2D_CFG)
+        rc = main([command, "--config", cfg, "--data", str(data), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err == (f"data error: {data}: two library terms of the "
+                                           f"states {names} are named {term!r}\n")
 
     def test_one_sample_segment_is_data_error_for_tv(self, tmp_path, capsys):
         data, sidecar = self._generated(tmp_path)
