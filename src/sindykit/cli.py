@@ -34,7 +34,7 @@ from .errors import ConfigError, DataError, NumericalError, SindykitError
 from .integrate import dp45_adaptive
 from .library import LibrarySpec, enumerate_terms
 from .model import Mode, SparseModel, TimeSeriesDataset, _frozen, model_to_json, render_table
-from .model import default_state_names
+from .model import check_term_names, default_state_names
 from .regression import FitReport, RegressionProblem, StlsqConfig, _regression_problem, fit
 from .selection import pick_elbow, sweep
 from .systems import (
@@ -91,7 +91,6 @@ _KINDS = {
     "integer": ("an integer", _is_int),
     "natural": ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
     "counting": ("a positive integer", lambda v: _is_int(v) and v >= 1),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
     "string": ("a string", lambda v: isinstance(v, str)),
 }
 
@@ -108,8 +107,8 @@ class _Choice:
 # refuses the grid, and well before that the samples outgrow memory
 MAX_STEPS = 10**7
 
-_RUN = {"x0": ["number"], "t_span": ["number"], "dt": "positive", "params": "number{}"}
-_CONTINUOUS = {**_RUN, "runs": ([_RUN], [{}])}
+_RUN = {"x0": ["number"], "params": "number{}"}  # every run shares the flow's grid
+_CONTINUOUS = {**_RUN, "t_span": ["number"], "dt": "positive", "runs": ([_RUN], [{}])}
 _LOGISTIC = {"x0": (["number"], [0.5]), "ensemble_mus": (["number"], []),
              "n_steps": ("natural", 1000), "forcing": ("nonnegative", 0.0)}
 
@@ -128,7 +127,7 @@ _KEYS = {
               "target": _Choice("derivatives", {"derivatives": {}, "states": {}}),
               "seed": "natural"},
     "differentiation": {
-        "method": _Choice("exact", {"exact": {}, "central": {}, "tv": {
+        "method": _Choice("exact", {"exact": {}, "tv": {
             "alpha": ("positive", 0.01), "iterations": "counting"}}),
     },
     "library": {"poly_order": ("integer", 5)},
@@ -211,16 +210,17 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
     parameter is one that the system kind or ``system.augment.param`` reads,
     ``compare.etas`` holds at least one level and no two whose curves share a file name,
     ``compare.horizon`` and ``compare.long_horizon`` are whole numbers of
-    ``compare.grid_dt`` steps, so that each grid ends on its horizon, a flow run's
-    ``t_span`` ends after it starts and takes at least one step, no run takes more than
-    ``MAX_STEPS`` steps (a flow run's ``t_span`` over its ``dt``, ``logistic``'s
-    ``n_steps`` and each compare grid), ``system.augment.name`` gives no two library
-    terms one name (``x`` times ``u`` is ``xu``), every conditioning setting reaches the
-    fit (``central`` and ``tv`` only under a flow, derivative noise only on the stored
-    derivatives that a flow's fit reads under ``exact``), the ``library`` block passes
-    ``LibrarySpec``'s checks, the ``selection`` block gives a nonempty, ascending grid
-    of distinct, finite, nonzero thresholds, ``logistic`` iterates at least one step,
-    and each package config object is built once and kept for the commands:
+    ``compare.grid_dt`` steps, so that each grid ends on its horizon, a flow's
+    ``system.t_span``, which all its runs share, ends after it starts and takes at least
+    one ``system.dt`` step, no run takes more than ``MAX_STEPS`` steps (a flow's
+    ``system.t_span`` over ``system.dt``, ``logistic``'s ``n_steps`` and each compare
+    grid), ``system.augment.name`` gives no two library terms one name (``x`` times
+    ``u`` is ``xu``), every conditioning setting reaches the fit (``tv`` only under a
+    flow, derivative noise only on the stored derivatives that a flow's fit reads under
+    ``exact``), the ``library`` block passes ``LibrarySpec``'s checks, the
+    ``selection`` block gives a nonempty, ascending grid of distinct, finite, nonzero
+    thresholds, ``logistic`` iterates at least one step, and each package config object
+    is built once and kept for the commands:
     ``exp["mode"]`` (discrete for the map, whose right-hand side ``_SYSTEMS`` leaves
     ``None``, and continuous for every flow), ``exp["specs"]`` (one ``SystemSpec`` per
     run), ``exp["noise_spec"]`` (its seed ``seed`` + 1 unless ``noise.seed`` is given),
@@ -246,19 +246,17 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
                               "system.ensemble_mus value")
         _bound_steps(system["n_steps"], f"system.n_steps {system['n_steps']}")
     runs = [(f"system.runs[{i}]", run) for i, run in enumerate(system.get("runs", []))]  # flows
-    keys = [tuple(f"{key}.{name}" if name in run else f"system.{name}"
-                  for name in ("t_span", "dt")) for key, run in runs]
-    for (span, _), (_, run) in zip(keys, runs):  # the key that sets each run's span
-        t_span = run.get("t_span", system.get("t_span"))
-        if t_span is not None and (len(t_span) != 2 or not t_span[0] < t_span[1]):
-            raise ConfigError(f"{span} {t_span} must hold a start and a later end time")
-    exp["specs"] = _system_runs(exp)
-    for (span, dt), spec in zip(keys, exp["specs"]):
-        (t0, t1), step = spec.t_span, spec.dt
-        steps, what = (t1 - t0) / step, f"{span} {[t0, t1]} over {dt} {step!r}"
+    if runs:  # every run of a flow steps system.dt over system.t_span
+        t_span = system.get("t_span", list(SystemSpec.t_span))
+        if len(t_span) != 2 or not t_span[0] < t_span[1]:
+            raise ConfigError(f"system.t_span {t_span} must hold a start and a later end time")
+        step = system.get("dt", SystemSpec.dt)
+        steps = (t_span[1] - t_span[0]) / step
+        what = f"system.t_span {t_span} over system.dt {step!r}"
         _bound_steps(steps, what)
         if round(steps) < 1:  # simulate's step count
             raise ConfigError(f"{what} is shorter than one step")
+    exp["specs"] = _system_runs(exp)
     if augment and any(augment["param"] not in spec.params for spec in exp["specs"]):
         raise ConfigError(
             f"system.augment.param {augment['param']!r} is not a parameter of every run")
@@ -340,15 +338,12 @@ def _thresholds(sel: dict) -> np.ndarray:
 
 
 def _check_term_names(names: tuple[str, ...], exp: dict, what: str, error: type) -> None:
-    """Refuse state ``names`` under which two terms of the fit's library share
-    a name: a term's name joins its states' names, so beside ``x`` and ``y``
-    a state ``xy`` shares its name with the term x·y."""
-    seen = set()
-    for term in enumerate_terms(LibrarySpec(len(names), **exp["library"])):
-        if (name := term.name(names)) in seen:
-            raise error(f"{what}: two library terms of the states {list(names)} "
-                        f"are named {name!r}")
-        seen.add(name)
+    """Refuse, as ``error`` naming ``what``, state ``names`` under which two
+    terms of the fit's library share a name (``check_term_names``)."""
+    try:
+        check_term_names(enumerate_terms(LibrarySpec(len(names), **exp["library"])), names)
+    except DataError as exc:
+        raise error(f"{what}: {exc}") from exc
 
 
 def _system_runs(exp: dict) -> list[SystemSpec]:
@@ -423,8 +418,8 @@ def _prepare(exp: dict, data_path: str | None) -> TimeSeriesDataset:
     One ``add_noise`` call noises the joined runs, segment j with seed
     ``noise.seed + j``, so a loaded file, whose segments are the simulated
     dataset's, is noised as it was.  ``exact`` keeps the stored derivatives,
-    which a flow's fit needs and which derivative noise perturbs; ``central``
-    and ``tv`` estimate them from the states of every segment in one
+    which a flow's fit needs and which derivative noise perturbs; ``tv``
+    estimates them from the states of every segment in one
     ``differentiate_dataset`` call, so the runs are simulated without them.
     The parameter column is appended last, so it stays exact.  The parse
     has refused derivative noise that the fit would not read.
@@ -434,11 +429,11 @@ def _prepare(exp: dict, data_path: str | None) -> TimeSeriesDataset:
           else _loaded_dataset(exp, data_path))
     if noise.eta > 0.0:
         ds = add_noise(ds, noise)
-    if method != "exact":
-        ds = differentiate_dataset(ds, method, tv=exp["tv"])
+    if method == "tv":
+        ds = differentiate_dataset(ds, exp["tv"])
     elif exp["mode"] is Mode.CONTINUOUS and ds.derivatives is None:
         raise DataError("differentiation method 'exact' needs stored derivatives; "
-                        "external data without them must use 'central' or 'tv'")
+                        "external data without them must use 'tv'")
     return _augment(exp, ds)
 
 

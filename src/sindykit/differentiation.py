@@ -1,7 +1,7 @@
 """Derivative estimation and noise injection.
 
-Central finite differences cover clean data.  For noisy samples the
-total-variation regularized derivative is used: find u minimizing
+``differentiate_dataset`` estimates a dataset's derivatives from its noisy
+states by the total-variation regularized derivative: find u minimizing
 
     alpha * sum_i sqrt((u[i+1] - u[i])^2 + eps) + 0.5 * ||A u - (f - f[0])||^2
 
@@ -401,45 +401,35 @@ def add_noise(dataset: TimeSeriesDataset, spec: NoiseSpec,
     return dataclasses.replace(dataset, **{spec.target: noised}, meta=meta)
 
 
-def differentiate_dataset(dataset: TimeSeriesDataset, method: str = "central",
-                          tv: TvDiffConfig | None = None) -> TimeSeriesDataset:
-    """Attach derivatives estimated from the sampled states.
+def differentiate_dataset(dataset: TimeSeriesDataset, tv: TvDiffConfig) -> TimeSeriesDataset:
+    """Attach total-variation derivatives estimated from the sampled states.
 
-    Each trajectory segment is differentiated on its own.  ``method`` is
-    "central" or "tv"; the TV path requires uniform sampling within each
-    segment and takes its step size from the data.  It solves every
-    column of the segments that share a length and an exact step in one
-    batched ``tv_derivative`` call, and allocates its output once the first
-    call returns, so it is not held through the solve.  Errors name the dataset row.
+    Each segment is differentiated on its own, on the uniform step of its
+    times.  The columns of the segments that share a length and an exact
+    step are solved in one ``tv_derivative`` call, and the output is
+    allocated once the first call returns, so it is not held through the
+    solve.  Errors name the dataset row.
     """
-    if method not in ("central", "tv"):
-        raise ConfigError(f"unknown differentiation method {method!r}")
-    if method == "tv" and tv is None:
-        raise ConfigError("tv differentiation needs a TvDiffConfig")
-    deriv = np.empty_like(dataset.states) if method == "central" else None
+    if not isinstance(tv, TvDiffConfig):
+        raise ConfigError(f"tv differentiation needs a TvDiffConfig, not {tv!r}")
     groups: dict[tuple[int, float], list[slice]] = {}  # (length, step) -> segments
-    fewest, words = (3, "three") if method == "central" else (5, "five")
     for sl in dataset.segment_slices():
         t, X = dataset.times[sl], dataset.states[sl]
-        if t.shape[0] < fewest:
-            raise DataError(f"{method} differentiation needs at least {words} samples per "
-                            f"segment; the segment at rows {sl.start}..{sl.stop - 1} "
-                            f"has {t.shape[0]}")
+        if t.shape[0] < 5:
+            raise DataError("tv differentiation needs at least five samples per segment; "
+                            f"the segment at rows {sl.start}..{sl.stop - 1} has {t.shape[0]}")
         steps = np.diff(t)
-        if method == "tv" and not np.allclose(steps, steps[0], rtol=1e-8, atol=0):
+        if not np.allclose(steps, steps[0], rtol=1e-8, atol=0):
             raise DataError("tv differentiation needs uniform sampling; resample upstream")
         bad = ~np.isfinite(X).all(axis=1)
         if bad.any():
             raise DataError(f"non-finite sample at row {sl.start + int(np.argmax(bad))}")
-        if method == "central":
-            deriv[sl] = central_difference(t, X)
-        else:
-            groups.setdefault((t.shape[0], float(steps[0])), []).append(sl)
-    n = dataset.n_states
+        groups.setdefault((t.shape[0], float(steps[0])), []).append(sl)
+    n, deriv = dataset.n_states, None
     for (_, step), members in groups.items():
         u = tv_derivative(np.hstack([dataset.states[sl] for sl in members]), step, tv)
         deriv = np.empty_like(dataset.states) if deriv is None else deriv
         for j, sl in enumerate(members):
             deriv[sl] = u[:, n * j:n * (j + 1)]
     return dataclasses.replace(dataset, derivatives=_frozen(deriv),
-                               meta={**dataset.meta, "differentiation": method})
+                               meta={**dataset.meta, "differentiation": "tv"})

@@ -64,6 +64,17 @@ class TermDescriptor:
         return "".join(state_names[i] * e for i, e in enumerate(self.exponents))
 
 
+def check_term_names(terms, state_names: tuple[str, ...]) -> None:
+    """Raise ``DataError`` if two of ``terms`` share a name under ``state_names``: beside
+    ``x`` and ``y``, a state ``xy`` has the name of the term x·y."""
+    seen = set()
+    for term in terms:
+        if (name := term.name(state_names)) in seen:
+            raise DataError(f"two library terms of the states {list(state_names)} "
+                            f"are named {name!r}")
+        seen.add(name)
+
+
 def term_evaluator(terms, n_states: int):
     """Compile a term sequence into a callable from states (m, n_states) to term
     values (m, len(terms)), written to ``out`` if given.  The callable does not
@@ -145,6 +156,7 @@ class SparseModel:
         if any(len(t.exponents) != len(self.state_names) for t in self.terms):
             raise DataError(
                 f"every term needs one exponent per state, {len(self.state_names)} in all")
+        check_term_names(self.terms, self.state_names)  # support and the table key terms by name
         bad = np.argwhere(~np.isfinite(coef))
         if bad.size:
             row, col = bad[0]

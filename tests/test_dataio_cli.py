@@ -278,14 +278,6 @@ class TestCliFit:
         rc = main(["fit", "--config", cfg, "--out", str(tmp_path / "x"), "--data", str(data)])
         assert rc == 3
 
-    def test_central_differentiation_path(self, tmp_path):
-        doc = dict(LIN2D_CFG, differentiation={"method": "central"})
-        cfg = write_config(tmp_path / "c.json", doc)
-        out = tmp_path / "run"
-        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
-        model = model_from_json((out / "model.json").read_text())
-        assert model.nnz() == 4
-
 
 class TestCliGenerate:
     def test_dataset_csv_written(self, tmp_path):

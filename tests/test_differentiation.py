@@ -598,38 +598,34 @@ class TestAddNoise:
 
 
 class TestDifferentiateDataset:
-    def test_central_fills_derivatives(self):
-        t = np.linspace(0.0, 1.0, 50)
-        ds = TimeSeriesDataset(times=t, states=np.column_stack([t, 3 * t]))
-        out = differentiate_dataset(ds, "central")
-        assert np.allclose(out.derivatives, np.column_stack([np.ones(50), 3 * np.ones(50)]))
-
     def test_segments_differentiated_independently(self):
-        # two ramps with different slopes; a joint stencil across the
+        # two ramps with different slopes; a joint solve across the
         # boundary would blend them
         t = np.concatenate([np.linspace(0, 1, 30), np.linspace(1.1, 2.1, 30)])
         x = np.concatenate([2.0 * t[:30], -1.0 * t[30:]])
         ds = TimeSeriesDataset(times=t, states=x.reshape(-1, 1), segments=(0, 30))
-        out = differentiate_dataset(ds, "central")
-        assert np.allclose(out.derivatives[:30, 0], 2.0)
-        assert np.allclose(out.derivatives[30:, 0], -1.0)
+        cfg = TvDiffConfig(alpha=0.01, iterations=3)
+        out = differentiate_dataset(ds, cfg)
+        for sl, slope in ((slice(0, 30), 2.0), (slice(30, 60), -1.0)):
+            alone = tv_derivative(x[sl], float(t[sl][1] - t[sl][0]), cfg)
+            assert out.derivatives[sl, 0].tobytes() == alone.tobytes()
+            assert np.allclose(alone, slope, atol=1e-6)
 
     def test_tv_requires_uniform_sampling(self):
         rng = np.random.default_rng(1)
         t = np.cumsum(0.05 + 0.1 * rng.random(40))
         ds = TimeSeriesDataset(times=t, states=t.reshape(-1, 1))
         with pytest.raises(DataError, match="uniform"):
-            differentiate_dataset(ds, "tv", tv=TvDiffConfig(alpha=0.01))
+            differentiate_dataset(ds, TvDiffConfig(alpha=0.01))
 
-    @pytest.mark.parametrize("method,length", [("tv", 1), ("tv", 2), ("tv", 4),
-                                               ("central", 1), ("central", 2)])
-    def test_segment_too_short_for_the_method_is_named(self, method, length):
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_segment_too_short_for_tv_is_named(self, length):
         t = 0.1 * np.arange(40.0)
         ds = TimeSeriesDataset(times=t, states=np.sin(t).reshape(-1, 1),
                                segments=(0, 40 - length))
-        with pytest.raises(DataError, match=f"^{method} differentiation needs at least .* "
-                                            f"rows {40 - length}..39 has {length}$"):
-            differentiate_dataset(ds, method, tv=TvDiffConfig(alpha=0.01, iterations=2))
+        with pytest.raises(DataError, match="^tv differentiation needs at least five samples "
+                                            f".* rows {40 - length}..39 has {length}$"):
+            differentiate_dataset(ds, TvDiffConfig(alpha=0.01, iterations=2))
 
     @staticmethod
     def _runs():
@@ -654,7 +650,7 @@ class TestDifferentiateDataset:
 
         monkeypatch.setattr(diff, "tv_derivative", counted)
         ds = concatenate(runs)
-        out = differentiate_dataset(ds, "tv", tv=cfg)
+        out = differentiate_dataset(ds, cfg)
         assert sorted(shapes) == [(25, 2), (30, 2), (40, 6)]
         monkeypatch.undo()
         assert out.meta["differentiation"] == "tv"
@@ -663,7 +659,7 @@ class TestDifferentiateDataset:
             for j in range(2):
                 alone = tv_derivative(ds.states[sl, j], step, cfg)
                 assert out.derivatives[sl, j].tobytes() == alone.tobytes()
-        assert differentiate_dataset(runs[3], "tv", tv=cfg).derivatives.tobytes() \
+        assert differentiate_dataset(runs[3], cfg).derivatives.tobytes() \
             == out.derivatives[110:].tobytes()
 
     def test_errors_name_the_dataset_row(self):
@@ -674,17 +670,16 @@ class TestDifferentiateDataset:
         states[47, 1] = np.nan
         runs[3] = replace(runs[3], states=states)
         with pytest.raises(DataError, match="^non-finite sample at row 157"):
-            differentiate_dataset(concatenate(runs), "tv", tv=cfg)
+            differentiate_dataset(concatenate(runs), cfg)
         with pytest.raises(DataError, match="^non-finite sample at row 47"):
-            differentiate_dataset(runs[3], "tv", tv=cfg)
+            differentiate_dataset(runs[3], cfg)
         runs = self._runs()
         runs[1] = replace(runs[1], segments=(0, 27))
         with pytest.raises(DataError, match=" rows 67..69 has 3$"):
-            differentiate_dataset(concatenate(runs), "tv", tv=cfg)
+            differentiate_dataset(concatenate(runs), cfg)
 
-    def test_unknown_method_rejected(self):
+    def test_a_missing_tv_config_is_refused(self):
         ds = TimeSeriesDataset(times=np.arange(10.0), states=np.zeros((10, 1)))
-        with pytest.raises(ConfigError):
-            differentiate_dataset(ds, "spline")
-        with pytest.raises(ConfigError):
-            differentiate_dataset(ds, "tv")  # missing config
+        for tv in (None, "tv"):
+            with pytest.raises(ConfigError, match="needs a TvDiffConfig"):
+                differentiate_dataset(ds, tv)

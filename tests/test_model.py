@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +10,16 @@ from sindykit import (
     LibrarySpec,
     Mode,
     SparseModel,
+    StlsqConfig,
     TermDescriptor,
     TimeSeriesDataset,
+    TvDiffConfig,
     augment_signal,
     build_matrix,
     concatenate,
     differentiate_dataset,
     enumerate_terms,
+    fit,
     model_from_json,
     model_to_json,
     render_table,
@@ -348,6 +352,14 @@ def _dataset(m: int, segments=(0,), derivatives=True) -> TimeSeriesDataset:
                              segments=segments)
 
 
+def _stepped(m: int, length: int) -> TimeSeriesDataset:
+    """``_dataset`` without derivatives in segments of ``length`` samples,
+    segment k on the step 1 + k/100: each TV call solves one segment, so
+    its work arrays stay small beside the output (peak / new bytes 1.21)."""
+    ds = _dataset(m, tuple(range(0, m, length)), derivatives=False)
+    return replace(ds, times=ds.times * np.repeat(1.0 + np.arange(m // length) / 100, length))
+
+
 M = 100_000
 # producer -> (its inputs, built once, and the call); the call's new arrays
 # are those of the returned dataset that its inputs do not hold
@@ -355,8 +367,8 @@ PRODUCERS = {
     "concatenate": (lambda: [_dataset(M // 4) for _ in range(4)], concatenate),
     "augment_signal": (lambda: _dataset(M),
                        lambda ds: augment_signal(ds, "u", np.full(M, 3.0), np.zeros(M))),
-    "differentiate_dataset": (lambda: _dataset(M, tuple(range(0, M, 1000)), derivatives=False),
-                              lambda ds: differentiate_dataset(ds, "central")),
+    "differentiate_dataset": (lambda: _stepped(M, 1000),
+                              lambda ds: differentiate_dataset(ds, TvDiffConfig(0.01, 1))),
 }
 
 
@@ -378,6 +390,20 @@ def test_a_dataset_adopts_the_arrays_its_producer_built(name):
         tracemalloc.stop()
     new = [a for a in (out.times, out.states, out.derivatives) if id(a) not in inputs]
     assert new and peak - start < 1.5 * sum(a.nbytes for a in new)
+
+
+def test_a_model_whose_terms_share_a_name_is_refused(linear2d_dataset):
+    # beside a state xx the term x·x is named xx too: support would merge the
+    # two and the table would print two 'xx' rows
+    message = r"^two library terms of the states \['x', 'xx'\] are named 'xx'$"
+    renamed = replace(linear2d_dataset, state_names=("x", "xx"))
+    with pytest.raises(DataError, match=message):
+        fit(renamed, LibrarySpec(2, 2), StlsqConfig(threshold=0.0))
+    model, _ = fit(linear2d_dataset, LibrarySpec(2, 2), StlsqConfig(threshold=0.0))
+    doc = json.loads(model_to_json(model))
+    doc["state_names"] = ["x", "xx"]
+    with pytest.raises(DataError, match=message):
+        model_from_json(json.dumps(doc))
 
 
 def test_default_state_names():

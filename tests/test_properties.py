@@ -51,9 +51,10 @@ def models(draw, names=st.text(st.characters(categories=("L", "Nd")) | st.just("
     spec = LibrarySpec(n, order, include_constant=constant)
     terms = enumerate_terms(spec)
     coef = draw(st.lists(finite, min_size=len(terms) * n, max_size=len(terms) * n))
+    distinct = st.lists(names, min_size=n, max_size=n).map(tuple).filter(
+        lambda state_names: len({t.name(state_names) for t in terms}) == len(terms))
     return SparseModel(terms=terms, coefficients=np.reshape(coef, (len(terms), n)),
-                       state_names=tuple(draw(st.lists(names, min_size=n, max_size=n))),
-                       mode=draw(st.sampled_from(Mode)))
+                       state_names=draw(distinct), mode=draw(st.sampled_from(Mode)))
 
 
 def _same_bits(a, b) -> bool:
