@@ -15,6 +15,7 @@ import pytest
 from sindykit import ConfigError
 from sindykit.cli import _KEYS, _KINDS, MAX_STEPS, _Choice, main, parse_experiment
 from sindykit.systems import _SYSTEMS
+from conftest import shipped_config
 
 LIN2D = {
     "spec_version": 1,
@@ -41,6 +42,7 @@ LOGISTIC = {"spec_version": 1, "seed": 0,
 MEANFIELD = {"spec_version": 1,
              "system": {"kind": "meanfield3d", "x0": [0.4, 0.0, 0.16], "t_span": [0.0, 1.0],
                         "params": {"mu": 0.1, "omega": 1.0, "A": -0.1, "lam": 10.0}}}
+HOPF = shipped_config("hopf")
 # one hopf run, which reads mu, omega and A
 WITH_MU = dict(LIN2D, system=dict(LIN2D["system"], kind="hopf",
                                   params={"mu": 0.1, "omega": 1.0, "A": 1.0}))
@@ -279,6 +281,14 @@ REFUSED_CASES = [
     # a span that does not end after it starts
     (LIN2D, ("system", "t_span"), [1.0, 0.0],
      "system.t_span [1.0, 0.0] must hold a start and a later end time"),
+    # the one grid that every run of an ensemble shares
+    (RUNS, ("system", "dt"), -0.01, "system.dt must be a positive number, not -0.01"),
+    (RUNS, ("system", "dt"), 1e-7, "system.t_span [0.0, 2.0] over system.dt 1e-07 is "
+     "more than 10000000 steps, the most a run takes"),
+    (RUNS, ("system", "t_span"), [0.0, 0.004],
+     "system.t_span [0.0, 0.004] over system.dt 0.01 is shorter than one step"),
+    (HOPF, ("system", "t_span"), [5.0, 5.0],
+     "system.t_span [5.0, 5.0] must hold a start and a later end time"),
     # every run of a flow shares system.t_span and system.dt, and estimates
     # derivatives by tv if at all
     (RUNS, ("system", "runs", 0, "t_span"), [0.0, 2.0], "unknown key system.runs[0].t_span"),
@@ -410,6 +420,15 @@ def test_refused_setting_stops_every_command_before_any_simulation(tmp_path, cap
     cfg.write_text(json.dumps(_with(base, path, value)))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_a_bad_grid_is_named_before_a_bad_run(tmp_path, capsys):
+    # the shared grid is checked before any run of the ensemble is built
+    doc = _with(_with(RUNS, ("system", "runs", 0, "x0"), [1.0]), ("system", "dt"), 0)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: system.dt must be a positive number, not 0\n"
 
 
 def test_a_run_of_max_steps_parses_and_one_step_more_is_refused():

@@ -18,6 +18,7 @@ from sindykit import (
     add_noise,
     augment_signal,
     build_matrix,
+    central_difference,
     concatenate,
     fit,
     iterate_map,
@@ -277,6 +278,33 @@ class TestCliFit:
         cfg = write_config(tmp_path / "c.json", LIN2D_CFG)
         rc = main(["fit", "--config", cfg, "--out", str(tmp_path / "x"), "--data", str(data)])
         assert rc == 3
+
+    def test_central_differentiation_path(self, tmp_path):
+        # runs sampled off a uniform grid, which tv refuses, are fitted under
+        # exact once central_difference has filled each segment's dx columns
+        rng = np.random.default_rng(0)
+        runs = []
+        for x0 in ((2.0, 0.0), (0.0, 1.5)):
+            ds = simulate(SystemSpec("linear2d", x0=x0, t_span=(0.0, 25.0), dt=0.01))
+            rows = np.sort(rng.choice(len(ds.times), size=1500, replace=False))
+            runs.append(replace(ds, times=ds.times[rows], states=ds.states[rows],
+                                derivatives=None))
+        bare = concatenate(runs)
+        cfg = write_config(tmp_path / "tv.json", dict(
+            LIN2D_CFG, noise={"eta": 0.0, "target": "states"},
+            differentiation={"method": "tv", "alpha": 0.01}))
+        data = write_dataset_csv(bare, tmp_path / "bare.csv")
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "tv"),
+                     "--data", str(data)]) == 3
+        bounds = [*bare.segments, len(bare.times)]
+        dx = np.concatenate([central_difference(bare.times[a:b], bare.states[a:b])
+                             for a, b in zip(bounds[:-1], bounds[1:])])
+        data = write_dataset_csv(replace(bare, derivatives=dx), tmp_path / "d.csv")
+        cfg = write_config(tmp_path / "c.json", LIN2D_CFG)
+        out = tmp_path / "run"
+        assert main(["fit", "--config", cfg, "--out", str(out), "--data", str(data)]) == 0
+        model = model_from_json((out / "model.json").read_text())
+        assert model.nnz() == 4
 
 
 class TestCliGenerate:
