@@ -106,11 +106,14 @@ class _Choice:
 # the most steps a run takes, 100 times lorenz's 1e5: far beyond it np.arange
 # refuses the grid, and well before that the samples outgrow memory
 MAX_STEPS = 10**7
+# the step of compare's error and long-horizon grids
+COMPARE_DT = 0.01
 
 _RUN = {"x0": ["number"], "params": "number{}"}  # every run shares the flow's grid
-_CONTINUOUS = {**_RUN, "t_span": ["number"], "dt": "positive", "runs": ([_RUN], [{}])}
-_LOGISTIC = {"x0": (["number"], [0.5]), "ensemble_mus": (["number"], []),
-             "n_steps": ("natural", 1000), "forcing": ("nonnegative", 0.0)}
+_CONTINUOUS = {**_RUN, "t_span": ["number"], "dt": "positive", "runs": ([_RUN], [{}]),
+               "augment": {"name": "string", "param": "string"}}
+_LOGISTIC = {"ensemble_mus": (["number"], []), "n_steps": ("counting", 1000),
+             "forcing": ("nonnegative", 0.0)}  # the map starts each run at 0.5
 
 # Every config key with its kind: a name in _KINDS, [kind] for a list of
 # them, "kind{}" for an object of them under any names, a dict for a block.
@@ -121,7 +124,6 @@ _KEYS = {
     "system": {
         "kind": _Choice(None, {kind: _LOGISTIC if kind == "logistic" else _CONTINUOUS
                                for kind in KINDS}),
-        "augment": {"name": "string", "param": "string"},
     },
     "noise": {"eta": ("nonnegative", 0.0),
               "target": _Choice("derivatives", {"derivatives": {}, "states": {}}),
@@ -133,9 +135,9 @@ _KEYS = {
     "library": {"poly_order": ("integer", 5)},
     "fit": {"threshold": ("nonnegative", 0.05), "max_iterations": "counting"},
     "selection": {"log10_min": ("number", -4.0), "log10_max": ("number", 0.0),
-                  "count": ("natural", 25)},
-    "compare": {"horizon": ("positive", 20.0), "grid_dt": ("positive", 0.01),
-                "etas": ["nonnegative"], "long_horizon": "positive"},
+                  "count": ("counting", 25)},
+    "compare": {"horizon": ("positive", 20.0), "etas": ["nonnegative"],
+                "long_horizon": "positive"},
 }
 
 
@@ -206,24 +208,24 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
     keys, replace the keys ``seed`` and ``fit.threshold``, so the experiment holds what
     runs.  The checks that need several values or a package object run here too, so every
     command stops on them, whatever blocks it reads: the augmented parameter must belong
-    to every run (and logistic, whose map holds mu as a state, takes none), every run
-    parameter is one that the system kind or ``system.augment.param`` reads,
-    ``compare.etas`` holds at least one level and no two whose curves share a file name,
-    ``compare.horizon`` and ``compare.long_horizon`` are whole numbers of
-    ``compare.grid_dt`` steps, so that each grid ends on its horizon, a flow's
-    ``system.t_span``, which all its runs share, ends after it starts and takes at least
-    one ``system.dt`` step, no run takes more than ``MAX_STEPS`` steps (a flow's
-    ``system.t_span`` over ``system.dt``, ``logistic``'s ``n_steps`` and each compare
-    grid), ``system.augment.name`` gives no two library terms one name (``x`` times
-    ``u`` is ``xu``), every conditioning setting reaches the fit (``tv`` only under a
-    flow, derivative noise only on the stored derivatives that a flow's fit reads under
-    ``exact``), the ``library`` block passes ``LibrarySpec``'s checks, the
-    ``selection`` block gives a nonempty, ascending grid of distinct, finite, nonzero
-    thresholds, ``logistic`` iterates at least one step, and each package config object
-    is built once and kept for the commands:
+    to every run, every run parameter is one that the system kind or
+    ``system.augment.param`` reads, ``compare.etas`` holds at least one level and no two
+    whose curves share a file name, ``compare.horizon`` and ``compare.long_horizon`` are
+    whole numbers of ``COMPARE_DT`` steps, so that each grid ends on its horizon, a
+    flow's ``system.t_span``, which all its runs share, ends after it starts and takes at
+    least one ``system.dt`` step, a flow has a run and each run's ``x0`` one value per
+    state, the map has a value of mu, no run takes more than ``MAX_STEPS`` steps (a
+    flow's ``system.t_span`` over ``system.dt``, ``logistic``'s ``n_steps`` and each
+    compare grid), ``system.augment.name`` gives no two library terms one name (``x``
+    times ``u`` is ``xu``), every conditioning setting reaches the fit (``tv`` only under
+    a flow, derivative noise only on the stored derivatives that a flow's fit reads
+    under ``exact``), the ``library`` block passes ``LibrarySpec``'s checks, the
+    ``selection`` block gives an ascending grid of distinct, finite, nonzero thresholds,
+    and each package config object is built once and kept for the commands:
     ``exp["mode"]`` (discrete for the map, whose right-hand side ``_SYSTEMS`` leaves
     ``None``, and continuous for every flow), ``exp["specs"]`` (one ``SystemSpec`` per
-    run), ``exp["noise_spec"]`` (its seed ``seed`` + 1 unless ``noise.seed`` is given),
+    run of a flow; none for the map, whose runs ``logistic_ensemble`` makes),
+    ``exp["noise_spec"]`` (its seed ``seed`` + 1 unless ``noise.seed`` is given),
     ``exp["tv"]`` (``None`` unless differentiation is ``"tv"``), ``exp["fit_config"]``
     and ``exp["thresholds"]`` (the sweep's grid).
     """
@@ -234,19 +236,18 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
         exp["fit"]["threshold"] = _parse(_parse(threshold, "number", "--lambda"),
                                          "nonnegative", "--lambda")
     system = exp["system"]
-    augment = system["augment"]
+    kind, augment = system["kind"], system.get("augment", {})  # a flow's block
     if augment and (missing := sorted({"name", "param"} - augment.keys())):
         raise ConfigError(f"config needs system.augment.{missing[0]}")
-    if augment and system["kind"] == "logistic":
-        raise ConfigError("system.augment does not apply to logistic, whose map already "
-                          "holds mu as its state r")
-    if system["kind"] == "logistic":
-        if system["n_steps"] == 0:
-            raise ConfigError("system.n_steps is 0; logistic needs a transition per "
-                              "system.ensemble_mus value")
-        _bound_steps(system["n_steps"], f"system.n_steps {system['n_steps']}")
+    _, names, body = _SYSTEMS[kind]
+    exp["mode"] = Mode.DISCRETE if body is None else Mode.CONTINUOUS
     runs = [(f"system.runs[{i}]", run) for i, run in enumerate(system.get("runs", []))]  # flows
-    if runs:  # every run of a flow steps system.dt over system.t_span
+    if body is None:  # the map's runs are logistic_ensemble's, one per value of mu
+        if not system["ensemble_mus"]:
+            raise ConfigError("system.ensemble_mus is empty; logistic needs a value of mu")
+        _bound_steps(system["n_steps"], f"system.n_steps {system['n_steps']}")
+        exp["specs"] = []
+    else:  # every run of a flow steps system.dt over system.t_span
         t_span = system.get("t_span", list(SystemSpec.t_span))
         if len(t_span) != 2 or not t_span[0] < t_span[1]:
             raise ConfigError(f"system.t_span {t_span} must hold a start and a later end time")
@@ -256,13 +257,10 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
         _bound_steps(steps, what)
         if round(steps) < 1:  # simulate's step count
             raise ConfigError(f"{what} is shorter than one step")
-    exp["specs"] = _system_runs(exp)
+        exp["specs"] = _system_runs(system)
     if augment and any(augment["param"] not in spec.params for spec in exp["specs"]):
         raise ConfigError(
             f"system.augment.param {augment['param']!r} is not a parameter of every run")
-    kind = system["kind"]
-    _, names, body = _SYSTEMS[kind]
-    exp["mode"] = Mode.DISCRETE if body is None else Mode.CONTINUOUS
     reads = {*names, *([augment["param"]] if augment else [])}
     for key, block in [("system", system), *runs]:
         for name in block.get("params", {}):
@@ -281,12 +279,11 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
     for name in ("horizon", "long_horizon"):  # a compare grid ends on its horizon
         if name not in cmp:
             continue
-        steps = cmp[name] / cmp["grid_dt"]
+        steps = cmp[name] / COMPARE_DT
         if not (math.isfinite(steps) and math.isclose(steps, round(steps), rel_tol=1e-9)):
             raise ConfigError(f"compare.{name} {cmp[name]!r} is not a whole number of "
-                              f"compare.grid_dt {cmp['grid_dt']!r} steps")
-        _bound_steps(steps, f"compare.{name} {cmp[name]!r} over compare.grid_dt "
-                            f"{cmp['grid_dt']!r}")
+                              f"{COMPARE_DT!r} steps")
+        _bound_steps(steps, f"compare.{name} {cmp[name]!r} in steps of {COMPARE_DT!r}")
     noise = exp["noise_spec"] = NoiseSpec(**{"seed": exp["seed"] + 1, **exp["noise"]})
     method, discrete = exp["differentiation"]["method"], exp["mode"] is Mode.DISCRETE
     if discrete and method != "exact":
@@ -316,8 +313,6 @@ def _bound_steps(steps: float, what: str) -> None:
 
 def _thresholds(sel: dict) -> np.ndarray:
     """The sweep's threshold grid from a parsed ``selection`` block."""
-    if sel["count"] == 0:
-        raise ConfigError("selection.count is 0; the sweep needs a threshold")
     if sel["count"] > 10**6:  # a fit per threshold; far larger ones break np.logspace
         raise ConfigError(f"selection.count must be at most 1000000, not {sel['count']}")
     if sel["log10_min"] > sel["log10_max"]:
@@ -346,27 +341,26 @@ def _check_term_names(names: tuple[str, ...], exp: dict, what: str, error: type)
         raise error(f"{what}: {exc}") from exc
 
 
-def _system_runs(exp: dict) -> list[SystemSpec]:
-    """Expand the system block into one spec per trajectory.
-
-    ``system.runs`` lists per-run overrides ({"params": ..., "x0": ...})
-    for ensemble experiments, and the logistic map has one run per value
-    of ``ensemble_mus``; otherwise there is a single run.
-    """
-    system = exp["system"]
-    kind = system["kind"]
-    if kind == "logistic":
-        runs = [{"params": {"mu": mu}} for mu in system["ensemble_mus"]]
-    else:
-        runs = system["runs"]
-    if not runs:
-        raise ConfigError("system expands to no runs: ensemble_mus or runs is empty")
-    shared = {"x0": [],  # SystemSpec names a missing x0
-              **{name: system[name] for name in ("x0", "t_span", "dt") if name in system}}
-    params = system.get("params", {})
-    return [SystemSpec(kind=kind, **{**shared, **run,
-                                     "params": {**params, **run.get("params", {})}})
-            for run in runs]
+def _system_runs(system: dict) -> list[SystemSpec]:
+    """One spec per run of a flow: each entry of ``system.runs`` overrides
+    the shared ``system.x0`` and ``system.params``, and every run steps
+    ``system.dt`` over ``system.t_span``.  A run's initial values must
+    hold one value per state of the kind."""
+    if not system["runs"]:
+        raise ConfigError("system.runs is empty; a flow needs a run")
+    kind, specs = system["kind"], []
+    n = _SYSTEMS[kind][0]
+    grid = {name: system[name] for name in ("t_span", "dt") if name in system}
+    for i, run in enumerate(system["runs"]):
+        key = f"system.runs[{i}].x0" if "x0" in run else "system.x0"
+        x0 = run.get("x0", system.get("x0"))
+        if x0 is None:
+            raise ConfigError(f"config needs {key}")
+        if len(x0) != n:
+            raise ConfigError(f"{key} {x0} must hold {n} values, one per {kind} state")
+        params = {**system.get("params", {}), **run.get("params", {})}
+        specs.append(SystemSpec(kind, x0, **grid, params=params))
+    return specs
 
 
 def _simulate_runs(exp: dict, derivatives: bool = True) -> TimeSeriesDataset:
@@ -377,7 +371,7 @@ def _simulate_runs(exp: dict, derivatives: bool = True) -> TimeSeriesDataset:
     system = exp["system"]
     if system["kind"] == "logistic":
         return logistic_ensemble(system["ensemble_mus"], system["n_steps"], system["forcing"],
-                                 exp["seed"], system["x0"][0])
+                                 exp["seed"])
     return concatenate([simulate(spec, derivatives) for spec in exp["specs"]])
 
 
@@ -386,7 +380,7 @@ def _loaded_dataset(exp: dict, data_path: str) -> TimeSeriesDataset:
     which ``_augment`` appends again; the states that the fit then reads
     must give its library terms distinct names."""
     ds = read_dataset_csv(data_path)
-    augment = exp["system"]["augment"].get("name")
+    augment = exp["system"].get("augment", {}).get("name")
     keep = [i for i, name in enumerate(ds.state_names) if name != augment]
     names = tuple(ds.state_names[i] for i in keep)
     _check_term_names(names + ((augment,) if augment is not None else ()), exp,
@@ -401,7 +395,7 @@ def _loaded_dataset(exp: dict, data_path: str) -> TimeSeriesDataset:
 
 def _augment(exp: dict, ds: TimeSeriesDataset) -> TimeSeriesDataset:
     """Append the configured parameter as a known state: run i's value on segment i."""
-    augment, specs = exp["system"]["augment"], exp["specs"]
+    augment, specs = exp["system"].get("augment"), exp["specs"]
     if not augment:
         return ds
     if len(ds.segments) != len(specs):
@@ -523,23 +517,24 @@ def _noise_levels_problem(base: TimeSeriesDataset, lib: LibrarySpec, etas: list[
 
 
 def cmd_compare(exp: dict, out: Path, data_path: None) -> tuple[dict, dict]:
-    specs = exp["specs"]
-    spec, *more = specs
-    if more or spec.kind == "logistic":
+    system, specs = exp["system"], exp["specs"]
+    if exp["mode"] is Mode.DISCRETE or len(specs) > 1:
+        runs = len(specs) or len(system["ensemble_mus"])  # the map has no spec
         raise ConfigError("compare needs a config that expands to a single continuous-time "
-                          f"run, not {len(specs)} {spec.kind} run(s)")
+                          f"run, not {runs} {system['kind']} run(s)")
+    spec = specs[0]
     if (target := exp["noise_spec"].target) != "derivatives":
         raise ConfigError(f"compare perturbs only the derivatives; noise.target "
                           f"{target!r} does not apply to compare")
     for key, value in (("differentiation.method", exp["differentiation"]["method"] != "exact"),
-                       ("system.augment", exp["system"]["augment"])):
+                       ("system.augment", system["augment"])):
         if value:
             raise ConfigError(f"compare fits the exact derivatives of one run; {key} "
                               "does not apply to compare")
     cmp = exp["compare"]
-    horizon, grid_dt, long_h = cmp["horizon"], cmp["grid_dt"], cmp.get("long_horizon")
+    horizon, long_h = cmp["horizon"], cmp.get("long_horizon")
     etas = cmp.get("etas", [exp["noise_spec"].eta])
-    grid = np.arange(0.0, horizon + grid_dt / 2, grid_dt)
+    grid = np.arange(0.0, horizon + COMPARE_DT / 2, COMPARE_DT)
     base = _simulate_runs(exp)
     lib = LibrarySpec(base.n_states, **exp["library"])
     problem = _noise_levels_problem(base, lib, etas, exp["seed"])
@@ -563,7 +558,7 @@ def cmd_compare(exp: dict, out: Path, data_path: None) -> tuple[dict, dict]:
     if long_h and "failed" in last:
         summary["long_horizon"] = {"failed": last["failed"]}  # not integrated a second time
     elif long_h:
-        lgrid = np.arange(0.0, long_h + grid_dt / 2, grid_dt)
+        lgrid = np.arange(0.0, long_h + COMPARE_DT / 2, COMPARE_DT)
         try:
             xm, _ = dp45_adaptive(model.rhs(), np.array(spec.x0), lgrid, 1e-9, 1e-9)
         except NumericalError as exc:

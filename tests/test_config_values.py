@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from sindykit import ConfigError
-from sindykit.cli import _KEYS, _KINDS, MAX_STEPS, _Choice, main, parse_experiment
+from sindykit.cli import _KEYS, _KINDS, COMPARE_DT, MAX_STEPS, _Choice, main, parse_experiment
 from sindykit.systems import _SYSTEMS
 from conftest import shipped_config
 
@@ -26,7 +26,7 @@ LIN2D = {
     "library": {"poly_order": 2},
     "fit": {"threshold": 0.05, "max_iterations": 10},
     "selection": {"log10_min": -3, "log10_max": -0.3, "count": 5},
-    "compare": {"horizon": 1.0, "grid_dt": 0.05, "etas": [0.0], "long_horizon": 2.0},
+    "compare": {"horizon": 1.0, "etas": [0.0], "long_horizon": 2.0},
 }
 TV = dict(LIN2D, noise=dict(LIN2D["noise"], target="states"),
          differentiation={"method": "tv", "alpha": 0.01, "iterations": 2})
@@ -37,8 +37,8 @@ RUNS = dict(LIN2D, system={
              {"x0": [0.0, 1.0], "params": {"mu": 0.2}}],
     "augment": {"name": "u", "param": "mu"}})
 LOGISTIC = {"spec_version": 1, "seed": 0,
-            "system": {"kind": "logistic", "x0": [0.5], "ensemble_mus": [3.7],
-                       "n_steps": 50, "forcing": 0.01}}
+            "system": {"kind": "logistic", "ensemble_mus": [3.7], "n_steps": 50,
+                       "forcing": 0.01}}
 MEANFIELD = {"spec_version": 1,
              "system": {"kind": "meanfield3d", "x0": [0.4, 0.0, 0.16], "t_span": [0.0, 1.0],
                         "params": {"mu": 0.1, "omega": 1.0, "A": -0.1, "lam": 10.0}}}
@@ -186,7 +186,8 @@ UNREAD_PARAM_CASES = [
 # package refuses, a negative or repeated noise level for compare, threshold
 # grids that the sweep cannot take, a logistic ensemble of no steps, a
 # negative map forcing, values that the package constructors would refuse
-# without naming the key, and runs of more steps than memory holds
+# without naming the key (initial values of the wrong length among them),
+# and runs of more steps than memory holds
 REFUSED_CASES = [
     (LIN2D, ("system", "integrator"), {"method": "rk4"}, "unknown key system.integrator"),
     (LIN2D, ("system", "integrator"), {"method": "rk45", "abs_tol": 1e-9},
@@ -219,23 +220,27 @@ REFUSED_CASES = [
     (LIN2D, ("library", "poly_order"), 9, "poly_order must be in [0, 8]"),
     (LIN2D, ("library", "poly_order"), -1, "poly_order must be in [0, 8]"),
     (LIN2D, ("library", "trig_harmonics"), [1], "unknown key library.trig_harmonics"),
+    # the map holds mu as its state r and starts every run at 0.5
     (LOGISTIC, ("system", "augment"), {"name": "m", "param": "mu"},
-     "system.augment does not apply to logistic, whose map already holds mu as its state r"),
+     'system.augment does not apply to system.kind "logistic"'),
+    (LOGISTIC, ("system", "x0"), [0.5], 'system.x0 does not apply to system.kind "logistic"'),
+    # compare samples both its grids at one step, 0.01
+    (LIN2D, ("compare", "grid_dt"), 0.01, "unknown key compare.grid_dt"),
     # a compare grid that would not end on its horizon
-    (LIN2D, ("compare", "grid_dt"), 0.7,
-     "compare.horizon 1.0 is not a whole number of compare.grid_dt 0.7 steps"),
-    (LIN2D, ("compare", "grid_dt"), 5.0,
-     "compare.horizon 1.0 is not a whole number of compare.grid_dt 5.0 steps"),
-    (LIN2D, ("compare", "grid_dt"), 0.6,
-     "compare.horizon 1.0 is not a whole number of compare.grid_dt 0.6 steps"),
-    (LIN2D, ("compare", "grid_dt"), 1.5,
-     "compare.horizon 1.0 is not a whole number of compare.grid_dt 1.5 steps"),
-    (LIN2D, ("compare", "grid_dt"), 5e-324,
-     "compare.horizon 1.0 is not a whole number of compare.grid_dt 5e-324 steps"),
-    (LIN2D, ("compare",), {"horizon": 1.0, "grid_dt": 0.5, "long_horizon": 0.1},
-     "compare.long_horizon 0.1 is not a whole number of compare.grid_dt 0.5 steps"),
-    (LIN2D, ("compare", "long_horizon"), 2.01,
-     "compare.long_horizon 2.01 is not a whole number of compare.grid_dt 0.05 steps"),
+    (LIN2D, ("compare", "horizon"), 1.005,
+     "compare.horizon 1.005 is not a whole number of 0.01 steps"),
+    (LIN2D, ("compare", "horizon"), 0.005,
+     "compare.horizon 0.005 is not a whole number of 0.01 steps"),
+    (LIN2D, ("compare", "horizon"), 0.013,
+     "compare.horizon 0.013 is not a whole number of 0.01 steps"),
+    (LIN2D, ("compare", "horizon"), 0.015,
+     "compare.horizon 0.015 is not a whole number of 0.01 steps"),
+    (LIN2D, ("compare", "horizon"), 1.7e308,
+     "compare.horizon 1.7e+308 is not a whole number of 0.01 steps"),
+    (LIN2D, ("compare",), {"horizon": 1.0, "long_horizon": 0.105},
+     "compare.long_horizon 0.105 is not a whole number of 0.01 steps"),
+    (LIN2D, ("compare", "long_horizon"), 2.005,
+     "compare.long_horizon 2.005 is not a whole number of 0.01 steps"),
     # a threshold grid past the largest double
     (LIN2D, ("selection", "log10_max"), 400,
      "selection.log10_max 400.0 puts a threshold past the largest double, about 10 ** 308"),
@@ -255,8 +260,8 @@ REFUSED_CASES = [
      "selection.log10_max 1e-17"),
     (LOGISTIC, ("system", "forcing"), -0.01,
      "system.forcing must be a nonnegative number, not -0.01"),
-    (LOGISTIC, ("system", "n_steps"), 0,
-     "system.n_steps is 0; logistic needs a transition per system.ensemble_mus value"),
+    (LOGISTIC, ("system", "n_steps"), 0, "system.n_steps must be a positive integer, not 0"),
+    (LIN2D, ("selection", "count"), 0, "selection.count must be a positive integer, not 0"),
     (LIN2D, ("fit", "threshold"), -1, "fit.threshold must be a nonnegative number, not -1"),
     (LIN2D, ("system", "dt"), 0, "system.dt must be a positive number, not 0"),
     (LIN2D, ("noise", "eta"), -1, "noise.eta must be a nonnegative number, not -1"),
@@ -266,10 +271,10 @@ REFUSED_CASES = [
      "more than 10000000 steps, the most a run takes"),
     (LIN2D, ("system", "t_span"), [0.0, 1e300], "system.t_span [0.0, 1e+300] over "
      "system.dt 0.01 is more than 10000000 steps, the most a run takes"),
-    (LIN2D, ("compare", "horizon"), 1e300, "compare.horizon 1e+300 over compare.grid_dt 0.05 "
-     "is more than 10000000 steps, the most a run takes"),
-    (LIN2D, ("compare", "long_horizon"), 1e300, "compare.long_horizon 1e+300 over "
-     "compare.grid_dt 0.05 is more than 10000000 steps, the most a run takes"),
+    (LIN2D, ("compare", "horizon"), 1e300, "compare.horizon 1e+300 in steps of 0.01 is more "
+     "than 10000000 steps, the most a run takes"),
+    (LIN2D, ("compare", "long_horizon"), 1e300, "compare.long_horizon 1e+300 in steps of "
+     "0.01 is more than 10000000 steps, the most a run takes"),
     (LOGISTIC, ("system", "n_steps"), 10**7 + 1,
      "system.n_steps 10000001 is more than 10000000 steps, the most a run takes"),
     # package checks that would not name the key, and a flow run of no step
@@ -289,6 +294,14 @@ REFUSED_CASES = [
      "system.t_span [0.0, 0.004] over system.dt 0.01 is shorter than one step"),
     (HOPF, ("system", "t_span"), [5.0, 5.0],
      "system.t_span [5.0, 5.0] must hold a start and a later end time"),
+    # initial values of another length than the kind's state count, and no run at all
+    (LIN2D, ("system", "x0"), [2.0], "system.x0 [2.0] must hold 2 values, one per linear2d state"),
+    (LIN2D, ("system", "x0"), DELETE, "config needs system.x0"),
+    (RUNS, ("system", "runs", 1, "x0"), [0.0, 1.0, 0.0],
+     "system.runs[1].x0 [0.0, 1.0, 0.0] must hold 2 values, one per linear2d state"),
+    (RUNS, ("system", "runs"), [], "system.runs is empty; a flow needs a run"),
+    (LOGISTIC, ("system", "ensemble_mus"), [],
+     "system.ensemble_mus is empty; logistic needs a value of mu"),
     # every run of a flow shares system.t_span and system.dt, and estimates
     # derivatives by tv if at all
     (RUNS, ("system", "runs", 0, "t_span"), [0.0, 2.0], "unknown key system.runs[0].t_span"),
@@ -436,12 +449,12 @@ def test_a_run_of_max_steps_parses_and_one_step_more_is_refused():
     run = _with(LIN2D, ("system", "dt"), 0.5)
     parse_experiment(_with(run, ("system", "t_span"), [0.0, 0.5 * MAX_STEPS]))
     parse_experiment(_with(LOGISTIC, ("system", "n_steps"), MAX_STEPS))
-    grid = _with(LIN2D, ("compare",), {"horizon": 0.5 * MAX_STEPS, "grid_dt": 0.5})
+    grid = _with(LIN2D, ("compare",), {"horizon": COMPARE_DT * MAX_STEPS})
     parse_experiment(grid)
     with pytest.raises(ConfigError, match="system.t_span .* is more than"):
         parse_experiment(_with(run, ("system", "t_span"), [0.0, 0.5 * MAX_STEPS + 0.5]))
     with pytest.raises(ConfigError, match="compare.horizon .* is more than"):
-        parse_experiment(_with(grid, ("compare", "horizon"), 0.5 * MAX_STEPS + 0.5))
+        parse_experiment(_with(grid, ("compare", "horizon"), COMPARE_DT * (MAX_STEPS + 1)))
 
 
 def test_integer_past_the_int_string_limit_is_config_error(tmp_path, capsys):
@@ -590,15 +603,58 @@ def _set_in(doc: dict, prefix: str = ""):
                     yield from _set_in(item, f"{path}[].")
 
 
+def _defaults(table: dict, prefix: str = "", variant: tuple = ()):
+    """(name, variant, dotted path, default) for every key of a ``_KEYS`` table
+    that has a default.  ``variant`` holds a (choice path, its values, its
+    default) triple per ``_Choice`` above the key, the values that share one
+    table of keys taken together, and ``name`` shows the path with them."""
+    shown = ", ".join(f"{choice} {'|'.join(values)}" for choice, values, _ in variant)
+    for key, entry in table.items():
+        path = prefix + key
+        name = f"{path} ({shown})" if shown else path
+        if isinstance(entry, _Choice):
+            if entry.default is not None:
+                yield name, variant, path, entry.default
+            tables = {}  # id of a variant's table -> (the table, the values that pick it)
+            for value, keys in entry.variants.items():
+                tables.setdefault(id(keys), (keys, []))[1].append(value)
+            for keys, values in tables.values():
+                yield from _defaults(keys, prefix, (*variant, (path, values, entry.default)))
+        elif isinstance(entry, tuple):
+            yield name, variant, path, entry[1]
+        elif isinstance(entry, dict):
+            yield from _defaults(entry, f"{path}.", variant)
+
+
+_ABSENT = object()
+
+
+def _lookup(doc: dict, path: str, default=_ABSENT):
+    """The value at a dotted ``path`` of a config document, or ``default``."""
+    for part in path.split("."):
+        if not isinstance(doc, dict) or part not in doc:
+            return default
+        doc = doc[part]
+    return doc
+
+
 def test_every_setting_has_a_shipped_user():
     # a key, a choice value or a kind of value that no file in configs/ sets
-    # is code that no shipped run reaches
+    # is code that no shipped run reaches, and a default that no file moves,
+    # in a config that picks the key's variant, is a knob that no shipped run
+    # turns: the map's system.x0 is not a flow's
     configs = (Path(__file__).resolve().parent.parent / "configs").glob("*.json")
-    shipped = {setting for path in configs for setting in _set_in(json.loads(path.read_text()))}
+    docs = [json.loads(path.read_text()) for path in configs]
+    shipped = {setting for doc in docs for setting in _set_in(doc)}
     settings = dict(_settings(_KEYS))
     unset = sorted(setting for setting in settings if setting not in shipped)
     unused = sorted(kind for kind in _KINDS if kind not in settings.values())
-    assert (unset, unused) == ([], [])
+    unmoved = sorted(
+        name for name, variant, path, default in _defaults(_KEYS)
+        if not any(all(_lookup(doc, choice, choice_default) in values
+                       for choice, values, choice_default in variant)
+                   and _lookup(doc, path) not in (_ABSENT, default) for doc in docs))
+    assert (unset, unused, unmoved) == ([], [], [])
 
 
 def test_readme_key_list_equals_the_schema():

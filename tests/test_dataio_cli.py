@@ -222,7 +222,7 @@ class TestCliFit:
         # --lambda X writes the bytes of a config whose fit.threshold is X, and
         # --seed N those of a config whose seed is N: without noise.seed, whose
         # default seed + 1 follows the flag, and with it
-        doc = dict(LIN2D_CFG, compare={"horizon": 2.0, "grid_dt": 0.05, "etas": [0.0, 0.01]})
+        doc = dict(LIN2D_CFG, compare={"horizon": 2.0, "etas": [0.0, 0.01]})
         model_files = ["model.json", "model_table.txt", "fit_report.json"]
         files = {"generate": ["dataset.csv", "dataset.meta.json"], "fit": model_files,
                  "sweep": ["pareto.csv", *model_files],
@@ -397,7 +397,7 @@ class TestCliCompareAndSweep:
 
     def test_compare_writes_error_curves(self, tmp_path):
         doc = dict(LIN2D_CFG)
-        doc["compare"] = {"horizon": 5.0, "grid_dt": 0.05, "etas": [0.0, 0.01]}
+        doc["compare"] = {"horizon": 5.0, "etas": [0.0, 0.01]}
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "cmp"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
@@ -428,7 +428,7 @@ class TestCliCompareAndSweep:
         monkeypatch.setattr(sindykit.cli, "dp45_adaptive", integrating)
         doc = dict(LIN2D_CFG)
         etas = (0.01, 0.001, 0.0)
-        doc["compare"] = {"horizon": 3.0, "grid_dt": 0.05, "etas": list(etas),
+        doc["compare"] = {"horizon": 3.0, "etas": list(etas),
                           "long_horizon": 4.0}
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "cmp"
@@ -439,7 +439,7 @@ class TestCliCompareAndSweep:
         # each curve is the run of the model fitted on its columns of the shared
         # factor, which is the direct fit of its own noisy data up to rounding
         spec = SystemSpec("linear2d", x0=(2.0, 0.0), t_span=(0.0, 25.0), dt=0.01)
-        base, grid = simulate(spec), np.arange(0.0, 3.0 + 0.025, 0.05)
+        base, grid = simulate(spec), np.arange(0.0, 3.0 + 0.005, 0.01)
         lib, fit_cfg = LibrarySpec(2, 5), StlsqConfig(threshold=0.05)
         problem = _noise_levels_problem(base, lib, list(etas), seed=0)
         truth, _ = dp45_adaptive(system_rhs(spec), np.array(spec.x0), grid)
@@ -567,7 +567,7 @@ class TestNoiseLevelsProblem:
             bad = ~np.isfinite(whole_noise_levels(base, etas, seed=0)).all(axis=1)
         row = int(np.argmax(bad))
         assert bad.any() and (eta == 1e308 or row > 1024)  # 5e307 overflows in a later block
-        doc = dict(LIN2D_CFG, compare={"horizon": 1.0, "grid_dt": 0.05, "etas": etas})
+        doc = dict(LIN2D_CFG, compare={"horizon": 1.0, "etas": etas})
         cfg = write_config(tmp_path / "c.json", doc)
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -582,7 +582,7 @@ class TestNoiseLevelsProblem:
         ([], "compare.etas is empty; compare needs a noise level"),
     ], ids=["near-equal", "int-and-float", "empty"])
     def test_levels_must_name_distinct_curves(self, tmp_path, capsys, etas, message):
-        doc = dict(LIN2D_CFG, compare={"horizon": 1.0, "grid_dt": 0.05, "etas": etas})
+        doc = dict(LIN2D_CFG, compare={"horizon": 1.0, "etas": etas})
         cfg = write_config(tmp_path / "c.json", doc)
         out = tmp_path / "o"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
