@@ -38,11 +38,13 @@ from .model import check_term_names, default_state_names
 from .regression import FitReport, RegressionProblem, StlsqConfig, _regression_problem, fit
 from .selection import pick_elbow, sweep
 from .systems import (
-    KINDS,
+    MAP,
     SystemSpec,
     _SYSTEMS,
     augment_signal,
+    bound_steps,
     concatenate,
+    grid_steps,
     logistic_ensemble,
     simulate,
     system_rhs,
@@ -103,9 +105,6 @@ class _Choice:
     variants: dict  # value -> {key: kind} of the keys only that value reads
 
 
-# the most steps a run takes, 100 times lorenz's 1e5: far beyond it np.arange
-# refuses the grid, and well before that the samples outgrow memory
-MAX_STEPS = 10**7
 # the step of compare's error and long-horizon grids
 COMPARE_DT = 0.01
 
@@ -122,8 +121,7 @@ _KEYS = {
     "spec_version": "integer",
     "seed": ("natural", 0),
     "system": {
-        "kind": _Choice(None, {kind: _LOGISTIC if kind == "logistic" else _CONTINUOUS
-                               for kind in KINDS}),
+        "kind": _Choice(None, {**dict.fromkeys(_SYSTEMS, _CONTINUOUS), MAP: _LOGISTIC}),
     },
     "noise": {"eta": ("nonnegative", 0.0),
               "target": _Choice("derivatives", {"derivatives": {}, "states": {}}),
@@ -215,16 +213,17 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
     flow's ``system.t_span``, which all its runs share, ends after it starts and takes at
     least one ``system.dt`` step, a flow has a run and each run's ``x0`` one value per
     state, the map has a value of mu, no run takes more than ``MAX_STEPS`` steps (a
-    flow's ``system.t_span`` over ``system.dt``, ``logistic``'s ``n_steps`` and each
+    flow's ``system.t_span`` over ``system.dt``, the map's ``system.n_steps`` and each
     compare grid), ``system.augment.name`` gives no two library terms one name (``x``
     times ``u`` is ``xu``), every conditioning setting reaches the fit (``tv`` only under
     a flow, derivative noise only on the stored derivatives that a flow's fit reads
     under ``exact``), the ``library`` block passes ``LibrarySpec``'s checks, the
     ``selection`` block gives an ascending grid of distinct, finite, nonzero thresholds,
     and each package config object is built once and kept for the commands:
-    ``exp["mode"]`` (discrete for the map, whose right-hand side ``_SYSTEMS`` leaves
-    ``None``, and continuous for every flow), ``exp["specs"]`` (one ``SystemSpec`` per
-    run of a flow; none for the map, whose runs ``logistic_ensemble`` makes),
+    ``exp["mode"]`` (discrete for the kind ``MAP``, continuous for every flow of
+    ``_SYSTEMS``; the one place that tells them apart), ``exp["specs"]`` (one
+    ``SystemSpec`` per run of a flow; absent for the map, whose runs
+    ``logistic_ensemble`` makes),
     ``exp["noise_spec"]`` (its seed ``seed`` + 1 unless ``noise.seed`` is given),
     ``exp["tv"]`` (``None`` unless differentiation is ``"tv"``), ``exp["fit_config"]``
     and ``exp["thresholds"]`` (the sweep's grid).
@@ -239,34 +238,26 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
     kind, augment = system["kind"], system.get("augment", {})  # a flow's block
     if augment and (missing := sorted({"name", "param"} - augment.keys())):
         raise ConfigError(f"config needs system.augment.{missing[0]}")
-    _, names, body = _SYSTEMS[kind]
-    exp["mode"] = Mode.DISCRETE if body is None else Mode.CONTINUOUS
-    runs = [(f"system.runs[{i}]", run) for i, run in enumerate(system.get("runs", []))]  # flows
-    if body is None:  # the map's runs are logistic_ensemble's, one per value of mu
+    discrete = kind == MAP
+    exp["mode"] = Mode.DISCRETE if discrete else Mode.CONTINUOUS
+    if discrete:  # the map's runs are logistic_ensemble's, one per value of mu
         if not system["ensemble_mus"]:
-            raise ConfigError("system.ensemble_mus is empty; logistic needs a value of mu")
-        _bound_steps(system["n_steps"], f"system.n_steps {system['n_steps']}")
-        exp["specs"] = []
-    else:  # every run of a flow steps system.dt over system.t_span
-        t_span = system.get("t_span", list(SystemSpec.t_span))
-        if len(t_span) != 2 or not t_span[0] < t_span[1]:
-            raise ConfigError(f"system.t_span {t_span} must hold a start and a later end time")
-        step = system.get("dt", SystemSpec.dt)
-        steps = (t_span[1] - t_span[0]) / step
-        what = f"system.t_span {t_span} over system.dt {step!r}"
-        _bound_steps(steps, what)
-        if round(steps) < 1:  # simulate's step count
-            raise ConfigError(f"{what} is shorter than one step")
+            raise ConfigError(f"system.ensemble_mus is empty; {kind} needs a value of mu")
+        bound_steps(system["n_steps"], f"system.n_steps {system['n_steps']}")
+    else:  # every run of a flow steps system.dt over system.t_span, checked by key name
+        grid_steps(system.get("t_span", list(SystemSpec.t_span)),
+                   system.get("dt", SystemSpec.dt), "system.t_span", "system.dt")
         exp["specs"] = _system_runs(system)
-    if augment and any(augment["param"] not in spec.params for spec in exp["specs"]):
-        raise ConfigError(
-            f"system.augment.param {augment['param']!r} is not a parameter of every run")
-    reads = {*names, *([augment["param"]] if augment else [])}
-    for key, block in [("system", system), *runs]:
-        for name in block.get("params", {}):
-            if name not in reads:
-                raise ConfigError(f"{key}.params.{name} is read by neither {kind} "
-                                  "nor system.augment.param")
+        if augment and any(augment["param"] not in spec.params for spec in exp["specs"]):
+            raise ConfigError(
+                f"system.augment.param {augment['param']!r} is not a parameter of every run")
+        reads = {*_SYSTEMS[kind][1], *([augment["param"]] if augment else [])}
+        runs = [(f"system.runs[{i}]", run) for i, run in enumerate(system["runs"])]
+        for key, block in [("system", system), *runs]:
+            for name in block.get("params", {}):
+                if name not in reads:
+                    raise ConfigError(f"{key}.params.{name} is read by neither {kind} "
+                                      "nor system.augment.param")
     etas = exp["compare"].get("etas")
     if etas == []:
         raise ConfigError("compare.etas is empty; compare needs a noise level")
@@ -283,9 +274,9 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
         if not (math.isfinite(steps) and math.isclose(steps, round(steps), rel_tol=1e-9)):
             raise ConfigError(f"compare.{name} {cmp[name]!r} is not a whole number of "
                               f"{COMPARE_DT!r} steps")
-        _bound_steps(steps, f"compare.{name} {cmp[name]!r} in steps of {COMPARE_DT!r}")
+        bound_steps(steps, f"compare.{name} {cmp[name]!r} in steps of {COMPARE_DT!r}")
     noise = exp["noise_spec"] = NoiseSpec(**{"seed": exp["seed"] + 1, **exp["noise"]})
-    method, discrete = exp["differentiation"]["method"], exp["mode"] is Mode.DISCRETE
+    method = exp["differentiation"]["method"]
     if discrete and method != "exact":
         raise ConfigError(f'differentiation.method "{method}" does not apply to {kind}, '
                           'a map whose fit reads no derivatives')
@@ -303,12 +294,6 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
     exp["fit_config"] = StlsqConfig(**exp["fit"])
     exp["thresholds"] = _thresholds(exp["selection"])
     return exp
-
-
-def _bound_steps(steps: float, what: str) -> None:
-    """Refuse a run of more than ``MAX_STEPS`` steps; ``what`` names the keys that set it."""
-    if not steps <= MAX_STEPS:  # infinity too
-        raise ConfigError(f"{what} is more than {MAX_STEPS} steps, the most a run takes")
 
 
 def _thresholds(sel: dict) -> np.ndarray:
@@ -364,12 +349,13 @@ def _system_runs(system: dict) -> list[SystemSpec]:
 
 
 def _simulate_runs(exp: dict, derivatives: bool = True) -> TimeSeriesDataset:
-    """The command's runs joined, before noise and augmentation: a flow's by
-    ``concatenate``, a segment per run (``derivatives``: with its exact ones),
-    and the map's in one ``logistic_ensemble`` call over every
-    ``system.ensemble_mus`` value, a segment per restart."""
+    """The command's runs joined, before noise and augmentation, by
+    ``exp["mode"]``: a flow's by ``concatenate`` of ``exp["specs"]``, a segment
+    per run (``derivatives``: with its exact ones), and the map's in one
+    ``logistic_ensemble`` call over every ``system.ensemble_mus`` value, a
+    segment per restart."""
     system = exp["system"]
-    if system["kind"] == "logistic":
+    if exp["mode"] is Mode.DISCRETE:
         return logistic_ensemble(system["ensemble_mus"], system["n_steps"], system["forcing"],
                                  exp["seed"])
     return concatenate([simulate(spec, derivatives) for spec in exp["specs"]])
@@ -395,9 +381,10 @@ def _loaded_dataset(exp: dict, data_path: str) -> TimeSeriesDataset:
 
 def _augment(exp: dict, ds: TimeSeriesDataset) -> TimeSeriesDataset:
     """Append the configured parameter as a known state: run i's value on segment i."""
-    augment, specs = exp["system"].get("augment"), exp["specs"]
-    if not augment:
+    augment = exp["system"].get("augment")
+    if not augment:  # the map has neither an augment block nor specs
         return ds
+    specs = exp["specs"]
     if len(ds.segments) != len(specs):
         raise DataError(f"the data holds {len(ds.segments)} runs; "
                         f"system.augment needs {len(specs)}")
@@ -517,12 +504,12 @@ def _noise_levels_problem(base: TimeSeriesDataset, lib: LibrarySpec, etas: list[
 
 
 def cmd_compare(exp: dict, out: Path, data_path: None) -> tuple[dict, dict]:
-    system, specs = exp["system"], exp["specs"]
-    if exp["mode"] is Mode.DISCRETE or len(specs) > 1:
-        runs = len(specs) or len(system["ensemble_mus"])  # the map has no spec
+    system, discrete = exp["system"], exp["mode"] is Mode.DISCRETE
+    runs = system["ensemble_mus"] if discrete else exp["specs"]
+    if discrete or len(runs) > 1:
         raise ConfigError("compare needs a config that expands to a single continuous-time "
-                          f"run, not {runs} {system['kind']} run(s)")
-    spec = specs[0]
+                          f"run, not {len(runs)} {system['kind']} run(s)")
+    spec = runs[0]
     if (target := exp["noise_spec"].target) != "derivatives":
         raise ConfigError(f"compare perturbs only the derivatives; noise.target "
                           f"{target!r} does not apply to compare")

@@ -30,15 +30,14 @@ __all__ = [
     "logistic_ensemble",
 ]
 
-# kind -> (state count, the parameters its runs read, its right-hand side as
-# source lines over the states x0, x1, ... and those parameters; None for the
-# map).  A body uses only +, - and products, the rule of the whole package: a
-# monomial is its states multiplied left to right, x0 * x0, never x0 ** 2,
-# here as in the library Θ and in SparseModel.rhs, because ** calls libm pow,
-# which can round differently from a product; and a linear system is a sum,
-# never a matrix product, which BLAS rounds differently for one state and for
-# a state matrix.  So a value has the same bits whether it comes from one
-# state or from a column of many.
+# flow kind -> (state count, the parameters its runs read, its right-hand side
+# as source lines over the states x0, x1, ... and those parameters).  A body
+# uses only +, - and products, the rule of the whole package: a monomial is its
+# states multiplied left to right, x0 * x0, never x0 ** 2, here as in the
+# library Θ and in SparseModel.rhs, because ** calls libm pow, which can round
+# differently from a product; and a linear system is a sum, never a matrix
+# product, which BLAS rounds differently for one state and for a state matrix.
+# So a value has the same bits whether it comes from one state or from many.
 _SYSTEMS = {
     "linear2d": (2, (), ["return -0.1 * x0 + 2.0 * x1, -2.0 * x0 - 0.1 * x1"]),
     "cubic2d": (2, (), ["c0, c1 = x0 * x0 * x0, x1 * x1 * x1",
@@ -50,16 +49,39 @@ _SYSTEMS = {
                     ["return (mu * x0 - omega * x1 + A * x0 * x2,",
                      "        omega * x0 + mu * x1 + A * x1 * x2,",
                      "        -lam * (x2 - x0 * x0 - x1 * x1))"]),
-    "logistic": (1, ("mu",), None),
     "hopf": (2, ("mu", "omega", "A"),
              ["r2 = x0 * x0 + x1 * x1",
               "return mu * x0 - omega * x1 - A * x0 * r2, omega * x0 + mu * x1 - A * x1 * r2"]),
 }
-KINDS = tuple(_SYSTEMS)
+# the kind name of the one map, which iterate_map steps
+MAP = "logistic"
+# the most steps a run takes, 100 times lorenz's 1e5: far beyond it np.arange
+# refuses the grid, and well before that the samples outgrow memory
+MAX_STEPS = 10**7
+
+
+def bound_steps(steps: float, what: str) -> None:
+    """Refuse a run of more than ``MAX_STEPS`` steps; ``what`` names what sets it."""
+    if not steps <= MAX_STEPS:  # infinity too
+        raise ConfigError(f"{what} is more than {MAX_STEPS} steps, the most a run takes")
+
+
+def grid_steps(t_span, dt: float, span: str = "t_span", step: str = "dt") -> int:
+    """The number of ``dt`` steps over ``t_span``, one at least and at most
+    ``MAX_STEPS``; ``span`` and ``step`` name the two in messages."""
+    if len(t_span) != 2 or not t_span[0] < t_span[1]:
+        raise ConfigError(f"{span} {t_span} must hold a start and a later end time")
+    steps, what = (t_span[1] - t_span[0]) / dt, f"{span} {t_span} over {step} {dt!r}"
+    bound_steps(steps, what)
+    if (n := round(steps)) < 1:
+        raise ConfigError(f"{what} is shorter than one step")
+    return n
 
 
 @dataclass(frozen=True)
 class SystemSpec:
+    """A flow of ``_SYSTEMS`` and the grid it is sampled on: ``dt`` steps over ``t_span``."""
+
     kind: str
     x0: tuple[float, ...]
     t_span: tuple[float, float] = (0.0, 10.0)
@@ -78,13 +100,9 @@ class SystemSpec:
                               f"not {self.params['lam']!r}")
         if len(self.x0) != n:
             raise ConfigError(f"{self.kind} needs {n} initial values in x0")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if len(self.t_span) != 2:
-            raise ConfigError("t_span must hold a start and an end time")
-        t0, t1 = self.t_span
-        if self.kind != "logistic" and t1 <= t0:
-            raise ConfigError("t_span must satisfy t1 > t0")
+        if not 0.0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be positive and finite, not {self.dt!r}")
+        grid_steps(self.t_span, self.dt)
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
 
 
@@ -101,8 +119,6 @@ def system_rhs(spec: SystemSpec):
     so the compiled source is only the table's own text.
     """
     n, names, body = _SYSTEMS[spec.kind]
-    if body is None:
-        raise ConfigError(f"{spec.kind} has no continuous right-hand side")
     states = ", ".join(f"x{i}" for i in range(n))
     return _compile(spec.kind, "x", [f"{states} = x", *body],
                     {name: spec.params[name] for name in names})
@@ -118,11 +134,7 @@ def simulate(spec: SystemSpec, derivatives: bool = True) -> TimeSeriesDataset:
     first non-finite sample.
     """
     f = system_rhs(spec)
-    t0, t1 = spec.t_span
-    n_steps = int(round((t1 - t0) / spec.dt))
-    if n_steps < 1:
-        raise ConfigError("t_span shorter than one step")
-    times = t0 + spec.dt * np.arange(n_steps + 1)
+    times = spec.t_span[0] + spec.dt * np.arange(grid_steps(spec.t_span, spec.dt) + 1)
     x0 = np.array(spec.x0, dtype=float)
     meta = {
         "system": spec.kind,
@@ -158,22 +170,15 @@ def simulate(spec: SystemSpec, derivatives: bool = True) -> TimeSeriesDataset:
 FORCING_CHUNK = 256
 
 
-def iterate_map(
-    spec: SystemSpec,
-    n_steps: int,
-    eta: float = 0.0,
-    seed: int = 0,
-) -> TimeSeriesDataset:
-    """Iterate the logistic map x_{k+1} = mu x_k (1 - x_k) + eta z_k, each z_k
-    a standard normal draw of a generator seeded with ``seed``.  mu is stored
-    as an appended constant state ``r``, so runs over several values can be
-    joined and fit jointly.  An iterate escaping [-0.5, 1.5], outside which
-    the map diverges, truncates the run with a warning.
+def iterate_map(mu: float, n_steps: int, eta: float = 0.0, seed: int = 0,
+                x0: float = 0.5) -> TimeSeriesDataset:
+    """Iterate the logistic map x_{k+1} = mu x_k (1 - x_k) + eta z_k from
+    ``x0``, each z_k a standard normal draw of a generator seeded with
+    ``seed``.  mu is stored as an appended constant state ``r``, so runs over
+    several values can be joined and fit jointly.  An iterate escaping
+    [-0.5, 1.5], outside which the map diverges, truncates the run with a warning.
     """
-    if spec.kind != "logistic":
-        raise ConfigError("iterate_map expects a logistic system spec")
-    mu = float(spec.params["mu"])
-    x0 = spec.x0[0]
+    mu, x0 = float(mu), float(x0)
     if not 0.0 < x0 < 1.0:
         raise ConfigError("logistic map needs x0 in (0, 1)")
     if not 0.0 < mu <= 4.0:
@@ -183,8 +188,7 @@ def iterate_map(
     if not 0.0 <= eta < np.inf:
         raise ConfigError("eta must be nonnegative and finite")
     rng = np.random.default_rng(seed)
-    xs = [x0]
-    x = x0
+    xs, x = [x0], x0
     # a stream drawn in chunks equals one drawn at once, so an early escape draws
     # less; unforced, a step adds 0.0 * z, which changes no bit of the iterate
     while len(xs) <= n_steps:
@@ -203,17 +207,12 @@ def iterate_map(
         times=_frozen(np.arange(xcol.shape[0], dtype=float)),
         states=_frozen(np.column_stack([xcol, np.full(xcol.shape[0], mu)])),
         state_names=("x", "r"),
-        meta={"system": "logistic", "mu": mu, "eta": eta, "seed": seed, "x0": x0},
+        meta={"system": MAP, "mu": mu, "eta": eta, "seed": seed, "x0": x0},
     )
 
 
-def logistic_ensemble(
-    mus,
-    n_steps: int,
-    eta: float,
-    seed: int = 0,
-    x0: float = 0.5,
-) -> TimeSeriesDataset:
+def logistic_ensemble(mus, n_steps: int, eta: float, seed: int = 0,
+                      x0: float = 0.5) -> TimeSeriesDataset:
     """Logistic-map training ensemble over several parameter values.
 
     Collects ``n_steps`` transitions per value, wherever the noise drives
@@ -226,10 +225,9 @@ def logistic_ensemble(
         # one summary warning below replaces the per-run ones
         warnings.filterwarnings("ignore", "logistic iterate escaped")
         for i, mu in enumerate(mus):
-            spec = SystemSpec("logistic", x0=(x0,), params={"mu": float(mu)})
             runs, collected, attempt = [], 0, 0
             while collected < n_steps:
-                run = iterate_map(spec, n_steps - collected, eta, seed + 1000 * i + attempt)
+                run = iterate_map(mu, n_steps - collected, eta, seed + 1000 * i + attempt, x0)
                 runs.append(run)
                 collected += run.n_samples - 1
                 attempt += 1

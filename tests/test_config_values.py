@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from sindykit import ConfigError
-from sindykit.cli import _KEYS, _KINDS, COMPARE_DT, MAX_STEPS, _Choice, main, parse_experiment
-from sindykit.systems import _SYSTEMS
+from sindykit.cli import _KEYS, _KINDS, COMPARE_DT, _Choice, main, parse_experiment
+from sindykit.systems import MAX_STEPS, _SYSTEMS
 from conftest import shipped_config
 
 LIN2D = {
@@ -682,8 +682,7 @@ def test_readme_run_parameters_equal_the_system_table():
             named.update((kind, ()) for kind in names)
         else:
             named[names[0]] = tuple(names[1:])
-    assert named == {kind: params for kind, (_, params, body) in _SYSTEMS.items()
-                     if body is not None}
+    assert named == {kind: params for kind, (_, params, _) in _SYSTEMS.items()}
 
 
 @pytest.mark.parametrize("command,base", [

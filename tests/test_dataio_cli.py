@@ -76,7 +76,7 @@ class TestDatasetCsv:
         assert header == "t,x1,x2,dx1,dx2"
 
     def test_segments_survive_via_sidecar(self, tmp_path):
-        ds = iterate_map(SystemSpec("logistic", x0=(0.5,), params={"mu": 3.0}), 50)
+        ds = iterate_map(3.0, 50)
         path = write_dataset_csv(ds, tmp_path / "map.csv")
         back = read_dataset_csv(path)
         assert back.derivatives is None

@@ -349,16 +349,22 @@ class TestTvStep:
 
     def test_step_keeps_the_bits_of_the_strided_solve(self):
         # SHA-256 of these steps, recorded when each level of the solve ran
-        # on row-strided views instead of contiguous [even | odd] rows
+        # on row-strided views instead of contiguous [even | odd] rows.  The
+        # inputs are integers scaled by powers of two, exact in binary and
+        # drawn without a libm or SIMD function, and the solve uses only +,
+        # -, *, / and sqrt, so the digest holds on every host
         import hashlib
         from sindykit.differentiation import _b_transpose, _tv_step
         rng = np.random.default_rng(0)
         digest = hashlib.sha256()
         for shape in [(1251, 48), (1250, 3), (9, 2), (10,)]:
-            w = 10.0 ** rng.uniform(-6.0, 3.0, (shape[0] - 1, *shape[1:]))
-            digest.update(_tv_step(w, _b_transpose(rng.standard_normal(shape)), 0.02).tobytes())
+            wshape = (shape[0] - 1, *shape[1:])
+            # w from 2**-20 to 2**11 and the data within [-2, 2)
+            w = np.ldexp(rng.integers(1 << 20, 1 << 21, wshape), rng.integers(-40, -9, wshape))
+            b = np.ldexp(rng.integers(-1 << 20, 1 << 20, shape), -19)
+            digest.update(_tv_step(w, _b_transpose(b), 0.02).tobytes())
         assert digest.hexdigest() == (
-            "017555173ed10aa3e50ec52a5962f3dc1a979709d776e1aecb9f6b2eaca7a512")
+            "a46ba080f502e6263d7d54f8612deef1595f786a3212f63666a317d1c2de43ba")
 
     def test_step_holds_at_most_seven_arrays_of_its_size(self):
         # the solve works in the diagonals, one copy of the right-hand side

@@ -21,7 +21,7 @@ from sindykit import (
     system_rhs,
 )
 from sindykit.integrate import MAX_REJECTED_STEPS, dp45_adaptive, rk4_fixed
-from sindykit.systems import FORCING_CHUNK, KINDS, _SYSTEMS
+from sindykit.systems import FORCING_CHUNK, MAX_STEPS, _SYSTEMS
 from conftest import shipped_spec
 
 LORENZ, MEANFIELD = shipped_spec("lorenz"), shipped_spec("meanfield")
@@ -94,19 +94,32 @@ class TestSimulate:
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.derivatives, b.derivatives)
 
-    def test_spec_validation(self):
-        with pytest.raises(ConfigError):
-            SystemSpec("vanderpol", x0=(1.0,))
-        with pytest.raises(ConfigError):
-            SystemSpec("lorenz", x0=(1.0, 1.0, 1.0), params={"sigma": 10.0})
-        with pytest.raises(ConfigError):
-            SystemSpec("linear2d", x0=(1.0, 0.0), t_span=(1.0, 1.0))
-        with pytest.raises(ConfigError):
-            SystemSpec("linear2d", x0=(1.0, 0.0), dt=-0.1)
-        with pytest.raises(ConfigError, match="x0"):
-            SystemSpec("lorenz", x0=(1.0, 1.0), params=LORENZ.params)
-        with pytest.raises(ConfigError, match="t_span"):
-            SystemSpec("linear2d", x0=(1.0, 0.0), t_span=(0.0,))
+    @pytest.mark.parametrize("kind, x0, settings, message", [
+        ("vanderpol", (1.0,), {}, "unknown system kind 'vanderpol'"),
+        ("logistic", (0.5,), {"params": {"mu": 3.0}}, "unknown system kind 'logistic'"),
+        ("lorenz", (1.0, 1.0, 1.0), {"params": {"sigma": 10.0}}, "lorenz needs parameters"),
+        ("linear2d", (1.0, 0.0), {"t_span": (1.0, 1.0)}, "must hold a start and a later end"),
+        ("linear2d", (1.0, 0.0), {"dt": -0.1}, "dt must be positive and finite, not -0.1"),
+        ("lorenz", (1.0, 1.0), {"params": LORENZ.params}, "x0"),
+        ("linear2d", (1.0, 0.0), {"t_span": (0.0,)}, "t_span"),
+        # the grid is the spec's own: simulate never meets a bad one
+        ("linear2d", (1.0, 0.0), {"dt": np.nan}, "dt must be positive and finite, not nan"),
+        ("linear2d", (1.0, 0.0), {"dt": np.inf}, "dt must be positive and finite, not inf"),
+        ("linear2d", (1.0, 0.0), {"t_span": (0.0, np.inf)}, "is more than 10000000 steps"),
+        ("linear2d", (1.0, 0.0), {"t_span": (-np.inf, 0.0)}, "is more than 10000000 steps"),
+        ("linear2d", (1.0, 0.0), {"t_span": (np.nan, 1.0)}, "must hold a start and a later end"),
+        ("linear2d", (1.0, 0.0), {"t_span": (0.0, np.nan)}, "must hold a start and a later end"),
+        ("linear2d", (1.0, 0.0), {"dt": 1e-300}, r"over dt 1e-300 is more than 10000000 steps"),
+        ("linear2d", (1.0, 0.0), {"t_span": (0.0, 0.5 * MAX_STEPS + 0.5), "dt": 0.5},
+         "is more than 10000000 steps"),
+        ("linear2d", (1.0, 0.0), {"t_span": (0.0, 0.004)},
+         r"t_span \(0.0, 0.004\) over dt 0.01 is shorter than one step"),
+    ], ids=["unknown-kind", "map", "missing-parameter", "empty-span", "negative-dt",
+            "x0-length", "one-time", "nan-dt", "infinite-dt", "infinite-end", "infinite-start",
+            "nan-start", "nan-end", "tiny-dt", "max-steps-and-one", "shorter-than-a-step"])
+    def test_spec_validation(self, kind, x0, settings, message):
+        with pytest.raises(ConfigError, match=message):
+            SystemSpec(kind, x0=x0, **settings)
 
 
 class TestIntegrators:
@@ -281,7 +294,7 @@ class TestFloatStepping:
         expected = _rk4_arrays(lambda x: np.array(f(x)), spec.x0, times)
         assert np.array_equal(rk4_fixed(f, spec.x0, times), expected)
 
-    @pytest.mark.parametrize("kind", sorted(set(KINDS) - {"logistic"}))
+    @pytest.mark.parametrize("kind", sorted(_SYSTEMS))
     def test_rhs_on_state_matrix_matches_each_state(self, kind):
         f = system_rhs(_CONTINUOUS_SPECS[kind])
         n = len(_CONTINUOUS_SPECS[kind].x0)
@@ -422,8 +435,6 @@ class _Unprintable(float):
 class TestSystemTable:
     """Each kind's right-hand side is compiled from its ``_SYSTEMS`` source lines."""
 
-    CONTINUOUS = sorted(set(KINDS) - {"logistic"})
-
     @staticmethod
     def _spec(kind, make=float):
         # parameters that differ from 1 and from each other, so a reordered or
@@ -433,7 +444,7 @@ class TestSystemTable:
                           params={name: make(0.3 + 0.7 * i + 0.01 * len(name))
                                   for i, name in enumerate(names)})
 
-    @pytest.mark.parametrize("kind", CONTINUOUS)
+    @pytest.mark.parametrize("kind", sorted(_SYSTEMS))
     def test_compiled_rhs_equals_the_hand_written_one_bit_for_bit(self, kind):
         spec = self._spec(kind)
         f, reference = system_rhs(spec), _reference_rhs(kind, spec.params)
@@ -445,7 +456,7 @@ class TestSystemTable:
                               np.column_stack(reference(X.T)).view(np.int64))
 
     def test_no_body_uses_a_power_or_a_matrix_product(self):
-        for kind in self.CONTINUOUS:
+        for kind in _SYSTEMS:
             assert not any("**" in line or "@" in line for line in _SYSTEMS[kind][2]), kind
 
     @pytest.mark.parametrize("kind", ["lorenz", "meanfield3d", "hopf"])
@@ -665,33 +676,28 @@ class TestGeneratedLoops:
 
 class TestIterateMap:
     def test_fixed_point_convergence(self):
-        spec = SystemSpec("logistic", x0=(0.5,), params={"mu": 2.5})
-        ds = iterate_map(spec, 150)
+        ds = iterate_map(2.5, 150)
         assert abs(ds.states[100, 0] - 0.6) < 1e-6
 
     def test_period_two_orbit(self):
-        spec = SystemSpec("logistic", x0=(0.5,), params={"mu": 3.2})
-        ds = iterate_map(spec, 2000)
+        ds = iterate_map(3.2, 2000)
         tail = np.sort(np.unique(np.round(ds.states[-10:, 0], 6)))
         assert np.allclose(tail, [0.513045, 0.799455], atol=1e-4)
 
     def test_parameter_stored_as_state_column(self):
-        spec = SystemSpec("logistic", x0=(0.5,), params={"mu": 3.0})
-        ds = iterate_map(spec, 10)
+        ds = iterate_map(3.0, 10)
         assert ds.state_names == ("x", "r")
         assert np.all(ds.states[:, 1] == 3.0)
 
     def test_escape_truncates_with_warning(self):
-        spec = SystemSpec("logistic", x0=(0.5,), params={"mu": 3.95})
         with pytest.warns(UserWarning, match="escaped"):
-            ds = iterate_map(spec, 100_000, eta=0.025, seed=0)
+            ds = iterate_map(3.95, 100_000, eta=0.025, seed=0)
         assert ds.n_samples < 100_001
         assert np.all(ds.states[:, 0] >= -0.5) and np.all(ds.states[:, 0] <= 1.5)
 
     def test_determinism(self):
-        spec = SystemSpec("logistic", x0=(0.5,), params={"mu": 3.5})
-        a = iterate_map(spec, 500, eta=0.01, seed=7)
-        b = iterate_map(spec, 500, eta=0.01, seed=7)
+        a = iterate_map(3.5, 500, eta=0.01, seed=7)
+        b = iterate_map(3.5, 500, eta=0.01, seed=7)
         assert np.array_equal(a.states, b.states)
 
     @pytest.mark.parametrize("mu, n_steps, eta", [
@@ -711,7 +717,7 @@ class TestIterateMap:
             xs.append(x)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "logistic iterate escaped")
-            ds = iterate_map(SystemSpec("logistic", x0=(0.5,), params={"mu": mu}), n_steps, eta)
+            ds = iterate_map(mu, n_steps, eta)
         assert ds.states[:, 0].tobytes() == np.array(xs).tobytes()
         assert (len(xs) <= n_steps) == (mu == 3.95)  # the second run escapes
         if not eta:  # the orbit from 0.5 at mu = 4 lands on 1.0, then stays at 0.0
@@ -719,19 +725,16 @@ class TestIterateMap:
 
     def test_domain_validation(self):
         with pytest.raises(ConfigError):
-            iterate_map(SystemSpec("logistic", x0=(1.5,), params={"mu": 3.0}), 10)
+            iterate_map(3.0, 10, x0=1.5)
         with pytest.raises(ConfigError):
-            iterate_map(SystemSpec("logistic", x0=(0.5,), params={"mu": 4.5}), 10)
-        with pytest.raises(ConfigError):
-            iterate_map(SystemSpec("linear2d", x0=(1.0, 0.0)), 10)
+            iterate_map(4.5, 10)
         with pytest.raises(ConfigError, match="n_steps >= 0"):
-            iterate_map(SystemSpec("logistic", x0=(0.5,), params={"mu": 3.0}), -1)
+            iterate_map(3.0, -1)
 
     @pytest.mark.parametrize("eta", [-0.01, -np.inf, np.inf, np.nan])
     def test_forcing_must_be_nonnegative_and_finite(self, eta):
-        spec = SystemSpec("logistic", x0=(0.5,), params={"mu": 3.0})
         with pytest.raises(ConfigError, match="^eta must be nonnegative and finite$"):
-            iterate_map(spec, 10, eta=eta)
+            iterate_map(3.0, 10, eta=eta)
 
 
 class TestAugmentation:
@@ -850,9 +853,7 @@ class TestLogisticEnsemble:
             for i, mu in enumerate([3.9, 3.95]):
                 collected, attempt = 0, 0
                 while collected < 400:
-                    run = iterate_map(
-                        SystemSpec("logistic", x0=(0.5,), params={"mu": mu}), 400 - collected,
-                        eta=0.025, seed=1 + 1000 * i + attempt)
+                    run = iterate_map(mu, 400 - collected, eta=0.025, seed=1 + 1000 * i + attempt)
                     runs.append(run)
                     collected += run.n_samples - 1
                     attempt += 1
