@@ -42,7 +42,6 @@ from .systems import (
     SystemSpec,
     _SYSTEMS,
     augment_signal,
-    bound_steps,
     concatenate,
     grid_steps,
     logistic_ensemble,
@@ -93,6 +92,7 @@ _KINDS = {
     "integer": ("an integer", _is_int),
     "natural": ("a nonnegative integer", lambda v: _is_int(v) and v >= 0),
     "counting": ("a positive integer", lambda v: _is_int(v) and v >= 1),
+    "mu": ("a number in (0, 4]", lambda v: _is_number(v) and 0 < v <= 4),  # logistic mu
     "string": ("a string", lambda v: isinstance(v, str)),
 }
 
@@ -111,7 +111,7 @@ COMPARE_DT = 0.01
 _RUN = {"x0": ["number"], "params": "number{}"}  # every run shares the flow's grid
 _CONTINUOUS = {**_RUN, "t_span": ["number"], "dt": "positive", "runs": ([_RUN], [{}]),
                "augment": {"name": "string", "param": "string"}}
-_LOGISTIC = {"ensemble_mus": (["number"], []), "n_steps": ("counting", 1000),
+_LOGISTIC = {"ensemble_mus": (["mu"], []), "n_steps": ("counting", 1000),
              "forcing": ("nonnegative", 0.0)}  # the map starts each run at 0.5
 
 # Every config key with its kind: a name in _KINDS, [kind] for a list of
@@ -167,7 +167,7 @@ def _parse(value, kind, key: str):
         raise ConfigError(f"{key} must be {description}, not {json.dumps(value)}")
     if kind == "nonnegative":
         return float(value) + 0.0  # -0.0 + 0.0 is 0.0: one noise level, one curve name
-    return float(value) if kind in ("number", "positive") else value
+    return float(value) if kind in ("number", "positive", "mu") else value
 
 
 def _block(value: dict, table: dict, key: str) -> dict:
@@ -208,14 +208,14 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
     command stops on them, whatever blocks it reads: the augmented parameter must belong
     to every run, every run parameter is one that the system kind or
     ``system.augment.param`` reads, ``compare.etas`` holds at least one level and no two
-    whose curves share a file name, ``compare.horizon`` and ``compare.long_horizon`` are
-    whole numbers of ``COMPARE_DT`` steps, so that each grid ends on its horizon, a
-    flow's ``system.t_span``, which all its runs share, ends after it starts and takes at
-    least one ``system.dt`` step, a flow has a run and each run's ``x0`` one value per
-    state, the map has a value of mu, no run takes more than ``MAX_STEPS`` steps (a
-    flow's ``system.t_span`` over ``system.dt``, the map's ``system.n_steps`` and each
-    compare grid), ``system.augment.name`` gives no two library terms one name (``x``
-    times ``u`` is ``xu``), every conditioning setting reaches the fit (``tv`` only under
+    whose curves share a file name, every grid passes ``grid_steps`` (a flow's
+    ``system.t_span`` over ``system.dt``, which all its runs share, the map's
+    ``system.n_steps`` and each of ``compare.horizon`` and ``compare.long_horizon`` in
+    ``COMPARE_DT`` steps: it ends after it starts, on a whole number of steps, at most
+    ``MAX_STEPS``), a flow has a run, each run's ``x0`` one value per state and its
+    parameters pass ``SystemSpec``'s checks, the map has a value of mu,
+    ``system.augment.name`` gives no two library terms one name (``x`` times ``u`` is
+    ``xu``), every conditioning setting reaches the fit (``tv`` only under
     a flow, derivative noise only on the stored derivatives that a flow's fit reads
     under ``exact``), the ``library`` block passes ``LibrarySpec``'s checks, the
     ``selection`` block gives an ascending grid of distinct, finite, nonzero thresholds,
@@ -243,10 +243,10 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
     if discrete:  # the map's runs are logistic_ensemble's, one per value of mu
         if not system["ensemble_mus"]:
             raise ConfigError(f"system.ensemble_mus is empty; {kind} needs a value of mu")
-        bound_steps(system["n_steps"], f"system.n_steps {system['n_steps']}")
-    else:  # every run of a flow steps system.dt over system.t_span, checked by key name
-        grid_steps(system.get("t_span", list(SystemSpec.t_span)),
-                   system.get("dt", SystemSpec.dt), "system.t_span", "system.dt")
+        grid_steps((0, system["n_steps"]), 1, f"system.n_steps {system['n_steps']}")
+    else:  # every run of a flow steps system.dt over system.t_span
+        t_span, dt = system.get("t_span", list(SystemSpec.t_span)), system.get("dt", SystemSpec.dt)
+        grid_steps(t_span, dt, f"system.t_span {t_span} over system.dt {dt!r}")
         exp["specs"] = _system_runs(system)
         if augment and any(augment["param"] not in spec.params for spec in exp["specs"]):
             raise ConfigError(
@@ -266,15 +266,9 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
         if (j := first.setdefault(f"{eta:g}", i)) != i:
             raise ConfigError(f"compare.etas[{j}] {etas[j]!r} and compare.etas[{i}] {eta!r} "
                               f"would both write error_eta_{eta:g}.csv")
-    cmp = exp["compare"]
-    for name in ("horizon", "long_horizon"):  # a compare grid ends on its horizon
-        if name not in cmp:
-            continue
-        steps = cmp[name] / COMPARE_DT
-        if not (math.isfinite(steps) and math.isclose(steps, round(steps), rel_tol=1e-9)):
-            raise ConfigError(f"compare.{name} {cmp[name]!r} is not a whole number of "
-                              f"{COMPARE_DT!r} steps")
-        bound_steps(steps, f"compare.{name} {cmp[name]!r} in steps of {COMPARE_DT!r}")
+    for name, h in exp["compare"].items():
+        if name in ("horizon", "long_horizon"):
+            grid_steps((0.0, h), COMPARE_DT, f"compare.{name} {h!r} in steps of {COMPARE_DT!r}")
     noise = exp["noise_spec"] = NoiseSpec(**{"seed": exp["seed"] + 1, **exp["noise"]})
     method = exp["differentiation"]["method"]
     if discrete and method != "exact":
@@ -330,7 +324,8 @@ def _system_runs(system: dict) -> list[SystemSpec]:
     """One spec per run of a flow: each entry of ``system.runs`` overrides
     the shared ``system.x0`` and ``system.params``, and every run steps
     ``system.dt`` over ``system.t_span``.  A run's initial values must
-    hold one value per state of the kind."""
+    hold one value per state of the kind, and a refusal of its parameters
+    names the block that sets them."""
     if not system["runs"]:
         raise ConfigError("system.runs is empty; a flow needs a run")
     kind, specs = system["kind"], []
@@ -344,7 +339,11 @@ def _system_runs(system: dict) -> list[SystemSpec]:
         if len(x0) != n:
             raise ConfigError(f"{key} {x0} must hold {n} values, one per {kind} state")
         params = {**system.get("params", {}), **run.get("params", {})}
-        specs.append(SystemSpec(kind, x0, **grid, params=params))
+        try:
+            specs.append(SystemSpec(kind, x0, **grid, params=params))
+        except ConfigError as exc:  # a parameter that the kind needs, missing or out of range
+            where = f"system.runs[{i}].params" if "params" in run else "system.params"
+            raise ConfigError(f"{where}: {exc}") from exc
     return specs
 
 
@@ -521,7 +520,7 @@ def cmd_compare(exp: dict, out: Path, data_path: None) -> tuple[dict, dict]:
     cmp = exp["compare"]
     horizon, long_h = cmp["horizon"], cmp.get("long_horizon")
     etas = cmp.get("etas", [exp["noise_spec"].eta])
-    grid = np.arange(0.0, horizon + COMPARE_DT / 2, COMPARE_DT)
+    grid = COMPARE_DT * np.arange(grid_steps((0.0, horizon), COMPARE_DT) + 1)
     base = _simulate_runs(exp)
     lib = LibrarySpec(base.n_states, **exp["library"])
     problem = _noise_levels_problem(base, lib, etas, exp["seed"])
@@ -545,7 +544,7 @@ def cmd_compare(exp: dict, out: Path, data_path: None) -> tuple[dict, dict]:
     if long_h and "failed" in last:
         summary["long_horizon"] = {"failed": last["failed"]}  # not integrated a second time
     elif long_h:
-        lgrid = np.arange(0.0, long_h + COMPARE_DT / 2, COMPARE_DT)
+        lgrid = COMPARE_DT * np.arange(grid_steps((0.0, long_h), COMPARE_DT) + 1)
         try:
             xm, _ = dp45_adaptive(model.rhs(), np.array(spec.x0), lgrid, 1e-9, 1e-9)
         except NumericalError as exc:

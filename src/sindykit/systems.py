@@ -11,6 +11,7 @@ derivative), time (with unit derivative) or a forcing input.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -60,21 +61,17 @@ MAP = "logistic"
 MAX_STEPS = 10**7
 
 
-def bound_steps(steps: float, what: str) -> None:
-    """Refuse a run of more than ``MAX_STEPS`` steps; ``what`` names what sets it."""
+def grid_steps(t_span, dt: float, what: str = "t_span over dt") -> int:
+    """The number of ``dt`` steps over ``t_span``, from one to ``MAX_STEPS``;
+    ``what`` names the grid in messages.  The span must hold a whole number of
+    steps (to a relative 1e-9), so that the grid ends on its end time."""
+    if len(t_span) != 2 or not t_span[0] < t_span[1]:
+        raise ConfigError(f"{what} must hold a start and a later end time")
+    steps = (t_span[1] - t_span[0]) / dt
     if not steps <= MAX_STEPS:  # infinity too
         raise ConfigError(f"{what} is more than {MAX_STEPS} steps, the most a run takes")
-
-
-def grid_steps(t_span, dt: float, span: str = "t_span", step: str = "dt") -> int:
-    """The number of ``dt`` steps over ``t_span``, one at least and at most
-    ``MAX_STEPS``; ``span`` and ``step`` name the two in messages."""
-    if len(t_span) != 2 or not t_span[0] < t_span[1]:
-        raise ConfigError(f"{span} {t_span} must hold a start and a later end time")
-    steps, what = (t_span[1] - t_span[0]) / dt, f"{span} {t_span} over {step} {dt!r}"
-    bound_steps(steps, what)
-    if (n := round(steps)) < 1:
-        raise ConfigError(f"{what} is shorter than one step")
+    if (n := round(steps)) < 1 or not math.isclose(steps, n, rel_tol=1e-9):
+        raise ConfigError(f"{what} is not a whole number of steps, at least one")
     return n
 
 
@@ -95,15 +92,18 @@ class SystemSpec:
         missing = [p for p in names if p not in self.params]
         if missing:
             raise ConfigError(f"{self.kind} needs parameters {missing}")
+        if len(self.x0) != n:
+            raise ConfigError(f"{self.kind} needs {n} initial values in x0")
+        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+        for name, v in [*((f"x0[{i}]", v) for i, v in enumerate(self.x0)), *self.params.items()]:
+            if not math.isfinite(v):
+                raise ConfigError(f"{self.kind} needs finite values, not {name} = {v!r}")
         if self.kind == "meanfield3d" and not self.params["lam"] > 0:
             raise ConfigError(f"meanfield3d needs a positive relaxation rate lam, "
                               f"not {self.params['lam']!r}")
-        if len(self.x0) != n:
-            raise ConfigError(f"{self.kind} needs {n} initial values in x0")
         if not 0.0 < self.dt < np.inf:
             raise ConfigError(f"dt must be positive and finite, not {self.dt!r}")
-        grid_steps(self.t_span, self.dt)
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+        grid_steps(self.t_span, self.dt, f"t_span {self.t_span} over dt {self.dt!r}")
 
 
 def system_rhs(spec: SystemSpec):
@@ -182,9 +182,10 @@ def iterate_map(mu: float, n_steps: int, eta: float = 0.0, seed: int = 0,
     if not 0.0 < x0 < 1.0:
         raise ConfigError("logistic map needs x0 in (0, 1)")
     if not 0.0 < mu <= 4.0:
-        raise ConfigError("logistic map needs mu in (0, 4]")
-    if n_steps < 0:
-        raise ConfigError(f"logistic map needs n_steps >= 0, got {n_steps}")
+        raise ConfigError(f"logistic map needs mu in (0, 4], not {mu!r}")
+    for name, v in (("n_steps", n_steps), ("seed", seed)):
+        if not isinstance(v, (int, np.integer)) or v < 0:
+            raise ConfigError(f"logistic map needs an integer {name} >= 0, not {v!r}")
     if not 0.0 <= eta < np.inf:
         raise ConfigError("eta must be nonnegative and finite")
     rng = np.random.default_rng(seed)

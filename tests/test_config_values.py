@@ -181,6 +181,8 @@ UNREAD_PARAM_CASES = [
     (RUNS, ("system", "runs", 1, "params", "nu"), 0.2, "system.runs[1].params.nu"),
 ]
 
+W = "is not a whole number of steps, at least one"  # the end of a grid_steps refusal
+
 # (base config, path, value, the start of the message): settings that the
 # config schema no longer holds, mean-field relaxation rates that the
 # package refuses, a negative or repeated noise level for compare, threshold
@@ -208,9 +210,20 @@ REFUSED_CASES = [
     (LIN2D, ("fit", "mode"), "discrete", "unknown key fit.mode"),
     (LOGISTIC, ("fit",), {"mode": "discrete"}, "unknown key fit.mode"),
     (MEANFIELD, ("system", "params", "lam"), 0.0,
-     "meanfield3d needs a positive relaxation rate lam, not 0.0"),
+     "system.params: meanfield3d needs a positive relaxation rate lam, not 0.0"),
     (MEANFIELD, ("system", "params", "lam"), -1.0,
-     "meanfield3d needs a positive relaxation rate lam, not -1.0"),
+     "system.params: meanfield3d needs a positive relaxation rate lam, not -1.0"),
+    (MEANFIELD, ("system", "runs"), [{}, {"params": {"lam": -1.0}}],
+     "system.runs[1].params: meanfield3d needs a positive relaxation rate lam, not -1.0"),
+    # a parameter that the kind reads, missing from a run
+    (WITH_MU, ("system", "params", "mu"), DELETE, "system.params: hopf needs parameters ['mu']"),
+    (HOPF, ("system", "params"), {"omega": 1.0},
+     "system.runs[0].params: hopf needs parameters ['A']"),
+    # the logistic map is defined for mu in (0, 4]
+    (LOGISTIC, ("system", "ensemble_mus"), [3.7, 4.5],
+     "system.ensemble_mus[1] must be a number in (0, 4], not 4.5"),
+    (LOGISTIC, ("system", "ensemble_mus"), [0], "system.ensemble_mus[0] must be a number in "
+     "(0, 4], not 0"),
     (LIN2D, ("compare", "etas"), [-1.0],
      "compare.etas[0] must be a nonnegative number, not -1.0"),
     (LIN2D, ("compare", "etas"), [0.0, -0.1],
@@ -228,19 +241,19 @@ REFUSED_CASES = [
     (LIN2D, ("compare", "grid_dt"), 0.01, "unknown key compare.grid_dt"),
     # a compare grid that would not end on its horizon
     (LIN2D, ("compare", "horizon"), 1.005,
-     "compare.horizon 1.005 is not a whole number of 0.01 steps"),
+     f"compare.horizon 1.005 in steps of 0.01 {W}"),
     (LIN2D, ("compare", "horizon"), 0.005,
-     "compare.horizon 0.005 is not a whole number of 0.01 steps"),
+     f"compare.horizon 0.005 in steps of 0.01 {W}"),
     (LIN2D, ("compare", "horizon"), 0.013,
-     "compare.horizon 0.013 is not a whole number of 0.01 steps"),
+     f"compare.horizon 0.013 in steps of 0.01 {W}"),
     (LIN2D, ("compare", "horizon"), 0.015,
-     "compare.horizon 0.015 is not a whole number of 0.01 steps"),
-    (LIN2D, ("compare", "horizon"), 1.7e308,
-     "compare.horizon 1.7e+308 is not a whole number of 0.01 steps"),
+     f"compare.horizon 0.015 in steps of 0.01 {W}"),
+    (LIN2D, ("compare", "horizon"), 1.7e308, "compare.horizon 1.7e+308 in steps of 0.01 is "
+     "more than 10000000 steps, the most a run takes"),
     (LIN2D, ("compare",), {"horizon": 1.0, "long_horizon": 0.105},
-     "compare.long_horizon 0.105 is not a whole number of 0.01 steps"),
+     f"compare.long_horizon 0.105 in steps of 0.01 {W}"),
     (LIN2D, ("compare", "long_horizon"), 2.005,
-     "compare.long_horizon 2.005 is not a whole number of 0.01 steps"),
+     f"compare.long_horizon 2.005 in steps of 0.01 {W}"),
     # a threshold grid past the largest double
     (LIN2D, ("selection", "log10_max"), 400,
      "selection.log10_max 400.0 puts a threshold past the largest double, about 10 ** 308"),
@@ -282,18 +295,25 @@ REFUSED_CASES = [
     (TV, ("differentiation", "iterations"), 0,
      "differentiation.iterations must be a positive integer, not 0"),
     (LIN2D, ("system", "t_span"), [0.0, 0.001],
-     "system.t_span [0.0, 0.001] over system.dt 0.01 is shorter than one step"),
+     f"system.t_span [0.0, 0.001] over system.dt 0.01 {W}"),
     # a span that does not end after it starts
     (LIN2D, ("system", "t_span"), [1.0, 0.0],
-     "system.t_span [1.0, 0.0] must hold a start and a later end time"),
+     "system.t_span [1.0, 0.0] over system.dt 0.01 must hold a start and a later end time"),
+    # a span that is not a whole number of steps: its samples would end before it does
+    (LIN2D, ("system", "dt"), 0.3, f"system.t_span [0.0, 2.0] over system.dt 0.3 {W}"),
+    (LIN2D, ("system", "t_span"), [0.0, 2.005],
+     f"system.t_span [0.0, 2.005] over system.dt 0.01 {W}"),
+    (RUNS, ("system", "dt"), 0.3, f"system.t_span [0.0, 2.0] over system.dt 0.3 {W}"),
+    (MEANFIELD, ("system", "t_span"), [0.0, 1.015],
+     f"system.t_span [0.0, 1.015] over system.dt 0.01 {W}"),
     # the one grid that every run of an ensemble shares
     (RUNS, ("system", "dt"), -0.01, "system.dt must be a positive number, not -0.01"),
     (RUNS, ("system", "dt"), 1e-7, "system.t_span [0.0, 2.0] over system.dt 1e-07 is "
      "more than 10000000 steps, the most a run takes"),
     (RUNS, ("system", "t_span"), [0.0, 0.004],
-     "system.t_span [0.0, 0.004] over system.dt 0.01 is shorter than one step"),
+     f"system.t_span [0.0, 0.004] over system.dt 0.01 {W}"),
     (HOPF, ("system", "t_span"), [5.0, 5.0],
-     "system.t_span [5.0, 5.0] must hold a start and a later end time"),
+     "system.t_span [5.0, 5.0] over system.dt 0.02 must hold a start and a later end time"),
     # initial values of another length than the kind's state count, and no run at all
     (LIN2D, ("system", "x0"), [2.0], "system.x0 [2.0] must hold 2 values, one per linear2d state"),
     (LIN2D, ("system", "x0"), DELETE, "config needs system.x0"),

@@ -113,10 +113,21 @@ class TestSimulate:
         ("linear2d", (1.0, 0.0), {"t_span": (0.0, 0.5 * MAX_STEPS + 0.5), "dt": 0.5},
          "is more than 10000000 steps"),
         ("linear2d", (1.0, 0.0), {"t_span": (0.0, 0.004)},
-         r"t_span \(0.0, 0.004\) over dt 0.01 is shorter than one step"),
+         r"t_span \(0.0, 0.004\) over dt 0.01 is not a whole number of steps, at least one"),
+        # a grid ends on its end time, never short of it
+        ("linear2d", (1.0, 0.0), {"t_span": (0.0, 1.0), "dt": 0.3},
+         r"t_span \(0.0, 1.0\) over dt 0.3 is not a whole number of steps, at least one"),
+        # the values a run starts from and its parameters are finite
+        ("linear2d", (np.nan, 0.0), {}, r"linear2d needs finite values, not x0\[0\] = nan"),
+        ("linear2d", (0.0, -np.inf), {}, r"linear2d needs finite values, not x0\[1\] = -inf"),
+        ("lorenz", (1.0, 1.0, 1.0), {"params": dict(LORENZ.params, sigma=np.nan)},
+         "lorenz needs finite values, not sigma = nan"),
+        ("linear2d", (1.0, 0.0), {"params": {"mu": np.inf}},
+         "linear2d needs finite values, not mu = inf"),
     ], ids=["unknown-kind", "map", "missing-parameter", "empty-span", "negative-dt",
             "x0-length", "one-time", "nan-dt", "infinite-dt", "infinite-end", "infinite-start",
-            "nan-start", "nan-end", "tiny-dt", "max-steps-and-one", "shorter-than-a-step"])
+            "nan-start", "nan-end", "tiny-dt", "max-steps-and-one", "shorter-than-a-step",
+            "part-of-a-step", "nan-x0", "infinite-x0", "nan-parameter", "infinite-parameter"])
     def test_spec_validation(self, kind, x0, settings, message):
         with pytest.raises(ConfigError, match=message):
             SystemSpec(kind, x0=x0, **settings)
@@ -723,13 +734,25 @@ class TestIterateMap:
         if not eta:  # the orbit from 0.5 at mu = 4 lands on 1.0, then stays at 0.0
             assert xs[1] == 1.0 and set(xs[2:]) == {0.0}
 
-    def test_domain_validation(self):
-        with pytest.raises(ConfigError):
-            iterate_map(3.0, 10, x0=1.5)
-        with pytest.raises(ConfigError):
-            iterate_map(4.5, 10)
-        with pytest.raises(ConfigError, match="n_steps >= 0"):
-            iterate_map(3.0, -1)
+    @pytest.mark.parametrize("args, settings, message", [
+        ((3.0, 10), {"x0": 1.5}, r"x0 in \(0, 1\)$"),
+        ((4.5, 10), {}, r"mu in \(0, 4\], not 4.5$"),
+        ((0.0, 10), {}, r"mu in \(0, 4\], not 0.0$"),
+        ((3.0, -1), {}, "an integer n_steps >= 0, not -1$"),
+        ((3.0, 2.5), {}, "an integer n_steps >= 0, not 2.5$"),
+        ((3.0, 10.0), {}, "an integer n_steps >= 0, not 10.0$"),
+        ((3.0, 10, 0.1, -1), {}, "an integer seed >= 0, not -1$"),
+        ((3.0, 10), {"seed": 1.5}, "an integer seed >= 0, not 1.5$"),
+    ], ids=["x0", "mu-above-4", "mu-0", "negative-steps", "fractional-steps", "float-steps",
+            "negative-seed", "fractional-seed"])
+    def test_domain_validation(self, args, settings, message):
+        with pytest.raises(ConfigError, match=message):
+            iterate_map(*args, **settings)
+
+    def test_no_step_and_numpy_integers_are_accepted(self):
+        assert iterate_map(3.0, 0).n_samples == 1
+        ds = iterate_map(3.0, np.int64(5), 0.01, np.int64(2))
+        assert ds.n_samples == 6 and ds.meta["seed"] == 2
 
     @pytest.mark.parametrize("eta", [-0.01, -np.inf, np.inf, np.nan])
     def test_forcing_must_be_nonnegative_and_finite(self, eta):
