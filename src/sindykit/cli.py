@@ -17,6 +17,7 @@ success, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import decimal
 import hashlib
 import json
 import math
@@ -131,7 +132,7 @@ _KEYS = {
             "alpha": ("positive", 0.01), "iterations": "counting"}}),
     },
     "library": {"poly_order": ("integer", 5)},
-    "fit": {"threshold": ("nonnegative", 0.05), "max_iterations": "counting"},
+    "fit": {"threshold": ("nonnegative", 0.05)},
     "selection": {"log10_min": ("number", -4.0), "log10_max": ("number", 0.0),
                   "count": ("counting", 25)},
     "compare": {"horizon": ("positive", 20.0), "etas": ["nonnegative"],
@@ -291,15 +292,24 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
 
 
 def _thresholds(sel: dict) -> np.ndarray:
-    """The sweep's threshold grid from a parsed ``selection`` block."""
-    if sel["count"] > 10**6:  # a fit per threshold; far larger ones break np.logspace
-        raise ConfigError(f"selection.count must be at most 1000000, not {sel['count']}")
+    """The sweep's threshold grid from a parsed ``selection`` block: threshold i of n
+    is 10 ** (a + (b - a) * i / (n - 1)), a and b the bounds, worked out in
+    ``decimal`` at 40 digits and rounded once to a double.  Decimal arithmetic runs
+    on integers, so the grid has the same bits on every host; those of
+    ``np.logspace`` and ``10.0 ** x`` depend on the host's SIMD loops and libm."""
+    count = sel["count"]
+    if count > 10**6:  # a fit per threshold
+        raise ConfigError(f"selection.count must be at most 1000000, not {count}")
     if sel["log10_min"] > sel["log10_max"]:
         raise ConfigError("selection.log10_min exceeds selection.log10_max")
-    with np.errstate(over="ignore"):  # a threshold past a double is refused
-        thresholds = np.logspace(sel["log10_min"], sel["log10_max"], sel["count"])
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        ctx.traps[decimal.Overflow] = False  # a threshold past a double is refused below
+        a, b = (decimal.Decimal(repr(sel[key])) for key in ("log10_min", "log10_max"))
+        steps = max(count - 1, 1)
+        thresholds = np.array([float(10 ** (a + (b - a) * i / steps)) for i in range(count)])
     if not np.isfinite(thresholds[-1]):  # the largest; with one threshold, 10 ** log10_min
-        key = "log10_max" if sel["count"] > 1 else "log10_min"
+        key = "log10_max" if count > 1 else "log10_min"
         raise ConfigError(f"selection.{key} {sel[key]!r} puts a threshold past the largest "
                           "double, about 10 ** 308")
     if thresholds[0] == 0.0:  # the smallest, rounded to 0: the sweep would fit it repeatedly
@@ -564,7 +574,7 @@ def cmd_compare(exp: dict, out: Path, data_path: None) -> tuple[dict, dict]:
 def cmd_sweep(exp: dict, out: Path, data_path: str | None) -> tuple[dict, dict]:
     ds = _prepare(exp, data_path)
     lib = LibrarySpec(ds.n_states, **exp["library"])
-    points, models = sweep(ds, lib, exp["thresholds"], exp["fit_config"], mode=exp["mode"])
+    points, models = sweep(ds, lib, exp["thresholds"], mode=exp["mode"])
     chosen = pick_elbow(points)
     artifacts = {"pareto": str(write_pareto_csv(points, out / "pareto.csv"))}
     model, report = next(

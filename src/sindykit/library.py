@@ -11,7 +11,7 @@ the bits the simulated model gives that term.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -51,17 +51,10 @@ class LibrarySpec:
 
 @dataclass(frozen=True)
 class LibraryMatrix:
-    """Evaluated library: column j is term j applied row-wise to the data."""
+    """Evaluated library: column j is term j of ``enumerate_terms`` applied
+    row-wise to the data."""
 
     values: np.ndarray
-    terms: tuple[TermDescriptor, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != len(self.terms):
-            raise DataError("library matrix must have one column per term")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "terms", tuple(self.terms))
 
 
 @functools.lru_cache(maxsize=64)
@@ -96,4 +89,4 @@ def build_matrix(spec: LibrarySpec, X: np.ndarray) -> LibraryMatrix:
     values = np.empty((X.shape[0], len(terms)))
     for start in range(0, X.shape[0], _BLOCK_ROWS):
         theta(X[start:start + _BLOCK_ROWS], out=values[start:start + _BLOCK_ROWS])
-    return LibraryMatrix(values=values, terms=terms)
+    return LibraryMatrix(values)

@@ -39,20 +39,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StlsqConfig:
-    """Threshold and iteration cap for the threshold/re-solve loop.
-
-    The loop stops as soon as thresholding removes nothing: further
-    passes on a stable support would reproduce the same coefficients.
-    """
+    """Threshold of the threshold/re-solve loop, which needs no cap: a pass
+    that does not reach the fixed point removes a library column and keeps
+    one, so p columns reach it within p passes (see :func:`stlsq`)."""
 
     threshold: float
-    max_iterations: int = 10
 
     def __post_init__(self) -> None:
         if self.threshold < 0:
             raise ConfigError("threshold must be nonnegative")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be at least 1")
 
 
 @dataclass
@@ -63,7 +58,6 @@ class FitReport:
     residual_norm: list[float] = field(default_factory=list)
     nnz: list[int] = field(default_factory=list)
     condition_estimate: list[float | None] = field(default_factory=list)
-    converged: list[bool] = field(default_factory=list)
     empty_support: list[bool] = field(default_factory=list)
 
     def to_json(self) -> str:
@@ -151,28 +145,29 @@ def _stlsq_column(R11: np.ndarray, r: np.ndarray, rows: int, cfg: StlsqConfig):
     """One equation of the threshold/re-solve loop on the factor of an
     m = ``rows`` problem (R11 and this equation's column r of R12).
 
-    Returns (xi, iterations, converged, active_mask).  The active set can
-    only shrink: thresholding removes columns and the re-solve is
-    restricted to survivors.
+    Returns (xi, iterations, active_mask).  The active set only shrinks:
+    thresholding removes columns and the re-solve is restricted to
+    survivors.  A pass that does not return removes a column and keeps
+    one, so pass j starts on at most p + 1 - j columns and pass p returns
+    at the latest.
     """
     p = R11.shape[1]
     xi = least_squares(R11, r, rows)
     active = np.ones(p, dtype=bool)
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, p + 1):
         keep = active & (np.abs(xi) >= cfg.threshold)
         if not keep.any():
-            return np.zeros(p), iterations, True, keep
+            return np.zeros(p), iterations, keep
         if np.array_equal(keep, active):
             # fixed point: a re-solve on the same support reproduces xi
-            return xi, iterations, True, active
+            return xi, iterations, active
         active = keep
         xi = np.zeros(p)
         xi[active] = least_squares(R11[:, active], r, rows)
-    return xi, iterations, False, active
 
 
 def _fit_report(problem: RegressionProblem, coef: np.ndarray,
-                actives, iterations, converged) -> FitReport:
+                actives, iterations) -> FitReport:
     """Per-equation diagnostics; condition estimates use each final active set."""
     R11, R12, R22 = problem.blocks
     report = FitReport()
@@ -184,7 +179,6 @@ def _fit_report(problem: RegressionProblem, coef: np.ndarray,
         report.nnz.append(int(np.count_nonzero(xi)))
         report.condition_estimate.append(
             float(np.linalg.cond(R11[:, active])) if active.any() else None)
-        report.converged.append(bool(converged[k]))
         report.empty_support.append(not active.any())
     return report
 
@@ -212,9 +206,11 @@ def stlsq(
     """Sequential thresholded least squares, independently per equation.
 
     Returns the p x n coefficient matrix, one column per column of ``dX``,
-    and its report.  All returned nonzeros satisfy |xi| >= threshold
-    except when an iteration empties a support entirely, in which case
-    that column is returned as zero and flagged in the report.
+    and its report.  Each column is the loop's fixed point, reached within
+    p passes (the report's ``iterations_used``): a support that the
+    threshold keeps whole, so every returned nonzero satisfies
+    |xi| >= threshold.  A pass that empties the support returns that
+    column as zero, flagged in the report's ``empty_support``.
 
     A prebuilt RegressionProblem may stand in for ``Theta``; it already
     holds its targets, and ``dX`` is then None.  That form exists only so
@@ -223,10 +219,10 @@ def stlsq(
     """
     problem = Theta if isinstance(Theta, RegressionProblem) else _factored(Theta, dX)
     R11, R12, _ = problem.blocks
-    xis, iterations, converged, actives = zip(
+    xis, iterations, actives = zip(
         *(_stlsq_column(R11, R12[:, k], problem.n_samples, cfg) for k in range(R12.shape[1])))
     coef = np.column_stack(xis)
-    return coef, _fit_report(problem, coef, actives, iterations, converged)
+    return coef, _fit_report(problem, coef, actives, iterations)
 
 
 def _require_finite(values: np.ndarray, rows: np.ndarray | range, problem: str) -> None:

@@ -13,7 +13,7 @@ error, which stays well defined for chaotic systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,13 +47,11 @@ def sweep(
     dataset: TimeSeriesDataset,
     spec: LibrarySpec,
     thresholds: np.ndarray,
-    cfg: StlsqConfig,
     mode: Mode = Mode.CONTINUOUS,
 ) -> tuple[list[ParetoPoint], list[tuple[SparseModel, FitReport]]]:
-    """One fit of ``cfg`` per threshold, which replaces its STLSQ threshold,
-    on the factor of the rows before the held-out tail; each fit is scored
-    on the factors of both sides.  In discrete mode the pair that straddles
-    the cut belongs to neither side."""
+    """One STLSQ fit per threshold on the factor of the rows before the
+    held-out tail; each fit is scored on the factors of both sides.  In
+    discrete mode the pair that straddles the cut belongs to neither side."""
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.size and (np.any(np.diff(thresholds) < 0) or np.any(thresholds < 0)):
         raise ConfigError("thresholds must be sorted ascending and nonnegative")
@@ -63,7 +61,7 @@ def sweep(
     cut = m - int(round(m * _HELD_OUT))
     problem = _regression_problem(dataset, spec, mode, within=slice(cut))
     problem_val = _regression_problem(dataset, spec, mode, within=slice(cut, m))
-    models = [fit(dataset, spec, replace(cfg, threshold=float(lam)), mode, problem=problem)
+    models = [fit(dataset, spec, StlsqConfig(float(lam)), mode, problem=problem)
               for lam in thresholds]
     points = [
         ParetoPoint(threshold=float(lam), nnz_total=model.nnz(),

@@ -168,19 +168,17 @@ def simulate(spec: SystemSpec, derivatives: bool = True) -> TimeSeriesDataset:
 # a median of 29 steps (90th percentile 158, longest 100,000); chunks of 32 to 256
 # map them within noise of each other, 512 is slower and 4,096 twice as slow.
 FORCING_CHUNK = 256
+MAP_X0 = 0.5  # every run of the map starts here
 
 
-def iterate_map(mu: float, n_steps: int, eta: float = 0.0, seed: int = 0,
-                x0: float = 0.5) -> TimeSeriesDataset:
+def iterate_map(mu: float, n_steps: int, eta: float = 0.0, seed: int = 0) -> TimeSeriesDataset:
     """Iterate the logistic map x_{k+1} = mu x_k (1 - x_k) + eta z_k from
-    ``x0``, each z_k a standard normal draw of a generator seeded with
+    ``MAP_X0``, each z_k a standard normal draw of a generator seeded with
     ``seed``.  mu is stored as an appended constant state ``r``, so runs over
     several values can be joined and fit jointly.  An iterate escaping
     [-0.5, 1.5], outside which the map diverges, truncates the run with a warning.
     """
-    mu, x0 = float(mu), float(x0)
-    if not 0.0 < x0 < 1.0:
-        raise ConfigError("logistic map needs x0 in (0, 1)")
+    mu = float(mu)
     if not 0.0 < mu <= 4.0:
         raise ConfigError(f"logistic map needs mu in (0, 4], not {mu!r}")
     for name, v in (("n_steps", n_steps), ("seed", seed)):
@@ -189,7 +187,7 @@ def iterate_map(mu: float, n_steps: int, eta: float = 0.0, seed: int = 0,
     if not 0.0 <= eta < np.inf:
         raise ConfigError("eta must be nonnegative and finite")
     rng = np.random.default_rng(seed)
-    xs, x = [x0], x0
+    xs, x = [MAP_X0], MAP_X0
     # a stream drawn in chunks equals one drawn at once, so an early escape draws
     # less; unforced, a step adds 0.0 * z, which changes no bit of the iterate
     while len(xs) <= n_steps:
@@ -208,12 +206,11 @@ def iterate_map(mu: float, n_steps: int, eta: float = 0.0, seed: int = 0,
         times=_frozen(np.arange(xcol.shape[0], dtype=float)),
         states=_frozen(np.column_stack([xcol, np.full(xcol.shape[0], mu)])),
         state_names=("x", "r"),
-        meta={"system": MAP, "mu": mu, "eta": eta, "seed": seed, "x0": x0},
+        meta={"system": MAP, "mu": mu, "eta": eta, "seed": seed, "x0": MAP_X0},
     )
 
 
-def logistic_ensemble(mus, n_steps: int, eta: float, seed: int = 0,
-                      x0: float = 0.5) -> TimeSeriesDataset:
+def logistic_ensemble(mus, n_steps: int, eta: float, seed: int = 0) -> TimeSeriesDataset:
     """Logistic-map training ensemble over several parameter values.
 
     Collects ``n_steps`` transitions per value, wherever the noise drives
@@ -228,7 +225,7 @@ def logistic_ensemble(mus, n_steps: int, eta: float, seed: int = 0,
         for i, mu in enumerate(mus):
             runs, collected, attempt = [], 0, 0
             while collected < n_steps:
-                run = iterate_map(mu, n_steps - collected, eta, seed + 1000 * i + attempt, x0)
+                run = iterate_map(mu, n_steps - collected, eta, seed + 1000 * i + attempt)
                 runs.append(run)
                 collected += run.n_samples - 1
                 attempt += 1

@@ -263,7 +263,7 @@ def test_criterion_9_stlsq_best_subset_equivalence(report):
         xi_true[S_true] = coeffs
         y = Theta @ xi_true
         lam = 0.5 * np.abs(coeffs).min()
-        coef, _ = stlsq(Theta, y, StlsqConfig(threshold=lam, max_iterations=20))
+        coef, _ = stlsq(Theta, y, StlsqConfig(threshold=lam))
         xi = coef[:, 0]
         S_oracle = best_subset(Theta, y)
         if tuple(np.flatnonzero(xi)) == S_oracle:

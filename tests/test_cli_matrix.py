@@ -187,6 +187,40 @@ def test_generated_logistic_dataset_keeps_its_bytes(generated):
         LOGISTIC_DATASET_SHA256)
 
 
+# The sweep grid of each shipped config, as float.hex, keyed by its
+# selection block (log10_min, log10_max, count).  Worked out in decimal
+# arithmetic, the grid has these bits on every host, whichever SIMD loops
+# numpy and whichever pow the C library picks there; np.logspace gives 16 of
+# the first grid's values and 9 of the second's up to 5 ulp apart on an
+# AVX-512 host.
+SWEEP_GRIDS = {
+    (-4.0, 0.0, 25): [
+        "0x1.a36e2eb1c432dp-14", "0x1.33d1df865f7cep-13", "0x1.c3d154e984551p-13",
+        "0x1.4b96be9c2da2cp-12", "0x1.e6b4b396428e8p-12", "0x1.6531793eb9f45p-11",
+        "0x1.0624dd2f1a9fcp-10", "0x1.80c65767f75c2p-10", "0x1.1a62d511f2b53p-9",
+        "0x1.9e7c6e43390b7p-9", "0x1.3030f03de9991p-8", "0x1.be7dd78e68716p-8",
+        "0x1.47ae147ae147bp-7", "0x1.e0f7ed41f5332p-7", "0x1.60fb8a566f627p-6",
+        "0x1.030dc4ea03a72p-5", "0x1.7c3d2c4d63ff5p-5", "0x1.170ea6b90146ep-4",
+        "0x1.999999999999ap-4", "0x1.2c9af449393ffp-3", "0x1.b93a6cec0b3b1p-3",
+        "0x1.43d136248490fp-2", "0x1.db4c7760bcff2p-2", "0x1.5cd2506741989p-1",
+        "0x1.0000000000000p+0"],
+    (-3.0, -0.3, 15): [
+        "0x1.0624dd2f1a9fcp-10", "0x1.98b16027a53c3p-10", "0x1.3e958d1a0f633p-9",
+        "0x1.f0af736dd9cd2p-9", "0x1.832d129ece8c2p-8", "0x1.2dcfb8561f5d1p-7",
+        "0x1.d68932bdbe0abp-7", "0x1.6ecac53002711p-6", "0x1.1debf33325c07p-5",
+        "0x1.bdc36236a4aa1p-5", "0x1.5b7b334600e0fp-4", "0x1.0ede56dfc5f1fp-3",
+        "0x1.a64b73bc7f4ccp-3", "0x1.492fe612d971cp-2", "0x1.009b9cf334252p-1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_sweep_grid_keeps_its_bits_on_every_host(name):
+    exp = sindykit.cli.parse_experiment(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    sel = exp["selection"]
+    grid = SWEEP_GRIDS[sel["log10_min"], sel["log10_max"], sel["count"]]
+    assert [t.hex() for t in exp["thresholds"].tolist()] == grid
+
+
 # each segment of the file draws its own noise stream, as that segment of
 # the simulated runs does, and the augmented column comes back exact from
 # the config

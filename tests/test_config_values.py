@@ -24,7 +24,7 @@ LIN2D = {
     "noise": {"eta": 0.01, "target": "derivatives", "seed": 3},
     "differentiation": {"method": "exact"},
     "library": {"poly_order": 2},
-    "fit": {"threshold": 0.05, "max_iterations": 10},
+    "fit": {"threshold": 0.05},
     "selection": {"log10_min": -3, "log10_max": -0.3, "count": 5},
     "compare": {"horizon": 1.0, "etas": [0.0], "long_horizon": 2.0},
 }
@@ -88,8 +88,6 @@ CASES = [
     ("fit", LIN2D, ("fit", "mode"), 1),
     ("fit", LIN2D, ("fit", "threshold"), "x"),
     ("fit", LIN2D, ("fit", "threshold"), -1.0),
-    ("fit", LIN2D, ("fit", "max_iterations"), "10"),
-    ("fit", LIN2D, ("fit", "max_iterations"), 1e3),
     ("compare", LIN2D, ("compare", "horizon"), "20"),
     ("compare", LIN2D, ("compare", "horizon"), -1.0),
     ("compare", LIN2D, ("compare", "grid_dt"), None),
@@ -116,6 +114,7 @@ CASES = [
     ("fit", LIN2D, ("fit", "lambda1"), 0.1),
     ("fit", LIN2D, ("fit", "tol"), 1e-8),
     ("fit", LIN2D, ("fit", "max_sweeps"), 50),
+    ("fit", LIN2D, ("fit", "max_iterations"), 30),
     ("generate", LIN2D, ("system", "x_0"), [2.0, 0.0]),
     ("generate", RUNS, ("system", "augment", "parameter"), "mu"),
     ("generate", RUNS, ("system", "runs", 1, "xo"), [0.0, 1.0]),
@@ -140,7 +139,6 @@ CASES = [
     ("generate", LIN2D, ("noise", "eta"), -0.1),
     ("generate", LIN2D, ("noise", "target"), "state"),
     ("generate", LIN2D, ("fit", "threshold"), -1.0),
-    ("generate", LIN2D, ("fit", "max_iterations"), 0),
     ("generate", TV, ("differentiation", "alpha"), -0.01),
     # compare perturbs only the derivatives, and fits the exact ones of one run
     ("compare", LIN2D, ("noise", "target"), "states"),
@@ -291,7 +289,6 @@ REFUSED_CASES = [
     (LOGISTIC, ("system", "n_steps"), 10**7 + 1,
      "system.n_steps 10000001 is more than 10000000 steps, the most a run takes"),
     # package checks that would not name the key, and a flow run of no step
-    (LIN2D, ("fit", "max_iterations"), 0, "fit.max_iterations must be a positive integer, not 0"),
     (TV, ("differentiation", "iterations"), 0,
      "differentiation.iterations must be a positive integer, not 0"),
     (LIN2D, ("system", "t_span"), [0.0, 0.001],
@@ -579,6 +576,7 @@ def test_flag_the_command_ignores_is_config_error(tmp_path, capsys, command, fla
     ("generate", RUNS, ("system", "runs", 1, "xo"), "unknown key system.runs[1].xo"),
     ("fit", LIN2D, ("differentiation", "alpha"),
      'differentiation.alpha does not apply to differentiation.method "exact"'),
+    ("fit", LIN2D, ("fit", "max_iterations"), "unknown key fit.max_iterations"),
 ])
 def test_message_names_the_dotted_path(tmp_path, capsys, command, base, path, message):
     cfg = tmp_path / "c.json"

@@ -194,7 +194,7 @@ class TestDatasetCsv:
         _, report = fit(simulate(spec), LibrarySpec(2, 2), StlsqConfig(threshold=0.05))
         doc = json.loads(report.to_json())
         assert set(doc) >= {"iterations_used", "residual_norm", "nnz",
-                            "condition_estimate", "converged", "empty_support"}
+                            "condition_estimate", "empty_support"}
         assert len(doc["nnz"]) == 2
 
 
@@ -339,7 +339,7 @@ class TestCliGenerate:
             warnings.filterwarnings("ignore", "logistic iterates escaped")
             assert main(["generate", "--config", cfg, "--out", str(tmp_path / "gen")]) == 0
             ref = logistic_ensemble(doc["system"]["ensemble_mus"], 400,
-                                    doc["system"]["forcing"], seed=42, x0=0.5)
+                                    doc["system"]["forcing"], seed=42)
         ds = read_dataset_csv(tmp_path / "gen" / "dataset.csv")
         assert len(ref.segments) > len(doc["system"]["ensemble_mus"])  # restarts happened
         for name in ("times", "states"):

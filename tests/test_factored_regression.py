@@ -47,7 +47,7 @@ def direct_stlsq(Theta, y, cfg):
     """Threshold/re-solve on the m-row matrix; returns (xi, active, solved coefficients)."""
     p = Theta.shape[1]
     xi, active, solved = direct_lstsq(Theta, y), np.ones(p, dtype=bool), []
-    for _ in range(cfg.max_iterations):
+    while True:
         solved.extend(xi[active])
         keep = active & (np.abs(xi) >= cfg.threshold)
         if not keep.any():
@@ -57,7 +57,6 @@ def direct_stlsq(Theta, y, cfg):
         active = keep
         xi = np.zeros(p)
         xi[active] = direct_lstsq(Theta[:, active], y)
-    return xi, active, solved
 
 
 @st.composite
@@ -69,8 +68,7 @@ def tall_problems(draw):
     Theta = rng.standard_normal((m, p)) * rng.uniform(0.3, 3.0, p)
     Xi = rng.uniform(0.2, 3.0, (p, n)) * rng.choice([-1.0, 0.0, 1.0], (p, n))
     Y = Theta @ Xi + draw(st.sampled_from([1e-2, 1e-1, 1.0])) * rng.standard_normal((m, n))
-    cfg = StlsqConfig(threshold=draw(st.floats(0.0, 2.0)),
-                      max_iterations=draw(st.integers(1, 10)))
+    cfg = StlsqConfig(threshold=draw(st.floats(0.0, 2.0)))
     return Theta, Y, cfg
 
 
@@ -117,7 +115,7 @@ def _relative_residual(theta, target, coefficients):
 @given(sweep_datasets())
 def test_sweep_residuals_equal_direct_residuals(case):
     ds, spec = case
-    points, models = sweep(ds, spec, np.array([0.0, 0.3, 1.0, 5.0]), StlsqConfig(threshold=0.0))
+    points, models = sweep(ds, spec, np.array([0.0, 0.3, 1.0, 5.0]))
     train, val = tail_split(ds)
     theta_train, theta_val = build_matrix(spec, train.states), build_matrix(spec, val.states)
     for point, (model, _) in zip(points, models):
@@ -183,7 +181,7 @@ def test_every_solve_is_on_the_small_factor(monkeypatch):
     spec = LibrarySpec(3, 3)
     ds = _lorenz_like(3000)
     fit(ds, spec, StlsqConfig(threshold=0.1))
-    sweep(ds, spec, np.logspace(-3, 1, 6), StlsqConfig(threshold=0.0))
+    sweep(ds, spec, np.logspace(-3, 1, 6))
     assert shapes
     assert max(rows for rows, _ in shapes) <= spec.n_terms
 

@@ -85,7 +85,7 @@ class TestStlsq:
         theta = ds.states  # columns are exactly the x- and y-data
         coef, report = stlsq(theta, ds.derivatives, StlsqConfig(threshold=0.05))
         assert np.allclose(coef, [[-0.1, -2.0], [2.0, -0.1]], atol=1e-6)
-        assert all(report.converged)
+        assert report.empty_support == [False, False]
 
     def test_raw_matrix_gives_a_coefficient_array(self):
         # p = 4 regressors and n = 1 target: a model labelled with terms of
@@ -137,19 +137,28 @@ class TestStlsq:
         resolved = least_squares(Theta[:, active], y)
         assert np.abs(resolved - xi[active]).max() <= 1e-12
 
-    def test_support_shrinks_monotonically_across_iteration_budgets(self):
-        # decaying-coefficient instance forces several threshold rounds
+    def test_support_shrinks_monotonically_across_passes(self, monkeypatch):
+        # decaying-coefficient instance: thresholding drops terms before the
+        # support settles
         rng = np.random.default_rng(21)
         Theta = rng.standard_normal((60, 8))
         y = Theta @ np.array([3.0, 1.5, 0.8, 0.45, 0.28, 0.0, 0.0, 0.0])
         y += 0.05 * rng.standard_normal(60)
-        supports = []
-        for k in range(1, 8):
-            cfg = StlsqConfig(threshold=0.4, max_iterations=k)
-            coef, _ = stlsq(Theta, y, cfg)
-            supports.append(set(np.flatnonzero(coef[:, 0])))
+        solves = []  # the matrix of each pass's solve: columns of the 8 x 8 factor
+
+        def recording(A, b, rows=None):
+            solves.append(A)
+            return least_squares(A, b, rows)
+
+        monkeypatch.setattr("sindykit.regression.least_squares", recording)
+        coef, report = stlsq(Theta, y, StlsqConfig(threshold=0.4))
+        full = solves[0]
+        supports = [{j for j in range(8) if any(np.array_equal(full[:, j], a) for a in A.T)}
+                    for A in solves]
+        assert len(supports) == report.iterations_used[0] >= 2
         for earlier, later in zip(supports, supports[1:]):
-            assert later.issubset(earlier)
+            assert later < earlier
+        assert supports[-1] == set(np.flatnonzero(coef[:, 0]))
 
     def test_column_independence_and_threading(self):
         rng = np.random.default_rng(13)
@@ -167,7 +176,7 @@ class TestStlsq:
         y = rng.standard_normal(30)
         coef, report = stlsq(A, y, StlsqConfig(threshold=0.0))
         assert np.allclose(coef[:, 0], least_squares(A, y), rtol=1e-12, atol=1e-12)
-        assert report.iterations_used == [1] and report.converged == [True]
+        assert report.iterations_used == [1]
 
     def test_single_column_kept_only_at_or_above_threshold(self):
         a = np.array([0.6, 0.8, 0.0])
@@ -195,22 +204,30 @@ class TestStlsq:
         rel = np.abs(xi[active] - xi_true[active]) / np.abs(xi_true[active])
         assert rel.max() < 0.05  # STLSQ re-solves, so no shrinkage bias
 
-    def test_iteration_cap_reports_not_converged(self):
-        # the decaying instance drops terms over several rounds
-        rng = np.random.default_rng(21)
-        Theta = rng.standard_normal((60, 8))
-        y = Theta @ np.array([3.0, 1.5, 0.8, 0.45, 0.28, 0.0, 0.0, 0.0])
-        y += 0.05 * rng.standard_normal(60)
-        _, capped = stlsq(Theta, y, StlsqConfig(threshold=0.4, max_iterations=1))
-        assert capped.iterations_used == [1] and capped.converged == [False]
-        _, free = stlsq(Theta, y, StlsqConfig(threshold=0.4, max_iterations=20))
-        assert free.converged == [True] and free.iterations_used[0] > 1
+    @pytest.mark.parametrize("ones", [3, 1])
+    def test_staircase_runs_to_its_fixed_point(self, ones):
+        # Theta = Q U, Q orthonormal and U bidiagonal, 1 on the diagonal and
+        # -2 above it, and y = Q b: the solve on columns :k gives U[:k, :k]^-1
+        # b[:k], whose last entry is b[k - 1], so while that entry is eps each
+        # pass drops exactly the last survivor, down to the first ``ones``
+        # columns, which take p + 1 - ones passes
+        p, eps, lam = 16, 1e-3, 2e-3
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((64, p)))
+        U = np.eye(p) - 2.0 * np.eye(p, k=1)
+        b = np.r_[np.ones(ones), np.full(p - ones, eps)]
+        coef, report = stlsq(Q @ U, Q @ b, StlsqConfig(threshold=lam))
+        xi = coef[:, 0]
+        active = xi != 0.0
+        assert np.abs(xi[active]).min() >= lam
+        # a fixed point: the re-solve on the support keeps each of its columns
+        assert (np.abs(least_squares((Q @ U)[:, active], Q @ b)) >= lam).all()
+        assert np.flatnonzero(active).tolist() == list(range(ones))
+        assert np.allclose(xi[active], np.linalg.solve(U[:ones, :ones], np.ones(ones)))
+        assert report.iterations_used == [p + 1 - ones]  # p passes at most
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
             StlsqConfig(threshold=-1.0)
-        with pytest.raises(ConfigError):
-            StlsqConfig(threshold=0.1, max_iterations=0)
 
 
 class TestOracleEquivalenceProperty:
@@ -226,7 +243,7 @@ class TestOracleEquivalenceProperty:
             xi_true[S_true] = coeffs
             y = Theta @ xi_true
             lam = 0.5 * np.abs(coeffs).min()
-            coef, _ = stlsq(Theta, y, StlsqConfig(threshold=lam, max_iterations=20))
+            coef, _ = stlsq(Theta, y, StlsqConfig(threshold=lam))
             S, _ = best_subset_support(Theta, y)
             if tuple(np.flatnonzero(coef[:, 0])) == S:
                 hits += 1
@@ -285,7 +302,7 @@ class TestFit:
         _, report = fit(linear2d_dataset, LibrarySpec(2, 2), StlsqConfig(threshold=0.05))
         assert report.empty_support == [False, False]
         assert all(c is not None and c >= 1.0 for c in report.condition_estimate)
-        assert report.converged == [True, True] and report.nnz == [2, 2]
+        assert report.nnz == [2, 2]
         assert all(k >= 1 for k in report.iterations_used)
 
     def test_nan_derivative_rejected_naming_row(self):

@@ -27,9 +27,6 @@ from sindykit.regression import _QR_BLOCK_ROWS, _regression_problem
 
 from conftest import TRUE_MODELS, tail_split
 
-# the sweep replaces the threshold; every other setting comes from here
-STLSQ = StlsqConfig(threshold=0.0)
-
 
 def point(lam, nnz, val, train=None):
     return ParetoPoint(threshold=lam, nnz_total=nnz,
@@ -57,7 +54,7 @@ class TestSplit:
             return problems[-1]
 
         monkeypatch.setattr(sindykit.selection, "_regression_problem", recording)
-        sweep(ds, spec, np.array([0.1]), STLSQ, mode=mode)
+        sweep(ds, spec, np.array([0.1]), mode=mode)
         return problems
 
     def test_tail_split_sizes(self, monkeypatch):
@@ -90,13 +87,13 @@ class TestSplit:
         tiny = TimeSeriesDataset(times=np.arange(9.0), states=np.zeros((9, 1)),
                                  derivatives=np.zeros((9, 1)))
         with pytest.raises(DataError, match="too few samples"):
-            sweep(tiny, LibrarySpec(1, 1), np.array([0.1]), STLSQ)
+            sweep(tiny, LibrarySpec(1, 1), np.array([0.1]))
 
 
 class TestSweep:
     def test_lorenz_plateau_and_monotone_bounds(self, noisy_lorenz_subsample):
         lams = np.logspace(-4, 0, 25)
-        points, models = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams, STLSQ)
+        points, models = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams)
         assert len(points) == 25
         # least-squares optimality: the lam=0-like leftmost point minimizes
         # the training residual across the sweep
@@ -111,26 +108,26 @@ class TestSweep:
 
     def test_zero_threshold_is_dense_least_squares(self, noisy_lorenz_subsample):
         points, models = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5),
-                               np.array([0.0, 0.5]), STLSQ)
+                               np.array([0.0, 0.5]))
         dense, _ = models[0]
         assert points[0].nnz_total == dense.nnz() > 100  # nothing pruned
 
     def test_oversparse_threshold_gives_zero_model_unit_residual(self, noisy_lorenz_subsample):
         big = 1e6
         points, models = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5),
-                               np.array([0.0, big]), STLSQ)
+                               np.array([0.0, big]))
         zero_model, _ = models[1]
         assert zero_model.nnz() == 0
         assert np.isclose(points[1].validation_residual, 1.0, atol=1e-12)
 
     def test_unsorted_thresholds_rejected(self, noisy_lorenz_subsample):
         with pytest.raises(ConfigError):
-            sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), np.array([0.1, 0.01]), STLSQ)
+            sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), np.array([0.1, 0.01]))
 
     def test_determinism(self, noisy_lorenz_subsample):
         lams = np.logspace(-3, -1, 5)
-        a, _ = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams, STLSQ)
-        b, _ = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams, STLSQ)
+        a, _ = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams)
+        b, _ = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams)
         assert a == b
 
 
@@ -178,7 +175,7 @@ class TestPickElbow:
 
     def test_lorenz_sweep_elbow_lands_in_plateau(self, noisy_lorenz_subsample):
         lams = np.logspace(-4, 0, 25)
-        points, models = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams, STLSQ)
+        points, models = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams)
         lam = pick_elbow(points)
         chosen = next(m for p, (m, _) in zip(points, models) if p.threshold == lam)
         assert chosen.nnz() == 7
@@ -219,27 +216,17 @@ class TestSweepSharesOneProblem:
         for module in (sindykit.regression, sindykit.selection):
             if hasattr(module, "build_matrix"):
                 monkeypatch.setattr(module, "build_matrix", counting)
-        sweep(small, LibrarySpec(2, 3), np.logspace(-3, 0, count), STLSQ)
+        sweep(small, LibrarySpec(2, 3), np.logspace(-3, 0, count))
         blocks = lambda m: [min(_QR_BLOCK_ROWS, m - s) for s in range(0, m, _QR_BLOCK_ROWS)]
         train, val = tail_split(small)
         assert rows == blocks(train.n_samples) + blocks(val.n_samples) == [401, 100]
 
     def test_equals_fit_per_threshold_plus_residuals(self, small):
-        self._assert_equals_fit(small, STLSQ)
-
-    @pytest.mark.parametrize("cfg", [StlsqConfig(threshold=0.0, max_iterations=1),
-                                     StlsqConfig(threshold=0.0, max_iterations=2)],
-                             ids=["stlsq-one-pass", "stlsq-two-passes"])
-    def test_follows_the_configured_fit(self, small, cfg):
-        self._assert_equals_fit(small, cfg)
-
-    @staticmethod
-    def _assert_equals_fit(small, cfg):
         lib, lams = LibrarySpec(2, 3), np.logspace(-3, 0, 9)
-        points, models = sweep(small, lib, lams, cfg)
+        points, models = sweep(small, lib, lams)
         train, val = tail_split(small)
         for lam, point, (model, report) in zip(lams, points, models):
-            ref, ref_report = fit(train, lib, replace(cfg, threshold=float(lam)))
+            ref, ref_report = fit(train, lib, StlsqConfig(threshold=float(lam)))
             assert np.array_equal(model.coefficients, ref.coefficients)
             assert report == ref_report
             # the sweep scores from the factor, the reference from the m rows
@@ -252,7 +239,7 @@ class TestSweepSharesOneProblem:
     def test_discrete_mode_pairs_within_segments(self):
         ds = logistic_ensemble([2.8, 3.3, 3.7, 3.9], n_steps=200, eta=0.01, seed=4)
         lib, lams = LibrarySpec(2, 3), np.logspace(-3, 0, 6)
-        points, models = sweep(ds, lib, lams, STLSQ, mode=Mode.DISCRETE)
+        points, models = sweep(ds, lib, lams, mode=Mode.DISCRETE)
         train, val = tail_split(ds)
         for lam, point, (model, _) in zip(lams, points, models):
             ref, _ = fit(train, lib, StlsqConfig(threshold=float(lam)), mode=Mode.DISCRETE)

@@ -735,7 +735,6 @@ class TestIterateMap:
             assert xs[1] == 1.0 and set(xs[2:]) == {0.0}
 
     @pytest.mark.parametrize("args, settings, message", [
-        ((3.0, 10), {"x0": 1.5}, r"x0 in \(0, 1\)$"),
         ((4.5, 10), {}, r"mu in \(0, 4\], not 4.5$"),
         ((0.0, 10), {}, r"mu in \(0, 4\], not 0.0$"),
         ((3.0, -1), {}, "an integer n_steps >= 0, not -1$"),
@@ -743,7 +742,7 @@ class TestIterateMap:
         ((3.0, 10.0), {}, "an integer n_steps >= 0, not 10.0$"),
         ((3.0, 10, 0.1, -1), {}, "an integer seed >= 0, not -1$"),
         ((3.0, 10), {"seed": 1.5}, "an integer seed >= 0, not 1.5$"),
-    ], ids=["x0", "mu-above-4", "mu-0", "negative-steps", "fractional-steps", "float-steps",
+    ], ids=["mu-above-4", "mu-0", "negative-steps", "fractional-steps", "float-steps",
             "negative-seed", "fractional-seed"])
     def test_domain_validation(self, args, settings, message):
         with pytest.raises(ConfigError, match=message):
