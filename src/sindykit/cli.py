@@ -292,11 +292,11 @@ def parse_experiment(cfg: dict, seed: int | None = None, threshold: float | None
 
 
 def _thresholds(sel: dict) -> np.ndarray:
-    """The sweep's threshold grid from a parsed ``selection`` block: threshold i of n
-    is 10 ** (a + (b - a) * i / (n - 1)), a and b the bounds, worked out in
-    ``decimal`` at 40 digits and rounded once to a double.  Decimal arithmetic runs
-    on integers, so the grid has the same bits on every host; those of
-    ``np.logspace`` and ``10.0 ** x`` depend on the host's SIMD loops and libm."""
+    """The sweep's threshold grid from a parsed ``selection`` block: 10 ** a, then each
+    threshold the one before times r = 10 ** ((b - a) / (n - 1)), a and b the bounds and
+    n the count, worked out in ``decimal`` at 40 digits and each rounded once to a double.
+    Decimal arithmetic runs on integers, so the grid has the same bits on every host;
+    those of ``np.logspace`` and ``10.0 ** x`` depend on the host's SIMD loops and libm."""
     count = sel["count"]
     if count > 10**6:  # a fit per threshold
         raise ConfigError(f"selection.count must be at most 1000000, not {count}")
@@ -305,16 +305,19 @@ def _thresholds(sel: dict) -> np.ndarray:
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         ctx.traps[decimal.Overflow] = False  # a threshold past a double is refused below
+        ctx.traps[decimal.InvalidOperation] = False  # 0 * inf, past both bounds, is NaN
         a, b = (decimal.Decimal(repr(sel[key])) for key in ("log10_min", "log10_max"))
-        steps = max(count - 1, 1)
-        thresholds = np.array([float(10 ** (a + (b - a) * i / steps)) for i in range(count)])
+        value, ratio = 10 ** a, 10 ** ((b - a) / max(count - 1, 1))
+        thresholds = np.empty(count)
+        for i in range(count):
+            thresholds[i], value = value, value * ratio
+    if thresholds[0] == 0.0:  # the smallest, rounded to 0: the sweep would fit it repeatedly
+        raise ConfigError(f"selection.log10_min {sel['log10_min']!r} puts a threshold below "
+                          "the smallest double, about 10 ** -323")
     if not np.isfinite(thresholds[-1]):  # the largest; with one threshold, 10 ** log10_min
         key = "log10_max" if count > 1 else "log10_min"
         raise ConfigError(f"selection.{key} {sel[key]!r} puts a threshold past the largest "
                           "double, about 10 ** 308")
-    if thresholds[0] == 0.0:  # the smallest, rounded to 0: the sweep would fit it repeatedly
-        raise ConfigError(f"selection.log10_min {sel['log10_min']!r} puts a threshold below "
-                          "the smallest double, about 10 ** -323")
     if (np.diff(thresholds) <= 0.0).any():  # bounds too close: the sweep would repeat a fit
         raise ConfigError("selection.count {count} repeats a threshold from selection.log10_min "
                           "{log10_min!r} to selection.log10_max {log10_max!r}".format(**sel))

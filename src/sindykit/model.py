@@ -9,7 +9,6 @@ the all-zero monomial.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 from dataclasses import dataclass, field
 
@@ -75,34 +74,10 @@ def check_term_names(terms, state_names: tuple[str, ...]) -> None:
         seen.add(name)
 
 
-def term_evaluator(terms, n_states: int):
-    """Compile a term sequence into a callable from states (m, n_states) to term
-    values (m, len(terms)), written to ``out`` if given.  The callable does not
-    check its input.  It is straight-line numpy code: column j is
-    :func:`_term_source` of term j, the text ``SparseModel.rhs`` compiles, so a
-    term has its bits there.  Callables are cached on the term tuple and
-    ``n_states``, so the library's per-block calls compile each term list once."""
-    return _term_evaluator(tuple(terms), n_states)
-
-
-@functools.lru_cache(maxsize=256)
-def _term_evaluator(terms: tuple[TermDescriptor, ...], n_states: int):
-    if any(len(t.exponents) != n_states for t in terms):
-        raise DataError(f"a state of length {n_states} does not match the terms' exponents")
-    block = _compile("theta", "X, out", [f"x{i} = X[:, {i}]" for i in range(n_states)]
-                     + [f"out[:, {j}] = {_term_source(t)}" for j, t in enumerate(terms)]
-                     + ["return out"], {})
-
-    def theta(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return block(X, np.empty((len(X), len(terms))) if out is None else out)
-
-    return theta
-
-
 def _term_source(term: TermDescriptor) -> str:
-    """The term as source over states ``x0, x1, ...`` for Θ and ``SparseModel.rhs``
-    alike: the flat product of its states in state order (``(x0 * x0 * x1)``), or ``1.0``
-    for the constant.  Built only from the term's integers."""
+    """The term as source over states ``x0, x1, ...`` for ``SparseModel.rhs``: the flat
+    product of its states in state order (``(x0 * x0 * x1)``), as Θ's column holds it,
+    or ``1.0`` for the constant.  Built only from the term's integers."""
     factors = [f"x{i}" for i, e in enumerate(term.exponents) for _ in range(e)]
     return f"({' * '.join(factors)})" if factors else "1.0"
 
@@ -177,14 +152,14 @@ class SparseModel:
 
         The returned ``f(x)`` takes the state as a length-n sequence and
         returns a tuple of n floats.  Only the terms active in some
-        equation appear, rendered by :func:`_term_source` as for Θ: each is one
-        product of states (``x0 * x2``), and each equation is one sum of
-        coefficient times term, so inside an integration loop a call costs a
-        few float operations and no numpy arrays.  A term's value equals its
-        column of Θ bit for bit, but the whole agrees with Θ(x) times the
-        coefficients to rounding only: the sums run in another order.  The
-        source is built only from integer indices and ``repr`` of the (finite)
-        coefficients; no state name or other text reaches ``exec``.
+        equation appear, rendered by :func:`_term_source`: each is one product
+        of states (``x0 * x2``), and each equation is one sum of coefficient
+        times term, so inside an integration loop a call costs a few float
+        operations and no numpy arrays.  A term's value equals its column of
+        Θ bit for bit, but the whole agrees with Θ(x) times the coefficients
+        to rounding only: the sums run in another order.  The source is built
+        only from integer indices and ``repr`` of the (finite) coefficients;
+        no state name or other text reaches ``exec``.
         """
         equations = []
         for column in self.coefficients.T:

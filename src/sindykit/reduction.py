@@ -26,6 +26,8 @@ def compute_basis(snapshots: np.ndarray, energy: float) -> np.ndarray:
         raise DataError("need an m x N snapshot matrix with m >= 2")
     if not 0.0 < energy <= 1.0:
         raise ConfigError("energy fraction must lie in (0, 1]")
+    if (bad := ~np.isfinite(X).all(axis=1)).any():
+        raise DataError(f"non-finite snapshot entries at row {int(np.argmax(bad))}")
     # left singular vectors of X^T are the rows' principal directions
     _, s, Vt = np.linalg.svd(X, full_matrices=False)
     total = float(np.sum(s**2))

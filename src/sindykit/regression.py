@@ -46,8 +46,8 @@ class StlsqConfig:
     threshold: float
 
     def __post_init__(self) -> None:
-        if self.threshold < 0:
-            raise ConfigError("threshold must be nonnegative")
+        if not 0 <= self.threshold < np.inf:
+            raise ConfigError("threshold must be nonnegative and finite")
 
 
 @dataclass
@@ -129,12 +129,15 @@ def least_squares(A: np.ndarray, b: np.ndarray, rows: int | None = None) -> np.n
     Singular values below max(m, p) * eps * sigma_max are treated as zero,
     pinning the rank cutoff that a backslash-style solve leaves to the
     environment.  ``rows`` is m when A is the triangular factor of an
-    m-row matrix, so the cutoff stays that of the m-row solve.
+    m-row matrix, so the cutoff stays that of the m-row solve.  Non-finite
+    A or b raise ``DataError``.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise DataError("least_squares needs a nonempty 2-d matrix")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise DataError("least_squares needs finite A and b")
     m = A.shape[0] if rows is None else rows
     rcond = max(m, A.shape[1]) * np.finfo(float).eps
     xi, *_ = np.linalg.lstsq(A, b, rcond=rcond)
@@ -184,7 +187,8 @@ def _fit_report(problem: RegressionProblem, coef: np.ndarray,
 
 
 def _factored(Theta: np.ndarray, dX: np.ndarray) -> RegressionProblem:
-    """The problem of the public solvers: a matrix and targets of matching rows."""
+    """The problem of the public solvers: a matrix and targets of matching rows,
+    every entry finite."""
     values = np.asarray(Theta, dtype=float)
     if values.ndim != 2:
         raise DataError("Theta must be a 2-d matrix")
@@ -193,6 +197,8 @@ def _factored(Theta: np.ndarray, dX: np.ndarray) -> RegressionProblem:
         dX = dX.reshape(-1, 1)
     if dX.ndim != 2 or dX.shape[0] != values.shape[0]:
         raise DataError("Theta and dX must have the same number of rows")
+    _require_finite(values, range(len(values)), "non-finite Theta entry at row")
+    _require_finite(dX, range(len(dX)), "non-finite dX entry at row")
     return RegressionProblem.factor(values.shape[0], values.shape[1],
                                     lambda start, stop: values[start:stop],
                                     dX.shape[1], lambda start, stop: dX[start:stop])
@@ -226,10 +232,11 @@ def stlsq(
 
 
 def _require_finite(values: np.ndarray, rows: np.ndarray | range, problem: str) -> None:
-    """Raise naming the dataset row of the first non-finite row of ``values``."""
+    """Raise ``problem`` and the row of ``rows`` that the first non-finite row of
+    ``values`` is."""
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
-        raise DataError(f"{problem} at dataset row {rows[np.argmax(bad)]}")
+        raise DataError(f"{problem} {rows[np.argmax(bad)]}")
 
 
 def _regression_problem(
@@ -272,12 +279,13 @@ def _regression_problem(
     if derivatives is None:
         n_targets = target.shape[1]
         derivatives = lambda start, stop: target[start:stop]
-    _require_finite(X, rows, "non-finite state")
-    overflow = f"library overflow (states too large for poly_order {spec.poly_order})"
+    _require_finite(X, rows, "non-finite state at dataset row")
+    overflow = (f"library overflow (states too large for poly_order {spec.poly_order}) "
+                "at dataset row")
 
     def targets(start: int, stop: int) -> np.ndarray:
         block = derivatives(start, stop)
-        _require_finite(block, target_rows[start:stop], "non-finite target")
+        _require_finite(block, target_rows[start:stop], "non-finite target at dataset row")
         return block
 
     def library(start: int, stop: int) -> np.ndarray:

@@ -53,16 +53,16 @@ def sweep(
     held-out tail; each fit is scored on the factors of both sides.  In
     discrete mode the pair that straddles the cut belongs to neither side."""
     thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.size and (np.any(np.diff(thresholds) < 0) or np.any(thresholds < 0)):
-        raise ConfigError("thresholds must be sorted ascending and nonnegative")
+    if np.any(np.diff(thresholds) < 0):
+        raise ConfigError("thresholds must be sorted ascending")
+    configs = [StlsqConfig(float(lam)) for lam in thresholds]  # refused before the factoring
     m = dataset.n_samples
     if m < 10:
         raise DataError("too few samples to split")
     cut = m - int(round(m * _HELD_OUT))
     problem = _regression_problem(dataset, spec, mode, within=slice(cut))
     problem_val = _regression_problem(dataset, spec, mode, within=slice(cut, m))
-    models = [fit(dataset, spec, StlsqConfig(float(lam)), mode, problem=problem)
-              for lam in thresholds]
+    models = [fit(dataset, spec, cfg, mode, problem=problem) for cfg in configs]
     points = [
         ParetoPoint(threshold=float(lam), nnz_total=model.nnz(),
                     train_residual=_residual(problem, model.coefficients),

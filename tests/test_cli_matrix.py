@@ -5,11 +5,13 @@ length), so the whole matrix stays quick while exercising the same code
 paths as the full experiments.
 """
 
+import decimal
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -219,6 +221,33 @@ def test_sweep_grid_keeps_its_bits_on_every_host(name):
     sel = exp["selection"]
     grid = SWEEP_GRIDS[sel["log10_min"], sel["log10_max"], sel["count"]]
     assert [t.hex() for t in exp["thresholds"].tolist()] == grid
+
+
+def per_index_grid(a: float, b: float, n: int) -> list[float]:
+    """Threshold i of n as 10 ** (a + (b - a) * i / (n - 1)), each worked out on its own
+    in decimal at 40 digits and rounded once to a double."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a, b = decimal.Decimal(repr(a)), decimal.Decimal(repr(b))
+        return [float(10 ** (a + (b - a) * i / max(n - 1, 1))) for i in range(n)]
+
+
+# the grid multiplies 10 ** a by one ratio per threshold, and must give the
+# doubles of the per-index formula
+@pytest.mark.parametrize("a, b, n", [
+    (-4.0, 0.0, 25), (-3.0, -0.3, 15), (-4.0, 0.0, 10_000), (-300.0, 300.0, 2_000),
+    (-7.5, 2.25, 777), (0.0, 1e-3, 50), (-320.0, -310.0, 40), (-2.0, 5.0, 1)])
+def test_sweep_grid_equals_the_per_index_formula(a, b, n):
+    grid = sindykit.cli._thresholds({"log10_min": a, "log10_max": b, "count": n})
+    assert grid.tolist() == per_index_grid(a, b, n)
+
+
+def test_a_grid_of_100_000_thresholds_takes_well_under_a_second():
+    # parse_experiment builds the grid for every command, generate too
+    start = time.process_time()
+    grid = sindykit.cli._thresholds({"log10_min": -4.0, "log10_max": 0.0, "count": 100_000})
+    assert time.process_time() - start < 1.0
+    assert grid[0] == 1e-4 and grid[-1] == 1.0
 
 
 # each segment of the file draws its own noise stream, as that segment of

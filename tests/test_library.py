@@ -12,7 +12,6 @@ from sindykit import (
     build_matrix,
     enumerate_terms,
 )
-from sindykit.model import term_evaluator
 
 
 def names(spec, state_names):
@@ -151,9 +150,3 @@ class TestSingleStateRow:
         out = build_matrix(LibrarySpec(3, 2), np.array([[-8.0, 7.0, 27.0]])).values
         assert np.array_equal(
             out, [[1.0, -8.0, 7.0, 27.0, 64.0, -56.0, -216.0, 49.0, 189.0, 729.0]])
-
-    def test_state_length_must_match_the_terms(self):
-        with pytest.raises(DataError, match="length 2"):
-            term_evaluator(enumerate_terms(LibrarySpec(3, 2)), 2)
-        with pytest.raises(DataError, match="length 3"):
-            term_evaluator(enumerate_terms(LibrarySpec(2, 2)), 3)

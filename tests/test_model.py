@@ -25,7 +25,7 @@ from sindykit import (
     render_table,
     support,
 )
-from sindykit.model import default_state_names, term_evaluator
+from sindykit.model import default_state_names
 from conftest import parse_table
 
 
@@ -115,7 +115,7 @@ def _sparse_model(spec, names, seed, zero_equation=None):
 
 class TestGeneratedRhs:
     """``SparseModel.rhs`` is generated float code; it must agree with the
-    term evaluator's Θ(x) @ coefficients to rounding."""
+    library's Θ(x) @ coefficients to rounding."""
 
     @pytest.mark.parametrize("spec, names, zero_equation", [
         # constant, cubic, and an all-zero equation
@@ -123,36 +123,21 @@ class TestGeneratedRhs:
         (LibrarySpec(1, 5), ("x",), None),
         (LibrarySpec(10, 2), default_state_names(10), None),  # x9 and later in the source
     ])
-    def test_equals_the_term_evaluator_to_rounding(self, spec, names, zero_equation):
+    def test_equals_the_library_row_to_rounding(self, spec, names, zero_equation):
         model = _sparse_model(spec, names, seed=len(names), zero_equation=zero_equation)
         active = np.flatnonzero(np.any(model.coefficients != 0.0, axis=1))
-        theta = term_evaluator([model.terms[i] for i in active], model.n_states)
         coef = model.coefficients[active]
         f = model.rhs()
         X = 2.0 * np.random.default_rng(1).standard_normal((200, model.n_states))
         for x in X:
             got = np.array(f(x.tolist()))
             assert got.shape == (model.n_states,) and got.dtype == float
-            row = theta(x[None])[0]
+            row = build_matrix(spec, x[None]).values[0, active]
             # each equation is one sum: its rounding is bounded by the sum of |terms|
             scale = np.abs(row) @ np.abs(coef)
             assert np.all(np.abs(got - row @ coef) <= 4 * np.finfo(float).eps * scale)
             if zero_equation is not None:
                 assert got[zero_equation] == 0.0
-
-    @pytest.mark.parametrize("names", [
-        ("xxyyy", "xxxxx"), ("xxyyy",), ("1", "y", "xxxxx"), ("xxyy", "xyyy")])
-    def test_a_subset_of_terms_gives_the_library_row(self, names):
-        # the subset compiles fewer terms than the library, and must still
-        # give the library's values bit for bit
-        spec = LibrarySpec(2, 5)
-        terms = enumerate_terms(spec)
-        labels = [t.name(("x", "y")) for t in terms]
-        active = sorted(labels.index(n) for n in names)
-        theta = term_evaluator([terms[i] for i in active], 2)
-        for x in 1.5 * np.random.default_rng(len(names)).standard_normal((50, 2)):
-            row = build_matrix(spec, x[None]).values[0]
-            assert theta(x[None])[0].tobytes() == row[active].tobytes()
 
     def test_hostile_state_names_do_not_reach_the_source(self):
         spec = LibrarySpec(3, 2)

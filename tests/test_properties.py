@@ -20,7 +20,6 @@ from sindykit import (
     render_table,
 )
 from sindykit.dataio import read_dataset_csv, write_dataset_csv
-from sindykit.model import term_evaluator
 from conftest import parse_table
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -110,7 +109,9 @@ def test_matrix_rows_equal_single_state_rows_across_blocks(n, order, constant, r
 def test_rhs_is_the_terms_times_the_coefficients(model, data):
     x = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=model.n_states,
                                     max_size=model.n_states)))
-    theta = term_evaluator(model.terms, model.n_states)(x[None])[0]
+    spec = LibrarySpec(model.n_states, max(t.degree for t in model.terms),
+                       include_constant=model.terms[0].degree == 0)
+    theta = build_matrix(spec, x[None]).values[0]
     with np.errstate(over="ignore"):
         scale = np.abs(theta) @ np.abs(model.coefficients)  # bounds the rounding of either sum
     assume(np.isfinite(scale).all())

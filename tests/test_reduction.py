@@ -81,6 +81,13 @@ class TestComputeBasis:
         with pytest.raises(DataError, match="snapshot matrix"):
             compute_basis(snaps[:1], energy=0.9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snapshot_is_a_data_error_naming_the_row(self, bad):
+        snaps = random_snapshots(9, m=10, n=4)
+        snaps[7, 2] = bad
+        with pytest.raises(DataError, match="non-finite snapshot entries at row 7$"):
+            compute_basis(snaps, energy=0.9)
+
 
 class TestReduceDataset:
     @pytest.fixture()

@@ -78,6 +78,15 @@ class TestLeastSquares:
         out = least_squares(A, np.full(5, 4.0))
         assert np.allclose(out, [2.0, 2.0])  # minimum-norm split
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["A", "b"])
+    def test_non_finite_input_is_a_data_error(self, capfd, bad, where):
+        A, b = np.eye(3), np.ones(3)
+        (A[1] if where == "A" else b)[1] = bad
+        with pytest.raises(DataError, match="finite A and b"):
+            least_squares(A, b)
+        assert capfd.readouterr().err == ""  # LAPACK printed nothing
+
 
 class TestStlsq:
     def test_oscillator_trajectory_linear_columns(self, linear2d_dataset):
@@ -228,6 +237,22 @@ class TestStlsq:
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
             StlsqConfig(threshold=-1.0)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_is_a_config_error(self, threshold):
+        # NaN passes a ``< 0`` test, and would fit an all-zero model
+        with pytest.raises(ConfigError, match="threshold must be nonnegative and finite"):
+            StlsqConfig(threshold=threshold)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["Theta", "dX"])
+    def test_non_finite_input_is_a_data_error_naming_the_row(self, capfd, bad, where):
+        rng = np.random.default_rng(4)
+        Theta, dX = rng.standard_normal((30, 4)), rng.standard_normal((30, 2))
+        (Theta if where == "Theta" else dX)[23, 1] = bad
+        with pytest.raises(DataError, match=f"non-finite {where} entry at row 23$"):
+            stlsq(Theta, dX, StlsqConfig(threshold=0.1))
+        assert capfd.readouterr().err == ""  # LAPACK printed nothing
 
 
 class TestOracleEquivalenceProperty:

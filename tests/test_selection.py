@@ -124,6 +124,11 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), np.array([0.1, 0.01]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_threshold_rejected(self, noisy_lorenz_subsample, bad):
+        with pytest.raises(ConfigError, match="nonnegative and finite"):
+            sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), np.array([0.01, bad]))
+
     def test_determinism(self, noisy_lorenz_subsample):
         lams = np.logspace(-3, -1, 5)
         a, _ = sweep(noisy_lorenz_subsample, LibrarySpec(3, 5), lams)
